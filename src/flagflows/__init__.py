@@ -5,7 +5,7 @@ point-line flag manifold and projective space, cross-ratio refraction
 flows, and the eigenvalue oracles they are checked against.
 """
 
-from .config import DEFAULT_TOL, FlagFlowsError, Tolerances
+from .config import FlagFlowsError
 from .devmaps import (
     LeafPoint,
     PointLineFlag,

@@ -17,17 +17,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DEFAULT_TOL, FlagFlowsError
+from .config import FlagFlowsError
 from .devmaps import (
+    MAP_TABLE as _MAP_TABLE,
     LeafPoint,
     _random_positive_triple,
     covering_checks,
+    curve_tolerance,
     geodesic_realization,
     omega_membership,
-    phi_tan_minus,
-    phi_tan_plus,
-    phi_tr,
-    psi_k,
     type_classifier,
 )
 from .flows import (
@@ -45,8 +43,10 @@ from .limitcurve import (
     fuchsian_curve,
     sample_boundary,
 )
+from .projective import dual
 from .render import render_scene, scene_boundary, scene_dev_image
 from .reps import (
+    axis_thetas,
     bulge_deform,
     fuchsian_genus2,
     jordan_projection,
@@ -67,6 +67,18 @@ DEFAULT_CONFIG = {
     "outdir": "out",
 }
 
+DEV_LEAF = (0.5, 3.6)  # (x, z) of the leaf drawn by dev-image and render
+PERIODS_MAX_LEN = 4    # word length of the periods check
+DECAY_T_MAX, DECAY_STEPS = 5.0, 20  # tangent-flow time and steps of the decay check
+
+PERIOD_BOUND = 1e-6    # relative error of a flow period against its root length
+COCYCLE_BOUND = 1e-7   # error of the cocycle identity c(s + t) = c(t) o flow(s) + c(s)
+FUCHSIAN_DECAY_SLOPE, DECAY_SLOPE_TOL = -1.0, 0.05  # decay slope on Fuchsian curves
+DECAY_MARGIN = 0.1     # slack below -1/(beta_hat - 1) on bulged curves
+# domain component that each developing map lands in
+EXPECTED_COMPONENT = {"tr": "2", "tan+": "2", "tan-": "2",
+                      "psi1": "1", "psi2": "1", "psi3": "3", "psi4": "3"}
+
 
 # ---------------------------------------------------------------------------
 # config and summary plumbing
@@ -77,12 +89,18 @@ def load_config(args) -> dict:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("config file must hold a JSON object")
         version = data.get("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported config schema version {version}")
+        unknown = sorted(set(data) - set(DEFAULT_CONFIG))
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}; "
+                             f"known keys are {sorted(DEFAULT_CONFIG)}")
         cfg.update(data)
-    for key in ("genus", "n", "bulge", "word_ball", "seed", "outdir"):
-        value = getattr(args, key.replace("-", "_"), None)
+    for key in DEFAULT_CONFIG:
+        value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
     if cfg["genus"] != 2:
@@ -187,19 +205,6 @@ def build_curve(cfg: dict):
     return sample_boundary(rep, reference, int(cfg["word_ball"]))
 
 
-def _axis_thetas(reference, word):
-    """(attracting, repelling) boundary parameters of a word's axis."""
-    from .reps import theta_of_vector
-
-    m = reference.matrix(word)
-    if abs(np.trace(m)) <= 2.0:
-        raise ValueError("word image is not hyperbolic in the reference")
-    vals, vecs = np.linalg.eig(m)
-    order = np.argsort(-np.abs(vals))
-    return (theta_of_vector(vecs[:, order[0]].real),
-            theta_of_vector(vecs[:, order[1]].real))
-
-
 def _positive_roots(n: int):
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
@@ -209,15 +214,63 @@ def _parse_alpha(text: str):
     return (i, j)
 
 
-_MAP_TABLE = {
-    "tr": phi_tr,
-    "tan+": phi_tan_plus,
-    "tan-": phi_tan_minus,
-    "psi1": lambda c, p: psi_k(c, p, 1),
-    "psi2": lambda c, p: psi_k(c, p, 2),
-    "psi3": lambda c, p: psi_k(c, p, 3),
-    "psi4": lambda c, p: psi_k(c, p, 4),
-}
+def _rel_error(value: float, want: float) -> float:
+    return abs(value - want) / max(abs(want), 1e-30)
+
+
+# ---------------------------------------------------------------------------
+# checks shared by the subcommands and verify-all; each entry holds its
+# "passed" flag and the measured values it was judged on
+
+
+def frenet_check(curve):
+    """Hyperconvexity of the curve; returns (report, entry)."""
+    report = frenet_checks(curve)
+    return report, {
+        "passed": report.general_position_ok and report.osculation_ok,
+        "min_triple_singular_value": report.min_triple_singular_value,
+        "max_osculation_defect": report.max_osculation_defect,
+    }
+
+
+def periods_check(curve, max_len: int, roots):
+    """Flow periods against root lengths over the word ball; returns (rows, entry).
+
+    A row is [word, i, j, flow period, root length, relative error].
+    """
+    words = enumerate_conjugacy_classes(curve.rep.presentation, max_len)
+    spectrum = period_spectrum(curve, words, roots)
+    rows = []
+    worst = 0.0
+    for w in words:
+        jd = jordan_projection(curve.rep.matrix(w), curve.rep.matrix(w.inverse()))
+        for (i, j) in roots:
+            period = spectrum[w][(i, j)]
+            want = root_length(jd, i, j)
+            rel = _rel_error(period, want)
+            worst = max(worst, rel)
+            rows.append([w, i, j, period, want, rel])
+    return rows, {"passed": worst < PERIOD_BOUND, "num_words": len(words),
+                  "worst_rel_error": worst}
+
+
+def decay_check(cfg, curve, t_max: float, steps: int):
+    """Stable-leaf decay slope along the tangent flow; returns (samples, entry, beta_hat).
+
+    The slope is -1 on Fuchsian curves.  On bulged ones it is bounded
+    below by -1/(beta_hat - 1) less a margin, from the estimated boundary
+    regularity beta_hat (None on Fuchsian curves).
+    """
+    # leaf nearly aligned with the stable-leaf base point keeps the
+    # measured distance one-signed along the orbit
+    slope, samples = decay_experiment(curve, LeafPoint(0.5, 0.7, 3.9), 3.5, t_max, steps)
+    if float(cfg.get("bulge", 0.0)) == 0.0:
+        return samples, {"passed": abs(slope - FUCHSIAN_DECAY_SLOPE) < DECAY_SLOPE_TOL,
+                         "slope": slope, "expected_slope": FUCHSIAN_DECAY_SLOPE}, None
+    _, beta_hat = boundary_regularity_estimate(curve)
+    bound = -1.0 / (beta_hat - 1.0) - DECAY_MARGIN
+    return samples, {"passed": slope >= bound, "slope": slope,
+                     "slope_lower_bound": bound}, beta_hat
 
 
 # ---------------------------------------------------------------------------
@@ -227,15 +280,12 @@ _MAP_TABLE = {
 def cmd_build_rep(cfg, args):
     rep, reference = build_rep(cfg)
     write_json_artifact(cfg, "rep.json", rep.to_dict())
-    relator = rep.matrix(rep.presentation.relator())
-    dist = min(np.linalg.norm(relator - np.eye(rep.n)),
-               np.linalg.norm(relator + np.eye(rep.n)))
     rep.check_loxodromy(2)
     emit_summary(cfg, "build_rep", {
         "genus": cfg["genus"],
         "n": rep.n,
         "bulge": float(cfg.get("bulge", 0.0)),
-        "relator_distance": dist,
+        "relator_distance": rep.relator_distance(),
         "loxodromy_depth2_ok": True,
     })
     return 0
@@ -260,17 +310,11 @@ def cmd_sample_curve(cfg, args):
 
 
 def cmd_frenet_check(cfg, args):
-    curve = build_curve(cfg)
-    report = frenet_checks(curve)
-    ok = report.general_position_ok and report.osculation_ok
-    emit_summary(cfg, "frenet_check", {
-        "min_triple_singular_value": report.min_triple_singular_value,
-        "max_osculation_defect": report.max_osculation_defect,
-        "general_position_ok": report.general_position_ok,
-        "osculation_ok": report.osculation_ok,
-        "passed": ok,
-    })
-    return 0 if ok else 1
+    report, check = frenet_check(build_curve(cfg))
+    emit_summary(cfg, "frenet_check", dict(
+        check, general_position_ok=report.general_position_ok,
+        osculation_ok=report.osculation_ok))
+    return 0 if check["passed"] else 1
 
 
 def cmd_dev_image(cfg, args):
@@ -295,7 +339,6 @@ def cmd_dev_image(cfg, args):
         for k in range(1, num + 1):
             y = (x + arc * k / (num + 1)) % (2 * math.pi)
             f = fn(curve, LeafPoint(x, y, z))
-            from .projective import dual
             rows.append([y] + list(f.point.vector) + list(dual(f.line).vector))
     write_csv(cfg, "dev_image.csv", header, rows)
     emit_summary(cfg, "dev_image", {
@@ -308,7 +351,10 @@ def cmd_flow(cfg, args):
     curve = build_curve(cfg)
     alpha = _parse_alpha(args.alpha)
     word = curve.rep.presentation.parse_word(args.word)
-    x, z = _axis_thetas(curve.reference, word)
+    m = curve.reference.matrix(word)
+    if abs(np.trace(m)) <= 2.0:
+        raise ValueError("word image is not hyperbolic in the reference")
+    x, z = axis_thetas(m)
     y0 = (x + ((z - x) % (2 * math.pi)) / 2) % (2 * math.pi)
     record = flow_orbit(curve, alpha, LeafPoint(x, y0, z),
                         float(args.t_max), int(args.steps))
@@ -326,7 +372,7 @@ def cmd_flow(cfg, args):
         "steps": int(args.steps),
         "period": period,
         "root_length": want,
-        "rel_error": abs(period - want) / max(abs(want), 1e-30),
+        "rel_error": _rel_error(period, want),
     })
     return 0
 
@@ -334,52 +380,25 @@ def cmd_flow(cfg, args):
 def cmd_periods(cfg, args):
     curve = build_curve(cfg)
     roots = [_parse_alpha(args.alpha)] if args.alpha else _positive_roots(curve.n)
-    words = enumerate_conjugacy_classes(curve.rep.presentation, int(args.max_len))
-    spectrum = period_spectrum(curve, words, roots)
-    rows = []
-    worst = 0.0
-    for w in words:
-        jd = jordan_projection(curve.rep.matrix(w), curve.rep.matrix(w.inverse()))
-        for (i, j) in roots:
-            period = spectrum[w][(i, j)]
-            want = root_length(jd, i, j)
-            rel = abs(period - want) / max(abs(want), 1e-30)
-            worst = max(worst, rel)
-            rows.append([curve.rep.presentation.format_word(w), i, j,
-                         period, want, rel])
+    rows, check = periods_check(curve, int(args.max_len), roots)
+    fmt = curve.rep.presentation.format_word
     write_csv(cfg, "periods.csv",
-              ["word", "i", "j", "flow_period", "root_length", "rel_error"], rows)
-    ok = worst < 1e-6
-    emit_summary(cfg, "periods", {
-        "max_len": int(args.max_len),
-        "roots": [list(r) for r in roots],
-        "num_words": len(words),
-        "worst_rel_error": worst,
-        "passed": ok,
-    })
-    return 0 if ok else 1
+              ["word", "i", "j", "flow_period", "root_length", "rel_error"],
+              [[fmt(row[0])] + row[1:] for row in rows])
+    emit_summary(cfg, "periods", dict(check, max_len=int(args.max_len),
+                                      roots=[list(r) for r in roots]))
+    return 0 if check["passed"] else 1
 
 
 def cmd_decay(cfg, args):
-    curve = build_curve(cfg)
-    # leaf nearly aligned with the stable-leaf base point keeps the
-    # measured distance one-signed along the orbit
-    p = LeafPoint(0.5, 0.7, 3.9)
-    slope, samples = decay_experiment(curve, p, 3.5,
-                                      float(args.t_max), int(args.steps))
+    samples, check, beta_hat = decay_check(cfg, build_curve(cfg),
+                                           float(args.t_max), int(args.steps))
     write_csv(cfg, "decay.csv", ["t", "stable_leaf_distance"], samples)
-    summary = {"slope": slope, "t_max": float(args.t_max)}
-    if float(cfg.get("bulge", 0.0)) == 0.0:
-        summary["expected_slope"] = -1.0
-        summary["passed"] = abs(slope + 1.0) < 0.05
-    else:
-        _, beta_hat = boundary_regularity_estimate(curve)
-        bound = -1.0 / (beta_hat - 1.0) - 0.1
+    summary = dict(check, t_max=float(args.t_max))
+    if beta_hat is not None:
         summary["beta_hat"] = beta_hat
-        summary["slope_lower_bound"] = bound
-        summary["passed"] = slope >= bound
     emit_summary(cfg, "decay", summary)
-    return 0 if summary["passed"] else 1
+    return 0 if check["passed"] else 1
 
 
 def cmd_render(cfg, args):
@@ -388,7 +407,7 @@ def cmd_render(cfg, args):
     if figure == "boundary":
         scene = scene_boundary(curve)
     elif figure.startswith("dev-"):
-        scene = scene_dev_image(curve, figure[4:], 0.5, 3.6)
+        scene = scene_dev_image(curve, figure[4:], *DEV_LEAF)
     else:
         raise ValueError(f"unknown figure {figure!r}")
     svg, clipped = render_scene(scene)
@@ -404,47 +423,32 @@ def cmd_render(cfg, args):
 
 
 def cmd_verify_all(cfg, args):
-    checks = {}
+    """The paper's n=3 claims as nine checks, in a fixed order of rng draws."""
+    if int(cfg["n"]) != 3:
+        raise ValueError(f"verify-all checks the n=3 developing maps; got n={cfg['n']}")
     seed = int(cfg["seed"])
     rng = np.random.default_rng(seed)
     curve = build_curve(cfg)
-    n = curve.n
-
-    report = frenet_checks(curve)
-    checks["frenet"] = {
-        "passed": report.general_position_ok and report.osculation_ok,
-        "min_triple_singular_value": report.min_triple_singular_value,
-        "max_osculation_defect": report.max_osculation_defect,
-    }
+    checks = {"frenet": frenet_check(curve)[1]}
 
     domain = build_convex_domain(curve)
-    checks["convex_domain"] = {
-        "passed": domain.is_convex() and domain.tangents_support(),
-        "is_convex": domain.is_convex(),
-        "tangents_support": domain.tangents_support(),
-    }
+    convex, support = domain.is_convex(), domain.tangents_support()
+    checks["convex_domain"] = {"passed": convex and support, "is_convex": convex,
+                               "tangents_support": support}
 
     cov = covering_checks(curve, num_points=20, seed=seed)
-    cov_tol = 1e-6 if curve.exact_eval is not None else 1e-3
-    checks["covering"] = {
-        "passed": cov.two_sheet_max_error < cov_tol,
-        "two_sheet_max_error": cov.two_sheet_max_error,
-        "tolerance": cov_tol,
-    }
+    bound = curve_tolerance(curve)
+    checks["covering"] = {"passed": cov.two_sheet_max_error < bound,
+                          "two_sheet_max_error": cov.two_sheet_max_error,
+                          "tolerance": bound}
 
-    expected = {"tr": "2", "tan+": "2", "tan-": "2",
-                "psi1": "1", "psi2": "1", "psi3": "3", "psi4": "3"}
     miscount = 0
-    trials = 0
     for name, fn in _MAP_TABLE.items():
         for _ in range(5):
             p = _random_positive_triple(rng)
-            got = omega_membership(curve, fn(curve, p))
-            trials += 1
-            if got != expected[name]:
-                miscount += 1
-    checks["membership"] = {"passed": miscount == 0,
-                            "trials": trials, "misclassified": miscount}
+            miscount += omega_membership(curve, fn(curve, p)) != EXPECTED_COMPONENT[name]
+    checks["membership"] = {"passed": miscount == 0, "trials": 5 * len(_MAP_TABLE),
+                            "misclassified": miscount}
 
     class_ok = True
     for name, want in (("tr", "transverse"), ("tan+", "tangent_plus"),
@@ -458,42 +462,23 @@ def cmd_verify_all(cfg, args):
         class_ok = class_ok and type_classifier(samples, curve, p.x, p.z) == want
     checks["type_classifier"] = {"passed": class_ok}
 
-    words = enumerate_conjugacy_classes(curve.rep.presentation, 4)
-    spectrum = period_spectrum(curve, words, _positive_roots(n))
-    worst = 0.0
-    for w in words:
-        jd = jordan_projection(curve.rep.matrix(w), curve.rep.matrix(w.inverse()))
-        for root in _positive_roots(n):
-            want = root_length(jd, root[0], root[1])
-            rel = abs(spectrum[w][root] - want) / max(abs(want), 1e-30)
-            worst = max(worst, rel)
-    checks["periods"] = {"passed": worst < 1e-6,
-                         "num_words": len(words), "worst_rel_error": worst}
+    checks["periods"] = periods_check(curve, PERIODS_MAX_LEN, _positive_roots(3))[1]
 
     worst_cocycle = 0.0
     alpha = (1, 2)
     for _ in range(20):
         p = _random_positive_triple(rng)
         s, t = rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0)
-        moved = LeafPoint(p.x, reference_flow(curve.reference, p.x, p.z, p.y, s), p.z)
+        moved = LeafPoint(p.x, reference_flow(p.x, p.z, p.y, s), p.z)
         err = abs(cocycle(curve, alpha, p, s + t)
                   - cocycle(curve, alpha, moved, t) - cocycle(curve, alpha, p, s))
         worst_cocycle = max(worst_cocycle, err)
-    checks["cocycle"] = {"passed": worst_cocycle < 1e-7,
+    checks["cocycle"] = {"passed": worst_cocycle < COCYCLE_BOUND,
                          "worst_identity_error": worst_cocycle}
 
-    slope, _ = decay_experiment(curve, LeafPoint(0.5, 0.7, 3.9), 3.5, 5.0, 20)
-    if float(cfg.get("bulge", 0.0)) == 0.0:
-        decay_ok = abs(slope + 1.0) < 0.05
-        checks["decay"] = {"passed": decay_ok, "slope": slope,
-                           "expected_slope": -1.0}
-    else:
-        _, beta_hat = boundary_regularity_estimate(curve)
-        bound = -1.0 / (beta_hat - 1.0) - 0.1
-        checks["decay"] = {"passed": slope >= bound, "slope": slope,
-                           "slope_lower_bound": bound}
+    checks["decay"] = decay_check(cfg, curve, DECAY_T_MAX, DECAY_STEPS)[1]
 
-    svg, clipped = render_scene(scene_dev_image(curve, "tan+", 0.5, 3.6))
+    svg, clipped = render_scene(scene_dev_image(curve, "tan+", *DEV_LEAF))
     checks["render"] = {"passed": svg.startswith("<svg") and svg.endswith("</svg>"),
                         "clipped_points": clipped}
 
@@ -501,7 +486,7 @@ def cmd_verify_all(cfg, args):
     emit_summary(cfg, "verify_all", {
         "schema_version": SCHEMA_VERSION,
         "seed": seed,
-        "n": n,
+        "n": 3,
         "bulge": float(cfg.get("bulge", 0.0)),
         "checks": checks,
         "passed": ok,
@@ -535,8 +520,8 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dev-image")
     p.add_argument("--map", required=True,
                    help="tr|tan+|tan-|psi1..4|alpha:i,j")
-    p.add_argument("--x", type=float, default=0.5)
-    p.add_argument("--z", type=float, default=3.6)
+    p.add_argument("--x", type=float, default=DEV_LEAF[0])
+    p.add_argument("--z", type=float, default=DEV_LEAF[1])
     p.add_argument("--num", type=int, default=64)
 
     p = sub.add_parser("flow")
@@ -547,11 +532,11 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("periods")
     p.add_argument("--alpha", help="i,j (default: all positive roots)")
-    p.add_argument("--max-len", type=int, default=4, dest="max_len")
+    p.add_argument("--max-len", type=int, default=PERIODS_MAX_LEN, dest="max_len")
 
     p = sub.add_parser("decay")
-    p.add_argument("--t-max", type=float, default=5.0, dest="t_max")
-    p.add_argument("--steps", type=int, default=20)
+    p.add_argument("--t-max", type=float, default=DECAY_T_MAX, dest="t_max")
+    p.add_argument("--steps", type=int, default=DECAY_STEPS)
 
     p = sub.add_parser("render")
     p.add_argument("--figure", required=True,

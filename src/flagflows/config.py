@@ -1,31 +1,11 @@
-"""Numerical tolerances, shared defaults, and error types.
+"""Structured error types shared by every module of the package.
 
-All geometric predicates in this package are tolerance-gated.  Every
-operation that makes a rank or incidence decision accepts a `Tolerances`
-instance explicitly; `DEFAULT_TOL` is used when none is passed.
+Each error is a `FlagFlowsError`, which the CLI turns into a JSON
+diagnostic with exit status 2.  Numerical bounds are not configured
+here: each is a module constant next to the code that reads it
+(`projective.RANK_TOL`, `reps.LOXODROMY_GAP`, `limitcurve.BISECTION_TOL`
+and so on).
 """
-
-from dataclasses import dataclass, replace
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Tolerance configuration shared across geometric operations."""
-
-    rank: float = 1e-9          # singular values below this are treated as zero
-    orthonorm: float = 1e-12    # allowed deviation from orthonormality
-    equality: float = 1e-9      # principal-angle bound for subspace equality
-    collinear: float = 1e-9     # residual bound for collinearity of points
-    incidence: float = 1e-9     # residual bound for point-on-line tests
-    loxodromy_gap: float = 1e-6 # minimal relative gap between eigenvalue moduli
-    relator: float = 1e-8       # Frobenius distance of relator image from +-Id
-    bisection: float = 1e-12    # arc-parameter bisection tolerance
-
-    def with_(self, **kwargs) -> "Tolerances":
-        return replace(self, **kwargs)
-
-
-DEFAULT_TOL = Tolerances()
 
 
 class FlagFlowsError(Exception):
@@ -36,7 +16,6 @@ class FlagFlowsError(Exception):
 class DimensionOverflow(FlagFlowsError): pass
 class DegenerateSum(FlagFlowsError): pass
 class EmptyIntersection(FlagFlowsError): pass
-class UnexpectedDimension(FlagFlowsError): pass
 class NotCollinear(FlagFlowsError): pass
 class IndeterminateRatio(FlagFlowsError): pass
 class PointOutsideDomain(FlagFlowsError): pass

@@ -11,16 +11,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (
-    DEFAULT_TOL,
-    DegenerateMeet,
-    EmptyIntersection,
-    UnclassifiedLine,
-    UnexpectedDimension,
-)
+from .config import DegenerateMeet, EmptyIntersection, UnclassifiedLine
 from .limitcurve import BoundaryCurve, second_boundary_intersection
-from .projective import Flag, ProjectiveSubspace, cross_ratio, join, meet
+from .projective import ProjectiveSubspace, cross_ratio, join, meet, signed_polygon_distance
 from .reps import circular_gap, positively_oriented
+
+# bound on a pointwise identity or fit residual: closed-form and interpolated curves
+EXACT_CURVE_TOL = 1e-6
+SAMPLED_CURVE_TOL = 1e-3
+LINE_MATCH_TOL = 1e-4  # principal angle at which a fitted leaf line matches a candidate
+
+
+def curve_tolerance(curve: BoundaryCurve) -> float:
+    """Residual bound for checks on this curve, by how its flags are evaluated."""
+    return EXACT_CURVE_TOL if curve.exact_eval is not None else SAMPLED_CURVE_TOL
 
 
 @dataclass(frozen=True)
@@ -78,6 +82,16 @@ def _guarded_meet(subspaces, expected_dim):
     return out
 
 
+def _leaf_pivot(fx, fz, k: int) -> ProjectiveSubspace:
+    """x^k ∩ z^{n-k+1} on the leaf (x, z), read as x^1 at k = 1 and z^1 at k = n."""
+    n = fx.ambient_dim
+    if k == 1:
+        return fx[1]
+    if k == n:
+        return fz[1]
+    return _guarded_meet([fx[k], fz[n - k + 1]], 1)
+
+
 def phi_tr(curve: BoundaryCurve, p: LeafPoint, flags=None) -> PointLineFlag:
     """Transverse developing map: ((x1 + z1) ∩ y2, x1 + z1)."""
     fx, fy, fz = _triple_flags(curve, p, flags)
@@ -94,15 +108,14 @@ def phi_tan_plus(curve: BoundaryCurve, p: LeafPoint, flags=None) -> PointLineFla
     return PointLineFlag(point, line)
 
 
-def involution_iota(curve: BoundaryCurve, p: LeafPoint, flags=None) -> LeafPoint:
+def involution_iota(curve: BoundaryCurve, p: LeafPoint) -> LeafPoint:
     """Replace y by the second boundary hit of the line through y1 and x2 ∩ z2.
 
     Reverses the orientation of the triple; the output is returned as a
     raw triple (check `is_positive` if orientation matters downstream).
     """
-    fx, fy, fz = _triple_flags(curve, p, flags)
-    pivot = _guarded_meet([fx[2], fz[2]], 1)
-    line = join([fy[1], pivot])
+    fx, fy, fz = _triple_flags(curve, p)
+    line = join([fy[1], _leaf_pivot(fx, fz, 2)])
     w = second_boundary_intersection(curve, line, p.y)
     return LeafPoint(p.x, w, p.z)
 
@@ -112,19 +125,15 @@ def phi_tan_minus(curve: BoundaryCurve, p: LeafPoint) -> PointLineFlag:
     return phi_tan_plus(curve, involution_iota(curve, p))
 
 
-def psi_k(curve: BoundaryCurve, p: LeafPoint, k: int, flags=None) -> PointLineFlag:
+def psi_k(curve: BoundaryCurve, p: LeafPoint, k: int) -> PointLineFlag:
     """The four point-line maps into the first and third domain components."""
-    fx, fy, fz = _triple_flags(curve, p, flags)
+    fx, fy, fz = _triple_flags(curve, p)
     chord = join([fx[1], fz[1]])
-    pivot = _guarded_meet([fx[2], fz[2]], 1)
-    if k == 1:
+    pivot = _leaf_pivot(fx, fz, 2)
+    if k in (1, 2):
         line = join([fy[1], pivot])
         point = _guarded_meet([chord, line], 1)
-        return PointLineFlag(point, line)
-    if k == 2:
-        line2 = join([fy[1], pivot])
-        point = _guarded_meet([chord, line2], 1)
-        return PointLineFlag(point, chord)
+        return PointLineFlag(point, line if k == 1 else chord)
     if k == 3:
         secant = _guarded_meet([fy[2], chord], 1)
         return PointLineFlag(pivot, join([pivot, secant]))
@@ -145,32 +154,39 @@ def geodesic_realization(curve: BoundaryCurve, i: int, j: int, p: LeafPoint,
     if not (1 <= i < j <= n):
         raise ValueError("need 1 <= i < j <= n")
     fx, fy, fz = _triple_flags(curve, p, flags)
-
-    def pivot(k):
-        if k == 1:
-            return fx[1]
-        if k == n:
-            return fz[1]
-        return _guarded_meet([fx[k], fz[n - k + 1]], 1)
-
-    span = join([pivot(i), pivot(j)])
+    span = join([_leaf_pivot(fx, fz, i), _leaf_pivot(fx, fz, j)])
     return _guarded_meet([span, fy[n - 1]], 1)
+
+
+# the seven developing maps of a positive triple into point-line flags
+MAP_TABLE = {
+    "tr": phi_tr,
+    "tan+": phi_tan_plus,
+    "tan-": phi_tan_minus,
+    "psi1": lambda c, p: psi_k(c, p, 1),
+    "psi2": lambda c, p: psi_k(c, p, 2),
+    "psi3": lambda c, p: psi_k(c, p, 3),
+    "psi4": lambda c, p: psi_k(c, p, 4),
+}
 
 
 # ---------------------------------------------------------------------------
 # domain membership and diagnostics
 
 
-def omega_membership(curve: BoundaryCurve, f: PointLineFlag, margin: float = None):
+def _membership_margin(curve: BoundaryCurve) -> float:
+    """Distance below which a side-of-hull test is inconclusive."""
+    return max(1e-8, 10.0 * curve.interp_error)
+
+
+def omega_membership(curve: BoundaryCurve, f: PointLineFlag):
     """Classify a point-line flag into a domain component: '1', '2', '3', 'boundary'.
 
     Component 1: point inside the convex hull of the curve; 2: point
     outside but line crosses the hull; 3: both point and line clear of
     the closed hull.  Any margin-inconclusive test returns 'boundary'.
     """
-    from .projective import signed_polygon_distance
-
-    delta = max(1e-8, 10.0 * curve.interp_error) if margin is None else margin
+    delta = _membership_margin(curve)
     verts = curve.chart_points()
     w = curve.chart.frame @ f.point.vector
     if abs(w[-1]) < 1e-12 * np.linalg.norm(w):
@@ -240,7 +256,7 @@ def covering_checks(curve: BoundaryCurve, num_points: int = 32, seed: int = 0,
     sv = np.linalg.svd(stacked.T, compute_uv=False)
     residual = float(sv[-1] / sv[0])
     fx, fz = curve.flag_at(p.x), curve.flag_at(p.z)
-    pivot = meet([fx[2], fz[2]])
+    pivot = _leaf_pivot(fx, fz, 2)
     y_lo = (p.x + arc * 1e-6) % (2 * math.pi)
     y_hi = (p.x + arc * (1 - 1e-6)) % (2 * math.pi)
     near_x = phi_tan_plus(curve, LeafPoint(p.x, y_lo, p.z)).point
@@ -267,10 +283,8 @@ def concavity_check(curve: BoundaryCurve, x: float, sample_count: int = 40,
                     seed: int = 0) -> ConcavityReport:
     """The x-leaf family image avoids the hull and the tangent at x, and
     approximately fills their complement (checked on random chart probes)."""
-    from .projective import signed_polygon_distance
-
     rng = np.random.default_rng(seed)
-    delta = max(1e-8, 10.0 * curve.interp_error)
+    delta = _membership_margin(curve)
     verts = curve.chart_points()
     coeffs = curve.chart.line_to_chart(curve.flag_at(x)[curve.n - 1])
     normal = np.asarray(coeffs[:-1], dtype=float)
@@ -313,8 +327,7 @@ def concavity_check(curve: BoundaryCurve, x: float, sample_count: int = 40,
     )
 
 
-def type_classifier(leaf_samples, curve: BoundaryCurve, x: float, z: float,
-                    residual_threshold: float = None) -> str:
+def type_classifier(leaf_samples, curve: BoundaryCurve, x: float, z: float) -> str:
     """Classify the support line of a leaf image: transverse or tangent ±.
 
     Fits the common line of the sample points by total least squares,
@@ -325,9 +338,7 @@ def type_classifier(leaf_samples, curve: BoundaryCurve, x: float, z: float,
     """
     if len(leaf_samples) < 3:
         raise ValueError("need at least 3 samples")
-    threshold = residual_threshold
-    if threshold is None:
-        threshold = 1e-6 if curve.exact_eval is not None else 1e-3
+    threshold = curve_tolerance(curve)
     pts = np.column_stack([f.point.vector for f in leaf_samples])
     u_mat, s_vals, _ = np.linalg.svd(pts)
     if s_vals[-1] / s_vals[0] > threshold:
@@ -336,11 +347,11 @@ def type_classifier(leaf_samples, curve: BoundaryCurve, x: float, z: float,
     fx, fz = curve.flag_at(x), curve.flag_at(z)
     transverse_line = join([fx[1], fz[1]])
     tangent_line = fz[2]
-    if fitted.principal_angle(transverse_line) < 1e-4:
+    if fitted.principal_angle(transverse_line) < LINE_MATCH_TOL:
         return "transverse"
-    if fitted.principal_angle(tangent_line) > 1e-4:
+    if fitted.principal_angle(tangent_line) > LINE_MATCH_TOL:
         raise UnclassifiedLine("fitted line matches neither candidate")
-    pivot = meet([fx[2], fz[2]])
+    pivot = _leaf_pivot(fx, fz, 2)
     gap = circular_gap(x, z)
     y_mid = (x + gap / 2) % (2 * math.pi)
     probe = meet([curve.flag_at(y_mid)[2], fz[2]])  # a known tangent_plus image

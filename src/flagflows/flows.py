@@ -12,18 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import (
-    DEFAULT_TOL,
-    NotDefinedHere,
-    NotLoxodromic,
-    PointOutsideSegment,
-    RootFindFailure,
-    Tolerances,
-)
-from .devmaps import LeafPoint, geodesic_realization, phi_tan_plus
-from .limitcurve import BoundaryCurve, second_boundary_intersection
+from .config import NotDefinedHere, NotLoxodromic, PointOutsideSegment, RootFindFailure
+from .devmaps import LeafPoint, _leaf_pivot, geodesic_realization, phi_tan_plus
+from .limitcurve import BISECTION_TOL, BoundaryCurve, second_boundary_intersection
 from .projective import ProjectiveSubspace, cross_ratio, join, meet
-from .reps import circular_gap, loxodromic_eigensystem, theta_of_vector
+from .reps import boundary_vector, circular_gap, loxodromic_eigensystem, theta_of_vector
 from .words import GroupWord
 
 
@@ -56,11 +49,6 @@ class LeafMetricContext:
             raise PointOutsideSegment("point at the forward endpoint")
         return float(c[0] / c[1])
 
-    def point_at(self, u: float) -> ProjectiveSubspace:
-        return ProjectiveSubspace.point(
-            u * self.forward.vector + self.backward.vector
-        )
-
 
 def leaf_context(curve: BoundaryCurve, alpha, x: float, z: float,
                  x_flag=None, z_flag=None) -> LeafMetricContext:
@@ -71,15 +59,7 @@ def leaf_context(curve: BoundaryCurve, alpha, x: float, z: float,
         raise ValueError("need 1 <= i < j <= n")
     fx = curve.flag_at(x) if x_flag is None else x_flag
     fz = curve.flag_at(z) if z_flag is None else z_flag
-
-    def pivot(k):
-        if k == 1:
-            return fx[1]
-        if k == n:
-            return fz[1]
-        return meet([fx[k], fz[n - k + 1]])
-
-    forward, backward = pivot(i), pivot(j)
+    forward, backward = _leaf_pivot(fx, fz, i), _leaf_pivot(fx, fz, j)
     return LeafMetricContext(x, z, forward, backward, join([forward, backward]))
 
 
@@ -101,7 +81,6 @@ class FlowOrbitRecord:
 
     leaf: tuple
     samples: list = field(default_factory=list)  # (t, y, image point)
-    period: float = None
 
     def append(self, t: float, y: float, image: ProjectiveSubspace):
         if self.samples and t <= self.samples[-1][0]:
@@ -110,7 +89,7 @@ class FlowOrbitRecord:
 
 
 def _arc_bisect(curve, alpha, ctx, p: LeafPoint, target_log_u: float, sign: float,
-                flags, tol: Tolerances) -> float:
+                flags) -> float:
     """Solve log|u(y)| = target on the ccw arc from x to z by bisection."""
     arc = circular_gap(p.x, p.z)
 
@@ -143,7 +122,7 @@ def _arc_bisect(curve, alpha, ctx, p: LeafPoint, target_log_u: float, sign: floa
         a, b, fa = lo, frac0, flo
     else:
         a, b, fa = frac0, hi, f0
-    while (b - a) * arc > tol.bisection:
+    while (b - a) * arc > BISECTION_TOL:
         mid = 0.5 * (a + b)
         fm = value(mid)
         if fa * fm <= 0:
@@ -154,13 +133,12 @@ def _arc_bisect(curve, alpha, ctx, p: LeafPoint, target_log_u: float, sign: floa
 
 
 def flow_step(curve: BoundaryCurve, alpha, p: LeafPoint, t: float,
-              x_flag=None, z_flag=None, tol: Tolerances = None) -> LeafPoint:
+              x_flag=None, z_flag=None) -> LeafPoint:
     """Move a leaf point time t along the refraction flow of root alpha.
 
     The target image point is computed in closed form from the cross-ratio
     equation; the new y is recovered by bisection on the arc parameter.
     """
-    tol = curve.tol if tol is None else tol
     if t == 0.0:
         return p
     fx = curve.flag_at(p.x) if x_flag is None else x_flag
@@ -172,7 +150,7 @@ def flow_step(curve: BoundaryCurve, alpha, p: LeafPoint, t: float,
     )
     target = math.log(abs(u0)) + t
     y_new = _arc_bisect(curve, alpha, ctx, p, target, math.copysign(1.0, u0),
-                        (fx, None, fz), tol)
+                        (fx, None, fz))
     return LeafPoint(p.x, y_new, p.z)
 
 
@@ -195,7 +173,7 @@ def flow_orbit(curve: BoundaryCurve, alpha, p: LeafPoint, t_max: float,
 
 
 def flow_period(curve: BoundaryCurve, alpha, gamma: GroupWord,
-                y_choices: int = 2, tol: Tolerances = None) -> float:
+                y_choices: int = 2) -> float:
     """Period of the closed orbit of gamma under the alpha refraction flow.
 
     Uses exact eigenflags of rep(gamma) at the leaf endpoints; the
@@ -203,24 +181,22 @@ def flow_period(curve: BoundaryCurve, alpha, gamma: GroupWord,
     independent of the choice of the third parameter, which is verified
     across `y_choices` samples.
     """
-    return _word_periods(curve, [alpha], gamma, y_choices, tol)[0]
+    return _word_periods(curve, [alpha], gamma, y_choices)[0]
 
 
-def period_spectrum(curve: BoundaryCurve, words, roots, y_choices: int = 2,
-                    tol: Tolerances = None) -> dict:
+def period_spectrum(curve: BoundaryCurve, words, roots, y_choices: int = 2) -> dict:
     """flow_period for many words and roots, sharing per-word eigendata.
 
     Returns {word: {root: period}} preserving the input word order.
     """
     out = {}
     for w in words:
-        periods = _word_periods(curve, list(roots), w, y_choices, tol)
+        periods = _word_periods(curve, list(roots), w, y_choices)
         out[w] = dict(zip([tuple(r) for r in roots], periods))
     return out
 
 
-def _word_periods(curve: BoundaryCurve, roots, gamma: GroupWord,
-                  y_choices: int, tol: Tolerances) -> list:
+def _word_periods(curve: BoundaryCurve, roots, gamma: GroupWord, y_choices: int) -> list:
     """Shared implementation of flow_period over several roots of one word.
 
     The leaf endpoints x^i ∩ z^{n-i+1} are exactly the eigenvectors of
@@ -234,15 +210,14 @@ def _word_periods(curve: BoundaryCurve, roots, gamma: GroupWord,
     roundoff in subdominant coordinates by the spectral spread, which
     overwhelms float64 for long words otherwise).
     """
-    tol = curve.tol if tol is None else tol
     g_ref = curve.reference.matrix(gamma)
     if abs(np.trace(g_ref)) <= 2.0:
         raise NotLoxodromic("reference image is not hyperbolic")
     n = curve.n
     g = curve.rep.matrix(gamma)
     g_inv = curve.rep.matrix(gamma.inverse())
-    vals_g, vecs_g = loxodromic_eigensystem(g, tol.loxodromy_gap)
-    vals_i, vecs_i = loxodromic_eigensystem(g_inv, tol.loxodromy_gap)
+    vals_g, vecs_g = loxodromic_eigensystem(g)
+    vals_i, vecs_i = loxodromic_eigensystem(g_inv)
     lm = np.log(np.abs(vals_g))
     prefer_g = [lm[0] - lm[k] <= lm[k] - lm[n - 1] for k in range(n)]
     amp = [math.exp(min(lm[0] - lm[k], lm[k] - lm[n - 1])) for k in range(n)]
@@ -284,24 +259,13 @@ def _word_periods(curve: BoundaryCurve, roots, gamma: GroupWord,
     return results
 
 
-def Flag_apply(g: np.ndarray, flag):
-    """Image flag under a matrix (re-orthonormalized levelwise)."""
-    from .projective import Flag
-
-    top = flag.subspaces[-1]
-    dims = [s.dim for s in flag.subspaces]
-    return Flag.from_basis_columns(g @ top.basis, dims=dims)
-
-
-def reference_flow(reference_unused, x: float, z: float, y: float, t: float) -> float:
+def reference_flow(x: float, z: float, y: float, t: float) -> float:
     """Unit-speed hyperbolic geodesic flow toward x on the leaf (x, z).
 
     Normalizes the leaf so that x sits at infinity and z at zero on the
     reference circle; the flow then scales the remaining coordinate by
     e^t.  Independent of the normalizing matrix choice.
     """
-    from .reps import boundary_vector
-
     vx, vz = boundary_vector(x), boundary_vector(z)
     m = np.linalg.inv(np.column_stack([vx, vz]))
     w = m @ boundary_vector(y)
@@ -317,7 +281,7 @@ def cocycle(curve: BoundaryCurve, alpha, p: LeafPoint, t: float) -> float:
     """Translation cocycle of the alpha flow over the reference geodesic flow."""
     fx, fz = curve.flag_at(p.x), curve.flag_at(p.z)
     ctx = leaf_context(curve, alpha, p.x, p.z, x_flag=fx, z_flag=fz)
-    y2 = reference_flow(curve.reference, p.x, p.z, p.y, t)
+    y2 = reference_flow(p.x, p.z, p.y, t)
     img = lambda yy: geodesic_realization(
         curve, alpha[0], alpha[1], LeafPoint(p.x, yy, p.z),
         flags=(fx, curve.flag_at(yy), fz))

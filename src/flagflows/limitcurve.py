@@ -10,37 +10,34 @@ exact flags at any parameter (used by the high-accuracy experiments).
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import (
-    DEFAULT_TOL,
     AmbiguousBracket,
     InsufficientResolution,
     InsufficientSamples,
     NoSecondIntersection,
     NotDefinedHere,
     NotLoxodromic,
-    Tolerances,
 )
-from .projective import (
-    AffineChart,
-    Flag,
-    ProjectiveSubspace,
-    chart_from_four_points,
-    dual,
-)
+from .projective import AffineChart, Flag, ProjectiveSubspace, dual
 from .reps import (
     SurfaceGroupRep,
-    boundary_vector,
+    axis_thetas,
     circular_gap,
     contragredient,
     fixed_flags,
     sym_matrix,
-    theta_of_vector,
 )
 from .words import enumerate_conjugacy_classes
+
+BISECTION_TOL = 1e-12           # arc-parameter width at which boundary bisections stop
+FRENET_MIN_GAP = 0.1            # least circular gap inside a general-position n-tuple
+GENERAL_POSITION_BOUND = 1e-4   # least singular value of n well-separated xi^1 vectors
+OSCULATION_BOUND = 10.0         # largest chord-to-tangent angle per unit gap
+SUPPORT_TOL = 1e-8              # chart residual allowed on the wrong side of a tangent
 
 
 @dataclass
@@ -56,17 +53,13 @@ class BoundaryCurve:
     flags: list
     rep: SurfaceGroupRep
     reference: SurfaceGroupRep
-    words: list = None
     exact_eval: object = None  # optional callable theta -> Flag
-    tol: Tolerances = field(default=DEFAULT_TOL, repr=False)
 
     def __post_init__(self):
         self.thetas = np.asarray(self.thetas, dtype=float)
         order = np.argsort(self.thetas)
         self.thetas = self.thetas[order]
         self.flags = [self.flags[i] for i in order]
-        if self.words is not None:
-            self.words = [self.words[i] for i in order]
         if np.any(np.diff(self.thetas) < 1e-10):
             raise ValueError("duplicate thetas in curve samples")
         self._build_chart()
@@ -179,10 +172,6 @@ class BoundaryCurve:
             )
         return self._hyperplane_covectors
 
-    def sample_index_near(self, theta: float):
-        i = bisect.bisect_left(self.thetas, theta % (2 * math.pi))
-        return i % self.thetas.size
-
     def flag_at(self, theta: float) -> Flag:
         return interpolate(self, theta)
 
@@ -209,7 +198,7 @@ class BoundaryCurve:
 
 
 def sample_boundary(rep: SurfaceGroupRep, reference: SurfaceGroupRep, max_word_len: int,
-                    min_samples: int = 64, tol: Tolerances = DEFAULT_TOL) -> BoundaryCurve:
+                    min_samples: int = 64) -> BoundaryCurve:
     """Sample the limit curve at attracting fixed points of a word ball.
 
     Each conjugacy-class representative (and its inverse, enumerated as a
@@ -225,12 +214,9 @@ def sample_boundary(rep: SurfaceGroupRep, reference: SurfaceGroupRep, max_word_l
             raise NotLoxodromic(
                 f"reference image of {rep.presentation.format_word(w)} is not hyperbolic"
             )
-        vals = np.linalg.eigvals(m2)
-        vecs = np.linalg.eig(m2)[1]
-        top = np.argmax(np.abs(vals))
-        theta = theta_of_vector(vecs[:, top].real)
+        theta, _ = axis_thetas(m2)
         try:
-            flag, _ = fixed_flags(rep.matrix(w), tol.loxodromy_gap)
+            flag, _ = fixed_flags(rep.matrix(w))
         except NotLoxodromic as exc:
             raise NotLoxodromic(
                 f"word {rep.presentation.format_word(w)}: {exc}"
@@ -242,14 +228,8 @@ def sample_boundary(rep: SurfaceGroupRep, reference: SurfaceGroupRep, max_word_l
     if len(samples) < min_samples:
         raise InsufficientSamples(f"only {len(samples)} distinct boundary samples")
     items = sorted(samples.values(), key=lambda s: s[0])
-    return BoundaryCurve(
-        np.array([s[0] for s in items]),
-        [s[1] for s in items],
-        rep,
-        reference,
-        words=[s[2] for s in items],
-        tol=tol,
-    )
+    return BoundaryCurve(np.array([s[0] for s in items]), [s[1] for s in items],
+                         rep, reference)
 
 
 def _rotation_to(theta: float) -> np.ndarray:
@@ -258,8 +238,7 @@ def _rotation_to(theta: float) -> np.ndarray:
     return np.array([[-c, -s], [s, -c]])
 
 
-def fuchsian_curve(reference: SurfaceGroupRep, n: int, num_samples: int = 1024,
-                   tol: Tolerances = DEFAULT_TOL) -> BoundaryCurve:
+def fuchsian_curve(reference: SurfaceGroupRep, n: int, num_samples: int = 1024) -> BoundaryCurve:
     """Closed-form limit curve of the Fuchsian representation sym_power(reference, n).
 
     The flag at theta is the symmetric power of a rotation applied to the
@@ -276,7 +255,7 @@ def fuchsian_curve(reference: SurfaceGroupRep, n: int, num_samples: int = 1024,
 
     thetas = (np.arange(num_samples) + 0.5) * 2 * math.pi / num_samples
     flags = [exact_eval(t) for t in thetas]
-    return BoundaryCurve(thetas, flags, rep, reference, exact_eval=exact_eval, tol=tol)
+    return BoundaryCurve(thetas, flags, rep, reference, exact_eval=exact_eval)
 
 
 def interpolate(curve: BoundaryCurve, theta: float) -> Flag:
@@ -318,14 +297,13 @@ def interpolate(curve: BoundaryCurve, theta: float) -> Flag:
 
 
 def second_boundary_intersection(curve: BoundaryCurve, line: ProjectiveSubspace,
-                                 known: float, tol: Tolerances = None) -> float:
+                                 known: float) -> float:
     """The other parameter at which a line through xi^1(known) meets the curve.
 
     Works by deflating the known root: the incidence residual divided by
     sin(gap/2) has exactly one sign change on the circle, located at the
     second intersection; that bracket is refined by bisection.
     """
-    tol = curve.tol if tol is None else tol
     if line.dim != curve.n - 1:
         raise ValueError("expected a hyperplane (projective line for n=3)")
     covector = dual(line).vector
@@ -359,7 +337,7 @@ def second_boundary_intersection(curve: BoundaryCurve, line: ProjectiveSubspace,
         raise AmbiguousBracket(f"{len(brackets)} sign changes; samples not convex here")
     a, b = brackets[0]
     fa = deflated(a)
-    while circular_gap(a, b) > tol.bisection:
+    while circular_gap(a, b) > BISECTION_TOL:
         mid = a + circular_gap(a, b) / 2.0
         fm = deflated(mid)
         if fa * fm <= 0:
@@ -384,9 +362,7 @@ def dual_curve(curve: BoundaryCurve) -> BoundaryCurve:
         [dualize(f) for f in curve.flags],
         contragredient(curve.rep),
         curve.reference,
-        words=list(curve.words) if curve.words is not None else None,
         exact_eval=exact,
-        tol=curve.tol,
     )
 
 
@@ -396,13 +372,9 @@ class FrenetReport:
     max_osculation_defect: float
     general_position_ok: bool
     osculation_ok: bool
-    general_position_threshold: float
-    osculation_threshold: float
 
 
-def frenet_checks(curve: BoundaryCurve, min_gap: float = 0.1,
-                  general_position_threshold: float = 1e-4,
-                  osculation_threshold: float = 10.0) -> FrenetReport:
+def frenet_checks(curve: BoundaryCurve) -> FrenetReport:
     """Numerical diagnostics for the two hyperconvexity conditions.
 
     (a) general position: smallest singular value of stacked xi^1 vectors
@@ -421,7 +393,7 @@ def frenet_checks(curve: BoundaryCurve, min_gap: float = 0.1,
             idx = [(start + k * stride) % count for k in range(n)]
             pts = [thetas[i] for i in idx]
             gaps_ok = all(
-                min(circular_gap(p, q), circular_gap(q, p)) > min_gap
+                min(circular_gap(p, q), circular_gap(q, p)) > FRENET_MIN_GAP
                 for a_i, p in enumerate(pts)
                 for q in pts[a_i + 1:]
             )
@@ -448,10 +420,8 @@ def frenet_checks(curve: BoundaryCurve, min_gap: float = 0.1,
     return FrenetReport(
         min_triple_singular_value=float(min_sv),
         max_osculation_defect=float(max_defect),
-        general_position_ok=bool(min_sv > general_position_threshold),
-        osculation_ok=bool(max_defect < osculation_threshold),
-        general_position_threshold=general_position_threshold,
-        osculation_threshold=osculation_threshold,
+        general_position_ok=bool(min_sv > GENERAL_POSITION_BOUND),
+        osculation_ok=bool(max_defect < OSCULATION_BOUND),
     )
 
 
@@ -469,10 +439,10 @@ class ConvexDomainApprox:
         cross = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
         return bool(np.all(cross > 0) or np.all(cross < 0))
 
-    def tangents_support(self, tolerance: float = 1e-8) -> bool:
+    def tangents_support(self) -> bool:
         for (a, b, c) in self.tangents:
             vals = self.vertices @ np.array([a, b]) + c
-            if vals.max() > tolerance and vals.min() < -tolerance:
+            if vals.max() > SUPPORT_TOL and vals.min() < -SUPPORT_TOL:
                 return False
         return True
 

@@ -2,7 +2,7 @@
 
 Subspaces are represented by orthonormal bases (column span), which keeps
 join/meet simple: both reduce to SVD rank computations.  Rank decisions
-are governed by the tolerances in `flagflows.config`.
+are governed by the tolerances defined below.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import (
-    DEFAULT_TOL,
     DegenerateSum,
     DimensionOverflow,
     EmptyIntersection,
@@ -20,12 +19,15 @@ from .config import (
     LineMissesBoundary,
     NotCollinear,
     PointOutsideDomain,
-    Tolerances,
-    UnexpectedDimension,
 )
 
+RANK_TOL = 1e-9       # singular values below this times the largest count as zero
+EQUALITY_TOL = 1e-9   # principal-angle bound for subspace equality and containment
+COLLINEAR_TOL = 1e-9  # relative third singular value bound for collinear points
+INFINITY_TOL = 1e-13  # relative last chart coordinate of points at infinity
 
-def _orthonormalize(vectors: np.ndarray, rank_tol: float):
+
+def _orthonormalize(vectors: np.ndarray):
     """Orthonormal basis for the column span, with the numerical rank.
 
     Returns (basis, rank); `basis` has `rank` columns.
@@ -33,7 +35,7 @@ def _orthonormalize(vectors: np.ndarray, rank_tol: float):
     vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
     u, s, _ = np.linalg.svd(vectors, full_matrices=False)
     scale = s[0] if s.size and s[0] > 0 else 1.0
-    rank = int(np.sum(s > rank_tol * scale))
+    rank = int(np.sum(s > RANK_TOL * scale))
     return u[:, :rank], rank
 
 
@@ -62,14 +64,14 @@ class ProjectiveSubspace:
         basis.setflags(write=False)
 
     @classmethod
-    def from_spanning(cls, vectors, ambient_dim=None, tol: Tolerances = DEFAULT_TOL):
+    def from_spanning(cls, vectors, ambient_dim=None):
         """Subspace spanned by the given vectors (rows or a single vector)."""
         arr = np.asarray(vectors, dtype=float)
         if arr.ndim == 1:
             arr = arr[None, :]
         if ambient_dim is None:
             ambient_dim = arr.shape[1]
-        basis, rank = _orthonormalize(arr.T, tol.rank)
+        basis, rank = _orthonormalize(arr.T)
         if rank == 0:
             raise ValueError("spanning set is numerically zero")
         return cls(ambient_dim, basis)
@@ -105,12 +107,12 @@ class ProjectiveSubspace:
             return float(np.arcsin(min(1.0, np.linalg.norm(resid, ord=2))))
         return float(np.arccos(cos_a))
 
-    def contains(self, other: "ProjectiveSubspace", tol: Tolerances = DEFAULT_TOL) -> bool:
+    def contains(self, other: "ProjectiveSubspace") -> bool:
         """Whether `other` is contained in this subspace, up to tolerance."""
         if other.dim > self.dim:
             return False
         resid = other.basis - self.projector() @ other.basis
-        return bool(np.linalg.norm(resid, ord=2) < max(tol.equality, 1e-9))
+        return bool(np.linalg.norm(resid, ord=2) < EQUALITY_TOL)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProjectiveSubspace):
@@ -118,16 +120,11 @@ class ProjectiveSubspace:
         return (
             self.ambient_dim == other.ambient_dim
             and self.dim == other.dim
-            and self.principal_angle(other) < 1e-9
+            and self.principal_angle(other) < EQUALITY_TOL
         )
 
     def __hash__(self):
         raise TypeError("ProjectiveSubspace equality is numeric; not hashable")
-
-    def display_coords(self) -> np.ndarray:
-        """Spanning vector scaled so its largest-magnitude entry is +1 (cosmetic)."""
-        v = self.vector
-        return v / v[np.argmax(np.abs(v))]
 
     def to_dict(self) -> dict:
         return {
@@ -188,7 +185,7 @@ class Flag:
         return cls(tuple(subs))
 
 
-def join(subspaces, tol: Tolerances = DEFAULT_TOL) -> ProjectiveSubspace:
+def join(subspaces) -> ProjectiveSubspace:
     """Span of a collection of subspaces.
 
     Raises DimensionOverflow if the dimension count exceeds the ambient
@@ -203,7 +200,7 @@ def join(subspaces, tol: Tolerances = DEFAULT_TOL) -> ProjectiveSubspace:
     if total > n:
         raise DimensionOverflow(f"join of total dimension {total} in R^{n}")
     stacked = np.hstack([s.basis for s in subspaces])
-    basis, rank = _orthonormalize(stacked, tol.rank)
+    basis, rank = _orthonormalize(stacked)
     if rank < total:
         raise DegenerateSum(f"join rank {rank} < expected {total}")
     return ProjectiveSubspace(n, basis)
@@ -215,41 +212,33 @@ def dual(s: ProjectiveSubspace) -> ProjectiveSubspace:
     return ProjectiveSubspace(s.ambient_dim, u[:, s.dim:].copy())
 
 
-def meet(subspaces, tol: Tolerances = DEFAULT_TOL, strict: bool = False) -> ProjectiveSubspace:
-    """Intersection of subspaces, via the null space of stacked annihilators.
-
-    With `strict`, a result exceeding the general-position dimension
-    raises UnexpectedDimension (signals tangency or degeneracy).
-    """
+def meet(subspaces) -> ProjectiveSubspace:
+    """Intersection of subspaces, via the null space of stacked annihilators."""
     subspaces = list(subspaces)
     n = subspaces[0].ambient_dim
     if any(s.ambient_dim != n for s in subspaces):
         raise ValueError("ambient dimensions disagree")
-    m = len(subspaces)
-    expected = sum(s.dim for s in subspaces) - (m - 1) * n
     annihilators = np.hstack([dual(s).basis for s in subspaces])
     u, sv, _ = np.linalg.svd(annihilators, full_matrices=True)
     sv = np.concatenate([sv, np.zeros(n - sv.size)])
     scale = sv[0] if sv[0] > 0 else 1.0
-    actual = int(np.sum(sv <= tol.rank * scale))
+    actual = int(np.sum(sv <= RANK_TOL * scale))
     if actual == 0:
         raise EmptyIntersection("numerical intersection is zero-dimensional")
-    if strict and expected >= 1 and actual > expected:
-        raise UnexpectedDimension(f"intersection dim {actual} > general-position {expected}")
     return ProjectiveSubspace(n, u[:, n - actual:].copy())
 
 
-def _line_coords(points, tol: Tolerances):
+def _line_coords(points):
     """2-vector coordinates of dim-1 subspaces on their common line."""
     vectors = np.column_stack([p.vector for p in points])
     u, s, _ = np.linalg.svd(vectors, full_matrices=False)
-    if s.size > 2 and s[2] > tol.collinear * s[0]:
+    if s.size > 2 and s[2] > COLLINEAR_TOL * s[0]:
         raise NotCollinear(f"collinearity residual {s[2] / s[0]:.3e}")
     frame = u[:, :2]
     return frame.T @ vectors  # 2 x m
 
 
-def cross_ratio(a, b, p, q, tol: Tolerances = DEFAULT_TOL) -> float:
+def cross_ratio(a, b, p, q) -> float:
     """Cross-ratio (a,b;p,q) of four collinear points, as an extended real.
 
     The value (q-a)(p-b) / ((p-a)(q-b)) in any affine coordinate on the
@@ -257,7 +246,7 @@ def cross_ratio(a, b, p, q, tol: Tolerances = DEFAULT_TOL) -> float:
     A single degeneracy (a=p or b=q) yields a signed infinity; both at
     once raise IndeterminateRatio.
     """
-    coords = _line_coords([a, b, p, q], tol)
+    coords = _line_coords([a, b, p, q])
     ca, cb, cp, cq = coords.T
 
     def det(u, v):
@@ -266,7 +255,7 @@ def cross_ratio(a, b, p, q, tol: Tolerances = DEFAULT_TOL) -> float:
     num = det(cq, ca) * det(cp, cb)
     den = det(cp, ca) * det(cq, cb)
     scale = float(np.max(np.abs(coords))) ** 2
-    eps = tol.rank * scale
+    eps = RANK_TOL * scale
     if abs(den) <= eps:
         if abs(num) <= eps:
             raise IndeterminateRatio("a=p and b=q simultaneously")
@@ -307,13 +296,13 @@ class AffineChart:
 
     def to_chart(self, point: ProjectiveSubspace) -> np.ndarray:
         w = self.frame @ point.vector
-        if abs(w[-1]) < 1e-13 * np.linalg.norm(w):
+        if abs(w[-1]) < INFINITY_TOL * np.linalg.norm(w):
             raise PointOutsideDomain("point lies on the chart's hyperplane at infinity")
         return w[:-1] / w[-1]
 
     def contains(self, point: ProjectiveSubspace) -> bool:
         w = self.frame @ point.vector
-        return abs(w[-1]) >= 1e-13 * np.linalg.norm(w)
+        return abs(w[-1]) >= INFINITY_TOL * np.linalg.norm(w)
 
     def line_to_chart(self, line: ProjectiveSubspace) -> np.ndarray:
         """Homogeneous chart coefficients (a, b, c) of a hyperplane: a*u + b*v + c = 0."""
@@ -324,7 +313,7 @@ class AffineChart:
         return coeffs / np.linalg.norm(coeffs[:-1])
 
 
-def chart_from_four_points(p1, p2, p3, interior, bounded_direction=True) -> AffineChart:
+def chart_from_four_points(p1, p2, p3, interior) -> AffineChart:
     """Chart sending p1, p2, p3 to a standard triangle with `interior` at its barycenter.
 
     The hyperplane at infinity is the plane avoiding the triangle, so a
@@ -342,8 +331,7 @@ def chart_from_four_points(p1, p2, p3, interior, bounded_direction=True) -> Affi
     return AffineChart.from_frame(g @ normalizer)
 
 
-def hilbert_distance(boundary: np.ndarray, p: np.ndarray, q: np.ndarray,
-                     tol: Tolerances = DEFAULT_TOL) -> float:
+def hilbert_distance(boundary: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
     """Hilbert metric log |(a,b;p,q)| on a convex domain sampled as a closed polygon.
 
     `boundary` is an (m, 2) array of chart points tracing the convex curve;
@@ -353,7 +341,7 @@ def hilbert_distance(boundary: np.ndarray, p: np.ndarray, q: np.ndarray,
     boundary = np.asarray(boundary, dtype=float)
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    if not (_inside_convex_polygon(boundary, p) and _inside_convex_polygon(boundary, q)):
+    if min(signed_polygon_distance(boundary, p), signed_polygon_distance(boundary, q)) <= 0:
         raise PointOutsideDomain("p and q must lie strictly inside the boundary polygon")
     if np.linalg.norm(q - p) < 1e-15:
         return 0.0
@@ -376,17 +364,6 @@ def hilbert_distance(boundary: np.ndarray, p: np.ndarray, q: np.ndarray,
     # chart coordinates along the line: a=ta, p=0, q=1, b=tb
     value = ((1 - ta) * (0 - tb)) / ((0 - ta) * (1 - tb))
     return abs(float(np.log(abs(value))))
-
-
-def _inside_convex_polygon(vertices: np.ndarray, point: np.ndarray, margin: float = 0.0) -> bool:
-    """Strict interior test for a convex polygon (either orientation)."""
-    m = vertices.shape[0]
-    edges = vertices[(np.arange(m) + 1) % m] - vertices
-    rel = point[None, :] - vertices
-    cross = edges[:, 0] * rel[:, 1] - edges[:, 1] * rel[:, 0]
-    lengths = np.linalg.norm(edges, axis=1)
-    dist = cross / np.where(lengths > 0, lengths, 1.0)
-    return bool(np.all(dist > margin) or np.all(dist < -margin))
 
 
 def signed_polygon_distance(vertices: np.ndarray, point: np.ndarray) -> float:

@@ -106,11 +106,6 @@ def render_scene(scene: SceneDescription):
     return "\n".join(parts), clipped
 
 
-def _chart_xy(curve, point):
-    w = curve.chart.frame @ point.vector
-    return w[:-1] / w[-1]
-
-
 def scene_boundary(curve) -> SceneDescription:
     """The convex limit curve in its chart, as a closed polyline."""
     pts = curve.chart_points()
@@ -146,21 +141,12 @@ def _segment_within_viewport(scene, coeffs):
 def scene_dev_image(curve, map_name: str, x: float, z: float,
                     num_samples: int = 48) -> SceneDescription:
     """Boundary, leaf chord/tangent, and a developed leaf image."""
-    from .devmaps import LeafPoint, phi_tan_minus, phi_tan_plus, phi_tr, psi_k
+    from .devmaps import MAP_TABLE, LeafPoint
     from .reps import circular_gap
 
-    maps = {
-        "tr": phi_tr,
-        "tan+": phi_tan_plus,
-        "tan-": phi_tan_minus,
-        "psi1": lambda c, p: psi_k(c, p, 1),
-        "psi2": lambda c, p: psi_k(c, p, 2),
-        "psi3": lambda c, p: psi_k(c, p, 3),
-        "psi4": lambda c, p: psi_k(c, p, 4),
-    }
-    if map_name not in maps:
-        raise ValueError(f"unknown map {map_name!r}; choose from {sorted(maps)}")
-    fn = maps[map_name]
+    if map_name not in MAP_TABLE:
+        raise ValueError(f"unknown map {map_name!r}; choose from {sorted(MAP_TABLE)}")
+    fn = MAP_TABLE[map_name]
     scene = scene_boundary(curve)
     arc = circular_gap(x, z)
     image_pts = []

@@ -13,20 +13,21 @@ reference SL2 representation acts on theta by Mobius transformations.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import (
-    DEFAULT_TOL,
     EigenFailure,
     IndexOrder,
     NonLoxodromicCurve,
     NotLoxodromic,
-    Tolerances,
 )
 from .projective import Flag
-from .words import GroupWord, SurfaceGroupPresentation, reduce_word
+from .words import GroupWord, SurfaceGroupPresentation
+
+LOXODROMY_GAP = 1e-6  # minimal relative gap between consecutive eigenvalue moduli
+RELATOR_TOL = 1e-8    # Frobenius distance of the relator image from +-Id
 
 # ---------------------------------------------------------------------------
 # circle boundary parameterization
@@ -61,6 +62,14 @@ def positively_oriented(x: float, y: float, z: float) -> bool:
     """Whether the triple is in strict counterclockwise circular order."""
     gy, gz = circular_gap(x, y), circular_gap(x, z)
     return 0.0 < gy < gz
+
+
+def axis_thetas(m: np.ndarray):
+    """(attracting, repelling) circle parameters of a hyperbolic 2x2 matrix."""
+    vals, vecs = np.linalg.eig(m)
+    order = np.argsort(-np.abs(vals))
+    return (theta_of_vector(vecs[:, order[0]].real),
+            theta_of_vector(vecs[:, order[1]].real))
 
 
 # ---------------------------------------------------------------------------
@@ -121,11 +130,11 @@ def root_length(j: JordanData, i: int, k: int) -> float:
     return j.log_moduli[i - 1] - j.log_moduli[k - 1]
 
 
-def loxodromic_eigensystem(g: np.ndarray, gap: float = 1e-6):
+def loxodromic_eigensystem(g: np.ndarray):
     """Real eigenvalues and eigenvectors of g sorted by decreasing modulus.
 
     Raises NotLoxodromic unless all eigenvalue moduli are pairwise
-    separated by the relative gap.
+    separated by the relative gap LOXODROMY_GAP.
     """
     g = np.asarray(g, dtype=float)
     try:
@@ -136,8 +145,9 @@ def loxodromic_eigensystem(g: np.ndarray, gap: float = 1e-6):
     vals, vecs = vals[order], vecs[:, order]
     moduli = np.abs(vals)
     for a, b in zip(moduli, moduli[1:]):
-        if (a - b) / a <= gap:
-            raise NotLoxodromic(f"eigenvalue moduli gap {(a - b) / a:.3e} below {gap}")
+        if (a - b) / a <= LOXODROMY_GAP:
+            raise NotLoxodromic(
+                f"eigenvalue moduli gap {(a - b) / a:.3e} below {LOXODROMY_GAP}")
     # distinct moduli force real eigenvalues; strip the numerical phase
     real_vecs = np.empty_like(vecs, dtype=float)
     for k in range(vals.size):
@@ -148,9 +158,9 @@ def loxodromic_eigensystem(g: np.ndarray, gap: float = 1e-6):
     return vals.real, real_vecs
 
 
-def fixed_flags(g: np.ndarray, gap: float = 1e-6):
+def fixed_flags(g: np.ndarray):
     """Attracting and repelling full flags of a loxodromic matrix."""
-    _, vecs = loxodromic_eigensystem(g, gap)
+    _, vecs = loxodromic_eigensystem(g)
     n = g.shape[0]
     attracting = Flag.from_basis_columns(vecs[:, : n - 1], dims=range(1, n))
     repelling = Flag.from_basis_columns(vecs[:, :0:-1], dims=range(1, n))
@@ -168,7 +178,6 @@ class SurfaceGroupRep:
     presentation: SurfaceGroupPresentation
     n: int
     images: dict  # generator index (1-based) -> n x n matrix
-    tol: Tolerances = field(default=DEFAULT_TOL, repr=False)
 
     def __post_init__(self):
         self.images = {
@@ -183,13 +192,14 @@ class SurfaceGroupRep:
                 raise ValueError(f"generator {k} image does not have det 1")
         self._cache = {1 * k: m for k, m in self.images.items()}
         self._cache.update({-k: np.linalg.inv(m) for k, m in self.images.items()})
-        rel = self.matrix(self.presentation.relator())
-        dist = min(
-            np.linalg.norm(rel - np.eye(self.n)),
-            np.linalg.norm(rel + np.eye(self.n)),
-        )
-        if dist > self.tol.relator:
+        dist = self.relator_distance()
+        if dist > RELATOR_TOL:
             raise ValueError(f"relator image is {dist:.3e} from +-identity")
+
+    def relator_distance(self) -> float:
+        """Frobenius distance of the relator image from +-Id."""
+        rel = self.matrix(self.presentation.relator())
+        return min(np.linalg.norm(rel - np.eye(self.n)), np.linalg.norm(rel + np.eye(self.n)))
 
     def matrix(self, word) -> np.ndarray:
         """Image of a word (GroupWord or letter sequence)."""
@@ -200,14 +210,13 @@ class SurfaceGroupRep:
             out = out @ self._cache[x]
         return out
 
-    def check_loxodromy(self, max_len: int, gap: float = None) -> None:
+    def check_loxodromy(self, max_len: int) -> None:
         """Gate: every nontrivial word image in the ball must be loxodromic."""
         from .words import enumerate_conjugacy_classes
 
-        gap = self.tol.loxodromy_gap if gap is None else gap
         for w in enumerate_conjugacy_classes(self.presentation, max_len):
             try:
-                loxodromic_eigensystem(self.matrix(w), gap)
+                loxodromic_eigensystem(self.matrix(w))
             except NotLoxodromic as exc:
                 raise NotLoxodromic(
                     f"word {self.presentation.format_word(w)}: {exc}"
@@ -276,7 +285,7 @@ def octagon_vertices() -> np.ndarray:
     return r * np.exp(1j * angles)
 
 
-def fuchsian_genus2(tol: Tolerances = DEFAULT_TOL) -> SurfaceGroupRep:
+def fuchsian_genus2() -> SurfaceGroupRep:
     """Discrete faithful SL(2, R) holonomy of the genus-2 surface.
 
     Side-pairing isometries of the regular octagon with the boundary word
@@ -301,7 +310,7 @@ def fuchsian_genus2(tol: Tolerances = DEFAULT_TOL) -> SurfaceGroupRep:
         3: np.linalg.inv(g4),
         4: g3,
     }
-    return SurfaceGroupRep(SurfaceGroupPresentation(2), 2, images, tol=tol)
+    return SurfaceGroupRep(SurfaceGroupPresentation(2), 2, images)
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +348,13 @@ def sym_power(rep: SurfaceGroupRep, m: int) -> SurfaceGroupRep:
     if m < 2:
         raise ValueError("m must be at least 2")
     images = {k: sym_matrix(v, m) for k, v in rep.images.items()}
-    return SurfaceGroupRep(rep.presentation, m, images, tol=rep.tol)
+    return SurfaceGroupRep(rep.presentation, m, images)
 
 
 def contragredient(rep: SurfaceGroupRep) -> SurfaceGroupRep:
     """Inverse-transpose on all generators; an involution."""
     images = {k: np.linalg.inv(v).T for k, v in rep.images.items()}
-    return SurfaceGroupRep(rep.presentation, rep.n, images, tol=rep.tol)
+    return SurfaceGroupRep(rep.presentation, rep.n, images)
 
 
 def bulge_deform(rep: SurfaceGroupRep, s: float) -> SurfaceGroupRep:
@@ -361,7 +370,7 @@ def bulge_deform(rep: SurfaceGroupRep, s: float) -> SurfaceGroupRep:
         return rep
     c = rep.matrix([1, 2, -1, -2])
     try:
-        _, vecs = loxodromic_eigensystem(c, rep.tol.loxodromy_gap)
+        _, vecs = loxodromic_eigensystem(c)
     except NotLoxodromic as exc:
         raise NonLoxodromicCurve(f"separating curve [a1,b1]: {exc}") from exc
     diag = np.diag(np.exp(s * np.array([1.0, -2.0, 1.0])))
@@ -374,4 +383,4 @@ def bulge_deform(rep: SurfaceGroupRep, s: float) -> SurfaceGroupRep:
         3: b @ rep.images[3] @ b_inv,
         4: b @ rep.images[4] @ b_inv,
     }
-    return SurfaceGroupRep(rep.presentation, 3, images, tol=rep.tol)
+    return SurfaceGroupRep(rep.presentation, 3, images)

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 from .config import ResourceLimit
 
+MAX_WORDS = 2_000_000  # words visited before an enumeration gives up
+
 
 @dataclass(frozen=True)
 class GroupWord:
@@ -122,17 +124,7 @@ def _letter_key(x: int) -> int:
     return 2 * (abs(x) - 1) + (1 if x < 0 else 0)
 
 
-def _is_proper_power(letters: tuple) -> bool:
-    n = len(letters)
-    for period in range(1, n):
-        if n % period == 0 and letters == letters[period:] + letters[:period]:
-            return True
-    return False
-
-
-def enumerate_conjugacy_classes(presentation: SurfaceGroupPresentation, max_len: int,
-                                primitive_only: bool = False,
-                                max_count: int = 2_000_000) -> list:
+def enumerate_conjugacy_classes(presentation: SurfaceGroupPresentation, max_len: int) -> list:
     """One canonical representative per cyclic-conjugacy class of reduced words.
 
     Deterministic order: by length, then lexicographic on the canonical
@@ -153,15 +145,14 @@ def enumerate_conjugacy_classes(presentation: SurfaceGroupPresentation, max_len:
         length = len(prefix)
         if length >= 1:
             count += 1
-            if count > max_count:
-                raise ResourceLimit(f"word ball exceeds {max_count} words")
+            if count > MAX_WORDS:
+                raise ResourceLimit(f"word ball exceeds {MAX_WORDS} words")
             # only canonical (cyclically reduced, least-rotation) words are kept
             if prefix[0] != -prefix[-1]:
                 canon = cyclic_reduce(GroupWord(tuple(prefix))).letters
                 if len(canon) == length and canon not in seen:
-                    if not (primitive_only and _is_proper_power(canon)):
-                        seen.add(canon)
-                        out.append((length, tuple(_letter_key(x) for x in canon), GroupWord(canon)))
+                    seen.add(canon)
+                    out.append((length, tuple(_letter_key(x) for x in canon), GroupWord(canon)))
         if length < max_len:
             last = prefix[-1] if prefix else None
             for x in alphabet:

@@ -188,7 +188,7 @@ def test_criterion_6_translation_cocycle(exact_curve):
         p = _random_triple(rng)
         s, t = rng.uniform(0.1, 1.2, size=2)
         alpha = ROOTS[k % 3]
-        moved = LeafPoint(p.x, reference_flow(None, p.x, p.z, p.y, s), p.z)
+        moved = LeafPoint(p.x, reference_flow(p.x, p.z, p.y, s), p.z)
         err = abs(cocycle(exact_curve, alpha, p, s + t)
                   - cocycle(exact_curve, alpha, moved, t)
                   - cocycle(exact_curve, alpha, p, s))

@@ -88,6 +88,28 @@ def test_unsupported_schema_version_is_rejected(tmp_path, capsys):
     assert "schema" in err["error"]["message"]
 
 
+@pytest.mark.parametrize("data, word", [({"schema_version": 1, "word-ball": 4}, "word-ball"),
+                                        ([1], "JSON object")],
+                         ids=["unknown-key", "not-an-object"])
+def test_malformed_config_is_rejected(tmp_path, capsys, data, word):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(data))
+    assert main(["--config", str(cfg), "--outdir", str(tmp_path), "build-rep"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ValueError"
+    assert word in err["error"]["message"]
+    assert not (tmp_path / "build_rep_summary.json").exists()
+
+
+@pytest.mark.parametrize("n", ["2", "4", "5"])
+def test_verify_all_refuses_n_other_than_3(tmp_path, capsys, n):
+    assert run(tmp_path, "--n", n, "verify-all") == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ValueError"
+    assert f"n={n}" in err["error"]["message"]
+    assert not any(tmp_path.iterdir())
+
+
 def test_decay_on_default_config(tmp_path):
     assert run(tmp_path, "decay", "--t-max", "4", "--steps", "12") == 0
     summary = load_summary(tmp_path, "decay")

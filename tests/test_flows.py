@@ -105,12 +105,12 @@ def test_flow_period_rejects_the_identity(exact_curve):
 
 def test_reference_flow_is_additive():
     x, z, y = 0.3, 3.2, 1.1
-    y1 = reference_flow(None, x, z, y, 0.7)
-    y2 = reference_flow(None, x, z, y1, 0.5)
-    y12 = reference_flow(None, x, z, y, 1.2)
+    y1 = reference_flow(x, z, y, 0.7)
+    y2 = reference_flow(x, z, y1, 0.5)
+    y12 = reference_flow(x, z, y, 1.2)
     assert abs(y2 - y12) < 1e-10
     # large positive time converges to x
-    far = reference_flow(None, x, z, y, 30.0)
+    far = reference_flow(x, z, y, 30.0)
     assert min(abs(far - x), 2 * math.pi - abs(far - x)) < 1e-6
 
 
@@ -121,7 +121,7 @@ def test_cocycle_identity_and_fuchsian_rate(exact_curve):
             kappa = cocycle(exact_curve, (i, j), p, t)
             assert abs(kappa - (j - i) * t) < 1e-6
     s, t = 0.4, 0.9
-    moved = LeafPoint(p.x, reference_flow(None, p.x, p.z, p.y, s), p.z)
+    moved = LeafPoint(p.x, reference_flow(p.x, p.z, p.y, s), p.z)
     lhs = cocycle(exact_curve, (2, 3), p, s + t)
     rhs = cocycle(exact_curve, (2, 3), moved, t) + cocycle(exact_curve, (2, 3), p, s)
     assert abs(lhs - rhs) < 1e-9

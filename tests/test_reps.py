@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flagflows.config import IndexOrder, NotLoxodromic
-from flagflows.flows import Flag_apply
+from flagflows.projective import Flag
 from flagflows.reps import (
     JordanData,
     SurfaceGroupRep,
@@ -23,6 +23,13 @@ from flagflows.reps import (
     sym_power,
     theta_of_vector,
 )
+
+
+def Flag_apply(g: np.ndarray, flag):
+    """Image flag under a matrix (re-orthonormalized levelwise)."""
+    top = flag.subspaces[-1]
+    dims = [s.dim for s in flag.subspaces]
+    return Flag.from_basis_columns(g @ top.basis, dims=dims)
 
 
 def sl2_length(m):
