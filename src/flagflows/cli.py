@@ -205,6 +205,12 @@ def build_curve(cfg: dict):
     return sample_boundary(rep, reference, int(cfg["word_ball"]))
 
 
+def _require_n3(cfg: dict, what: str) -> None:
+    """Refuse n != 3 before any curve is built, for what needs the n=3 maps."""
+    if int(cfg["n"]) != 3:
+        raise ValueError(f"{what} uses the n=3 developing maps; got n={cfg['n']}")
+
+
 def _positive_roots(n: int):
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
@@ -318,6 +324,8 @@ def cmd_frenet_check(cfg, args):
 
 
 def cmd_dev_image(cfg, args):
+    if not args.map.startswith("alpha:"):
+        _require_n3(cfg, f"dev-image --map {args.map}")
     curve = build_curve(cfg)
     x, z = float(args.x), float(args.z)
     num = int(args.num)
@@ -391,6 +399,7 @@ def cmd_periods(cfg, args):
 
 
 def cmd_decay(cfg, args):
+    _require_n3(cfg, "decay")
     samples, check, beta_hat = decay_check(cfg, build_curve(cfg),
                                            float(args.t_max), int(args.steps))
     write_csv(cfg, "decay.csv", ["t", "stable_leaf_distance"], samples)
@@ -402,8 +411,10 @@ def cmd_decay(cfg, args):
 
 
 def cmd_render(cfg, args):
-    curve = build_curve(cfg)
     figure = args.figure
+    if figure.startswith("dev-"):
+        _require_n3(cfg, f"render --figure {figure}")
+    curve = build_curve(cfg)
     if figure == "boundary":
         scene = scene_boundary(curve)
     elif figure.startswith("dev-"):
@@ -424,8 +435,7 @@ def cmd_render(cfg, args):
 
 def cmd_verify_all(cfg, args):
     """The paper's n=3 claims as nine checks, in a fixed order of rng draws."""
-    if int(cfg["n"]) != 3:
-        raise ValueError(f"verify-all checks the n=3 developing maps; got n={cfg['n']}")
+    _require_n3(cfg, "verify-all")
     seed = int(cfg["seed"])
     rng = np.random.default_rng(seed)
     curve = build_curve(cfg)

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import NotDefinedHere, NotLoxodromic, PointOutsideSegment, RootFindFailure
+from .config import (FlagFlowsError, NotDefinedHere, NotLoxodromic, PointOutsideSegment,
+                     RootFindFailure)
 from .devmaps import LeafPoint, _leaf_pivot, geodesic_realization, phi_tan_plus
 from .limitcurve import BISECTION_TOL, BoundaryCurve, second_boundary_intersection
 from .projective import ProjectiveSubspace, cross_ratio, join, meet
@@ -302,7 +303,7 @@ def stable_leaf_distance(curve: BoundaryCurve, p: LeafPoint, y0: float) -> float
         stable_support = curve.flag_at(y0)[2]
         p_y0 = meet([line, stable_support])
         q_theta = second_boundary_intersection(curve, line, p.x)
-    except Exception as exc:
+    except (FlagFlowsError, ValueError) as exc:
         raise NotDefinedHere(str(exc)) from exc
     q = ProjectiveSubspace.point(curve.aligned_point(q_theta))
     value = cross_ratio(fx[1], q, p_y0, f.point)

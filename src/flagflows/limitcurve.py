@@ -2,10 +2,12 @@
 
 A `BoundaryCurve` holds circularly ordered samples theta -> full flag,
 where theta parameterizes the boundary circle through the reference
-Fuchsian representation (see `flagflows.reps`).  Samples come from
-attracting eigenflags over a word ball; Fuchsian curves can instead be
-built in closed form from the symmetric-power embedding, which gives
-exact flags at any parameter (used by the high-accuracy experiments).
+Fuchsian representation (see `flagflows.reps`); the flags are stored as
+one (N, n, n-1) array of `Flag` frames, so scans are array expressions.
+Samples come from attracting eigenflags over a word ball; Fuchsian curves
+can instead be built in closed form from the symmetric-power embedding,
+which gives exact flags at any parameter (used by the high-accuracy
+experiments).
 """
 
 import bisect
@@ -44,13 +46,14 @@ SUPPORT_TOL = 1e-8              # chart residual allowed on the wrong side of a 
 class BoundaryCurve:
     """Sampled limit curve theta -> flag, with chart and sign conventions.
 
+    `frames[i]` is the frame of the flag at `thetas[i]` (see `Flag`).
     `positive_covector` fixes a sign-normalized lift of the curve: every
     xi^1 sample v satisfies positive_covector . v > 0, which makes
     incidence residuals along the curve continuous.
     """
 
     thetas: np.ndarray
-    flags: list
+    frames: np.ndarray
     rep: SurfaceGroupRep
     reference: SurfaceGroupRep
     exact_eval: object = None  # optional callable theta -> Flag
@@ -59,7 +62,7 @@ class BoundaryCurve:
         self.thetas = np.asarray(self.thetas, dtype=float)
         order = np.argsort(self.thetas)
         self.thetas = self.thetas[order]
-        self.flags = [self.flags[i] for i in order]
+        self.frames = np.asarray(self.frames, dtype=float)[order]
         if np.any(np.diff(self.thetas) < 1e-10):
             raise ValueError("duplicate thetas in curve samples")
         self._build_chart()
@@ -68,11 +71,10 @@ class BoundaryCurve:
 
     def _build_chart(self):
         n = self.rep.n
-        vecs = np.column_stack([f[1].vector for f in self.flags])
+        points = self.frames[:, :, 0].T.copy()  # C order: the sums below round by layout
         # chain-align signs along the circular order
-        for i in range(1, vecs.shape[1]):
-            if vecs[:, i] @ vecs[:, i - 1] < 0:
-                vecs[:, i] = -vecs[:, i]
+        turns = np.where(np.einsum("ij,ij->j", points[:, 1:], points[:, :-1]) < 0, -1.0, 1.0)
+        vecs = points * np.concatenate([[1.0], np.cumprod(turns)])
         if vecs.shape[1] >= 3 and vecs[:, 0] @ vecs[:, -1] < 0:
             # odd-degree lift (even n): the curve meets every hyperplane,
             # so no affine chart contains it; chart-based queries disabled
@@ -86,13 +88,9 @@ class BoundaryCurve:
         # The infinity covector is an average of aligned tangent covectors:
         # an interior point of the dual convex domain, so the corresponding
         # hyperplane misses the closed convex hull of the curve.
-        covectors = []
-        for f in self.flags:
-            c = dual(f[n - 1]).vector
-            if c @ barycenter < 0:
-                c = -c
-            covectors.append(c)
-        h = np.mean(covectors, axis=0)
+        covectors = self.hyperplane_covectors()
+        flips = np.where(covectors @ barycenter < 0, -1.0, 1.0)
+        h = np.mean(covectors * flips[:, None], axis=0)
         h /= np.linalg.norm(h)
         signs = h @ vecs
         if np.min(signs) <= 0:
@@ -150,7 +148,7 @@ class BoundaryCurve:
     def aligned_point(self, theta: float) -> np.ndarray:
         """Sign-normalized xi^1 vector at theta (interpolated if needed)."""
         self._require_chart()
-        v = self.flag_at(theta)[1].vector
+        v = self.flag_at(theta).frame[:, 0]
         s = self.positive_covector @ v
         return v * math.copysign(1.0, s)
 
@@ -167,8 +165,9 @@ class BoundaryCurve:
     def hyperplane_covectors(self) -> np.ndarray:
         """Annihilator covectors of the top flag level at every sample (N, n)."""
         if not hasattr(self, "_hyperplane_covectors"):
+            # one SVD per frame, as `dual` takes it; a batched SVD differs in the last bits
             self._hyperplane_covectors = np.vstack(
-                [dual(f[self.rep.n - 1]).vector for f in self.flags]
+                [np.linalg.svd(f)[0][:, -1] for f in self.frames]
             )
         return self._hyperplane_covectors
 
@@ -182,8 +181,8 @@ class BoundaryCurve:
             "rep": self.rep.to_dict(),
             "reference": self.reference.to_dict(),
             "samples": [
-                {"theta": float(t), "flag": f.to_dict()}
-                for t, f in zip(self.thetas, self.flags)
+                {"theta": float(t), "flag": Flag(f).to_dict()}
+                for t, f in zip(self.thetas, self.frames)
             ],
         }
 
@@ -191,7 +190,7 @@ class BoundaryCurve:
     def from_dict(cls, data: dict) -> "BoundaryCurve":
         return cls(
             np.array([s["theta"] for s in data["samples"]]),
-            [Flag.from_dict(s["flag"]) for s in data["samples"]],
+            np.array([Flag.from_dict(s["flag"]).frame for s in data["samples"]]),
             SurfaceGroupRep.from_dict(data["rep"]),
             SurfaceGroupRep.from_dict(data["reference"]),
         )
@@ -228,8 +227,8 @@ def sample_boundary(rep: SurfaceGroupRep, reference: SurfaceGroupRep, max_word_l
     if len(samples) < min_samples:
         raise InsufficientSamples(f"only {len(samples)} distinct boundary samples")
     items = sorted(samples.values(), key=lambda s: s[0])
-    return BoundaryCurve(np.array([s[0] for s in items]), [s[1] for s in items],
-                         rep, reference)
+    return BoundaryCurve(np.array([s[0] for s in items]),
+                         np.array([s[1].frame for s in items]), rep, reference)
 
 
 def _rotation_to(theta: float) -> np.ndarray:
@@ -251,19 +250,19 @@ def fuchsian_curve(reference: SurfaceGroupRep, n: int, num_samples: int = 1024) 
 
     def exact_eval(theta: float) -> Flag:
         m = sym_matrix(_rotation_to(theta), n)
-        return Flag.from_basis_columns(m[:, : n - 1], dims=range(1, n))
+        return Flag.from_basis_columns(m[:, : n - 1])
 
     thetas = (np.arange(num_samples) + 0.5) * 2 * math.pi / num_samples
-    flags = [exact_eval(t) for t in thetas]
-    return BoundaryCurve(thetas, flags, rep, reference, exact_eval=exact_eval)
+    frames = np.array([exact_eval(t).frame for t in thetas])
+    return BoundaryCurve(thetas, frames, rep, reference, exact_eval=exact_eval)
 
 
 def interpolate(curve: BoundaryCurve, theta: float) -> Flag:
     """Flag at an arbitrary parameter.
 
     Exact samples are returned as stored; between samples, each flag level
-    is interpolated linearly in basis coordinates after sign alignment and
-    the result re-orthonormalized into a nested flag.
+    (a frame prefix) is interpolated linearly in basis coordinates after
+    Procrustes alignment, and the new column of each level is kept.
     """
     theta = theta % (2 * math.pi)
     n_samples = curve.thetas.size
@@ -275,25 +274,19 @@ def interpolate(curve: BoundaryCurve, theta: float) -> Flag:
         if abs(curve.thetas[j] - theta) < 1e-13 or abs(
             abs(curve.thetas[j] - theta) - 2 * math.pi
         ) < 1e-13:
-            return curve.flags[j]
+            return Flag(curve.frames[j])
     if curve.exact_eval is not None:
         return curve.exact_eval(theta)
     gap = circular_gap(curve.thetas[lo], curve.thetas[hi])
     lam = circular_gap(curve.thetas[lo], theta) / gap
-    f_lo, f_hi = curve.flags[lo], curve.flags[hi]
     columns = []
-    for k_index in range(len(f_lo.subspaces)):
-        b_lo = f_lo.subspaces[k_index].basis
-        b_hi = f_hi.subspaces[k_index].basis
+    for k in range(1, curve.n):
+        b_lo, b_hi = curve.frames[lo, :, :k], curve.frames[hi, :, :k]
         # Procrustes alignment of the two bases before the linear blend
         u, _, vt = np.linalg.svd(b_hi.T @ b_lo)
-        b_hi_aligned = b_hi @ (u @ vt)
-        blend = (1.0 - lam) * b_lo + lam * b_hi_aligned
-        prev_cols = 0 if k_index == 0 else f_lo.subspaces[k_index - 1].dim
-        columns.append(blend[:, prev_cols:])
-    stacked = np.hstack(columns)
-    dims = [s.dim for s in f_lo.subspaces]
-    return Flag.from_basis_columns(stacked, dims=dims)
+        blend = (1.0 - lam) * b_lo + lam * (b_hi @ (u @ vt))
+        columns.append(blend[:, k - 1])
+    return Flag.from_basis_columns(np.column_stack(columns))
 
 
 def second_boundary_intersection(curve: BoundaryCurve, line: ProjectiveSubspace,
@@ -302,7 +295,9 @@ def second_boundary_intersection(curve: BoundaryCurve, line: ProjectiveSubspace,
 
     Works by deflating the known root: the incidence residual divided by
     sin(gap/2) has exactly one sign change on the circle, located at the
-    second intersection; that bracket is refined by bisection.
+    second intersection; that bracket is refined by bisection.  The stored
+    samples are scanned as one product with their aligned points, which
+    are positive multiples of `aligned_point` and so have the same signs.
     """
     if line.dim != curve.n - 1:
         raise ValueError("expected a hyperplane (projective line for n=3)")
@@ -319,23 +314,22 @@ def second_boundary_intersection(curve: BoundaryCurve, line: ProjectiveSubspace,
         gap = circular_gap(known, theta)
         return residual(theta) / math.sin(gap / 2.0)
 
-    thetas = curve.thetas
     eps = 1e-7
-    grid = [known + eps] + [
-        float(t) for t in thetas if min(circular_gap(known, t), circular_gap(t, known)) > eps
-    ] + [known + 2 * math.pi - eps]
-    grid = sorted(grid, key=lambda t: circular_gap(known, t))
-    values = [deflated(t) for t in grid]
-    brackets = [
-        (grid[i], grid[i + 1])
-        for i in range(len(grid) - 1)
-        if values[i] * values[i + 1] < 0
-    ]
-    if not brackets:
+    gaps = (curve.thetas - known) % (2 * math.pi)
+    keep = np.flatnonzero(np.minimum(gaps, (known - curve.thetas) % (2 * math.pi)) > eps)
+    keep = keep[np.argsort(gaps[keep], kind="stable")]
+    grid = np.concatenate([[known + eps], curve.thetas[keep], [known + 2 * math.pi - eps]])
+    values = np.concatenate([
+        [deflated(grid[0])],
+        covector @ curve._aligned_points[:, keep] / np.sin(gaps[keep] / 2.0),
+        [deflated(grid[-1])],
+    ])
+    brackets = np.flatnonzero(values[:-1] * values[1:] < 0)
+    if brackets.size == 0:
         raise NoSecondIntersection("no sign change: line is numerically tangent")
-    if len(brackets) > 1:
-        raise AmbiguousBracket(f"{len(brackets)} sign changes; samples not convex here")
-    a, b = brackets[0]
+    if brackets.size > 1:
+        raise AmbiguousBracket(f"{brackets.size} sign changes; samples not convex here")
+    a, b = float(grid[brackets[0]]), float(grid[brackets[0] + 1])
     fa = deflated(a)
     while circular_gap(a, b) > BISECTION_TOL:
         mid = a + circular_gap(a, b) / 2.0
@@ -350,16 +344,17 @@ def second_boundary_intersection(curve: BoundaryCurve, line: ProjectiveSubspace,
 def dual_curve(curve: BoundaryCurve) -> BoundaryCurve:
     """The projectively dual curve: flags annihilated entrywise and reversed."""
 
-    def dualize(flag: Flag) -> Flag:
-        return Flag(tuple(dual(s) for s in reversed(flag.subspaces)))
+    def dual_frames(frames):
+        # the last k columns of a completed orthonormal frame annihilate its first n-k
+        return np.linalg.qr(frames, mode="complete")[0][..., :0:-1]
 
     exact = None
     if curve.exact_eval is not None:
         base = curve.exact_eval
-        exact = lambda theta: dualize(base(theta))
+        exact = lambda theta: Flag(dual_frames(base(theta).frame))
     return BoundaryCurve(
         curve.thetas.copy(),
-        [dualize(f) for f in curve.flags],
+        dual_frames(curve.frames),
         contragredient(curve.rep),
         curve.reference,
         exact_eval=exact,
@@ -399,7 +394,7 @@ def frenet_checks(curve: BoundaryCurve) -> FrenetReport:
             )
             if not gaps_ok:
                 continue
-            stacked = np.column_stack([curve.flags[i][1].vector for i in idx])
+            stacked = curve.frames[idx, :, 0].T
             sv = np.linalg.svd(stacked, compute_uv=False)
             min_sv = min(min_sv, float(sv[-1]))
     max_defect = 0.0
@@ -408,11 +403,8 @@ def frenet_checks(curve: BoundaryCurve) -> FrenetReport:
         gap = circular_gap(thetas[i], thetas[j])
         if gap > 0.5:
             continue
-        chord = np.column_stack(
-            [curve.flags[i][1].vector, curve.flags[j][1].vector]
-        )
-        q, _ = np.linalg.qr(chord)
-        tangent = curve.flags[i][n - 1].basis  # the hyperplane entry
+        q, _ = np.linalg.qr(curve.frames[[i, j], :, 0].T)
+        tangent = curve.frames[i]  # spans the hyperplane entry
         # max principal angle of containment of the chord in the tangent
         s = np.linalg.svd(tangent.T @ q[:, :2], compute_uv=False)
         angle = math.acos(min(1.0, float(s[-1])))
@@ -449,7 +441,7 @@ class ConvexDomainApprox:
 
 def build_convex_domain(curve: BoundaryCurve) -> ConvexDomainApprox:
     verts = curve.chart_points()
-    tangents = [curve.chart.line_to_chart(f[curve.n - 1]) for f in curve.flags]
+    tangents = [curve.chart.line_to_chart(ProjectiveSubspace(curve.n, f)) for f in curve.frames]
     return ConvexDomainApprox(verts, tangents)
 
 
@@ -468,7 +460,7 @@ def boundary_regularity_estimate(curve: BoundaryCurve, num_base: int = 64,
     window = max(8, count // 16) if window is None else window
     exponents = []
     for b_idx in range(0, count, max(1, count // num_base)):
-        coeffs = curve.chart.line_to_chart(curve.flags[b_idx][curve.n - 1])
+        coeffs = curve.chart.line_to_chart(ProjectiveSubspace(curve.n, curve.frames[b_idx]))
         normal = np.asarray(coeffs[:-1], dtype=float)
         normal /= np.linalg.norm(normal)
         rel = pts[[(b_idx + k) % count for k in range(-window, window + 1) if k != 0]] - pts[b_idx]

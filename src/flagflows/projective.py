@@ -2,7 +2,8 @@
 
 Subspaces are represented by orthonormal bases (column span), which keeps
 join/meet simple: both reduce to SVD rank computations.  Rank decisions
-are governed by the tolerances defined below.
+are governed by the tolerances defined below.  A full flag is the basis
+of its hyperplane, a frame whose first k columns span its level k.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -126,63 +127,57 @@ class ProjectiveSubspace:
     def __hash__(self):
         raise TypeError("ProjectiveSubspace equality is numeric; not hashable")
 
-    def to_dict(self) -> dict:
-        return {
-            "ambient_dim": self.ambient_dim,
-            "basis": [list(map(float, row)) for row in self.basis],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ProjectiveSubspace":
-        return cls(int(data["ambient_dim"]), np.asarray(data["basis"], dtype=float))
-
 
 @dataclass(frozen=True)
 class Flag:
-    """A nested chain of subspaces of strictly increasing dimension."""
+    """A full flag of R^n as an n x (n-1) frame with orthonormal columns.
 
-    subspaces: tuple
+    Level k is the span of the first k columns, so levels nest by construction.
+    """
+
+    frame: np.ndarray
 
     def __post_init__(self):
-        subs = tuple(self.subspaces)
-        object.__setattr__(self, "subspaces", subs)
-        dims = [s.dim for s in subs]
-        if dims != sorted(set(dims)):
-            raise ValueError("flag dimensions must be strictly increasing")
-        for small, big in zip(subs, subs[1:]):
-            if not big.contains(small):
-                raise ValueError("flag subspaces are not nested")
+        frame = np.asarray(self.frame, dtype=float)
+        object.__setattr__(self, "frame", frame)
+        if frame.ndim != 2 or frame.shape[1] != frame.shape[0] - 1:
+            raise ValueError(f"bad flag frame shape {frame.shape}")
+        gram = frame.T @ frame
+        if np.max(np.abs(gram - np.eye(frame.shape[1]))) > 1e-10:
+            raise ValueError("flag frame columns are not orthonormal")
+        frame.setflags(write=False)
 
     def __getitem__(self, k: int) -> ProjectiveSubspace:
         """Subspace of dimension k (the superscript index convention)."""
-        for s in self.subspaces:
-            if s.dim == k:
-                return s
-        raise KeyError(f"flag has no subspace of dimension {k}")
-
-    def __len__(self):
-        return len(self.subspaces)
+        if not 1 <= k < self.ambient_dim:
+            raise KeyError(f"flag has no subspace of dimension {k}")
+        return ProjectiveSubspace(self.ambient_dim, self.frame[:, :k].copy())
 
     @property
     def ambient_dim(self) -> int:
-        return self.subspaces[0].ambient_dim
+        return self.frame.shape[0]
 
     def to_dict(self) -> dict:
-        return {"subspaces": [s.to_dict() for s in self.subspaces]}
+        n = self.ambient_dim
+        return {"subspaces": [{"ambient_dim": n, "basis": self.frame[:, :k].tolist()}
+                              for k in range(1, n)]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Flag":
-        return cls(tuple(ProjectiveSubspace.from_dict(d) for d in data["subspaces"]))
+        """Flag framed by the top level of `to_dict` output; the levels must nest."""
+        levels = [ProjectiveSubspace(int(d["ambient_dim"]), np.asarray(d["basis"], dtype=float))
+                  for d in data["subspaces"]]
+        flag = cls(levels[-1].basis)
+        if [s.dim for s in levels] != list(range(1, flag.ambient_dim)) or any(
+                flag[s.dim] != s for s in levels):
+            raise ValueError("flag subspaces are not nested")
+        return flag
 
     @classmethod
-    def from_basis_columns(cls, columns: np.ndarray, dims=None) -> "Flag":
-        """Nested flag whose dimension-k member spans the first k columns."""
-        n = columns.shape[0]
+    def from_basis_columns(cls, columns: np.ndarray) -> "Flag":
+        """Flag whose level k spans the first k of the n-1 given columns."""
         q, _ = np.linalg.qr(columns)
-        if dims is None:
-            dims = range(1, columns.shape[1] + 1)
-        subs = [ProjectiveSubspace(n, q[:, :k].copy()) for k in dims]
-        return cls(tuple(subs))
+        return cls(q)
 
 
 def join(subspaces) -> ProjectiveSubspace:

@@ -162,8 +162,8 @@ def fixed_flags(g: np.ndarray):
     """Attracting and repelling full flags of a loxodromic matrix."""
     _, vecs = loxodromic_eigensystem(g)
     n = g.shape[0]
-    attracting = Flag.from_basis_columns(vecs[:, : n - 1], dims=range(1, n))
-    repelling = Flag.from_basis_columns(vecs[:, :0:-1], dims=range(1, n))
+    attracting = Flag.from_basis_columns(vecs[:, : n - 1])
+    repelling = Flag.from_basis_columns(vecs[:, :0:-1])
     return attracting, repelling
 
 

@@ -28,7 +28,7 @@ def collinear_degenerate_curve(reference, num_samples=64,
 
     a, b = arc
     p_a, p_b = point(a), point(b)
-    flags = []
+    frames = []
     for theta in thetas:
         if a <= theta <= b:
             t = (theta - a) / (b - a)
@@ -37,5 +37,5 @@ def collinear_degenerate_curve(reference, num_samples=64,
         else:
             p = point(theta)
             d = tangent_dir(theta)
-        flags.append(Flag.from_basis_columns(np.column_stack([p, d]), dims=(1, 2)))
-    return BoundaryCurve(thetas, flags, rep, reference)
+        frames.append(Flag.from_basis_columns(np.column_stack([p, d])).frame)
+    return BoundaryCurve(thetas, np.array(frames), rep, reference)

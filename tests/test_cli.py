@@ -40,6 +40,10 @@ def test_dev_image_csv_has_documented_columns(tmp_path):
     assert run(tmp_path, "dev-image", "--map", "alpha:1,3", "--num", "4") == 0
     header = (tmp_path / "dev_image.csv").read_text().splitlines()[0]
     assert header == "y,p0,p1,p2"
+    # the root realizations need no n=3 map
+    assert run(tmp_path, "--n", "4", "dev-image", "--map", "alpha:1,4", "--num", "4") == 0
+    header = (tmp_path / "dev_image.csv").read_text().splitlines()[0]
+    assert header == "y,p0,p1,p2,p3"
 
 
 def test_flow_reports_period_matching_root_length(tmp_path):
@@ -101,9 +105,17 @@ def test_malformed_config_is_rejected(tmp_path, capsys, data, word):
     assert not (tmp_path / "build_rep_summary.json").exists()
 
 
-@pytest.mark.parametrize("n", ["2", "4", "5"])
-def test_verify_all_refuses_n_other_than_3(tmp_path, capsys, n):
-    assert run(tmp_path, "--n", n, "verify-all") == 2
+N3_ONLY = [("verify-all",), ("decay",), ("dev-image", "--map", "tan+"),
+           ("render", "--figure", "dev-tan+")]
+
+
+@pytest.mark.parametrize("command,n", [
+    pytest.param(command, n, id=n if command[0] == "verify-all" else f"{command[0]}-{n}")
+    for command in N3_ONLY for n in ("2", "4", "5")
+])
+def test_verify_all_refuses_n_other_than_3(tmp_path, capsys, command, n):
+    """Subcommands that need the n=3 developing maps refuse other n before building."""
+    assert run(tmp_path, "--n", n, *command) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "ValueError"
     assert f"n={n}" in err["error"]["message"]

@@ -29,7 +29,7 @@ from flagflows.reps import mobius_theta
 
 def _conic_flag(point, tangent_dir):
     return Flag.from_basis_columns(
-        np.column_stack([point, tangent_dir]).astype(float), dims=(1, 2)
+        np.column_stack([point, tangent_dir]).astype(float)
     )
 
 

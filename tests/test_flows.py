@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from flagflows.config import NotLoxodromic
+from flagflows import flows
 from flagflows.devmaps import LeafPoint, phi_tan_plus, phi_tr
 from flagflows.flows import (
     cocycle,
@@ -133,6 +134,15 @@ def test_stable_leaf_distance_decays(exact_curve):
     p2 = flow_step(exact_curve, (2, 3), p, 2.0)
     d2 = abs(stable_leaf_distance(exact_curve, p2, 3.5))
     assert d2 < d0
+
+
+def test_stable_leaf_distance_lets_non_numerical_errors_through(exact_curve, monkeypatch):
+    def broken_meet(subspaces):
+        raise KeyError("not a numerical failure")
+
+    monkeypatch.setattr(flows, "meet", broken_meet)
+    with pytest.raises(KeyError):
+        stable_leaf_distance(exact_curve, LeafPoint(0.5, 0.7, 3.9), 3.5)
 
 
 def test_decay_slope_is_minus_one_for_fuchsian(exact_curve):

@@ -19,7 +19,7 @@ from flagflows.limitcurve import (
     sample_boundary,
     second_boundary_intersection,
 )
-from flagflows.projective import ProjectiveSubspace, dual, join
+from flagflows.projective import Flag, ProjectiveSubspace, dual, join
 from flagflows.reps import sym_power
 
 
@@ -50,7 +50,7 @@ def test_exact_curve_matches_symbolic_veronese(exact_curve):
 def test_interpolation_returns_stored_samples(sampled_curve):
     for i in (0, len(sampled_curve) // 2):
         f = sampled_curve.flag_at(float(sampled_curve.thetas[i]))
-        assert f is sampled_curve.flags[i]
+        assert np.array_equal(f.frame, sampled_curve.frames[i])
 
 
 def test_interpolation_error_estimate_bounds_midpoint_error(sampled_curve,
@@ -70,6 +70,19 @@ def test_second_boundary_intersection_recovers_chord_endpoint(exact_curve):
     line = join([exact_curve.flag_at(t1)[1], exact_curve.flag_at(t2)[1]])
     got = second_boundary_intersection(exact_curve, line, t1)
     assert abs(got - t2) < 1e-9
+
+
+@pytest.mark.parametrize("name", ["sampled_curve", "bulged_curve"])
+def test_stored_aligned_points_are_positive_multiples_of_aligned_point(request, name):
+    # the sample scan of second_boundary_intersection reads signs off these columns;
+    # negating the first column of every other frame keeps each flag but not its lift
+    curve = request.getfixturevalue(name)
+    frames = curve.frames.copy()
+    frames[::2, :, 0] *= -1.0
+    curve = BoundaryCurve(curve.thetas, frames, curve.rep, curve.reference)
+    want = np.column_stack([curve.aligned_point(float(t)) for t in curve.thetas])
+    got = curve._aligned_points / np.linalg.norm(curve._aligned_points, axis=0)
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_second_boundary_intersection_rejects_tangents(exact_curve):
@@ -95,12 +108,16 @@ def test_convex_domain_is_convex_with_supporting_tangents(exact_curve):
     assert domain.tangents_support()
 
 
-def test_dual_curve_entries_are_annihilators(exact_curve):
-    dc = dual_curve(exact_curve)
-    f = exact_curve.flags[10]
-    g = dc.flags[10]
-    assert g[1].principal_angle(dual(f[2])) < 1e-12
-    assert g[2].principal_angle(dual(f[1])) < 1e-12
+@pytest.mark.parametrize("name", ["exact_curve", "exact_curve4"])
+def test_dual_curve_entries_are_annihilators(request, name):
+    curve = request.getfixturevalue(name)
+    dc = dual_curve(curve)
+    n = curve.n
+    # a stored sample and an exactly evaluated flag between samples
+    for f, g in ((Flag(curve.frames[10]), Flag(dc.frames[10])),
+                 (curve.flag_at(1.234), dc.flag_at(1.234))):
+        for k in range(1, n):
+            assert g[k].principal_angle(dual(f[n - k])) < 1e-12
 
 
 def test_regularity_estimate_is_two_for_the_conic(exact_curve):
@@ -116,13 +133,16 @@ def test_even_dimension_curve_has_no_global_chart(exact_curve4):
     # flag evaluation does not need the chart
     f = exact_curve4.flag_at(1.234)
     assert f[3].contains(f[1])
+    # the sample scan needs the chart too, though the aligned samples exist
+    with pytest.raises(NotDefinedHere):
+        second_boundary_intersection(exact_curve4, exact_curve4.flag_at(1.0)[3], 1.0)
 
 
 def test_sampled_curve_serialization_roundtrip(sampled_curve):
     back = BoundaryCurve.from_dict(sampled_curve.to_dict())
     assert len(back) == len(sampled_curve)
     i = len(back) // 3
-    assert back.flags[i][1].principal_angle(sampled_curve.flags[i][1]) < 1e-12
+    assert Flag(back.frames[i])[1].principal_angle(Flag(sampled_curve.frames[i])[1]) < 1e-12
 
 
 def test_sample_boundary_requires_enough_words(reference):

@@ -94,10 +94,16 @@ def test_meet_of_transverse_planes_is_their_common_line():
 
 def test_flag_nesting_enforced():
     with pytest.raises(ValueError):
-        Flag((ProjectiveSubspace.point([1.0, 0, 0]),
-              ProjectiveSubspace.from_spanning([[0, 1, 0], [0, 0, 1]])))
+        Flag(np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]))  # not orthonormal
+    with pytest.raises(ValueError):
+        Flag(np.eye(3))  # a flag frame has n - 1 columns
     f = Flag.from_basis_columns(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
     assert f[2].contains(f[1])
+    assert np.array_equal(Flag.from_dict(f.to_dict()).frame, f.frame)
+    data = f.to_dict()
+    data["subspaces"][0]["basis"] = [[0.0], [0.0], [1.0]]  # a point off the line
+    with pytest.raises(ValueError):
+        Flag.from_dict(data)
 
 
 def test_cross_ratio_affine_value():

@@ -27,9 +27,7 @@ from flagflows.reps import (
 
 def Flag_apply(g: np.ndarray, flag):
     """Image flag under a matrix (re-orthonormalized levelwise)."""
-    top = flag.subspaces[-1]
-    dims = [s.dim for s in flag.subspaces]
-    return Flag.from_basis_columns(g @ top.basis, dims=dims)
+    return Flag.from_basis_columns(g @ flag.frame)
 
 
 def sl2_length(m):
