@@ -12,6 +12,7 @@ from .devmaps import (
     covering_checks,
     geodesic_realization,
     involution_iota,
+    leaf_context,
     omega_membership,
     phi_tan_minus,
     phi_tan_plus,
@@ -25,7 +26,6 @@ from .flows import (
     flow_orbit,
     flow_period,
     flow_step,
-    leaf_context,
     leafwise_distance,
     period_spectrum,
     reference_flow,

@@ -25,6 +25,7 @@ from .devmaps import (
     covering_checks,
     curve_tolerance,
     geodesic_realization,
+    leaf_sweep,
     omega_membership,
     type_classifier,
 )
@@ -328,14 +329,12 @@ def cmd_dev_image(cfg, args):
         _require_n3(cfg, f"dev-image --map {args.map}")
     curve = build_curve(cfg)
     x, z = float(args.x), float(args.z)
-    num = int(args.num)
-    arc = (z - x) % (2 * math.pi)
+    ys = leaf_sweep(x, z, int(args.num))
     rows = []
     if args.map.startswith("alpha:"):
         i, j = _parse_alpha(args.map.split(":", 1)[1])
         header = ["y"] + [f"p{k}" for k in range(curve.n)]
-        for k in range(1, num + 1):
-            y = (x + arc * k / (num + 1)) % (2 * math.pi)
+        for y in ys:
             pt = geodesic_realization(curve, i, j, LeafPoint(x, y, z))
             rows.append([y] + list(pt.vector))
     else:
@@ -344,8 +343,7 @@ def cmd_dev_image(cfg, args):
         fn = _MAP_TABLE[args.map]
         header = ["y"] + [f"p{k}" for k in range(curve.n)] \
             + [f"line{k}" for k in range(curve.n)]
-        for k in range(1, num + 1):
-            y = (x + arc * k / (num + 1)) % (2 * math.pi)
+        for y in ys:
             f = fn(curve, LeafPoint(x, y, z))
             rows.append([y] + list(f.point.vector) + list(dual(f.line).vector))
     write_csv(cfg, "dev_image.csv", header, rows)
@@ -414,6 +412,9 @@ def cmd_render(cfg, args):
     figure = args.figure
     if figure.startswith("dev-"):
         _require_n3(cfg, f"render --figure {figure}")
+    elif figure == "boundary" and int(cfg["n"]) % 2 == 0:
+        raise ValueError("render --figure boundary draws the curve in its affine chart, "
+                         f"which exists only at odd n; got n={cfg['n']}")
     curve = build_curve(cfg)
     if figure == "boundary":
         scene = scene_boundary(curve)
@@ -464,11 +465,8 @@ def cmd_verify_all(cfg, args):
     for name, want in (("tr", "transverse"), ("tan+", "tangent_plus"),
                        ("tan-", "tangent_minus")):
         p = _random_positive_triple(rng, spread=0.8)
-        arc = (p.z - p.x) % (2 * math.pi)
-        samples = [
-            _MAP_TABLE[name](curve, LeafPoint(p.x, (p.x + arc * k / 17) % (2 * math.pi), p.z))
-            for k in range(1, 17)
-        ]
+        samples = [_MAP_TABLE[name](curve, LeafPoint(p.x, y, p.z))
+                   for y in leaf_sweep(p.x, p.z, 16)]
         class_ok = class_ok and type_classifier(samples, curve, p.x, p.z) == want
     checks["type_classifier"] = {"passed": class_ok}
 

@@ -2,16 +2,17 @@
 
 Implements the transverse and tangent maps for n = 3, the four
 point-line maps into the remaining domain components, and the general
-geodesic realization for the roots of PSL(n).  Also hosts the domain
+geodesic realization for the roots of PSL(n), read off the image segment
+of each leaf (`leaf_context`).  Also hosts the domain
 membership classifier and the covering / concavity / type diagnostics.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DegenerateMeet, EmptyIntersection, UnclassifiedLine
+from .config import DegenerateMeet, EmptyIntersection, PointOutsideSegment, UnclassifiedLine
 from .limitcurve import BoundaryCurve, second_boundary_intersection
 from .projective import ProjectiveSubspace, cross_ratio, join, meet, signed_polygon_distance
 from .reps import circular_gap, positively_oriented
@@ -20,6 +21,7 @@ from .reps import circular_gap, positively_oriented
 EXACT_CURVE_TOL = 1e-6
 SAMPLED_CURVE_TOL = 1e-3
 LINE_MATCH_TOL = 1e-4  # principal angle at which a fitted leaf line matches a candidate
+COVERING_LEAF_SAMPLES = 64  # points on the leaf whose image collinearity covering_checks fits
 
 
 def curve_tolerance(curve: BoundaryCurve) -> float:
@@ -143,19 +145,66 @@ def psi_k(curve: BoundaryCurve, p: LeafPoint, k: int) -> PointLineFlag:
     raise ValueError("k must be in 1..4")
 
 
-def geodesic_realization(curve: BoundaryCurve, i: int, j: int, p: LeafPoint,
-                         flags=None) -> ProjectiveSubspace:
-    """Image point of the root (i, j) realization of the leaf point.
+@dataclass(frozen=True)
+class LeafMetricContext:
+    """The image segment of one geodesic leaf under a root realization.
 
-    [(x^i ∩ z^{n-i+1}) + (x^j ∩ z^{n-j+1})] ∩ y^{n-1}, with the degenerate
-    meets at i = 1 and j = n read as x^1 and z^1.
+    `forward` and `backward` are the segment endpoints; forward is the
+    one the flow moves toward (x^i ∩ z^{n-i+1}).  Cross-ratio
+    coordinates and image points of leaf points are taken on their join.
     """
+
+    forward: ProjectiveSubspace
+    backward: ProjectiveSubspace
+    support_line: ProjectiveSubspace = field(init=False)
+
+    def __post_init__(self):
+        if self.forward.principal_angle(self.backward) < 1e-9:
+            raise ValueError("leaf endpoints coincide")
+        object.__setattr__(self, "support_line", join([self.forward, self.backward]))
+
+    def coordinate(self, p: ProjectiveSubspace) -> float:
+        """Affine coordinate u with backward at 0 and forward at infinity."""
+        basis = np.column_stack([self.forward.vector, self.backward.vector])
+        c, *_ = np.linalg.lstsq(basis, p.vector, rcond=None)
+        if abs(c[1]) < 1e-14 * abs(c[0]):
+            raise PointOutsideSegment("point at the forward endpoint")
+        return float(c[0] / c[1])
+
+    def image(self, fy) -> ProjectiveSubspace:
+        """Image of the leaf point whose middle flag is fy: support line ∩ y^{n-1}."""
+        return _guarded_meet([self.support_line, fy[fy.ambient_dim - 1]], 1)
+
+
+def leaf_context(curve: BoundaryCurve, alpha, x: float, z: float) -> LeafMetricContext:
+    """Image segment of root alpha = (i, j) on the leaf (x, z), for n >= 3.
+
+    Its endpoints are x^i ∩ z^{n-i+1} and x^j ∩ z^{n-j+1}, with the
+    degenerate meets at i = 1 and j = n read as x^1 and z^1.
+    """
+    i, j = alpha
     n = curve.n
+    if n < 3:
+        raise ValueError(f"root realizations need n >= 3; got n={n}")
     if not (1 <= i < j <= n):
         raise ValueError("need 1 <= i < j <= n")
-    fx, fy, fz = _triple_flags(curve, p, flags)
-    span = join([_leaf_pivot(fx, fz, i), _leaf_pivot(fx, fz, j)])
-    return _guarded_meet([span, fy[n - 1]], 1)
+    fx, fz = curve.flag_at(x), curve.flag_at(z)
+    return LeafMetricContext(_leaf_pivot(fx, fz, i), _leaf_pivot(fx, fz, j))
+
+
+def geodesic_realization(curve: BoundaryCurve, i: int, j: int,
+                         p: LeafPoint) -> ProjectiveSubspace:
+    """Image point of the root (i, j) realization of the leaf point.
+
+    [(x^i ∩ z^{n-i+1}) + (x^j ∩ z^{n-j+1})] ∩ y^{n-1}.
+    """
+    return leaf_context(curve, (i, j), p.x, p.z).image(curve.flag_at(p.y))
+
+
+def leaf_sweep(x: float, z: float, num: int) -> list:
+    """`num` evenly spaced parameters strictly inside the ccw arc from x to z."""
+    arc = circular_gap(x, z)
+    return [(x + arc * k / (num + 1)) % (2 * math.pi) for k in range(1, num + 1)]
 
 
 # the seven developing maps of a positive triple into point-line flags
@@ -223,8 +272,8 @@ class CoveringReport:
     endpoint_error_z1: float
 
 
-def covering_checks(curve: BoundaryCurve, num_points: int = 32, seed: int = 0,
-                    leaf_samples: int = 64) -> CoveringReport:
+def covering_checks(curve: BoundaryCurve, num_points: int = 32,
+                    seed: int = 0) -> CoveringReport:
     """Pointwise diagnostics for the two-sheeted covering structure.
 
     (a) deck identity phi_tan_plus(w_yz(x), z, y) = phi_tan_plus(x, y, z);
@@ -248,10 +297,8 @@ def covering_checks(curve: BoundaryCurve, num_points: int = 32, seed: int = 0,
     # one random leaf, swept in y
     p = _random_positive_triple(rng, spread=0.8)
     arc = circular_gap(p.x, p.z)
-    pts = []
-    for k in range(1, leaf_samples + 1):
-        y = (p.x + arc * k / (leaf_samples + 1)) % (2 * math.pi)
-        pts.append(phi_tan_plus(curve, LeafPoint(p.x, y, p.z)).point.vector)
+    pts = [phi_tan_plus(curve, LeafPoint(p.x, y, p.z)).point.vector
+           for y in leaf_sweep(p.x, p.z, COVERING_LEAF_SAMPLES)]
     stacked = np.column_stack(pts)
     sv = np.linalg.svd(stacked.T, compute_uv=False)
     residual = float(sv[-1] / sv[0])

@@ -14,54 +14,16 @@ import numpy as np
 
 from .config import (FlagFlowsError, NotDefinedHere, NotLoxodromic, PointOutsideSegment,
                      RootFindFailure)
-from .devmaps import LeafPoint, _leaf_pivot, geodesic_realization, phi_tan_plus
+from .devmaps import (LeafMetricContext, LeafPoint, geodesic_realization, leaf_context,
+                      phi_tan_plus)
 from .limitcurve import BISECTION_TOL, BoundaryCurve, second_boundary_intersection
 from .projective import ProjectiveSubspace, cross_ratio, join, meet
 from .reps import boundary_vector, circular_gap, loxodromic_eigensystem, theta_of_vector
 from .words import GroupWord
 
-
-@dataclass(frozen=True)
-class LeafMetricContext:
-    """Cross-ratio coordinates on the image segment of one geodesic leaf.
-
-    `forward` and `backward` are the segment endpoints; forward is the
-    one the flow moves toward (x^i ∩ z^{n-i+1}).
-    """
-
-    x: float
-    z: float
-    forward: ProjectiveSubspace
-    backward: ProjectiveSubspace
-    support_line: ProjectiveSubspace
-
-    def __post_init__(self):
-        if self.forward.principal_angle(self.backward) < 1e-9:
-            raise ValueError("leaf endpoints coincide")
-        for p in (self.forward, self.backward):
-            if not self.support_line.contains(p):
-                raise ValueError("endpoint off the support line")
-
-    def coordinate(self, p: ProjectiveSubspace) -> float:
-        """Affine coordinate u with backward at 0 and forward at infinity."""
-        basis = np.column_stack([self.forward.vector, self.backward.vector])
-        c, *_ = np.linalg.lstsq(basis, p.vector, rcond=None)
-        if abs(c[1]) < 1e-14 * abs(c[0]):
-            raise PointOutsideSegment("point at the forward endpoint")
-        return float(c[0] / c[1])
-
-
-def leaf_context(curve: BoundaryCurve, alpha, x: float, z: float,
-                 x_flag=None, z_flag=None) -> LeafMetricContext:
-    """Metric context for root alpha = (i, j) on the leaf (x, z)."""
-    i, j = alpha
-    n = curve.n
-    if not (1 <= i < j <= n):
-        raise ValueError("need 1 <= i < j <= n")
-    fx = curve.flag_at(x) if x_flag is None else x_flag
-    fz = curve.flag_at(z) if z_flag is None else z_flag
-    forward, backward = _leaf_pivot(fx, fz, i), _leaf_pivot(fx, fz, j)
-    return LeafMetricContext(x, z, forward, backward, join([forward, backward]))
+Y_CHOICES = 2  # hyperplane samples whose periods must agree in flow_period
+# dyadic scales base * 2^-k, k < count, of the tangent fits in regularity_probe
+PROBE_BASE_SCALE, PROBE_SCALES = 0.2, 6
 
 
 def leafwise_distance(ctx: LeafMetricContext, p1: ProjectiveSubspace,
@@ -89,16 +51,19 @@ class FlowOrbitRecord:
         self.samples.append((t, y, image))
 
 
-def _arc_bisect(curve, alpha, ctx, p: LeafPoint, target_log_u: float, sign: float,
-                flags) -> float:
-    """Solve log|u(y)| = target on the ccw arc from x to z by bisection."""
+def _arc_bisect(curve, ctx, p: LeafPoint, target_log_u: float, sign: float) -> float:
+    """Solve log|u(y)| = target on the ccw arc from x to z by bisection.
+
+    log|u| falls from x to z, so the bracket grows from y toward x when
+    log|u(y)| is below the target and toward z otherwise.  A probe whose
+    image is numerically a segment endpoint halves its distance back
+    toward the last good probe.
+    """
     arc = circular_gap(p.x, p.z)
 
     def value(frac):
         y = (p.x + frac * arc) % (2 * math.pi)
-        q = geodesic_realization(curve, alpha[0], alpha[1], LeafPoint(p.x, y, p.z),
-                                 flags=(flags[0], curve.flag_at(y), flags[2]))
-        u = ctx.coordinate(q)
+        u = ctx.coordinate(ctx.image(curve.flag_at(y)))
         if (u > 0) != (sign > 0):
             raise RootFindFailure("image left the segment component")
         return math.log(abs(u)) - target_log_u
@@ -107,22 +72,26 @@ def _arc_bisect(curve, alpha, ctx, p: LeafPoint, target_log_u: float, sign: floa
     f0 = value(frac0)
     if f0 == 0.0:
         return p.y
-    # expand a bracket from the current position
-    step = 0.1
-    lo, hi = frac0, frac0
-    flo = fhi = f0
     eps = 1e-9
-    while flo * f0 > 0 and fhi * f0 > 0:
-        lo, hi = max(lo - step, eps), min(hi + step, 1.0 - eps)
-        flo, fhi = value(lo), value(hi)
-        if lo <= eps and hi >= 1.0 - eps and flo * f0 > 0 and fhi * f0 > 0:
-            raise RootFindFailure(
-                f"no bracket on leaf ({p.x:.6f}, {p.z:.6f}) for target {target_log_u:.3e}"
-            )
-    if flo * f0 <= 0:
-        a, b, fa = lo, frac0, flo
+
+    def expand(frac):
+        return max(frac - 0.1, eps) if f0 < 0 else min(frac + 0.1, 1.0 - eps)
+
+    good, probe = frac0, expand(frac0)
+    while abs(probe - good) * arc > BISECTION_TOL:
+        try:
+            fp = value(probe)
+        except (RootFindFailure, PointOutsideSegment):
+            probe = 0.5 * (good + probe)
+            continue
+        if fp * f0 <= 0:
+            break
+        good, probe = probe, expand(probe)
     else:
-        a, b, fa = frac0, hi, f0
+        raise RootFindFailure(
+            f"no bracket on leaf ({p.x:.6f}, {p.z:.6f}) for target {target_log_u:.3e}"
+        )
+    a, b, fa = (probe, frac0, fp) if f0 < 0 else (frac0, probe, f0)
     while (b - a) * arc > BISECTION_TOL:
         mid = 0.5 * (a + b)
         fm = value(mid)
@@ -133,8 +102,7 @@ def _arc_bisect(curve, alpha, ctx, p: LeafPoint, target_log_u: float, sign: floa
     return (p.x + 0.5 * (a + b) * arc) % (2 * math.pi)
 
 
-def flow_step(curve: BoundaryCurve, alpha, p: LeafPoint, t: float,
-              x_flag=None, z_flag=None) -> LeafPoint:
+def flow_step(curve: BoundaryCurve, alpha, p: LeafPoint, t: float) -> LeafPoint:
     """Move a leaf point time t along the refraction flow of root alpha.
 
     The target image point is computed in closed form from the cross-ratio
@@ -142,16 +110,10 @@ def flow_step(curve: BoundaryCurve, alpha, p: LeafPoint, t: float,
     """
     if t == 0.0:
         return p
-    fx = curve.flag_at(p.x) if x_flag is None else x_flag
-    fz = curve.flag_at(p.z) if z_flag is None else z_flag
-    ctx = leaf_context(curve, alpha, p.x, p.z, x_flag=fx, z_flag=fz)
-    flags = (fx, curve.flag_at(p.y), fz)
-    u0 = ctx.coordinate(
-        geodesic_realization(curve, alpha[0], alpha[1], p, flags=flags)
-    )
+    ctx = leaf_context(curve, alpha, p.x, p.z)
+    u0 = ctx.coordinate(ctx.image(curve.flag_at(p.y)))
     target = math.log(abs(u0)) + t
-    y_new = _arc_bisect(curve, alpha, ctx, p, target, math.copysign(1.0, u0),
-                        (fx, None, fz))
+    y_new = _arc_bisect(curve, ctx, p, target, math.copysign(1.0, u0))
     return LeafPoint(p.x, y_new, p.z)
 
 
@@ -159,45 +121,40 @@ def flow_orbit(curve: BoundaryCurve, alpha, p: LeafPoint, t_max: float,
                steps: int) -> FlowOrbitRecord:
     """Integrate an orbit and record (t, y, image) samples."""
     record = FlowOrbitRecord(leaf=(p.x, p.z))
-    fx, fz = curve.flag_at(p.x), curve.flag_at(p.z)
+    ctx = leaf_context(curve, alpha, p.x, p.z)
     current = p
     for k in range(steps + 1):
         t = t_max * k / steps
         if k > 0:
-            current = flow_step(curve, alpha, current, t_max / steps,
-                                x_flag=fx, z_flag=fz)
-        image = geodesic_realization(
-            curve, alpha[0], alpha[1], current,
-            flags=(fx, curve.flag_at(current.y), fz))
-        record.append(t, current.y, image)
+            current = flow_step(curve, alpha, current, t_max / steps)
+        record.append(t, current.y, ctx.image(curve.flag_at(current.y)))
     return record
 
 
-def flow_period(curve: BoundaryCurve, alpha, gamma: GroupWord,
-                y_choices: int = 2) -> float:
+def flow_period(curve: BoundaryCurve, alpha, gamma: GroupWord) -> float:
     """Period of the closed orbit of gamma under the alpha refraction flow.
 
     Uses exact eigenflags of rep(gamma) at the leaf endpoints; the
     distance from an image point to its gamma image along the leaf is
     independent of the choice of the third parameter, which is verified
-    across `y_choices` samples.
+    across `Y_CHOICES` samples.
     """
-    return _word_periods(curve, [alpha], gamma, y_choices)[0]
+    return _word_periods(curve, [alpha], gamma)[0]
 
 
-def period_spectrum(curve: BoundaryCurve, words, roots, y_choices: int = 2) -> dict:
+def period_spectrum(curve: BoundaryCurve, words, roots) -> dict:
     """flow_period for many words and roots, sharing per-word eigendata.
 
     Returns {word: {root: period}} preserving the input word order.
     """
     out = {}
     for w in words:
-        periods = _word_periods(curve, list(roots), w, y_choices)
+        periods = _word_periods(curve, list(roots), w)
         out[w] = dict(zip([tuple(r) for r in roots], periods))
     return out
 
 
-def _word_periods(curve: BoundaryCurve, roots, gamma: GroupWord, y_choices: int) -> list:
+def _word_periods(curve: BoundaryCurve, roots, gamma: GroupWord) -> list:
     """Shared implementation of flow_period over several roots of one word.
 
     The leaf endpoints x^i ∩ z^{n-i+1} are exactly the eigenvectors of
@@ -241,7 +198,7 @@ def _word_periods(curve: BoundaryCurve, roots, gamma: GroupWord, y_choices: int)
         order = np.argsort(np.abs(np.where(ok, logs, np.inf)))
         pinv = np.linalg.pinv(np.column_stack([a, b]))
         values = []
-        for idx in order[:y_choices]:
+        for idx in order[:Y_CHOICES]:
             p = mb[idx] * a - ma[idx] * b
             coords0 = np.array([mb[idx], -ma[idx]])
             factors = []
@@ -280,13 +237,9 @@ def reference_flow(x: float, z: float, y: float, t: float) -> float:
 
 def cocycle(curve: BoundaryCurve, alpha, p: LeafPoint, t: float) -> float:
     """Translation cocycle of the alpha flow over the reference geodesic flow."""
-    fx, fz = curve.flag_at(p.x), curve.flag_at(p.z)
-    ctx = leaf_context(curve, alpha, p.x, p.z, x_flag=fx, z_flag=fz)
+    ctx = leaf_context(curve, alpha, p.x, p.z)
     y2 = reference_flow(p.x, p.z, p.y, t)
-    img = lambda yy: geodesic_realization(
-        curve, alpha[0], alpha[1], LeafPoint(p.x, yy, p.z),
-        flags=(fx, curve.flag_at(yy), fz))
-    return leafwise_distance(ctx, img(p.y), img(y2))
+    return leafwise_distance(ctx, ctx.image(curve.flag_at(p.y)), ctx.image(curve.flag_at(y2)))
 
 
 def stable_leaf_distance(curve: BoundaryCurve, p: LeafPoint, y0: float) -> float:
@@ -320,12 +273,10 @@ def decay_experiment(curve: BoundaryCurve, p: LeafPoint, y0: float,
     """
     samples = []
     current = p
-    fx, fz = curve.flag_at(p.x), curve.flag_at(p.z)
     for k in range(steps + 1):
         t = t_max * k / steps
         if k > 0:
-            current = flow_step(curve, (2, 3), current, t_max / steps,
-                                x_flag=fx, z_flag=fz)
+            current = flow_step(curve, (2, 3), current, t_max / steps)
         samples.append((t, stable_leaf_distance(curve, current, y0)))
     ts = np.array([s[0] for s in samples])
     ds = np.array([abs(s[1]) for s in samples])
@@ -343,9 +294,7 @@ class RegularityProbeReport:
     residuals_23: tuple
 
 
-def regularity_probe(curve: BoundaryCurve, x: float, z: float,
-                     num_scales: int = 6, base_scale: float = 0.2,
-                     y_center: float = None) -> RegularityProbeReport:
+def regularity_probe(curve: BoundaryCurve, x: float, z: float) -> RegularityProbeReport:
     """Holder exponent of the tangent field along realized image curves (n >= 4).
 
     Sweeps the one-parameter family (x + s, y + s, z): both the leaf and
@@ -362,8 +311,7 @@ def regularity_probe(curve: BoundaryCurve, x: float, z: float,
     n = curve.n
     if n < 4:
         raise ValueError("probe requires n >= 4")
-    arc = circular_gap(x, z)
-    y_c = (x + arc / 2) % (2 * math.pi) if y_center is None else y_center
+    y_c = (x + circular_gap(x, z) / 2) % (2 * math.pi)
 
     def image(alpha, s):
         return geodesic_realization(
@@ -388,8 +336,8 @@ def regularity_probe(curve: BoundaryCurve, x: float, z: float,
     def tangent_exponent(alpha):
         chart_image = make_chart(alpha)
         logs_h, logs_angle, residuals = [], [], []
-        for k in range(num_scales):
-            h = base_scale * 0.5**k
+        for k in range(PROBE_SCALES):
+            h = PROBE_BASE_SCALE * 0.5**k
             angles = []
             for offset in (-1.0, 0.0, 1.0):
                 s0 = offset * 2 * h

@@ -40,6 +40,8 @@ FRENET_MIN_GAP = 0.1            # least circular gap inside a general-position n
 GENERAL_POSITION_BOUND = 1e-4   # least singular value of n well-separated xi^1 vectors
 OSCULATION_BOUND = 10.0         # largest chord-to-tangent angle per unit gap
 SUPPORT_TOL = 1e-8              # chart residual allowed on the wrong side of a tangent
+MIN_SAMPLES = 64                # fewest distinct samples sample_boundary accepts
+REGULARITY_BASE_POINTS = 64     # base points of the fits in boundary_regularity_estimate
 
 
 @dataclass
@@ -196,8 +198,8 @@ class BoundaryCurve:
         )
 
 
-def sample_boundary(rep: SurfaceGroupRep, reference: SurfaceGroupRep, max_word_len: int,
-                    min_samples: int = 64) -> BoundaryCurve:
+def sample_boundary(rep: SurfaceGroupRep, reference: SurfaceGroupRep,
+                    max_word_len: int) -> BoundaryCurve:
     """Sample the limit curve at attracting fixed points of a word ball.
 
     Each conjugacy-class representative (and its inverse, enumerated as a
@@ -224,7 +226,7 @@ def sample_boundary(rep: SurfaceGroupRep, reference: SurfaceGroupRep, max_word_l
         prev = samples.get(key)
         if prev is None or len(w) > len(prev[2]):
             samples[key] = (theta, flag, w)
-    if len(samples) < min_samples:
+    if len(samples) < MIN_SAMPLES:
         raise InsufficientSamples(f"only {len(samples)} distinct boundary samples")
     items = sorted(samples.values(), key=lambda s: s[0])
     return BoundaryCurve(np.array([s[0] for s in items]),
@@ -445,8 +447,7 @@ def build_convex_domain(curve: BoundaryCurve) -> ConvexDomainApprox:
     return ConvexDomainApprox(verts, tangents)
 
 
-def boundary_regularity_estimate(curve: BoundaryCurve, num_base: int = 64,
-                                 window: int = None):
+def boundary_regularity_estimate(curve: BoundaryCurve):
     """Estimate boundary regularity exponents (alpha_hat, beta_hat).
 
     At many base points, regress log height of the boundary over its
@@ -457,9 +458,9 @@ def boundary_regularity_estimate(curve: BoundaryCurve, num_base: int = 64,
         raise InsufficientSamples("need at least 128 samples")
     pts = curve.chart_points()
     count = pts.shape[0]
-    window = max(8, count // 16) if window is None else window
+    window = max(8, count // 16)
     exponents = []
-    for b_idx in range(0, count, max(1, count // num_base)):
+    for b_idx in range(0, count, max(1, count // REGULARITY_BASE_POINTS)):
         coeffs = curve.chart.line_to_chart(ProjectiveSubspace(curve.n, curve.frames[b_idx]))
         normal = np.asarray(coeffs[:-1], dtype=float)
         normal /= np.linalg.norm(normal)

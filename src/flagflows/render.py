@@ -141,18 +141,15 @@ def _segment_within_viewport(scene, coeffs):
 def scene_dev_image(curve, map_name: str, x: float, z: float,
                     num_samples: int = 48) -> SceneDescription:
     """Boundary, leaf chord/tangent, and a developed leaf image."""
-    from .devmaps import MAP_TABLE, LeafPoint
-    from .reps import circular_gap
+    from .devmaps import MAP_TABLE, LeafPoint, leaf_sweep
 
     if map_name not in MAP_TABLE:
         raise ValueError(f"unknown map {map_name!r}; choose from {sorted(MAP_TABLE)}")
     fn = MAP_TABLE[map_name]
     scene = scene_boundary(curve)
-    arc = circular_gap(x, z)
     image_pts = []
     example_line = None
-    for k in range(1, num_samples + 1):
-        y = (x + arc * k / (num_samples + 1)) % (2 * math.pi)
+    for k, y in enumerate(leaf_sweep(x, z, num_samples), start=1):
         f = fn(curve, LeafPoint(x, y, z))
         w = curve.chart.frame @ f.point.vector
         if abs(w[-1]) > 1e-9:

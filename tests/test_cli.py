@@ -112,9 +112,20 @@ N3_ONLY = [("verify-all",), ("decay",), ("dev-image", "--map", "tan+"),
 @pytest.mark.parametrize("command,n", [
     pytest.param(command, n, id=n if command[0] == "verify-all" else f"{command[0]}-{n}")
     for command in N3_ONLY for n in ("2", "4", "5")
+] + [
+    pytest.param(("render", "--figure", "boundary"), n, id=f"render-boundary-{n}")
+    for n in ("2", "4")
+] + [
+    pytest.param(("dev-image", "--map", "alpha:1,2"), "2", id="dev-image-alpha-2"),
+    pytest.param(("flow", "--alpha", "1,2", "--word", "a1"), "2", id="flow-2"),
 ])
 def test_verify_all_refuses_n_other_than_3(tmp_path, capsys, command, n):
-    """Subcommands that need the n=3 developing maps refuse other n before building."""
+    """Subcommands refuse an n they cannot run at, naming it, before writing anything.
+
+    Those that need the n=3 developing maps refuse before building a
+    curve, `render --figure boundary` refuses even n (no affine chart),
+    and the root realizations refuse n=2.
+    """
     assert run(tmp_path, "--n", n, *command) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "ValueError"

@@ -11,6 +11,7 @@ from flagflows.devmaps import (
     covering_checks,
     geodesic_realization,
     involution_iota,
+    leaf_context,
     omega_membership,
     phi_tan_minus,
     phi_tan_plus,
@@ -177,6 +178,29 @@ def test_realization_collapses_to_named_maps(exact_curve):
     assert r13.principal_angle(phi_tr(exact_curve, p).point) < 1e-11
     r23 = geodesic_realization(exact_curve, 2, 3, p)
     assert r23.principal_angle(phi_tan_plus(exact_curve, p).point) < 1e-11
+
+
+@pytest.mark.parametrize("curve_name", ["exact_curve", "exact_curve4"])
+def test_leaf_context_image_is_the_root_realization(request, curve_name):
+    """The context's image is the realization's arithmetic, bit for bit, on every root."""
+    curve = request.getfixturevalue(curve_name)
+    n = curve.n
+    x, y, z = 0.6, 1.8, 3.9
+    fx, fy, fz = (curve.flag_at(t) for t in (x, y, z))
+
+    def pivot(k):  # x^k ∩ z^{n-k+1}, read as x^1 at k = 1 and z^1 at k = n
+        return fx[1] if k == 1 else fz[1] if k == n else meet([fx[k], fz[n - k + 1]])
+
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            ctx = leaf_context(curve, (i, j), x, z)
+            got = ctx.image(fy).vector
+            want = meet([join([pivot(i), pivot(j)]), fy[n - 1]]).vector
+            assert np.array_equal(got, want)
+            assert np.array_equal(
+                got, geodesic_realization(curve, i, j, LeafPoint(x, y, z)).vector)
+            assert ctx.support_line.contains(ctx.forward)
+            assert ctx.support_line.contains(ctx.backward)
 
 
 def test_simple_root_realization_ignores_z_in_dim_four(exact_curve4):

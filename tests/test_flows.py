@@ -19,7 +19,7 @@ from flagflows.flows import (
     regularity_probe,
     stable_leaf_distance,
 )
-from flagflows.reps import jordan_projection, root_length
+from flagflows.reps import axis_thetas, circular_gap, jordan_projection, root_length
 from flagflows.words import GroupWord
 
 
@@ -55,6 +55,28 @@ def test_flow_step_is_additive_in_time(exact_curve):
         q1 = flow_step(exact_curve, alpha, flow_step(exact_curve, alpha, p, 0.4), 0.3)
         q2 = flow_step(exact_curve, alpha, p, 0.7)
         assert abs(q1.y - q2.y) < 1e-8
+
+
+@pytest.mark.parametrize("curve_name", ["exact_curve", "bulged_curve"])
+def test_flow_steps_travel_their_time_along_the_leaf(request, curve_name):
+    """Ten steps of 0.5 from mid-arc on the a1 axis cover leafwise distance 5 per root.
+
+    The later steps end close to the forward endpoint, where the bracket
+    must grow only toward x and back off probes whose image is
+    numerically an endpoint.
+    """
+    curve = request.getfixturevalue(curve_name)
+    x, z = axis_thetas(curve.reference.matrix(curve.rep.presentation.parse_word("a1")))
+    start = LeafPoint(x, (x + circular_gap(x, z) / 2) % (2 * math.pi), z)
+    for alpha in ((1, 2), (1, 3), (2, 3)):
+        ctx = leaf_context(curve, alpha, x, z)
+        current, total = start, 0.0
+        for _ in range(10):
+            moved = flow_step(curve, alpha, current, 0.5)
+            total += leafwise_distance(ctx, ctx.image(curve.flag_at(current.y)),
+                                       ctx.image(curve.flag_at(moved.y)))
+            current = moved
+        assert abs(total - 5.0) < 1e-8
 
 
 def test_flow_step_reverses(exact_curve):
