@@ -18,10 +18,13 @@ from .devmaps import (LeafMetricContext, LeafPoint, geodesic_realization, leaf_c
                       phi_tan_plus)
 from .limitcurve import BISECTION_TOL, BoundaryCurve, second_boundary_intersection
 from .projective import ProjectiveSubspace, cross_ratio, join, meet
-from .reps import boundary_vector, circular_gap, loxodromic_eigensystem, theta_of_vector
+from .reps import (boundary_vector, circular_gap, loxodromic_eigensystem, read_from_g,
+                   theta_of_vector)
 from .words import GroupWord
 
 Y_CHOICES = 2  # hyperplane samples whose periods must agree in flow_period
+# (word x curve sample) entries period_spectrum holds at once
+SPECTRUM_BLOCK_ENTRIES = 16_384
 # dyadic scales base * 2^-k, k < count, of the tangent fits in regularity_probe
 PROBE_BASE_SCALE, PROBE_SCALES = 0.2, 6
 
@@ -117,9 +120,15 @@ def flow_step(curve: BoundaryCurve, alpha, p: LeafPoint, t: float) -> LeafPoint:
     return LeafPoint(p.x, y_new, p.z)
 
 
+def _require_steps(steps: int) -> None:
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
+
+
 def flow_orbit(curve: BoundaryCurve, alpha, p: LeafPoint, t_max: float,
                steps: int) -> FlowOrbitRecord:
-    """Integrate an orbit and record (t, y, image) samples."""
+    """Integrate an orbit in `steps` >= 1 equal steps and record (t, y, image) samples."""
+    _require_steps(steps)
     record = FlowOrbitRecord(leaf=(p.x, p.z))
     ctx = leaf_context(curve, alpha, p.x, p.z)
     current = p
@@ -139,23 +148,28 @@ def flow_period(curve: BoundaryCurve, alpha, gamma: GroupWord) -> float:
     independent of the choice of the third parameter, which is verified
     across `Y_CHOICES` samples.
     """
-    return _word_periods(curve, [alpha], gamma)[0]
+    return _word_periods(curve, [alpha], [gamma])[0][0]
 
 
 def period_spectrum(curve: BoundaryCurve, words, roots) -> dict:
-    """flow_period for many words and roots, sharing per-word eigendata.
+    """flow_period for many words and roots, in blocks of words.
 
-    Returns {word: {root: period}} preserving the input word order.
+    A block holds at most SPECTRUM_BLOCK_ENTRIES (word x curve sample)
+    entries.  Returns {word: {root: period}} preserving the input word
+    order.
     """
+    words, roots = list(words), [tuple(r) for r in roots]
+    size = max(1, SPECTRUM_BLOCK_ENTRIES // len(curve.thetas))
     out = {}
-    for w in words:
-        periods = _word_periods(curve, list(roots), w)
-        out[w] = dict(zip([tuple(r) for r in roots], periods))
+    for start in range(0, len(words), size):
+        block = words[start:start + size]
+        for w, periods in zip(block, _word_periods(curve, roots, block)):
+            out[w] = dict(zip(roots, periods))
     return out
 
 
-def _word_periods(curve: BoundaryCurve, roots, gamma: GroupWord) -> list:
-    """Shared implementation of flow_period over several roots of one word.
+def _word_periods(curve: BoundaryCurve, roots, words) -> list:
+    """Periods of every root for a block of words: one list of periods per word.
 
     The leaf endpoints x^i ∩ z^{n-i+1} are exactly the eigenvectors of
     rep(gamma), so the image of the developing map on the leaf through a
@@ -163,58 +177,72 @@ def _word_periods(curve: BoundaryCurve, roots, gamma: GroupWord) -> list:
     period is the log-stretch of the image point's segment coordinate
     under gamma, split into its forward and backward coordinate factors;
     each factor is evaluated by applying gamma or the independently
-    assembled gamma^{-1} product, whichever keeps that eigenvalue index
-    near the top of the spectrum (applying a word product amplifies
-    roundoff in subdominant coordinates by the spectral spread, which
-    overwhelms float64 for long words otherwise).
+    assembled gamma^{-1} product, as `read_from_g` decides (applying a
+    word product amplifies roundoff in subdominant coordinates by the
+    spectral spread, which overwhelms float64 for long words otherwise).
+
+    The block runs as stacked array operations.  If any word fails a
+    check, the block is run again one word at a time, so the error
+    raised is the first failing word's own.
     """
-    g_ref = curve.reference.matrix(gamma)
-    if abs(np.trace(g_ref)) <= 2.0:
+    try:
+        return _block_periods(curve, roots, words)
+    except (FlagFlowsError, ValueError):
+        if len(words) == 1:
+            raise
+        return [periods for w in words for periods in _word_periods(curve, roots, [w])]
+
+
+def _block_periods(curve: BoundaryCurve, roots, words) -> list:
+    g_ref = curve.reference.matrices(words)
+    if np.any(np.abs(g_ref[:, 0, 0] + g_ref[:, 1, 1]) <= 2.0):
         raise NotLoxodromic("reference image is not hyperbolic")
     n = curve.n
-    g = curve.rep.matrix(gamma)
-    g_inv = curve.rep.matrix(gamma.inverse())
+    g = curve.rep.matrices(words)
+    g_inv = curve.rep.matrices([w.inverse() for w in words])
     vals_g, vecs_g = loxodromic_eigensystem(g)
-    vals_i, vecs_i = loxodromic_eigensystem(g_inv)
+    _, vecs_i = loxodromic_eigensystem(g_inv)
     lm = np.log(np.abs(vals_g))
-    prefer_g = [lm[0] - lm[k] <= lm[k] - lm[n - 1] for k in range(n)]
-    amp = [math.exp(min(lm[0] - lm[k], lm[k] - lm[n - 1])) for k in range(n)]
-
-    def eigvec(k):
-        return vecs_g[:, k] if prefer_g[k] else vecs_i[:, n - 1 - k]
-
+    prefer_g = read_from_g(lm)
+    # the eigenvector of each index, from whichever product reads it best
+    eigvecs = np.where(prefer_g[:, None, :], vecs_g, vecs_i[:, :, ::-1])
+    amp = np.array([math.exp(x) for x in
+                    np.minimum(lm[:, :1] - lm, lm - lm[:, -1:]).ravel()]).reshape(lm.shape)
     covectors = curve.hyperplane_covectors()
     results = []
     for (i, j) in roots:
         if not (1 <= i < j <= n):
             raise ValueError("need 1 <= i < j <= n")
-        a, b = eigvec(i - 1), eigvec(j - 1)
-        ma, mb = covectors @ a, covectors @ b
+        a, b = eigvecs[:, :, i - 1], eigvecs[:, :, j - 1]
+        ma = (covectors @ a[:, :, None])[:, :, 0]
+        mb = (covectors @ b[:, :, None])[:, :, 0]
         with np.errstate(divide="ignore", invalid="ignore"):
             logs = np.log(np.abs(mb)) - np.log(np.abs(ma))
         ok = np.isfinite(logs)
-        if not np.any(ok):
+        if not np.all(np.any(ok, axis=1)):
             raise RootFindFailure("no transverse hyperplane sample on the leaf")
-        order = np.argsort(np.abs(np.where(ok, logs, np.inf)))
-        pinv = np.linalg.pinv(np.column_stack([a, b]))
-        values = []
-        for idx in order[:Y_CHOICES]:
-            p = mb[idx] * a - ma[idx] * b
-            coords0 = np.array([mb[idx], -ma[idx]])
-            factors = []
-            for slot, k in ((0, i - 1), (1, j - 1)):
-                op = g if prefer_g[k] else g_inv
-                c = pinv @ (op @ p)
-                stretch = math.log(abs(c[slot] / coords0[slot]))
-                factors.append(stretch if prefer_g[k] else -stretch)
-            values.append(factors[0] - factors[1])
-        mean = float(np.mean(values))
-        spread = max(values) - min(values)
-        noise_floor = 100.0 * np.finfo(float).eps * (amp[i - 1] + amp[j - 1])
-        if spread > max(1e-8 * max(1.0, abs(mean)), noise_floor):
-            raise RootFindFailure(f"period varies with y by {spread:.3e}")
+        chosen = np.argsort(np.abs(np.where(ok, logs, np.inf)), axis=1)[:, :Y_CHOICES]
+        mb_y, ma_y = np.take_along_axis(mb, chosen, 1), np.take_along_axis(ma, chosen, 1)
+        pinv = np.linalg.pinv(np.stack([a, b], axis=-1))  # (W, 2, n)
+        points = mb_y[:, :, None] * a[:, None, :] - ma_y[:, :, None] * b[:, None, :]
+        factors = []
+        for slot, k, coords0 in ((0, i - 1, mb_y), (1, j - 1, -ma_y)):
+            op = np.where(prefer_g[:, k, None, None], g, g_inv)
+            c = (pinv[:, None] @ (op[:, None] @ points[..., None]))[..., slot, 0]
+            ratio = np.abs(c / coords0)
+            # math.log per entry: np.log on arrays moves the last bit of some periods
+            stretch = np.array([math.log(x) for x in ratio.ravel()]).reshape(ratio.shape)
+            factors.append(np.where(prefer_g[:, k, None], stretch, -stretch))
+        values = factors[0] - factors[1]  # (W, Y)
+        mean = np.mean(values, axis=1)
+        spread = values.max(axis=1) - values.min(axis=1)
+        noise_floor = 100.0 * np.finfo(float).eps * (amp[:, i - 1] + amp[:, j - 1])
+        bound = np.maximum(1e-8 * np.maximum(1.0, np.abs(mean)), noise_floor)
+        varies = spread > bound
+        if np.any(varies):
+            raise RootFindFailure(f"period varies with y by {spread[np.argmax(varies)]:.3e}")
         results.append(mean)
-    return results
+    return np.reshape(results, (len(roots), len(words))).T.tolist()
 
 
 def reference_flow(x: float, z: float, y: float, t: float) -> float:
@@ -269,8 +297,10 @@ def decay_experiment(curve: BoundaryCurve, p: LeafPoint, y0: float,
                      t_max: float, steps: int):
     """Slope of log stable-leaf distance against tangent-flow time.
 
-    Returns (slope, samples) where samples is a list of (t, distance).
+    Returns (slope, samples) where samples is a list of (t, distance)
+    over `steps` >= 1 equal steps.
     """
+    _require_steps(steps)
     samples = []
     current = p
     for k in range(steps + 1):

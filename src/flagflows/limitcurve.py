@@ -27,11 +27,11 @@ from .config import (
 from .projective import AffineChart, Flag, ProjectiveSubspace, dual
 from .reps import (
     SurfaceGroupRep,
-    axis_thetas,
     circular_gap,
     contragredient,
-    fixed_flags,
+    loxodromic_eigensystem,
     sym_matrix,
+    theta_of_vector,
 )
 from .words import enumerate_conjugacy_classes
 
@@ -208,29 +208,37 @@ def sample_boundary(rep: SurfaceGroupRep, reference: SurfaceGroupRep,
     thetas are resolved by keeping the longest word, whose eigenflag is
     the best converged.
     """
+    ball = enumerate_conjugacy_classes(rep.presentation, max_word_len)
+    m2 = reference.matrices(ball)
+    elliptic = np.flatnonzero(np.abs(m2[:, 0, 0] + m2[:, 1, 1]) <= 2.0)
+    try:
+        _, vecs = loxodromic_eigensystem(rep.matrices(ball))
+    except NotLoxodromic as exc:
+        # the error of the first failing word, as a word-by-word scan raises it
+        if not elliptic.size or exc.index[0] < elliptic[0]:
+            raise NotLoxodromic(
+                f"word {rep.presentation.format_word(ball[exc.index[0]])}: {exc}") from exc
+    if elliptic.size:
+        raise NotLoxodromic(
+            f"reference image of {rep.presentation.format_word(ball[elliptic[0]])} "
+            "is not hyperbolic")
+    # attracting axes of the reference Mobius actions
+    vals2, vecs2 = np.linalg.eig(m2)
+    lead = np.argsort(-np.abs(vals2), axis=-1)[:, 0]
     samples = {}
-    for w in enumerate_conjugacy_classes(rep.presentation, max_word_len):
-        m2 = reference.matrix(w)
-        if abs(np.trace(m2)) <= 2.0:
-            raise NotLoxodromic(
-                f"reference image of {rep.presentation.format_word(w)} is not hyperbolic"
-            )
-        theta, _ = axis_thetas(m2)
-        try:
-            flag, _ = fixed_flags(rep.matrix(w))
-        except NotLoxodromic as exc:
-            raise NotLoxodromic(
-                f"word {rep.presentation.format_word(w)}: {exc}"
-            ) from exc
+    for k, w in enumerate(ball):
+        theta = theta_of_vector(vecs2[k, :, lead[k]].real)
         key = round(theta / 1e-10)
         prev = samples.get(key)
-        if prev is None or len(w) > len(prev[2]):
-            samples[key] = (theta, flag, w)
+        if prev is None or len(w) > len(ball[prev[1]]):
+            samples[key] = (theta, k)
     if len(samples) < MIN_SAMPLES:
         raise InsufficientSamples(f"only {len(samples)} distinct boundary samples")
     items = sorted(samples.values(), key=lambda s: s[0])
+    n = rep.n
     return BoundaryCurve(np.array([s[0] for s in items]),
-                         np.array([s[1].frame for s in items]), rep, reference)
+                         np.array([Flag.from_basis_columns(vecs[k, :, : n - 1]).frame
+                                   for _, k in items]), rep, reference)
 
 
 def _rotation_to(theta: float) -> np.ndarray:

@@ -91,25 +91,32 @@ class JordanData:
         object.__setattr__(self, "log_moduli", lm)
 
 
+def read_from_g(lm: np.ndarray) -> np.ndarray:
+    """Which eigenvalue indices are better read from g than from g^-1.
+
+    `lm` holds the log-moduli of g sorted nonincreasing, shape (..., n).
+    Index k is read from g when it is no farther from the top of g's
+    spectrum than from the bottom; otherwise from g^-1, where it is
+    index n-1-k and near the top.  Small eigenvalues of an
+    ill-conditioned product carry a relative error of roughly
+    eps * cond(g), so reading each from the product where it dominates
+    keeps every entry accurate.
+    """
+    return lm[..., :1] - lm <= lm - lm[..., -1:]
+
+
 def jordan_projection(g: np.ndarray, g_inverse: np.ndarray = None) -> JordanData:
     """Sorted log-moduli of the eigenvalues of g (det g = +-1).
 
-    Small eigenvalues of an ill-conditioned word product carry a relative
-    error of roughly eps * cond(g); passing the independently computed
-    inverse product recovers them as dominant eigenvalues of the inverse,
-    keeping every entry accurate.
+    Passing the independently computed inverse product reads each entry
+    from g or from the inverse as `read_from_g` decides.
     """
     g = np.asarray(g, dtype=float)
     try:
         lm = np.sort(np.log(np.abs(np.linalg.eigvals(g))))[::-1]
         if g_inverse is not None:
             lm_inv = np.sort(np.log(np.abs(np.linalg.eigvals(g_inverse))))[::-1]
-            n = lm.size
-            for k in range(n):
-                # entry k is better read from whichever product has it
-                # closer to the top of the spectrum
-                if lm[0] - lm[k] > lm[k] - lm[n - 1]:
-                    lm[k] = -lm_inv[n - 1 - k]
+            lm = np.where(read_from_g(lm), lm, -lm_inv[::-1])
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
     # float determinants of long word products drift by roughly
@@ -133,29 +140,35 @@ def root_length(j: JordanData, i: int, k: int) -> float:
 def loxodromic_eigensystem(g: np.ndarray):
     """Real eigenvalues and eigenvectors of g sorted by decreasing modulus.
 
+    `g` is one matrix or a stack (..., n, n); each is solved on its own.
     Raises NotLoxodromic unless all eigenvalue moduli are pairwise
-    separated by the relative gap LOXODROMY_GAP.
+    separated by the relative gap LOXODROMY_GAP.  For a stack the error
+    names the first failing matrix's first failing gap and carries that
+    matrix's stack position as `index`.
     """
     g = np.asarray(g, dtype=float)
     try:
         vals, vecs = np.linalg.eig(g)
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
-    order = np.argsort(-np.abs(vals))
-    vals, vecs = vals[order], vecs[:, order]
+    order = np.argsort(-np.abs(vals), axis=-1)
+    vals = np.take_along_axis(vals, order, axis=-1)
+    vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
     moduli = np.abs(vals)
-    for a, b in zip(moduli, moduli[1:]):
-        if (a - b) / a <= LOXODROMY_GAP:
-            raise NotLoxodromic(
-                f"eigenvalue moduli gap {(a - b) / a:.3e} below {LOXODROMY_GAP}")
+    gaps = (moduli[..., :-1] - moduli[..., 1:]) / moduli[..., :-1]
+    bad = np.argwhere(gaps <= LOXODROMY_GAP)
+    if bad.size:
+        exc = NotLoxodromic(
+            f"eigenvalue moduli gap {gaps[tuple(bad[0])]:.3e} below {LOXODROMY_GAP}")
+        exc.index = tuple(int(k) for k in bad[0][:-1])
+        raise exc
     # distinct moduli force real eigenvalues; strip the numerical phase
-    real_vecs = np.empty_like(vecs, dtype=float)
-    for k in range(vals.size):
-        v = vecs[:, k]
-        phase = v[np.argmax(np.abs(v))]
-        v = v * np.conj(phase / abs(phase))
-        real_vecs[:, k] = v.real / np.linalg.norm(v.real)
-    return vals.real, real_vecs
+    # of each column, then normalize its real part
+    lead = np.argmax(np.abs(vecs), axis=-2)[..., None, :]
+    phase = np.take_along_axis(vecs, lead, axis=-2)
+    real = (vecs * np.conj(phase / np.abs(phase))).real
+    norms = np.sqrt(real.swapaxes(-1, -2)[..., None, :] @ real.swapaxes(-1, -2)[..., :, None])
+    return vals.real, real / norms[..., 0].swapaxes(-1, -2)
 
 
 def fixed_flags(g: np.ndarray):
@@ -190,8 +203,13 @@ class SurfaceGroupRep:
                 raise ValueError(f"generator {k} image has shape {m.shape}")
             if abs(np.linalg.det(m) - 1.0) > 1e-6:
                 raise ValueError(f"generator {k} image does not have det 1")
-        self._cache = {1 * k: m for k, m in self.images.items()}
-        self._cache.update({-k: np.linalg.inv(m) for k, m in self.images.items()})
+        g = self.presentation.num_generators
+        # letter x of a word is row g + x; row g is no letter and holds the identity
+        self._table = np.empty((2 * g + 1, self.n, self.n))
+        self._table[g] = np.eye(self.n)
+        for k, m in self.images.items():
+            self._table[g + k] = m
+            self._table[g - k] = np.linalg.inv(m)
         dist = self.relator_distance()
         if dist > RELATOR_TOL:
             raise ValueError(f"relator image is {dist:.3e} from +-identity")
@@ -202,25 +220,49 @@ class SurfaceGroupRep:
         return min(np.linalg.norm(rel - np.eye(self.n)), np.linalg.norm(rel + np.eye(self.n)))
 
     def matrix(self, word) -> np.ndarray:
-        """Image of a word (GroupWord or letter sequence)."""
+        """Image of a word (GroupWord or letter sequence), multiplied left to right."""
         if isinstance(word, GroupWord):
             word = word.letters
-        out = np.eye(self.n)
-        for x in word:
-            out = out @ self._cache[x]
+        if not word:
+            return np.eye(self.n)
+        g = self.presentation.num_generators
+        out = self._table[g + word[0]].copy()
+        for x in word[1:]:
+            out = out @ self._table[g + x]
+        return out
+
+    def matrices(self, words) -> np.ndarray:
+        """Images of many words as one (W, n, n) array, in the order given.
+
+        Words of one length are multiplied together, left to right one
+        letter column at a time, as `matrix` does, so each image equals
+        `matrix` of its word exactly.
+        """
+        letters = [w.letters if isinstance(w, GroupWord) else tuple(w) for w in words]
+        out = np.empty((len(letters), self.n, self.n))
+        by_length = {}
+        for k, w in enumerate(letters):
+            by_length.setdefault(len(w), []).append(k)
+        for length, rows in by_length.items():
+            columns = self.presentation.num_generators + np.array(
+                [letters[k] for k in rows], dtype=int).reshape(len(rows), length)
+            product = self._table[columns[:, 0]] if length else np.eye(self.n)
+            for col in range(1, length):
+                product = product @ self._table[columns[:, col]]
+            out[rows] = product
         return out
 
     def check_loxodromy(self, max_len: int) -> None:
         """Gate: every nontrivial word image in the ball must be loxodromic."""
         from .words import enumerate_conjugacy_classes
 
-        for w in enumerate_conjugacy_classes(self.presentation, max_len):
-            try:
-                loxodromic_eigensystem(self.matrix(w))
-            except NotLoxodromic as exc:
-                raise NotLoxodromic(
-                    f"word {self.presentation.format_word(w)}: {exc}"
-                ) from exc
+        ball = enumerate_conjugacy_classes(self.presentation, max_len)
+        try:
+            loxodromic_eigensystem(self.matrices(ball))
+        except NotLoxodromic as exc:
+            raise NotLoxodromic(
+                f"word {self.presentation.format_word(ball[exc.index[0]])}: {exc}"
+            ) from exc
 
     def to_dict(self) -> dict:
         return {

@@ -137,3 +137,16 @@ def test_decay_on_default_config(tmp_path):
     assert run(tmp_path, "decay", "--t-max", "4", "--steps", "12") == 0
     summary = load_summary(tmp_path, "decay")
     assert abs(summary["slope"] + 1.0) < 0.05
+
+
+@pytest.mark.parametrize("command", [
+    ("flow", "--alpha", "2,3", "--word", "a1", "--steps", "0"),
+    ("flow", "--alpha", "2,3", "--word", "a1", "--steps", "-2"),
+    ("decay", "--steps", "0"),
+], ids=["flow-0", "flow-negative", "decay-0"])
+def test_fewer_than_one_step_is_refused(tmp_path, capsys, command):
+    assert run(tmp_path, *command) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ValueError"
+    assert "steps must be at least 1" in err["error"]["message"]
+    assert not any(tmp_path.iterdir())

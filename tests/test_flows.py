@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
-from flagflows.config import NotLoxodromic
+from flagflows.config import NotLoxodromic, RootFindFailure
 from flagflows import flows
 from flagflows.devmaps import LeafPoint, phi_tan_plus, phi_tr
 from flagflows.flows import (
@@ -19,8 +21,10 @@ from flagflows.flows import (
     regularity_probe,
     stable_leaf_distance,
 )
-from flagflows.reps import axis_thetas, circular_gap, jordan_projection, root_length
-from flagflows.words import GroupWord
+from flagflows.limitcurve import fuchsian_curve, sample_boundary
+from flagflows.reps import (axis_thetas, bulge_deform, circular_gap, jordan_projection,
+                            root_length, sym_power)
+from flagflows.words import GroupWord, enumerate_conjugacy_classes
 
 
 def sl2_length(m):
@@ -111,19 +115,115 @@ def test_flow_period_matches_eigenvalue_oracle(exact_curve):
             assert abs(got - root_length(jd, *root)) < 1e-8
 
 
-def test_period_spectrum_agrees_with_flow_period(exact_curve):
-    pres = exact_curve.rep.presentation
-    words = [pres.parse_word("a1"), pres.parse_word("a1 b1")]
-    spec = period_spectrum(exact_curve, words, [(1, 2), (2, 3)])
-    for w in words:
-        for root in ((1, 2), (2, 3)):
-            assert spec[w][root] == pytest.approx(
-                flow_period(exact_curve, root, w), rel=1e-12)
+ROOTS = [(1, 2), (1, 3), (2, 3)]
+
+
+def test_period_spectrum_agrees_with_flow_period(exact_curve, bulged_curve):
+    """The blocked spectrum and a block of one word give the same bits."""
+    ball = enumerate_conjugacy_classes(exact_curve.rep.presentation, 3)
+    for curve in (exact_curve, bulged_curve):
+        spec = period_spectrum(curve, ball, ROOTS)
+        assert list(spec) == ball
+        for w in ball:
+            for root in ROOTS:
+                assert spec[w][root] == flow_period(curve, root, w)
 
 
 def test_flow_period_rejects_the_identity(exact_curve):
     with pytest.raises(NotLoxodromic):
         flow_period(exact_curve, (1, 2), GroupWord(()))
+
+
+def test_period_spectrum_raises_the_first_failing_words_error(exact_curve):
+    """Within one block, the error is that of the first word that fails.
+
+    The empty word fails the reference trace check; `a1 a1 A2 a1 A2`
+    fails the spread check for (1, 2), because its middle eigenvalue
+    sits at equal log-distance from both ends of the spectrum.
+    """
+    pres = exact_curve.rep.presentation
+    good = enumerate_conjugacy_classes(pres, 1)
+    spread_word = pres.parse_word("a1 a1 A2 a1 A2")
+    assert len(good) + 2 <= flows.SPECTRUM_BLOCK_ENTRIES // exact_curve.thetas.size
+    with pytest.raises(NotLoxodromic, match="reference image is not hyperbolic"):
+        period_spectrum(exact_curve, good[:3] + [GroupWord(())] + good[3:] + [spread_word],
+                        ROOTS)
+    with pytest.raises(RootFindFailure, match=r"^period varies with y by 1\.168e-06$"):
+        period_spectrum(exact_curve, good[:3] + [spread_word] + good[3:] + [GroupWord(())],
+                        ROOTS)
+
+
+def test_exact_curve_spectrum_at_length_five_stops_at_the_equidistant_word(reference):
+    """Pins a known defect: the default curve fails the L=5 periods check.
+
+    `a1 a1 A2 a1 A2` has log-moduli +-14.59 and 0, so the middle index is
+    as far from the top as from the bottom of the spectrum, and the two
+    hyperplane samples disagree on the (1, 2) period by 1.168e-06.
+    """
+    curve = fuchsian_curve(reference, 3)
+    pres = curve.rep.presentation
+    with pytest.raises(RootFindFailure, match=r"^period varies with y by 1\.168e-06$"):
+        period_spectrum(curve, enumerate_conjugacy_classes(pres, 5), ROOTS)
+    with pytest.raises(RootFindFailure, match=r"^period varies with y by 1\.168e-06$"):
+        flow_period(curve, (1, 2), pres.parse_word("a1 a1 A2 a1 A2"))
+
+
+def test_period_spectrum_memory_stays_bounded(reference):
+    """Blocks keep the spectrum's working set small on a dense curve.
+
+    780 words x 3 roots on the 1,024-sample exact curve peak near 1.2 MB;
+    holding every (word x sample) entry at once would need about 44 MB.
+    """
+    curve = fuchsian_curve(reference, 3)
+    ball = enumerate_conjugacy_classes(curve.rep.presentation, 4)
+    assert len(ball) == 780
+    curve.hyperplane_covectors()
+    tracemalloc.start()
+    try:
+        period_spectrum(curve, ball, ROOTS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+@pytest.fixture(scope="module")
+def criterion1_curves(reference):
+    """The depth-3 sampled curves of criterion 1: bulges 0, 0.3 and 0.7."""
+    rep3 = sym_power(reference, 3)
+    return [sample_boundary(bulge_deform(rep3, s), reference, 3) for s in (0.0, 0.3, 0.7)]
+
+
+def _mp_root_lengths(rep, word):
+    """Root lengths (l1 - l2, l1 - l3, l2 - l3) from 50-digit eigenvalues."""
+    with mpmath.workdps(50):
+        g = mpmath.eye(rep.n)
+        for x in word.letters:
+            m = rep.images[abs(x)]
+            m = mpmath.matrix(m.tolist())
+            g = g * (m if x > 0 else mpmath.inverse(m))
+        vals = mpmath.eig(g, left=False, right=False)
+        lm = sorted((mpmath.log(abs(v)) for v in vals), reverse=True)
+        return {(i, j): float(lm[i - 1] - lm[j - 1]) for (i, j) in ROOTS}
+
+
+def test_periods_match_high_precision_root_lengths(criterion1_curves):
+    """Independent oracle for criterion 1: 40 seeded L=5 words per rep.
+
+    The word products and their eigenvalues are taken in 50-digit
+    arithmetic from the float64 generator images, so no float64 word
+    product enters the expected value.
+    """
+    pres = criterion1_curves[0].rep.presentation
+    ball = enumerate_conjugacy_classes(pres, 5)
+    rng = np.random.default_rng(5)
+    sample = [ball[k] for k in sorted(rng.choice(len(ball), size=40, replace=False))]
+    for curve in criterion1_curves:
+        spec = period_spectrum(curve, sample, ROOTS)
+        for w in sample:
+            want = _mp_root_lengths(curve.rep, w)
+            for root in ROOTS:
+                assert abs(spec[w][root] - want[root]) / abs(want[root]) < 1e-6
 
 
 def test_reference_flow_is_additive():

@@ -9,6 +9,7 @@ from flagflows.config import (
     InsufficientSamples,
     NoSecondIntersection,
     NotDefinedHere,
+    NotLoxodromic,
 )
 from flagflows.limitcurve import (
     BoundaryCurve,
@@ -20,7 +21,7 @@ from flagflows.limitcurve import (
     second_boundary_intersection,
 )
 from flagflows.projective import Flag, ProjectiveSubspace, dual, join
-from flagflows.reps import sym_power
+from flagflows.reps import SurfaceGroupRep, sym_power
 
 
 def _symbolic_veronese(theta_expr):
@@ -45,6 +46,34 @@ def test_exact_curve_matches_symbolic_veronese(exact_curve):
     t_exact = np.array([float(sympy.N(c, 30)) for c in tangent])
     want_line = ProjectiveSubspace.from_spanning(np.vstack([p_exact, t_exact]))
     assert f[2].principal_angle(want_line) < 1e-12
+
+
+def _rep_moving_only_a1(presentation, a1):
+    """A representation that sends a1 to `a1` and b1, a2, b2 to the identity."""
+    n = a1.shape[0]
+    return SurfaceGroupRep(presentation, n, {1: a1, 2: np.eye(n), 3: np.eye(n), 4: np.eye(n)})
+
+
+def test_sample_boundary_names_the_first_failing_word(reference):
+    """The ball is checked as a whole, but the error is the first failing word's.
+
+    Words run a1, A1, b1, ...; for one word the reference check comes first.
+    """
+    pres = reference.presentation
+    # the rep fails at a1, before the reference fails at b1
+    with pytest.raises(NotLoxodromic, match="^word a1: eigenvalue moduli gap 0.000e"):
+        sample_boundary(_rep_moving_only_a1(pres, np.eye(3)),
+                        _rep_moving_only_a1(pres, reference.images[1]), 2)
+    # the reference fails at a1, before the rep fails at b1
+    with pytest.raises(NotLoxodromic, match="^reference image of a1 is not hyperbolic$"):
+        sample_boundary(_rep_moving_only_a1(pres, np.diag([4.0, 1.0, 0.25])),
+                        _rep_moving_only_a1(pres, np.eye(2)), 2)
+    # both fail at a1: the reference check comes first
+    with pytest.raises(NotLoxodromic, match="^reference image of a1 is not hyperbolic$"):
+        sample_boundary(_rep_moving_only_a1(pres, np.eye(3)),
+                        _rep_moving_only_a1(pres, np.eye(2)), 2)
+    with pytest.raises(NotLoxodromic, match="^word b1: eigenvalue moduli gap 0.000e"):
+        _rep_moving_only_a1(pres, np.diag([4.0, 1.0, 0.25])).check_loxodromy(2)
 
 
 def test_interpolation_returns_stored_samples(sampled_curve):

@@ -23,6 +23,7 @@ from flagflows.reps import (
     sym_power,
     theta_of_vector,
 )
+from flagflows.words import GroupWord, enumerate_conjugacy_classes
 
 
 def Flag_apply(g: np.ndarray, flag):
@@ -126,6 +127,35 @@ def test_loxodromic_eigensystem_sorting_and_rejection():
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
     with pytest.raises(NotLoxodromic):
         loxodromic_eigensystem(rot)
+
+
+def test_stacked_word_products_equal_matrix(reference):
+    """`matrices` multiplies in the order of `matrix`, so the images agree bit for bit."""
+    ball = enumerate_conjugacy_classes(reference.presentation, 4)
+    words = ball + [w.inverse() for w in ball] + [GroupWord(()), GroupWord((3,))]
+    for rep in (reference, sym_power(reference, 3), bulge_deform(sym_power(reference, 3), 0.7)):
+        stacked = rep.matrices(words)
+        assert stacked.shape == (len(words), rep.n, rep.n)
+        for w, m in zip(words, stacked):
+            assert np.array_equal(m, rep.matrix(w))
+    # a one-letter image is a copy, never the stored generator image
+    rep3 = sym_power(reference, 3)
+    rep3.matrix([1])[0, 0] = 99.0
+    assert rep3.matrix([1])[0, 0] != 99.0
+
+
+def test_stacked_eigensystems_equal_single_ones(reference):
+    rep3 = bulge_deform(sym_power(reference, 3), 0.3)
+    ball = enumerate_conjugacy_classes(reference.presentation, 3)
+    mats = rep3.matrices(ball)
+    vals, vecs = loxodromic_eigensystem(mats)
+    for k, m in enumerate(mats):
+        v, e = loxodromic_eigensystem(m)
+        assert np.array_equal(v, vals[k]) and np.array_equal(e, vecs[k])
+    rot = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(NotLoxodromic) as info:
+        loxodromic_eigensystem(np.stack([mats[0], mats[1], rot, rot]))
+    assert info.value.index == (2,)
 
 
 def test_fixed_flags_are_invariant(reference):
