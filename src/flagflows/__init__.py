@@ -35,7 +35,6 @@ from .limitcurve import (
     BoundaryCurve,
     boundary_regularity_estimate,
     build_convex_domain,
-    dual_curve,
     frenet_checks,
     fuchsian_curve,
     interpolate,
@@ -46,9 +45,9 @@ from .projective import (
     AffineChart,
     Flag,
     ProjectiveSubspace,
+    annihilator,
     cross_ratio,
     dual,
-    hilbert_distance,
     join,
     meet,
 )
@@ -56,7 +55,6 @@ from .reps import (
     JordanData,
     SurfaceGroupRep,
     bulge_deform,
-    contragredient,
     fuchsian_genus2,
     jordan_projection,
     loxodromic_eigensystem,

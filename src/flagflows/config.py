@@ -19,7 +19,6 @@ class EmptyIntersection(FlagFlowsError): pass
 class NotCollinear(FlagFlowsError): pass
 class IndeterminateRatio(FlagFlowsError): pass
 class PointOutsideDomain(FlagFlowsError): pass
-class LineMissesBoundary(FlagFlowsError): pass
 
 # words / representations
 class ResourceLimit(FlagFlowsError): pass

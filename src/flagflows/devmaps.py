@@ -14,7 +14,8 @@ import numpy as np
 
 from .config import DegenerateMeet, EmptyIntersection, PointOutsideSegment, UnclassifiedLine
 from .limitcurve import BoundaryCurve, second_boundary_intersection
-from .projective import ProjectiveSubspace, cross_ratio, join, meet, signed_polygon_distance
+from .projective import (ProjectiveSubspace, annihilator, cross_ratio, join, meet,
+                         signed_polygon_distance)
 from .reps import circular_gap, positively_oriented
 
 # bound on a pointwise identity or fit residual: closed-form and interpolated curves
@@ -242,7 +243,7 @@ def omega_membership(curve: BoundaryCurve, f: PointLineFlag):
         point_side = -1.0  # on the infinity line: far outside the hull
     else:
         point_side = signed_polygon_distance(verts, w[:-1] / w[-1])
-    coeffs = curve.chart.line_to_chart(f.line)
+    coeffs = curve.chart.line_to_chart(annihilator(f.line.basis)[:, 0])
     normal = np.asarray(coeffs[:-1], dtype=float)
     scale = np.linalg.norm(normal)
     vals = (verts @ normal + coeffs[-1]) / scale
@@ -333,7 +334,7 @@ def concavity_check(curve: BoundaryCurve, x: float, sample_count: int = 40,
     rng = np.random.default_rng(seed)
     delta = _membership_margin(curve)
     verts = curve.chart_points()
-    coeffs = curve.chart.line_to_chart(curve.flag_at(x)[curve.n - 1])
+    coeffs = curve.chart.line_to_chart(annihilator(curve.flag_at(x).frame)[:, 0])
     normal = np.asarray(coeffs[:-1], dtype=float)
     scale = np.linalg.norm(normal)
     images = []

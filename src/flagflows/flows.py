@@ -120,15 +120,17 @@ def flow_step(curve: BoundaryCurve, alpha, p: LeafPoint, t: float) -> LeafPoint:
     return LeafPoint(p.x, y_new, p.z)
 
 
-def _require_steps(steps: int) -> None:
+def _require_orbit(t_max: float, steps: int) -> None:
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
+    if t_max == 0.0 or not math.isfinite(t_max):
+        raise ValueError(f"t_max must be finite and nonzero, got {t_max}")
 
 
 def flow_orbit(curve: BoundaryCurve, alpha, p: LeafPoint, t_max: float,
                steps: int) -> FlowOrbitRecord:
-    """Integrate an orbit in `steps` >= 1 equal steps and record (t, y, image) samples."""
-    _require_steps(steps)
+    """Integrate to a finite nonzero t_max in `steps` >= 1 equal steps; record (t, y, image)."""
+    _require_orbit(t_max, steps)
     record = FlowOrbitRecord(leaf=(p.x, p.z))
     ctx = leaf_context(curve, alpha, p.x, p.z)
     current = p
@@ -298,9 +300,9 @@ def decay_experiment(curve: BoundaryCurve, p: LeafPoint, y0: float,
     """Slope of log stable-leaf distance against tangent-flow time.
 
     Returns (slope, samples) where samples is a list of (t, distance)
-    over `steps` >= 1 equal steps.
+    over `steps` >= 1 equal steps to a finite nonzero `t_max`.
     """
-    _require_steps(steps)
+    _require_orbit(t_max, steps)
     samples = []
     current = p
     for k in range(steps + 1):

@@ -24,11 +24,10 @@ from .config import (
     NotDefinedHere,
     NotLoxodromic,
 )
-from .projective import AffineChart, Flag, ProjectiveSubspace, dual
+from .projective import AffineChart, Flag, ProjectiveSubspace, annihilator
 from .reps import (
     SurfaceGroupRep,
     circular_gap,
-    contragredient,
     loxodromic_eigensystem,
     sym_matrix,
     theta_of_vector,
@@ -104,7 +103,7 @@ class BoundaryCurve:
         center = raw.mean(axis=1)
         scale = max(np.abs(raw - center[:, None]).max(), 1e-12)
         frame = np.vstack([(q[:, 1:].T - np.outer(center, h)) / scale, h[None, :]])
-        self.chart = AffineChart.from_frame(frame)
+        self.chart = AffineChart(frame)
         self._aligned_points = vecs / np.abs(signs)[None, :]
         self._interp_error = self._estimate_interp_error()
 
@@ -167,10 +166,8 @@ class BoundaryCurve:
     def hyperplane_covectors(self) -> np.ndarray:
         """Annihilator covectors of the top flag level at every sample (N, n)."""
         if not hasattr(self, "_hyperplane_covectors"):
-            # one SVD per frame, as `dual` takes it; a batched SVD differs in the last bits
-            self._hyperplane_covectors = np.vstack(
-                [np.linalg.svd(f)[0][:, -1] for f in self.frames]
-            )
+            # one SVD per frame, as `dual` takes it, so each row is its covector bit for bit
+            self._hyperplane_covectors = np.vstack([annihilator(f)[:, 0] for f in self.frames])
         return self._hyperplane_covectors
 
     def flag_at(self, theta: float) -> Flag:
@@ -311,7 +308,7 @@ def second_boundary_intersection(curve: BoundaryCurve, line: ProjectiveSubspace,
     """
     if line.dim != curve.n - 1:
         raise ValueError("expected a hyperplane (projective line for n=3)")
-    covector = dual(line).vector
+    covector = annihilator(line.basis)[:, 0]
 
     def residual(theta):
         return covector @ curve.aligned_point(theta)
@@ -349,26 +346,6 @@ def second_boundary_intersection(curve: BoundaryCurve, line: ProjectiveSubspace,
         else:
             a, fa = mid, fm
     return (a + circular_gap(a, b) / 2.0) % (2 * math.pi)
-
-
-def dual_curve(curve: BoundaryCurve) -> BoundaryCurve:
-    """The projectively dual curve: flags annihilated entrywise and reversed."""
-
-    def dual_frames(frames):
-        # the last k columns of a completed orthonormal frame annihilate its first n-k
-        return np.linalg.qr(frames, mode="complete")[0][..., :0:-1]
-
-    exact = None
-    if curve.exact_eval is not None:
-        base = curve.exact_eval
-        exact = lambda theta: Flag(dual_frames(base(theta).frame))
-    return BoundaryCurve(
-        curve.thetas.copy(),
-        dual_frames(curve.frames),
-        contragredient(curve.rep),
-        curve.reference,
-        exact_eval=exact,
-    )
 
 
 @dataclass(frozen=True)
@@ -451,7 +428,7 @@ class ConvexDomainApprox:
 
 def build_convex_domain(curve: BoundaryCurve) -> ConvexDomainApprox:
     verts = curve.chart_points()
-    tangents = [curve.chart.line_to_chart(ProjectiveSubspace(curve.n, f)) for f in curve.frames]
+    tangents = [curve.chart.line_to_chart(c) for c in curve.hyperplane_covectors()]
     return ConvexDomainApprox(verts, tangents)
 
 
@@ -469,7 +446,7 @@ def boundary_regularity_estimate(curve: BoundaryCurve):
     window = max(8, count // 16)
     exponents = []
     for b_idx in range(0, count, max(1, count // REGULARITY_BASE_POINTS)):
-        coeffs = curve.chart.line_to_chart(ProjectiveSubspace(curve.n, curve.frames[b_idx]))
+        coeffs = curve.chart.line_to_chart(curve.hyperplane_covectors()[b_idx])
         normal = np.asarray(coeffs[:-1], dtype=float)
         normal /= np.linalg.norm(normal)
         rel = pts[[(b_idx + k) % count for k in range(-window, window + 1) if k != 0]] - pts[b_idx]

@@ -3,12 +3,13 @@
 Subspaces are represented by orthonormal bases (column span), which keeps
 join/meet simple: both reduce to SVD rank computations.  Rank decisions
 are governed by the tolerances defined below.  A full flag is the basis
-of its hyperplane, a frame whose first k columns span its level k.
+of its hyperplane, a frame whose first k columns span its level k.  The
+covector of a hyperplane is the one column of its `annihilator`.
 
 All values are immutable after construction and all operations are pure.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +18,6 @@ from .config import (
     DimensionOverflow,
     EmptyIntersection,
     IndeterminateRatio,
-    LineMissesBoundary,
     NotCollinear,
     PointOutsideDomain,
 )
@@ -201,10 +201,15 @@ def join(subspaces) -> ProjectiveSubspace:
     return ProjectiveSubspace(n, basis)
 
 
+def annihilator(basis: np.ndarray) -> np.ndarray:
+    """Orthonormal n x (n-k) basis of the covectors vanishing on an n x k `basis` of rank k."""
+    u, _, _ = np.linalg.svd(basis, full_matrices=True)
+    return u[:, basis.shape[1]:].copy()
+
+
 def dual(s: ProjectiveSubspace) -> ProjectiveSubspace:
     """Annihilator of a subspace; an order-reversing involution."""
-    u, _, _ = np.linalg.svd(s.basis, full_matrices=True)
-    return ProjectiveSubspace(s.ambient_dim, u[:, s.dim:].copy())
+    return ProjectiveSubspace(s.ambient_dim, annihilator(s.basis))
 
 
 def meet(subspaces) -> ProjectiveSubspace:
@@ -213,7 +218,7 @@ def meet(subspaces) -> ProjectiveSubspace:
     n = subspaces[0].ambient_dim
     if any(s.ambient_dim != n for s in subspaces):
         raise ValueError("ambient dimensions disagree")
-    annihilators = np.hstack([dual(s).basis for s in subspaces])
+    annihilators = np.hstack([annihilator(s.basis) for s in subspaces])
     u, sv, _ = np.linalg.svd(annihilators, full_matrices=True)
     sv = np.concatenate([sv, np.zeros(n - sv.size)])
     scale = sv[0] if sv[0] > 0 else 1.0
@@ -267,8 +272,7 @@ class AffineChart:
     the kernel of the last row of the frame.
     """
 
-    infinity_hyperplane: ProjectiveSubspace
-    frame: np.ndarray = field(repr=False)
+    frame: np.ndarray
 
     def __post_init__(self):
         frame = np.asarray(self.frame, dtype=float)
@@ -277,88 +281,16 @@ class AffineChart:
             raise ValueError("chart frame is singular")
         frame.setflags(write=False)
 
-    @classmethod
-    def from_frame(cls, frame: np.ndarray) -> "AffineChart":
-        frame = np.asarray(frame, dtype=float)
-        n = frame.shape[0]
-        h = frame[-1]  # the chart divides by the last coordinate of F v
-        inf_basis = np.linalg.svd(h[None, :])[2][1:].T.copy()
-        return cls(ProjectiveSubspace(n, inf_basis), frame)
-
-    @classmethod
-    def standard(cls, n: int) -> "AffineChart":
-        return cls.from_frame(np.eye(n))
-
     def to_chart(self, point: ProjectiveSubspace) -> np.ndarray:
         w = self.frame @ point.vector
         if abs(w[-1]) < INFINITY_TOL * np.linalg.norm(w):
             raise PointOutsideDomain("point lies on the chart's hyperplane at infinity")
         return w[:-1] / w[-1]
 
-    def contains(self, point: ProjectiveSubspace) -> bool:
-        w = self.frame @ point.vector
-        return abs(w[-1]) >= INFINITY_TOL * np.linalg.norm(w)
-
-    def line_to_chart(self, line: ProjectiveSubspace) -> np.ndarray:
-        """Homogeneous chart coefficients (a, b, c) of a hyperplane: a*u + b*v + c = 0."""
-        if line.dim != line.ambient_dim - 1:
-            raise ValueError("expected a hyperplane")
-        covector = dual(line).vector
+    def line_to_chart(self, covector: np.ndarray) -> np.ndarray:
+        """Chart coefficients (a, b, c) of the hyperplane `covector` kills: a*u + b*v + c = 0."""
         coeffs = np.linalg.solve(self.frame.T, covector)
         return coeffs / np.linalg.norm(coeffs[:-1])
-
-
-def chart_from_four_points(p1, p2, p3, interior) -> AffineChart:
-    """Chart sending p1, p2, p3 to a standard triangle with `interior` at its barycenter.
-
-    The hyperplane at infinity is the plane avoiding the triangle, so a
-    convex region through the three points with the given interior point
-    maps to a bounded set.
-    """
-    m = np.column_stack([p.vector for p in (p1, p2, p3)])
-    c = np.linalg.solve(m, interior.vector)
-    if np.min(np.abs(c)) < 1e-12 * np.max(np.abs(c)):
-        raise ValueError("interior point is nearly coplanar with the frame points")
-    normalizer = np.linalg.inv(m * c)
-    # after normalization the triangle is e1, e2, e3 and interior is (1,1,1);
-    # divide by the coordinate sum so the triangle maps into the plane u+v+w=1
-    g = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
-    return AffineChart.from_frame(g @ normalizer)
-
-
-def hilbert_distance(boundary: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
-    """Hilbert metric log |(a,b;p,q)| on a convex domain sampled as a closed polygon.
-
-    `boundary` is an (m, 2) array of chart points tracing the convex curve;
-    a and b are the two intersections of line(p, q) with the polygon,
-    ordered so that (a, p, q, b) appear in order along the line.
-    """
-    boundary = np.asarray(boundary, dtype=float)
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if min(signed_polygon_distance(boundary, p), signed_polygon_distance(boundary, q)) <= 0:
-        raise PointOutsideDomain("p and q must lie strictly inside the boundary polygon")
-    if np.linalg.norm(q - p) < 1e-15:
-        return 0.0
-    d = q - p
-    ts = []
-    m = boundary.shape[0]
-    for i in range(m):
-        e0, e1 = boundary[i], boundary[(i + 1) % m]
-        a = np.column_stack([d, e0 - e1])
-        if abs(np.linalg.det(a)) < 1e-15:
-            continue
-        t, s = np.linalg.solve(a, e0 - p)
-        if -1e-12 <= s <= 1 + 1e-12:
-            ts.append(t)
-    behind = [t for t in ts if t < 0]
-    ahead = [t for t in ts if t > 1]
-    if not behind or not ahead:
-        raise LineMissesBoundary("chord intersections with the boundary not found")
-    ta, tb = max(behind), min(ahead)
-    # chart coordinates along the line: a=ta, p=0, q=1, b=tb
-    value = ((1 - ta) * (0 - tb)) / ((0 - ta) * (1 - tb))
-    return abs(float(np.log(abs(value))))
 
 
 def signed_polygon_distance(vertices: np.ndarray, point: np.ndarray) -> float:

@@ -142,6 +142,7 @@ def scene_dev_image(curve, map_name: str, x: float, z: float,
                     num_samples: int = 48) -> SceneDescription:
     """Boundary, leaf chord/tangent, and a developed leaf image."""
     from .devmaps import MAP_TABLE, LeafPoint, leaf_sweep
+    from .projective import annihilator
 
     if map_name not in MAP_TABLE:
         raise ValueError(f"unknown map {map_name!r}; choose from {sorted(MAP_TABLE)}")
@@ -155,16 +156,17 @@ def scene_dev_image(curve, map_name: str, x: float, z: float,
         if abs(w[-1]) > 1e-9:
             image_pts.append(tuple(w[:-1] / w[-1]))
         if k == num_samples // 2:
-            example_line = curve.chart.line_to_chart(f.line)
+            example_line = f.line
     scene.add_polyline(image_pts, color="#2a7", stroke_width=1.2)
     for theta, color in ((x, "#a33"), (z, "#36c")):
         scene.add_point(tuple(curve.chart_point(theta)), color=color, radius=3.0)
-        tang = curve.chart.line_to_chart(curve.flag_at(theta)[curve.n - 1])
+        tang = curve.chart.line_to_chart(annihilator(curve.flag_at(theta).frame)[:, 0])
         seg = _segment_within_viewport(scene, tang)
         if seg:
             scene.add_segment(seg[0], seg[1], color=color, stroke_width=0.8, dashed=True)
     if example_line is not None:
-        seg = _segment_within_viewport(scene, example_line)
+        coeffs = curve.chart.line_to_chart(annihilator(example_line.basis)[:, 0])
+        seg = _segment_within_viewport(scene, coeffs)
         if seg:
             scene.add_segment(seg[0], seg[1], color="#777", stroke_width=0.8)
     scene.add_label((scene.viewport[0] + 0.05, scene.viewport[3] - 0.15), map_name)

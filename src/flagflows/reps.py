@@ -2,9 +2,8 @@
 
 Provides the reference Fuchsian holonomy of the genus-2 surface built
 from the regular hyperbolic octagon (vertex angle pi/4), irreducible
-embeddings SL2 -> SLn by symmetric powers, bulging deformations,
-contragredients, and eigenvalue data (Jordan projections, root lengths,
-fixed flags).
+embeddings SL2 -> SLn by symmetric powers, bulging deformations, and
+eigenvalue data (eigensystems, Jordan projections, root lengths).
 
 Also houses the circle parameterization of the boundary at infinity:
 theta in [0, 2pi) corresponds to the point -cot(theta/2) of the real
@@ -23,7 +22,6 @@ from .config import (
     NonLoxodromicCurve,
     NotLoxodromic,
 )
-from .projective import Flag
 from .words import GroupWord, SurfaceGroupPresentation
 
 LOXODROMY_GAP = 1e-6  # minimal relative gap between consecutive eigenvalue moduli
@@ -169,15 +167,6 @@ def loxodromic_eigensystem(g: np.ndarray):
     real = (vecs * np.conj(phase / np.abs(phase))).real
     norms = np.sqrt(real.swapaxes(-1, -2)[..., None, :] @ real.swapaxes(-1, -2)[..., :, None])
     return vals.real, real / norms[..., 0].swapaxes(-1, -2)
-
-
-def fixed_flags(g: np.ndarray):
-    """Attracting and repelling full flags of a loxodromic matrix."""
-    _, vecs = loxodromic_eigensystem(g)
-    n = g.shape[0]
-    attracting = Flag.from_basis_columns(vecs[:, : n - 1])
-    repelling = Flag.from_basis_columns(vecs[:, :0:-1])
-    return attracting, repelling
 
 
 # ---------------------------------------------------------------------------
@@ -391,12 +380,6 @@ def sym_power(rep: SurfaceGroupRep, m: int) -> SurfaceGroupRep:
         raise ValueError("m must be at least 2")
     images = {k: sym_matrix(v, m) for k, v in rep.images.items()}
     return SurfaceGroupRep(rep.presentation, m, images)
-
-
-def contragredient(rep: SurfaceGroupRep) -> SurfaceGroupRep:
-    """Inverse-transpose on all generators; an involution."""
-    images = {k: np.linalg.inv(v).T for k, v in rep.images.items()}
-    return SurfaceGroupRep(rep.presentation, rep.n, images)
 
 
 def bulge_deform(rep: SurfaceGroupRep, s: float) -> SurfaceGroupRep:

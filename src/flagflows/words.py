@@ -40,13 +40,6 @@ class GroupWord:
     def inverse(self) -> "GroupWord":
         return GroupWord(tuple(-x for x in reversed(self.letters)))
 
-    def to_json(self) -> list:
-        return list(self.letters)
-
-    @classmethod
-    def from_json(cls, data) -> "GroupWord":
-        return reduce_word(data)
-
 
 @dataclass(frozen=True)
 class SurfaceGroupPresentation:

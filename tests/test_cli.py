@@ -139,14 +139,24 @@ def test_decay_on_default_config(tmp_path):
     assert abs(summary["slope"] + 1.0) < 0.05
 
 
-@pytest.mark.parametrize("command", [
-    ("flow", "--alpha", "2,3", "--word", "a1", "--steps", "0"),
-    ("flow", "--alpha", "2,3", "--word", "a1", "--steps", "-2"),
-    ("decay", "--steps", "0"),
-], ids=["flow-0", "flow-negative", "decay-0"])
-def test_fewer_than_one_step_is_refused(tmp_path, capsys, command):
+FLOW = ("flow", "--alpha", "2,3", "--word", "a1")
+STEPS, T_MAX = "steps must be at least 1", "t_max must be finite and nonzero"
+
+
+@pytest.mark.parametrize("command, message", [
+    (FLOW + ("--steps", "0"), STEPS),
+    (FLOW + ("--steps", "-2"), STEPS),
+    (("decay", "--steps", "0"), STEPS),
+] + [
+    (command + ("--t-max", t_max, "--steps", "2"), T_MAX)
+    for command in (FLOW, ("decay",)) for t_max in ("0", "nan", "inf")
+], ids=["flow-0", "flow-negative", "decay-0"] + [
+    f"{command}-t-max-{t_max}" for command in ("flow", "decay") for t_max in ("0", "nan", "inf")
+])
+def test_fewer_than_one_step_is_refused(tmp_path, capsys, command, message):
+    """An orbit of fewer than one step, or to a zero or non-finite time, is refused."""
     assert run(tmp_path, *command) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "ValueError"
-    assert "steps must be at least 1" in err["error"]["message"]
+    assert message in err["error"]["message"]
     assert not any(tmp_path.iterdir())

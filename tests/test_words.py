@@ -101,8 +101,3 @@ def test_enumeration_is_deterministic_and_sorted_by_length():
     assert a == b
     lengths = [len(w) for w in a]
     assert lengths == sorted(lengths)
-
-
-def test_word_json_roundtrip():
-    w = PRES.parse_word("a1 B2 a2")
-    assert GroupWord.from_json(w.to_json()) == w
