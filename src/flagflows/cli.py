@@ -247,10 +247,11 @@ def periods_check(curve, max_len: int, roots):
     """
     words = enumerate_conjugacy_classes(curve.rep.presentation, max_len)
     spectrum = period_spectrum(curve, words, roots)
+    jds = jordan_projection(curve.rep.matrices(words),
+                            curve.rep.matrices([w.inverse() for w in words]))
     rows = []
     worst = 0.0
-    for w in words:
-        jd = jordan_projection(curve.rep.matrix(w), curve.rep.matrix(w.inverse()))
+    for w, jd in zip(words, jds):
         for (i, j) in roots:
             period = spectrum[w][(i, j)]
             want = root_length(jd, i, j)

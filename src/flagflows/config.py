@@ -3,7 +3,7 @@
 Each error is a `FlagFlowsError`, which the CLI turns into a JSON
 diagnostic with exit status 2.  Numerical bounds are not configured
 here: each is a module constant next to the code that reads it
-(`projective.RANK_TOL`, `reps.LOXODROMY_GAP`, `limitcurve.BISECTION_TOL`
+(`projective.RANK_TOL`, `reps.LOXODROMY_GAP`, `limitcurve.ROOT_TOL`
 and so on).
 """
 

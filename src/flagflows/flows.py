@@ -16,7 +16,7 @@ from .config import (FlagFlowsError, NotDefinedHere, NotLoxodromic, PointOutside
                      RootFindFailure)
 from .devmaps import (LeafMetricContext, LeafPoint, geodesic_realization, leaf_context,
                       phi_tan_plus)
-from .limitcurve import BISECTION_TOL, BoundaryCurve, second_boundary_intersection
+from .limitcurve import ROOT_TOL, BoundaryCurve, bracketed_root, second_boundary_intersection
 from .projective import ProjectiveSubspace, cross_ratio, join, meet
 from .reps import (boundary_vector, circular_gap, loxodromic_eigensystem, read_from_g,
                    theta_of_vector)
@@ -49,18 +49,23 @@ class FlowOrbitRecord:
     samples: list = field(default_factory=list)  # (t, y, image point)
 
     def append(self, t: float, y: float, image: ProjectiveSubspace):
-        if self.samples and t <= self.samples[-1][0]:
-            raise ValueError("flow times must increase")
+        """Record a sample; |t| must grow strictly, keeping the sign of the first nonzero t."""
+        if self.samples:
+            last = self.samples[-1][0]
+            if abs(t) <= abs(last) or t * last < 0:
+                raise ValueError("flow times must move strictly away from 0 in one direction")
         self.samples.append((t, y, image))
 
 
-def _arc_bisect(curve, ctx, p: LeafPoint, target_log_u: float, sign: float) -> float:
-    """Solve log|u(y)| = target on the ccw arc from x to z by bisection.
+def _arc_solve(curve, ctx, p: LeafPoint, target_log_u: float, sign: float) -> float:
+    """Solve log|u(y)| = target on the ccw arc from x to z.
 
     log|u| falls from x to z, so the bracket grows from y toward x when
     log|u(y)| is below the target and toward z otherwise.  A probe whose
     image is numerically a segment endpoint halves its distance back
-    toward the last good probe.
+    toward the last good probe.  The root between the last good probe and
+    the first probe past the target is found by `bracketed_root` in the
+    arc fraction.
     """
     arc = circular_gap(p.x, p.z)
 
@@ -80,8 +85,8 @@ def _arc_bisect(curve, ctx, p: LeafPoint, target_log_u: float, sign: float) -> f
     def expand(frac):
         return max(frac - 0.1, eps) if f0 < 0 else min(frac + 0.1, 1.0 - eps)
 
-    good, probe = frac0, expand(frac0)
-    while abs(probe - good) * arc > BISECTION_TOL:
+    good, f_good, probe = frac0, f0, expand(frac0)
+    while abs(probe - good) * arc > ROOT_TOL:
         try:
             fp = value(probe)
         except (RootFindFailure, PointOutsideSegment):
@@ -89,34 +94,28 @@ def _arc_bisect(curve, ctx, p: LeafPoint, target_log_u: float, sign: float) -> f
             continue
         if fp * f0 <= 0:
             break
-        good, probe = probe, expand(probe)
+        good, f_good, probe = probe, fp, expand(probe)
     else:
         raise RootFindFailure(
             f"no bracket on leaf ({p.x:.6f}, {p.z:.6f}) for target {target_log_u:.3e}"
         )
-    a, b, fa = (probe, frac0, fp) if f0 < 0 else (frac0, probe, f0)
-    while (b - a) * arc > BISECTION_TOL:
-        mid = 0.5 * (a + b)
-        fm = value(mid)
-        if fa * fm <= 0:
-            b = mid
-        else:
-            a, fa = mid, fm
-    return (p.x + 0.5 * (a + b) * arc) % (2 * math.pi)
+    frac = bracketed_root(value, good, probe, f_good, fp, ROOT_TOL / arc)
+    return (p.x + frac * arc) % (2 * math.pi)
 
 
 def flow_step(curve: BoundaryCurve, alpha, p: LeafPoint, t: float) -> LeafPoint:
     """Move a leaf point time t along the refraction flow of root alpha.
 
     The target image point is computed in closed form from the cross-ratio
-    equation; the new y is recovered by bisection on the arc parameter.
+    equation; the new y is recovered by a bracketed root solve on the arc
+    parameter.
     """
     if t == 0.0:
         return p
     ctx = leaf_context(curve, alpha, p.x, p.z)
     u0 = ctx.coordinate(ctx.image(curve.flag_at(p.y)))
     target = math.log(abs(u0)) + t
-    y_new = _arc_bisect(curve, ctx, p, target, math.copysign(1.0, u0))
+    y_new = _arc_solve(curve, ctx, p, target, math.copysign(1.0, u0))
     return LeafPoint(p.x, y_new, p.z)
 
 

@@ -23,6 +23,7 @@ from .config import (
     NoSecondIntersection,
     NotDefinedHere,
     NotLoxodromic,
+    RootFindFailure,
 )
 from .projective import AffineChart, Flag, ProjectiveSubspace, annihilator
 from .reps import (
@@ -34,7 +35,7 @@ from .reps import (
 )
 from .words import enumerate_conjugacy_classes
 
-BISECTION_TOL = 1e-12           # arc-parameter width at which boundary bisections stop
+ROOT_TOL = 1e-12                # arc-parameter bracket width at which root solves stop
 FRENET_MIN_GAP = 0.1            # least circular gap inside a general-position n-tuple
 GENERAL_POSITION_BOUND = 1e-4   # least singular value of n well-separated xi^1 vectors
 OSCULATION_BOUND = 10.0         # largest chord-to-tangent angle per unit gap
@@ -289,9 +290,14 @@ def interpolate(curve: BoundaryCurve, theta: float) -> Flag:
     columns = []
     for k in range(1, curve.n):
         b_lo, b_hi = curve.frames[lo, :, :k], curve.frames[hi, :, :k]
-        # Procrustes alignment of the two bases before the linear blend
-        u, _, vt = np.linalg.svd(b_hi.T @ b_lo)
-        blend = (1.0 - lam) * b_lo + lam * (b_hi @ (u @ vt))
+        # Procrustes alignment of the two bases before the linear blend;
+        # for one column the rotation is the sign of the inner product
+        if k == 1:
+            aligned = b_hi * math.copysign(1.0, b_hi[:, 0] @ b_lo[:, 0])
+        else:
+            u, _, vt = np.linalg.svd(b_hi.T @ b_lo)
+            aligned = b_hi @ (u @ vt)
+        blend = (1.0 - lam) * b_lo + lam * aligned
         columns.append(blend[:, k - 1])
     return Flag.from_basis_columns(np.column_stack(columns))
 
@@ -302,9 +308,10 @@ def second_boundary_intersection(curve: BoundaryCurve, line: ProjectiveSubspace,
 
     Works by deflating the known root: the incidence residual divided by
     sin(gap/2) has exactly one sign change on the circle, located at the
-    second intersection; that bracket is refined by bisection.  The stored
-    samples are scanned as one product with their aligned points, which
-    are positive multiples of `aligned_point` and so have the same signs.
+    second intersection; that bracket is refined by `bracketed_root`.
+    The stored samples are scanned as one product with their aligned
+    points, which are positive multiples of `aligned_point` and so have
+    the same signs.
     """
     if line.dim != curve.n - 1:
         raise ValueError("expected a hyperplane (projective line for n=3)")
@@ -336,16 +343,63 @@ def second_boundary_intersection(curve: BoundaryCurve, line: ProjectiveSubspace,
         raise NoSecondIntersection("no sign change: line is numerically tangent")
     if brackets.size > 1:
         raise AmbiguousBracket(f"{brackets.size} sign changes; samples not convex here")
-    a, b = float(grid[brackets[0]]), float(grid[brackets[0] + 1])
-    fa = deflated(a)
-    while circular_gap(a, b) > BISECTION_TOL:
-        mid = a + circular_gap(a, b) / 2.0
-        fm = deflated(mid)
-        if fa * fm <= 0:
-            b = mid
+    # grid entries are raw parameters, so a bracket across theta = 0 has b < a
+    a = float(grid[brackets[0]])
+    b = a + circular_gap(a, float(grid[brackets[0] + 1]))
+    # the scan's values are scaled differently from `deflated`, so re-evaluate
+    root = bracketed_root(deflated, a, b, deflated(a), deflated(b), ROOT_TOL)
+    return root % (2 * math.pi)
+
+
+def bracketed_root(f, a: float, b: float, fa: float, fb: float, tol: float) -> float:
+    """Root of f in the bracket [a, b] (either order), given fa = f(a) and fb = f(b).
+
+    Brent-Dekker zeroin (Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4): inverse quadratic or secant steps while
+    they shrink the bracket fast enough, bisection otherwise.  Stops when
+    the bracket holding the root is at most `tol` wide (plus roundoff in
+    the abscissa) and returns its end with the smaller |f|.
+    """
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if (fa > 0.0) == (fb > 0.0):
+        raise RootFindFailure(f"no sign change on [{a:.17g}, {b:.17g}]")
+    eps = np.finfo(float).eps
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 2.0 * eps * abs(b) + 0.5 * tol
+        xm = 0.5 * (c - b)
+        if abs(xm) <= tol1 or fb == 0.0:
+            return b
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * xm * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = xm
         else:
-            a, fa = mid, fm
-    return (a + circular_gap(a, b) / 2.0) % (2 * math.pi)
+            d = e = xm
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
+        fb = f(b)
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
 
 
 @dataclass(frozen=True)

@@ -103,29 +103,37 @@ def read_from_g(lm: np.ndarray) -> np.ndarray:
     return lm[..., :1] - lm <= lm - lm[..., -1:]
 
 
-def jordan_projection(g: np.ndarray, g_inverse: np.ndarray = None) -> JordanData:
+def jordan_projection(g: np.ndarray, g_inverse: np.ndarray = None):
     """Sorted log-moduli of the eigenvalues of g (det g = +-1).
 
-    Passing the independently computed inverse product reads each entry
-    from g or from the inverse as `read_from_g` decides.
+    `g` is one matrix, giving one JordanData, or a stack (W, n, n),
+    giving a list of W; one matrix is solved as a stack of one.  Passing
+    the independently computed inverse product (or stack) reads each
+    entry from g or from the inverse as `read_from_g` decides.
     """
     g = np.asarray(g, dtype=float)
+    stack = g.reshape((-1,) + g.shape[-2:])
+    count = stack.shape[0]
+    # one eigensolve over g and its inverse stacked together
+    both = stack if g_inverse is None else np.concatenate(
+        [stack, np.reshape(np.asarray(g_inverse, dtype=float), stack.shape)])
     try:
-        lm = np.sort(np.log(np.abs(np.linalg.eigvals(g))))[::-1]
-        if g_inverse is not None:
-            lm_inv = np.sort(np.log(np.abs(np.linalg.eigvals(g_inverse))))[::-1]
-            lm = np.where(read_from_g(lm), lm, -lm_inv[::-1])
+        logs = np.sort(np.log(np.abs(np.linalg.eigvals(both))))
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
-    # float determinants of long word products drift by roughly
-    # eps * cond, so scale the unimodularity guard accordingly; the
-    # mean-subtraction below removes the drift anyway
-    det = np.linalg.det(g)
-    drift = 1e3 * np.finfo(float).eps * math.exp(min(lm[0] - lm[-1], 40.0))
-    if abs(abs(det) - 1.0) > max(1e-9, min(drift, 0.5)):
-        raise ValueError(f"matrix determinant {det} is not +-1")
-    lm = lm - lm.mean()  # remove the rounding drift in the zero-sum constraint
-    return JordanData(tuple(lm))
+    lm = logs[:count, ::-1]
+    if g_inverse is not None:
+        lm = np.where(read_from_g(lm), lm, -logs[count:])
+    out = []
+    for det, row in zip(np.linalg.det(stack), lm):
+        # float determinants of long word products drift by roughly
+        # eps * cond, so scale the unimodularity guard accordingly; the
+        # mean-subtraction below removes the drift anyway
+        drift = 1e3 * np.finfo(float).eps * math.exp(min(row[0] - row[-1], 40.0))
+        if abs(abs(det) - 1.0) > max(1e-9, min(drift, 0.5)):
+            raise ValueError(f"matrix determinant {det} is not +-1")
+        out.append(JordanData(tuple(row - row.mean())))  # drop the zero-sum drift
+    return out if g.ndim == 3 else out[0]
 
 
 def root_length(j: JordanData, i: int, k: int) -> float:

@@ -56,6 +56,13 @@ def test_flow_reports_period_matching_root_length(tmp_path):
     assert len(orbit) == 6
 
 
+def test_backward_flow_writes_its_orbit(tmp_path):
+    assert run(tmp_path, "flow", "--alpha", "2,3", "--word", "a1",
+               "--t-max", "-1", "--steps", "2") == 0
+    orbit = (tmp_path / "flow_orbit.csv").read_text().splitlines()
+    assert [float(row.split(",")[0]) for row in orbit[1:]] == [0.0, -0.5, -1.0]
+
+
 def test_periods_at_small_depth(tmp_path):
     assert run(tmp_path, "periods", "--alpha", "2,3", "--max-len", "2") == 0
     summary = load_summary(tmp_path, "periods")

@@ -83,10 +83,22 @@ def test_flow_steps_travel_their_time_along_the_leaf(request, curve_name):
         assert abs(total - 5.0) < 1e-8
 
 
-def test_flow_step_reverses(exact_curve):
+@pytest.mark.parametrize("curve_name", ["exact_curve", "bulged_curve"])
+def test_flow_step_reverses(request, curve_name):
+    curve = request.getfixturevalue(curve_name)
     p = LeafPoint(0.5, 1.5, 3.9)
-    q = flow_step(exact_curve, (2, 3), flow_step(exact_curve, (2, 3), p, 0.8), -0.8)
-    assert abs(q.y - p.y) < 1e-9
+    for alpha in ((1, 2), (2, 3), (1, 3)):
+        q = flow_step(curve, alpha, flow_step(curve, alpha, p, 0.8), -0.8)
+        assert abs(q.y - p.y) < 1e-10
+
+
+def test_flow_orbit_record_times_move_away_from_zero():
+    record = flows.FlowOrbitRecord(leaf=(0.5, 3.9))
+    for t in (0.0, -0.5, -1.0):
+        record.append(t, 1.5, None)
+    for t in (-1.0, 0.5):  # not farther from 0, or of the other sign
+        with pytest.raises(ValueError):
+            record.append(t, 1.5, None)
 
 
 def test_flow_orbit_records_increasing_times(exact_curve):

@@ -10,17 +10,19 @@ from flagflows.config import (
     NoSecondIntersection,
     NotDefinedHere,
     NotLoxodromic,
+    RootFindFailure,
 )
 from flagflows.limitcurve import (
     BoundaryCurve,
     boundary_regularity_estimate,
+    bracketed_root,
     build_convex_domain,
     frenet_checks,
     sample_boundary,
     second_boundary_intersection,
 )
 from flagflows.projective import Flag, ProjectiveSubspace, dual, join
-from flagflows.reps import SurfaceGroupRep, sym_power
+from flagflows.reps import SurfaceGroupRep, circular_gap, sym_power
 
 
 def _symbolic_veronese(theta_expr):
@@ -93,11 +95,56 @@ def test_interpolation_error_estimate_bounds_midpoint_error(sampled_curve,
     assert worst < 20.0 * sampled_curve.interp_error
 
 
+def test_interpolation_ignores_the_signs_of_stored_frames(sampled_curve):
+    frames = sampled_curve.frames.copy()
+    frames[::2, :, 0] *= -1.0
+    flipped = BoundaryCurve(sampled_curve.thetas, frames, sampled_curve.rep,
+                            sampled_curve.reference)
+    for mid in (sampled_curve.thetas[:-1:5] + sampled_curve.thetas[1::5]) / 2.0:
+        for level in (1, 2):
+            want = sampled_curve.flag_at(float(mid))[level]
+            assert flipped.flag_at(float(mid))[level].principal_angle(want) < 1e-12
+
+
 def test_second_boundary_intersection_recovers_chord_endpoint(exact_curve):
     t1, t2 = 1.0, 3.0
     line = join([exact_curve.flag_at(t1)[1], exact_curve.flag_at(t2)[1]])
     got = second_boundary_intersection(exact_curve, line, t1)
     assert abs(got - t2) < 1e-9
+
+
+@pytest.mark.parametrize("name", ["exact_curve", "sampled_curve", "bulged_curve"])
+def test_second_boundary_intersection_across_the_seam(request, name):
+    """A chord from 5.9 to 0.05 crosses theta = 0, where raw sample parameters wrap."""
+    curve = request.getfixturevalue(name)
+    x, w = 5.9, 0.05
+    line = join([curve.flag_at(x)[1], curve.flag_at(w)[1]])
+    got = second_boundary_intersection(curve, line, x)
+    assert min(circular_gap(w, got), circular_gap(got, w)) < 1e-11
+
+
+def test_boundary_scan_needs_few_curve_points(exact_curve, monkeypatch):
+    """Each scan evaluates at most 12 curve points; fixed-count bisection took about 40."""
+    calls = []
+    aligned_point = exact_curve.aligned_point
+    monkeypatch.setattr(exact_curve, "aligned_point",
+                        lambda theta: calls.append(theta) or aligned_point(theta))
+    for t1, t2 in ((1.0, 3.0), (0.2, 6.1), (4.0, 4.3), (2.5, 0.7)):
+        line = join([exact_curve.flag_at(t1)[1], exact_curve.flag_at(t2)[1]])
+        calls.clear()
+        got = second_boundary_intersection(exact_curve, line, t1)
+        assert abs(got - t2) < 1e-11
+        assert len(calls) <= 12
+
+
+def test_bracketed_root_meets_its_tolerance_in_either_order():
+    f = lambda x: math.cos(x) - x  # noqa: E731
+    root = 0.7390851332151607
+    for a, b in ((0.0, 1.0), (1.0, 0.0)):
+        assert abs(bracketed_root(f, a, b, f(a), f(b), 1e-12) - root) < 1e-12
+    assert bracketed_root(f, root, 1.0, 0.0, f(1.0), 1e-12) == root
+    with pytest.raises(RootFindFailure):
+        bracketed_root(f, 1.0, 2.0, f(1.0), f(2.0), 1e-12)
 
 
 @pytest.mark.parametrize("name", ["sampled_curve", "bulged_curve"])

@@ -104,6 +104,18 @@ def test_jordan_projection_inverse_refinement_is_consistent(reference):
     assert np.allclose(plain.log_moduli, refined.log_moduli, atol=1e-8)
 
 
+def test_stacked_jordan_projection_equals_single_ones(reference):
+    words = enumerate_conjugacy_classes(reference.presentation, 4)
+    inverses = [w.inverse() for w in words]
+    for rep in (sym_power(reference, 3), bulge_deform(sym_power(reference, 3), 0.3)):
+        stacked = jordan_projection(rep.matrices(words), rep.matrices(inverses))
+        assert [jd.log_moduli for jd in stacked] == [
+            jordan_projection(rep.matrix(w), rep.matrix(v)).log_moduli
+            for w, v in zip(words, inverses)]
+        assert jordan_projection(rep.matrices(words[:5]))[3] == jordan_projection(
+            rep.matrix(words[3]))
+
+
 def test_jordan_data_validation():
     with pytest.raises(ValueError):
         JordanData((0.0, 1.0, -1.0))
