@@ -10,6 +10,7 @@ structured JSON diagnostic on stderr with a nonzero exit status.
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -109,12 +110,16 @@ def load_config(args) -> dict:
     return cfg
 
 
-def _clean(obj):
-    """Recursively NaN-guard and canonicalize a summary tree."""
+def _finite(obj, name: str, rounded: bool):
+    """obj as plain JSON values, floats rounded to 12 significant digits if `rounded`.
+
+    A NaN or infinity raises ValueError naming the artifact `name`, before
+    anything is written.
+    """
     if isinstance(obj, dict):
-        return {str(k): _clean(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
+        return {str(k): _finite(v, name, rounded) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
+        return [_finite(v, name, rounded) for v in obj]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
@@ -122,61 +127,35 @@ def _clean(obj):
     if isinstance(obj, (float, np.floating)):
         v = float(obj)
         if not math.isfinite(v):
-            raise ValueError("non-finite number in summary")
-        return float(f"{v:.12g}")
+            raise ValueError(f"non-finite number in {name}")
+        return float(f"{v:.12g}") if rounded else v
     return obj
 
 
-def _guard_finite(obj):
-    """NaN guard without rounding, for full-precision data artifacts."""
-    if isinstance(obj, dict):
-        return {str(k): _guard_finite(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_guard_finite(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        v = float(obj)
-        if not math.isfinite(v):
-            raise ValueError("non-finite number in artifact")
-        return v
-    return obj
+def write_artifact(cfg: dict, name: str, text: str) -> None:
+    """Write `text` verbatim to `name` in the output directory, making the directory."""
+    outdir = Path(cfg["outdir"])
+    outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / name).write_text(text, newline="")
 
 
 def write_json_artifact(cfg: dict, name: str, data: dict) -> None:
-    outdir = Path(cfg["outdir"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / name).write_text(
-        json.dumps(_guard_finite(data), sort_keys=True, indent=2) + "\n"
-    )
+    text = json.dumps(_finite(data, name, False), sort_keys=True, indent=2) + "\n"
+    write_artifact(cfg, name, text)
 
 
 def emit_summary(cfg: dict, name: str, summary: dict) -> None:
-    text = json.dumps(_clean(summary), sort_keys=True, indent=2) + "\n"
-    outdir = Path(cfg["outdir"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / f"{name}_summary.json").write_text(text)
+    artifact = f"{name}_summary.json"
+    text = json.dumps(_finite(summary, artifact, True), sort_keys=True, indent=2) + "\n"
+    write_artifact(cfg, artifact, text)
     sys.stdout.write(text)
 
 
 def write_csv(cfg: dict, name: str, header, rows) -> None:
-    outdir = Path(cfg["outdir"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / name, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            out = []
-            for v in row:
-                if isinstance(v, (float, np.floating)):
-                    if not math.isfinite(v):
-                        raise ValueError(f"non-finite value in {name}")
-                    out.append(f"{float(v):.12g}")
-                else:
-                    out.append(v)
-            writer.writerow(out)
+    text = io.StringIO()
+    csv.writer(text).writerows([f"{v:.12g}" if isinstance(v, float) else v for v in row]
+                               for row in _finite([header, *rows], name, False))
+    write_artifact(cfg, name, text.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -424,9 +403,7 @@ def cmd_render(cfg, args):
     else:
         raise ValueError(f"unknown figure {figure!r}")
     svg, clipped = render_scene(scene)
-    outdir = Path(cfg["outdir"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / f"{figure}.svg").write_text(svg)
+    write_artifact(cfg, f"{figure}.svg", svg)
     emit_summary(cfg, "render", {
         "figure": figure,
         "clipped_points": clipped,
@@ -522,57 +499,49 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--outdir")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    sub.add_parser("build-rep")
-    sub.add_parser("sample-curve")
-    sub.add_parser("frenet-check")
+    def command(name, handler):
+        p = sub.add_parser(name)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("dev-image")
+    command("build-rep", cmd_build_rep)
+    command("sample-curve", cmd_sample_curve)
+    command("frenet-check", cmd_frenet_check)
+
+    p = command("dev-image", cmd_dev_image)
     p.add_argument("--map", required=True,
                    help="tr|tan+|tan-|psi1..4|alpha:i,j")
     p.add_argument("--x", type=float, default=DEV_LEAF[0])
     p.add_argument("--z", type=float, default=DEV_LEAF[1])
     p.add_argument("--num", type=int, default=64)
 
-    p = sub.add_parser("flow")
+    p = command("flow", cmd_flow)
     p.add_argument("--alpha", required=True, help="i,j")
     p.add_argument("--word", required=True, help='e.g. "a1 b1"')
     p.add_argument("--t-max", type=float, default=5.0, dest="t_max")
     p.add_argument("--steps", type=int, default=50)
 
-    p = sub.add_parser("periods")
+    p = command("periods", cmd_periods)
     p.add_argument("--alpha", help="i,j (default: all positive roots)")
     p.add_argument("--max-len", type=int, default=PERIODS_MAX_LEN, dest="max_len")
 
-    p = sub.add_parser("decay")
+    p = command("decay", cmd_decay)
     p.add_argument("--t-max", type=float, default=DECAY_T_MAX, dest="t_max")
     p.add_argument("--steps", type=int, default=DECAY_STEPS)
 
-    p = sub.add_parser("render")
+    p = command("render", cmd_render)
     p.add_argument("--figure", required=True,
                    help="boundary|dev-tr|dev-tan+|dev-tan-|dev-psi1..4")
 
-    sub.add_parser("verify-all")
+    command("verify-all", cmd_verify_all)
     return parser
-
-
-_HANDLERS = {
-    "build-rep": cmd_build_rep,
-    "sample-curve": cmd_sample_curve,
-    "frenet-check": cmd_frenet_check,
-    "dev-image": cmd_dev_image,
-    "flow": cmd_flow,
-    "periods": cmd_periods,
-    "decay": cmd_decay,
-    "render": cmd_render,
-    "verify-all": cmd_verify_all,
-}
 
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         cfg = load_config(args)
-        return _HANDLERS[args.subcommand](cfg, args)
+        return args.handler(cfg, args)
     except (FlagFlowsError, ValueError, OSError) as exc:
         diagnostic = {
             "error": {

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DegenerateMeet, EmptyIntersection, PointOutsideSegment, UnclassifiedLine
+from .config import (DegenerateMeet, EmptyIntersection, PointOutsideDomain, PointOutsideSegment,
+                     UnclassifiedLine)
 from .limitcurve import BoundaryCurve, second_boundary_intersection
 from .projective import (ProjectiveSubspace, annihilator, cross_ratio, join, meet,
                          signed_polygon_distance)
@@ -238,11 +239,10 @@ def omega_membership(curve: BoundaryCurve, f: PointLineFlag):
     """
     delta = _membership_margin(curve)
     verts = curve.chart_points()
-    w = curve.chart.frame @ f.point.vector
-    if abs(w[-1]) < 1e-12 * np.linalg.norm(w):
+    try:
+        point_side = signed_polygon_distance(verts, curve.chart.to_chart(f.point))
+    except PointOutsideDomain:
         point_side = -1.0  # on the infinity line: far outside the hull
-    else:
-        point_side = signed_polygon_distance(verts, w[:-1] / w[-1])
     coeffs = curve.chart.line_to_chart(annihilator(f.line.basis)[:, 0])
     normal = np.asarray(coeffs[:-1], dtype=float)
     scale = np.linalg.norm(normal)
@@ -344,10 +344,10 @@ def concavity_check(curve: BoundaryCurve, x: float, sample_count: int = 40,
             y = (x + 2 * math.pi * a_k / (sample_count + 1)) % (2 * math.pi)
             z = (x + 2 * math.pi * b_k / (sample_count + 1)) % (2 * math.pi)
             pt = phi_tan_plus(curve, LeafPoint(x, y, z)).point
-            w = curve.chart.frame @ pt.vector
-            if abs(w[-1]) < 1e-9 * np.linalg.norm(w):
+            try:
+                c = curve.chart.to_chart(pt)
+            except PointOutsideDomain:
                 continue
-            c = w[:-1] / w[-1]
             images.append(c)
             min_out = min(min_out, -signed_polygon_distance(verts, c))
             min_tan = min(min_tan, abs(c @ normal + coeffs[-1]) / scale)

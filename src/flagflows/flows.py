@@ -46,7 +46,7 @@ class FlowOrbitRecord:
     """Trajectory of one leaf point under a refraction flow."""
 
     leaf: tuple
-    samples: list = field(default_factory=list)  # (t, y, image point)
+    samples: list = field(default_factory=list, init=False)  # (t, y, image point)
 
     def append(self, t: float, y: float, image: ProjectiveSubspace):
         """Record a sample; |t| must grow strictly, keeping the sign of the first nonzero t."""
@@ -134,7 +134,7 @@ def flow_orbit(curve: BoundaryCurve, alpha, p: LeafPoint, t_max: float,
     ctx = leaf_context(curve, alpha, p.x, p.z)
     current = p
     for k in range(steps + 1):
-        t = t_max * k / steps
+        t = t_max * k / steps if k else 0.0  # not -0.0 when t_max < 0
         if k > 0:
             current = flow_step(curve, alpha, current, t_max / steps)
         record.append(t, current.y, ctx.image(curve.flag_at(current.y)))
@@ -305,7 +305,7 @@ def decay_experiment(curve: BoundaryCurve, p: LeafPoint, y0: float,
     samples = []
     current = p
     for k in range(steps + 1):
-        t = t_max * k / steps
+        t = t_max * k / steps if k else 0.0  # not -0.0 when t_max < 0
         if k > 0:
             current = flow_step(curve, (2, 3), current, t_max / steps)
         samples.append((t, stable_leaf_distance(curve, current, y0)))

@@ -65,17 +65,15 @@ class ProjectiveSubspace:
         basis.setflags(write=False)
 
     @classmethod
-    def from_spanning(cls, vectors, ambient_dim=None):
+    def from_spanning(cls, vectors):
         """Subspace spanned by the given vectors (rows or a single vector)."""
         arr = np.asarray(vectors, dtype=float)
         if arr.ndim == 1:
             arr = arr[None, :]
-        if ambient_dim is None:
-            ambient_dim = arr.shape[1]
         basis, rank = _orthonormalize(arr.T)
         if rank == 0:
             raise ValueError("spanning set is numerically zero")
-        return cls(ambient_dim, basis)
+        return cls(arr.shape[1], basis)
 
     @classmethod
     def point(cls, coords):

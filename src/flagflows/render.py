@@ -1,109 +1,77 @@
 """Deterministic SVG emission for chart-coordinate scenes.
 
-A SceneDescription is a list of drawing layers (polylines, segments,
-points, labels) in chart coordinates.  Rendering is purely textual and
-deterministic: fixed float formatting, fixed attribute order, no
-timestamps.  Out-of-viewport coordinates are clipped and counted.
+A SceneDescription turns each drawing primitive (polyline, segment,
+point, label) in chart coordinates into its SVG element as it is added:
+out-of-viewport coordinates are clamped onto the viewport edge and
+counted, and pixel coordinates get a fixed float format.  `render_scene`
+only wraps the elements, so the text is deterministic: fixed attribute
+order, no timestamps.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass, field
+
+from .config import PointOutsideDomain
+
+SIZE = 640            # canvas width and height in pixels
+SEGMENT_WIDTH = 0.8   # stroke width of tangent and leaf lines
+POINT_RADIUS = 3.0
+LABEL_COLOR, LABEL_SIZE = "#000", 12
+DEV_SAMPLES = 48      # leaf points developed by scene_dev_image
 
 
 @dataclass
 class SceneDescription:
-    """Layered drawing primitives in chart coordinates."""
+    """SVG elements of chart-coordinate primitives, in the order added."""
 
-    width: int = 640
-    height: int = 640
     viewport: tuple = (-2.0, 2.0, -2.0, 2.0)  # xmin, xmax, ymin, ymax
-    layers: list = field(default_factory=list)
+    layers: list = field(default_factory=list, init=False)
+    clipped: int = field(default=0, init=False)  # coordinates clamped onto the viewport
+
+    def _pixels(self, points):
+        """Formatted pixel coordinates of chart points, clamped to the viewport."""
+        points = [tuple(map(float, p)) for p in points]
+        if not all(math.isfinite(c) for p in points for c in p):
+            raise ValueError("non-finite coordinate in scene primitive")
+        xmin, xmax, ymin, ymax = self.viewport
+        out = []
+        for x, y in points:
+            cx, cy = min(max(x, xmin), xmax), min(max(y, ymin), ymax)
+            self.clipped += cx != x or cy != y
+            out.append((f"{(cx - xmin) * (SIZE / (xmax - xmin)):.4f}",
+                        f"{SIZE - (cy - ymin) * (SIZE / (ymax - ymin)):.4f}"))
+        return out
 
     def add_polyline(self, points, color="#1f3a6e", stroke_width=1.5, closed=False):
-        self._check(points)
-        self.layers.append({"type": "polyline", "points": [tuple(map(float, p)) for p in points],
-                            "color": color, "stroke_width": stroke_width, "closed": closed})
+        pts = self._pixels(points)
+        if closed and pts:
+            pts.append(pts[0])
+        d = " ".join(f"{x},{y}" for x, y in pts)
+        self.layers.append(f'<polyline points="{d}" fill="none" stroke="{color}" '
+                           f'stroke-width="{stroke_width}"/>')
 
-    def add_segment(self, p, q, color="#a33", stroke_width=1.0, dashed=False):
-        self._check([p, q])
-        self.layers.append({"type": "segment", "p": tuple(map(float, p)), "q": tuple(map(float, q)),
-                            "color": color, "stroke_width": stroke_width, "dashed": dashed})
+    def add_segment(self, p, q, color="#a33", dashed=False):
+        (x1, y1), (x2, y2) = self._pixels([p, q])
+        dash = ' stroke-dasharray="6,4"' if dashed else ""
+        self.layers.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+                           f'stroke="{color}" stroke-width="{SEGMENT_WIDTH}"{dash}/>')
 
-    def add_point(self, p, color="#000", radius=2.5):
-        self._check([p])
-        self.layers.append({"type": "point", "p": tuple(map(float, p)),
-                            "color": color, "radius": radius})
+    def add_point(self, p, color="#000"):
+        [(x, y)] = self._pixels([p])
+        self.layers.append(f'<circle cx="{x}" cy="{y}" r="{POINT_RADIUS}" fill="{color}"/>')
 
-    def add_label(self, p, text, color="#000", size=12):
-        self._check([p])
-        self.layers.append({"type": "label", "p": tuple(map(float, p)),
-                            "text": str(text), "color": color, "size": size})
-
-    @staticmethod
-    def _check(points):
-        for p in points:
-            if not all(math.isfinite(float(c)) for c in p):
-                raise ValueError("non-finite coordinate in scene primitive")
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.4f}"
+    def add_label(self, p, text):
+        [(x, y)] = self._pixels([p])
+        self.layers.append(f'<text x="{x}" y="{y}" fill="{LABEL_COLOR}" '
+                           f'font-size="{LABEL_SIZE}">{text}</text>')
 
 
 def render_scene(scene: SceneDescription):
     """Render a scene to SVG text; returns (svg, clipped_point_count)."""
-    xmin, xmax, ymin, ymax = scene.viewport
-    sx = scene.width / (xmax - xmin)
-    sy = scene.height / (ymax - ymin)
-    clipped = 0
-
-    def to_px(p):
-        nonlocal clipped
-        x, y = p
-        cx = min(max(x, xmin), xmax)
-        cy = min(max(y, ymin), ymax)
-        if cx != x or cy != y:
-            clipped += 1
-        return ((cx - xmin) * sx, scene.height - (cy - ymin) * sy)
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{scene.width}" '
-        f'height="{scene.height}" viewBox="0 0 {scene.width} {scene.height}">'
-    ]
-    for layer in scene.layers:
-        kind = layer["type"]
-        if kind == "polyline":
-            pts = [to_px(p) for p in layer["points"]]
-            if layer["closed"] and pts:
-                pts.append(pts[0])
-            d = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
-            parts.append(
-                f'<polyline points="{d}" fill="none" stroke="{layer["color"]}" '
-                f'stroke-width="{layer["stroke_width"]}"/>'
-            )
-        elif kind == "segment":
-            (x1, y1), (x2, y2) = to_px(layer["p"]), to_px(layer["q"])
-            dash = ' stroke-dasharray="6,4"' if layer["dashed"] else ""
-            parts.append(
-                f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-                f'stroke="{layer["color"]}" stroke-width="{layer["stroke_width"]}"{dash}/>'
-            )
-        elif kind == "point":
-            x, y = to_px(layer["p"])
-            parts.append(
-                f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{layer["radius"]}" '
-                f'fill="{layer["color"]}"/>'
-            )
-        elif kind == "label":
-            x, y = to_px(layer["p"])
-            parts.append(
-                f'<text x="{_fmt(x)}" y="{_fmt(y)}" fill="{layer["color"]}" '
-                f'font-size="{layer["size"]}">{layer["text"]}</text>'
-            )
-        else:
-            raise ValueError(f"unknown layer type {kind!r}")
-    parts.append("</svg>")
-    return "\n".join(parts), clipped
+    root = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" '
+            f'height="{SIZE}" viewBox="0 0 {SIZE} {SIZE}">')
+    return "\n".join([root, *scene.layers, "</svg>"]), scene.clipped
 
 
 def scene_boundary(curve) -> SceneDescription:
@@ -112,7 +80,7 @@ def scene_boundary(curve) -> SceneDescription:
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     pad = 0.3 * max(hi - lo)
     scene = SceneDescription(viewport=(lo[0] - pad, hi[0] + pad, lo[1] - pad, hi[1] + pad))
-    scene.add_polyline([tuple(p) for p in pts], closed=True)
+    scene.add_polyline(pts, closed=True)
     return scene
 
 
@@ -138,8 +106,7 @@ def _segment_within_viewport(scene, coeffs):
     return uniq[:2] if len(uniq) >= 2 else None
 
 
-def scene_dev_image(curve, map_name: str, x: float, z: float,
-                    num_samples: int = 48) -> SceneDescription:
+def scene_dev_image(curve, map_name: str, x: float, z: float) -> SceneDescription:
     """Boundary, leaf chord/tangent, and a developed leaf image."""
     from .devmaps import MAP_TABLE, LeafPoint, leaf_sweep
     from .projective import annihilator
@@ -150,24 +117,23 @@ def scene_dev_image(curve, map_name: str, x: float, z: float,
     scene = scene_boundary(curve)
     image_pts = []
     example_line = None
-    for k, y in enumerate(leaf_sweep(x, z, num_samples), start=1):
+    for k, y in enumerate(leaf_sweep(x, z, DEV_SAMPLES), start=1):
         f = fn(curve, LeafPoint(x, y, z))
-        w = curve.chart.frame @ f.point.vector
-        if abs(w[-1]) > 1e-9:
-            image_pts.append(tuple(w[:-1] / w[-1]))
-        if k == num_samples // 2:
+        with contextlib.suppress(PointOutsideDomain):  # not drawn: on the line at infinity
+            image_pts.append(curve.chart.to_chart(f.point))
+        if k == DEV_SAMPLES // 2:
             example_line = f.line
     scene.add_polyline(image_pts, color="#2a7", stroke_width=1.2)
     for theta, color in ((x, "#a33"), (z, "#36c")):
-        scene.add_point(tuple(curve.chart_point(theta)), color=color, radius=3.0)
+        scene.add_point(curve.chart_point(theta), color=color)
         tang = curve.chart.line_to_chart(annihilator(curve.flag_at(theta).frame)[:, 0])
         seg = _segment_within_viewport(scene, tang)
         if seg:
-            scene.add_segment(seg[0], seg[1], color=color, stroke_width=0.8, dashed=True)
+            scene.add_segment(seg[0], seg[1], color=color, dashed=True)
     if example_line is not None:
         coeffs = curve.chart.line_to_chart(annihilator(example_line.basis)[:, 0])
         seg = _segment_within_viewport(scene, coeffs)
         if seg:
-            scene.add_segment(seg[0], seg[1], color="#777", stroke_width=0.8)
+            scene.add_segment(seg[0], seg[1], color="#777")
     scene.add_label((scene.viewport[0] + 0.05, scene.viewport[3] - 0.15), map_name)
     return scene

@@ -103,27 +103,25 @@ def read_from_g(lm: np.ndarray) -> np.ndarray:
     return lm[..., :1] - lm <= lm - lm[..., -1:]
 
 
-def jordan_projection(g: np.ndarray, g_inverse: np.ndarray = None):
+def jordan_projection(g: np.ndarray, g_inverse: np.ndarray):
     """Sorted log-moduli of the eigenvalues of g (det g = +-1).
 
     `g` is one matrix, giving one JordanData, or a stack (W, n, n),
-    giving a list of W; one matrix is solved as a stack of one.  Passing
-    the independently computed inverse product (or stack) reads each
-    entry from g or from the inverse as `read_from_g` decides.
+    giving a list of W; one matrix is solved as a stack of one.
+    `g_inverse` is the independently computed inverse product (or stack);
+    each entry is read from g or from the inverse as `read_from_g` decides.
     """
     g = np.asarray(g, dtype=float)
     stack = g.reshape((-1,) + g.shape[-2:])
     count = stack.shape[0]
     # one eigensolve over g and its inverse stacked together
-    both = stack if g_inverse is None else np.concatenate(
-        [stack, np.reshape(np.asarray(g_inverse, dtype=float), stack.shape)])
+    both = np.concatenate([stack, np.reshape(np.asarray(g_inverse, dtype=float), stack.shape)])
     try:
         logs = np.sort(np.log(np.abs(np.linalg.eigvals(both))))
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
     lm = logs[:count, ::-1]
-    if g_inverse is not None:
-        lm = np.where(read_from_g(lm), lm, -logs[count:])
+    lm = np.where(read_from_g(lm), lm, -logs[count:])
     out = []
     for det, row in zip(np.linalg.det(stack), lm):
         # float determinants of long word products drift by roughly

@@ -1,8 +1,10 @@
 import json
+import re
 
+import numpy as np
 import pytest
 
-from flagflows.cli import main
+from flagflows.cli import emit_summary, main, write_csv, write_json_artifact
 
 
 def run(tmp_path, *args):
@@ -60,7 +62,13 @@ def test_backward_flow_writes_its_orbit(tmp_path):
     assert run(tmp_path, "flow", "--alpha", "2,3", "--word", "a1",
                "--t-max", "-1", "--steps", "2") == 0
     orbit = (tmp_path / "flow_orbit.csv").read_text().splitlines()
-    assert [float(row.split(",")[0]) for row in orbit[1:]] == [0.0, -0.5, -1.0]
+    assert [row.split(",")[0] for row in orbit[1:]] == ["0", "-0.5", "-1"]
+
+
+def test_backward_decay_starts_at_time_zero(tmp_path):
+    run(tmp_path, "decay", "--t-max", "-1", "--steps", "2")
+    rows = (tmp_path / "decay.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["0", "-0.5", "-1"]
 
 
 def test_periods_at_small_depth(tmp_path):
@@ -167,3 +175,22 @@ def test_fewer_than_one_step_is_refused(tmp_path, capsys, command, message):
     assert err["error"]["type"] == "ValueError"
     assert message in err["error"]["message"]
     assert not any(tmp_path.iterdir())
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("write, name", [
+    (lambda cfg: emit_summary(cfg, "check", {"values": {"worst": [0.5, NAN]}}),
+     "check_summary.json"),
+    (lambda cfg: write_csv(cfg, "rows.csv", ["t", "d"], [[0.0, 1.0], [0.5, np.inf]]), "rows.csv"),
+    (lambda cfg: write_json_artifact(cfg, "data.json", {"vector": [1.0, np.float64(NAN)]}),
+     "data.json"),
+], ids=["summary", "csv", "json"])
+def test_non_finite_values_are_refused_before_anything_is_written(tmp_path, capsys, write, name):
+    """Each writer names the artifact and writes no file, not even the rows before the bad one."""
+    outdir = tmp_path / "out"
+    with pytest.raises(ValueError, match=re.escape(name)):
+        write({"outdir": str(outdir)})
+    assert not outdir.exists()
+    assert capsys.readouterr().out == ""

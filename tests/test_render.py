@@ -18,10 +18,10 @@ def _parse(svg_text):
 
 
 def test_empty_scene_is_valid_svg():
-    svg, clipped = render_scene(SceneDescription(width=100, height=80))
+    svg, clipped = render_scene(SceneDescription())
     root = _parse(svg)
     assert root.tag == f"{SVG_NS}svg"
-    assert root.attrib["width"] == "100"
+    assert root.attrib["width"] == root.attrib["height"] == "640"
     assert len(list(root)) == 0
     assert clipped == 0
 
@@ -45,7 +45,7 @@ def test_out_of_viewport_points_are_clipped_and_counted():
     root = _parse(svg)
     circles = root.findall(f"{SVG_NS}circle")
     # the clipped point is clamped onto the viewport edge
-    assert float(circles[0].attrib["cx"]) <= scene.width
+    assert float(circles[0].attrib["cx"]) <= 640
 
 
 def test_non_finite_coordinates_are_rejected():
@@ -75,7 +75,7 @@ def test_boundary_scene_of_the_conic(exact_curve):
 
 
 def test_dev_image_scene_contains_curve_points_and_tangents(exact_curve):
-    scene = scene_dev_image(exact_curve, "tan+", 0.5, 3.6, num_samples=16)
+    scene = scene_dev_image(exact_curve, "tan+", 0.5, 3.6)
     svg, _ = render_scene(scene)
     root = _parse(svg)
     assert len(root.findall(f"{SVG_NS}polyline")) == 2  # boundary + leaf image

@@ -99,9 +99,9 @@ def test_jordan_projection_inverse_refinement_is_consistent(reference):
     rep3 = sym_power(reference, 3)
     w = reference.presentation.parse_word("a1 b1 a2")
     g = rep3.matrix(w)
-    plain = jordan_projection(g)
     refined = jordan_projection(g, rep3.matrix(w.inverse()))
-    assert np.allclose(plain.log_moduli, refined.log_moduli, atol=1e-8)
+    plain = np.sort(np.log(np.abs(np.linalg.eigvals(g))))[::-1]
+    assert np.allclose(plain - plain.mean(), refined.log_moduli, atol=1e-8)
 
 
 def test_stacked_jordan_projection_equals_single_ones(reference):
@@ -112,8 +112,10 @@ def test_stacked_jordan_projection_equals_single_ones(reference):
         assert [jd.log_moduli for jd in stacked] == [
             jordan_projection(rep.matrix(w), rep.matrix(v)).log_moduli
             for w, v in zip(words, inverses)]
-        assert jordan_projection(rep.matrices(words[:5]))[3] == jordan_projection(
-            rep.matrix(words[3]))
+        # short words are well conditioned, so g alone gives every entry
+        plain = np.sort(np.log(np.abs(np.linalg.eigvals(rep.matrices(words[:5])))))[:, ::-1]
+        assert np.allclose([jd.log_moduli for jd in stacked[:5]],
+                           plain - plain.mean(axis=1, keepdims=True), atol=1e-12)
 
 
 def test_jordan_data_validation():
