@@ -107,6 +107,8 @@ def load_config(args) -> dict:
             cfg[key] = value
     if cfg["genus"] != 2:
         raise ValueError("only genus 2 is wired up")
+    if int(cfg["word_ball"]) < 1:
+        raise ValueError(f"word_ball must be at least 1; got {cfg['word_ball']}")
     return cfg
 
 

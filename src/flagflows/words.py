@@ -5,15 +5,23 @@ Words are tuples of signed generator indices: +k is the k-th generator,
 a1, b1, ..., ag, bg with indices 1..2g; the relator is the product of
 commutators [a1,b1]...[ag,bg].
 
-Only free reduction is performed; sampled words are short and their
-matrix images are compared numerically downstream.
+Words are reduced in the free group only: the relator is never applied,
+so conjugacy classes are those of the free group, that is cyclic words
+in which no letter is followed by its inverse, including across the
+wrap-around from the last letter to the first.  Word balls list one
+least rotation (necklace) per class, generated directly by the
+Fredricksen-Kessler-Maiorana pre-necklace recursion (Ruskey, Savage and
+Wang, J. Algorithms 13, 1992; Cattell, Ruskey, Sawada, Serra and Miers,
+J. Algorithms 37, 2000) with the inverse-adjacency rule as a
+restriction.  Sampled words are short and their matrix images are
+compared numerically downstream.
 """
 
 from dataclasses import dataclass
 
 from .config import ResourceLimit
 
-MAX_WORDS = 2_000_000  # words visited before an enumeration gives up
+MAX_WORDS = 2_000_000  # reduced words in the largest ball an enumeration accepts
 
 
 @dataclass(frozen=True)
@@ -120,38 +128,44 @@ def _letter_key(x: int) -> int:
 def enumerate_conjugacy_classes(presentation: SurfaceGroupPresentation, max_len: int) -> list:
     """One canonical representative per cyclic-conjugacy class of reduced words.
 
-    Deterministic order: by length, then lexicographic on the canonical
-    rotation.  gamma and gamma^-1 are kept as separate classes.
+    The representative is the least rotation in the `_letter_key` order,
+    as `cyclic_reduce` picks it.  Least rotations are generated directly
+    as necklaces by the FKM pre-necklace recursion over the letters in
+    that order: a letter equal to the inverse of the one before it is
+    skipped, and a prefix of length t whose longest Lyndon prefix has
+    length p is a word of the ball when p divides t and its first letter
+    is not the inverse of its last (the wrap-around).  Powers such as
+    a1 a1 are classes of their own; gamma and gamma^-1 are kept as
+    separate classes.  Deterministic order: by length, then lexicographic
+    on the representative, with no sort (the recursion visits prefixes
+    in lexicographic order and each length has its own bucket).
+
+    A ball holding more than MAX_WORDS reduced words, counted in closed
+    form before any is built, raises ResourceLimit.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    k = presentation.num_generators
-    alphabet = sorted(
-        [x for i in range(1, k + 1) for x in (i, -i)], key=_letter_key
-    )
-    out = []
-    seen = set()
-    count = 0
+    m = 2 * presentation.num_generators  # letters; letter key k has inverse k ^ 1
+    total = 0
+    for t in range(1, max_len + 1):  # stops at the first length over the limit
+        total += m * (m - 1) ** (t - 1)
+        if total > MAX_WORDS:
+            raise ResourceLimit(f"word ball exceeds {MAX_WORDS} words")
+    signed = [-(k // 2 + 1) if k % 2 else k // 2 + 1 for k in range(m)]
+    keys = [0] * (max_len + 1)  # keys[1..t] is the current prefix; keys[0] is FKM's sentinel
+    buckets = [[] for _ in range(max_len + 1)]
 
-    def extend(prefix):
-        nonlocal count
-        length = len(prefix)
-        if length >= 1:
-            count += 1
-            if count > MAX_WORDS:
-                raise ResourceLimit(f"word ball exceeds {MAX_WORDS} words")
-            # only canonical (cyclically reduced, least-rotation) words are kept
-            if prefix[0] != -prefix[-1]:
-                canon = cyclic_reduce(GroupWord(tuple(prefix))).letters
-                if len(canon) == length and canon not in seen:
-                    seen.add(canon)
-                    out.append((length, tuple(_letter_key(x) for x in canon), GroupWord(canon)))
-        if length < max_len:
-            last = prefix[-1] if prefix else None
-            for x in alphabet:
-                if last is None or x != -last:
-                    extend(prefix + [x])
+    def extend(t, p):
+        forbidden = keys[t - 1] ^ 1 if t > 1 else None
+        for k in range(keys[t - p], m):
+            if k == forbidden:
+                continue
+            keys[t] = k
+            q = p if k == keys[t - p] else t
+            if t % q == 0 and keys[1] != k ^ 1:
+                buckets[t].append(GroupWord(tuple(signed[j] for j in keys[1:t + 1])))
+            if t < max_len:
+                extend(t + 1, q)
 
-    extend([])
-    out.sort(key=lambda item: (item[0], item[1]))
-    return [w for _, _, w in out]
+    extend(1, 1)
+    return [w for bucket in buckets for w in bucket]

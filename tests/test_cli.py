@@ -1,9 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flagflows
 from flagflows.cli import emit_summary, main, write_csv, write_json_artifact
 
 
@@ -118,6 +123,26 @@ def test_malformed_config_is_rejected(tmp_path, capsys, data, word):
     assert err["error"]["type"] == "ValueError"
     assert word in err["error"]["message"]
     assert not (tmp_path / "build_rep_summary.json").exists()
+
+
+@pytest.mark.parametrize("config", [(), ("--bulge", "0.3")], ids=["fuchsian", "bulged"])
+@pytest.mark.parametrize("word_ball", ["0", "-1"])
+def test_word_ball_below_one_is_refused_at_load_time(tmp_path, capsys, config, word_ball):
+    """Also on the Fuchsian config, whose closed-form curve never reads the word ball."""
+    assert run(tmp_path, *config, "--word-ball", word_ball, "sample-curve") == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ValueError"
+    assert "word_ball must be at least 1" in err["error"]["message"]
+    assert not any(tmp_path.iterdir())
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = str(Path(flagflows.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "flagflows", "--outdir", str(tmp_path),
+                           "build-rep"], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (tmp_path / "build_rep_summary.json").read_text()
 
 
 N3_ONLY = [("verify-all",), ("decay",), ("dev-image", "--map", "tan+"),

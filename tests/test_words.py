@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flagflows.config import ResourceLimit
 from flagflows.words import (
+    MAX_WORDS,
     GroupWord,
     SurfaceGroupPresentation,
+    _letter_key,
     cyclic_reduce,
     enumerate_conjugacy_classes,
     reduce_word,
@@ -101,3 +104,52 @@ def test_enumeration_is_deterministic_and_sorted_by_length():
     assert a == b
     lengths = [len(w) for w in a]
     assert lengths == sorted(lengths)
+
+
+def rotate_and_dedupe(presentation, max_len):
+    """Oracle: walk every reduced word, keep each least rotation once, then sort.
+
+    Cyclically reduced words only; the least rotation comes from
+    `cyclic_reduce`, duplicates are dropped through a set, and the result
+    is sorted by length, then lexicographically in the `_letter_key` order.
+    """
+    alphabet = sorted([x for i in range(1, presentation.num_generators + 1) for x in (i, -i)],
+                      key=_letter_key)
+    out = []
+    seen = set()
+
+    def extend(prefix):
+        if prefix and prefix[0] != -prefix[-1]:
+            canon = cyclic_reduce(GroupWord(tuple(prefix))).letters
+            if len(canon) == len(prefix) and canon not in seen:
+                seen.add(canon)
+                out.append(GroupWord(canon))
+        if len(prefix) < max_len:
+            for x in alphabet:
+                if not prefix or x != -prefix[-1]:
+                    extend(prefix + [x])
+
+    extend([])
+    return sorted(out, key=lambda w: (len(w), [_letter_key(x) for x in w.letters]))
+
+
+@pytest.mark.parametrize("genus, max_len", [(2, n) for n in range(1, 6)] +
+                         [(3, n) for n in range(1, 4)])
+def test_enumeration_equals_the_rotate_and_dedupe_oracle_in_order(genus, max_len):
+    pres = SurfaceGroupPresentation(genus=genus)
+    assert enumerate_conjugacy_classes(pres, max_len) == rotate_and_dedupe(pres, max_len)
+
+
+def test_genus_two_class_counts_are_pinned():
+    counts = [len(enumerate_conjugacy_classes(PRES, n)) for n in range(1, 7)]
+    assert counts == [8, 40, 160, 780, 4148, 23836]
+
+
+def test_a_ball_over_max_words_is_refused_before_enumerating():
+    """Genus 2 holds 1,098,056 reduced words of length <= 7 and 7,686,400 of length <= 8."""
+    with pytest.raises(ResourceLimit, match=f"word ball exceeds {MAX_WORDS} words"):
+        enumerate_conjugacy_classes(PRES, 8)
+    with pytest.raises(ResourceLimit):
+        enumerate_conjugacy_classes(PRES, 10**9)
+    with pytest.raises(ResourceLimit):
+        enumerate_conjugacy_classes(SurfaceGroupPresentation(genus=3), 6)
