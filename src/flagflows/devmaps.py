@@ -243,7 +243,7 @@ def omega_membership(curve: BoundaryCurve, f: PointLineFlag):
         point_side = signed_polygon_distance(verts, curve.chart.to_chart(f.point))
     except PointOutsideDomain:
         point_side = -1.0  # on the infinity line: far outside the hull
-    coeffs = curve.chart.line_to_chart(annihilator(f.line.basis)[:, 0])
+    coeffs = curve.chart.line_to_chart(f.line.covectors[:, 0])
     normal = np.asarray(coeffs[:-1], dtype=float)
     scale = np.linalg.norm(normal)
     vals = (verts @ normal + coeffs[-1]) / scale
@@ -403,14 +403,11 @@ def type_classifier(leaf_samples, curve: BoundaryCurve, x: float, z: float) -> s
     gap = circular_gap(x, z)
     y_mid = (x + gap / 2) % (2 * math.pi)
     probe = meet([curve.flag_at(y_mid)[2], fz[2]])  # a known tangent_plus image
-    same_side = all(
-        cross_ratio(fz[1], pivot, f.point, probe) > 0 for f in leaf_samples
-    )
-    opposite = all(
-        cross_ratio(fz[1], pivot, f.point, probe) < 0 for f in leaf_samples
-    )
-    if same_side:
-        return "tangent_plus"
-    if opposite:
-        return "tangent_minus"
-    raise UnclassifiedLine("samples straddle the special points of the tangent")
+    side = None
+    for f in leaf_samples:
+        ratio = cross_ratio(fz[1], pivot, f.point, probe)
+        sample_side = "tangent_plus" if ratio > 0 else "tangent_minus" if ratio < 0 else None
+        if sample_side is None or side not in (None, sample_side):
+            raise UnclassifiedLine("samples straddle the special points of the tangent")
+        side = sample_side
+    return side

@@ -8,10 +8,18 @@ Samples come from attracting eigenflags over a word ball; Fuchsian curves
 can instead be built in closed form from the symmetric-power embedding,
 which gives exact flags at any parameter (used by the high-accuracy
 experiments).
+
+Each curve evaluates a flag once: `BoundaryCurve.flag_at` memoises the
+`Flag` it returns, keyed on the reduced parameter theta % 2pi, the only
+value `interpolate` depends on.  The memo lives on the curve and dies
+with it; it holds at most `FLAG_MEMO_SIZE` flags and drops the least
+recently used one beyond that.  `interpolate` likewise computes the
+Procrustes rotation of each sample gap and flag level once, on first use.
 """
 
 import bisect
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +50,9 @@ OSCULATION_BOUND = 10.0         # largest chord-to-tangent angle per unit gap
 SUPPORT_TOL = 1e-8              # chart residual allowed on the wrong side of a tangent
 MIN_SAMPLES = 64                # fewest distinct samples sample_boundary accepts
 REGULARITY_BASE_POINTS = 64     # base points of the fits in boundary_regularity_estimate
+# flags one curve memoises; a verify-all command line evaluates at most
+# about 1,010 distinct parameters on its curve
+FLAG_MEMO_SIZE = 2048
 
 
 @dataclass
@@ -67,6 +78,8 @@ class BoundaryCurve:
         self.frames = np.asarray(self.frames, dtype=float)[order]
         if np.any(np.diff(self.thetas) < 1e-10):
             raise ValueError("duplicate thetas in curve samples")
+        self._flags = OrderedDict()  # theta % 2pi -> Flag, least recently used first
+        self._rotations = {}  # (gap start, level) -> Procrustes rotation of interpolate
         self._build_chart()
 
     # -- construction helpers ------------------------------------------------
@@ -159,20 +172,37 @@ class BoundaryCurve:
         return self.chart.to_chart(self.flag_at(theta)[1])
 
     def chart_points(self) -> np.ndarray:
-        """Chart coordinates of all xi^1 samples, in circular order (N, 2)."""
+        """Chart coordinates of all xi^1 samples, in circular order (N, 2); read-only."""
         self._require_chart()
-        w = self.chart.frame @ self._aligned_points
-        return (w[:-1] / w[-1]).T
+        if not hasattr(self, "_chart_points"):
+            w = self.chart.frame @ self._aligned_points
+            self._chart_points = (w[:-1] / w[-1]).T
+            self._chart_points.setflags(write=False)
+        return self._chart_points
 
     def hyperplane_covectors(self) -> np.ndarray:
-        """Annihilator covectors of the top flag level at every sample (N, n)."""
+        """Annihilator covectors of the top flag level at every sample (N, n); read-only."""
         if not hasattr(self, "_hyperplane_covectors"):
             # one SVD per frame, as `dual` takes it, so each row is its covector bit for bit
             self._hyperplane_covectors = np.vstack([annihilator(f)[:, 0] for f in self.frames])
+            self._hyperplane_covectors.setflags(write=False)
         return self._hyperplane_covectors
 
     def flag_at(self, theta: float) -> Flag:
-        return interpolate(self, theta)
+        """Flag at theta, from `interpolate` once per reduced parameter theta % 2pi.
+
+        The flag is memoised on this curve, at most `FLAG_MEMO_SIZE` of them,
+        least recently used dropped first.
+        """
+        key = theta % (2 * math.pi)
+        flag = self._flags.get(key)
+        if flag is None:
+            flag = self._flags[key] = interpolate(self, theta)
+            if len(self._flags) > FLAG_MEMO_SIZE:
+                self._flags.popitem(last=False)
+        else:
+            self._flags.move_to_end(key)
+        return flag
 
     # -- serialization -------------------------------------------------------
 
@@ -270,7 +300,9 @@ def interpolate(curve: BoundaryCurve, theta: float) -> Flag:
 
     Exact samples are returned as stored; between samples, each flag level
     (a frame prefix) is interpolated linearly in basis coordinates after
-    Procrustes alignment, and the new column of each level is kept.
+    Procrustes alignment, and the new column of each level is kept.  The
+    alignment depends only on the gap, so its rotation is computed on the
+    first evaluation in that gap and kept on the curve.
     """
     theta = theta % (2 * math.pi)
     n_samples = curve.thetas.size
@@ -295,8 +327,11 @@ def interpolate(curve: BoundaryCurve, theta: float) -> Flag:
         if k == 1:
             aligned = b_hi * math.copysign(1.0, b_hi[:, 0] @ b_lo[:, 0])
         else:
-            u, _, vt = np.linalg.svd(b_hi.T @ b_lo)
-            aligned = b_hi @ (u @ vt)
+            rotation = curve._rotations.get((lo, k))
+            if rotation is None:
+                u, _, vt = np.linalg.svd(b_hi.T @ b_lo)
+                rotation = curve._rotations[(lo, k)] = u @ vt
+            aligned = b_hi @ rotation
         blend = (1.0 - lam) * b_lo + lam * aligned
         columns.append(blend[:, k - 1])
     return Flag.from_basis_columns(np.column_stack(columns))
@@ -315,7 +350,7 @@ def second_boundary_intersection(curve: BoundaryCurve, line: ProjectiveSubspace,
     """
     if line.dim != curve.n - 1:
         raise ValueError("expected a hyperplane (projective line for n=3)")
-    covector = annihilator(line.basis)[:, 0]
+    covector = line.covectors[:, 0]
 
     def residual(theta):
         return covector @ curve.aligned_point(theta)
@@ -422,34 +457,29 @@ def frenet_checks(curve: BoundaryCurve) -> FrenetReport:
     n = curve.n
     thetas = curve.thetas
     count = thetas.size
-    min_sv = np.inf
+    # (a) the n-tuples start, start + stride, ... for each stride and start
     stride_base = max(1, count // 64)
-    for stride in (stride_base, 2 * stride_base, 3 * stride_base + 1):
-        for start in range(0, count, max(1, count // 32)):
-            idx = [(start + k * stride) % count for k in range(n)]
-            pts = [thetas[i] for i in idx]
-            gaps_ok = all(
-                min(circular_gap(p, q), circular_gap(q, p)) > FRENET_MIN_GAP
-                for a_i, p in enumerate(pts)
-                for q in pts[a_i + 1:]
-            )
-            if not gaps_ok:
-                continue
-            stacked = curve.frames[idx, :, 0].T
-            sv = np.linalg.svd(stacked, compute_uv=False)
-            min_sv = min(min_sv, float(sv[-1]))
-    max_defect = 0.0
-    for i in range(count):
-        j = (i + 1) % count
-        gap = circular_gap(thetas[i], thetas[j])
-        if gap > 0.5:
-            continue
-        q, _ = np.linalg.qr(curve.frames[[i, j], :, 0].T)
-        tangent = curve.frames[i]  # spans the hyperplane entry
-        # max principal angle of containment of the chord in the tangent
-        s = np.linalg.svd(tangent.T @ q[:, :2], compute_uv=False)
-        angle = math.acos(min(1.0, float(s[-1])))
-        max_defect = max(max_defect, angle / gap)
+    strides = np.array([stride_base, 2 * stride_base, 3 * stride_base + 1])
+    starts = np.arange(0, count, max(1, count // 32))
+    idx = ((starts[None, :, None] + strides[:, None, None] * np.arange(n))
+           % count).reshape(-1, n)
+    pts = thetas[idx]
+    gaps = (pts[:, None, :] - pts[:, :, None]) % (2 * math.pi)  # both ways round
+    separated = np.all(gaps[:, ~np.eye(n, dtype=bool)] > FRENET_MIN_GAP, axis=1)
+    stacked = np.swapaxes(curve.frames[idx[separated], :, 0], 1, 2)
+    sv = np.linalg.svd(stacked, compute_uv=False)
+    min_sv = float(sv[:, -1].min()) if sv.size else np.inf
+    # (b) the chords of adjacent samples at most 0.5 apart
+    nxt = np.roll(np.arange(count), -1)
+    chord_gaps = (thetas[nxt] - thetas) % (2 * math.pi)
+    short = chord_gaps <= 0.5
+    q, _ = np.linalg.qr(np.stack([curve.frames[short, :, 0], curve.frames[nxt[short], :, 0]],
+                                 axis=2))
+    tangents = curve.frames[short]  # each spans the hyperplane entry
+    # max principal angle of containment of the chord in the tangent
+    s = np.linalg.svd(np.swapaxes(tangents, 1, 2) @ q, compute_uv=False)
+    max_defect = max([0.0] + [math.acos(min(1.0, float(c))) / float(g)
+                              for c, g in zip(s[:, -1], chord_gaps[short])])
     return FrenetReport(
         min_triple_singular_value=float(min_sv),
         max_osculation_defect=float(max_defect),

@@ -7,9 +7,15 @@ of its hyperplane, a frame whose first k columns span its level k.  The
 covector of a hyperplane is the one column of its `annihilator`.
 
 All values are immutable after construction and all operations are pure.
+Derived data is cached on the value that owns it, computed on first use:
+a flag builds each level's subspace once, and a subspace takes its
+annihilator once (`covectors`), which `meet` and `dual` read.  Cached
+arrays are read-only, like the bases and frames they derive from, so a
+flag or subspace can be shared freely.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -85,6 +91,13 @@ class ProjectiveSubspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
+    @cached_property
+    def covectors(self) -> np.ndarray:
+        """The `annihilator` of the basis, computed once; read-only."""
+        out = annihilator(self.basis)
+        out.setflags(write=False)
+        return out
+
     @property
     def vector(self) -> np.ndarray:
         """Spanning vector, for dim-1 subspaces only."""
@@ -144,12 +157,17 @@ class Flag:
         if np.max(np.abs(gram - np.eye(frame.shape[1]))) > 1e-10:
             raise ValueError("flag frame columns are not orthonormal")
         frame.setflags(write=False)
+        object.__setattr__(self, "_levels", {})
 
     def __getitem__(self, k: int) -> ProjectiveSubspace:
-        """Subspace of dimension k (the superscript index convention)."""
+        """Subspace of dimension k (the superscript index convention), built once per level."""
         if not 1 <= k < self.ambient_dim:
             raise KeyError(f"flag has no subspace of dimension {k}")
-        return ProjectiveSubspace(self.ambient_dim, self.frame[:, :k].copy())
+        level = self._levels.get(k)
+        if level is None:
+            level = self._levels[k] = ProjectiveSubspace(self.ambient_dim,
+                                                         self.frame[:, :k].copy())
+        return level
 
     @property
     def ambient_dim(self) -> int:
@@ -207,7 +225,7 @@ def annihilator(basis: np.ndarray) -> np.ndarray:
 
 def dual(s: ProjectiveSubspace) -> ProjectiveSubspace:
     """Annihilator of a subspace; an order-reversing involution."""
-    return ProjectiveSubspace(s.ambient_dim, annihilator(s.basis))
+    return ProjectiveSubspace(s.ambient_dim, s.covectors)
 
 
 def meet(subspaces) -> ProjectiveSubspace:
@@ -216,7 +234,7 @@ def meet(subspaces) -> ProjectiveSubspace:
     n = subspaces[0].ambient_dim
     if any(s.ambient_dim != n for s in subspaces):
         raise ValueError("ambient dimensions disagree")
-    annihilators = np.hstack([annihilator(s.basis) for s in subspaces])
+    annihilators = np.hstack([s.covectors for s in subspaces])
     u, sv, _ = np.linalg.svd(annihilators, full_matrices=True)
     sv = np.concatenate([sv, np.zeros(n - sv.size)])
     scale = sv[0] if sv[0] > 0 else 1.0

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import flagflows
+from flagflows import limitcurve
 from flagflows.cli import emit_summary, main, write_csv, write_json_artifact
 
 
@@ -171,6 +173,27 @@ def test_verify_all_refuses_n_other_than_3(tmp_path, capsys, command, n):
     assert err["error"]["type"] == "ValueError"
     assert f"n={n}" in err["error"]["message"]
     assert not any(tmp_path.iterdir())
+
+
+def test_verify_all_interpolates_each_parameter_once_per_curve(tmp_path, capsys, monkeypatch):
+    """A count, not a time: no reduced parameter reaches `interpolate` twice on one curve."""
+    interpolate = limitcurve.interpolate
+    curves, seen, repeats = [], set(), []
+
+    def counting(curve, theta):
+        if not any(c is curve for c in curves):
+            curves.append(curve)  # held, so that no other curve reuses its id
+        key = (id(curve), theta % (2 * math.pi))
+        if key in seen:
+            repeats.append(key[1])
+        seen.add(key)
+        return interpolate(curve, theta)
+
+    monkeypatch.setattr(limitcurve, "interpolate", counting)
+    run(tmp_path, "--bulge", "0.3", "--seed", "0", "verify-all")
+    assert load_summary(tmp_path, "verify_all")["checks"]["decay"]  # it ran to the end
+    assert len(seen) > 500
+    assert repeats == []
 
 
 def test_decay_on_default_config(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 import sympy
 
 from curvehelpers import collinear_degenerate_curve
+from flagflows import limitcurve
 from flagflows.config import (
     InsufficientSamples,
     NoSecondIntersection,
@@ -13,6 +14,7 @@ from flagflows.config import (
     RootFindFailure,
 )
 from flagflows.limitcurve import (
+    FLAG_MEMO_SIZE,
     BoundaryCurve,
     boundary_regularity_estimate,
     bracketed_root,
@@ -22,7 +24,7 @@ from flagflows.limitcurve import (
     second_boundary_intersection,
 )
 from flagflows.projective import Flag, ProjectiveSubspace, dual, join
-from flagflows.reps import SurfaceGroupRep, circular_gap, sym_power
+from flagflows.reps import SurfaceGroupRep, bulge_deform, circular_gap, sym_power
 
 
 def _symbolic_veronese(theta_expr):
@@ -165,6 +167,40 @@ def test_second_boundary_intersection_rejects_tangents(exact_curve):
         second_boundary_intersection(exact_curve, exact_curve.flag_at(1.0)[2], 1.0)
 
 
+def _frenet_by_loop(curve):
+    """(min singular value, max osculation defect) of `frenet_checks`, one tuple at a time."""
+    n, thetas, count = curve.n, curve.thetas, len(curve)
+    min_sv, max_defect = np.inf, 0.0
+    stride_base = max(1, count // 64)
+    for stride in (stride_base, 2 * stride_base, 3 * stride_base + 1):
+        for start in range(0, count, max(1, count // 32)):
+            idx = [(start + k * stride) % count for k in range(n)]
+            pts = [thetas[i] for i in idx]
+            if all(min(circular_gap(p, q), circular_gap(q, p)) > 0.1
+                   for a_i, p in enumerate(pts) for q in pts[a_i + 1:]):
+                sv = np.linalg.svd(curve.frames[idx, :, 0].T, compute_uv=False)
+                min_sv = min(min_sv, float(sv[-1]))
+    for i in range(count):
+        j = (i + 1) % count
+        gap = circular_gap(thetas[i], thetas[j])
+        if gap <= 0.5:
+            q, _ = np.linalg.qr(curve.frames[[i, j], :, 0].T)
+            s = np.linalg.svd(curve.frames[i].T @ q[:, :2], compute_uv=False)
+            max_defect = max(max_defect, math.acos(min(1.0, float(s[-1]))) / gap)
+    return min_sv, max_defect
+
+
+@pytest.mark.parametrize("name", ["exact_curve", "exact_curve4", "sampled_curve",
+                                  "bulged_curve", "flattened"])
+def test_stacked_frenet_checks_equal_the_per_tuple_loop(request, reference, name):
+    """Bit for bit: the stacked SVD and QR calls give each matrix's own result."""
+    curve = (collinear_degenerate_curve(reference, 20) if name == "flattened"
+             else request.getfixturevalue(name))
+    report = frenet_checks(curve)
+    assert (report.min_triple_singular_value, report.max_osculation_defect) == \
+        _frenet_by_loop(curve)
+
+
 def test_frenet_checks_pass_on_the_conic(exact_curve):
     report = frenet_checks(exact_curve)
     assert report.general_position_ok
@@ -221,3 +257,64 @@ def test_sampled_curve_serialization_roundtrip(sampled_curve):
 def test_sample_boundary_requires_enough_words(reference):
     with pytest.raises(InsufficientSamples):
         sample_boundary(sym_power(reference, 3), reference, 1)
+
+
+# -- the flag memo and the per-gap rotations ----------------------------------
+
+
+@pytest.fixture(scope="module")
+def bulged_curve03(reference):
+    return sample_boundary(bulge_deform(sym_power(reference, 3), 0.3), reference, 3)
+
+
+def _fresh(curve):
+    """A new curve on the same samples, with nothing evaluated yet."""
+    return BoundaryCurve(curve.thetas, curve.frames, curve.rep, curve.reference,
+                         exact_eval=curve.exact_eval)
+
+
+@pytest.mark.parametrize("name", ["exact_curve", "bulged_curve03", "curve4"])
+def test_memoised_flags_equal_fresh_interpolation(request, exact_curve4, name):
+    if name == "curve4":  # the n=4 samples without their closed form: levels 2 and 3 blend
+        curve = BoundaryCurve(exact_curve4.thetas, exact_curve4.frames, exact_curve4.rep,
+                              exact_curve4.reference)
+    else:
+        curve = _fresh(request.getfixturevalue(name))
+    t = curve.thetas
+    # three parameters in one gap, a stored sample, a gap across theta = 0
+    thetas = [t[5] + frac * (t[6] - t[5]) for frac in (0.25, 0.5, 0.75)]
+    thetas += [float(t[9]), 0.5 * (t[-1] - 2 * math.pi + t[0])]
+    for _ in range(2):
+        for theta in thetas:
+            for arg in (theta, theta + 2 * math.pi, theta - 2 * math.pi):
+                got = curve.flag_at(arg)
+                assert curve.flag_at(arg) is got
+                assert np.array_equal(got.frame,
+                                      limitcurve.interpolate(_fresh(curve), arg).frame)
+    if curve.exact_eval is None:
+        assert {k for _, k in curve._rotations} == set(range(2, curve.n))
+
+
+def test_flag_memo_is_bounded(exact_curve):
+    curve = _fresh(exact_curve)
+    thetas = np.linspace(0.0, 2 * math.pi, FLAG_MEMO_SIZE + 100, endpoint=False) + 1e-3
+    for theta in thetas:
+        curve.flag_at(float(theta))
+    assert len(curve._flags) <= FLAG_MEMO_SIZE
+    for theta in (thetas[0], thetas[-1]):  # the first one was dropped
+        want = limitcurve.interpolate(_fresh(curve), float(theta)).frame
+        assert np.array_equal(curve.flag_at(float(theta)).frame, want)
+    assert len(curve._flags) <= FLAG_MEMO_SIZE
+
+
+def test_shared_flag_data_is_read_only(bulged_curve03):
+    f = bulged_curve03.flag_at(1.2345)
+    with pytest.raises(ValueError):
+        f.frame[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        f[1].basis[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        f[2].covectors[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        bulged_curve03.chart_points()[0, 0] = 1.0
+    assert f[1] is f[1] and f[2] is f[2]
