@@ -47,7 +47,6 @@ from .projective import (
     ProjectiveSubspace,
     annihilator,
     cross_ratio,
-    dual,
     join,
     meet,
 )

@@ -11,6 +11,7 @@ structured JSON diagnostic on stderr with a nonzero exit status.
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -23,9 +24,11 @@ from .devmaps import (
     MAP_TABLE as _MAP_TABLE,
     LeafPoint,
     _random_positive_triple,
+    _random_triples,
     covering_checks,
     curve_tolerance,
-    geodesic_realization,
+    develop,
+    leaf_context,
     leaf_sweep,
     omega_membership,
     type_classifier,
@@ -39,13 +42,13 @@ from .flows import (
     reference_flow,
 )
 from .limitcurve import (
+    MIN_SAMPLES,
     boundary_regularity_estimate,
     build_convex_domain,
     frenet_checks,
     fuchsian_curve,
     sample_boundary,
 )
-from .projective import dual
 from .render import render_scene, scene_boundary, scene_dev_image
 from .reps import (
     axis_thetas,
@@ -55,7 +58,7 @@ from .reps import (
     root_length,
     sym_power,
 )
-from .words import enumerate_conjugacy_classes
+from .words import SurfaceGroupPresentation, enumerate_conjugacy_classes
 
 SCHEMA_VERSION = 1
 
@@ -80,6 +83,9 @@ DECAY_MARGIN = 0.1     # slack below -1/(beta_hat - 1) on bulged curves
 # domain component that each developing map lands in
 EXPECTED_COMPONENT = {"tr": "2", "tan+": "2", "tan-": "2",
                       "psi1": "1", "psi2": "1", "psi3": "3", "psi4": "3"}
+# the shortest word ball with as many conjugacy classes as a sampled curve needs samples
+SAMPLED_WORD_BALL = next(t for t in itertools.count(1) if len(enumerate_conjugacy_classes(
+    SurfaceGroupPresentation(DEFAULT_CONFIG["genus"]), t)) >= MIN_SAMPLES)
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +115,10 @@ def load_config(args) -> dict:
         raise ValueError("only genus 2 is wired up")
     if int(cfg["word_ball"]) < 1:
         raise ValueError(f"word_ball must be at least 1; got {cfg['word_ball']}")
+    if is_sampled(cfg) and int(cfg["word_ball"]) < SAMPLED_WORD_BALL:
+        raise ValueError(f"word_ball {cfg['word_ball']} holds fewer conjugacy classes than the "
+                         f"MIN_SAMPLES = {MIN_SAMPLES} samples a sampled curve needs; "
+                         f"use {SAMPLED_WORD_BALL} or more")
     return cfg
 
 
@@ -178,13 +188,16 @@ def build_rep(cfg: dict):
     return rep, reference
 
 
+def is_sampled(cfg: dict) -> bool:
+    """Whether `build_curve` samples the curve on the word ball, for want of a closed form."""
+    return float(cfg.get("bulge", 0.0)) != 0.0 or int(cfg["n"]) == 2
+
+
 def build_curve(cfg: dict):
     rep, reference = build_rep(cfg)
-    if float(cfg.get("bulge", 0.0)) == 0.0 and int(cfg["n"]) != 2:
-        # Fuchsian limit curves have a closed form; prefer the exact
-        # evaluator over eigenflag sampling
-        return fuchsian_curve(reference, int(cfg["n"]))
-    return sample_boundary(rep, reference, int(cfg["word_ball"]))
+    if is_sampled(cfg):
+        return sample_boundary(rep, reference, int(cfg["word_ball"]))
+    return fuchsian_curve(reference, int(cfg["n"]))
 
 
 def _require_n3(cfg: dict, what: str) -> None:
@@ -312,22 +325,14 @@ def cmd_dev_image(cfg, args):
     curve = build_curve(cfg)
     x, z = float(args.x), float(args.z)
     ys = leaf_sweep(x, z, int(args.num))
-    rows = []
+    header = ["y"] + [f"p{k}" for k in range(curve.n)]
     if args.map.startswith("alpha:"):
-        i, j = _parse_alpha(args.map.split(":", 1)[1])
-        header = ["y"] + [f"p{k}" for k in range(curve.n)]
-        for y in ys:
-            pt = geodesic_realization(curve, i, j, LeafPoint(x, y, z))
-            rows.append([y] + list(pt.vector))
+        ctx = leaf_context(curve, _parse_alpha(args.map.split(":", 1)[1]), x, z)
+        rows = [[y, *ctx.image(curve.flag_at(y)).vector] for y in ys]
     else:
-        if args.map not in _MAP_TABLE:
-            raise ValueError(f"unknown map {args.map!r}")
-        fn = _MAP_TABLE[args.map]
-        header = ["y"] + [f"p{k}" for k in range(curve.n)] \
-            + [f"line{k}" for k in range(curve.n)]
-        for y in ys:
-            f = fn(curve, LeafPoint(x, y, z))
-            rows.append([y] + list(f.point.vector) + list(dual(f.line).vector))
+        header += [f"line{k}" for k in range(curve.n)]
+        points, lines = develop(curve, args.map, x, ys, z)
+        rows = [[y, *p, *line] for y, p, line in zip(ys, points, lines)]
     write_csv(cfg, "dev_image.csv", header, rows)
     emit_summary(cfg, "dev_image", {
         "map": args.map, "x": x, "z": z, "count": len(rows),
@@ -434,10 +439,9 @@ def cmd_verify_all(cfg, args):
                           "tolerance": bound}
 
     miscount = 0
-    for name, fn in _MAP_TABLE.items():
-        for _ in range(5):
-            p = _random_positive_triple(rng)
-            miscount += omega_membership(curve, fn(curve, p)) != EXPECTED_COMPONENT[name]
+    for name in _MAP_TABLE:
+        labels = omega_membership(curve, *develop(curve, name, *_random_triples(rng, 5)))
+        miscount += int(np.sum(labels != EXPECTED_COMPONENT[name]))
     checks["membership"] = {"passed": miscount == 0, "trials": 5 * len(_MAP_TABLE),
                             "misclassified": miscount}
 
@@ -445,9 +449,8 @@ def cmd_verify_all(cfg, args):
     for name, want in (("tr", "transverse"), ("tan+", "tangent_plus"),
                        ("tan-", "tangent_minus")):
         p = _random_positive_triple(rng, spread=0.8)
-        samples = [_MAP_TABLE[name](curve, LeafPoint(p.x, y, p.z))
-                   for y in leaf_sweep(p.x, p.z, 16)]
-        class_ok = class_ok and type_classifier(samples, curve, p.x, p.z) == want
+        points, _ = develop(curve, name, p.x, leaf_sweep(p.x, p.z, 16), p.z)
+        class_ok = class_ok and type_classifier(points, curve, p.x, p.z) == want
     checks["type_classifier"] = {"passed": class_ok}
 
     checks["periods"] = periods_check(curve, PERIODS_MAX_LEN, _positive_roots(3))[1]

@@ -15,6 +15,7 @@ class FlagFlowsError(Exception):
 # projective core
 class DimensionOverflow(FlagFlowsError): pass
 class DegenerateSum(FlagFlowsError): pass
+class DegenerateMeet(FlagFlowsError): pass
 class EmptyIntersection(FlagFlowsError): pass
 class NotCollinear(FlagFlowsError): pass
 class IndeterminateRatio(FlagFlowsError): pass
@@ -31,7 +32,6 @@ class IndexOrder(FlagFlowsError): pass
 class InsufficientSamples(FlagFlowsError): pass
 class NoSecondIntersection(FlagFlowsError): pass
 class AmbiguousBracket(FlagFlowsError): pass
-class DegenerateMeet(FlagFlowsError): pass
 class UnclassifiedLine(FlagFlowsError): pass
 
 # flows

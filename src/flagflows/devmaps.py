@@ -1,21 +1,25 @@
 """Developing maps from oriented boundary triples into flag space.
 
-Implements the transverse and tangent maps for n = 3, the four
-point-line maps into the remaining domain components, and the general
-geodesic realization for the roots of PSL(n), read off the image segment
-of each leaf (`leaf_context`).  Also hosts the domain
-membership classifier and the covering / concavity / type diagnostics.
+At n = 3 the transverse and tangent maps, the involution and the four
+point-line maps into the remaining domain components are joins and
+meets of curve flags in RP^2, each one cross product (`cross_meet`).
+`develop` evaluates a map on stacked triples, from their flag frames,
+and returns stacked points and line covectors; `phi_tr`, `phi_tan_plus`,
+`phi_tan_minus` and `psi_k` are its one-triple faces, which return a
+`PointLineFlag`.  The domain membership classifier and the covering /
+concavity / type diagnostics work on the stacked arrays.  The geodesic
+realizations of the roots of PSL(n), read off the image segment of each
+leaf (`leaf_context`), serve every n >= 3 and stay on `join` and `meet`.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .config import (DegenerateMeet, EmptyIntersection, PointOutsideDomain, PointOutsideSegment,
-                     UnclassifiedLine)
+from .config import PointOutsideSegment, UnclassifiedLine
 from .limitcurve import BoundaryCurve, second_boundary_intersection
-from .projective import (ProjectiveSubspace, annihilator, cross_ratio, join, meet,
+from .projective import (ProjectiveSubspace, cross_meet, cross_ratio, join, meet,
                          signed_polygon_distance)
 from .reps import circular_gap, positively_oriented
 
@@ -69,82 +73,107 @@ class PointLineFlag:
         if not self.line.contains(self.point):
             raise ValueError("point does not lie on the line")
 
-
-def _triple_flags(curve: BoundaryCurve, p: LeafPoint, flags=None):
-    if flags is not None:
-        return flags
-    return (curve.flag_at(p.x), curve.flag_at(p.y), curve.flag_at(p.z))
-
-
-def _guarded_meet(subspaces, expected_dim):
-    try:
-        out = meet(subspaces)
-    except EmptyIntersection as exc:
-        raise DegenerateMeet(str(exc)) from exc
-    if out.dim != expected_dim:
-        raise DegenerateMeet(f"meet has dimension {out.dim}, expected {expected_dim}")
-    return out
+    @classmethod
+    def from_vectors(cls, point: np.ndarray, line: np.ndarray) -> "PointLineFlag":
+        """Flag of a unit point and the unit covector of a line through it, as `develop` gives."""
+        return cls(ProjectiveSubspace(3, point),
+                   ProjectiveSubspace(3, np.column_stack([point, np.cross(line, point)])))
 
 
-def _leaf_pivot(fx, fz, k: int) -> ProjectiveSubspace:
-    """x^k ∩ z^{n-k+1} on the leaf (x, z), read as x^1 at k = 1 and z^1 at k = n."""
-    n = fx.ambient_dim
-    if k == 1:
-        return fx[1]
-    if k == n:
-        return fz[1]
-    return _guarded_meet([fx[k], fz[n - k + 1]], 1)
+def _levels(frames):
+    """Point and line covector of each n=3 flag frame (..., 3, 2)."""
+    return frames[..., 0], cross_meet(frames[..., 0], frames[..., 1])
 
 
-def phi_tr(curve: BoundaryCurve, p: LeafPoint, flags=None) -> PointLineFlag:
+def develop_frames(name: str, fx, fy, fz):
+    """Stacked (point, line covector) of the map `name` on the frames (..., 3, 2) of x, y, z.
+
+    Covers the closed-form maps "tr", "tan+" and "psi1".."psi4", and "iota",
+    whose line through y1 and the pivot x2 ∩ z2 the involution scans.
+    """
+    (x1, x2), (y1, y2), (z1, z2) = _levels(fx), _levels(fy), _levels(fz)
+    if name == "tr":  # ((x1 + z1) ∩ y2, x1 + z1)
+        line = cross_meet(x1, z1)
+        return cross_meet(line, y2), line
+    if name == "tan+":  # (y2 ∩ z2, x1 + (y2 ∩ z2))
+        point = cross_meet(y2, z2)
+        return point, cross_meet(x1, point)
+    chord, pivot = cross_meet(x1, z1), cross_meet(x2, z2)
+    if name == "iota":
+        return y1, cross_meet(y1, pivot)
+    if name in ("psi1", "psi2"):  # (chord ∩ (y1 + pivot), y1 + pivot or the chord)
+        line = cross_meet(y1, pivot)
+        return cross_meet(chord, line), line if name == "psi1" else chord
+    if name == "psi3":  # (pivot, pivot + (y2 ∩ chord))
+        return pivot, cross_meet(pivot, cross_meet(y2, chord))
+    if name == "psi4":  # (chord ∩ y2, (chord ∩ y2) + pivot)
+        point = cross_meet(chord, y2)
+        return point, cross_meet(point, pivot)
+    raise ValueError(f"no frame formula for map {name!r}")
+
+
+def _frames(curve: BoundaryCurve, thetas) -> np.ndarray:
+    """Frames (m, 3, 2) of the memoised flags at m parameters."""
+    return np.array([curve.flag_at(t).frame for t in thetas]).reshape(len(thetas), 3, 2)
+
+
+def _involution(curve: BoundaryCurve, x, y, z) -> np.ndarray:
+    """The y of each triple after the involution: the second boundary hit of its iota line."""
+    points, lines = develop_frames("iota", *(_frames(curve, t) for t in (x, y, z)))
+    return np.array([second_boundary_intersection(curve, PointLineFlag.from_vectors(p, l).line, t)
+                     for p, l, t in zip(points, lines, y)])
+
+
+def develop(curve: BoundaryCurve, name: str, x, y, z):
+    """Stacked (point, line covector) of the map `name` of MAP_TABLE on the triples (x, y, z).
+
+    The parameters are scalars or 1-d arrays that broadcast to m triples,
+    each checked and reduced mod 2pi by `LeafPoint`; returns two (m, 3)
+    arrays of unit vectors.  "tan-" is "tan+" after the involution, which
+    scans each line.
+    """
+    if name not in MAP_TABLE:
+        raise ValueError(f"unknown map {name!r}; choose from {sorted(MAP_TABLE)}")
+    if curve.n != 3:
+        raise ValueError(f"the developing maps are defined at n=3; got n={curve.n}")
+    triples = zip(*np.broadcast_arrays(*np.atleast_1d(x, y, z)))
+    x, y, z = np.array([astuple(LeafPoint(*t)) for t in triples]).reshape(-1, 3).T
+    if name == "tan-":
+        return develop(curve, "tan+", x, _involution(curve, x, y, z), z)
+    return develop_frames(name, *(_frames(curve, t) for t in (x, y, z)))
+
+
+def _one(curve: BoundaryCurve, name: str, p: LeafPoint) -> PointLineFlag:
+    """The map `name` on one triple, as a `PointLineFlag`."""
+    points, lines = develop(curve, name, p.x, p.y, p.z)
+    return PointLineFlag.from_vectors(points[0], lines[0])
+
+
+def phi_tr(curve: BoundaryCurve, p: LeafPoint) -> PointLineFlag:
     """Transverse developing map: ((x1 + z1) ∩ y2, x1 + z1)."""
-    fx, fy, fz = _triple_flags(curve, p, flags)
-    line = join([fx[1], fz[1]])
-    point = _guarded_meet([line, fy[2]], 1)
-    return PointLineFlag(point, line)
+    return _one(curve, "tr", p)
 
 
-def phi_tan_plus(curve: BoundaryCurve, p: LeafPoint, flags=None) -> PointLineFlag:
+def phi_tan_plus(curve: BoundaryCurve, p: LeafPoint) -> PointLineFlag:
     """Positive tangent developing map: (y2 ∩ z2, x1 + (y2 ∩ z2))."""
-    fx, fy, fz = _triple_flags(curve, p, flags)
-    point = _guarded_meet([fy[2], fz[2]], 1)
-    line = join([fx[1], point])
-    return PointLineFlag(point, line)
+    return _one(curve, "tan+", p)
 
 
 def involution_iota(curve: BoundaryCurve, p: LeafPoint) -> LeafPoint:
     """Replace y by the second boundary hit of the line through y1 and x2 ∩ z2.
 
-    Reverses the orientation of the triple; the output is returned as a
-    raw triple (check `is_positive` if orientation matters downstream).
-    """
-    fx, fy, fz = _triple_flags(curve, p)
-    line = join([fy[1], _leaf_pivot(fx, fz, 2)])
-    w = second_boundary_intersection(curve, line, p.y)
-    return LeafPoint(p.x, w, p.z)
+    Reverses the orientation of the triple (see `is_positive`)."""
+    return LeafPoint(p.x, float(_involution(curve, [p.x], [p.y], [p.z])[0]), p.z)
 
 
 def phi_tan_minus(curve: BoundaryCurve, p: LeafPoint) -> PointLineFlag:
     """Negative tangent developing map: phi_tan_plus after the involution."""
-    return phi_tan_plus(curve, involution_iota(curve, p))
+    return _one(curve, "tan-", p)
 
 
 def psi_k(curve: BoundaryCurve, p: LeafPoint, k: int) -> PointLineFlag:
-    """The four point-line maps into the first and third domain components."""
-    fx, fy, fz = _triple_flags(curve, p)
-    chord = join([fx[1], fz[1]])
-    pivot = _leaf_pivot(fx, fz, 2)
-    if k in (1, 2):
-        line = join([fy[1], pivot])
-        point = _guarded_meet([chord, line], 1)
-        return PointLineFlag(point, line if k == 1 else chord)
-    if k == 3:
-        secant = _guarded_meet([fy[2], chord], 1)
-        return PointLineFlag(pivot, join([pivot, secant]))
-    if k == 4:
-        point = _guarded_meet([chord, fy[2]], 1)
-        return PointLineFlag(point, join([point, pivot]))
-    raise ValueError("k must be in 1..4")
+    """The four point-line maps (k = 1..4) into the first and third domain components."""
+    return _one(curve, f"psi{k}", p)
 
 
 @dataclass(frozen=True)
@@ -175,7 +204,7 @@ class LeafMetricContext:
 
     def image(self, fy) -> ProjectiveSubspace:
         """Image of the leaf point whose middle flag is fy: support line ∩ y^{n-1}."""
-        return _guarded_meet([self.support_line, fy[fy.ambient_dim - 1]], 1)
+        return meet([self.support_line, fy[fy.ambient_dim - 1]])
 
 
 def leaf_context(curve: BoundaryCurve, alpha, x: float, z: float) -> LeafMetricContext:
@@ -191,7 +220,8 @@ def leaf_context(curve: BoundaryCurve, alpha, x: float, z: float) -> LeafMetricC
     if not (1 <= i < j <= n):
         raise ValueError("need 1 <= i < j <= n")
     fx, fz = curve.flag_at(x), curve.flag_at(z)
-    return LeafMetricContext(_leaf_pivot(fx, fz, i), _leaf_pivot(fx, fz, j))
+    return LeafMetricContext(*(fx[1] if k == 1 else fz[1] if k == n else
+                               meet([fx[k], fz[n - k + 1]]) for k in (i, j)))
 
 
 def geodesic_realization(curve: BoundaryCurve, i: int, j: int,
@@ -230,31 +260,25 @@ def _membership_margin(curve: BoundaryCurve) -> float:
     return max(1e-8, 10.0 * curve.interp_error)
 
 
-def omega_membership(curve: BoundaryCurve, f: PointLineFlag):
-    """Classify a point-line flag into a domain component: '1', '2', '3', 'boundary'.
+def omega_membership(curve: BoundaryCurve, points, lines) -> np.ndarray:
+    """Domain component of each point-line flag: '1', '2', '3' or 'boundary'.
 
-    Component 1: point inside the convex hull of the curve; 2: point
-    outside but line crosses the hull; 3: both point and line clear of
-    the closed hull.  Any margin-inconclusive test returns 'boundary'.
+    Takes stacked (m, 3) points and line covectors, as `develop` returns
+    them.  Component 1: point inside the convex hull of the curve; 2: point
+    outside but line crosses the hull; 3: both point and line clear of the
+    closed hull.  Any margin-inconclusive test returns 'boundary'.
     """
     delta = _membership_margin(curve)
     verts = curve.chart_points()
-    try:
-        point_side = signed_polygon_distance(verts, curve.chart.to_chart(f.point))
-    except PointOutsideDomain:
-        point_side = -1.0  # on the infinity line: far outside the hull
-    coeffs = curve.chart.line_to_chart(f.line.covectors[:, 0])
-    normal = np.asarray(coeffs[:-1], dtype=float)
-    scale = np.linalg.norm(normal)
-    vals = (verts @ normal + coeffs[-1]) / scale
-    if point_side > delta:
-        return "1"
-    if point_side < -delta:
-        if vals.min() < -delta and vals.max() > delta:
-            return "2"
-        if vals.min() > delta or vals.max() < -delta:
-            return "3"
-    return "boundary"
+    shown = curve.chart.in_chart(points)
+    side = np.full(len(points), -1.0)  # on the infinity line: far outside the hull
+    side[shown] = signed_polygon_distance(verts, curve.chart.to_chart(points[shown]))
+    coeffs = curve.chart.line_to_chart(lines)
+    vals = verts @ coeffs[:, :-1].T + coeffs[:, -1]
+    lo, hi = vals.min(axis=0), vals.max(axis=0)
+    outside = side < -delta
+    return np.select([side > delta, outside & (lo < -delta) & (hi > delta),
+                      outside & ((lo > delta) | (hi < -delta))], ["1", "2", "3"], "boundary")
 
 
 def _random_positive_triple(rng, spread: float = 0.3) -> LeafPoint:
@@ -262,6 +286,16 @@ def _random_positive_triple(rng, spread: float = 0.3) -> LeafPoint:
     g1 = rng.uniform(spread, 2 * math.pi - 2 * spread)
     g2 = rng.uniform(spread, 2 * math.pi - g1 - spread)
     return LeafPoint(x, x + g1, x + g1 + g2)
+
+
+def _random_triples(rng, count: int):
+    """`count` draws of `_random_positive_triple`, in order, as arrays (x, y, z)."""
+    return np.array([astuple(_random_positive_triple(rng)) for _ in range(count)]).T
+
+
+def _angle(a, b) -> np.ndarray:
+    """Angle between the lines of R^3 along stacked unit vectors a and b, in [0, pi/2]."""
+    return np.arctan2(np.linalg.norm(np.cross(a, b), axis=-1), np.abs(np.sum(a * b, axis=-1)))
 
 
 @dataclass(frozen=True)
@@ -282,39 +316,27 @@ def covering_checks(curve: BoundaryCurve, num_points: int = 32,
     (c) collinearity of one leaf image with endpoint limits x2∩z2 and z1.
     """
     rng = np.random.default_rng(seed)
-    two_sheet = 0.0
-    inj_ratio = np.inf
-    for _ in range(num_points):
-        p = _random_positive_triple(rng)
-        f = phi_tan_plus(curve, p)
-        w = second_boundary_intersection(curve, f.line, p.x)
-        f2 = phi_tan_plus(curve, LeafPoint(w, p.z, p.y))
-        two_sheet = max(two_sheet, f.point.principal_angle(f2.point),
-                        f.line.principal_angle(f2.line))
-        h = 1e-4
-        p2 = LeafPoint(p.x, p.y + h, p.z)
-        g2 = phi_tan_plus(curve, p2)
-        inj_ratio = min(inj_ratio, f.point.principal_angle(g2.point) / h)
-    # one random leaf, swept in y
+    x, y, z = _random_triples(rng, num_points)
+    points, lines = develop(curve, "tan+", x, y, z)
+    w = [second_boundary_intersection(curve, PointLineFlag.from_vectors(p, l).line, t)
+         for p, l, t in zip(points, lines, x)]
+    swapped_points, swapped_lines = develop(curve, "tan+", w, z, y)
+    two_sheet = max(_angle(points, swapped_points).max(), _angle(lines, swapped_lines).max())
+    h = 1e-4
+    inj_ratio = (_angle(points, develop(curve, "tan+", x, y + h, z)[0]) / h).min()
+    # one random leaf, swept in y, and its two ends
     p = _random_positive_triple(rng, spread=0.8)
     arc = circular_gap(p.x, p.z)
-    pts = [phi_tan_plus(curve, LeafPoint(p.x, y, p.z)).point.vector
-           for y in leaf_sweep(p.x, p.z, COVERING_LEAF_SAMPLES)]
-    stacked = np.column_stack(pts)
-    sv = np.linalg.svd(stacked.T, compute_uv=False)
-    residual = float(sv[-1] / sv[0])
-    fx, fz = curve.flag_at(p.x), curve.flag_at(p.z)
-    pivot = _leaf_pivot(fx, fz, 2)
-    y_lo = (p.x + arc * 1e-6) % (2 * math.pi)
-    y_hi = (p.x + arc * (1 - 1e-6)) % (2 * math.pi)
-    near_x = phi_tan_plus(curve, LeafPoint(p.x, y_lo, p.z)).point
-    near_z = phi_tan_plus(curve, LeafPoint(p.x, y_hi, p.z)).point
+    ends = [p.x + arc * 1e-6, p.x + arc * (1 - 1e-6)]
+    sweep, _ = develop(curve, "tan+", p.x, leaf_sweep(p.x, p.z, COVERING_LEAF_SAMPLES) + ends, p.z)
+    sv = np.linalg.svd(sweep[:-2], compute_uv=False)
+    (_, x2), (z1, z2) = (_levels(curve.flag_at(t).frame) for t in (p.x, p.z))
     return CoveringReport(
         two_sheet_max_error=float(two_sheet),
         injectivity_min_ratio=float(inj_ratio),
-        leaf_collinearity_residual=residual,
-        endpoint_error_pivot=float(near_x.principal_angle(pivot)),
-        endpoint_error_z1=float(near_z.principal_angle(fz[1])),
+        leaf_collinearity_residual=float(sv[-1] / sv[0]),
+        endpoint_error_pivot=float(_angle(sweep[-2], cross_meet(x2, z2))),
+        endpoint_error_z1=float(_angle(sweep[-1], z1)),
     )
 
 
@@ -334,38 +356,23 @@ def concavity_check(curve: BoundaryCurve, x: float, sample_count: int = 40,
     rng = np.random.default_rng(seed)
     delta = _membership_margin(curve)
     verts = curve.chart_points()
-    coeffs = curve.chart.line_to_chart(annihilator(curve.flag_at(x).frame)[:, 0])
-    normal = np.asarray(coeffs[:-1], dtype=float)
-    scale = np.linalg.norm(normal)
-    images = []
-    min_out, min_tan = np.inf, np.inf
-    for a_k in range(1, sample_count + 1):
-        for b_k in range(a_k + 1, sample_count + 1):
-            y = (x + 2 * math.pi * a_k / (sample_count + 1)) % (2 * math.pi)
-            z = (x + 2 * math.pi * b_k / (sample_count + 1)) % (2 * math.pi)
-            pt = phi_tan_plus(curve, LeafPoint(x, y, z)).point
-            try:
-                c = curve.chart.to_chart(pt)
-            except PointOutsideDomain:
-                continue
-            images.append(c)
-            min_out = min(min_out, -signed_polygon_distance(verts, c))
-            min_tan = min(min_tan, abs(c @ normal + coeffs[-1]) / scale)
-    images = np.array(images)
+    tangent = curve.chart.line_to_chart(_levels(curve.flag_at(x).frame)[1])
+    # the leaves (x, y, z) for every pair y < z of the sample_count parameters after x
+    a_k, b_k = np.triu_indices(sample_count, 1)
+    y = x + 2 * math.pi * (a_k + 1) / (sample_count + 1)
+    z = x + 2 * math.pi * (b_k + 1) / (sample_count + 1)
+    points, _ = develop(curve, "tan+", x, y, z)
+    images = curve.chart.to_chart(points[curve.chart.in_chart(points)])
+    min_out = -np.max(signed_polygon_distance(verts, images), initial=-np.inf)
+    min_tan = np.min(np.abs(images @ tangent[:-1] + tangent[-1]), initial=np.inf)
     lo, hi = verts.min(axis=0) - 1.0, verts.max(axis=0) + 1.0
-    coverage = 0.0
-    interior_dist = np.inf
-    for _ in range(200):
-        probe = rng.uniform(lo, hi)
-        dists = np.linalg.norm(images - probe[None, :], axis=1)
-        side = signed_polygon_distance(verts, probe)
-        tan_val = abs(probe @ normal + coeffs[-1]) / scale
-        if side < -delta and tan_val > 0.1:
-            coverage = max(coverage, dists.min())
-        elif side > delta:
-            interior_dist = min(interior_dist, dists.min())
-    passed = bool(min_out > delta / 2 and min_tan > delta / 2
-                  and interior_dist > delta)
+    probes = rng.uniform(lo, hi, size=(200, 2))
+    dists = np.linalg.norm(images[None, :, :] - probes[:, None, :], axis=2).min(axis=1)
+    side = signed_polygon_distance(verts, probes)
+    tan_val = np.abs(probes @ tangent[:-1] + tangent[-1])
+    coverage = np.max(dists[(side < -delta) & (tan_val > 0.1)], initial=0.0)
+    interior_dist = np.min(dists[side > delta], initial=np.inf)
+    passed = bool(min(min_out, min_tan) > delta / 2 and interior_dist > delta)
     return ConcavityReport(
         min_outside_margin=float(min_out),
         min_tangent_margin=float(min_tan),
@@ -375,37 +382,31 @@ def concavity_check(curve: BoundaryCurve, x: float, sample_count: int = 40,
     )
 
 
-def type_classifier(leaf_samples, curve: BoundaryCurve, x: float, z: float) -> str:
-    """Classify the support line of a leaf image: transverse or tangent ±.
+def type_classifier(points, curve: BoundaryCurve, x: float, z: float) -> str:
+    """Classify the support line of a leaf image, given as stacked (m, 3) points.
 
-    Fits the common line of the sample points by total least squares,
-    matches it against x1+z1 (transverse) or the tangent at z; the tangent
-    sign is resolved by which component of the tangent minus the two
-    special points {z1, x2∩z2} the samples occupy, using a cross-ratio
-    sign test against a known positive-type probe point.
+    Fits their common line by total least squares, matches it against
+    x1+z1 (transverse) or the tangent at z; the tangent sign is resolved by
+    which component of the tangent minus the two special points {z1, x2∩z2}
+    the samples occupy, using a cross-ratio sign test against a known
+    positive-type probe point.
     """
-    if len(leaf_samples) < 3:
+    if len(points) < 3:
         raise ValueError("need at least 3 samples")
-    threshold = curve_tolerance(curve)
-    pts = np.column_stack([f.point.vector for f in leaf_samples])
-    u_mat, s_vals, _ = np.linalg.svd(pts)
-    if s_vals[-1] / s_vals[0] > threshold:
+    u_mat, s_vals, _ = np.linalg.svd(points.T)
+    if s_vals[-1] / s_vals[0] > curve_tolerance(curve):
         raise UnclassifiedLine(f"collinearity residual {s_vals[-1] / s_vals[0]:.3e}")
-    fitted = ProjectiveSubspace.from_spanning(u_mat[:, :2].T)
-    fx, fz = curve.flag_at(x), curve.flag_at(z)
-    transverse_line = join([fx[1], fz[1]])
-    tangent_line = fz[2]
-    if fitted.principal_angle(transverse_line) < LINE_MATCH_TOL:
+    fitted = u_mat[:, -1]  # covector of the fitted line
+    (x1, x2), (z1, z2) = (_levels(curve.flag_at(t).frame) for t in (x, z))
+    if _angle(fitted, cross_meet(x1, z1)) < LINE_MATCH_TOL:
         return "transverse"
-    if fitted.principal_angle(tangent_line) > LINE_MATCH_TOL:
+    if _angle(fitted, z2) > LINE_MATCH_TOL:
         raise UnclassifiedLine("fitted line matches neither candidate")
-    pivot = _leaf_pivot(fx, fz, 2)
-    gap = circular_gap(x, z)
-    y_mid = (x + gap / 2) % (2 * math.pi)
-    probe = meet([curve.flag_at(y_mid)[2], fz[2]])  # a known tangent_plus image
+    pivot = cross_meet(x2, z2)
+    probe = develop(curve, "tan+", x, x + circular_gap(x, z) / 2, z)[0][0]  # a tangent_plus image
     side = None
-    for f in leaf_samples:
-        ratio = cross_ratio(fz[1], pivot, f.point, probe)
+    for point in points:
+        ratio = cross_ratio(z1, pivot, point, probe)
         sample_side = "tangent_plus" if ratio > 0 else "tangent_minus" if ratio < 0 else None
         if sample_side is None or side not in (None, sample_side):
             raise UnclassifiedLine("samples straddle the special points of the tangent")

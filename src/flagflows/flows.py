@@ -14,10 +14,10 @@ import numpy as np
 
 from .config import (FlagFlowsError, NotDefinedHere, NotLoxodromic, PointOutsideSegment,
                      RootFindFailure)
-from .devmaps import (LeafMetricContext, LeafPoint, geodesic_realization, leaf_context,
-                      phi_tan_plus)
+from .devmaps import (LeafMetricContext, LeafPoint, PointLineFlag, develop,
+                      geodesic_realization, leaf_context)
 from .limitcurve import ROOT_TOL, BoundaryCurve, bracketed_root, second_boundary_intersection
-from .projective import ProjectiveSubspace, cross_ratio, join, meet
+from .projective import ProjectiveSubspace, cross_meet, cross_ratio
 from .reps import (boundary_vector, circular_gap, loxodromic_eigensystem, read_from_g,
                    theta_of_vector)
 from .words import GroupWord
@@ -278,17 +278,15 @@ def stable_leaf_distance(curve: BoundaryCurve, p: LeafPoint, y0: float) -> float
     point and x1, against its second boundary intersection and its crossing
     of the stable leaf's support line (the tangent at y0).
     """
-    fx = curve.flag_at(p.x)
-    f = phi_tan_plus(curve, p)
-    line = join([f.point, fx[1]])
+    x1 = curve.flag_at(p.x).frame[:, 0]
+    (point,), (line,) = develop(curve, "tan+", p.x, p.y, p.z)  # the line is x1 + point
     try:
-        stable_support = curve.flag_at(y0)[2]
-        p_y0 = meet([line, stable_support])
-        q_theta = second_boundary_intersection(curve, line, p.x)
+        p_y0 = cross_meet(line, cross_meet(*curve.flag_at(y0).frame.T))
+        q_theta = second_boundary_intersection(
+            curve, PointLineFlag.from_vectors(point, line).line, p.x)
     except (FlagFlowsError, ValueError) as exc:
         raise NotDefinedHere(str(exc)) from exc
-    q = ProjectiveSubspace.point(curve.aligned_point(q_theta))
-    value = cross_ratio(fx[1], q, p_y0, f.point)
+    value = cross_ratio(x1, curve.aligned_point(q_theta), p_y0, point)
     if value == 0.0 or math.isinf(value):
         raise NotDefinedHere("degenerate cross-ratio configuration")
     return math.log(abs(value))

@@ -169,7 +169,7 @@ class BoundaryCurve:
 
     def chart_point(self, theta: float) -> np.ndarray:
         self._require_chart()
-        return self.chart.to_chart(self.flag_at(theta)[1])
+        return self.chart.to_chart(self.flag_at(theta).frame[:, 0])
 
     def chart_points(self) -> np.ndarray:
         """Chart coordinates of all xi^1 samples, in circular order (N, 2); read-only."""
@@ -183,7 +183,7 @@ class BoundaryCurve:
     def hyperplane_covectors(self) -> np.ndarray:
         """Annihilator covectors of the top flag level at every sample (N, n); read-only."""
         if not hasattr(self, "_hyperplane_covectors"):
-            # one SVD per frame, as `dual` takes it, so each row is its covector bit for bit
+            # one SVD per frame, as `ProjectiveSubspace.covectors` takes it, bit for bit
             self._hyperplane_covectors = np.vstack([annihilator(f)[:, 0] for f in self.frames])
             self._hyperplane_covectors.setflags(write=False)
         return self._hyperplane_covectors

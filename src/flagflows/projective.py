@@ -4,14 +4,16 @@ Subspaces are represented by orthonormal bases (column span), which keeps
 join/meet simple: both reduce to SVD rank computations.  Rank decisions
 are governed by the tolerances defined below.  A full flag is the basis
 of its hyperplane, a frame whose first k columns span its level k.  The
-covector of a hyperplane is the one column of its `annihilator`.
+covector of a hyperplane is the one column of its `annihilator`.  In
+RP^2 a join of two points or a meet of two lines is one cross product
+(`cross_meet`), which works on stacked vectors under the same rank rule.
 
 All values are immutable after construction and all operations are pure.
 Derived data is cached on the value that owns it, computed on first use:
 a flag builds each level's subspace once, and a subspace takes its
-annihilator once (`covectors`), which `meet` and `dual` read.  Cached
-arrays are read-only, like the bases and frames they derive from, so a
-flag or subspace can be shared freely.
+annihilator once (`covectors`), which `meet` reads.  Cached arrays are
+read-only, like the bases and frames they derive from, so a flag or
+subspace can be shared freely.
 """
 
 from dataclasses import dataclass
@@ -20,6 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import (
+    DegenerateMeet,
     DegenerateSum,
     DimensionOverflow,
     EmptyIntersection,
@@ -32,18 +35,6 @@ RANK_TOL = 1e-9       # singular values below this times the largest count as ze
 EQUALITY_TOL = 1e-9   # principal-angle bound for subspace equality and containment
 COLLINEAR_TOL = 1e-9  # relative third singular value bound for collinear points
 INFINITY_TOL = 1e-13  # relative last chart coordinate of points at infinity
-
-
-def _orthonormalize(vectors: np.ndarray):
-    """Orthonormal basis for the column span, with the numerical rank.
-
-    Returns (basis, rank); `basis` has `rank` columns.
-    """
-    vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
-    u, s, _ = np.linalg.svd(vectors, full_matrices=False)
-    scale = s[0] if s.size and s[0] > 0 else 1.0
-    rank = int(np.sum(s > RANK_TOL * scale))
-    return u[:, :rank], rank
 
 
 @dataclass(frozen=True)
@@ -69,17 +60,6 @@ class ProjectiveSubspace:
         if np.max(np.abs(gram - np.eye(k))) > 1e-10:
             raise ValueError("basis columns are not orthonormal")
         basis.setflags(write=False)
-
-    @classmethod
-    def from_spanning(cls, vectors):
-        """Subspace spanned by the given vectors (rows or a single vector)."""
-        arr = np.asarray(vectors, dtype=float)
-        if arr.ndim == 1:
-            arr = arr[None, :]
-        basis, rank = _orthonormalize(arr.T)
-        if rank == 0:
-            raise ValueError("spanning set is numerically zero")
-        return cls(arr.shape[1], basis)
 
     @classmethod
     def point(cls, coords):
@@ -144,6 +124,7 @@ class Flag:
     """A full flag of R^n as an n x (n-1) frame with orthonormal columns.
 
     Level k is the span of the first k columns, so levels nest by construction.
+    Two flags are equal when every level is (`ProjectiveSubspace.__eq__`).
     """
 
     frame: np.ndarray
@@ -172,6 +153,15 @@ class Flag:
     @property
     def ambient_dim(self) -> int:
         return self.frame.shape[0]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Flag):
+            return NotImplemented
+        return self.ambient_dim == other.ambient_dim and all(
+            self[k] == other[k] for k in range(1, self.ambient_dim))
+
+    def __hash__(self):
+        raise TypeError("Flag equality is numeric; not hashable")
 
     def to_dict(self) -> dict:
         n = self.ambient_dim
@@ -210,11 +200,11 @@ def join(subspaces) -> ProjectiveSubspace:
     total = sum(s.dim for s in subspaces)
     if total > n:
         raise DimensionOverflow(f"join of total dimension {total} in R^{n}")
-    stacked = np.hstack([s.basis for s in subspaces])
-    basis, rank = _orthonormalize(stacked)
+    u, sv, _ = np.linalg.svd(np.hstack([s.basis for s in subspaces]), full_matrices=False)
+    rank = int(np.sum(sv > RANK_TOL * sv[0]))
     if rank < total:
         raise DegenerateSum(f"join rank {rank} < expected {total}")
-    return ProjectiveSubspace(n, basis)
+    return ProjectiveSubspace(n, u[:, :rank])
 
 
 def annihilator(basis: np.ndarray) -> np.ndarray:
@@ -223,13 +213,12 @@ def annihilator(basis: np.ndarray) -> np.ndarray:
     return u[:, basis.shape[1]:].copy()
 
 
-def dual(s: ProjectiveSubspace) -> ProjectiveSubspace:
-    """Annihilator of a subspace; an order-reversing involution."""
-    return ProjectiveSubspace(s.ambient_dim, s.covectors)
-
-
 def meet(subspaces) -> ProjectiveSubspace:
-    """Intersection of subspaces, via the null space of stacked annihilators."""
+    """Intersection of subspaces, via the null space of stacked annihilators.
+
+    Raises EmptyIntersection if it is zero-dimensional and DegenerateMeet if
+    it exceeds the transverse dimension, n less the inputs' codimensions.
+    """
     subspaces = list(subspaces)
     n = subspaces[0].ambient_dim
     if any(s.ambient_dim != n for s in subspaces):
@@ -241,12 +230,28 @@ def meet(subspaces) -> ProjectiveSubspace:
     actual = int(np.sum(sv <= RANK_TOL * scale))
     if actual == 0:
         raise EmptyIntersection("numerical intersection is zero-dimensional")
+    expected = max(n - annihilators.shape[1], 0)
+    if actual > expected:
+        raise DegenerateMeet(f"meet has dimension {actual}, expected {expected}")
     return ProjectiveSubspace(n, u[:, n - actual:].copy())
 
 
-def _line_coords(points):
-    """2-vector coordinates of dim-1 subspaces on their common line."""
-    vectors = np.column_stack([p.vector for p in points])
+def cross_meet(a, b) -> np.ndarray:
+    """Join of two points or meet of two lines of RP^2, on stacked 3-vectors (..., 3).
+
+    Both are the unit cross product a x b.  Raises DegenerateMeet where
+    |a x b| <= RANK_TOL |a| |b|, the rank rule of `meet`."""
+    c = np.cross(a, b)
+    norm = np.linalg.norm(c, axis=-1, keepdims=True)
+    scale = np.linalg.norm(a, axis=-1, keepdims=True) * np.linalg.norm(b, axis=-1, keepdims=True)
+    if np.any(norm <= RANK_TOL * scale):
+        raise DegenerateMeet(f"coincident points or lines: |a x b| <= {RANK_TOL:g} |a| |b|")
+    return c / norm
+
+
+def _line_coords(vectors):
+    """2-vector coordinates of points of RP^{n-1}, given as n-vectors, on their common line."""
+    vectors = np.column_stack(vectors)
     u, s, _ = np.linalg.svd(vectors, full_matrices=False)
     if s.size > 2 and s[2] > COLLINEAR_TOL * s[0]:
         raise NotCollinear(f"collinearity residual {s[2] / s[0]:.3e}")
@@ -255,7 +260,7 @@ def _line_coords(points):
 
 
 def cross_ratio(a, b, p, q) -> float:
-    """Cross-ratio (a,b;p,q) of four collinear points, as an extended real.
+    """Cross-ratio (a,b;p,q) of four collinear points given as vectors, as an extended real.
 
     The value (q-a)(p-b) / ((p-a)(q-b)) in any affine coordinate on the
     common line; independent of that choice and projectively invariant.
@@ -297,28 +302,32 @@ class AffineChart:
             raise ValueError("chart frame is singular")
         frame.setflags(write=False)
 
-    def to_chart(self, point: ProjectiveSubspace) -> np.ndarray:
-        w = self.frame @ point.vector
-        if abs(w[-1]) < INFINITY_TOL * np.linalg.norm(w):
+    def in_chart(self, vectors) -> np.ndarray:
+        """Whether each point, given as a vector (..., n), is off the hyperplane at infinity."""
+        w = np.asarray(vectors) @ self.frame.T
+        return np.abs(w[..., -1]) >= INFINITY_TOL * np.linalg.norm(w, axis=-1)
+
+    def to_chart(self, vectors) -> np.ndarray:
+        """Chart coordinates (..., n-1) of points given as vectors (..., n), all `in_chart`."""
+        if not np.all(self.in_chart(vectors)):
             raise PointOutsideDomain("point lies on the chart's hyperplane at infinity")
-        return w[:-1] / w[-1]
+        w = np.asarray(vectors) @ self.frame.T
+        return w[..., :-1] / w[..., -1:]
 
-    def line_to_chart(self, covector: np.ndarray) -> np.ndarray:
-        """Chart coefficients (a, b, c) of the hyperplane `covector` kills: a*u + b*v + c = 0."""
-        coeffs = np.linalg.solve(self.frame.T, covector)
-        return coeffs / np.linalg.norm(coeffs[:-1])
+    def line_to_chart(self, covectors) -> np.ndarray:
+        """Coefficients (..., 3), (a, b) of unit norm, of the lines a*u + b*v + c = 0 killed."""
+        coeffs = np.linalg.solve(self.frame.T, np.asarray(covectors).T).T
+        return coeffs / np.linalg.norm(coeffs[..., :-1], axis=-1, keepdims=True)
 
 
-def signed_polygon_distance(vertices: np.ndarray, point: np.ndarray) -> float:
-    """Minimal signed edge distance to a convex polygon; positive inside."""
+def signed_polygon_distance(vertices: np.ndarray, points: np.ndarray):
+    """Minimal signed edge distance of each point (..., 2) to a convex polygon; positive inside."""
     m = vertices.shape[0]
     nxt = vertices[(np.arange(m) + 1) % m]
     edges = nxt - vertices
-    rel = point[None, :] - vertices
-    cross = edges[:, 0] * rel[:, 1] - edges[:, 1] * rel[:, 0]
+    rel = np.asarray(points)[..., None, :] - vertices
+    cross = edges[:, 0] * rel[..., 1] - edges[:, 1] * rel[..., 0]
     lengths = np.linalg.norm(edges, axis=1)
     dist = cross / np.where(lengths > 0, lengths, 1.0)
     area2 = float(np.sum(vertices[:, 0] * nxt[:, 1] - vertices[:, 1] * nxt[:, 0]))
-    if area2 < 0:
-        dist = -dist
-    return float(np.min(dist))
+    return np.min(dist if area2 >= 0 else -dist, axis=-1)

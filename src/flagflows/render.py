@@ -8,11 +8,11 @@ only wraps the elements, so the text is deterministic: fixed attribute
 order, no timestamps.
 """
 
-import contextlib
 import math
 from dataclasses import dataclass, field
 
-from .config import PointOutsideDomain
+from .devmaps import develop, leaf_sweep
+from .projective import cross_meet
 
 SIZE = 640            # canvas width and height in pixels
 SEGMENT_WIDTH = 0.8   # stroke width of tangent and leaf lines
@@ -108,32 +108,18 @@ def _segment_within_viewport(scene, coeffs):
 
 def scene_dev_image(curve, map_name: str, x: float, z: float) -> SceneDescription:
     """Boundary, leaf chord/tangent, and a developed leaf image."""
-    from .devmaps import MAP_TABLE, LeafPoint, leaf_sweep
-    from .projective import annihilator
-
-    if map_name not in MAP_TABLE:
-        raise ValueError(f"unknown map {map_name!r}; choose from {sorted(MAP_TABLE)}")
-    fn = MAP_TABLE[map_name]
+    points, lines = develop(curve, map_name, x, leaf_sweep(x, z, DEV_SAMPLES), z)
     scene = scene_boundary(curve)
-    image_pts = []
-    example_line = None
-    for k, y in enumerate(leaf_sweep(x, z, DEV_SAMPLES), start=1):
-        f = fn(curve, LeafPoint(x, y, z))
-        with contextlib.suppress(PointOutsideDomain):  # not drawn: on the line at infinity
-            image_pts.append(curve.chart.to_chart(f.point))
-        if k == DEV_SAMPLES // 2:
-            example_line = f.line
-    scene.add_polyline(image_pts, color="#2a7", stroke_width=1.2)
+    shown = curve.chart.in_chart(points)  # the rest are on the line at infinity
+    scene.add_polyline(curve.chart.to_chart(points[shown]), color="#2a7", stroke_width=1.2)
     for theta, color in ((x, "#a33"), (z, "#36c")):
         scene.add_point(curve.chart_point(theta), color=color)
-        tang = curve.chart.line_to_chart(annihilator(curve.flag_at(theta).frame)[:, 0])
+        tang = curve.chart.line_to_chart(cross_meet(*curve.flag_at(theta).frame.T))
         seg = _segment_within_viewport(scene, tang)
         if seg:
             scene.add_segment(seg[0], seg[1], color=color, dashed=True)
-    if example_line is not None:
-        coeffs = curve.chart.line_to_chart(annihilator(example_line.basis)[:, 0])
-        seg = _segment_within_viewport(scene, coeffs)
-        if seg:
-            scene.add_segment(seg[0], seg[1], color="#777")
+    seg = _segment_within_viewport(scene, curve.chart.line_to_chart(lines[DEV_SAMPLES // 2 - 1]))
+    if seg:
+        scene.add_segment(seg[0], seg[1], color="#777")
     scene.add_label((scene.viewport[0] + 0.05, scene.viewport[3] - 0.15), map_name)
     return scene

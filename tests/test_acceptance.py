@@ -16,12 +16,10 @@ from curvehelpers import collinear_degenerate_curve
 from flagflows.cli import main as cli_main
 from flagflows.devmaps import (
     LeafPoint,
+    develop,
     geodesic_realization,
     omega_membership,
-    phi_tan_minus,
     phi_tan_plus,
-    phi_tr,
-    psi_k,
     type_classifier,
 )
 from flagflows.flows import cocycle, decay_experiment, flow_period, period_spectrum, reference_flow
@@ -146,17 +144,14 @@ def test_criterion_3_two_sheeted_covering_identity(exact_curve, deep_curve):
 
 def test_criterion_4_domain_membership(exact_curve):
     rng = np.random.default_rng(34)
-    expected = [(phi_tr, "2"), (phi_tan_plus, "2"), (phi_tan_minus, "2"),
-                (lambda c, p: psi_k(c, p, 1), "1"),
-                (lambda c, p: psi_k(c, p, 2), "1"),
-                (lambda c, p: psi_k(c, p, 3), "3"),
-                (lambda c, p: psi_k(c, p, 4), "3")]
+    expected = {"tr": "2", "tan+": "2", "tan-": "2", "psi1": "1", "psi2": "1",
+                "psi3": "3", "psi4": "3"}
+    triples = [_random_triple(rng) for _ in range(100)]
+    x, y, z = np.array([(p.x, p.y, p.z) for p in triples]).T
     errors = 0
-    for _ in range(100):
-        p = _random_triple(rng)
-        for fn, want in expected:
-            if omega_membership(exact_curve, fn(exact_curve, p)) != want:
-                errors += 1
+    for name, want in expected.items():
+        labels = omega_membership(exact_curve, *develop(exact_curve, name, x, y, z))
+        errors += int(np.sum(labels != want))
     ok = errors == 0
     _report(4, "domain membership of all seven maps, 100 leaf points",
             ok, f"{errors} misclassifications in 700 evaluations")
@@ -244,18 +239,16 @@ def test_criterion_8_simple_root_degeneracy_witness(exact_curve4):
 
 def test_criterion_9_type_classifier(exact_curve):
     rng = np.random.default_rng(90)
-    cases = [(phi_tr, "transverse"), (phi_tan_plus, "tangent_plus"),
-             (phi_tan_minus, "tangent_minus")]
+    cases = [("tr", "transverse"), ("tan+", "tangent_plus"), ("tan-", "tangent_minus")]
     total = correct = 0
     for _ in range(8):
         x = rng.uniform(0, 2 * math.pi)
         z = x + rng.uniform(2.5, 4.5)
         arc = (z - x) % (2 * math.pi)
-        for fn, want in cases:
-            samples = [fn(exact_curve, LeafPoint(x, x + arc * k / 13, z))
-                       for k in range(1, 13)]
+        for name, want in cases:
+            points, _ = develop(exact_curve, name, x, x + arc * np.arange(1, 13) / 13, z)
             total += 1
-            correct += type_classifier(samples, exact_curve, x, z) == want
+            correct += type_classifier(points, exact_curve, x, z) == want
     ok = correct == total
     _report(9, "support-line type classifier", ok, f"{correct}/{total} correct")
     assert ok

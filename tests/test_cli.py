@@ -138,6 +138,24 @@ def test_word_ball_below_one_is_refused_at_load_time(tmp_path, capsys, config, w
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("config", [("--bulge", "0.3"), ("--n", "2")], ids=["bulged", "n2"])
+@pytest.mark.parametrize("command", [("periods", "--max-len", "3"), ("build-rep",)])
+def test_word_ball_too_small_to_sample_is_refused_at_load_time(tmp_path, capsys, config,
+                                                               command):
+    """A sampled curve needs MIN_SAMPLES samples, and word_ball 2 holds 40 classes."""
+    assert run(tmp_path, *config, "--word-ball", "2", *command) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ValueError"
+    assert "MIN_SAMPLES" in err["error"]["message"]
+    assert not any(tmp_path.iterdir())
+
+
+def test_word_balls_large_enough_to_sample_are_accepted(tmp_path):
+    assert run(tmp_path, "--bulge", "0.3", "--word-ball", "3", "build-rep") == 0
+    # the closed-form Fuchsian curve reads no word ball
+    assert run(tmp_path, "--word-ball", "1", "build-rep") == 0
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     src = str(Path(flagflows.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 import sympy
 
+from flagflows.config import DegenerateMeet
 from flagflows.devmaps import (
+    MAP_TABLE,
     LeafPoint,
     PointLineFlag,
     concavity_check,
     covering_checks,
+    develop,
+    develop_frames,
     geodesic_realization,
     involution_iota,
     leaf_context,
@@ -19,7 +23,8 @@ from flagflows.devmaps import (
     psi_k,
     type_classifier,
 )
-from flagflows.projective import Flag, ProjectiveSubspace, dual, join, meet
+from flagflows.limitcurve import second_boundary_intersection
+from flagflows.projective import Flag, ProjectiveSubspace, join, meet
 from flagflows.reps import mobius_theta
 
 
@@ -37,23 +42,32 @@ def _conic_flag(point, tangent_dir):
 F_INF = _conic_flag([1, 0, 0], [0, 1, 0])
 F_ONE = _conic_flag([1, 1, 1], [2, 1, 0])
 F_ZERO = _conic_flag([0, 0, 1], [0, 1, 0])
-DUMMY = LeafPoint(0.5, 1.5, 2.5)  # placeholders; flags passed explicitly
 
 
-def test_phi_tr_on_the_rational_conic(exact_curve):
-    f = phi_tr(exact_curve, DUMMY, flags=(F_INF, F_ONE, F_ZERO))
-    assert f.point.principal_angle(ProjectiveSubspace.point([1.0, 0.0, -1.0])) < 1e-12
-    assert dual(f.line).principal_angle(ProjectiveSubspace.point([0.0, 1.0, 0.0])) < 1e-12
+def _angle(u, v) -> float:
+    """Angle between the lines of R^3 along the vectors u and v."""
+    return ProjectiveSubspace.point(u).principal_angle(ProjectiveSubspace.point(v))
 
 
-def test_phi_tan_plus_on_the_rational_conic(exact_curve):
-    f = phi_tan_plus(exact_curve, DUMMY, flags=(F_INF, F_ONE, F_ZERO))
-    assert f.point.principal_angle(ProjectiveSubspace.point([0.0, 1.0, 2.0])) < 1e-12
-    assert dual(f.line).principal_angle(ProjectiveSubspace.point([0.0, -2.0, 1.0])) < 1e-12
+def _develop(name, fx, fy, fz):
+    """develop_frames on one triple of flags; returns one point and one line covector."""
+    point, line = develop_frames(name, fx.frame[None], fy.frame[None], fz.frame[None])
+    return point[0], line[0]
+
+
+def test_phi_tr_on_the_rational_conic():
+    point, line = _develop("tr", F_INF, F_ONE, F_ZERO)
+    assert _angle(point, [1.0, 0.0, -1.0]) < 1e-12
+    assert _angle(line, [0.0, 1.0, 0.0]) < 1e-12
+
+
+def test_phi_tan_plus_on_the_rational_conic():
+    point, line = _develop("tan+", F_INF, F_ONE, F_ZERO)
+    assert _angle(point, [0.0, 1.0, 2.0]) < 1e-12
+    assert _angle(line, [0.0, -2.0, 1.0]) < 1e-12
     # the point entry reads only y and z
     other_x = _conic_flag([4, 2, 1], [4, 1, 0])  # s = 2
-    g = phi_tan_plus(exact_curve, DUMMY, flags=(other_x, F_ONE, F_ZERO))
-    assert g.point.principal_angle(f.point) < 1e-12
+    assert _angle(_develop("tan+", other_x, F_ONE, F_ZERO)[0], point) < 1e-12
 
 
 def test_iota_line_on_the_rational_conic():
@@ -65,15 +79,68 @@ def test_iota_line_on_the_rational_conic():
     assert line.contains(ProjectiveSubspace.point([1.0, -1.0, 1.0]))
 
 
-def test_two_sheet_identity_on_the_rational_conic(exact_curve):
+def test_two_sheet_identity_on_the_rational_conic():
     # second hit of the tangent-map line from x = infinity is s = 1/2;
     # the deck transform evaluates the map at (1/2, 0, 1) with y, z swapped
-    f = phi_tan_plus(exact_curve, DUMMY, flags=(F_INF, F_ONE, F_ZERO))
+    point, line = _develop("tan+", F_INF, F_ONE, F_ZERO)
     w_flag = _conic_flag([1, 2, 4], [1, 1, 0])  # s = 1/2, tangent (2s, 1, 0)
-    assert f.line.contains(w_flag[1])
-    g = phi_tan_plus(exact_curve, DUMMY, flags=(w_flag, F_ZERO, F_ONE))
-    assert g.point.principal_angle(f.point) < 1e-12
-    assert g.line.principal_angle(f.line) < 1e-12
+    assert abs(line @ w_flag.frame[:, 0]) < 1e-12
+    g_point, g_line = _develop("tan+", w_flag, F_ZERO, F_ONE)
+    assert _angle(g_point, point) < 1e-12
+    assert _angle(g_line, line) < 1e-12
+
+
+# -- the cross-product kernel against join and meet ---------------------------
+
+
+def _join_meet_formula(curve, name, x, y, z):
+    """The map `name` written out with join and meet of curve flags: (point, line)."""
+    fx, fy, fz = (curve.flag_at(t) for t in (x, y, z))
+    chord, pivot = join([fx[1], fz[1]]), meet([fx[2], fz[2]])
+    if name == "tan-":  # tan+ after the involution of y
+        fy = curve.flag_at(second_boundary_intersection(curve, join([fy[1], pivot]), y))
+        name = "tan+"
+    if name == "tr":
+        return meet([chord, fy[2]]), chord
+    if name == "tan+":
+        point = meet([fy[2], fz[2]])
+        return point, join([fx[1], point])
+    if name in ("psi1", "psi2"):
+        line = join([fy[1], pivot])
+        return meet([chord, line]), line if name == "psi1" else chord
+    if name == "psi3":
+        return pivot, join([pivot, meet([fy[2], chord])])
+    point = meet([chord, fy[2]])  # psi4
+    return point, join([point, pivot])
+
+
+@pytest.mark.parametrize("curve_name", ["exact_curve", "bulged_curve"])
+@pytest.mark.parametrize("name", sorted(MAP_TABLE))
+def test_kernel_equals_the_join_meet_formulas(request, curve_name, name):
+    curve = request.getfixturevalue(curve_name)
+    rng = np.random.default_rng(17)
+    x = rng.uniform(0.0, 2 * math.pi, 6)
+    y = x + rng.uniform(0.4, 2.5, 6)
+    z = y + rng.uniform(0.4, 2.5, 6)
+    points, lines = develop(curve, name, x, y, z)
+    for k, p in enumerate(LeafPoint(*t) for t in zip(x, y, z)):
+        want_point, want_line = _join_meet_formula(curve, name, p.x, p.y, p.z)
+        assert _angle(points[k], want_point.vector) < 1e-12
+        assert _angle(lines[k], want_line.covectors[:, 0]) < 1e-12
+        # the one-triple map is the same kernel output
+        f = MAP_TABLE[name](curve, p)
+        assert np.array_equal(f.point.vector, points[k])
+        assert _angle(f.line.covectors[:, 0], lines[k]) < 1e-14
+
+
+def test_kernel_refuses_coincident_lines():
+    # a middle flag whose line y2 is the chord x1 + z1 = {v : v_1 = 0}
+    on_chord = _conic_flag([1, 0, 1], [1, 0, -1])
+    for name in ("tr", "psi3", "psi4"):  # each meets y2 with the chord
+        with pytest.raises(DegenerateMeet):
+            _develop(name, F_INF, on_chord, F_ZERO)
+    with pytest.raises(DegenerateMeet):  # x = z: the chord is no line
+        _develop("tr", F_INF, F_ONE, F_INF)
 
 
 # -- symbolic oracle on the Fuchsian curve -----------------------------------
@@ -129,7 +196,7 @@ def test_equivariance_of_developing_maps(exact_curve, reference):
         assert h.point.principal_angle(
             ProjectiveSubspace.point(g3 @ f.point.vector)) < 1e-9
         assert h.line.principal_angle(
-            ProjectiveSubspace.from_spanning((g3 @ f.line.basis).T)) < 1e-9
+            join([ProjectiveSubspace.point(v) for v in (g3 @ f.line.basis).T])) < 1e-9
 
 
 # -- involution and point-line maps ------------------------------------------
@@ -223,22 +290,23 @@ def test_simple_root_realization_ignores_z_in_dim_four(exact_curve4):
 def test_membership_of_an_interior_point(exact_curve):
     verts = exact_curve.chart_points()
     center = verts.mean(axis=0)
-    hom = np.linalg.solve(exact_curve.chart.frame, np.append(center, 1.0))
-    point = ProjectiveSubspace.point(hom)
-    line = join([point, exact_curve.flag_at(0.0)[1]])
-    assert omega_membership(exact_curve, PointLineFlag(point, line)) == "1"
+    point = np.linalg.solve(exact_curve.chart.frame, np.append(center, 1.0))
+    line = np.cross(point, exact_curve.flag_at(0.0).frame[:, 0])
+    assert omega_membership(exact_curve, point[None], line[None]).tolist() == ["1"]
 
 
 def test_membership_of_map_images(exact_curve):
     rng = np.random.default_rng(4)
-    expected = {phi_tr: "2", phi_tan_plus: "2", phi_tan_minus: "2"}
+    triples = []
     for _ in range(5):
         x = rng.uniform(0, 2 * math.pi)
         p = LeafPoint(x, x + rng.uniform(0.5, 2.5), x + rng.uniform(3.0, 5.5))
-        for fn, want in expected.items():
-            assert omega_membership(exact_curve, fn(exact_curve, p)) == want
-        assert omega_membership(exact_curve, psi_k(exact_curve, p, 1)) == "1"
-        assert omega_membership(exact_curve, psi_k(exact_curve, p, 4)) == "3"
+        triples.append((p.x, p.y, p.z))
+    x, y, z = np.array(triples).T
+    for name, want in (("tr", "2"), ("tan+", "2"), ("tan-", "2"), ("psi1", "1"),
+                       ("psi4", "3")):
+        labels = omega_membership(exact_curve, *develop(exact_curve, name, x, y, z))
+        assert labels.tolist() == [want] * 5
 
 
 def test_covering_checks_on_the_exact_curve(exact_curve):
@@ -258,11 +326,10 @@ def test_concavity_of_the_leaf_family_image(exact_curve):
 def test_type_classifier_separates_the_three_maps(exact_curve):
     x, z = 0.4, 3.7
     arc = (z - x) % (2 * math.pi)
-    for fn, want in ((phi_tr, "transverse"), (phi_tan_plus, "tangent_plus"),
-                     (phi_tan_minus, "tangent_minus")):
-        samples = [fn(exact_curve, LeafPoint(x, x + arc * k / 13, z))
-                   for k in range(1, 13)]
-        assert type_classifier(samples, exact_curve, x, z) == want
+    for name, want in (("tr", "transverse"), ("tan+", "tangent_plus"),
+                       ("tan-", "tangent_minus")):
+        points, _ = develop(exact_curve, name, x, x + arc * np.arange(1, 13) / 13, z)
+        assert type_classifier(points, exact_curve, x, z) == want
 
 
 def test_leaf_point_validation():

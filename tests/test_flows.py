@@ -271,10 +271,10 @@ def test_stable_leaf_distance_decays(exact_curve):
 
 
 def test_stable_leaf_distance_lets_non_numerical_errors_through(exact_curve, monkeypatch):
-    def broken_meet(subspaces):
+    def broken_meet(a, b):
         raise KeyError("not a numerical failure")
 
-    monkeypatch.setattr(flows, "meet", broken_meet)
+    monkeypatch.setattr(flows, "cross_meet", broken_meet)
     with pytest.raises(KeyError):
         stable_leaf_distance(exact_curve, LeafPoint(0.5, 0.7, 3.9), 3.5)
 
