@@ -328,7 +328,7 @@ def cmd_dev_image(cfg, args):
     header = ["y"] + [f"p{k}" for k in range(curve.n)]
     if args.map.startswith("alpha:"):
         ctx = leaf_context(curve, _parse_alpha(args.map.split(":", 1)[1]), x, z)
-        rows = [[y, *ctx.image(curve.flag_at(y)).vector] for y in ys]
+        rows = [[y, *v] for y, v in zip(ys, ctx.image(curve.hyperplane_covectors_at(ys)))]
     else:
         header += [f"line{k}" for k in range(curve.n)]
         points, lines = develop(curve, args.map, x, ys, z)
@@ -353,7 +353,7 @@ def cmd_flow(cfg, args):
                         float(args.t_max), int(args.steps))
     write_csv(cfg, "flow_orbit.csv",
               ["t", "y"] + [f"p{k}" for k in range(curve.n)],
-              [[t, y] + list(img.vector) for t, y, img in record.samples])
+              [[t, y, *image] for t, y, image in record.samples])
     period = flow_period(curve, alpha, word)
     jd = jordan_projection(curve.rep.matrix(word),
                            curve.rep.matrix(word.inverse()))

@@ -8,18 +8,20 @@ and returns stacked points and line covectors; `phi_tr`, `phi_tan_plus`,
 `phi_tan_minus` and `psi_k` are its one-triple faces, which return a
 `PointLineFlag`.  The domain membership classifier and the covering /
 concavity / type diagnostics work on the stacked arrays.  The geodesic
-realizations of the roots of PSL(n), read off the image segment of each
-leaf (`leaf_context`), serve every n >= 3 and stay on `join` and `meet`.
+realizations of the roots of PSL(n) serve every n >= 3: each leaf's
+image segment (`leaf_context`) takes one `meet` per interior endpoint,
+and every leaf point is read from two dot products with the covector of
+its hyperplane y^{n-1}.
 """
 
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .config import PointOutsideSegment, UnclassifiedLine
+from .config import DegenerateMeet, PointOutsideSegment, UnclassifiedLine
 from .limitcurve import BoundaryCurve, second_boundary_intersection
-from .projective import (ProjectiveSubspace, cross_meet, cross_ratio, join, meet,
+from .projective import (RANK_TOL, ProjectiveSubspace, cross_meet, cross_ratio, meet,
                          signed_polygon_distance)
 from .reps import circular_gap, positively_oriented
 
@@ -112,14 +114,9 @@ def develop_frames(name: str, fx, fy, fz):
     raise ValueError(f"no frame formula for map {name!r}")
 
 
-def _frames(curve: BoundaryCurve, thetas) -> np.ndarray:
-    """Frames (m, 3, 2) of the memoised flags at m parameters."""
-    return np.array([curve.flag_at(t).frame for t in thetas]).reshape(len(thetas), 3, 2)
-
-
 def _involution(curve: BoundaryCurve, x, y, z) -> np.ndarray:
     """The y of each triple after the involution: the second boundary hit of its iota line."""
-    points, lines = develop_frames("iota", *(_frames(curve, t) for t in (x, y, z)))
+    points, lines = develop_frames("iota", *(curve.frames_at(t) for t in (x, y, z)))
     return np.array([second_boundary_intersection(curve, PointLineFlag.from_vectors(p, l).line, t)
                      for p, l, t in zip(points, lines, y)])
 
@@ -140,7 +137,7 @@ def develop(curve: BoundaryCurve, name: str, x, y, z):
     x, y, z = np.array([astuple(LeafPoint(*t)) for t in triples]).reshape(-1, 3).T
     if name == "tan-":
         return develop(curve, "tan+", x, _involution(curve, x, y, z), z)
-    return develop_frames(name, *(_frames(curve, t) for t in (x, y, z)))
+    return develop_frames(name, *(curve.frames_at(t) for t in (x, y, z)))
 
 
 def _one(curve: BoundaryCurve, name: str, p: LeafPoint) -> PointLineFlag:
@@ -176,35 +173,45 @@ def psi_k(curve: BoundaryCurve, p: LeafPoint, k: int) -> PointLineFlag:
     return _one(curve, f"psi{k}", p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LeafMetricContext:
     """The image segment of one geodesic leaf under a root realization.
 
-    `forward` and `backward` are the segment endpoints; forward is the
-    one the flow moves toward (x^i ∩ z^{n-i+1}).  Cross-ratio
-    coordinates and image points of leaf points are taken on their join.
+    `forward` = a and `backward` = b are unit vectors along its endpoints;
+    the flow moves toward forward, x^i ∩ z^{n-i+1}.  A leaf point is read
+    from the covector m of its hyperplane y^{n-1}, on stacked covectors
+    (..., n): its image, the segment line met with y^{n-1}, is
+    (m.b) a - (m.a) b, and its coordinate -(m.b)/(m.a) is a ratio of
+    pairings, the form of Labourie's cross ratio.
     """
 
-    forward: ProjectiveSubspace
-    backward: ProjectiveSubspace
-    support_line: ProjectiveSubspace = field(init=False)
+    forward: np.ndarray
+    backward: np.ndarray
 
     def __post_init__(self):
-        if self.forward.principal_angle(self.backward) < 1e-9:
+        a, b = self.forward, self.backward
+        if np.linalg.norm(b - (a @ b) * a) < 1e-9:  # sine of their angle
             raise ValueError("leaf endpoints coincide")
-        object.__setattr__(self, "support_line", join([self.forward, self.backward]))
 
-    def coordinate(self, p: ProjectiveSubspace) -> float:
-        """Affine coordinate u with backward at 0 and forward at infinity."""
-        basis = np.column_stack([self.forward.vector, self.backward.vector])
-        c, *_ = np.linalg.lstsq(basis, p.vector, rcond=None)
-        if abs(c[1]) < 1e-14 * abs(c[0]):
+    def _pairings(self, m):
+        """(m.a, m.b), refused where both endpoints lie numerically in ker m = y^{n-1}."""
+        ma, mb = m @ self.forward, m @ self.backward
+        if np.any(np.maximum(np.abs(ma), np.abs(mb)) <= RANK_TOL * np.linalg.norm(m, axis=-1)):
+            raise DegenerateMeet("meet has dimension 2, expected 1")
+        return ma, mb
+
+    def coordinate(self, m):
+        """Segment coordinate -(m.b)/(m.a) of each image: backward at 0, forward at infinity."""
+        ma, mb = self._pairings(m)
+        if np.any(np.abs(ma) < 1e-14 * np.abs(mb)):
             raise PointOutsideSegment("point at the forward endpoint")
-        return float(c[0] / c[1])
+        return -mb / ma
 
-    def image(self, fy) -> ProjectiveSubspace:
-        """Image of the leaf point whose middle flag is fy: support line ∩ y^{n-1}."""
-        return meet([self.support_line, fy[fy.ambient_dim - 1]])
+    def image(self, m) -> np.ndarray:
+        """Unit vectors (..., n) along the images (m.b) a - (m.a) b."""
+        ma, mb = self._pairings(m)
+        image = mb[..., None] * self.forward - ma[..., None] * self.backward
+        return image / np.linalg.norm(image, axis=-1, keepdims=True)
 
 
 def leaf_context(curve: BoundaryCurve, alpha, x: float, z: float) -> LeafMetricContext:
@@ -220,17 +227,15 @@ def leaf_context(curve: BoundaryCurve, alpha, x: float, z: float) -> LeafMetricC
     if not (1 <= i < j <= n):
         raise ValueError("need 1 <= i < j <= n")
     fx, fz = curve.flag_at(x), curve.flag_at(z)
-    return LeafMetricContext(*(fx[1] if k == 1 else fz[1] if k == n else
-                               meet([fx[k], fz[n - k + 1]]) for k in (i, j)))
+    return LeafMetricContext(*(fx.frame[:, 0] if k == 1 else fz.frame[:, 0] if k == n else
+                               meet([fx[k], fz[n - k + 1]]).vector for k in (i, j)))
 
 
 def geodesic_realization(curve: BoundaryCurve, i: int, j: int,
                          p: LeafPoint) -> ProjectiveSubspace:
-    """Image point of the root (i, j) realization of the leaf point.
-
-    [(x^i ∩ z^{n-i+1}) + (x^j ∩ z^{n-j+1})] ∩ y^{n-1}.
-    """
-    return leaf_context(curve, (i, j), p.x, p.z).image(curve.flag_at(p.y))
+    """Root (i, j) realization [(x^i ∩ z^{n-i+1}) + (x^j ∩ z^{n-j+1})] ∩ y^{n-1} of p."""
+    ctx = leaf_context(curve, (i, j), p.x, p.z)
+    return ProjectiveSubspace(curve.n, ctx.image(curve.hyperplane_covectors_at([p.y])[0]))
 
 
 def leaf_sweep(x: float, z: float, num: int) -> list:

@@ -4,7 +4,8 @@ Sign convention used throughout: on the leaf (x, z) the forward direction
 is toward the endpoint x^i ∩ z^{n-i+1} (for the tangent type in dimension
 three, toward x2 ∩ z2).  With x the attracting and z the repelling fixed
 point of a loxodromic element, one period of the flow is then the
-positive root length l_i - l_j.
+positive root length l_i - l_j.  A leaf point is read from the covector
+of its hyperplane y^{n-1}, by two dot products with the segment ends.
 """
 
 import math
@@ -12,12 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import (FlagFlowsError, NotDefinedHere, NotLoxodromic, PointOutsideSegment,
-                     RootFindFailure)
+from .config import (DegenerateMeet, FlagFlowsError, InsufficientResolution, NotDefinedHere,
+                     NotLoxodromic, PointOutsideSegment, RootFindFailure)
 from .devmaps import (LeafMetricContext, LeafPoint, PointLineFlag, develop,
                       geodesic_realization, leaf_context)
 from .limitcurve import ROOT_TOL, BoundaryCurve, bracketed_root, second_boundary_intersection
-from .projective import ProjectiveSubspace, cross_meet, cross_ratio
+from .projective import cross_meet, cross_ratio
 from .reps import (boundary_vector, circular_gap, loxodromic_eigensystem, read_from_g,
                    theta_of_vector)
 from .words import GroupWord
@@ -29,13 +30,12 @@ SPECTRUM_BLOCK_ENTRIES = 16_384
 PROBE_BASE_SCALE, PROBE_SCALES = 0.2, 6
 
 
-def leafwise_distance(ctx: LeafMetricContext, p1: ProjectiveSubspace,
-                      p2: ProjectiveSubspace) -> float:
-    """Signed log-cross-ratio distance along the leaf segment.
+def leafwise_distance(ctx: LeafMetricContext, m1: np.ndarray, m2: np.ndarray) -> float:
+    """Signed log-cross-ratio distance along the leaf segment, from covectors of two y^{n-1}.
 
-    Positive when p2 is forward of p1; additive along the segment.
+    Positive when the second image is forward of the first; additive.
     """
-    u1, u2 = ctx.coordinate(p1), ctx.coordinate(p2)
+    u1, u2 = ctx.coordinate(m1), ctx.coordinate(m2)
     if u1 == 0.0 or u2 == 0.0 or (u1 > 0) != (u2 > 0):
         raise PointOutsideSegment("points on different components of the leaf line")
     return math.log(abs(u2)) - math.log(abs(u1))
@@ -46,9 +46,9 @@ class FlowOrbitRecord:
     """Trajectory of one leaf point under a refraction flow."""
 
     leaf: tuple
-    samples: list = field(default_factory=list, init=False)  # (t, y, image point)
+    samples: list = field(default_factory=list, init=False)  # (t, y, unit image vector)
 
-    def append(self, t: float, y: float, image: ProjectiveSubspace):
+    def append(self, t: float, y: float, image: np.ndarray):
         """Record a sample; |t| must grow strictly, keeping the sign of the first nonzero t."""
         if self.samples:
             last = self.samples[-1][0]
@@ -62,16 +62,16 @@ def _arc_solve(curve, ctx, p: LeafPoint, target_log_u: float, sign: float) -> fl
 
     log|u| falls from x to z, so the bracket grows from y toward x when
     log|u(y)| is below the target and toward z otherwise.  A probe whose
-    image is numerically a segment endpoint halves its distance back
-    toward the last good probe.  The root between the last good probe and
-    the first probe past the target is found by `bracketed_root` in the
-    arc fraction.
+    image is numerically a segment endpoint, or undefined, halves its
+    distance back toward the last good probe.  The root between the last
+    good probe and the first probe past the target is found by
+    `bracketed_root` in the arc fraction.
     """
     arc = circular_gap(p.x, p.z)
 
     def value(frac):
         y = (p.x + frac * arc) % (2 * math.pi)
-        u = ctx.coordinate(ctx.image(curve.flag_at(y)))
+        u = ctx.coordinate(curve.hyperplane_covectors_at([y])[0])
         if (u > 0) != (sign > 0):
             raise RootFindFailure("image left the segment component")
         return math.log(abs(u)) - target_log_u
@@ -89,7 +89,7 @@ def _arc_solve(curve, ctx, p: LeafPoint, target_log_u: float, sign: float) -> fl
     while abs(probe - good) * arc > ROOT_TOL:
         try:
             fp = value(probe)
-        except (RootFindFailure, PointOutsideSegment):
+        except (RootFindFailure, PointOutsideSegment, DegenerateMeet):
             probe = 0.5 * (good + probe)
             continue
         if fp * f0 <= 0:
@@ -113,31 +113,33 @@ def flow_step(curve: BoundaryCurve, alpha, p: LeafPoint, t: float) -> LeafPoint:
     if t == 0.0:
         return p
     ctx = leaf_context(curve, alpha, p.x, p.z)
-    u0 = ctx.coordinate(ctx.image(curve.flag_at(p.y)))
+    u0 = ctx.coordinate(curve.hyperplane_covectors_at([p.y])[0])
     target = math.log(abs(u0)) + t
     y_new = _arc_solve(curve, ctx, p, target, math.copysign(1.0, u0))
     return LeafPoint(p.x, y_new, p.z)
 
 
-def _require_orbit(t_max: float, steps: int) -> None:
+def _orbit(curve: BoundaryCurve, alpha, p: LeafPoint, t_max: float, steps: int):
+    """Yield (t, leaf point) from t = 0 to a finite nonzero t_max in `steps` >= 1 flow steps."""
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
     if t_max == 0.0 or not math.isfinite(t_max):
         raise ValueError(f"t_max must be finite and nonzero, got {t_max}")
+    yield 0.0, p
+    for k in range(1, steps + 1):
+        p = flow_step(curve, alpha, p, t_max / steps)
+        yield t_max * k / steps, p
 
 
 def flow_orbit(curve: BoundaryCurve, alpha, p: LeafPoint, t_max: float,
                steps: int) -> FlowOrbitRecord:
     """Integrate to a finite nonzero t_max in `steps` >= 1 equal steps; record (t, y, image)."""
-    _require_orbit(t_max, steps)
-    record = FlowOrbitRecord(leaf=(p.x, p.z))
+    orbit = list(_orbit(curve, alpha, p, t_max, steps))
     ctx = leaf_context(curve, alpha, p.x, p.z)
-    current = p
-    for k in range(steps + 1):
-        t = t_max * k / steps if k else 0.0  # not -0.0 when t_max < 0
-        if k > 0:
-            current = flow_step(curve, alpha, current, t_max / steps)
-        record.append(t, current.y, ctx.image(curve.flag_at(current.y)))
+    images = ctx.image(curve.hyperplane_covectors_at([q.y for _, q in orbit]))
+    record = FlowOrbitRecord(leaf=(p.x, p.z))
+    for (t, q), image in zip(orbit, images):
+        record.append(t, q.y, image)
     return record
 
 
@@ -173,8 +175,7 @@ def _word_periods(curve: BoundaryCurve, roots, words) -> list:
     """Periods of every root for a block of words: one list of periods per word.
 
     The leaf endpoints x^i ∩ z^{n-i+1} are exactly the eigenvectors of
-    rep(gamma), so the image of the developing map on the leaf through a
-    hyperplane with covector m is (m.b) a - (m.a) b in closed form.  The
+    rep(gamma), read against each hyperplane as in `LeafMetricContext`.  The
     period is the log-stretch of the image point's segment coordinate
     under gamma, split into its forward and backward coordinate factors;
     each factor is evaluated by applying gamma or the independently
@@ -268,7 +269,7 @@ def cocycle(curve: BoundaryCurve, alpha, p: LeafPoint, t: float) -> float:
     """Translation cocycle of the alpha flow over the reference geodesic flow."""
     ctx = leaf_context(curve, alpha, p.x, p.z)
     y2 = reference_flow(p.x, p.z, p.y, t)
-    return leafwise_distance(ctx, ctx.image(curve.flag_at(p.y)), ctx.image(curve.flag_at(y2)))
+    return leafwise_distance(ctx, *curve.hyperplane_covectors_at([p.y, y2]))
 
 
 def stable_leaf_distance(curve: BoundaryCurve, p: LeafPoint, y0: float) -> float:
@@ -299,19 +300,12 @@ def decay_experiment(curve: BoundaryCurve, p: LeafPoint, y0: float,
     Returns (slope, samples) where samples is a list of (t, distance)
     over `steps` >= 1 equal steps to a finite nonzero `t_max`.
     """
-    _require_orbit(t_max, steps)
-    samples = []
-    current = p
-    for k in range(steps + 1):
-        t = t_max * k / steps if k else 0.0  # not -0.0 when t_max < 0
-        if k > 0:
-            current = flow_step(curve, (2, 3), current, t_max / steps)
-        samples.append((t, stable_leaf_distance(curve, current, y0)))
-    ts = np.array([s[0] for s in samples])
-    ds = np.array([abs(s[1]) for s in samples])
-    if np.any(ds <= 0):
+    samples = [(t, stable_leaf_distance(curve, q, y0))
+               for t, q in _orbit(curve, (2, 3), p, t_max, steps)]
+    ts, ds = np.array(samples).T
+    if np.any(ds == 0):
         raise NotDefinedHere("stable-leaf distance vanished along the orbit")
-    slope = float(np.polyfit(ts, np.log(ds), 1)[0])
+    slope = float(np.polyfit(ts, np.log(np.abs(ds)), 1)[0])
     return slope, samples
 
 
@@ -335,26 +329,22 @@ def regularity_probe(curve: BoundaryCurve, x: float, z: float) -> RegularityProb
     between nearby tangents is regressed against the separation in
     log-log coordinates.
     """
-    from .config import InsufficientResolution
-
     n = curve.n
     if n < 4:
         raise ValueError("probe requires n >= 4")
     y_c = (x + circular_gap(x, z) / 2) % (2 * math.pi)
 
     def image(alpha, s):
-        return geodesic_realization(
-            curve, alpha[0], alpha[1],
-            LeafPoint((x + s) % (2 * math.pi), (y_c + s) % (2 * math.pi), z))
+        return geodesic_realization(curve, *alpha, LeafPoint(x + s, y_c + s, z)).vector
 
     def make_chart(alpha):
         # local chart anchored at the central image point (no global
         # affine chart exists for even n)
-        h = image(alpha, 0.0).vector
+        h = image(alpha, 0.0)
         q_frame = np.linalg.qr(np.column_stack([h, np.eye(n)]))[0]
 
         def chart_image(s):
-            w = image(alpha, s).vector
+            w = image(alpha, s)
             denom = h @ w
             if abs(denom) < 1e-9 * np.linalg.norm(w):
                 raise InsufficientResolution("image point left the local chart")

@@ -39,6 +39,7 @@ from .reps import (
     circular_gap,
     loxodromic_eigensystem,
     sym_matrix,
+    sym_power,
     theta_of_vector,
 )
 from .words import enumerate_conjugacy_classes
@@ -183,10 +184,17 @@ class BoundaryCurve:
     def hyperplane_covectors(self) -> np.ndarray:
         """Annihilator covectors of the top flag level at every sample (N, n); read-only."""
         if not hasattr(self, "_hyperplane_covectors"):
-            # one SVD per frame, as `ProjectiveSubspace.covectors` takes it, bit for bit
-            self._hyperplane_covectors = np.vstack([annihilator(f)[:, 0] for f in self.frames])
+            self._hyperplane_covectors = annihilator(self.frames)[..., 0]
             self._hyperplane_covectors.setflags(write=False)
         return self._hyperplane_covectors
+
+    def frames_at(self, thetas) -> np.ndarray:
+        """Frames (m, n, n-1) of the memoised flags at m parameters."""
+        return np.reshape([self.flag_at(t).frame for t in thetas], (-1, self.n, self.n - 1))
+
+    def hyperplane_covectors_at(self, thetas) -> np.ndarray:
+        """Annihilator covectors (m, n) of the top levels of `frames_at`."""
+        return annihilator(self.frames_at(thetas))[..., 0]
 
     def flag_at(self, theta: float) -> Flag:
         """Flag at theta, from `interpolate` once per reduced parameter theta % 2pi.
@@ -282,8 +290,6 @@ def fuchsian_curve(reference: SurfaceGroupRep, n: int, num_samples: int = 1024) 
     coordinate flag (the osculating flag of the moment curve), which is
     exact at every parameter; the curve carries an exact evaluator.
     """
-    from .reps import sym_power
-
     rep = sym_power(reference, n)
 
     def exact_eval(theta: float) -> Flag:

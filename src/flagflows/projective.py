@@ -208,9 +208,9 @@ def join(subspaces) -> ProjectiveSubspace:
 
 
 def annihilator(basis: np.ndarray) -> np.ndarray:
-    """Orthonormal n x (n-k) basis of the covectors vanishing on an n x k `basis` of rank k."""
+    """Orthonormal (..., n, n-k) covector bases killing stacked (..., n, k) bases of rank k."""
     u, _, _ = np.linalg.svd(basis, full_matrices=True)
-    return u[:, basis.shape[1]:].copy()
+    return u[..., basis.shape[-1]:].copy()
 
 
 def meet(subspaces) -> ProjectiveSubspace:

@@ -22,7 +22,7 @@ from .config import (
     NonLoxodromicCurve,
     NotLoxodromic,
 )
-from .words import GroupWord, SurfaceGroupPresentation
+from .words import GroupWord, SurfaceGroupPresentation, enumerate_conjugacy_classes
 
 LOXODROMY_GAP = 1e-6  # minimal relative gap between consecutive eigenvalue moduli
 RELATOR_TOL = 1e-8    # Frobenius distance of the relator image from +-Id
@@ -249,8 +249,6 @@ class SurfaceGroupRep:
 
     def check_loxodromy(self, max_len: int) -> None:
         """Gate: every nontrivial word image in the ball must be loxodromic."""
-        from .words import enumerate_conjugacy_classes
-
         ball = enumerate_conjugacy_classes(self.presentation, max_len)
         try:
             loxodromic_eigensystem(self.matrices(ball))

@@ -65,6 +65,12 @@ def test_flow_reports_period_matching_root_length(tmp_path):
     assert len(orbit) == 6
 
 
+@pytest.mark.parametrize("alpha", ["1,2", "1,3", "2,3"])
+def test_flow_runs_at_n_4(tmp_path, alpha):
+    assert run(tmp_path, "--n", "4", "flow", "--alpha", alpha, "--word", "a1") == 0
+    assert len((tmp_path / "flow_orbit.csv").read_text().splitlines()) == 52
+
+
 def test_backward_flow_writes_its_orbit(tmp_path):
     assert run(tmp_path, "flow", "--alpha", "2,3", "--word", "a1",
                "--t-max", "-1", "--steps", "2") == 0

@@ -249,11 +249,17 @@ def test_realization_collapses_to_named_maps(exact_curve):
 
 @pytest.mark.parametrize("curve_name", ["exact_curve", "exact_curve4"])
 def test_leaf_context_image_is_the_root_realization(request, curve_name):
-    """The context's image is the realization's arithmetic, bit for bit, on every root."""
+    """The closed form (m.b) a - (m.a) b is the join of the endpoints met with y^{n-1}.
+
+    Checked on every root against `join` and `meet` of the flag levels,
+    and through `geodesic_realization`; the largest principal angle is
+    4.4e-16.
+    """
     curve = request.getfixturevalue(curve_name)
     n = curve.n
     x, y, z = 0.6, 1.8, 3.9
     fx, fy, fz = (curve.flag_at(t) for t in (x, y, z))
+    m = curve.hyperplane_covectors_at([y])[0]
 
     def pivot(k):  # x^k ∩ z^{n-k+1}, read as x^1 at k = 1 and z^1 at k = n
         return fx[1] if k == 1 else fz[1] if k == n else meet([fx[k], fz[n - k + 1]])
@@ -261,13 +267,23 @@ def test_leaf_context_image_is_the_root_realization(request, curve_name):
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             ctx = leaf_context(curve, (i, j), x, z)
-            got = ctx.image(fy).vector
-            want = meet([join([pivot(i), pivot(j)]), fy[n - 1]]).vector
-            assert np.array_equal(got, want)
-            assert np.array_equal(
-                got, geodesic_realization(curve, i, j, LeafPoint(x, y, z)).vector)
-            assert ctx.support_line.contains(ctx.forward)
-            assert ctx.support_line.contains(ctx.backward)
+            want = meet([join([pivot(i), pivot(j)]), fy[n - 1]])
+            got = ProjectiveSubspace(n, ctx.image(m))
+            assert got.principal_angle(want) <= 1e-12
+            assert geodesic_realization(curve, i, j, LeafPoint(x, y, z)).principal_angle(
+                want) <= 1e-12
+            assert ProjectiveSubspace.point(ctx.forward).principal_angle(pivot(i)) <= 1e-12
+            assert ProjectiveSubspace.point(ctx.backward).principal_angle(pivot(j)) <= 1e-12
+
+
+def test_leaf_context_refuses_a_hyperplane_holding_the_segment(exact_curve4):
+    """The (1, 2) segment lies in x^3, so y^3 just past x holds it numerically."""
+    ctx = leaf_context(exact_curve4, (1, 2), 0.6, 3.9)
+    m = exact_curve4.hyperplane_covectors_at([1.8, 0.6 + 1e-9])
+    assert np.isfinite(ctx.coordinate(m[0]))
+    for read in (ctx.coordinate, ctx.image):
+        with pytest.raises(DegenerateMeet, match="^meet has dimension 2, expected 1$"):
+            read(m)
 
 
 def test_simple_root_realization_ignores_z_in_dim_four(exact_curve4):

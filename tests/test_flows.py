@@ -5,9 +5,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from flagflows.config import NotLoxodromic, RootFindFailure
+from flagflows.config import NotLoxodromic, PointOutsideSegment, RootFindFailure
 from flagflows import flows
-from flagflows.devmaps import LeafPoint, phi_tan_plus, phi_tr
+from flagflows.devmaps import LeafPoint
 from flagflows.flows import (
     cocycle,
     decay_experiment,
@@ -34,23 +34,31 @@ def sl2_length(m):
 def test_leafwise_distance_is_additive_and_signed(exact_curve):
     x, z = 0.5, 3.9
     ctx = leaf_context(exact_curve, (2, 3), x, z)
-    images = [phi_tan_plus(exact_curve, LeafPoint(x, y, z)).point
-              for y in (1.0, 1.8, 2.9)]
-    d01 = leafwise_distance(ctx, images[0], images[1])
-    d12 = leafwise_distance(ctx, images[1], images[2])
-    d02 = leafwise_distance(ctx, images[0], images[2])
+    m = exact_curve.hyperplane_covectors_at([1.0, 1.8, 2.9])
+    d01 = leafwise_distance(ctx, m[0], m[1])
+    d12 = leafwise_distance(ctx, m[1], m[2])
+    d02 = leafwise_distance(ctx, m[0], m[2])
     assert abs(d02 - (d01 + d12)) < 1e-9
-    assert d01 == -leafwise_distance(ctx, images[1], images[0])
+    assert d01 == -leafwise_distance(ctx, m[1], m[0])
 
 
 def test_image_moves_monotonically_in_y(exact_curve):
     x, z = 0.5, 3.9
-    for alpha, fn in (((1, 3), phi_tr), ((2, 3), phi_tan_plus)):
-        ctx = leaf_context(exact_curve, alpha, x, z)
-        coords = [ctx.coordinate(fn(exact_curve, LeafPoint(x, y, z)).point)
-                  for y in np.linspace(0.8, 3.6, 12)]
+    m = exact_curve.hyperplane_covectors_at(np.linspace(0.8, 3.6, 12))
+    for alpha in ((1, 3), (2, 3)):
+        coords = leaf_context(exact_curve, alpha, x, z).coordinate(m)
         logs = np.log(np.abs(coords))
         assert np.all(np.diff(logs) > 0) or np.all(np.diff(logs) < 0)
+
+
+def test_coordinate_refuses_a_covector_killing_the_forward_endpoint(exact_curve):
+    ctx = leaf_context(exact_curve, (2, 3), 0.5, 3.9)
+    m = exact_curve.hyperplane_covectors_at([1.8])[0]
+    m = m - (m @ ctx.forward) * ctx.forward
+    with pytest.raises(PointOutsideSegment, match="^point at the forward endpoint$"):
+        ctx.coordinate(m)
+    with pytest.raises(PointOutsideSegment):
+        leafwise_distance(ctx, exact_curve.hyperplane_covectors_at([1.8])[0], m)
 
 
 def test_flow_step_is_additive_in_time(exact_curve):
@@ -61,24 +69,25 @@ def test_flow_step_is_additive_in_time(exact_curve):
         assert abs(q1.y - q2.y) < 1e-8
 
 
-@pytest.mark.parametrize("curve_name", ["exact_curve", "bulged_curve"])
+@pytest.mark.parametrize("curve_name", ["exact_curve", "bulged_curve", "exact_curve4"])
 def test_flow_steps_travel_their_time_along_the_leaf(request, curve_name):
     """Ten steps of 0.5 from mid-arc on the a1 axis cover leafwise distance 5 per root.
 
     The later steps end close to the forward endpoint, where the bracket
     must grow only toward x and back off probes whose image is
-    numerically an endpoint.
+    numerically an endpoint.  At n = 4, probes near x also put the
+    segment line numerically inside y^{n-1}, which backs off the same way.
     """
     curve = request.getfixturevalue(curve_name)
+    n = curve.n
     x, z = axis_thetas(curve.reference.matrix(curve.rep.presentation.parse_word("a1")))
     start = LeafPoint(x, (x + circular_gap(x, z) / 2) % (2 * math.pi), z)
-    for alpha in ((1, 2), (1, 3), (2, 3)):
+    for alpha in [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]:
         ctx = leaf_context(curve, alpha, x, z)
         current, total = start, 0.0
         for _ in range(10):
             moved = flow_step(curve, alpha, current, 0.5)
-            total += leafwise_distance(ctx, ctx.image(curve.flag_at(current.y)),
-                                       ctx.image(curve.flag_at(moved.y)))
+            total += leafwise_distance(ctx, *curve.hyperplane_covectors_at([current.y, moved.y]))
             current = moved
         assert abs(total - 5.0) < 1e-8
 
