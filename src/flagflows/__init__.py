@@ -8,7 +8,6 @@ flows, and the eigenvalue oracles they are checked against.
 from .config import FlagFlowsError
 from .devmaps import (
     LeafPoint,
-    PointLineFlag,
     covering_checks,
     geodesic_realization,
     involution_iota,

@@ -106,6 +106,11 @@ def load_config(args) -> dict:
         if unknown:
             raise ValueError(f"unknown config keys {unknown}; "
                              f"known keys are {sorted(DEFAULT_CONFIG)}")
+        for key, value in data.items():  # a bool is no number; bulge may be an int
+            want = (int, float) if key == "bulge" else (type(DEFAULT_CONFIG[key]),)
+            if isinstance(value, bool) or not isinstance(value, want):
+                raise ValueError(f"config key {key!r} must be "
+                                 f"{' or '.join(t.__name__ for t in want)}; got {value!r}")
         cfg.update(data)
     for key in DEFAULT_CONFIG:
         value = getattr(args, key, None)
@@ -113,9 +118,9 @@ def load_config(args) -> dict:
             cfg[key] = value
     if cfg["genus"] != 2:
         raise ValueError("only genus 2 is wired up")
-    if int(cfg["word_ball"]) < 1:
+    if cfg["word_ball"] < 1:
         raise ValueError(f"word_ball must be at least 1; got {cfg['word_ball']}")
-    if is_sampled(cfg) and int(cfg["word_ball"]) < SAMPLED_WORD_BALL:
+    if is_sampled(cfg) and cfg["word_ball"] < SAMPLED_WORD_BALL:
         raise ValueError(f"word_ball {cfg['word_ball']} holds fewer conjugacy classes than the "
                          f"MIN_SAMPLES = {MIN_SAMPLES} samples a sampled curve needs; "
                          f"use {SAMPLED_WORD_BALL} or more")
@@ -177,7 +182,7 @@ def write_csv(cfg: dict, name: str, header, rows) -> None:
 def build_rep(cfg: dict):
     """(rep, reference) from a config; reference is the Fuchsian SL2 rep."""
     reference = fuchsian_genus2()
-    n = int(cfg["n"])
+    n = cfg["n"]
     if n == 2:
         rep = reference
     else:
@@ -190,19 +195,19 @@ def build_rep(cfg: dict):
 
 def is_sampled(cfg: dict) -> bool:
     """Whether `build_curve` samples the curve on the word ball, for want of a closed form."""
-    return float(cfg.get("bulge", 0.0)) != 0.0 or int(cfg["n"]) == 2
+    return float(cfg.get("bulge", 0.0)) != 0.0 or cfg["n"] == 2
 
 
 def build_curve(cfg: dict):
     rep, reference = build_rep(cfg)
     if is_sampled(cfg):
-        return sample_boundary(rep, reference, int(cfg["word_ball"]))
-    return fuchsian_curve(reference, int(cfg["n"]))
+        return sample_boundary(rep, reference, cfg["word_ball"])
+    return fuchsian_curve(reference, cfg["n"])
 
 
 def _require_n3(cfg: dict, what: str) -> None:
     """Refuse n != 3 before any curve is built, for what needs the n=3 maps."""
-    if int(cfg["n"]) != 3:
+    if cfg["n"] != 3:
         raise ValueError(f"{what} uses the n=3 developing maps; got n={cfg['n']}")
 
 
@@ -299,7 +304,7 @@ def cmd_sample_curve(cfg, args):
     summary = {
         "num_samples": len(curve),
         "n": curve.n,
-        "word_ball": int(cfg["word_ball"]),
+        "word_ball": cfg["word_ball"],
         "interp_error": curve.interp_error,
         "has_chart": curve.chart is not None,
     }
@@ -399,7 +404,7 @@ def cmd_render(cfg, args):
     figure = args.figure
     if figure.startswith("dev-"):
         _require_n3(cfg, f"render --figure {figure}")
-    elif figure == "boundary" and int(cfg["n"]) % 2 == 0:
+    elif figure == "boundary" and cfg["n"] % 2 == 0:
         raise ValueError("render --figure boundary draws the curve in its affine chart, "
                          f"which exists only at odd n; got n={cfg['n']}")
     curve = build_curve(cfg)
@@ -422,7 +427,7 @@ def cmd_render(cfg, args):
 def cmd_verify_all(cfg, args):
     """The paper's n=3 claims as nine checks, in a fixed order of rng draws."""
     _require_n3(cfg, "verify-all")
-    seed = int(cfg["seed"])
+    seed = cfg["seed"]
     rng = np.random.default_rng(seed)
     curve = build_curve(cfg)
     checks = {"frenet": frenet_check(curve)[1]}

@@ -6,12 +6,13 @@ meets of curve flags in RP^2, each one cross product (`cross_meet`).
 `develop` evaluates a map on stacked triples, from their flag frames,
 and returns stacked points and line covectors; `phi_tr`, `phi_tan_plus`,
 `phi_tan_minus` and `psi_k` are its one-triple faces, which return a
-`PointLineFlag`.  The domain membership classifier and the covering /
-concavity / type diagnostics work on the stacked arrays.  The geodesic
-realizations of the roots of PSL(n) serve every n >= 3: each leaf's
-image segment (`leaf_context`) takes one `meet` per interior endpoint,
-and every leaf point is read from two dot products with the covector of
-its hyperplane y^{n-1}.
+`Flag` whose level 1 is the point and level 2 the line.  The domain
+membership classifier and the covering / concavity / type diagnostics
+work on the stacked arrays, and the boundary scans read the line
+covectors.  The geodesic realizations of the roots of PSL(n) serve
+every n >= 3: each leaf's image segment (`leaf_context`) takes one
+`meet` per interior endpoint, and every leaf point is read from two
+dot products with the covector of its hyperplane y^{n-1}.
 """
 
 import math
@@ -21,7 +22,7 @@ import numpy as np
 
 from .config import DegenerateMeet, PointOutsideSegment, UnclassifiedLine
 from .limitcurve import BoundaryCurve, second_boundary_intersection
-from .projective import (RANK_TOL, ProjectiveSubspace, cross_meet, cross_ratio, meet,
+from .projective import (RANK_TOL, Flag, ProjectiveSubspace, cross_meet, cross_ratio, meet,
                          signed_polygon_distance)
 from .reps import circular_gap, positively_oriented
 
@@ -62,26 +63,6 @@ class LeafPoint:
         return positively_oriented(self.x, self.y, self.z)
 
 
-@dataclass(frozen=True)
-class PointLineFlag:
-    """Incident (point, line) pair in dimension three."""
-
-    point: ProjectiveSubspace
-    line: ProjectiveSubspace
-
-    def __post_init__(self):
-        if self.point.dim != 1 or self.line.dim != self.line.ambient_dim - 1:
-            raise ValueError("expected a point and a hyperplane")
-        if not self.line.contains(self.point):
-            raise ValueError("point does not lie on the line")
-
-    @classmethod
-    def from_vectors(cls, point: np.ndarray, line: np.ndarray) -> "PointLineFlag":
-        """Flag of a unit point and the unit covector of a line through it, as `develop` gives."""
-        return cls(ProjectiveSubspace(3, point),
-                   ProjectiveSubspace(3, np.column_stack([point, np.cross(line, point)])))
-
-
 def _levels(frames):
     """Point and line covector of each n=3 flag frame (..., 3, 2)."""
     return frames[..., 0], cross_meet(frames[..., 0], frames[..., 1])
@@ -116,9 +97,8 @@ def develop_frames(name: str, fx, fy, fz):
 
 def _involution(curve: BoundaryCurve, x, y, z) -> np.ndarray:
     """The y of each triple after the involution: the second boundary hit of its iota line."""
-    points, lines = develop_frames("iota", *(curve.frames_at(t) for t in (x, y, z)))
-    return np.array([second_boundary_intersection(curve, PointLineFlag.from_vectors(p, l).line, t)
-                     for p, l, t in zip(points, lines, y)])
+    _, lines = develop_frames("iota", *(curve.frames_at(t) for t in (x, y, z)))
+    return np.array([second_boundary_intersection(curve, line, t) for line, t in zip(lines, y)])
 
 
 def develop(curve: BoundaryCurve, name: str, x, y, z):
@@ -140,18 +120,18 @@ def develop(curve: BoundaryCurve, name: str, x, y, z):
     return develop_frames(name, *(curve.frames_at(t) for t in (x, y, z)))
 
 
-def _one(curve: BoundaryCurve, name: str, p: LeafPoint) -> PointLineFlag:
-    """The map `name` on one triple, as a `PointLineFlag`."""
-    points, lines = develop(curve, name, p.x, p.y, p.z)
-    return PointLineFlag.from_vectors(points[0], lines[0])
+def _one(curve: BoundaryCurve, name: str, p: LeafPoint) -> Flag:
+    """The map `name` on one triple, as the `Flag` of its point and line."""
+    (point,), (line,) = develop(curve, name, p.x, p.y, p.z)
+    return Flag(np.column_stack([point, np.cross(line, point)]))
 
 
-def phi_tr(curve: BoundaryCurve, p: LeafPoint) -> PointLineFlag:
+def phi_tr(curve: BoundaryCurve, p: LeafPoint) -> Flag:
     """Transverse developing map: ((x1 + z1) ∩ y2, x1 + z1)."""
     return _one(curve, "tr", p)
 
 
-def phi_tan_plus(curve: BoundaryCurve, p: LeafPoint) -> PointLineFlag:
+def phi_tan_plus(curve: BoundaryCurve, p: LeafPoint) -> Flag:
     """Positive tangent developing map: (y2 ∩ z2, x1 + (y2 ∩ z2))."""
     return _one(curve, "tan+", p)
 
@@ -163,12 +143,12 @@ def involution_iota(curve: BoundaryCurve, p: LeafPoint) -> LeafPoint:
     return LeafPoint(p.x, float(_involution(curve, [p.x], [p.y], [p.z])[0]), p.z)
 
 
-def phi_tan_minus(curve: BoundaryCurve, p: LeafPoint) -> PointLineFlag:
+def phi_tan_minus(curve: BoundaryCurve, p: LeafPoint) -> Flag:
     """Negative tangent developing map: phi_tan_plus after the involution."""
     return _one(curve, "tan-", p)
 
 
-def psi_k(curve: BoundaryCurve, p: LeafPoint, k: int) -> PointLineFlag:
+def psi_k(curve: BoundaryCurve, p: LeafPoint, k: int) -> Flag:
     """The four point-line maps (k = 1..4) into the first and third domain components."""
     return _one(curve, f"psi{k}", p)
 
@@ -323,8 +303,7 @@ def covering_checks(curve: BoundaryCurve, num_points: int = 32,
     rng = np.random.default_rng(seed)
     x, y, z = _random_triples(rng, num_points)
     points, lines = develop(curve, "tan+", x, y, z)
-    w = [second_boundary_intersection(curve, PointLineFlag.from_vectors(p, l).line, t)
-         for p, l, t in zip(points, lines, x)]
+    w = [second_boundary_intersection(curve, line, t) for line, t in zip(lines, x)]
     swapped_points, swapped_lines = develop(curve, "tan+", w, z, y)
     two_sheet = max(_angle(points, swapped_points).max(), _angle(lines, swapped_lines).max())
     h = 1e-4

@@ -15,8 +15,7 @@ import numpy as np
 
 from .config import (DegenerateMeet, FlagFlowsError, InsufficientResolution, NotDefinedHere,
                      NotLoxodromic, PointOutsideSegment, RootFindFailure)
-from .devmaps import (LeafMetricContext, LeafPoint, PointLineFlag, develop,
-                      geodesic_realization, leaf_context)
+from .devmaps import LeafMetricContext, LeafPoint, develop, geodesic_realization, leaf_context
 from .limitcurve import ROOT_TOL, BoundaryCurve, bracketed_root, second_boundary_intersection
 from .projective import cross_meet, cross_ratio
 from .reps import (boundary_vector, circular_gap, loxodromic_eigensystem, read_from_g,
@@ -283,8 +282,7 @@ def stable_leaf_distance(curve: BoundaryCurve, p: LeafPoint, y0: float) -> float
     (point,), (line,) = develop(curve, "tan+", p.x, p.y, p.z)  # the line is x1 + point
     try:
         p_y0 = cross_meet(line, cross_meet(*curve.flag_at(y0).frame.T))
-        q_theta = second_boundary_intersection(
-            curve, PointLineFlag.from_vectors(point, line).line, p.x)
+        q_theta = second_boundary_intersection(curve, line, p.x)
     except (FlagFlowsError, ValueError) as exc:
         raise NotDefinedHere(str(exc)) from exc
     value = cross_ratio(x1, curve.aligned_point(q_theta), p_y0, point)

@@ -343,10 +343,11 @@ def interpolate(curve: BoundaryCurve, theta: float) -> Flag:
     return Flag.from_basis_columns(np.column_stack(columns))
 
 
-def second_boundary_intersection(curve: BoundaryCurve, line: ProjectiveSubspace,
-                                 known: float) -> float:
+def second_boundary_intersection(curve: BoundaryCurve, line, known: float) -> float:
     """The other parameter at which a line through xi^1(known) meets the curve.
 
+    The line is a hyperplane (a projective line for n=3), given by its
+    covector of shape (n,), which is normalized, or as a `ProjectiveSubspace`.
     Works by deflating the known root: the incidence residual divided by
     sin(gap/2) has exactly one sign change on the circle, located at the
     second intersection; that bracket is refined by `bracketed_root`.
@@ -354,9 +355,13 @@ def second_boundary_intersection(curve: BoundaryCurve, line: ProjectiveSubspace,
     points, which are positive multiples of `aligned_point` and so have
     the same signs.
     """
-    if line.dim != curve.n - 1:
-        raise ValueError("expected a hyperplane (projective line for n=3)")
-    covector = line.covectors[:, 0]
+    if isinstance(line, ProjectiveSubspace):
+        if line.dim != curve.n - 1:
+            raise ValueError("expected a hyperplane (projective line for n=3)")
+        line = line.covectors[:, 0]
+    if np.shape(line) != (curve.n,):
+        raise ValueError(f"expected a covector of shape ({curve.n},); got {np.shape(line)}")
+    covector = line / np.linalg.norm(line)
 
     def residual(theta):
         return covector @ curve.aligned_point(theta)

@@ -154,6 +154,16 @@ class Flag:
     def ambient_dim(self) -> int:
         return self.frame.shape[0]
 
+    @property
+    def point(self) -> ProjectiveSubspace:
+        """Level 1."""
+        return self[1]
+
+    @property
+    def line(self) -> ProjectiveSubspace:
+        """Level 2: a projective line, and at n=3 the hyperplane."""
+        return self[2]
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Flag):
             return NotImplemented

@@ -30,3 +30,9 @@ def sampled_curve(reference):
 def bulged_curve(reference):
     return sample_boundary(bulge_deform(sym_power(reference, 3), 0.5),
                            reference, 4)
+
+
+@pytest.fixture(scope="session")
+def bulged_curve03(reference):
+    """The curve of the CLI's `--bulge 0.3` config, sampled from word ball 3."""
+    return sample_boundary(bulge_deform(sym_power(reference, 3), 0.3), reference, 3)

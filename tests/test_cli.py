@@ -112,6 +112,13 @@ def test_config_file_with_overrides(tmp_path):
     assert load_summary(tmp_path, "build_rep")["bulge"] == 0.3
 
 
+def test_config_file_accepts_an_integer_bulge(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"bulge": 0}))
+    assert main(["--config", str(cfg), "--outdir", str(tmp_path), "build-rep"]) == 0
+    assert load_summary(tmp_path, "build_rep")["bulge"] == 0.0
+
+
 def test_unsupported_schema_version_is_rejected(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"schema_version": 99}))
@@ -121,8 +128,14 @@ def test_unsupported_schema_version_is_rejected(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("data, word", [({"schema_version": 1, "word-ball": 4}, "word-ball"),
-                                        ([1], "JSON object")],
-                         ids=["unknown-key", "not-an-object"])
+                                        ([1], "JSON object"),
+                                        ({"n": 3.5}, "'n'"),
+                                        ({"bulge": True}, "'bulge'"),
+                                        ({"word_ball": 3.9, "bulge": 0.3}, "'word_ball'"),
+                                        ({"seed": 1.5}, "'seed'"),
+                                        ({"n": "3"}, "'n'")],
+                         ids=["unknown-key", "not-an-object", "float-n", "bool-bulge",
+                              "float-word-ball", "float-seed", "string-n"])
 def test_malformed_config_is_rejected(tmp_path, capsys, data, word):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(data))

@@ -8,7 +8,6 @@ from flagflows.config import DegenerateMeet
 from flagflows.devmaps import (
     MAP_TABLE,
     LeafPoint,
-    PointLineFlag,
     concavity_check,
     covering_checks,
     develop,
@@ -229,11 +228,17 @@ def test_psi3_point_is_the_pivot_independent_of_y(exact_curve):
         assert f.point.principal_angle(pivot) < 1e-10
 
 
-def test_all_psi_maps_produce_incident_flags(exact_curve):
-    p = LeafPoint(0.7, 2.0, 4.1)
-    for k in (1, 2, 3, 4):
-        f = psi_k(exact_curve, p, k)
-        assert isinstance(f, PointLineFlag)  # incidence checked on construction
+def test_all_maps_produce_incident_flags(request):
+    """Each image point lies on its line, to 1e-12; a face's `Flag` checks only its frame."""
+    rng = np.random.default_rng(3)
+    x = rng.uniform(0.0, 2 * math.pi, 8)
+    y = x + rng.uniform(0.4, 2.5, 8)
+    z = y + rng.uniform(0.4, 2.5, 8)
+    for curve_name in ("exact_curve", "bulged_curve03"):
+        curve = request.getfixturevalue(curve_name)
+        for name in MAP_TABLE:
+            points, lines = develop(curve, name, x, y, z)
+            assert np.max(np.abs(np.sum(points * lines, axis=1))) <= 1e-12, (curve_name, name)
 
 
 # -- geodesic realization ----------------------------------------------------

@@ -24,7 +24,7 @@ from flagflows.limitcurve import (
     second_boundary_intersection,
 )
 from flagflows.projective import Flag, ProjectiveSubspace, join
-from flagflows.reps import SurfaceGroupRep, bulge_deform, circular_gap, sym_power
+from flagflows.reps import SurfaceGroupRep, circular_gap, sym_power
 
 
 def _symbolic_veronese(theta_expr):
@@ -167,6 +167,25 @@ def test_second_boundary_intersection_rejects_tangents(exact_curve):
         second_boundary_intersection(exact_curve, exact_curve.flag_at(1.0)[2], 1.0)
 
 
+def test_second_boundary_intersection_reads_the_line_covector(exact_curve):
+    """The hyperplane and its covector give the identical root, and a multiple of it
+    the same root to rounding: 1e3 times a covector is rounded, and on random
+    chords the root then moves by up to 6e-15."""
+    line = join([exact_curve.flag_at(1.0)[1], exact_curve.flag_at(3.0)[1]])
+    covector = line.covectors[:, 0]
+    want = second_boundary_intersection(exact_curve, line, 1.0)
+    assert second_boundary_intersection(exact_curve, covector, 1.0) == want
+    assert abs(second_boundary_intersection(exact_curve, 1e3 * covector, 1.0) - want) < 1e-14
+    for bad in (covector[:2], covector[:, None]):
+        with pytest.raises(ValueError, match="shape"):
+            second_boundary_intersection(exact_curve, bad, 1.0)
+    # normalized before the incidence check, so a small multiple still misses xi^1(1.0)
+    off = join([exact_curve.flag_at(2.0)[1], exact_curve.flag_at(3.0)[1]]).covectors[:, 0]
+    for scale in (1.0, 1e-9):
+        with pytest.raises(ValueError, match="misses"):
+            second_boundary_intersection(exact_curve, scale * off, 1.0)
+
+
 def _frenet_by_loop(curve):
     """(min singular value, max osculation defect) of `frenet_checks`, one tuple at a time."""
     n, thetas, count = curve.n, curve.thetas, len(curve)
@@ -260,11 +279,6 @@ def test_sample_boundary_requires_enough_words(reference):
 
 
 # -- the flag memo and the per-gap rotations ----------------------------------
-
-
-@pytest.fixture(scope="module")
-def bulged_curve03(reference):
-    return sample_boundary(bulge_deform(sym_power(reference, 3), 0.3), reference, 3)
 
 
 def _fresh(curve):
