@@ -118,6 +118,13 @@ def load_config(args) -> dict:
             cfg[key] = value
     if cfg["genus"] != 2:
         raise ValueError("only genus 2 is wired up")
+    if cfg["n"] < 2:
+        raise ValueError(f"n must be at least 2; got n={cfg['n']}")
+    if not math.isfinite(cfg["bulge"]):  # json reads NaN and Infinity
+        raise ValueError(f"bulge must be finite; got {cfg['bulge']}")
+    if cfg["bulge"] != 0 and cfg["n"] != 3:
+        raise ValueError(f"bulge deforms SL(3, R) representations only, so needs n=3; "
+                         f"got n={cfg['n']} with bulge {cfg['bulge']}")
     if cfg["word_ball"] < 1:
         raise ValueError(f"word_ball must be at least 1; got {cfg['word_ball']}")
     if is_sampled(cfg) and cfg["word_ball"] < SAMPLED_WORD_BALL:

@@ -23,7 +23,9 @@ from .reps import (boundary_vector, circular_gap, loxodromic_eigensystem, read_f
 from .words import GroupWord
 
 Y_CHOICES = 2  # hyperplane samples whose periods must agree in flow_period
-# (word x curve sample) entries period_spectrum holds at once
+# most entries any one array of period_spectrum holds: a block of words holds
+# this many word-product entries (n x n per word), a chunk of the hyperplane
+# scan this many (word x curve sample) entries
 SPECTRUM_BLOCK_ENTRIES = 16_384
 # dyadic scales base * 2^-k, k < count, of the tangent fits in regularity_probe
 PROBE_BASE_SCALE, PROBE_SCALES = 0.2, 6
@@ -156,12 +158,15 @@ def flow_period(curve: BoundaryCurve, alpha, gamma: GroupWord) -> float:
 def period_spectrum(curve: BoundaryCurve, words, roots) -> dict:
     """flow_period for many words and roots, in blocks of words.
 
-    A block holds at most SPECTRUM_BLOCK_ENTRIES (word x curve sample)
-    entries.  Returns {word: {root: period}} preserving the input word
-    order.
+    One memory rule: no array holds more than SPECTRUM_BLOCK_ENTRIES
+    entries.  The word products, eigensystems and pseudo-inverses run once
+    per block of SPECTRUM_BLOCK_ENTRIES // n^2 words; only the scan of the
+    block's eigenvectors against every hyperplane sample, (word x curve
+    sample) entries, runs in chunks of SPECTRUM_BLOCK_ENTRIES // len(curve)
+    words.  Returns {word: {root: period}} preserving the input word order.
     """
     words, roots = list(words), [tuple(r) for r in roots]
-    size = max(1, SPECTRUM_BLOCK_ENTRIES // len(curve.thetas))
+    size = max(1, SPECTRUM_BLOCK_ENTRIES // curve.n**2)
     out = {}
     for start in range(0, len(words), size):
         block = words[start:start + size]
@@ -183,24 +188,60 @@ def _word_periods(curve: BoundaryCurve, roots, words) -> list:
     spectral spread, which overwhelms float64 for long words otherwise).
 
     The block runs as stacked array operations.  If any word fails a
-    check, the block is run again one word at a time, so the error
-    raised is the first failing word's own.
+    check, the block is halved until the first failing word runs alone,
+    so the error raised is that word's own.
     """
     try:
         return _block_periods(curve, roots, words)
     except (FlagFlowsError, ValueError):
         if len(words) == 1:
             raise
-        return [periods for w in words for periods in _word_periods(curve, roots, [w])]
+        half = len(words) // 2
+        return _word_periods(curve, roots, words[:half]) + _word_periods(curve, roots,
+                                                                         words[half:])
+
+
+def _transverse_samples(curve: BoundaryCurve, eigvecs: np.ndarray, roots) -> dict:
+    """For each root (i, j), the segment coordinates (W, Y_CHOICES) of the eigenvectors.
+
+    Per word, the Y_CHOICES hyperplane samples y whose log-ratio
+    log|y . v_j| - log|y . v_i| is smallest in size are kept, as
+    (y . v_i, y . v_j).  Every eigenvector is scanned against every
+    sample once, in chunks of words holding at most SPECTRUM_BLOCK_ENTRIES
+    entries per array.
+    """
+    covectors = curve.hyperplane_covectors()
+    chunk = max(1, SPECTRUM_BLOCK_ENTRIES // len(covectors))
+    indices = {k for root in roots for k in root}
+    picks = {root: [] for root in roots}
+    for start in range(0, len(eigvecs), chunk):
+        vecs = eigvecs[start:start + chunk]
+        dots = {k: (covectors @ vecs[:, :, k - 1, None])[:, :, 0] for k in indices}
+        with np.errstate(divide="ignore"):
+            logs = {k: np.log(np.abs(m)) for k, m in dots.items()}
+        for (i, j) in picks:
+            with np.errstate(invalid="ignore"):
+                ratio = logs[j] - logs[i]
+            ok = np.isfinite(ratio)
+            if not np.all(np.any(ok, axis=1)):
+                raise RootFindFailure("no transverse hyperplane sample on the leaf")
+            chosen = np.argpartition(np.abs(np.where(ok, ratio, np.inf)), Y_CHOICES - 1,
+                                     axis=1)[:, :Y_CHOICES]
+            picks[(i, j)].append([np.take_along_axis(dots[k], chosen, 1) for k in (i, j)])
+    return {root: [np.concatenate(part) for part in zip(*parts)]
+            for root, parts in picks.items()}
 
 
 def _block_periods(curve: BoundaryCurve, roots, words) -> list:
+    n = curve.n
+    for (i, j) in roots:
+        if not (1 <= i < j <= n):
+            raise ValueError("need 1 <= i < j <= n")
     g_ref = curve.reference.matrices(words)
     if np.any(np.abs(g_ref[:, 0, 0] + g_ref[:, 1, 1]) <= 2.0):
         raise NotLoxodromic("reference image is not hyperbolic")
-    n = curve.n
     g = curve.rep.matrices(words)
-    g_inv = curve.rep.matrices([w.inverse() for w in words])
+    g_inv = curve.rep.matrices([tuple(-x for x in reversed(w.letters)) for w in words])
     vals_g, vecs_g = loxodromic_eigensystem(g)
     _, vecs_i = loxodromic_eigensystem(g_inv)
     lm = np.log(np.abs(vals_g))
@@ -209,21 +250,11 @@ def _block_periods(curve: BoundaryCurve, roots, words) -> list:
     eigvecs = np.where(prefer_g[:, None, :], vecs_g, vecs_i[:, :, ::-1])
     amp = np.array([math.exp(x) for x in
                     np.minimum(lm[:, :1] - lm, lm - lm[:, -1:]).ravel()]).reshape(lm.shape)
-    covectors = curve.hyperplane_covectors()
+    samples = _transverse_samples(curve, eigvecs, roots)
     results = []
     for (i, j) in roots:
-        if not (1 <= i < j <= n):
-            raise ValueError("need 1 <= i < j <= n")
         a, b = eigvecs[:, :, i - 1], eigvecs[:, :, j - 1]
-        ma = (covectors @ a[:, :, None])[:, :, 0]
-        mb = (covectors @ b[:, :, None])[:, :, 0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logs = np.log(np.abs(mb)) - np.log(np.abs(ma))
-        ok = np.isfinite(logs)
-        if not np.all(np.any(ok, axis=1)):
-            raise RootFindFailure("no transverse hyperplane sample on the leaf")
-        chosen = np.argsort(np.abs(np.where(ok, logs, np.inf)), axis=1)[:, :Y_CHOICES]
-        mb_y, ma_y = np.take_along_axis(mb, chosen, 1), np.take_along_axis(ma, chosen, 1)
+        ma_y, mb_y = samples[(i, j)]
         pinv = np.linalg.pinv(np.stack([a, b], axis=-1))  # (W, 2, n)
         points = mb_y[:, :, None] * a[:, None, :] - ma_y[:, :, None] * b[:, None, :]
         factors = []

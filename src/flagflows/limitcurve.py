@@ -33,7 +33,7 @@ from .config import (
     NotLoxodromic,
     RootFindFailure,
 )
-from .projective import AffineChart, Flag, ProjectiveSubspace, annihilator
+from .projective import AffineChart, Flag, ProjectiveSubspace, annihilator, flag_frames
 from .reps import (
     SurfaceGroupRep,
     circular_gap,
@@ -270,11 +270,9 @@ def sample_boundary(rep: SurfaceGroupRep, reference: SurfaceGroupRep,
             samples[key] = (theta, k)
     if len(samples) < MIN_SAMPLES:
         raise InsufficientSamples(f"only {len(samples)} distinct boundary samples")
-    items = sorted(samples.values(), key=lambda s: s[0])
-    n = rep.n
-    return BoundaryCurve(np.array([s[0] for s in items]),
-                         np.array([Flag.from_basis_columns(vecs[k, :, : n - 1]).frame
-                                   for _, k in items]), rep, reference)
+    thetas, rows = zip(*sorted(samples.values()))
+    return BoundaryCurve(np.array(thetas), flag_frames(vecs[list(rows), :, : rep.n - 1]),
+                         rep, reference)
 
 
 def _rotation_to(theta: float) -> np.ndarray:
@@ -297,8 +295,10 @@ def fuchsian_curve(reference: SurfaceGroupRep, n: int, num_samples: int = 1024) 
         return Flag.from_basis_columns(m[:, : n - 1])
 
     thetas = (np.arange(num_samples) + 0.5) * 2 * math.pi / num_samples
-    frames = np.array([exact_eval(t).frame for t in thetas])
-    return BoundaryCurve(thetas, frames, rep, reference, exact_eval=exact_eval)
+    # the rotations from math.cos and math.sin, as exact_eval builds them
+    m = sym_matrix(np.array([_rotation_to(t) for t in thetas]), n)
+    return BoundaryCurve(thetas, flag_frames(m[..., : n - 1]), rep, reference,
+                         exact_eval=exact_eval)
 
 
 def interpolate(curve: BoundaryCurve, theta: float) -> Flag:

@@ -35,6 +35,14 @@ RANK_TOL = 1e-9       # singular values below this times the largest count as ze
 EQUALITY_TOL = 1e-9   # principal-angle bound for subspace equality and containment
 COLLINEAR_TOL = 1e-9  # relative third singular value bound for collinear points
 INFINITY_TOL = 1e-13  # relative last chart coordinate of points at infinity
+ORTHONORMAL_TOL = 1e-10  # largest Gram-matrix entry error of an orthonormal basis or frame
+
+
+def _require_orthonormal(columns: np.ndarray, what: str) -> None:
+    """Raise ValueError unless every (..., n, k) basis in the stack has orthonormal columns."""
+    gram = np.swapaxes(columns, -1, -2) @ columns
+    if not np.all(np.abs(gram - np.eye(columns.shape[-1])) <= ORTHONORMAL_TOL):  # NaN fails
+        raise ValueError(f"{what} columns are not orthonormal")
 
 
 @dataclass(frozen=True)
@@ -56,9 +64,7 @@ class ProjectiveSubspace:
         n, k = basis.shape
         if n != self.ambient_dim or not (1 <= k <= n - 1):
             raise ValueError(f"bad basis shape {basis.shape} for ambient dim {self.ambient_dim}")
-        gram = basis.T @ basis
-        if np.max(np.abs(gram - np.eye(k))) > 1e-10:
-            raise ValueError("basis columns are not orthonormal")
+        _require_orthonormal(basis, "basis")
         basis.setflags(write=False)
 
     @classmethod
@@ -134,9 +140,7 @@ class Flag:
         object.__setattr__(self, "frame", frame)
         if frame.ndim != 2 or frame.shape[1] != frame.shape[0] - 1:
             raise ValueError(f"bad flag frame shape {frame.shape}")
-        gram = frame.T @ frame
-        if np.max(np.abs(gram - np.eye(frame.shape[1]))) > 1e-10:
-            raise ValueError("flag frame columns are not orthonormal")
+        _require_orthonormal(frame, "flag frame")
         frame.setflags(write=False)
         object.__setattr__(self, "_levels", {})
 
@@ -194,6 +198,17 @@ class Flag:
         """Flag whose level k spans the first k of the n-1 given columns."""
         q, _ = np.linalg.qr(columns)
         return cls(q)
+
+
+def flag_frames(columns: np.ndarray) -> np.ndarray:
+    """Frames (..., n, n-1) of `Flag.from_basis_columns` for a stack of column sets.
+
+    One stacked QR, each frame the same floats as alone; the stack passes
+    the orthonormality check of `Flag` without building a flag per frame.
+    """
+    q, _ = np.linalg.qr(columns)
+    _require_orthonormal(q, "flag frame")
+    return q
 
 
 def join(subspaces) -> ProjectiveSubspace:

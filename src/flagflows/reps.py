@@ -196,7 +196,9 @@ class SurfaceGroupRep:
         for k, m in self.images.items():
             if m.shape != (self.n, self.n):
                 raise ValueError(f"generator {k} image has shape {m.shape}")
-            if abs(np.linalg.det(m) - 1.0) > 1e-6:
+            if not np.all(np.isfinite(m)):
+                raise ValueError(f"generator {k} image is not finite")
+            if not abs(np.linalg.det(m) - 1.0) <= 1e-6:  # NaN fails too
                 raise ValueError(f"generator {k} image does not have det 1")
         g = self.presentation.num_generators
         # letter x of a word is row g + x; row g is no letter and holds the identity
@@ -206,7 +208,7 @@ class SurfaceGroupRep:
             self._table[g + k] = m
             self._table[g - k] = np.linalg.inv(m)
         dist = self.relator_distance()
-        if dist > RELATOR_TOL:
+        if not dist <= RELATOR_TOL:
             raise ValueError(f"relator image is {dist:.3e} from +-identity")
 
     def relator_distance(self) -> float:
@@ -353,27 +355,32 @@ def fuchsian_genus2() -> SurfaceGroupRep:
 
 
 def sym_matrix(a: np.ndarray, m: int) -> np.ndarray:
-    """(m-1)-st symmetric power of a 2x2 matrix: action on degree-(m-1) binary forms.
+    """(m-1)-st symmetric power of a 2x2 matrix, or of each in a stack (..., 2, 2).
 
-    Basis x^d, x^{d-1} y, ..., y^d with d = m - 1; a diagonal
-    diag(l, 1/l) maps to diag(l^d, l^{d-2}, ..., l^-d).
+    The action on degree-(m-1) binary forms, in the basis x^d, x^{d-1} y,
+    ..., y^d with d = m - 1; a diagonal diag(l, 1/l) maps to
+    diag(l^d, l^{d-2}, ..., l^-d).  Column k holds the coefficients of the
+    image of x^{d-k} y^k under x -> aa x + ac y, y -> ab x + ad y,
+    multiplied out one linear factor at a time with the arithmetic of
+    np.convolve, so each matrix of a stack is the same floats as alone.
     """
     a = np.asarray(a, dtype=float)
+    aa, ab, ac, ad = (a[..., None, r, c] for r, c in ((0, 0), (0, 1), (1, 0), (1, 1)))
     d = m - 1
-    (aa, ab), (ac, ad) = a
-    out = np.empty((m, m))
+    out = np.empty(a.shape[:-2] + (m, m))
     for k in range(m):
-        # image of x^{d-k} y^k under x -> aa x + ac y, y -> ab x + ad y
-        p = np.array([1.0])
-        for _ in range(d - k):
-            p = np.convolve(p, [aa, ac])
-        for _ in range(k):
-            p = np.convolve(p, [ab, ad])
-        out[:, k] = p
+        p = np.ones(a.shape[:-2] + (1,))
+        for x, y in [(aa, ac)] * (d - k) + [(ab, ad)] * k:
+            # coefficient i of p(t) (x + y t) is p[i] x + p[i-1] y
+            px, py = p * x, p * y
+            p = np.concatenate([px[..., :1], py[..., :-1] + px[..., 1:], py[..., -1:]], axis=-1)
+        out[..., k] = p
     det = np.linalg.det(out)  # equals det(a)^{m(m-1)/2}; 1 for SL2 input
-    if det <= 0:
+    if not np.all(det > 0):  # NaN fails too
         raise ValueError("symmetric power expects det(a) = 1")
-    return out / det ** (1.0 / m)
+    # the m-th root per entry: np.power on arrays moves the last bit of some roots
+    root = np.reshape([x ** (1.0 / m) for x in np.ravel(det)], np.shape(det))
+    return out / root[..., None, None]
 
 
 def sym_power(rep: SurfaceGroupRep, m: int) -> SurfaceGroupRep:
@@ -395,6 +402,8 @@ def bulge_deform(rep: SurfaceGroupRep, s: float) -> SurfaceGroupRep:
     """
     if rep.n != 3 or rep.presentation.genus != 2:
         raise ValueError("bulge_deform expects a genus-2 SL3 representation")
+    if not math.isfinite(s):
+        raise ValueError(f"bulge must be finite; got {s}")
     if s == 0.0:
         return rep
     c = rep.matrix([1, 2, -1, -2])

@@ -169,6 +169,33 @@ def test_word_ball_too_small_to_sample_is_refused_at_load_time(tmp_path, capsys,
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("args, message", [
+    (("--bulge", "nan", "build-rep"), "bulge must be finite; got nan"),
+    (("--bulge", "inf", "verify-all"), "bulge must be finite; got inf"),
+    (("--n", "4", "--bulge", "0.3", "sample-curve"), "needs n=3; got n=4 with bulge 0.3"),
+    (("--n", "2", "--bulge", "0.3", "build-rep"), "needs n=3; got n=2 with bulge 0.3"),
+    (("--n", "1", "build-rep"), "n must be at least 2"),
+    (("--n", "0", "--bulge", "0.3", "periods"), "n must be at least 2"),
+], ids=["nan-bulge", "infinite-bulge", "bulge-n4", "bulge-n2", "n1", "n0"])
+def test_configs_outside_the_limits_are_refused_at_load_time(tmp_path, capsys, args, message):
+    assert run(tmp_path, *args) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ValueError"
+    assert message in err["error"]["message"]
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+def test_config_file_refuses_a_non_finite_bulge(tmp_path, capsys, value):
+    """Python's json reads NaN and Infinity, so the file needs the same check as the flag."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"bulge": %s}' % value)
+    assert main(["--config", str(cfg), "--outdir", str(tmp_path / "out"), "build-rep"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert "bulge must be finite" in err["error"]["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_word_balls_large_enough_to_sample_are_accepted(tmp_path):
     assert run(tmp_path, "--bulge", "0.3", "--word-ball", "3", "build-rep") == 0
     # the closed-form Fuchsian curve reads no word ball

@@ -139,15 +139,22 @@ def test_flow_period_matches_eigenvalue_oracle(exact_curve):
 ROOTS = [(1, 2), (1, 3), (2, 3)]
 
 
-def test_period_spectrum_agrees_with_flow_period(exact_curve, bulged_curve):
-    """The blocked spectrum and a block of one word give the same bits."""
+def test_period_spectrum_agrees_with_flow_period(exact_curve, bulged_curve, monkeypatch):
+    """The blocked spectrum and a block of one word give the same bits, across blocks.
+
+    With 1,024 entries the L<=3 ball (160 words) runs in blocks of 113
+    words, scanned 2 words per chunk on the 512-sample exact curve; with
+    100 entries, in blocks of 11 words scanned one word per chunk.
+    """
     ball = enumerate_conjugacy_classes(exact_curve.rep.presentation, 3)
-    for curve in (exact_curve, bulged_curve):
-        spec = period_spectrum(curve, ball, ROOTS)
-        assert list(spec) == ball
-        for w in ball:
-            for root in ROOTS:
-                assert spec[w][root] == flow_period(curve, root, w)
+    for entries in (flows.SPECTRUM_BLOCK_ENTRIES, 1024, 100):
+        monkeypatch.setattr(flows, "SPECTRUM_BLOCK_ENTRIES", entries)
+        for curve in (exact_curve, bulged_curve):
+            spec = period_spectrum(curve, ball, ROOTS)
+            assert list(spec) == ball
+            for w in ball:
+                for root in ROOTS:
+                    assert spec[w][root] == flow_period(curve, root, w)
 
 
 def test_flow_period_rejects_the_identity(exact_curve):
@@ -155,23 +162,41 @@ def test_flow_period_rejects_the_identity(exact_curve):
         flow_period(exact_curve, (1, 2), GroupWord(()))
 
 
-def test_period_spectrum_raises_the_first_failing_words_error(exact_curve):
-    """Within one block, the error is that of the first word that fails.
+def test_period_spectrum_raises_the_first_failing_words_error(exact_curve, monkeypatch):
+    """The error is that of the first word that fails, in whichever block it sits.
 
     The empty word fails the reference trace check; `a1 a1 A2 a1 A2`
     fails the spread check for (1, 2), because its middle eigenvalue
-    sits at equal log-distance from both ends of the spectrum.
+    sits at equal log-distance from both ends of the spectrum.  The ten
+    words run in one block, and then with 36 entries in blocks of 4
+    words, which puts both failing words in later blocks.
     """
     pres = exact_curve.rep.presentation
     good = enumerate_conjugacy_classes(pres, 1)
     spread_word = pres.parse_word("a1 a1 A2 a1 A2")
-    assert len(good) + 2 <= flows.SPECTRUM_BLOCK_ENTRIES // exact_curve.thetas.size
+    assert len(good) + 2 <= flows.SPECTRUM_BLOCK_ENTRIES // exact_curve.n**2
+    for entries in (flows.SPECTRUM_BLOCK_ENTRIES, 36):
+        monkeypatch.setattr(flows, "SPECTRUM_BLOCK_ENTRIES", entries)
+        with pytest.raises(NotLoxodromic, match="reference image is not hyperbolic"):
+            period_spectrum(exact_curve,
+                            good[:5] + [GroupWord(())] + good[5:] + [spread_word], ROOTS)
+        with pytest.raises(RootFindFailure, match=r"^period varies with y by 1\.168e-06$"):
+            period_spectrum(exact_curve,
+                            good[:5] + [spread_word] + good[5:] + [GroupWord(())], ROOTS)
+
+
+def test_period_spectrum_finds_a_failing_word_by_halving(exact_curve, monkeypatch):
+    """A failing block is halved, not rerun word by word: about 2 log2(W) block runs."""
+    calls = []
+    block_periods = flows._block_periods
+    monkeypatch.setattr(flows, "_block_periods",
+                        lambda curve, roots, words: calls.append(len(words))
+                        or block_periods(curve, roots, words))
+    ball = enumerate_conjugacy_classes(exact_curve.rep.presentation, 3)
     with pytest.raises(NotLoxodromic, match="reference image is not hyperbolic"):
-        period_spectrum(exact_curve, good[:3] + [GroupWord(())] + good[3:] + [spread_word],
-                        ROOTS)
-    with pytest.raises(RootFindFailure, match=r"^period varies with y by 1\.168e-06$"):
-        period_spectrum(exact_curve, good[:3] + [spread_word] + good[3:] + [GroupWord(())],
-                        ROOTS)
+        period_spectrum(exact_curve, ball[:100] + [GroupWord(())] + ball[100:], ROOTS)
+    assert calls[0] == len(ball) + 1 and calls[-1] == 1
+    assert len(calls) <= 2 * math.ceil(math.log2(len(ball) + 1)) + 1
 
 
 def test_exact_curve_spectrum_at_length_five_stops_at_the_equidistant_word(reference):

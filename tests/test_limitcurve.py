@@ -24,7 +24,7 @@ from flagflows.limitcurve import (
     second_boundary_intersection,
 )
 from flagflows.projective import Flag, ProjectiveSubspace, join
-from flagflows.reps import SurfaceGroupRep, circular_gap, sym_power
+from flagflows.reps import SurfaceGroupRep, bulge_deform, circular_gap, sym_power
 
 
 def _symbolic_veronese(theta_expr):
@@ -49,6 +49,26 @@ def test_exact_curve_matches_symbolic_veronese(exact_curve):
     t_exact = np.array([float(sympy.N(c, 30)) for c in tangent])
     want_line = join([ProjectiveSubspace.point(p_exact), ProjectiveSubspace.point(t_exact)])
     assert f[2].principal_angle(want_line) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["exact_curve", "exact_curve4"])
+def test_fuchsian_curve_frames_are_exact_evaluations(request, name):
+    """The stacked closed-form frames equal `exact_eval` at every sample, bit for bit."""
+    curve = request.getfixturevalue(name)
+    for theta, frame in zip(curve.thetas, curve.frames):
+        assert frame.tobytes() == curve.exact_eval(theta).frame.tobytes()
+
+
+@pytest.mark.parametrize("bulge, depth", [(0.0, 3), (0.3, 3), (0.5, 4)])
+def test_sample_boundary_frames_equal_per_sample_flags(reference, monkeypatch, bulge, depth):
+    """One stacked QR gives the frames of `Flag.from_basis_columns`, bit for bit."""
+    rep = bulge_deform(sym_power(reference, 3), bulge)
+    stacked = sample_boundary(rep, reference, depth)
+    monkeypatch.setattr(limitcurve, "flag_frames", lambda columns: np.array(
+        [Flag.from_basis_columns(c).frame for c in columns]))
+    per_sample = sample_boundary(rep, reference, depth)
+    assert stacked.thetas.tobytes() == per_sample.thetas.tobytes()
+    assert stacked.frames.tobytes() == per_sample.frames.tobytes()
 
 
 def _rep_moving_only_a1(presentation, a1):

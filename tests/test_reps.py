@@ -84,6 +84,48 @@ def test_sym_matrix_is_a_homomorphism():
         assert np.allclose(left, np.sign(np.trace(left @ right.T)) * right, atol=1e-9)
 
 
+def _sym_matrix_by_convolution(a, m):
+    """One symmetric power multiplied out with np.convolve and a scalar m-th root."""
+    (aa, ab), (ac, ad) = a
+    out = np.empty((m, m))
+    for k in range(m):
+        p = np.array([1.0])
+        for factor in [[aa, ac]] * (m - 1 - k) + [[ab, ad]] * k:
+            p = np.convolve(p, factor)
+        out[:, k] = p
+    return out / np.linalg.det(out) ** (1.0 / m)
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_sym_matrix_of_a_stack_equals_each_matrix_alone(m):
+    """The stacked symmetric power is np.convolve's per matrix, bit for bit."""
+    a = np.random.default_rng(m).standard_normal((200, 2, 2))
+    a[np.linalg.det(a) < 0] *= np.array([[1.0, -1.0], [1.0, -1.0]])  # flip column 1
+    a /= np.sqrt(np.linalg.det(a))[:, None, None]
+    stack = sym_matrix(a.reshape(20, 10, 2, 2), m).reshape(200, m, m)
+    for k in range(200):
+        want = _sym_matrix_by_convolution(a[k], m).tobytes()
+        assert stack[k].tobytes() == sym_matrix(a[k], m).tobytes() == want
+    a[17] = 0.0
+    with pytest.raises(ValueError, match="det"):
+        sym_matrix(a, m)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_reps_refuse_non_finite_images(reference, bad):
+    """NaN compares false, so the det and relator checks must fail it, not pass it."""
+    rep3 = sym_power(reference, 3)
+    with pytest.raises(ValueError, match="bulge must be finite"):
+        bulge_deform(rep3, bad)
+    images = dict(rep3.images)
+    images[2] = images[2].copy()
+    images[2][0, 1] = bad
+    with pytest.raises(ValueError, match="generator 2 image is not finite"):
+        SurfaceGroupRep(rep3.presentation, 3, images)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="det"):
+        sym_matrix(np.full((2, 2), bad), 3)
+
+
 def test_jordan_projection_of_symmetric_power(reference):
     rep3 = sym_power(reference, 3)
     for text in ("a1", "a1 b1", "a2 B1 a1"):
