@@ -44,7 +44,7 @@ from .flows import (
 from .limitcurve import (
     MIN_SAMPLES,
     boundary_regularity_estimate,
-    build_convex_domain,
+    convex_domain_checks,
     frenet_checks,
     fuchsian_curve,
     sample_boundary,
@@ -125,6 +125,8 @@ def load_config(args) -> dict:
     if cfg["bulge"] != 0 and cfg["n"] != 3:
         raise ValueError(f"bulge deforms SL(3, R) representations only, so needs n=3; "
                          f"got n={cfg['n']} with bulge {cfg['bulge']}")
+    if cfg["seed"] < 0:
+        raise ValueError(f"seed must be non-negative; got {cfg['seed']}")
     if cfg["word_ball"] < 1:
         raise ValueError(f"word_ball must be at least 1; got {cfg['word_ball']}")
     if is_sampled(cfg) and cfg["word_ball"] < SAMPLED_WORD_BALL:
@@ -223,7 +225,10 @@ def _positive_roots(n: int):
 
 
 def _parse_alpha(text: str):
-    i, j = (int(t) for t in text.split(","))
+    try:
+        i, j = (int(t) for t in text.split(","))
+    except ValueError:
+        raise ValueError(f"alpha expects two integers i,j; got {text!r}") from None
     return (i, j)
 
 
@@ -332,14 +337,15 @@ def cmd_frenet_check(cfg, args):
 
 
 def cmd_dev_image(cfg, args):
-    if not args.map.startswith("alpha:"):
+    alpha = _parse_alpha(args.map.split(":", 1)[1]) if args.map.startswith("alpha:") else None
+    if alpha is None:
         _require_n3(cfg, f"dev-image --map {args.map}")
-    curve = build_curve(cfg)
     x, z = float(args.x), float(args.z)
     ys = leaf_sweep(x, z, int(args.num))
+    curve = build_curve(cfg)
     header = ["y"] + [f"p{k}" for k in range(curve.n)]
-    if args.map.startswith("alpha:"):
-        ctx = leaf_context(curve, _parse_alpha(args.map.split(":", 1)[1]), x, z)
+    if alpha:
+        ctx = leaf_context(curve, alpha, x, z)
         rows = [[y, *v] for y, v in zip(ys, ctx.image(curve.hyperplane_covectors_at(ys)))]
     else:
         header += [f"line{k}" for k in range(curve.n)]
@@ -353,19 +359,18 @@ def cmd_dev_image(cfg, args):
 
 
 def cmd_flow(cfg, args):
-    curve = build_curve(cfg)
     alpha = _parse_alpha(args.alpha)
+    curve = build_curve(cfg)
     word = curve.rep.presentation.parse_word(args.word)
     m = curve.reference.matrix(word)
     if abs(np.trace(m)) <= 2.0:
         raise ValueError("word image is not hyperbolic in the reference")
     x, z = axis_thetas(m)
     y0 = (x + ((z - x) % (2 * math.pi)) / 2) % (2 * math.pi)
-    record = flow_orbit(curve, alpha, LeafPoint(x, y0, z),
-                        float(args.t_max), int(args.steps))
+    orbit = flow_orbit(curve, alpha, LeafPoint(x, y0, z), float(args.t_max), int(args.steps))
     write_csv(cfg, "flow_orbit.csv",
               ["t", "y"] + [f"p{k}" for k in range(curve.n)],
-              [[t, y, *image] for t, y, image in record.samples])
+              [[t, y, *image] for t, y, image in orbit])
     period = flow_period(curve, alpha, word)
     jd = jordan_projection(curve.rep.matrix(word),
                            curve.rep.matrix(word.inverse()))
@@ -383,8 +388,8 @@ def cmd_flow(cfg, args):
 
 
 def cmd_periods(cfg, args):
+    roots = [_parse_alpha(args.alpha)] if args.alpha else _positive_roots(cfg["n"])
     curve = build_curve(cfg)
-    roots = [_parse_alpha(args.alpha)] if args.alpha else _positive_roots(curve.n)
     rows, check = periods_check(curve, int(args.max_len), roots)
     fmt = curve.rep.presentation.format_word
     write_csv(cfg, "periods.csv",
@@ -439,8 +444,7 @@ def cmd_verify_all(cfg, args):
     curve = build_curve(cfg)
     checks = {"frenet": frenet_check(curve)[1]}
 
-    domain = build_convex_domain(curve)
-    convex, support = domain.is_convex(), domain.tangents_support()
+    convex, support = convex_domain_checks(curve)
     checks["convex_domain"] = {"passed": convex and support, "is_convex": convex,
                                "tangents_support": support}
 

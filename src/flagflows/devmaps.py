@@ -47,6 +47,9 @@ class LeafPoint:
     z: float
 
     def __post_init__(self):
+        for name, v in zip("xyz", (self.x, self.y, self.z)):
+            if not math.isfinite(v):
+                raise ValueError(f"leaf point parameter {name} must be finite; got {v}")
         vals = [v % (2 * math.pi) for v in (self.x, self.y, self.z)]
         for a_i in range(3):
             for b_i in range(a_i + 1, 3):
@@ -219,7 +222,9 @@ def geodesic_realization(curve: BoundaryCurve, i: int, j: int,
 
 
 def leaf_sweep(x: float, z: float, num: int) -> list:
-    """`num` evenly spaced parameters strictly inside the ccw arc from x to z."""
+    """`num` >= 1 evenly spaced parameters strictly inside the ccw arc from x to z."""
+    if num < 1:
+        raise ValueError(f"num must be at least 1, got {num}")
     arc = circular_gap(x, z)
     return [(x + arc * k / (num + 1)) % (2 * math.pi) for k in range(1, num + 1)]
 

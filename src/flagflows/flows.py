@@ -9,7 +9,7 @@ of its hyperplane y^{n-1}, by two dot products with the segment ends.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,22 +40,6 @@ def leafwise_distance(ctx: LeafMetricContext, m1: np.ndarray, m2: np.ndarray) ->
     if u1 == 0.0 or u2 == 0.0 or (u1 > 0) != (u2 > 0):
         raise PointOutsideSegment("points on different components of the leaf line")
     return math.log(abs(u2)) - math.log(abs(u1))
-
-
-@dataclass
-class FlowOrbitRecord:
-    """Trajectory of one leaf point under a refraction flow."""
-
-    leaf: tuple
-    samples: list = field(default_factory=list, init=False)  # (t, y, unit image vector)
-
-    def append(self, t: float, y: float, image: np.ndarray):
-        """Record a sample; |t| must grow strictly, keeping the sign of the first nonzero t."""
-        if self.samples:
-            last = self.samples[-1][0]
-            if abs(t) <= abs(last) or t * last < 0:
-                raise ValueError("flow times must move strictly away from 0 in one direction")
-        self.samples.append((t, y, image))
 
 
 def _arc_solve(curve, ctx, p: LeafPoint, target_log_u: float, sign: float) -> float:
@@ -132,16 +116,15 @@ def _orbit(curve: BoundaryCurve, alpha, p: LeafPoint, t_max: float, steps: int):
         yield t_max * k / steps, p
 
 
-def flow_orbit(curve: BoundaryCurve, alpha, p: LeafPoint, t_max: float,
-               steps: int) -> FlowOrbitRecord:
-    """Integrate to a finite nonzero t_max in `steps` >= 1 equal steps; record (t, y, image)."""
+def flow_orbit(curve: BoundaryCurve, alpha, p: LeafPoint, t_max: float, steps: int) -> list:
+    """Integrate to a finite nonzero t_max in `steps` >= 1 equal steps.
+
+    Returns the rows (t, y, unit image vector) from t = 0 to t_max.
+    """
     orbit = list(_orbit(curve, alpha, p, t_max, steps))
     ctx = leaf_context(curve, alpha, p.x, p.z)
     images = ctx.image(curve.hyperplane_covectors_at([q.y for _, q in orbit]))
-    record = FlowOrbitRecord(leaf=(p.x, p.z))
-    for (t, q), image in zip(orbit, images):
-        record.append(t, q.y, image)
-    return record
+    return [(t, q.y, image) for (t, q), image in zip(orbit, images)]
 
 
 def flow_period(curve: BoundaryCurve, alpha, gamma: GroupWord) -> float:

@@ -129,15 +129,12 @@ class BoundaryCurve:
         count = p.shape[1]
         if count < 4:
             return 1e-6
-        t = self.thetas
-        gaps = np.array([circular_gap(t[i], t[(i + 1) % count]) for i in range(count)])
+        gaps = (np.roll(self.thetas, -1) - self.thetas) % (2.0 * math.pi)  # to the next sample
         # local curvature scale from the deviation of each sample off the
         # chord of its neighbors, then worst-gap chord error |f''| g^2 / 8
-        curv = np.zeros(count)
-        for i in range(count):
-            g1, g2 = gaps[i - 1], gaps[i]
-            lerp = (g2 * p[:, i - 1] + g1 * p[:, (i + 1) % count]) / (g1 + g2)
-            curv[i] = 2.0 * np.linalg.norm(p[:, i] - lerp) / (g1 * g2)
+        g1, g2 = np.roll(gaps, 1), gaps
+        lerp = (g2 * np.roll(p, 1, axis=1) + g1 * np.roll(p, -1, axis=1)) / (g1 + g2)
+        curv = 2.0 * np.linalg.norm(p - lerp, axis=0) / (g1 * g2)
         # cap outlier curvature estimates (tiny-gap triples amplify noise)
         local = np.minimum(np.maximum(curv, np.roll(curv, -1)),
                            np.percentile(curv, 90))
@@ -310,6 +307,8 @@ def interpolate(curve: BoundaryCurve, theta: float) -> Flag:
     alignment depends only on the gap, so its rotation is computed on the
     first evaluation in that gap and kept on the curve.
     """
+    if not math.isfinite(theta):
+        raise ValueError(f"flag parameter theta must be finite; got {theta}")
     theta = theta % (2 * math.pi)
     n_samples = curve.thetas.size
     if n_samples < 2:
@@ -499,32 +498,21 @@ def frenet_checks(curve: BoundaryCurve) -> FrenetReport:
     )
 
 
-@dataclass
-class ConvexDomainApprox:
-    """Polygonal approximation of the invariant convex domain in a chart."""
+def convex_domain_checks(curve: BoundaryCurve):
+    """(is_convex, tangents_support) of the chart polygon of the xi^1 samples.
 
-    vertices: np.ndarray       # (N, 2) chart coordinates, circular order
-    tangents: list             # chart line coefficients (a, b, c) per vertex
-
-    def is_convex(self) -> bool:
-        v = self.vertices
-        m = v.shape[0]
-        e = v[(np.arange(m) + 1) % m] - v
-        cross = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
-        return bool(np.all(cross > 0) or np.all(cross < 0))
-
-    def tangents_support(self) -> bool:
-        for (a, b, c) in self.tangents:
-            vals = self.vertices @ np.array([a, b]) + c
-            if vals.max() > SUPPORT_TOL and vals.min() < -SUPPORT_TOL:
-                return False
-        return True
-
-
-def build_convex_domain(curve: BoundaryCurve) -> ConvexDomainApprox:
-    verts = curve.chart_points()
-    tangents = [curve.chart.line_to_chart(c) for c in curve.hyperplane_covectors()]
-    return ConvexDomainApprox(verts, tangents)
+    The polygon is convex when all its turns have one sign; the tangent
+    line at each sample supports it when no two vertices lie more than
+    `SUPPORT_TOL` on opposite sides of it.
+    """
+    v = curve.chart_points()
+    e = np.roll(v, -1, axis=0) - v
+    cross = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
+    is_convex = bool(np.all(cross > 0) or np.all(cross < 0))
+    tangents = curve.chart.line_to_chart(curve.hyperplane_covectors())
+    support = all(vals.max() <= SUPPORT_TOL or vals.min() >= -SUPPORT_TOL
+                  for vals in (v @ line[:2] + line[2] for line in tangents))
+    return is_convex, support
 
 
 def boundary_regularity_estimate(curve: BoundaryCurve):

@@ -176,7 +176,8 @@ def test_word_ball_too_small_to_sample_is_refused_at_load_time(tmp_path, capsys,
     (("--n", "2", "--bulge", "0.3", "build-rep"), "needs n=3; got n=2 with bulge 0.3"),
     (("--n", "1", "build-rep"), "n must be at least 2"),
     (("--n", "0", "--bulge", "0.3", "periods"), "n must be at least 2"),
-], ids=["nan-bulge", "infinite-bulge", "bulge-n4", "bulge-n2", "n1", "n0"])
+    (("--seed", "-1", "build-rep"), "seed must be non-negative; got -1"),
+], ids=["nan-bulge", "infinite-bulge", "bulge-n4", "bulge-n2", "n1", "n0", "negative-seed"])
 def test_configs_outside_the_limits_are_refused_at_load_time(tmp_path, capsys, args, message):
     assert run(tmp_path, *args) == 2
     err = json.loads(capsys.readouterr().err)
@@ -268,6 +269,7 @@ def test_decay_on_default_config(tmp_path):
 
 FLOW = ("flow", "--alpha", "2,3", "--word", "a1")
 STEPS, T_MAX = "steps must be at least 1", "t_max must be finite and nonzero"
+NUM, ALPHA = "num must be at least 1", "alpha expects two integers i,j"
 
 
 @pytest.mark.parametrize("command, message", [
@@ -277,12 +279,34 @@ STEPS, T_MAX = "steps must be at least 1", "t_max must be finite and nonzero"
 ] + [
     (command + ("--t-max", t_max, "--steps", "2"), T_MAX)
     for command in (FLOW, ("decay",)) for t_max in ("0", "nan", "inf")
+] + [
+    (("dev-image", "--map", "tr", "--num", "0"), NUM),
+    (("dev-image", "--map", "alpha:1,2", "--num", "-3"), NUM),
+    (("flow", "--alpha", "1", "--word", "a1"), ALPHA),
+    (("periods", "--alpha", "1,2,3"), ALPHA),
 ], ids=["flow-0", "flow-negative", "decay-0"] + [
     f"{command}-t-max-{t_max}" for command in ("flow", "decay") for t_max in ("0", "nan", "inf")
-])
+] + ["dev-image-num-0", "dev-image-num-negative", "flow-alpha-1", "periods-alpha-3"])
 def test_fewer_than_one_step_is_refused(tmp_path, capsys, command, message):
-    """An orbit of fewer than one step, or to a zero or non-finite time, is refused."""
+    """An orbit of fewer than one step, or to a zero or non-finite time, is refused, and
+    so are a leaf sweep of fewer than one point and a root that is not two integers."""
     assert run(tmp_path, *command) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ValueError"
+    assert message in err["error"]["message"]
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args, message", [
+    (("dev-image", "--map", "tan+", "--x", "nan"), "parameter x must be finite; got nan"),
+    (("--bulge", "0.3", "dev-image", "--map", "tan+", "--x", "nan"),
+     "parameter x must be finite; got nan"),
+    (("dev-image", "--map", "alpha:1,2", "--z", "inf"), "theta must be finite; got inf"),
+], ids=["exact", "sampled", "root-realization"])
+def test_non_finite_leaf_parameters_are_refused(tmp_path, capsys, args, message):
+    """One JSON diagnostic and no numpy warning on stderr, and no file written."""
+    assert run(tmp_path, *args) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "ValueError"
     assert message in err["error"]["message"]

@@ -358,3 +358,12 @@ def test_leaf_point_validation():
         LeafPoint(1.0, 1.0, 2.0)
     assert LeafPoint(0.1, 1.0, 2.0).is_positive
     assert not LeafPoint(0.1, 2.0, 1.0).is_positive
+
+
+@pytest.mark.parametrize("x, y, z, name", [
+    (math.nan, 1.0, 2.0, "x"), (0.1, math.inf, 2.0, "y"), (0.1, 1.0, -math.inf, "z"),
+])
+def test_leaf_point_refuses_non_finite_parameters(x, y, z, name):
+    """NaN would pass the distinctness test, whose comparisons are false on it."""
+    with pytest.raises(ValueError, match=f"parameter {name} must be finite"):
+        LeafPoint(x, y, z)

@@ -101,20 +101,11 @@ def test_flow_step_reverses(request, curve_name):
         assert abs(q.y - p.y) < 1e-10
 
 
-def test_flow_orbit_record_times_move_away_from_zero():
-    record = flows.FlowOrbitRecord(leaf=(0.5, 3.9))
-    for t in (0.0, -0.5, -1.0):
-        record.append(t, 1.5, None)
-    for t in (-1.0, 0.5):  # not farther from 0, or of the other sign
-        with pytest.raises(ValueError):
-            record.append(t, 1.5, None)
-
-
 def test_flow_orbit_records_increasing_times(exact_curve):
-    record = flow_orbit(exact_curve, (2, 3), LeafPoint(0.5, 1.5, 3.9), 1.0, 5)
-    ts = [s[0] for s in record.samples]
-    assert ts == sorted(ts)
-    assert len(record.samples) == 6
+    p = LeafPoint(0.5, 1.5, 3.9)
+    rows = flow_orbit(exact_curve, (2, 3), p, 1.0, 5)
+    assert [t for t, _, _ in rows] == [k / 5 for k in range(6)]
+    assert rows[0][1] == p.y
 
 
 def test_flow_period_matches_sl2_lengths(exact_curve, reference):

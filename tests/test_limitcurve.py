@@ -18,8 +18,9 @@ from flagflows.limitcurve import (
     BoundaryCurve,
     boundary_regularity_estimate,
     bracketed_root,
-    build_convex_domain,
+    convex_domain_checks,
     frenet_checks,
+    interpolate,
     sample_boundary,
     second_boundary_intersection,
 )
@@ -253,9 +254,57 @@ def test_frenet_general_position_fails_on_flattened_curve(reference):
 
 
 def test_convex_domain_is_convex_with_supporting_tangents(exact_curve):
-    domain = build_convex_domain(exact_curve)
-    assert domain.is_convex()
-    assert domain.tangents_support()
+    assert convex_domain_checks(exact_curve) == (True, True)
+
+
+def test_convex_domain_check_fails_on_permuted_samples(exact_curve):
+    """Two neighbouring frames swapped: the same vertices, which the tangents still support,
+    in an order whose turns change sign."""
+    order = np.arange(len(exact_curve))
+    order[[100, 101]] = order[[101, 100]]
+    scrambled = BoundaryCurve(exact_curve.thetas, exact_curve.frames[order],
+                              exact_curve.rep, exact_curve.reference)
+    assert convex_domain_checks(scrambled) == (False, True)
+
+
+def test_convex_domain_check_fails_on_a_tangent_off_the_curve(exact_curve):
+    """One sample's line turned about its point, its frame still orthonormal."""
+    frames = exact_curve.frames.copy()
+    point, tangent = frames[100, :, 0], frames[100, :, 1]
+    frames[100, :, 1] = math.cos(0.3) * tangent + math.sin(0.3) * np.cross(point, tangent)
+    assert np.allclose(frames[100].T @ frames[100], np.eye(2))
+    turned = BoundaryCurve(exact_curve.thetas, frames, exact_curve.rep, exact_curve.reference)
+    assert convex_domain_checks(turned) == (True, False)
+
+
+def _loop_interp_error(curve):
+    """The interpolation error estimate as a loop over samples, one neighbour chord each."""
+    p, t = curve._aligned_points, curve.thetas
+    count = p.shape[1]
+    gaps = np.array([circular_gap(t[i], t[(i + 1) % count]) for i in range(count)])
+    curv = np.zeros(count)
+    for i in range(count):
+        g1, g2 = gaps[i - 1], gaps[i]
+        lerp = (g2 * p[:, i - 1] + g1 * p[:, (i + 1) % count]) / (g1 + g2)
+        curv[i] = 2.0 * np.linalg.norm(p[:, i] - lerp) / (g1 * g2)
+    local = np.minimum(np.maximum(curv, np.roll(curv, -1)), np.percentile(curv, 90))
+    return float(max((local * gaps**2 / 8.0).max(), 1e-12))
+
+
+@pytest.mark.parametrize("name", ["sampled_curve", "bulged_curve", "bulged_curve03"])
+def test_interp_error_equals_the_loop_over_samples(request, name):
+    """The stacked norms sum their squares in another order than the dot product of one
+    vector, so the two may round a few ulps apart (on these curves they are equal)."""
+    curve = request.getfixturevalue(name)
+    want = _loop_interp_error(curve)
+    assert curve.interp_error == pytest.approx(want, rel=8 * np.finfo(float).eps, abs=0)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_interpolate_refuses_a_non_finite_parameter(exact_curve, sampled_curve, theta):
+    for curve in (exact_curve, sampled_curve):
+        with pytest.raises(ValueError, match=f"theta must be finite; got {theta}"):
+            interpolate(curve, theta)
 
 
 @pytest.mark.parametrize("name", ["exact_curve", "exact_curve4", "sampled_curve"])
