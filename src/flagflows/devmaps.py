@@ -10,9 +10,9 @@ and returns stacked points and line covectors; `phi_tr`, `phi_tan_plus`,
 membership classifier and the covering / concavity / type diagnostics
 work on the stacked arrays, and the boundary scans read the line
 covectors.  The geodesic realizations of the roots of PSL(n) serve
-every n >= 3: each leaf's image segment (`leaf_context`) takes one
-`meet` per interior endpoint, and every leaf point is read from two
-dot products with the covector of its hyperplane y^{n-1}.
+every n >= 3: the image segments of stacked leaves (`leaf_context`) take
+one stacked annihilator per interior endpoint, and every leaf point is
+read from two dot products with the covector of its hyperplane y^{n-1}.
 """
 
 import math
@@ -22,8 +22,8 @@ import numpy as np
 
 from .config import DegenerateMeet, PointOutsideSegment, UnclassifiedLine
 from .limitcurve import BoundaryCurve, second_boundary_intersection
-from .projective import (RANK_TOL, Flag, ProjectiveSubspace, cross_meet, cross_ratio, meet,
-                         signed_polygon_distance)
+from .projective import (RANK_TOL, Flag, ProjectiveSubspace, annihilator, cross_meet,
+                         cross_ratio, signed_polygon_distance)
 from .reps import circular_gap, positively_oriented
 
 # bound on a pointwise identity or fit residual: closed-form and interpolated curves
@@ -66,6 +66,13 @@ class LeafPoint:
         return positively_oriented(self.x, self.y, self.z)
 
 
+def leaf_triples(x, y, z):
+    """Three (m,) arrays of the triples that x, y, z (scalars or 1-d arrays) broadcast to,
+    each checked and reduced mod 2pi by `LeafPoint`."""
+    triples = zip(*np.broadcast_arrays(*np.atleast_1d(x, y, z)))
+    return np.array([astuple(LeafPoint(*t)) for t in triples]).reshape(-1, 3).T
+
+
 def _levels(frames):
     """Point and line covector of each n=3 flag frame (..., 3, 2)."""
     return frames[..., 0], cross_meet(frames[..., 0], frames[..., 1])
@@ -100,8 +107,8 @@ def develop_frames(name: str, fx, fy, fz):
 
 def _involution(curve: BoundaryCurve, x, y, z) -> np.ndarray:
     """The y of each triple after the involution: the second boundary hit of its iota line."""
-    _, lines = develop_frames("iota", *(curve.frames_at(t) for t in (x, y, z)))
-    return np.array([second_boundary_intersection(curve, line, t) for line, t in zip(lines, y)])
+    _, lines = develop_frames("iota", *curve.frames_at(np.stack([x, y, z])))
+    return second_boundary_intersection(curve, lines, y)
 
 
 def develop(curve: BoundaryCurve, name: str, x, y, z):
@@ -116,11 +123,10 @@ def develop(curve: BoundaryCurve, name: str, x, y, z):
         raise ValueError(f"unknown map {name!r}; choose from {sorted(MAP_TABLE)}")
     if curve.n != 3:
         raise ValueError(f"the developing maps are defined at n=3; got n={curve.n}")
-    triples = zip(*np.broadcast_arrays(*np.atleast_1d(x, y, z)))
-    x, y, z = np.array([astuple(LeafPoint(*t)) for t in triples]).reshape(-1, 3).T
+    x, y, z = leaf_triples(x, y, z)
     if name == "tan-":
         return develop(curve, "tan+", x, _involution(curve, x, y, z), z)
-    return develop_frames(name, *(curve.frames_at(t) for t in (x, y, z)))
+    return develop_frames(name, *curve.frames_at(np.stack([x, y, z])))
 
 
 def _one(curve: BoundaryCurve, name: str, p: LeafPoint) -> Flag:
@@ -158,12 +164,12 @@ def psi_k(curve: BoundaryCurve, p: LeafPoint, k: int) -> Flag:
 
 @dataclass(frozen=True, eq=False)
 class LeafMetricContext:
-    """The image segment of one geodesic leaf under a root realization.
+    """The image segments of stacked geodesic leaves under a root realization.
 
-    `forward` = a and `backward` = b are unit vectors along its endpoints;
-    the flow moves toward forward, x^i ∩ z^{n-i+1}.  A leaf point is read
-    from the covector m of its hyperplane y^{n-1}, on stacked covectors
-    (..., n): its image, the segment line met with y^{n-1}, is
+    `forward` = a and `backward` = b are unit vectors (..., n) along each
+    segment's ends; the flow moves toward forward, x^i ∩ z^{n-i+1}.  A
+    leaf point is read from the covector m (..., n) of its hyperplane
+    y^{n-1}: its image, the segment line met with y^{n-1}, is
     (m.b) a - (m.a) b, and its coordinate -(m.b)/(m.a) is a ratio of
     pairings, the form of Labourie's cross ratio.
     """
@@ -173,35 +179,44 @@ class LeafMetricContext:
 
     def __post_init__(self):
         a, b = self.forward, self.backward
-        if np.linalg.norm(b - (a @ b) * a) < 1e-9:  # sine of their angle
+        if np.any(np.linalg.norm(b - np.sum(a * b, axis=-1)[..., None] * a, axis=-1) < 1e-9):
             raise ValueError("leaf endpoints coincide")
 
     def _pairings(self, m):
-        """(m.a, m.b), refused where both endpoints lie numerically in ker m = y^{n-1}."""
-        ma, mb = m @ self.forward, m @ self.backward
-        if np.any(np.maximum(np.abs(ma), np.abs(mb)) <= RANK_TOL * np.linalg.norm(m, axis=-1)):
-            raise DegenerateMeet("meet has dimension 2, expected 1")
-        return ma, mb
+        """(m.a, m.b) and where both endpoints lie numerically in ker m = y^{n-1}."""
+        ma, mb = np.sum(m * self.forward, axis=-1), np.sum(m * self.backward, axis=-1)
+        return ma, mb, np.maximum(np.abs(ma), np.abs(mb)) <= RANK_TOL * np.linalg.norm(m, axis=-1)
 
     def coordinate(self, m):
         """Segment coordinate -(m.b)/(m.a) of each image: backward at 0, forward at infinity."""
-        ma, mb = self._pairings(m)
+        ma, mb, degenerate = self._pairings(m)
+        if np.any(degenerate):
+            raise DegenerateMeet("meet has dimension 2, expected 1")
         if np.any(np.abs(ma) < 1e-14 * np.abs(mb)):
             raise PointOutsideSegment("point at the forward endpoint")
         return -mb / ma
 
+    def coordinate_or_nan(self, m):
+        """`coordinate`, NaN at each image it would refuse instead of raising."""
+        ma, mb, degenerate = self._pairings(m)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(degenerate | (np.abs(ma) < 1e-14 * np.abs(mb)), np.nan, -mb / ma)
+
     def image(self, m) -> np.ndarray:
         """Unit vectors (..., n) along the images (m.b) a - (m.a) b."""
-        ma, mb = self._pairings(m)
+        ma, mb, degenerate = self._pairings(m)
+        if np.any(degenerate):
+            raise DegenerateMeet("meet has dimension 2, expected 1")
         image = mb[..., None] * self.forward - ma[..., None] * self.backward
         return image / np.linalg.norm(image, axis=-1, keepdims=True)
 
 
-def leaf_context(curve: BoundaryCurve, alpha, x: float, z: float) -> LeafMetricContext:
-    """Image segment of root alpha = (i, j) on the leaf (x, z), for n >= 3.
+def leaf_context(curve: BoundaryCurve, alpha, x, z) -> LeafMetricContext:
+    """Image segments of root alpha = (i, j) on the broadcast leaves (x, z), n >= 3.
 
-    Its endpoints are x^i ∩ z^{n-i+1} and x^j ∩ z^{n-j+1}, with the
-    degenerate meets at i = 1 and j = n read as x^1 and z^1.
+    The ends are x^i ∩ z^{n-i+1} and x^j ∩ z^{n-j+1}, read as x^1 at i = 1
+    and z^1 at j = n; an interior one is the kernel of the covectors of x^k
+    and z^{n-k+1}, refused with DegenerateMeet by the rank rule of `meet`.
     """
     i, j = alpha
     n = curve.n
@@ -209,16 +224,27 @@ def leaf_context(curve: BoundaryCurve, alpha, x: float, z: float) -> LeafMetricC
         raise ValueError(f"root realizations need n >= 3; got n={n}")
     if not (1 <= i < j <= n):
         raise ValueError("need 1 <= i < j <= n")
-    fx, fz = curve.flag_at(x), curve.flag_at(z)
-    return LeafMetricContext(*(fx.frame[:, 0] if k == 1 else fz.frame[:, 0] if k == n else
-                               meet([fx[k], fz[n - k + 1]]).vector for k in (i, j)))
+    fx, fz = curve.frames_at(np.stack(np.broadcast_arrays(x, z)))
+
+    def endpoint(k):
+        if k in (1, n):
+            return (fx if k == 1 else fz)[..., 0]
+        covectors = np.concatenate([annihilator(fx[..., :k]),
+                                    annihilator(fz[..., :n - k + 1])], axis=-1)
+        u, sv, _ = np.linalg.svd(covectors)
+        small = np.sum(sv <= RANK_TOL * sv[..., :1], axis=-1)
+        if np.any(small):
+            raise DegenerateMeet(f"meet has dimension {1 + np.max(small)}, expected 1")
+        return u[..., -1]
+
+    return LeafMetricContext(endpoint(i), endpoint(j))
 
 
 def geodesic_realization(curve: BoundaryCurve, i: int, j: int,
                          p: LeafPoint) -> ProjectiveSubspace:
     """Root (i, j) realization [(x^i ∩ z^{n-i+1}) + (x^j ∩ z^{n-j+1})] ∩ y^{n-1} of p."""
     ctx = leaf_context(curve, (i, j), p.x, p.z)
-    return ProjectiveSubspace(curve.n, ctx.image(curve.hyperplane_covectors_at([p.y])[0]))
+    return ProjectiveSubspace(curve.n, ctx.image(curve.hyperplane_covectors_at(p.y)))
 
 
 def leaf_sweep(x: float, z: float, num: int) -> list:
@@ -308,7 +334,7 @@ def covering_checks(curve: BoundaryCurve, num_points: int = 32,
     rng = np.random.default_rng(seed)
     x, y, z = _random_triples(rng, num_points)
     points, lines = develop(curve, "tan+", x, y, z)
-    w = [second_boundary_intersection(curve, line, t) for line, t in zip(lines, x)]
+    w = second_boundary_intersection(curve, lines, x)
     swapped_points, swapped_lines = develop(curve, "tan+", w, z, y)
     two_sheet = max(_angle(points, swapped_points).max(), _angle(lines, swapped_lines).max())
     h = 1e-4
@@ -319,7 +345,7 @@ def covering_checks(curve: BoundaryCurve, num_points: int = 32,
     ends = [p.x + arc * 1e-6, p.x + arc * (1 - 1e-6)]
     sweep, _ = develop(curve, "tan+", p.x, leaf_sweep(p.x, p.z, COVERING_LEAF_SAMPLES) + ends, p.z)
     sv = np.linalg.svd(sweep[:-2], compute_uv=False)
-    (_, x2), (z1, z2) = (_levels(curve.flag_at(t).frame) for t in (p.x, p.z))
+    (_, z1), (x2, z2) = _levels(curve.frames_at([p.x, p.z]))
     return CoveringReport(
         two_sheet_max_error=float(two_sheet),
         injectivity_min_ratio=float(inj_ratio),
@@ -345,7 +371,7 @@ def concavity_check(curve: BoundaryCurve, x: float, sample_count: int = 40,
     rng = np.random.default_rng(seed)
     delta = _membership_margin(curve)
     verts = curve.chart_points()
-    tangent = curve.chart.line_to_chart(_levels(curve.flag_at(x).frame)[1])
+    tangent = curve.chart.line_to_chart(_levels(curve.frames_at(x))[1])
     # the leaves (x, y, z) for every pair y < z of the sample_count parameters after x
     a_k, b_k = np.triu_indices(sample_count, 1)
     y = x + 2 * math.pi * (a_k + 1) / (sample_count + 1)
@@ -386,7 +412,7 @@ def type_classifier(points, curve: BoundaryCurve, x: float, z: float) -> str:
     if s_vals[-1] / s_vals[0] > curve_tolerance(curve):
         raise UnclassifiedLine(f"collinearity residual {s_vals[-1] / s_vals[0]:.3e}")
     fitted = u_mat[:, -1]  # covector of the fitted line
-    (x1, x2), (z1, z2) = (_levels(curve.flag_at(t).frame) for t in (x, z))
+    (x1, z1), (x2, z2) = _levels(curve.frames_at([x, z]))
     if _angle(fitted, cross_meet(x1, z1)) < LINE_MATCH_TOL:
         return "transverse"
     if _angle(fitted, z2) > LINE_MATCH_TOL:

@@ -6,6 +6,11 @@ three, toward x2 ∩ z2).  With x the attracting and z the repelling fixed
 point of a loxodromic element, one period of the flow is then the
 positive root length l_i - l_j.  A leaf point is read from the covector
 of its hyperplane y^{n-1}, by two dot products with the segment ends.
+
+On a fixed leaf the flow adds t to log|u|, u the segment coordinate, so
+an orbit is one stacked root solve on one leaf context, and `flow_step`
+is its one-target case.  The cocycle and the stable-leaf distances also
+take stacked leaf points.
 """
 
 import math
@@ -13,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (DegenerateMeet, FlagFlowsError, InsufficientResolution, NotDefinedHere,
-                     NotLoxodromic, PointOutsideSegment, RootFindFailure)
-from .devmaps import LeafMetricContext, LeafPoint, develop, geodesic_realization, leaf_context
+from .config import (FlagFlowsError, InsufficientResolution, NotDefinedHere, NotLoxodromic,
+                     PointOutsideSegment, RootFindFailure)
+from .devmaps import LeafMetricContext, LeafPoint, develop, leaf_context, leaf_triples
 from .limitcurve import ROOT_TOL, BoundaryCurve, bracketed_root, second_boundary_intersection
 from .projective import cross_meet, cross_ratio
 from .reps import (boundary_vector, circular_gap, loxodromic_eigensystem, read_from_g,
@@ -29,91 +34,86 @@ Y_CHOICES = 2  # hyperplane samples whose periods must agree in flow_period
 SPECTRUM_BLOCK_ENTRIES = 16_384
 # dyadic scales base * 2^-k, k < count, of the tangent fits in regularity_probe
 PROBE_BASE_SCALE, PROBE_SCALES = 0.2, 6
+# arc fractions on which flow targets are bracketed: halvings toward both
+# leaf ends down to 2^-30 (about 1e-9) of the arc, and sixteenths between
+FLOW_GRID = np.unique(np.concatenate([0.5 ** np.arange(1, 31), 1.0 - 0.5 ** np.arange(1, 31),
+                                      np.arange(1, 16) / 16]))
 
 
-def leafwise_distance(ctx: LeafMetricContext, m1: np.ndarray, m2: np.ndarray) -> float:
-    """Signed log-cross-ratio distance along the leaf segment, from covectors of two y^{n-1}.
+def leafwise_distance(ctx: LeafMetricContext, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """Signed log-cross-ratio distances along the leaf segments, from covectors of two y^{n-1}.
 
-    Positive when the second image is forward of the first; additive.
+    Stacked like the context's leaves; positive where the second image is
+    forward of the first; additive.
     """
     u1, u2 = ctx.coordinate(m1), ctx.coordinate(m2)
-    if u1 == 0.0 or u2 == 0.0 or (u1 > 0) != (u2 > 0):
+    if np.any((u1 == 0.0) | (u2 == 0.0) | ((u1 > 0) != (u2 > 0))):
         raise PointOutsideSegment("points on different components of the leaf line")
-    return math.log(abs(u2)) - math.log(abs(u1))
+    # math.log per entry: np.log on arrays moves the last bit of some values
+    logs = [math.log(abs(b)) - math.log(abs(a)) for a, b in zip(np.ravel(u1), np.ravel(u2))]
+    return np.reshape(logs, np.shape(u1))
 
 
-def _arc_solve(curve, ctx, p: LeafPoint, target_log_u: float, sign: float) -> float:
-    """Solve log|u(y)| = target on the ccw arc from x to z.
+def _flow_ys(curve: BoundaryCurve, alpha, p: LeafPoint, times):
+    """The y of p moved each time of `times` along the alpha flow, and the leaf's context.
 
-    log|u| falls from x to z, so the bracket grows from y toward x when
-    log|u(y)| is below the target and toward z otherwise.  A probe whose
-    image is numerically a segment endpoint, or undefined, halves its
-    distance back toward the last good probe.  The root between the last
-    good probe and the first probe past the target is found by
-    `bracketed_root` in the arc fraction.
+    The targets log|u(p.y)| + t are bracketed on FLOW_GRID and p.y: log|u|
+    falls from x to z, so a forward time takes the sign change nearest p.y
+    toward x, a backward time the nearest toward z.  Probes that
+    `coordinate` refuses, or on the other component of the leaf line, are
+    masked.  All brackets are refined together in the arc fraction.
     """
+    ctx = leaf_context(curve, alpha, p.x, p.z)
+    u0 = ctx.coordinate(curve.hyperplane_covectors_at(p.y))
+    times = np.asarray(times, dtype=float)
+    targets = math.log(abs(u0)) + times
     arc = circular_gap(p.x, p.z)
-
-    def value(frac):
-        y = (p.x + frac * arc) % (2 * math.pi)
-        u = ctx.coordinate(curve.hyperplane_covectors_at([y])[0])
-        if (u > 0) != (sign > 0):
-            raise RootFindFailure("image left the segment component")
-        return math.log(abs(u)) - target_log_u
-
     frac0 = circular_gap(p.x, p.y) / arc
-    f0 = value(frac0)
-    if f0 == 0.0:
-        return p.y
-    eps = 1e-9
 
-    def expand(frac):
-        return max(frac - 0.1, eps) if f0 < 0 else min(frac + 0.1, 1.0 - eps)
+    def logs(frac):
+        m = curve.hyperplane_covectors_at((p.x + frac * arc) % (2 * math.pi))
+        u = ctx.coordinate_or_nan(m)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(u * u0 > 0, np.log(np.abs(u)), np.nan)
 
-    good, f_good, probe = frac0, f0, expand(frac0)
-    while abs(probe - good) * arc > ROOT_TOL:
-        try:
-            fp = value(probe)
-        except (RootFindFailure, PointOutsideSegment, DegenerateMeet):
-            probe = 0.5 * (good + probe)
-            continue
-        if fp * f0 <= 0:
-            break
-        good, f_good, probe = probe, fp, expand(probe)
-    else:
-        raise RootFindFailure(
-            f"no bracket on leaf ({p.x:.6f}, {p.z:.6f}) for target {target_log_u:.3e}"
-        )
-    frac = bracketed_root(value, good, probe, f_good, fp, ROOT_TOL / arc)
-    return (p.x + frac * arc) % (2 * math.pi)
+    grid = np.union1d(FLOW_GRID, frac0)
+    values = logs(grid)
+    grid, values = grid[np.isfinite(values)], values[np.isfinite(values)] - targets[:, None]
+    forward = times > 0
+    candidates = (values[:, :-1] * values[:, 1:] <= 0) & np.where(
+        forward[:, None], grid[:-1] < frac0, grid[1:] > frac0)  # [grid[j], grid[j + 1]]
+    missing = np.flatnonzero(~candidates.any(axis=1))
+    if missing.size:
+        raise RootFindFailure(f"no bracket on leaf ({p.x:.6f}, {p.z:.6f}) "
+                              f"for target {targets[missing[0]]:.3e}")
+    j = np.where(forward, candidates.shape[1] - 1 - np.argmax(candidates[:, ::-1], axis=1),
+                 np.argmax(candidates, axis=1))
+    rows = np.arange(times.size)
+    fracs = bracketed_root(lambda frac, i: logs(frac) - targets[i], grid[j], grid[j + 1],
+                           values[rows, j], values[rows, j + 1], ROOT_TOL / arc)
+    return (p.x + fracs * arc) % (2 * math.pi), ctx
 
 
 def flow_step(curve: BoundaryCurve, alpha, p: LeafPoint, t: float) -> LeafPoint:
     """Move a leaf point time t along the refraction flow of root alpha.
 
-    The target image point is computed in closed form from the cross-ratio
-    equation; the new y is recovered by a bracketed root solve on the arc
-    parameter.
+    The one-target case of the orbit solve: the target image coordinate
+    is log|u(y)| + t, and the new y is its bracketed root on the arc.
     """
     if t == 0.0:
         return p
-    ctx = leaf_context(curve, alpha, p.x, p.z)
-    u0 = ctx.coordinate(curve.hyperplane_covectors_at([p.y])[0])
-    target = math.log(abs(u0)) + t
-    y_new = _arc_solve(curve, ctx, p, target, math.copysign(1.0, u0))
-    return LeafPoint(p.x, y_new, p.z)
+    return LeafPoint(p.x, float(_flow_ys(curve, alpha, p, [t])[0][0]), p.z)
 
 
 def _orbit(curve: BoundaryCurve, alpha, p: LeafPoint, t_max: float, steps: int):
-    """Yield (t, leaf point) from t = 0 to a finite nonzero t_max in `steps` >= 1 flow steps."""
+    """Times, ys and leaf context of an orbit to a finite nonzero t_max in `steps` >= 1 steps."""
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
     if t_max == 0.0 or not math.isfinite(t_max):
         raise ValueError(f"t_max must be finite and nonzero, got {t_max}")
-    yield 0.0, p
-    for k in range(1, steps + 1):
-        p = flow_step(curve, alpha, p, t_max / steps)
-        yield t_max * k / steps, p
+    times = [0.0] + [t_max * k / steps for k in range(1, steps + 1)]
+    ys, ctx = _flow_ys(curve, alpha, p, times[1:])
+    return times, [p.y, *ys.tolist()], ctx
 
 
 def flow_orbit(curve: BoundaryCurve, alpha, p: LeafPoint, t_max: float, steps: int) -> list:
@@ -121,10 +121,8 @@ def flow_orbit(curve: BoundaryCurve, alpha, p: LeafPoint, t_max: float, steps: i
 
     Returns the rows (t, y, unit image vector) from t = 0 to t_max.
     """
-    orbit = list(_orbit(curve, alpha, p, t_max, steps))
-    ctx = leaf_context(curve, alpha, p.x, p.z)
-    images = ctx.image(curve.hyperplane_covectors_at([q.y for _, q in orbit]))
-    return [(t, q.y, image) for (t, q), image in zip(orbit, images)]
+    times, ys, ctx = _orbit(curve, alpha, p, t_max, steps)
+    return list(zip(times, ys, ctx.image(curve.hyperplane_covectors_at(ys))))
 
 
 def flow_period(curve: BoundaryCurve, alpha, gamma: GroupWord) -> float:
@@ -278,31 +276,42 @@ def reference_flow(x: float, z: float, y: float, t: float) -> float:
     return theta_of_vector(v2)
 
 
-def cocycle(curve: BoundaryCurve, alpha, p: LeafPoint, t: float) -> float:
-    """Translation cocycle of the alpha flow over the reference geodesic flow."""
-    ctx = leaf_context(curve, alpha, p.x, p.z)
-    y2 = reference_flow(p.x, p.z, p.y, t)
-    return leafwise_distance(ctx, *curve.hyperplane_covectors_at([p.y, y2]))
+def cocycle(curve: BoundaryCurve, alpha, x, y, z, t) -> np.ndarray:
+    """Translation cocycle of the alpha flow over the reference geodesic flow.
 
-
-def stable_leaf_distance(curve: BoundaryCurve, p: LeafPoint, y0: float) -> float:
-    """Distance from a tangent-flow point to the stable leaf through (x, y0).
-
-    Measured by a log-cross-ratio on the auxiliary line through the image
-    point and x1, against its second boundary intersection and its crossing
-    of the stable leaf's support line (the tangent at y0).
+    On the leaf points (x, y, z) and times t, which broadcast to m
+    entries as the parameters of `develop` do; returns m values.
     """
-    x1 = curve.flag_at(p.x).frame[:, 0]
-    (point,), (line,) = develop(curve, "tan+", p.x, p.y, p.z)  # the line is x1 + point
+    x, y, z, t = np.broadcast_arrays(*np.atleast_1d(x, y, z, t))
+    x, y, z = leaf_triples(x, y, z)
+    ctx = leaf_context(curve, alpha, x, z)
+    y2 = [reference_flow(*args) for args in zip(x, z, y, t)]
+    return leafwise_distance(ctx, *curve.hyperplane_covectors_at(np.stack([y, y2])))
+
+
+def stable_leaf_distance(curve: BoundaryCurve, x, y, z, y0: float) -> np.ndarray:
+    """Distances from tangent-flow points (x, y, z) to the stable leaf through (x, y0).
+
+    Stacked as in `develop`.  Each is a log-cross-ratio on the auxiliary
+    line through the image point and x1, against the line's second
+    boundary intersection, all scanned at once, and its crossing of the
+    stable leaf's support line (the tangent at y0).
+    """
+    x, y, z = leaf_triples(x, y, z)
+    frames = curve.frames_at(np.append(x, y0))
+    points, lines = develop(curve, "tan+", x, y, z)  # each line is x1 + point
     try:
-        p_y0 = cross_meet(line, cross_meet(*curve.flag_at(y0).frame.T))
-        q_theta = second_boundary_intersection(curve, line, p.x)
+        p_y0 = cross_meet(lines, cross_meet(*frames[-1].T))
+        q_theta = second_boundary_intersection(curve, lines, x)
     except (FlagFlowsError, ValueError) as exc:
         raise NotDefinedHere(str(exc)) from exc
-    value = cross_ratio(x1, curve.aligned_point(q_theta), p_y0, point)
-    if value == 0.0 or math.isinf(value):
-        raise NotDefinedHere("degenerate cross-ratio configuration")
-    return math.log(abs(value))
+    distances = []
+    for args in zip(frames[:-1, :, 0], curve.frames_at(q_theta)[:, :, 0], p_y0, points):
+        value = cross_ratio(*args)
+        if value == 0.0 or math.isinf(value):
+            raise NotDefinedHere("degenerate cross-ratio configuration")
+        distances.append(math.log(abs(value)))
+    return np.array(distances)
 
 
 def decay_experiment(curve: BoundaryCurve, p: LeafPoint, y0: float,
@@ -312,13 +321,12 @@ def decay_experiment(curve: BoundaryCurve, p: LeafPoint, y0: float,
     Returns (slope, samples) where samples is a list of (t, distance)
     over `steps` >= 1 equal steps to a finite nonzero `t_max`.
     """
-    samples = [(t, stable_leaf_distance(curve, q, y0))
-               for t, q in _orbit(curve, (2, 3), p, t_max, steps)]
-    ts, ds = np.array(samples).T
+    times, ys, _ = _orbit(curve, (2, 3), p, t_max, steps)
+    ds = stable_leaf_distance(curve, p.x, ys, p.z, y0)
     if np.any(ds == 0):
         raise NotDefinedHere("stable-leaf distance vanished along the orbit")
-    slope = float(np.polyfit(ts, np.log(np.abs(ds)), 1)[0])
-    return slope, samples
+    slope = float(np.polyfit(times, np.log(np.abs(ds)), 1)[0])
+    return slope, list(zip(times, ds.tolist()))
 
 
 @dataclass(frozen=True)
@@ -345,48 +353,31 @@ def regularity_probe(curve: BoundaryCurve, x: float, z: float) -> RegularityProb
     if n < 4:
         raise ValueError("probe requires n >= 4")
     y_c = (x + circular_gap(x, z) / 2) % (2 * math.pi)
-
-    def image(alpha, s):
-        return geodesic_realization(curve, *alpha, LeafPoint(x + s, y_c + s, z)).vector
-
-    def make_chart(alpha):
-        # local chart anchored at the central image point (no global
-        # affine chart exists for even n)
-        h = image(alpha, 0.0)
-        q_frame = np.linalg.qr(np.column_stack([h, np.eye(n)]))[0]
-
-        def chart_image(s):
-            w = image(alpha, s)
-            denom = h @ w
-            if abs(denom) < 1e-9 * np.linalg.norm(w):
-                raise InsufficientResolution("image point left the local chart")
-            return (q_frame[:, 1:].T @ w) / denom
-
-        return chart_image
+    h = PROBE_BASE_SCALE * 0.5 ** np.arange(PROBE_SCALES)
+    # per scale h and offset s0 in (-2h, 0, 2h), the shifts s0 - h, s0 + h, s0 + 3h
+    shifts = h[:, None, None] * (np.array([-2.0, 0.0, 2.0])[:, None] + [-1.0, 1.0, 3.0])
 
     def tangent_exponent(alpha):
-        chart_image = make_chart(alpha)
-        logs_h, logs_angle, residuals = [], [], []
-        for k in range(PROBE_SCALES):
-            h = PROBE_BASE_SCALE * 0.5**k
-            angles = []
-            for offset in (-1.0, 0.0, 1.0):
-                s0 = offset * 2 * h
-                t1 = chart_image(s0 + h) - chart_image(s0 - h)
-                t2 = chart_image(s0 + 3 * h) - chart_image(s0 + h)
-                c = float(np.dot(t1, t2) / (np.linalg.norm(t1) * np.linalg.norm(t2)))
-                angles.append(math.acos(max(-1.0, min(1.0, c))))
-            angle = float(np.mean(angles))
-            if angle < 1e-13:
-                break
-            logs_h.append(math.log(h))
-            logs_angle.append(math.log(angle))
-        if len(logs_h) < 3:
+        # the images at every shift in one stack, in a local chart anchored at
+        # the image of shift 0 (no global affine chart exists for even n)
+        s = np.append(0.0, shifts)
+        images = leaf_context(curve, alpha, x + s, z).image(curve.hyperplane_covectors_at(y_c + s))
+        anchor, images = images[0], images[1:]
+        denom = images @ anchor
+        if np.any(np.abs(denom) < 1e-9 * np.linalg.norm(images, axis=1)):
+            raise InsufficientResolution("image point left the local chart")
+        q_frame = np.linalg.qr(np.column_stack([anchor, np.eye(n)]))[0]
+        chart = ((images @ q_frame[:, 1:]) / denom[:, None]).reshape(shifts.shape + (n - 1,))
+        t1, t2 = chart[..., 1, :] - chart[..., 0, :], chart[..., 2, :] - chart[..., 1, :]
+        cosines = np.sum(t1 * t2, axis=-1) / (np.linalg.norm(t1, axis=-1)
+                                              * np.linalg.norm(t2, axis=-1))
+        angles = np.arccos(np.clip(cosines, -1.0, 1.0)).mean(axis=1)
+        usable = np.cumprod(angles >= 1e-13).astype(bool)  # the scales before the first flat one
+        if usable.sum() < 3:
             raise InsufficientResolution("too few usable scales")
+        logs_h, logs_angle = np.log(h[usable]), np.log(angles[usable])
         coeffs = np.polyfit(logs_h, logs_angle, 1)
-        fit = np.polyval(coeffs, logs_h)
-        residuals = tuple(float(r) for r in (np.array(logs_angle) - fit))
-        return float(coeffs[0]), residuals
+        return float(coeffs[0]), tuple((logs_angle - np.polyval(coeffs, logs_h)).tolist())
 
     e_h, r_h = tangent_exponent((1, n))
     e_23, r_23 = tangent_exponent((2, 3))

@@ -9,17 +9,15 @@ can instead be built in closed form from the symmetric-power embedding,
 which gives exact flags at any parameter (used by the high-accuracy
 experiments).
 
-Each curve evaluates a flag once: `BoundaryCurve.flag_at` memoises the
-`Flag` it returns, keyed on the reduced parameter theta % 2pi, the only
-value `interpolate` depends on.  The memo lives on the curve and dies
-with it; it holds at most `FLAG_MEMO_SIZE` flags and drops the least
-recently used one beyond that.  `interpolate` likewise computes the
-Procrustes rotation of each sample gap and flag level once, on first use.
+The curve is evaluated on arrays only: `interpolate` takes parameters of
+any shape and returns their frames from one `searchsorted`, one stacked
+Procrustes alignment and one stacked QR; `frames_at`, `flag_at` and
+`aligned_point` read from it.  Root solves are stacked too:
+`bracketed_root` steps every open bracket of a check with one curve
+evaluation, so callers pass all their chords or flow targets at once.
 """
 
-import bisect
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,9 +49,6 @@ OSCULATION_BOUND = 10.0         # largest chord-to-tangent angle per unit gap
 SUPPORT_TOL = 1e-8              # chart residual allowed on the wrong side of a tangent
 MIN_SAMPLES = 64                # fewest distinct samples sample_boundary accepts
 REGULARITY_BASE_POINTS = 64     # base points of the fits in boundary_regularity_estimate
-# flags one curve memoises; a verify-all command line evaluates at most
-# about 1,010 distinct parameters on its curve
-FLAG_MEMO_SIZE = 2048
 
 
 @dataclass
@@ -70,7 +65,7 @@ class BoundaryCurve:
     frames: np.ndarray
     rep: SurfaceGroupRep
     reference: SurfaceGroupRep
-    exact_eval: object = None  # optional callable theta -> Flag
+    exact_eval: object = None  # optional callable: parameters (m,) -> frames (m, n, n-1)
 
     def __post_init__(self):
         self.thetas = np.asarray(self.thetas, dtype=float)
@@ -79,8 +74,6 @@ class BoundaryCurve:
         self.frames = np.asarray(self.frames, dtype=float)[order]
         if np.any(np.diff(self.thetas) < 1e-10):
             raise ValueError("duplicate thetas in curve samples")
-        self._flags = OrderedDict()  # theta % 2pi -> Flag, least recently used first
-        self._rotations = {}  # (gap start, level) -> Procrustes rotation of interpolate
         self._build_chart()
 
     # -- construction helpers ------------------------------------------------
@@ -158,16 +151,14 @@ class BoundaryCurve:
         if self.chart is None:
             raise NotDefinedHere("curve has no global affine chart (even n)")
 
-    def aligned_point(self, theta: float) -> np.ndarray:
-        """Sign-normalized xi^1 vector at theta (interpolated if needed)."""
-        self._require_chart()
-        v = self.flag_at(theta).frame[:, 0]
-        s = self.positive_covector @ v
-        return v * math.copysign(1.0, s)
+    def _lift(self, vectors) -> np.ndarray:
+        """The vectors (..., n), each signed to pair positively with `positive_covector`."""
+        return vectors * np.copysign(1.0, vectors @ self.positive_covector)[..., None]
 
-    def chart_point(self, theta: float) -> np.ndarray:
+    def aligned_point(self, theta) -> np.ndarray:
+        """Sign-normalized xi^1 vectors (..., n) at parameters of any shape."""
         self._require_chart()
-        return self.chart.to_chart(self.flag_at(theta).frame[:, 0])
+        return self._lift(self.frames_at(theta)[..., 0])
 
     def chart_points(self) -> np.ndarray:
         """Chart coordinates of all xi^1 samples, in circular order (N, 2); read-only."""
@@ -186,28 +177,16 @@ class BoundaryCurve:
         return self._hyperplane_covectors
 
     def frames_at(self, thetas) -> np.ndarray:
-        """Frames (m, n, n-1) of the memoised flags at m parameters."""
-        return np.reshape([self.flag_at(t).frame for t in thetas], (-1, self.n, self.n - 1))
+        """Frames (..., n, n-1) of the flags at parameters of any shape: `interpolate`."""
+        return interpolate(self, thetas)
 
     def hyperplane_covectors_at(self, thetas) -> np.ndarray:
-        """Annihilator covectors (m, n) of the top levels of `frames_at`."""
+        """Annihilator covectors (..., n) of the top levels of `frames_at`."""
         return annihilator(self.frames_at(thetas))[..., 0]
 
     def flag_at(self, theta: float) -> Flag:
-        """Flag at theta, from `interpolate` once per reduced parameter theta % 2pi.
-
-        The flag is memoised on this curve, at most `FLAG_MEMO_SIZE` of them,
-        least recently used dropped first.
-        """
-        key = theta % (2 * math.pi)
-        flag = self._flags.get(key)
-        if flag is None:
-            flag = self._flags[key] = interpolate(self, theta)
-            if len(self._flags) > FLAG_MEMO_SIZE:
-                self._flags.popitem(last=False)
-        else:
-            self._flags.move_to_end(key)
-        return flag
+        """The `Flag` at one parameter, framed by `interpolate`."""
+        return Flag(interpolate(self, theta))
 
     # -- serialization -------------------------------------------------------
 
@@ -283,168 +262,171 @@ def fuchsian_curve(reference: SurfaceGroupRep, n: int, num_samples: int = 1024) 
 
     The flag at theta is the symmetric power of a rotation applied to the
     coordinate flag (the osculating flag of the moment curve), which is
-    exact at every parameter; the curve carries an exact evaluator.
+    exact at every parameter.  The curve carries this evaluator, stacked
+    over parameters, and its samples are the evaluator's frames.
     """
     rep = sym_power(reference, n)
 
-    def exact_eval(theta: float) -> Flag:
-        m = sym_matrix(_rotation_to(theta), n)
-        return Flag.from_basis_columns(m[:, : n - 1])
+    def exact_eval(thetas) -> np.ndarray:
+        m = sym_matrix(np.reshape([_rotation_to(t) for t in thetas], (-1, 2, 2)), n)
+        return flag_frames(m[..., : n - 1])
 
     thetas = (np.arange(num_samples) + 0.5) * 2 * math.pi / num_samples
-    # the rotations from math.cos and math.sin, as exact_eval builds them
-    m = sym_matrix(np.array([_rotation_to(t) for t in thetas]), n)
-    return BoundaryCurve(thetas, flag_frames(m[..., : n - 1]), rep, reference,
-                         exact_eval=exact_eval)
+    return BoundaryCurve(thetas, exact_eval(thetas), rep, reference, exact_eval=exact_eval)
 
 
-def interpolate(curve: BoundaryCurve, theta: float) -> Flag:
-    """Flag at an arbitrary parameter.
+def interpolate(curve: BoundaryCurve, thetas) -> np.ndarray:
+    """Frames (..., n, n-1) of the flags at parameters of any shape.
 
-    Exact samples are returned as stored; between samples, each flag level
-    (a frame prefix) is interpolated linearly in basis coordinates after
-    Procrustes alignment, and the new column of each level is kept.  The
-    alignment depends only on the gap, so its rotation is computed on the
-    first evaluation in that gap and kept on the curve.
+    One `searchsorted` finds the sample gap of every parameter.  Within
+    1e-13 of a sample the stored frame is returned; elsewhere the exact
+    evaluator, if the curve has one.  Otherwise each flag level (a frame
+    prefix) is blended linearly across its gap after Procrustes alignment
+    of the gap's two bases, and the new column of each level is kept.
+    Alignment and QR run stacked: each frame is the same floats as alone.
     """
-    if not math.isfinite(theta):
-        raise ValueError(f"flag parameter theta must be finite; got {theta}")
-    theta = theta % (2 * math.pi)
-    n_samples = curve.thetas.size
-    if n_samples < 2:
+    thetas = np.asarray(thetas, dtype=float)
+    if not np.all(np.isfinite(thetas)):
+        bad = thetas[~np.isfinite(thetas)][0]
+        raise ValueError(f"flag parameter theta must be finite; got {bad}")
+    count = curve.thetas.size
+    if count < 2:
         raise InsufficientSamples("need at least two samples to interpolate")
-    i = bisect.bisect_left(curve.thetas, theta)
-    lo, hi = (i - 1) % n_samples, i % n_samples
-    for j in (lo, hi):
-        if abs(curve.thetas[j] - theta) < 1e-13 or abs(
-            abs(curve.thetas[j] - theta) - 2 * math.pi
-        ) < 1e-13:
-            return Flag(curve.frames[j])
-    if curve.exact_eval is not None:
-        return curve.exact_eval(theta)
-    gap = circular_gap(curve.thetas[lo], curve.thetas[hi])
-    lam = circular_gap(curve.thetas[lo], theta) / gap
-    columns = []
-    for k in range(1, curve.n):
-        b_lo, b_hi = curve.frames[lo, :, :k], curve.frames[hi, :, :k]
-        # Procrustes alignment of the two bases before the linear blend;
-        # for one column the rotation is the sign of the inner product
-        if k == 1:
-            aligned = b_hi * math.copysign(1.0, b_hi[:, 0] @ b_lo[:, 0])
-        else:
-            rotation = curve._rotations.get((lo, k))
-            if rotation is None:
-                u, _, vt = np.linalg.svd(b_hi.T @ b_lo)
-                rotation = curve._rotations[(lo, k)] = u @ vt
-            aligned = b_hi @ rotation
-        blend = (1.0 - lam) * b_lo + lam * aligned
-        columns.append(blend[:, k - 1])
-    return Flag.from_basis_columns(np.column_stack(columns))
-
-
-def second_boundary_intersection(curve: BoundaryCurve, line, known: float) -> float:
-    """The other parameter at which a line through xi^1(known) meets the curve.
-
-    The line is a hyperplane (a projective line for n=3), given by its
-    covector of shape (n,), which is normalized, or as a `ProjectiveSubspace`.
-    Works by deflating the known root: the incidence residual divided by
-    sin(gap/2) has exactly one sign change on the circle, located at the
-    second intersection; that bracket is refined by `bracketed_root`.
-    The stored samples are scanned as one product with their aligned
-    points, which are positive multiples of `aligned_point` and so have
-    the same signs.
-    """
-    if isinstance(line, ProjectiveSubspace):
-        if line.dim != curve.n - 1:
-            raise ValueError("expected a hyperplane (projective line for n=3)")
-        line = line.covectors[:, 0]
-    if np.shape(line) != (curve.n,):
-        raise ValueError(f"expected a covector of shape ({curve.n},); got {np.shape(line)}")
-    covector = line / np.linalg.norm(line)
-
-    def residual(theta):
-        return covector @ curve.aligned_point(theta)
-
-    r_known = residual(known)
-    if abs(r_known) > 1e-6:
-        raise ValueError(f"line misses xi^1(known) by {abs(r_known):.3e}")
-
-    def deflated(theta):
-        gap = circular_gap(known, theta)
-        return residual(theta) / math.sin(gap / 2.0)
-
-    eps = 1e-7
-    gaps = (curve.thetas - known) % (2 * math.pi)
-    keep = np.flatnonzero(np.minimum(gaps, (known - curve.thetas) % (2 * math.pi)) > eps)
-    keep = keep[np.argsort(gaps[keep], kind="stable")]
-    grid = np.concatenate([[known + eps], curve.thetas[keep], [known + 2 * math.pi - eps]])
-    values = np.concatenate([
-        [deflated(grid[0])],
-        covector @ curve._aligned_points[:, keep] / np.sin(gaps[keep] / 2.0),
-        [deflated(grid[-1])],
-    ])
-    brackets = np.flatnonzero(values[:-1] * values[1:] < 0)
-    if brackets.size == 0:
-        raise NoSecondIntersection("no sign change: line is numerically tangent")
-    if brackets.size > 1:
-        raise AmbiguousBracket(f"{brackets.size} sign changes; samples not convex here")
-    # grid entries are raw parameters, so a bracket across theta = 0 has b < a
-    a = float(grid[brackets[0]])
-    b = a + circular_gap(a, float(grid[brackets[0] + 1]))
-    # the scan's values are scaled differently from `deflated`, so re-evaluate
-    root = bracketed_root(deflated, a, b, deflated(a), deflated(b), ROOT_TOL)
-    return root % (2 * math.pi)
-
-
-def bracketed_root(f, a: float, b: float, fa: float, fb: float, tol: float) -> float:
-    """Root of f in the bracket [a, b] (either order), given fa = f(a) and fb = f(b).
-
-    Brent-Dekker zeroin (Brent, Algorithms for Minimization without
-    Derivatives, 1973, ch. 4): inverse quadratic or secant steps while
-    they shrink the bracket fast enough, bisection otherwise.  Stops when
-    the bracket holding the root is at most `tol` wide (plus roundoff in
-    the abscissa) and returns its end with the smaller |f|.
-    """
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa > 0.0) == (fb > 0.0):
-        raise RootFindFailure(f"no sign change on [{a:.17g}, {b:.17g}]")
-    eps = np.finfo(float).eps
-    c, fc = a, fa
-    d = e = b - a
-    while True:
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * eps * abs(b) + 0.5 * tol
-        xm = 0.5 * (c - b)
-        if abs(xm) <= tol1 or fb == 0.0:
-            return b
-        if abs(e) >= tol1 and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:  # secant
-                p, q = 2.0 * xm * s, 1.0 - s
-            else:  # inverse quadratic interpolation
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
-                e, d = d, p / q
+    theta = thetas.ravel() % (2 * math.pi)
+    hi = np.searchsorted(curve.thetas, theta) % count
+    lo = (hi - 1) % count
+    d = np.abs(curve.thetas[[lo, hi]] - theta)
+    at = (d < 1e-13) | (np.abs(d - 2 * math.pi) < 1e-13)  # at the sample lo, or hi
+    frames = curve.frames[np.where(at[0], lo, hi)]
+    new = ~(at[0] | at[1])
+    lo, hi, theta = lo[new], hi[new], theta[new]
+    if curve.exact_eval is not None and theta.size:
+        frames[new] = curve.exact_eval(theta)
+    elif theta.size:
+        lam = (circular_gap(curve.thetas[lo], theta)
+               / circular_gap(curve.thetas[lo], curve.thetas[hi]))[:, None, None]
+        columns = []
+        for k in range(1, curve.n):
+            b_lo, b_hi = curve.frames[lo, :, :k], curve.frames[hi, :, :k]
+            # Procrustes alignment of the two bases before the linear blend;
+            # for one column the rotation is the sign of the inner product
+            if k == 1:
+                aligned = b_hi * np.copysign(1.0, np.sum(b_hi * b_lo, axis=1))[:, None]
             else:
-                d = e = xm
-        else:
-            d = e = xm
-        a, fa = b, fb
-        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
-        fb = f(b)
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
+                u, _, vt = np.linalg.svd(np.swapaxes(b_hi, 1, 2) @ b_lo)
+                aligned = b_hi @ (u @ vt)
+            columns.append(((1.0 - lam) * b_lo + lam * aligned)[:, :, k - 1])
+        frames[new] = flag_frames(np.stack(columns, axis=-1))
+    return frames.reshape(thetas.shape + frames.shape[1:])
+
+
+def second_boundary_intersection(curve: BoundaryCurve, lines, known):
+    """The other parameter at which each line through xi^1(known) meets the curve.
+
+    A line is a hyperplane (a projective line for n=3): a covector (n,),
+    which is normalized, or a `ProjectiveSubspace`, and gives a float; m
+    covectors (m, n), with one known parameter or m, give m parameters.
+    The incidence residual over sin(s/2), s the ccw offset from known,
+    changes sign once, at the second intersection.  One scan of the
+    stored samples brackets every chord, and `bracketed_root` refines all
+    brackets together.  The first chord that misses xi^1(known), or whose
+    scan finds no sign change or several, raises as a loop would.
+    """
+    if isinstance(lines, ProjectiveSubspace):
+        if lines.dim != curve.n - 1:
+            raise ValueError("expected a hyperplane (projective line for n=3)")
+        lines = lines.covectors[:, 0]
+    covectors = np.atleast_2d(lines)
+    if np.ndim(lines) > 2 or covectors.shape[1:] != (curve.n,):
+        raise ValueError(f"expected covectors of shape ({curve.n},); got {np.shape(lines)}")
+    covectors = covectors / np.linalg.norm(covectors, axis=1, keepdims=True)
+    known = np.broadcast_to(np.asarray(known, dtype=float), covectors.shape[:1])
+    curve._require_chart()
+    two_pi, eps = 2 * math.pi, 1e-7
+
+    def residual(points, rows):  # elementwise, so a chord's floats do not depend on the stack
+        return np.sum(covectors[rows] * curve._lift(points), axis=-1)
+
+    def deflated(s, rows):
+        return residual(curve.frames_at(known[rows] + s)[..., 0], rows) / np.sin(s / 2.0)
+
+    rows = np.arange(known.size)
+    r_known, start, end = residual(curve.frames_at(
+        known + np.array([[0.0], [eps], [two_pi - eps]]))[..., 0], rows)
+    # the scan: the two ends eps from known, and the samples between them in
+    # ccw order, where a sample within eps of known takes its end's place
+    start, end = start / math.sin(eps / 2.0), end / math.sin((two_pi - eps) / 2.0)
+    offsets = (curve.thetas - known[:, None]) % two_pi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sampled = residual(curve.frames[:, None, :, 0], rows).T / np.sin(offsets / 2.0)
+    sampled = np.where(offsets <= eps, start[:, None], np.where(
+        (known[:, None] - curve.thetas) % two_pi <= eps, end[:, None], sampled))
+    offsets = np.clip(offsets, eps, two_pi - eps)
+    order = np.argsort(offsets, axis=1, kind="stable")
+    grid = np.pad(np.take_along_axis(offsets, order, 1), ((0, 0), (1, 1)),
+                  constant_values=(eps, two_pi - eps))
+    values = np.column_stack([start, np.take_along_axis(sampled, order, 1), end])
+    changes = values[:, :-1] * values[:, 1:] < 0
+    counts = changes.sum(axis=1)
+    misses = np.abs(r_known) > 1e-6
+    for k in np.flatnonzero(misses | (counts != 1))[:1]:
+        if misses[k]:
+            raise ValueError(f"line misses xi^1(known) by {abs(r_known[k]):.3e}")
+        if counts[k] == 0:
+            raise NoSecondIntersection("no sign change: line is numerically tangent")
+        raise AmbiguousBracket(f"{counts[k]} sign changes; samples not convex here")
+    j = np.argmax(changes, axis=1)
+    s = bracketed_root(deflated, grid[rows, j], grid[rows, j + 1],
+                       values[rows, j], values[rows, j + 1], ROOT_TOL)
+    roots = (known + s) % two_pi
+    return float(roots[0]) if np.ndim(lines) == 1 else roots
+
+
+def bracketed_root(f, a, b, fa, fb, tol) -> np.ndarray:
+    """Roots of f in stacked brackets [a, b] (either order), given fa = f(a) and fb = f(b).
+
+    Chandrupatla's method (Adv. Eng. Softw. 28, 1997, 145-149): each step
+    is the inverse quadratic interpolation through the bracket ends and
+    the point last dropped where their values allow it, else a bisection.
+    Every open bracket steps at once: `f(x, rows)` is called once per step
+    on the new abscissae x of the open brackets `rows`.  A bracket closes
+    when at most `tol` wide (plus 4 eps |x|), or on an exact zero, and
+    gives its end with the smaller |f|.  Raises RootFindFailure naming the
+    first bracket without a sign change, or a value that is not finite.
+    """
+    a, b, fa, fb, tol = (np.array(v, dtype=float).ravel()
+                         for v in np.broadcast_arrays(a, b, fa, fb, tol))
+    for k in np.flatnonzero((fa != 0.0) & (fb != 0.0) & ((fa > 0.0) == (fb > 0.0)))[:1]:
+        raise RootFindFailure(f"no sign change on [{a[k]:.17g}, {b[k]:.17g}]")
+    roots = np.where(fa == 0.0, a, b)
+    rows = np.flatnonzero((fa != 0.0) & (fb != 0.0))
+    # x1 is the newest point, x2 the other end of its bracket, x3 the point last dropped
+    x1, f1, x2, f2, tol = a[rows], fa[rows], b[rows], fb[rows], tol[rows]
+    x3, f3, t = x2, f2, np.full(rows.size, 0.5)
+    while rows.size:
+        small = np.abs(f1) < np.abs(f2)
+        xm, fm = np.where(small, x1, x2), np.where(small, f1, f2)
+        tl = (2.0 * np.finfo(float).eps * np.abs(xm) + 0.5 * tol) / np.abs(x2 - x1)
+        done = (tl > 0.5) | (fm == 0.0)
+        roots[rows[done]] = xm[done]
+        rows, x1, f1, x2, f2, x3, f3, t, tl, tol = (
+            v[~done] for v in (rows, x1, f1, x2, f2, x3, f3, t, tl, tol))
+        if not rows.size:
+            break
+        xt = x1 + np.clip(t, tl, 1.0 - tl) * (x2 - x1)
+        ft = np.asarray(f(xt, rows), dtype=float)
+        for k in np.flatnonzero(~np.isfinite(ft))[:1]:
+            raise RootFindFailure(f"value {ft[k]} at {xt[k]:.17g}")
+        keep = np.sign(ft) == np.sign(f1)  # xt replaces x1 on the same side of the root
+        x3, f3 = np.where(keep, x1, x2), np.where(keep, f1, f2)
+        x2, f2 = np.where(keep, x2, x1), np.where(keep, f2, f1)
+        x1, f1 = xt, ft
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+            t = np.where((phi**2 < xi) & ((1.0 - phi)**2 < 1.0 - xi),
+                         f1 / (f2 - f1) * f3 / (f2 - f3)
+                         + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2), 0.5)
+    return roots
 
 
 @dataclass(frozen=True)

@@ -112,9 +112,9 @@ def scene_dev_image(curve, map_name: str, x: float, z: float) -> SceneDescriptio
     scene = scene_boundary(curve)
     shown = curve.chart.in_chart(points)  # the rest are on the line at infinity
     scene.add_polyline(curve.chart.to_chart(points[shown]), color="#2a7", stroke_width=1.2)
-    for theta, color in ((x, "#a33"), (z, "#36c")):
-        scene.add_point(curve.chart_point(theta), color=color)
-        tang = curve.chart.line_to_chart(cross_meet(*curve.flag_at(theta).frame.T))
+    for frame, color in zip(curve.frames_at([x, z]), ("#a33", "#36c")):
+        scene.add_point(curve.chart.to_chart(frame[:, 0]), color=color)
+        tang = curve.chart.line_to_chart(cross_meet(*frame.T))
         seg = _segment_within_viewport(scene, tang)
         if seg:
             scene.add_segment(seg[0], seg[1], color=color, dashed=True)

@@ -108,6 +108,18 @@ def test_flow_orbit_records_increasing_times(exact_curve):
     assert rows[0][1] == p.y
 
 
+@pytest.mark.parametrize("curve_name", ["exact_curve", "bulged_curve", "exact_curve4"])
+def test_flow_orbit_equals_one_flow_step_per_time(request, curve_name):
+    """Bit for bit: the stacked orbit solves each target as `flow_step` solves it alone,
+    forward and backward in time."""
+    curve = request.getfixturevalue(curve_name)
+    p = LeafPoint(0.5, 1.5, 3.9)
+    for alpha, t_max in (((1, 2), 2.5), ((2, 3), -2.5), ((1, 3), 4.0)):
+        rows = flow_orbit(curve, alpha, p, t_max, 10)
+        assert [y for _, y, _ in rows[1:]] == [flow_step(curve, alpha, p, t).y
+                                               for t, _, _ in rows[1:]]
+
+
 def test_flow_period_matches_sl2_lengths(exact_curve, reference):
     w = reference.presentation.parse_word("a1")
     t = sl2_length(reference.matrix(w))
@@ -277,21 +289,33 @@ def test_reference_flow_is_additive():
 def test_cocycle_identity_and_fuchsian_rate(exact_curve):
     p = LeafPoint(0.5, 1.5, 3.9)
     for (i, j) in ((1, 2), (1, 3), (2, 3)):
-        for t in (0.3, 1.0):
-            kappa = cocycle(exact_curve, (i, j), p, t)
-            assert abs(kappa - (j - i) * t) < 1e-6
+        kappa = cocycle(exact_curve, (i, j), p.x, p.y, p.z, [0.3, 1.0])
+        assert np.all(np.abs(kappa - (j - i) * np.array([0.3, 1.0])) < 1e-6)
     s, t = 0.4, 0.9
     moved = LeafPoint(p.x, reference_flow(p.x, p.z, p.y, s), p.z)
-    lhs = cocycle(exact_curve, (2, 3), p, s + t)
-    rhs = cocycle(exact_curve, (2, 3), moved, t) + cocycle(exact_curve, (2, 3), p, s)
-    assert abs(lhs - rhs) < 1e-9
+    whole, later, first = cocycle(exact_curve, (2, 3), p.x, [p.y, moved.y, p.y], p.z,
+                                  [s + t, t, s])
+    assert abs(whole - (later + first)) < 1e-9
+
+
+@pytest.mark.parametrize("curve_name", ["bulged_curve", "exact_curve4"])
+def test_stacked_cocycle_equals_one_point_at_a_time(request, curve_name):
+    """Bit for bit: each entry reads its own leaf context, interior endpoints included,
+    and its own curve points."""
+    curve = request.getfixturevalue(curve_name)
+    rng = np.random.default_rng(3)
+    x = rng.uniform(0.0, 2.0, 6)
+    y, z, t = x + rng.uniform(0.3, 1.5, 6), x + rng.uniform(2.0, 4.0, 6), rng.uniform(-1, 1, 6)
+    for alpha in ((1, 2), (2, 3)):
+        stacked = cocycle(curve, alpha, x, y, z, t)
+        assert np.array_equal(stacked, np.concatenate(
+            [cocycle(curve, alpha, *entry) for entry in zip(x, y, z, t)]))
 
 
 def test_stable_leaf_distance_decays(exact_curve):
     p = LeafPoint(0.5, 0.7, 3.9)
-    d0 = abs(stable_leaf_distance(exact_curve, p, 3.5))
     p2 = flow_step(exact_curve, (2, 3), p, 2.0)
-    d2 = abs(stable_leaf_distance(exact_curve, p2, 3.5))
+    d0, d2 = np.abs(stable_leaf_distance(exact_curve, p.x, [p.y, p2.y], p.z, 3.5))
     assert d2 < d0
 
 
@@ -301,7 +325,7 @@ def test_stable_leaf_distance_lets_non_numerical_errors_through(exact_curve, mon
 
     monkeypatch.setattr(flows, "cross_meet", broken_meet)
     with pytest.raises(KeyError):
-        stable_leaf_distance(exact_curve, LeafPoint(0.5, 0.7, 3.9), 3.5)
+        stable_leaf_distance(exact_curve, 0.5, 0.7, 3.9, 3.5)
 
 
 def test_decay_slope_is_minus_one_for_fuchsian(exact_curve):

@@ -7,6 +7,7 @@ import sympy
 from curvehelpers import collinear_degenerate_curve
 from flagflows import limitcurve
 from flagflows.config import (
+    AmbiguousBracket,
     InsufficientSamples,
     NoSecondIntersection,
     NotDefinedHere,
@@ -14,7 +15,6 @@ from flagflows.config import (
     RootFindFailure,
 )
 from flagflows.limitcurve import (
-    FLAG_MEMO_SIZE,
     BoundaryCurve,
     boundary_regularity_estimate,
     bracketed_root,
@@ -24,7 +24,7 @@ from flagflows.limitcurve import (
     sample_boundary,
     second_boundary_intersection,
 )
-from flagflows.projective import Flag, ProjectiveSubspace, join
+from flagflows.projective import Flag, ProjectiveSubspace, cross_meet, join
 from flagflows.reps import SurfaceGroupRep, bulge_deform, circular_gap, sym_power
 
 
@@ -54,10 +54,14 @@ def test_exact_curve_matches_symbolic_veronese(exact_curve):
 
 @pytest.mark.parametrize("name", ["exact_curve", "exact_curve4"])
 def test_fuchsian_curve_frames_are_exact_evaluations(request, name):
-    """The stacked closed-form frames equal `exact_eval` at every sample, bit for bit."""
+    """The stored samples, read through `interpolate`, equal `exact_eval` at each sample
+    alone, bit for bit; so do parameters a whole turn away."""
     curve = request.getfixturevalue(name)
+    for thetas in (curve.thetas, curve.thetas + 2 * math.pi, curve.thetas - 2 * math.pi):
+        got = interpolate(curve, thetas)
+        assert got.tobytes() == curve.frames.tobytes()
     for theta, frame in zip(curve.thetas, curve.frames):
-        assert frame.tobytes() == curve.exact_eval(theta).frame.tobytes()
+        assert frame.tobytes() == curve.exact_eval([theta])[0].tobytes()
 
 
 @pytest.mark.parametrize("bulge, depth", [(0.0, 3), (0.3, 3), (0.5, 4)])
@@ -113,7 +117,7 @@ def test_interpolation_error_estimate_bounds_midpoint_error(sampled_curve,
     for i in range(0, len(sampled_curve) - 1, 7):
         mid = 0.5 * (thetas[i] + thetas[i + 1])
         got = sampled_curve.flag_at(float(mid))[1]
-        exact = exact_curve.exact_eval(float(mid))[1]
+        exact = exact_curve.flag_at(float(mid))[1]
         worst = max(worst, got.principal_angle(exact))
     assert worst < 20.0 * sampled_curve.interp_error
 
@@ -147,27 +151,65 @@ def test_second_boundary_intersection_across_the_seam(request, name):
 
 
 def test_boundary_scan_needs_few_curve_points(exact_curve, monkeypatch):
-    """Each scan evaluates at most 12 curve points; fixed-count bisection took about 40."""
-    calls = []
-    aligned_point = exact_curve.aligned_point
-    monkeypatch.setattr(exact_curve, "aligned_point",
-                        lambda theta: calls.append(theta) or aligned_point(theta))
-    for t1, t2 in ((1.0, 3.0), (0.2, 6.1), (4.0, 4.3), (2.5, 0.7)):
-        line = join([exact_curve.flag_at(t1)[1], exact_curve.flag_at(t2)[1]])
-        calls.clear()
-        got = second_boundary_intersection(exact_curve, line, t1)
-        assert abs(got - t2) < 1e-11
-        assert len(calls) <= 12
+    """Inside one stacked scan each chord evaluates at most 12 curve parameters: its
+    known point, the two ends of its scan and one per solver step, counted by the
+    brackets the solver refines; fixed-count bisection took about 40."""
+    chords = ((1.0, 3.0), (0.2, 6.1), (4.0, 4.3), (2.5, 0.7))
+    known, other = np.transpose(chords)
+    lines = cross_meet(*exact_curve.frames_at([known, other])[..., 0])
+    sizes, steps = [], []
+    monkeypatch.setattr(limitcurve, "interpolate", lambda curve, thetas: sizes.append(
+        np.size(thetas)) or interpolate(curve, thetas))
+    solve = limitcurve.bracketed_root
+    monkeypatch.setattr(limitcurve, "bracketed_root", lambda f, *args: solve(
+        lambda x, rows: steps.append(rows) or f(x, rows), *args))
+    got = second_boundary_intersection(exact_curve, lines, known)
+    assert np.max(np.abs(got - other)) < 1e-11
+    per_chord = 3 + np.bincount(np.concatenate(steps), minlength=len(chords))
+    assert sum(sizes) == per_chord.sum()
+    assert per_chord.max() <= 12
 
 
 def test_bracketed_root_meets_its_tolerance_in_either_order():
-    f = lambda x: math.cos(x) - x  # noqa: E731
-    root = 0.7390851332151607
-    for a, b in ((0.0, 1.0), (1.0, 0.0)):
-        assert abs(bracketed_root(f, a, b, f(a), f(b), 1e-12) - root) < 1e-12
-    assert bracketed_root(f, root, 1.0, 0.0, f(1.0), 1e-12) == root
-    with pytest.raises(RootFindFailure):
-        bracketed_root(f, 1.0, 2.0, f(1.0), f(2.0), 1e-12)
+    """Each bracket, in either order, meets its own tolerance; a root at an end is
+    returned as given; the first bracket without a sign change is named."""
+    roots = np.array([0.7390851332151607, 0.5671432904097838])  # cos x = x, exp(-x) = x
+
+    def f(x, rows):
+        return np.where(rows % 2 == 0, np.cos(x) - x, np.exp(-x) - x)
+
+    a, b = np.array([0.0, 0.0, 1.0, 1.0]), np.array([1.0, 1.0, 0.0, 0.0])
+    rows = np.arange(4)
+    for tol in (1e-12, np.array([1e-12, 1e-6, 1e-12, 1e-6])):
+        got = bracketed_root(f, a, b, f(a, rows), f(b, rows), tol)
+        assert np.all(np.abs(got - np.tile(roots, 2)) <= np.broadcast_to(tol, 4))
+    # exact zeros at an end, and a bracket already narrower than its tolerance
+    got = bracketed_root(f, [roots[0], 0.0, 0.5], [1.0, roots[1], 0.5 + 1e-13],
+                         [0.0, 1.0, 1.0], [-1.0, 0.0, -1.0], 1e-12)
+    assert got[0] == roots[0] and got[1] == roots[1]
+    assert 0.5 <= got[2] <= 0.5 + 1e-13
+    with pytest.raises(RootFindFailure, match=r"^no sign change on \[1, 2\]$"):
+        bracketed_root(f, [0.0, 1.0, 2.0], [1.0, 2.0, 3.0], [1.0, -1.0, -1.0],
+                       [-1.0, -2.0, -3.0], 1e-12)
+
+
+def test_stacked_scan_raises_the_error_of_the_first_failing_chord(bulged_curve03):
+    """Seeded chords of the bulged depth-3 curve, of which the 15th finds two sign
+    changes: the stacked scan raises what a loop over the chords raises, and the
+    good chords alone solve to the loop's roots, bit for bit."""
+    curve = bulged_curve03
+    known, other = np.random.default_rng(0).uniform(0.0, 2 * math.pi, (20, 2)).T
+    lines = cross_meet(*curve.frames_at([known, other])[..., 0])
+    with pytest.raises(AmbiguousBracket) as looped:
+        for line, t in zip(lines, known):
+            second_boundary_intersection(curve, line, t)
+    with pytest.raises(AmbiguousBracket) as stacked:
+        second_boundary_intersection(curve, lines, known)
+    assert str(stacked.value) == str(looped.value) == "2 sign changes; samples not convex here"
+    good = np.arange(20) != 14
+    want = [second_boundary_intersection(curve, line, t) for line, t in
+            zip(lines[good], known[good])]
+    assert np.array_equal(second_boundary_intersection(curve, lines[good], known[good]), want)
 
 
 @pytest.mark.parametrize("name", ["sampled_curve", "bulged_curve"])
@@ -178,7 +220,7 @@ def test_stored_aligned_points_are_positive_multiples_of_aligned_point(request, 
     frames = curve.frames.copy()
     frames[::2, :, 0] *= -1.0
     curve = BoundaryCurve(curve.thetas, frames, curve.rep, curve.reference)
-    want = np.column_stack([curve.aligned_point(float(t)) for t in curve.thetas])
+    want = curve.aligned_point(curve.thetas).T
     got = curve._aligned_points / np.linalg.norm(curve._aligned_points, axis=0)
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -326,7 +368,7 @@ def test_regularity_estimate_is_two_for_the_conic(exact_curve):
 def test_even_dimension_curve_has_no_global_chart(exact_curve4):
     assert exact_curve4.chart is None
     with pytest.raises(NotDefinedHere):
-        exact_curve4.chart_point(1.0)
+        exact_curve4.aligned_point(1.0)
     # flag evaluation does not need the chart
     f = exact_curve4.flag_at(1.234)
     assert f[3].contains(f[1])
@@ -347,47 +389,26 @@ def test_sample_boundary_requires_enough_words(reference):
         sample_boundary(sym_power(reference, 3), reference, 1)
 
 
-# -- the flag memo and the per-gap rotations ----------------------------------
-
-
-def _fresh(curve):
-    """A new curve on the same samples, with nothing evaluated yet."""
-    return BoundaryCurve(curve.thetas, curve.frames, curve.rep, curve.reference,
-                         exact_eval=curve.exact_eval)
+# -- stacked evaluation --------------------------------------------------------
 
 
 @pytest.mark.parametrize("name", ["exact_curve", "bulged_curve03", "curve4"])
-def test_memoised_flags_equal_fresh_interpolation(request, exact_curve4, name):
-    if name == "curve4":  # the n=4 samples without their closed form: levels 2 and 3 blend
-        curve = BoundaryCurve(exact_curve4.thetas, exact_curve4.frames, exact_curve4.rep,
-                              exact_curve4.reference)
-    else:
-        curve = _fresh(request.getfixturevalue(name))
+def test_stacked_interpolate_equals_one_parameter_at_a_time(request, exact_curve4, name):
+    """Bit for bit, on parameters of any shape: the closed form, a sampled curve, and
+    the n=4 samples without their closed form, whose levels 2 and 3 are aligned."""
+    curve = request.getfixturevalue("exact_curve4" if name == "curve4" else name)
+    if name == "curve4":
+        curve = BoundaryCurve(curve.thetas, curve.frames, curve.rep, curve.reference)
     t = curve.thetas
-    # three parameters in one gap, a stored sample, a gap across theta = 0
+    # three parameters in one gap, a stored sample, the gap across theta = 0
     thetas = [t[5] + frac * (t[6] - t[5]) for frac in (0.25, 0.5, 0.75)]
-    thetas += [float(t[9]), 0.5 * (t[-1] - 2 * math.pi + t[0])]
-    for _ in range(2):
-        for theta in thetas:
-            for arg in (theta, theta + 2 * math.pi, theta - 2 * math.pi):
-                got = curve.flag_at(arg)
-                assert curve.flag_at(arg) is got
-                assert np.array_equal(got.frame,
-                                      limitcurve.interpolate(_fresh(curve), arg).frame)
-    if curve.exact_eval is None:
-        assert {k for _, k in curve._rotations} == set(range(2, curve.n))
-
-
-def test_flag_memo_is_bounded(exact_curve):
-    curve = _fresh(exact_curve)
-    thetas = np.linspace(0.0, 2 * math.pi, FLAG_MEMO_SIZE + 100, endpoint=False) + 1e-3
-    for theta in thetas:
-        curve.flag_at(float(theta))
-    assert len(curve._flags) <= FLAG_MEMO_SIZE
-    for theta in (thetas[0], thetas[-1]):  # the first one was dropped
-        want = limitcurve.interpolate(_fresh(curve), float(theta)).frame
-        assert np.array_equal(curve.flag_at(float(theta)).frame, want)
-    assert len(curve._flags) <= FLAG_MEMO_SIZE
+    thetas = np.array(thetas + [t[9], 0.5 * (t[-1] - 2 * math.pi + t[0])])
+    thetas = np.stack([thetas, thetas + 2 * math.pi, thetas - 2 * math.pi])
+    stacked = interpolate(curve, thetas)
+    assert stacked.shape == thetas.shape + (curve.n, curve.n - 1)
+    assert np.array_equal(stacked, [[interpolate(curve, theta) for theta in row]
+                                    for row in thetas])
+    assert np.array_equal(stacked[0, 3], curve.frames[9])
 
 
 def test_shared_flag_data_is_read_only(bulged_curve03):
