@@ -232,8 +232,9 @@ def _parse_alpha(text: str):
     return (i, j)
 
 
-def _rel_error(value: float, want: float) -> float:
-    return abs(value - want) / max(abs(want), 1e-30)
+def _rel_error(value, want):
+    """|value - want| / |want|, elementwise on arrays, guarding a zero want."""
+    return abs(value - want) / np.maximum(abs(want), 1e-30)
 
 
 # ---------------------------------------------------------------------------
@@ -258,17 +259,15 @@ def periods_check(curve, max_len: int, roots):
     """
     words = enumerate_conjugacy_classes(curve.rep.presentation, max_len)
     spectrum = period_spectrum(curve, words, roots)
-    jds = jordan_projection(curve.rep.matrices(words),
-                            curve.rep.matrices([w.inverse() for w in words]))
-    rows = []
-    worst = 0.0
-    for w, jd in zip(words, jds):
-        for (i, j) in roots:
-            period = spectrum[w][(i, j)]
-            want = root_length(jd, i, j)
-            rel = _rel_error(period, want)
-            worst = max(worst, rel)
-            rows.append([w, i, j, period, want, rel])
+    lengths = jordan_projection(curve.rep.matrices(words),
+                                curve.rep.matrices([w.inverse() for w in words]))
+    periods = np.array([[row[(i, j)] for (i, j) in roots] for row in map(spectrum.get, words)])
+    wants = np.stack([root_length(lengths, i, j) for (i, j) in roots], axis=1)
+    rel = _rel_error(periods, wants)
+    rows = [[w, i, j, period, want, r]
+            for w, *values in zip(words, periods.tolist(), wants.tolist(), rel.tolist())
+            for (i, j), period, want, r in zip(roots, *values)]
+    worst = float(np.max(rel, initial=0.0))  # NaN if any error is NaN
     return rows, {"passed": worst < PERIOD_BOUND, "num_words": len(words),
                   "worst_rel_error": worst}
 

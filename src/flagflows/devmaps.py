@@ -16,7 +16,7 @@ read from two dot products with the covector of its hyperplane y^{n-1}.
 """
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,9 +68,20 @@ class LeafPoint:
 
 def leaf_triples(x, y, z):
     """Three (m,) arrays of the triples that x, y, z (scalars or 1-d arrays) broadcast to,
-    each checked and reduced mod 2pi by `LeafPoint`."""
-    triples = zip(*np.broadcast_arrays(*np.atleast_1d(x, y, z)))
-    return np.array([astuple(LeafPoint(*t)) for t in triples]).reshape(-1, 3).T
+    each checked and reduced mod 2pi as by `LeafPoint`.
+
+    The checks run on the whole stack; the first failing triple raises
+    its own `LeafPoint` error.
+    """
+    triples = np.array(np.broadcast_arrays(*np.atleast_1d(x, y, z)), dtype=float).reshape(3, -1)
+    with np.errstate(invalid="ignore"):
+        vals = triples % (2 * math.pi)
+        gaps = vals[[1, 2, 2]] - vals[[0, 0, 1]]  # the pairs (x, y), (x, z), (y, z)
+        close = np.minimum(gaps % (2 * math.pi), -gaps % (2 * math.pi)) < 1e-12
+    bad = ~np.all(np.isfinite(triples), axis=0) | np.any(close, axis=0)
+    if np.any(bad):
+        LeafPoint(*triples[:, np.argmax(bad)].tolist())  # raises the triple's own error
+    return vals
 
 
 def _levels(frames):
@@ -306,7 +317,8 @@ def _random_positive_triple(rng, spread: float = 0.3) -> LeafPoint:
 
 def _random_triples(rng, count: int):
     """`count` draws of `_random_positive_triple`, in order, as arrays (x, y, z)."""
-    return np.array([astuple(_random_positive_triple(rng)) for _ in range(count)]).T
+    points = [_random_positive_triple(rng) for _ in range(count)]
+    return np.array([(p.x, p.y, p.z) for p in points]).T
 
 
 def _angle(a, b) -> np.ndarray:

@@ -187,9 +187,11 @@ def _transverse_samples(curve: BoundaryCurve, eigvecs: np.ndarray, roots) -> dic
 
     Per word, the Y_CHOICES hyperplane samples y whose log-ratio
     log|y . v_j| - log|y . v_i| is smallest in size are kept, as
-    (y . v_i, y . v_j).  Every eigenvector is scanned against every
-    sample once, in chunks of words holding at most SPECTRUM_BLOCK_ENTRIES
-    entries per array.
+    (y . v_i, y . v_j): one argmin per choice, the lowest index first
+    among ties, each pick masked before the next.  A word needs
+    Y_CHOICES samples on which the log-ratio is finite.  Every eigenvector
+    is scanned against every sample once, in chunks of words holding at
+    most SPECTRUM_BLOCK_ENTRIES entries per array.
     """
     covectors = curve.hyperplane_covectors()
     chunk = max(1, SPECTRUM_BLOCK_ENTRIES // len(covectors))
@@ -200,14 +202,21 @@ def _transverse_samples(curve: BoundaryCurve, eigvecs: np.ndarray, roots) -> dic
         dots = {k: (covectors @ vecs[:, :, k - 1, None])[:, :, 0] for k in indices}
         with np.errstate(divide="ignore"):
             logs = {k: np.log(np.abs(m)) for k, m in dots.items()}
+        rows = np.arange(len(vecs))
         for (i, j) in picks:
             with np.errstate(invalid="ignore"):
-                ratio = logs[j] - logs[i]
-            ok = np.isfinite(ratio)
-            if not np.all(np.any(ok, axis=1)):
-                raise RootFindFailure("no transverse hyperplane sample on the leaf")
-            chosen = np.argpartition(np.abs(np.where(ok, ratio, np.inf)), Y_CHOICES - 1,
-                                     axis=1)[:, :Y_CHOICES]
+                key = np.abs(logs[j] - logs[i])
+            key[np.isnan(key)] = np.inf
+            chosen = []
+            for c in range(Y_CHOICES):
+                pick = np.argmin(key, axis=1)
+                if np.any(key[rows, pick] == np.inf):
+                    raise RootFindFailure("no transverse hyperplane sample on the leaf" if c == 0
+                                          else f"fewer than {Y_CHOICES} transverse hyperplane "
+                                          "samples on the leaf")
+                key[rows, pick] = np.inf
+                chosen.append(pick)
+            chosen = np.stack(chosen, axis=1)
             picks[(i, j)].append([np.take_along_axis(dots[k], chosen, 1) for k in (i, j)])
     return {root: [np.concatenate(part) for part in zip(*parts)]
             for root, parts in picks.items()}
@@ -249,6 +258,11 @@ def _block_periods(curve: BoundaryCurve, roots, words) -> list:
         values = factors[0] - factors[1]  # (W, Y)
         mean = np.mean(values, axis=1)
         spread = values.max(axis=1) - values.min(axis=1)
+        finite = np.isfinite(mean) & np.isfinite(spread)
+        if not np.all(finite):
+            w = np.argmin(finite)
+            raise RootFindFailure(f"period {mean[w]:.3e} with y-spread {spread[w]:.3e} "
+                                  "is not finite")
         noise_floor = 100.0 * np.finfo(float).eps * (amp[:, i - 1] + amp[:, j - 1])
         bound = np.maximum(1e-8 * np.maximum(1.0, np.abs(mean)), noise_floor)
         varies = spread > bound

@@ -3,7 +3,8 @@
 Provides the reference Fuchsian holonomy of the genus-2 surface built
 from the regular hyperbolic octagon (vertex angle pi/4), irreducible
 embeddings SL2 -> SLn by symmetric powers, bulging deformations, and
-eigenvalue data (eigensystems, Jordan projections, root lengths).
+eigenvalue data: eigensystems, and Jordan projections with their root
+lengths, as arrays over a stack of matrices (plain floats for one).
 
 Also houses the circle parameterization of the boundary at infinity:
 theta in [0, 2pi) corresponds to the point -cot(theta/2) of the real
@@ -26,6 +27,7 @@ from .words import GroupWord, SurfaceGroupPresentation, enumerate_conjugacy_clas
 
 LOXODROMY_GAP = 1e-6  # minimal relative gap between consecutive eigenvalue moduli
 RELATOR_TOL = 1e-8    # Frobenius distance of the relator image from +-Id
+EPS = float(np.finfo(float).eps)
 
 # ---------------------------------------------------------------------------
 # circle boundary parameterization
@@ -74,21 +76,6 @@ def axis_thetas(m: np.ndarray):
 # eigenvalue data
 
 
-@dataclass(frozen=True)
-class JordanData:
-    """Sorted log-moduli of the eigenvalues of a determinant +-1 matrix."""
-
-    log_moduli: tuple
-
-    def __post_init__(self):
-        lm = tuple(float(x) for x in self.log_moduli)
-        if any(a < b - 1e-12 for a, b in zip(lm, lm[1:])):
-            raise ValueError("log-moduli must be sorted nonincreasing")
-        if abs(sum(lm)) > 1e-9 * max(1.0, max(abs(x) for x in lm)):
-            raise ValueError("log-moduli must sum to zero")
-        object.__setattr__(self, "log_moduli", lm)
-
-
 def read_from_g(lm: np.ndarray) -> np.ndarray:
     """Which eigenvalue indices are better read from g than from g^-1.
 
@@ -104,12 +91,15 @@ def read_from_g(lm: np.ndarray) -> np.ndarray:
 
 
 def jordan_projection(g: np.ndarray, g_inverse: np.ndarray):
-    """Sorted log-moduli of the eigenvalues of g (det g = +-1).
+    """Sorted log-moduli of the eigenvalues of g (det g = +-1), shifted to sum to zero.
 
-    `g` is one matrix, giving one JordanData, or a stack (W, n, n),
-    giving a list of W; one matrix is solved as a stack of one.
-    `g_inverse` is the independently computed inverse product (or stack);
-    each entry is read from g or from the inverse as `read_from_g` decides.
+    `g` is one matrix, giving a tuple of n floats, or a stack (W, n, n),
+    giving an (n, W) array whose row k - 1 holds index k of every matrix;
+    either way `root_length` reads it.  `g_inverse` is the independently
+    computed inverse product (or stack); each entry is read from g or
+    from the inverse as `read_from_g` decides.  Raises ValueError for the
+    first matrix whose determinant is not +-1 or whose log-moduli come
+    out unsorted.
     """
     g = np.asarray(g, dtype=float)
     stack = g.reshape((-1,) + g.shape[-2:])
@@ -122,23 +112,29 @@ def jordan_projection(g: np.ndarray, g_inverse: np.ndarray):
         raise EigenFailure(str(exc)) from exc
     lm = logs[:count, ::-1]
     lm = np.where(read_from_g(lm), lm, -logs[count:])
-    out = []
-    for det, row in zip(np.linalg.det(stack), lm):
+    out = lm - lm.mean(axis=1, keepdims=True)  # drop the zero-sum drift
+    unsorted = np.any(out[:, :-1] < out[:, 1:] - 1e-12, axis=1)
+    spans = (lm[:, 0] - lm[:, -1]).tolist()
+    for k, det in enumerate(np.linalg.det(stack).tolist()):
         # float determinants of long word products drift by roughly
         # eps * cond, so scale the unimodularity guard accordingly; the
-        # mean-subtraction below removes the drift anyway
-        drift = 1e3 * np.finfo(float).eps * math.exp(min(row[0] - row[-1], 40.0))
+        # mean-subtraction removes the drift anyway
+        drift = 1e3 * EPS * math.exp(min(spans[k], 40.0))
         if abs(abs(det) - 1.0) > max(1e-9, min(drift, 0.5)):
             raise ValueError(f"matrix determinant {det} is not +-1")
-        out.append(JordanData(tuple(row - row.mean())))  # drop the zero-sum drift
-    return out if g.ndim == 3 else out[0]
+        if unsorted[k]:
+            raise ValueError("log-moduli must be sorted nonincreasing")
+    return out.T if g.ndim == 3 else tuple(out[0].tolist())
 
 
-def root_length(j: JordanData, i: int, k: int) -> float:
-    """The root length l_i - l_k of the Jordan data, for 1 <= i < k <= n."""
-    if not (1 <= i < k <= len(j.log_moduli)):
+def root_length(j, i: int, k: int):
+    """The root length l_i - l_k of `jordan_projection`'s output, for 1 <= i < k <= n.
+
+    A float for one matrix's tuple, an array of W for a stack's (n, W) array.
+    """
+    if not (1 <= i < k <= len(j)):
         raise IndexOrder(f"need 1 <= i < k <= n, got ({i}, {k})")
-    return j.log_moduli[i - 1] - j.log_moduli[k - 1]
+    return j[i - 1] - j[k - 1]
 
 
 def loxodromic_eigensystem(g: np.ndarray):

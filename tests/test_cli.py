@@ -11,6 +11,7 @@ import pytest
 import flagflows
 from flagflows import limitcurve
 from flagflows.cli import emit_summary, main, write_csv, write_json_artifact
+from flagflows.devmaps import LeafPoint
 
 
 def run(tmp_path, *args):
@@ -253,6 +254,20 @@ def test_verify_all_evaluates_its_curve_in_few_stacked_calls(tmp_path, monkeypat
     assert load_summary(tmp_path, "verify_all")["checks"]["decay"]  # it ran to the end
     assert sum(sizes) > 1000
     assert len(sizes) <= 80
+
+
+def test_verify_all_checks_leaf_points_in_stacks(tmp_path, monkeypatch):
+    """A count, not a time: stacked triples are checked as arrays, not one `LeafPoint` each.
+
+    The command line builds 100 `LeafPoint`s; checking each stacked triple
+    as its own `LeafPoint` built 482.
+    """
+    built = []
+    post_init = LeafPoint.__post_init__
+    monkeypatch.setattr(LeafPoint, "__post_init__", lambda p: built.append(1) or post_init(p))
+    run(tmp_path, "--bulge", "0.3", "--seed", "0", "verify-all")
+    assert load_summary(tmp_path, "verify_all")["checks"]["decay"]  # it ran to the end
+    assert len(built) <= 120
 
 
 def test_decay_on_default_config(tmp_path):

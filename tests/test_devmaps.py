@@ -15,6 +15,7 @@ from flagflows.devmaps import (
     geodesic_realization,
     involution_iota,
     leaf_context,
+    leaf_triples,
     omega_membership,
     phi_tan_minus,
     phi_tan_plus,
@@ -367,3 +368,26 @@ def test_leaf_point_refuses_non_finite_parameters(x, y, z, name):
     """NaN would pass the distinctness test, whose comparisons are false on it."""
     with pytest.raises(ValueError, match=f"parameter {name} must be finite"):
         LeafPoint(x, y, z)
+
+
+def test_leaf_triples_reduce_as_leaf_point_does():
+    """The stacked reduction mod 2pi is `LeafPoint`'s, bit for bit, also below 0 and above 2pi."""
+    rng = np.random.default_rng(3)
+    for m in (1, 9, 500):
+        x, y, z = rng.uniform(-25.0, 25.0, (3, m))
+        want = np.array([[p.x, p.y, p.z] for p in (LeafPoint(*t) for t in
+                                                   zip(x.tolist(), y.tolist(), z.tolist()))]).T
+        assert np.array_equal(leaf_triples(x, y, z), want)
+    y = rng.uniform(-25.0, 25.0, 20)
+    want = np.array([[p.x, p.y, p.z] for p in (LeafPoint(-0.5, t, 7.0) for t in y.tolist())]).T
+    assert np.array_equal(leaf_triples(-0.5, y, 7.0), want)
+
+
+@pytest.mark.parametrize("y, message", [
+    ([1.0, 2.0, math.nan, 2.5, 3.0], "^leaf point parameter y must be finite; got nan$"),
+    ([1.0, 2.0, 0.5 + 2 * math.pi, math.inf, 3.0], "^leaf point parameters must be distinct$"),
+])
+def test_leaf_triples_raise_the_first_bad_triples_error(y, message):
+    """Triple 2 fails first (non-finite, or coincident with x mod 2pi); triple 3 fails too."""
+    with pytest.raises(ValueError, match=message):
+        leaf_triples(0.5, y, 4.0)

@@ -1,12 +1,13 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
 import pytest
 
 from flagflows.config import NotLoxodromic, PointOutsideSegment, RootFindFailure
-from flagflows import flows
+from flagflows import cli, flows
 from flagflows.devmaps import LeafPoint
 from flagflows.flows import (
     cocycle,
@@ -23,7 +24,7 @@ from flagflows.flows import (
 )
 from flagflows.limitcurve import fuchsian_curve, sample_boundary
 from flagflows.reps import (axis_thetas, bulge_deform, circular_gap, jordan_projection,
-                            root_length, sym_power)
+                            loxodromic_eigensystem, read_from_g, root_length, sym_power)
 from flagflows.words import GroupWord, enumerate_conjugacy_classes
 
 
@@ -234,6 +235,90 @@ def test_period_spectrum_memory_stays_bounded(reference):
     finally:
         tracemalloc.stop()
     assert peak < 4e6
+
+
+def _argpartition_picks(curve, eigvecs, i, j):
+    """The transverse samples as first chosen: one argpartition over every sample."""
+    covectors = curve.hyperplane_covectors()
+    dots = [(covectors @ eigvecs[:, :, k - 1, None])[:, :, 0] for k in (i, j)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.log(np.abs(dots[1])) - np.log(np.abs(dots[0]))
+    ok = np.isfinite(ratio)
+    chosen = np.argpartition(np.abs(np.where(ok, ratio, np.inf)), flows.Y_CHOICES - 1,
+                             axis=1)[:, :flows.Y_CHOICES]
+    return [np.take_along_axis(d, chosen, 1) for d in dots]
+
+
+def test_transverse_samples_match_an_argpartition_oracle(reference, bulged_curve03):
+    """The masked-argmin picks are the argpartition picks, as sets, on the CLI's curves."""
+    rep = bulge_deform(sym_power(reference, 3), 0.3)
+    curves = [fuchsian_curve(reference, 3), bulged_curve03, sample_boundary(rep, reference, 4)]
+    ball = enumerate_conjugacy_classes(reference.presentation, 4)
+    for curve in curves:
+        vals_g, vecs_g = loxodromic_eigensystem(curve.rep.matrices(ball))
+        _, vecs_i = loxodromic_eigensystem(curve.rep.matrices([w.inverse() for w in ball]))
+        prefer_g = read_from_g(np.log(np.abs(vals_g)))
+        eigvecs = np.where(prefer_g[:, None, :], vecs_g, vecs_i[:, :, ::-1])
+        samples = flows._transverse_samples(curve, eigvecs, ROOTS)
+        for (i, j) in ROOTS:
+            got, want = samples[(i, j)], _argpartition_picks(curve, eigvecs, i, j)
+            # the picks as sets: both in the order of their y . v_i values
+            order_got, order_want = np.argsort(got[0], axis=1), np.argsort(want[0], axis=1)
+            for a, b in zip(got, want):
+                assert np.array_equal(np.take_along_axis(a, order_got, 1),
+                                      np.take_along_axis(b, order_want, 1))
+
+
+def test_transverse_samples_break_ties_lowest_index_first():
+    """Samples 1, 2 and 3 tie at log-ratio 0 for the root (1, 2): samples 1 and 2 are kept."""
+    covectors = np.array([[1.0, 4.0, 1.0], [1.0, 1.0, 1.0], [2.0, 2.0, 1.0],
+                          [3.0, 3.0, 1.0], [3.0, 1.0, 1.0]])
+    curve = SimpleNamespace(hyperplane_covectors=lambda: covectors)
+    ma, mb = flows._transverse_samples(curve, np.eye(3)[None], [(1, 2)])[(1, 2)]
+    assert ma.tolist() == [[1.0, 2.0]] and mb.tolist() == [[1.0, 2.0]]
+    covectors[1:4, 0] = 0.0  # y . v_1 = 0: only samples 0 and 4 are transverse
+    ma, _ = flows._transverse_samples(curve, np.eye(3)[None], [(1, 2)])[(1, 2)]
+    assert ma.tolist() == [[3.0, 1.0]]
+    covectors[4, 1] = 0.0
+    with pytest.raises(RootFindFailure, match="^fewer than 2 transverse hyperplane samples"):
+        flows._transverse_samples(curve, np.eye(3)[None], [(1, 2)])
+    covectors[0, 0] = 0.0
+    with pytest.raises(RootFindFailure, match="^no transverse hyperplane sample on the leaf$"):
+        flows._transverse_samples(curve, np.eye(3)[None], [(1, 2)])
+
+
+def test_non_finite_periods_are_refused(exact_curve, monkeypatch):
+    """A NaN segment coordinate makes its word's period NaN; the spectrum raises.
+
+    Before, `spread > bound` was False for a NaN spread, and the NaN period
+    came back as a number.
+    """
+    transverse_samples = flows._transverse_samples
+
+    def poisoned(curve, eigvecs, roots):
+        samples = transverse_samples(curve, eigvecs, roots)
+        samples[(1, 3)][0][0, 0] = np.nan  # each block's first word, root (1, 3)
+        return samples
+
+    monkeypatch.setattr(flows, "_transverse_samples", poisoned)
+    ball = enumerate_conjugacy_classes(exact_curve.rep.presentation, 2)
+    with pytest.raises(RootFindFailure, match="^period nan with y-spread nan is not finite$"):
+        period_spectrum(exact_curve, ball[:4], ROOTS)
+
+
+def test_periods_check_fails_on_a_nan_period(exact_curve, monkeypatch):
+    """The worst relative error propagates NaN, so a NaN period fails the check."""
+    spectrum = period_spectrum
+
+    def with_nan(curve, words, roots):
+        out = spectrum(curve, words, roots)
+        out[words[3]][(2, 3)] = math.nan
+        return out
+
+    monkeypatch.setattr(cli, "period_spectrum", with_nan)
+    rows, entry = cli.periods_check(exact_curve, 2, ROOTS)
+    assert math.isnan(entry["worst_rel_error"]) and entry["passed"] is False
+    assert math.isnan(rows[3 * 3 + 2][3])
 
 
 @pytest.fixture(scope="module")

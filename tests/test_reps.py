@@ -6,7 +6,6 @@ import pytest
 from flagflows.config import IndexOrder, NotLoxodromic
 from flagflows.projective import Flag
 from flagflows.reps import (
-    JordanData,
     SurfaceGroupRep,
     boundary_vector,
     bulge_deform,
@@ -132,7 +131,7 @@ def test_jordan_projection_of_symmetric_power(reference):
         w = reference.presentation.parse_word(text)
         t = sl2_length(reference.matrix(w))
         jd = jordan_projection(rep3.matrix(w), rep3.matrix(w.inverse()))
-        assert np.allclose(jd.log_moduli, [t, 0.0, -t], atol=1e-9)
+        assert np.allclose(jd, [t, 0.0, -t], atol=1e-9)
         assert abs(root_length(jd, 1, 3) - 2 * t) < 1e-9
         assert abs(root_length(jd, 1, 2) - t) < 1e-9
 
@@ -143,7 +142,7 @@ def test_jordan_projection_inverse_refinement_is_consistent(reference):
     g = rep3.matrix(w)
     refined = jordan_projection(g, rep3.matrix(w.inverse()))
     plain = np.sort(np.log(np.abs(np.linalg.eigvals(g))))[::-1]
-    assert np.allclose(plain - plain.mean(), refined.log_moduli, atol=1e-8)
+    assert np.allclose(plain - plain.mean(), refined, atol=1e-8)
 
 
 def test_stacked_jordan_projection_equals_single_ones(reference):
@@ -151,22 +150,37 @@ def test_stacked_jordan_projection_equals_single_ones(reference):
     inverses = [w.inverse() for w in words]
     for rep in (sym_power(reference, 3), bulge_deform(sym_power(reference, 3), 0.3)):
         stacked = jordan_projection(rep.matrices(words), rep.matrices(inverses))
-        assert [jd.log_moduli for jd in stacked] == [
-            jordan_projection(rep.matrix(w), rep.matrix(v)).log_moduli
-            for w, v in zip(words, inverses)]
+        singles = [jordan_projection(rep.matrix(w), rep.matrix(v))
+                   for w, v in zip(words, inverses)]
+        assert all(type(x) is float for x in singles[0])
+        assert np.array_equal(stacked, np.array(singles).T)
+        for root in ((1, 2), (1, 3), (2, 3)):
+            assert np.array_equal(root_length(stacked, *root),
+                                  [root_length(jd, *root) for jd in singles])
         # short words are well conditioned, so g alone gives every entry
         plain = np.sort(np.log(np.abs(np.linalg.eigvals(rep.matrices(words[:5])))))[:, ::-1]
-        assert np.allclose([jd.log_moduli for jd in stacked[:5]],
-                           plain - plain.mean(axis=1, keepdims=True), atol=1e-12)
+        assert np.allclose(stacked[:, :5].T, plain - plain.mean(axis=1, keepdims=True),
+                           atol=1e-12)
 
 
-def test_jordan_data_validation():
-    with pytest.raises(ValueError):
-        JordanData((0.0, 1.0, -1.0))
-    with pytest.raises(ValueError):
-        JordanData((2.0, 0.0, -1.0))
+def test_jordan_projection_guards():
+    g = np.diag([math.exp(3.0), 1.0, math.exp(-3.0)])
+    # index 3 is read from the inverse, whose moduli here are all below 1
+    with pytest.raises(ValueError, match="^log-moduli must be sorted nonincreasing$"):
+        jordan_projection(g, np.diag([0.5, 0.5, 0.5]))
+    with pytest.raises(ValueError, match="^log-moduli must be sorted nonincreasing$"):
+        jordan_projection(np.stack([g, g]), np.stack([np.linalg.inv(g), np.eye(3) / 2]))
+    bad = np.diag([2.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match=r"^matrix determinant 2\.0 is not \+-1$"):
+        jordan_projection(bad, np.linalg.inv(bad))
+    # the first failing matrix of a stack names its own determinant
+    with pytest.raises(ValueError, match=r"^matrix determinant 2\.0 is not \+-1$"):
+        jordan_projection(np.stack([g, bad, 3 * g]),
+                          np.stack([np.linalg.inv(g), np.linalg.inv(bad), np.eye(3) / 2]))
     with pytest.raises(IndexOrder):
-        root_length(JordanData((1.0, 0.0, -1.0)), 2, 1)
+        root_length((1.0, 0.0, -1.0), 2, 1)
+    with pytest.raises(IndexOrder):
+        root_length(np.zeros((3, 4)), 1, 4)
 
 
 def test_loxodromic_eigensystem_sorting_and_rejection():
