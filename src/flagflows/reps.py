@@ -90,41 +90,69 @@ def read_from_g(lm: np.ndarray) -> np.ndarray:
     return lm[..., :1] - lm <= lm - lm[..., -1:]
 
 
+def _check_unimodular(det: float, span: float) -> None:
+    """Raise ValueError unless det is +-1 within the drift of a product.
+
+    `span` is the spread l_1 - l_n of the product's log-moduli.  Float
+    determinants of long word products drift by roughly eps * cond, so
+    the guard scales with exp(span), capped at 0.5; the mean-subtraction
+    of `jordan_projection` removes the drift anyway.
+    """
+    drift = 1e3 * EPS * math.exp(min(span, 40.0))
+    if abs(abs(det) - 1.0) > max(1e-9, min(drift, 0.5)):
+        raise ValueError(f"matrix determinant {det} is not +-1")
+
+
 def jordan_projection(g: np.ndarray, g_inverse: np.ndarray):
     """Sorted log-moduli of the eigenvalues of g (det g = +-1), shifted to sum to zero.
 
-    `g` is one matrix, giving a tuple of n floats, or a stack (W, n, n),
-    giving an (n, W) array whose row k - 1 holds index k of every matrix;
-    either way `root_length` reads it.  `g_inverse` is the independently
-    computed inverse product (or stack); each entry is read from g or
-    from the inverse as `read_from_g` decides.  Raises ValueError for the
-    first matrix whose determinant is not +-1 or whose log-moduli come
-    out unsorted.
+    `g` is one matrix (n, n), giving a tuple of n floats, or a stack
+    (W, n, n), giving an (n, W) array whose row k - 1 holds index k of
+    every matrix; either way `root_length` reads it.  `g_inverse` is the
+    independently computed inverse product (or stack), of g's shape;
+    each entry is read from g or from the inverse as `read_from_g`
+    decides.  Both shapes share one eigensolve over g and its inverse;
+    for one matrix the rest runs on Python floats, which give the same
+    bits as the stack's array arithmetic (numpy's mean adds fewer than 8
+    entries in order, as `sum` does).  Raises ValueError for any other
+    shape, and for the first matrix whose determinant is not +-1 or
+    whose log-moduli come out unsorted.
     """
     g = np.asarray(g, dtype=float)
-    stack = g.reshape((-1,) + g.shape[-2:])
+    g_inverse = np.asarray(g_inverse, dtype=float)
+    if g.ndim not in (2, 3) or g.shape[-1] != g.shape[-2]:
+        raise ValueError(f"g must be one (n, n) matrix or a (W, n, n) stack; got shape {g.shape}")
+    if g_inverse.shape != g.shape:
+        raise ValueError(f"g_inverse has shape {g_inverse.shape}; g has {g.shape}")
+    stack = g if g.ndim == 3 else g[None]
     count = stack.shape[0]
     # one eigensolve over g and its inverse stacked together
-    both = np.concatenate([stack, np.reshape(np.asarray(g_inverse, dtype=float), stack.shape)])
+    both = np.concatenate([stack, g_inverse.reshape(stack.shape)])
     try:
         logs = np.sort(np.log(np.abs(np.linalg.eigvals(both))))
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
+    if g.ndim == 2:
+        ascending, inverse = logs.tolist()
+        top = ascending[::-1]
+        # the rule of `read_from_g`, on floats
+        lm = [x if top[0] - x <= x - top[-1] else -y for x, y in zip(top, inverse)]
+        mean = sum(lm) / len(lm)
+        out = tuple(x - mean for x in lm)
+        _check_unimodular(float(np.linalg.det(g)), lm[0] - lm[-1])
+        if any(a < b - 1e-12 for a, b in zip(out, out[1:])):
+            raise ValueError("log-moduli must be sorted nonincreasing")
+        return out
     lm = logs[:count, ::-1]
     lm = np.where(read_from_g(lm), lm, -logs[count:])
     out = lm - lm.mean(axis=1, keepdims=True)  # drop the zero-sum drift
     unsorted = np.any(out[:, :-1] < out[:, 1:] - 1e-12, axis=1)
     spans = (lm[:, 0] - lm[:, -1]).tolist()
     for k, det in enumerate(np.linalg.det(stack).tolist()):
-        # float determinants of long word products drift by roughly
-        # eps * cond, so scale the unimodularity guard accordingly; the
-        # mean-subtraction removes the drift anyway
-        drift = 1e3 * EPS * math.exp(min(spans[k], 40.0))
-        if abs(abs(det) - 1.0) > max(1e-9, min(drift, 0.5)):
-            raise ValueError(f"matrix determinant {det} is not +-1")
+        _check_unimodular(det, spans[k])
         if unsorted[k]:
             raise ValueError("log-moduli must be sorted nonincreasing")
-    return out.T if g.ndim == 3 else tuple(out[0].tolist())
+    return out.T
 
 
 def root_length(j, i: int, k: int):
@@ -212,12 +240,24 @@ class SurfaceGroupRep:
         rel = self.matrix(self.presentation.relator())
         return min(np.linalg.norm(rel - np.eye(self.n)), np.linalg.norm(rel + np.eye(self.n)))
 
+    def _check_letters(self, low: int, high: int, has_zero: bool) -> None:
+        """Refuse letters outside +-1..+-2g, from the least and largest letter and whether 0 occurs.
+
+        An unchecked letter would index the wrong row of the table, or the
+        identity row at letter 0.
+        """
+        g = self.presentation.num_generators
+        bad = low if low < -g else high if high > g else 0 if has_zero else None
+        if bad is not None:
+            raise ValueError(f"letter {bad} is not one of +-1..+-{g}")
+
     def matrix(self, word) -> np.ndarray:
         """Image of a word (GroupWord or letter sequence), multiplied left to right."""
         if isinstance(word, GroupWord):
             word = word.letters
         if not word:
             return np.eye(self.n)
+        self._check_letters(min(word), max(word), 0 in word)
         g = self.presentation.num_generators
         out = self._table[g + word[0]].copy()
         for x in word[1:]:
@@ -237,8 +277,10 @@ class SurfaceGroupRep:
         for k, w in enumerate(letters):
             by_length.setdefault(len(w), []).append(k)
         for length, rows in by_length.items():
-            columns = self.presentation.num_generators + np.array(
-                [letters[k] for k in rows], dtype=int).reshape(len(rows), length)
+            columns = np.array([letters[k] for k in rows], dtype=int).reshape(len(rows), length)
+            if length:
+                self._check_letters(int(columns.min()), int(columns.max()), not columns.all())
+            columns += self.presentation.num_generators
             product = self._table[columns[:, 0]] if length else np.eye(self.n)
             for col in range(1, length):
                 product = product @ self._table[columns[:, col]]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from flagflows.config import IndexOrder, NotLoxodromic
+from flagflows.config import EigenFailure, IndexOrder, NotLoxodromic
 from flagflows.projective import Flag
 from flagflows.reps import (
     SurfaceGroupRep,
@@ -146,15 +146,20 @@ def test_jordan_projection_inverse_refinement_is_consistent(reference):
 
 
 def test_stacked_jordan_projection_equals_single_ones(reference):
-    words = enumerate_conjugacy_classes(reference.presentation, 4)
-    inverses = [w.inverse() for w in words]
-    for rep in (sym_power(reference, 3), bulge_deform(sym_power(reference, 3), 0.3)):
+    """The one-matrix float path gives the stack's bits, on criterion 1's ball and at n = 2, 4."""
+    ball3 = enumerate_conjugacy_classes(reference.presentation, 3)
+    ball5 = enumerate_conjugacy_classes(reference.presentation, 5)
+    rep3 = sym_power(reference, 3)
+    cases = [(rep3, ball5), (bulge_deform(rep3, 0.3), ball5), (bulge_deform(rep3, 0.7), ball5),
+             (sym_power(reference, 2), ball3), (sym_power(reference, 4), ball3)]
+    for rep, words in cases:
+        inverses = [w.inverse() for w in words]
         stacked = jordan_projection(rep.matrices(words), rep.matrices(inverses))
         singles = [jordan_projection(rep.matrix(w), rep.matrix(v))
                    for w, v in zip(words, inverses)]
-        assert all(type(x) is float for x in singles[0])
+        assert all(type(x) is float for x in singles[0]) and len(singles[0]) == rep.n
         assert np.array_equal(stacked, np.array(singles).T)
-        for root in ((1, 2), (1, 3), (2, 3)):
+        for root in ((i, k) for i in range(1, rep.n) for k in range(i + 1, rep.n + 1)):
             assert np.array_equal(root_length(stacked, *root),
                                   [root_length(jd, *root) for jd in singles])
         # short words are well conditioned, so g alone gives every entry
@@ -165,14 +170,7 @@ def test_stacked_jordan_projection_equals_single_ones(reference):
 
 def test_jordan_projection_guards():
     g = np.diag([math.exp(3.0), 1.0, math.exp(-3.0)])
-    # index 3 is read from the inverse, whose moduli here are all below 1
-    with pytest.raises(ValueError, match="^log-moduli must be sorted nonincreasing$"):
-        jordan_projection(g, np.diag([0.5, 0.5, 0.5]))
-    with pytest.raises(ValueError, match="^log-moduli must be sorted nonincreasing$"):
-        jordan_projection(np.stack([g, g]), np.stack([np.linalg.inv(g), np.eye(3) / 2]))
     bad = np.diag([2.0, 1.0, 1.0])
-    with pytest.raises(ValueError, match=r"^matrix determinant 2\.0 is not \+-1$"):
-        jordan_projection(bad, np.linalg.inv(bad))
     # the first failing matrix of a stack names its own determinant
     with pytest.raises(ValueError, match=r"^matrix determinant 2\.0 is not \+-1$"):
         jordan_projection(np.stack([g, bad, 3 * g]),
@@ -181,6 +179,39 @@ def test_jordan_projection_guards():
         root_length((1.0, 0.0, -1.0), 2, 1)
     with pytest.raises(IndexOrder):
         root_length(np.zeros((3, 4)), 1, 4)
+
+
+@pytest.mark.parametrize("g, g_inverse, error, message", [
+    (np.diag([2.0, 1.0, 1.0]), np.diag([0.5, 1.0, 1.0]),
+     ValueError, "matrix determinant 2.0 is not +-1"),
+    # index 3 is read from the inverse, whose moduli here are all below 1
+    (np.diag([math.exp(3.0), 1.0, math.exp(-3.0)]), np.eye(3) / 2,
+     ValueError, "log-moduli must be sorted nonincreasing"),
+    # fails both guards: the determinant is checked first
+    (np.diag([2.0, 1.0, 1.0]), np.eye(3) / 4, ValueError, "matrix determinant 2.0 is not +-1"),
+    (np.diag([2.0, 1.0, 0.5]) + np.diag([math.nan, 0.0], 1), np.eye(3),
+     EigenFailure, "Array must not contain infs or NaNs"),
+], ids=["det", "unsorted", "det-before-unsorted", "nan"])
+def test_jordan_projection_guards_agree_on_both_shapes(g, g_inverse, error, message):
+    """A matrix raises the same error alone and behind a good matrix in a stack."""
+    good = np.diag([math.exp(3.0), 1.0, math.exp(-3.0)])
+    with pytest.raises(error) as alone:
+        jordan_projection(g, g_inverse)
+    with pytest.raises(error) as stacked:
+        jordan_projection(np.stack([good, g]), np.stack([np.linalg.inv(good), g_inverse]))
+    assert type(alone.value) is type(stacked.value) is error
+    assert str(alone.value) == str(stacked.value) == message
+
+
+def test_jordan_projection_refuses_other_shapes():
+    eye = np.eye(3)
+    for g in (np.zeros((2, 2, 3, 3)), np.zeros(3), np.zeros((3, 4)), np.zeros((2, 3, 4))):
+        with pytest.raises(ValueError, match="^g must be one"):
+            jordan_projection(g, g)
+    for g, g_inverse in ((eye, eye[None]), (np.stack([eye, eye]), eye),
+                         (np.stack([eye, eye]), np.stack([eye] * 3))):
+        with pytest.raises(ValueError, match="^g_inverse has shape"):
+            jordan_projection(g, g_inverse)
 
 
 def test_loxodromic_eigensystem_sorting_and_rejection():
@@ -263,3 +294,16 @@ def test_rep_rejects_non_unimodular_images(reference):
     images = {k: 2.0 * v for k, v in reference.images.items()}
     with pytest.raises(ValueError):
         SurfaceGroupRep(reference.presentation, 2, images)
+
+
+@pytest.mark.parametrize("word, letter", [
+    ([-5], -5), ([5], 5), ([1, -6, 2], -6), ([1, 0, 2], 0), ([0], 0),
+], ids=["-5", "5", "-6-inside", "0-inside", "0"])
+def test_word_images_refuse_letters_outside_the_generators(reference, word, letter):
+    """On genus 2 the letters are +-1..+-4; others would index a wrong row of the table."""
+    rep3 = sym_power(reference, 3)
+    message = f"^letter {letter} is not one of \\+-1\\.\\.\\+-4$"
+    with pytest.raises(ValueError, match=message):
+        rep3.matrix(word)
+    with pytest.raises(ValueError, match=message):
+        rep3.matrices([[1, 2], word, [3]])
