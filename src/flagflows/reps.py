@@ -87,7 +87,12 @@ def read_from_g(lm: np.ndarray) -> np.ndarray:
     eps * cond(g), so reading each from the product where it dominates
     keeps every entry accurate.
     """
-    return lm[..., :1] - lm <= lm - lm[..., -1:]
+    return _nearer_top(lm, lm[..., :1], lm[..., -1:])
+
+
+def _nearer_top(x, top, bottom):
+    """The rule of `read_from_g`, on floats or broadcasting arrays."""
+    return top - x <= x - bottom
 
 
 def _check_unimodular(det: float, span: float) -> None:
@@ -113,10 +118,11 @@ def jordan_projection(g: np.ndarray, g_inverse: np.ndarray):
     each entry is read from g or from the inverse as `read_from_g`
     decides.  Both shapes share one eigensolve over g and its inverse;
     for one matrix the rest runs on Python floats, which give the same
-    bits as the stack's array arithmetic (numpy's mean adds fewer than 8
-    entries in order, as `sum` does).  Raises ValueError for any other
-    shape, and for the first matrix whose determinant is not +-1 or
-    whose log-moduli come out unsorted.
+    bits as the stack's array arithmetic: numpy's mean adds fewer than 8
+    entries in order from 0.0, and so does the loop here (the builtin
+    `sum` compensates its rounding from Python 3.12 on).  Raises
+    ValueError for any other shape, and for the first matrix whose
+    determinant is not +-1 or whose log-moduli come out unsorted.
     """
     g = np.asarray(g, dtype=float)
     g_inverse = np.asarray(g_inverse, dtype=float)
@@ -135,9 +141,11 @@ def jordan_projection(g: np.ndarray, g_inverse: np.ndarray):
     if g.ndim == 2:
         ascending, inverse = logs.tolist()
         top = ascending[::-1]
-        # the rule of `read_from_g`, on floats
-        lm = [x if top[0] - x <= x - top[-1] else -y for x, y in zip(top, inverse)]
-        mean = sum(lm) / len(lm)
+        lm = [x if _nearer_top(x, top[0], top[-1]) else -y for x, y in zip(top, inverse)]
+        total = 0.0
+        for x in lm:
+            total += x
+        mean = total / len(lm)
         out = tuple(x - mean for x in lm)
         _check_unimodular(float(np.linalg.det(g)), lm[0] - lm[-1])
         if any(a < b - 1e-12 for a, b in zip(out, out[1:])):
@@ -252,12 +260,17 @@ class SurfaceGroupRep:
             raise ValueError(f"letter {bad} is not one of +-1..+-{g}")
 
     def matrix(self, word) -> np.ndarray:
-        """Image of a word (GroupWord or letter sequence), multiplied left to right."""
+        """Image of a word (GroupWord or letter sequence), multiplied left to right.
+
+        Only a plain sequence's letters are checked: a GroupWord comes
+        from this presentation, which keeps its letters in range.
+        """
         if isinstance(word, GroupWord):
             word = word.letters
+        elif word:
+            self._check_letters(min(word), max(word), 0 in word)
         if not word:
             return np.eye(self.n)
-        self._check_letters(min(word), max(word), 0 in word)
         g = self.presentation.num_generators
         out = self._table[g + word[0]].copy()
         for x in word[1:]:
