@@ -23,6 +23,8 @@ from .config import FlagFlowsError
 from .devmaps import (
     MAP_TABLE as _MAP_TABLE,
     LeafPoint,
+    _check_map_name,
+    _check_realizable,
     _random_positive_triple,
     _random_triples,
     covering_checks,
@@ -51,6 +53,7 @@ from .limitcurve import (
 )
 from .render import render_scene, scene_boundary, scene_dev_image
 from .reps import (
+    _check_root,
     axis_thetas,
     bulge_deform,
     fuchsian_genus2,
@@ -120,6 +123,10 @@ def load_config(args) -> dict:
         raise ValueError("only genus 2 is wired up")
     if cfg["n"] < 2:
         raise ValueError(f"n must be at least 2; got n={cfg['n']}")
+    try:  # an int from the file may be too large for a float
+        cfg["bulge"] = float(cfg["bulge"])
+    except OverflowError as exc:
+        raise ValueError(f"config key 'bulge' does not convert to a float: {exc}") from None
     if not math.isfinite(cfg["bulge"]):  # json reads NaN and Infinity
         raise ValueError(f"bulge must be finite; got {cfg['bulge']}")
     if cfg["bulge"] != 0 and cfg["n"] != 3:
@@ -196,15 +203,14 @@ def build_rep(cfg: dict):
         rep = reference
     else:
         rep = sym_power(reference, n)
-    s = float(cfg.get("bulge", 0.0))
-    if s != 0.0:
-        rep = bulge_deform(rep, s)
+    if cfg["bulge"] != 0.0:
+        rep = bulge_deform(rep, cfg["bulge"])
     return rep, reference
 
 
 def is_sampled(cfg: dict) -> bool:
     """Whether `build_curve` samples the curve on the word ball, for want of a closed form."""
-    return float(cfg.get("bulge", 0.0)) != 0.0 or cfg["n"] == 2
+    return cfg["bulge"] != 0.0 or cfg["n"] == 2
 
 
 def build_curve(cfg: dict):
@@ -224,11 +230,12 @@ def _positive_roots(n: int):
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
-def _parse_alpha(text: str):
+def _parse_alpha(text: str, n: int):
     try:
         i, j = (int(t) for t in text.split(","))
     except ValueError:
         raise ValueError(f"alpha expects two integers i,j; got {text!r}") from None
+    _check_root(i, j, n)
     return (i, j)
 
 
@@ -282,7 +289,7 @@ def decay_check(cfg, curve, t_max: float, steps: int):
     # leaf nearly aligned with the stable-leaf base point keeps the
     # measured distance one-signed along the orbit
     slope, samples = decay_experiment(curve, LeafPoint(0.5, 0.7, 3.9), 3.5, t_max, steps)
-    if float(cfg.get("bulge", 0.0)) == 0.0:
+    if cfg["bulge"] == 0.0:
         return samples, {"passed": abs(slope - FUCHSIAN_DECAY_SLOPE) < DECAY_SLOPE_TOL,
                          "slope": slope, "expected_slope": FUCHSIAN_DECAY_SLOPE}, None
     _, beta_hat = boundary_regularity_estimate(curve)
@@ -302,7 +309,7 @@ def cmd_build_rep(cfg, args):
     emit_summary(cfg, "build_rep", {
         "genus": cfg["genus"],
         "n": rep.n,
-        "bulge": float(cfg.get("bulge", 0.0)),
+        "bulge": cfg["bulge"],
         "relator_distance": rep.relator_distance(),
         "loxodromy_depth2_ok": True,
     })
@@ -336,9 +343,13 @@ def cmd_frenet_check(cfg, args):
 
 
 def cmd_dev_image(cfg, args):
-    alpha = _parse_alpha(args.map.split(":", 1)[1]) if args.map.startswith("alpha:") else None
-    if alpha is None:
+    alpha = None
+    if args.map.startswith("alpha:"):
+        _check_realizable(cfg["n"])
+        alpha = _parse_alpha(args.map.split(":", 1)[1], cfg["n"])
+    else:
         _require_n3(cfg, f"dev-image --map {args.map}")
+        _check_map_name(args.map)
     x, z = float(args.x), float(args.z)
     ys = leaf_sweep(x, z, int(args.num))
     curve = build_curve(cfg)
@@ -358,7 +369,8 @@ def cmd_dev_image(cfg, args):
 
 
 def cmd_flow(cfg, args):
-    alpha = _parse_alpha(args.alpha)
+    _check_realizable(cfg["n"])
+    alpha = _parse_alpha(args.alpha, cfg["n"])
     curve = build_curve(cfg)
     word = curve.rep.presentation.parse_word(args.word)
     m = curve.reference.matrix(word)
@@ -387,7 +399,7 @@ def cmd_flow(cfg, args):
 
 
 def cmd_periods(cfg, args):
-    roots = [_parse_alpha(args.alpha)] if args.alpha else _positive_roots(cfg["n"])
+    roots = [_parse_alpha(args.alpha, cfg["n"])] if args.alpha else _positive_roots(cfg["n"])
     curve = build_curve(cfg)
     rows, check = periods_check(curve, int(args.max_len), roots)
     fmt = curve.rep.presentation.format_word
@@ -415,16 +427,15 @@ def cmd_render(cfg, args):
     figure = args.figure
     if figure.startswith("dev-"):
         _require_n3(cfg, f"render --figure {figure}")
-    elif figure == "boundary" and cfg["n"] % 2 == 0:
+        _check_map_name(figure[4:])
+    elif figure != "boundary":
+        raise ValueError(f"unknown figure {figure!r}")
+    elif cfg["n"] % 2 == 0:
         raise ValueError("render --figure boundary draws the curve in its affine chart, "
                          f"which exists only at odd n; got n={cfg['n']}")
     curve = build_curve(cfg)
-    if figure == "boundary":
-        scene = scene_boundary(curve)
-    elif figure.startswith("dev-"):
-        scene = scene_dev_image(curve, figure[4:], *DEV_LEAF)
-    else:
-        raise ValueError(f"unknown figure {figure!r}")
+    scene = (scene_boundary(curve) if figure == "boundary"
+             else scene_dev_image(curve, figure[4:], *DEV_LEAF))
     svg, clipped = render_scene(scene)
     write_artifact(cfg, f"{figure}.svg", svg)
     emit_summary(cfg, "render", {
@@ -493,7 +504,7 @@ def cmd_verify_all(cfg, args):
         "schema_version": SCHEMA_VERSION,
         "seed": seed,
         "n": 3,
-        "bulge": float(cfg.get("bulge", 0.0)),
+        "bulge": cfg["bulge"],
         "checks": checks,
         "passed": ok,
     })

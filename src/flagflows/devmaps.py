@@ -24,7 +24,7 @@ from .config import DegenerateMeet, PointOutsideSegment, UnclassifiedLine
 from .limitcurve import BoundaryCurve, second_boundary_intersection
 from .projective import (RANK_TOL, Flag, ProjectiveSubspace, annihilator, cross_meet,
                          cross_ratio, signed_polygon_distance)
-from .reps import circular_gap, positively_oriented
+from .reps import _check_root, circular_gap, positively_oriented
 
 # bound on a pointwise identity or fit residual: closed-form and interpolated curves
 EXACT_CURVE_TOL = 1e-6
@@ -130,14 +130,18 @@ def develop(curve: BoundaryCurve, name: str, x, y, z):
     arrays of unit vectors.  "tan-" is "tan+" after the involution, which
     scans each line.
     """
-    if name not in MAP_TABLE:
-        raise ValueError(f"unknown map {name!r}; choose from {sorted(MAP_TABLE)}")
+    _check_map_name(name)
     if curve.n != 3:
         raise ValueError(f"the developing maps are defined at n=3; got n={curve.n}")
     x, y, z = leaf_triples(x, y, z)
     if name == "tan-":
         return develop(curve, "tan+", x, _involution(curve, x, y, z), z)
     return develop_frames(name, *curve.frames_at(np.stack([x, y, z])))
+
+
+def _check_map_name(name: str) -> None:
+    if name not in MAP_TABLE:
+        raise ValueError(f"unknown map {name!r}; choose from {sorted(MAP_TABLE)}")
 
 
 def _one(curve: BoundaryCurve, name: str, p: LeafPoint) -> Flag:
@@ -222,6 +226,11 @@ class LeafMetricContext:
         return image / np.linalg.norm(image, axis=-1, keepdims=True)
 
 
+def _check_realizable(n: int) -> None:
+    if n < 3:
+        raise ValueError(f"root realizations need n >= 3; got n={n}")
+
+
 def leaf_context(curve: BoundaryCurve, alpha, x, z) -> LeafMetricContext:
     """Image segments of root alpha = (i, j) on the broadcast leaves (x, z), n >= 3.
 
@@ -231,10 +240,8 @@ def leaf_context(curve: BoundaryCurve, alpha, x, z) -> LeafMetricContext:
     """
     i, j = alpha
     n = curve.n
-    if n < 3:
-        raise ValueError(f"root realizations need n >= 3; got n={n}")
-    if not (1 <= i < j <= n):
-        raise ValueError("need 1 <= i < j <= n")
+    _check_realizable(n)
+    _check_root(i, j, n)
     fx, fz = curve.frames_at(np.stack(np.broadcast_arrays(x, z)))
 
     def endpoint(k):

@@ -23,8 +23,8 @@ from .config import (FlagFlowsError, InsufficientResolution, NotDefinedHere, Not
 from .devmaps import LeafMetricContext, LeafPoint, develop, leaf_context, leaf_triples
 from .limitcurve import ROOT_TOL, BoundaryCurve, bracketed_root, second_boundary_intersection
 from .projective import cross_meet, cross_ratio
-from .reps import (boundary_vector, circular_gap, loxodromic_eigensystem, read_from_g,
-                   theta_of_vector)
+from .reps import (_check_root, boundary_vector, circular_gap, loxodromic_eigensystem,
+                   read_from_g, theta_of_vector)
 from .words import GroupWord
 
 Y_CHOICES = 2  # hyperplane samples whose periods must agree in flow_period
@@ -133,7 +133,7 @@ def flow_period(curve: BoundaryCurve, alpha, gamma: GroupWord) -> float:
     independent of the choice of the third parameter, which is verified
     across `Y_CHOICES` samples.
     """
-    return _word_periods(curve, [alpha], [gamma])[0][0]
+    return period_spectrum(curve, [gamma], [alpha])[gamma][tuple(alpha)]
 
 
 def period_spectrum(curve: BoundaryCurve, words, roots) -> dict:
@@ -145,8 +145,11 @@ def period_spectrum(curve: BoundaryCurve, words, roots) -> dict:
     block's eigenvectors against every hyperplane sample, (word x curve
     sample) entries, runs in chunks of SPECTRUM_BLOCK_ENTRIES // len(curve)
     words.  Returns {word: {root: period}} preserving the input word order.
+    Every root is checked to be positive before any word product runs.
     """
     words, roots = list(words), [tuple(r) for r in roots]
+    for i, j in roots:
+        _check_root(i, j, curve.n)
     size = max(1, SPECTRUM_BLOCK_ENTRIES // curve.n**2)
     out = {}
     for start in range(0, len(words), size):
@@ -223,10 +226,6 @@ def _transverse_samples(curve: BoundaryCurve, eigvecs: np.ndarray, roots) -> dic
 
 
 def _block_periods(curve: BoundaryCurve, roots, words) -> list:
-    n = curve.n
-    for (i, j) in roots:
-        if not (1 <= i < j <= n):
-            raise ValueError("need 1 <= i < j <= n")
     g_ref = curve.reference.matrices(words)
     if np.any(np.abs(g_ref[:, 0, 0] + g_ref[:, 1, 1]) <= 2.0):
         raise NotLoxodromic("reference image is not hyperbolic")

@@ -11,8 +11,8 @@ experiments).
 
 The curve is evaluated on arrays only: `interpolate` takes parameters of
 any shape and returns their frames from one `searchsorted`, one stacked
-Procrustes alignment and one stacked QR; `frames_at`, `flag_at` and
-`aligned_point` read from it.  Root solves are stacked too:
+Procrustes alignment and one stacked QR; `frames_at` and `flag_at` read
+from it.  Root solves are stacked too:
 `bracketed_root` steps every open bracket of a check with one curve
 evaluation, so callers pass all their chords or flow targets at once.
 """
@@ -155,11 +155,6 @@ class BoundaryCurve:
         """The vectors (..., n), each signed to pair positively with `positive_covector`."""
         return vectors * np.copysign(1.0, vectors @ self.positive_covector)[..., None]
 
-    def aligned_point(self, theta) -> np.ndarray:
-        """Sign-normalized xi^1 vectors (..., n) at parameters of any shape."""
-        self._require_chart()
-        return self._lift(self.frames_at(theta)[..., 0])
-
     def chart_points(self) -> np.ndarray:
         """Chart coordinates of all xi^1 samples, in circular order (N, 2); read-only."""
         self._require_chart()
@@ -199,15 +194,6 @@ class BoundaryCurve:
                 for t, f in zip(self.thetas, self.frames)
             ],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BoundaryCurve":
-        return cls(
-            np.array([s["theta"] for s in data["samples"]]),
-            np.array([Flag.from_dict(s["flag"]).frame for s in data["samples"]]),
-            SurfaceGroupRep.from_dict(data["rep"]),
-            SurfaceGroupRep.from_dict(data["reference"]),
-        )
 
 
 def sample_boundary(rep: SurfaceGroupRep, reference: SurfaceGroupRep,

@@ -84,16 +84,6 @@ class ProjectiveSubspace:
         out.setflags(write=False)
         return out
 
-    @property
-    def vector(self) -> np.ndarray:
-        """Spanning vector, for dim-1 subspaces only."""
-        if self.dim != 1:
-            raise ValueError("vector is only defined for points")
-        return self.basis[:, 0]
-
-    def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.T
-
     def principal_angle(self, other: "ProjectiveSubspace") -> float:
         """Largest principal angle between two subspaces of equal dimension."""
         s = np.linalg.svd(self.basis.T @ other.basis, compute_uv=False)
@@ -101,7 +91,7 @@ class ProjectiveSubspace:
         if cos_a > 0.99:
             # arccos loses half the significant digits near zero angle;
             # the residual spectral norm is sin of the same angle
-            resid = other.basis - self.projector() @ other.basis
+            resid = other.basis - self.basis @ self.basis.T @ other.basis
             return float(np.arcsin(min(1.0, np.linalg.norm(resid, ord=2))))
         return float(np.arccos(cos_a))
 
@@ -109,7 +99,7 @@ class ProjectiveSubspace:
         """Whether `other` is contained in this subspace, up to tolerance."""
         if other.dim > self.dim:
             return False
-        resid = other.basis - self.projector() @ other.basis
+        resid = other.basis - self.basis @ self.basis.T @ other.basis
         return bool(np.linalg.norm(resid, ord=2) < EQUALITY_TOL)
 
     def __eq__(self, other) -> bool:
@@ -183,25 +173,13 @@ class Flag:
                               for k in range(1, n)]}
 
     @classmethod
-    def from_dict(cls, data: dict) -> "Flag":
-        """Flag framed by the top level of `to_dict` output; the levels must nest."""
-        levels = [ProjectiveSubspace(int(d["ambient_dim"]), np.asarray(d["basis"], dtype=float))
-                  for d in data["subspaces"]]
-        flag = cls(levels[-1].basis)
-        if [s.dim for s in levels] != list(range(1, flag.ambient_dim)) or any(
-                flag[s.dim] != s for s in levels):
-            raise ValueError("flag subspaces are not nested")
-        return flag
-
-    @classmethod
     def from_basis_columns(cls, columns: np.ndarray) -> "Flag":
         """Flag whose level k spans the first k of the n-1 given columns."""
-        q, _ = np.linalg.qr(columns)
-        return cls(q)
+        return cls(flag_frames(columns))
 
 
 def flag_frames(columns: np.ndarray) -> np.ndarray:
-    """Frames (..., n, n-1) of `Flag.from_basis_columns` for a stack of column sets.
+    """Flag frames (..., n, n-1) whose level k spans the first k of each set of n-1 columns.
 
     One stacked QR, each frame the same floats as alone; the stack passes
     the orthonormality check of `Flag` without building a flag per frame.

@@ -163,14 +163,19 @@ def jordan_projection(g: np.ndarray, g_inverse: np.ndarray):
     return out.T
 
 
-def root_length(j, i: int, k: int):
-    """The root length l_i - l_k of `jordan_projection`'s output, for 1 <= i < k <= n.
+def _check_root(i: int, j: int, n: int) -> None:
+    """Raise IndexOrder unless (i, j) is a positive root of sl_n: 1 <= i < j <= n."""
+    if not 1 <= i < j <= n:
+        raise IndexOrder(f"need 1 <= i < j <= {n}, got ({i}, {j})")
+
+
+def root_length(lengths, i: int, j: int):
+    """The root length l_i - l_j of `jordan_projection`'s output, for a positive root (i, j).
 
     A float for one matrix's tuple, an array of W for a stack's (n, W) array.
     """
-    if not (1 <= i < k <= len(j)):
-        raise IndexOrder(f"need 1 <= i < k <= n, got ({i}, {k})")
-    return j[i - 1] - j[k - 1]
+    _check_root(i, j, len(lengths))
+    return lengths[i - 1] - lengths[j - 1]
 
 
 def loxodromic_eigensystem(g: np.ndarray):
@@ -319,14 +324,6 @@ class SurfaceGroupRep:
                 for k, m in sorted(self.images.items())
             },
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SurfaceGroupRep":
-        return cls(
-            SurfaceGroupPresentation(int(data["genus"])),
-            int(data["n"]),
-            {int(k): np.asarray(v, dtype=float) for k, v in data["images"].items()},
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import flagflows
-from flagflows import limitcurve
+from flagflows import cli, limitcurve
 from flagflows.cli import emit_summary, main, write_csv, write_json_artifact
 from flagflows.devmaps import LeafPoint
 
@@ -123,7 +123,39 @@ def test_config_file_accepts_an_integer_bulge(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"bulge": 0}))
     assert main(["--config", str(cfg), "--outdir", str(tmp_path), "build-rep"]) == 0
-    assert load_summary(tmp_path, "build_rep")["bulge"] == 0.0
+    assert '"bulge": 0.0,' in (tmp_path / "build_rep_summary.json").read_text()
+
+
+def test_config_file_refuses_a_bulge_too_large_for_a_float(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"bulge": 1%s}' % ("0" * 400))
+    assert main(["--config", str(cfg), "--outdir", str(tmp_path / "out"), "build-rep"]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ValueError"
+    assert err["message"].startswith("config key 'bulge' does not convert to a float")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config", [(), ("--bulge", "0.3")], ids=["fuchsian", "bulged"])
+def test_rep_and_curve_artifacts_hold_the_built_arrays(tmp_path, config):
+    """rep.json holds the generator images, and curve.json each sample's theta and the
+    levels of its flag frame, float for float."""
+    assert run(tmp_path, *config, "build-rep") == 0
+    assert run(tmp_path, *config, "sample-curve") == 0
+    cfg = cli.load_config(cli.make_parser().parse_args([*config, "sample-curve"]))
+    rep, _ = cli.build_rep(cfg)
+    images = json.loads((tmp_path / "rep.json").read_text())["images"]
+    assert list(images) == [str(k) for k in sorted(rep.images)]
+    for k, image in rep.images.items():
+        assert np.array_equal(images[str(k)], image)
+    curve = cli.build_curve(cfg)
+    samples = json.loads((tmp_path / "curve.json").read_text())["samples"]
+    assert [sample["theta"] for sample in samples] == curve.thetas.tolist()
+    for sample, frame in zip(samples, curve.frames):
+        levels = sample["flag"]["subspaces"]
+        assert [level["ambient_dim"] for level in levels] == [curve.n] * (curve.n - 1)
+        for k, level in enumerate(levels):
+            assert np.array_equal(level["basis"], frame[:, :k + 1])
 
 
 def test_unsupported_schema_version_is_rejected(tmp_path, capsys):
@@ -219,6 +251,10 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert done.stdout == (tmp_path / "build_rep_summary.json").read_text()
 
 
+def _no_curve(cfg):
+    raise AssertionError("the curve was built")
+
+
 N3_ONLY = [("verify-all",), ("decay",), ("dev-image", "--map", "tan+"),
            ("render", "--figure", "dev-tan+")]
 
@@ -233,17 +269,35 @@ N3_ONLY = [("verify-all",), ("decay",), ("dev-image", "--map", "tan+"),
     pytest.param(("dev-image", "--map", "alpha:1,2"), "2", id="dev-image-alpha-2"),
     pytest.param(("flow", "--alpha", "1,2", "--word", "a1"), "2", id="flow-2"),
 ])
-def test_verify_all_refuses_n_other_than_3(tmp_path, capsys, command, n):
-    """Subcommands refuse an n they cannot run at, naming it, before writing anything.
+def test_verify_all_refuses_n_other_than_3(tmp_path, capsys, monkeypatch, command, n):
+    """Subcommands refuse an n they cannot run at, naming it, before building a curve.
 
-    Those that need the n=3 developing maps refuse before building a
-    curve, `render --figure boundary` refuses even n (no affine chart),
-    and the root realizations refuse n=2.
+    Those that need the n=3 developing maps refuse any other n,
+    `render --figure boundary` refuses even n (no affine chart), and the
+    root realizations refuse n=2.
     """
+    monkeypatch.setattr(cli, "build_curve", _no_curve)
     assert run(tmp_path, "--n", n, *command) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "ValueError"
     assert f"n={n}" in err["error"]["message"]
+    assert not any(tmp_path.iterdir())
+
+
+MAPS = "choose from ['psi1', 'psi2', 'psi3', 'psi4', 'tan+', 'tan-', 'tr']"
+
+
+@pytest.mark.parametrize("args, message", [
+    (("dev-image", "--map", "bogus"), f"unknown map 'bogus'; {MAPS}"),
+    (("render", "--figure", "bogus"), "unknown figure 'bogus'"),
+    (("render", "--figure", "dev-bogus"), f"unknown map 'bogus'; {MAPS}"),
+], ids=["dev-image-map", "render-figure", "render-dev-figure"])
+def test_unknown_names_are_refused_before_the_curve_is_built(tmp_path, capsys, monkeypatch,
+                                                             args, message):
+    monkeypatch.setattr(cli, "build_curve", _no_curve)
+    assert run(tmp_path, *args) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert (err["type"], err["message"]) == ("ValueError", message)
     assert not any(tmp_path.iterdir())
 
 

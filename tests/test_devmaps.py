@@ -125,11 +125,11 @@ def test_kernel_equals_the_join_meet_formulas(request, curve_name, name):
     points, lines = develop(curve, name, x, y, z)
     for k, p in enumerate(LeafPoint(*t) for t in zip(x, y, z)):
         want_point, want_line = _join_meet_formula(curve, name, p.x, p.y, p.z)
-        assert _angle(points[k], want_point.vector) < 1e-12
+        assert _angle(points[k], want_point.basis[:, 0]) < 1e-12
         assert _angle(lines[k], want_line.covectors[:, 0]) < 1e-12
         # the one-triple map is the same kernel output
         f = MAP_TABLE[name](curve, p)
-        assert np.array_equal(f.point.vector, points[k])
+        assert np.array_equal(f.point.basis[:, 0], points[k])
         assert _angle(f.line.covectors[:, 0], lines[k]) < 1e-14
 
 
@@ -194,7 +194,7 @@ def test_equivariance_of_developing_maps(exact_curve, reference):
         f = fn(exact_curve, p)
         h = fn(exact_curve, moved)
         assert h.point.principal_angle(
-            ProjectiveSubspace.point(g3 @ f.point.vector)) < 1e-9
+            ProjectiveSubspace.point(g3 @ f.point.basis[:, 0])) < 1e-9
         assert h.line.principal_angle(
             join([ProjectiveSubspace.point(v) for v in (g3 @ f.line.basis).T])) < 1e-9
 

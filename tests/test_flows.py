@@ -1,4 +1,6 @@
+import json
 import math
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -6,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from flagflows.config import NotLoxodromic, PointOutsideSegment, RootFindFailure
+from flagflows.config import IndexOrder, NotLoxodromic, PointOutsideSegment, RootFindFailure
 from flagflows import cli, flows
 from flagflows.devmaps import LeafPoint
 from flagflows.flows import (
@@ -23,8 +25,9 @@ from flagflows.flows import (
     stable_leaf_distance,
 )
 from flagflows.limitcurve import fuchsian_curve, sample_boundary
-from flagflows.reps import (axis_thetas, bulge_deform, circular_gap, jordan_projection,
-                            loxodromic_eigensystem, read_from_g, root_length, sym_power)
+from flagflows.reps import (SurfaceGroupRep, axis_thetas, bulge_deform, circular_gap,
+                            jordan_projection, loxodromic_eigensystem, read_from_g, root_length,
+                            sym_power)
 from flagflows.words import GroupWord, enumerate_conjugacy_classes
 
 
@@ -164,6 +167,33 @@ def test_period_spectrum_agrees_with_flow_period(exact_curve, bulged_curve, monk
 def test_flow_period_rejects_the_identity(exact_curve):
     with pytest.raises(NotLoxodromic):
         flow_period(exact_curve, (1, 2), GroupWord(()))
+
+
+@pytest.mark.parametrize("root", [(0, 2), (3, 1), (1, 4)], ids=["0,2", "3,1", "1,4"])
+def test_one_rule_refuses_a_root_that_is_not_positive(exact_curve, tmp_path, capsys,
+                                                      monkeypatch, root):
+    """Every caller refuses it with one IndexOrder message, before any word product or curve."""
+    def fail(*args):
+        raise AssertionError("ran past the root check")
+
+    monkeypatch.setattr(SurfaceGroupRep, "matrices", fail)
+    monkeypatch.setattr(SurfaceGroupRep, "matrix", fail)
+    monkeypatch.setattr(cli, "build_curve", fail)
+    message = f"need 1 <= i < j <= 3, got {root}"
+    word = exact_curve.rep.presentation.parse_word("a1")
+    for call in (lambda: root_length((1.0, 0.0, -1.0), *root),
+                 lambda: leaf_context(exact_curve, root, 0.5, 3.6),
+                 lambda: period_spectrum(exact_curve, [word], [root]),
+                 lambda: flow_period(exact_curve, root, word)):
+        with pytest.raises(IndexOrder, match=f"^{re.escape(message)}$"):
+            call()
+    alpha = ",".join(map(str, root))
+    for args in (("periods", "--alpha", alpha), ("flow", "--alpha", alpha, "--word", "a1"),
+                 ("dev-image", "--map", f"alpha:{alpha}")):
+        assert cli.main(["--outdir", str(tmp_path), *args]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert (err["type"], err["message"]) == ("IndexOrder", message)
+    assert not any(tmp_path.iterdir())
 
 
 def test_period_spectrum_raises_the_first_failing_words_error(exact_curve, monkeypatch):

@@ -220,7 +220,7 @@ def test_stored_aligned_points_are_positive_multiples_of_aligned_point(request, 
     frames = curve.frames.copy()
     frames[::2, :, 0] *= -1.0
     curve = BoundaryCurve(curve.thetas, frames, curve.rep, curve.reference)
-    want = curve.aligned_point(curve.thetas).T
+    want = curve._lift(curve.frames[:, :, 0]).T
     got = curve._aligned_points / np.linalg.norm(curve._aligned_points, axis=0)
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -368,20 +368,13 @@ def test_regularity_estimate_is_two_for_the_conic(exact_curve):
 def test_even_dimension_curve_has_no_global_chart(exact_curve4):
     assert exact_curve4.chart is None
     with pytest.raises(NotDefinedHere):
-        exact_curve4.aligned_point(1.0)
+        exact_curve4.chart_points()
     # flag evaluation does not need the chart
     f = exact_curve4.flag_at(1.234)
     assert f[3].contains(f[1])
     # the sample scan needs the chart too, though the aligned samples exist
     with pytest.raises(NotDefinedHere):
         second_boundary_intersection(exact_curve4, exact_curve4.flag_at(1.0)[3], 1.0)
-
-
-def test_sampled_curve_serialization_roundtrip(sampled_curve):
-    back = BoundaryCurve.from_dict(sampled_curve.to_dict())
-    assert len(back) == len(sampled_curve)
-    i = len(back) // 3
-    assert Flag(back.frames[i])[1].principal_angle(Flag(sampled_curve.frames[i])[1]) < 1e-12
 
 
 def test_sample_boundary_requires_enough_words(reference):

@@ -283,13 +283,6 @@ def test_bulge_deform_keeps_the_relator(reference):
     assert bulge_deform(rep3, 0.0) is rep3
 
 
-def test_rep_serialization_roundtrip(reference):
-    rep3 = sym_power(reference, 3)
-    back = SurfaceGroupRep.from_dict(rep3.to_dict())
-    for k in rep3.images:
-        assert np.allclose(back.images[k], rep3.images[k], atol=1e-14)
-
-
 def test_rep_rejects_non_unimodular_images(reference):
     images = {k: 2.0 * v for k, v in reference.images.items()}
     with pytest.raises(ValueError):
