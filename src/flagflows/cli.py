@@ -67,7 +67,6 @@ SCHEMA_VERSION = 1
 
 DEFAULT_CONFIG = {
     "schema_version": SCHEMA_VERSION,
-    "genus": 2,
     "n": 3,
     "bulge": 0.0,
     "word_ball": 3,
@@ -86,9 +85,9 @@ DECAY_MARGIN = 0.1     # slack below -1/(beta_hat - 1) on bulged curves
 # domain component that each developing map lands in
 EXPECTED_COMPONENT = {"tr": "2", "tan+": "2", "tan-": "2",
                       "psi1": "1", "psi2": "1", "psi3": "3", "psi4": "3"}
-# the shortest word ball with as many conjugacy classes as a sampled curve needs samples
+# the shortest genus-2 word ball with as many conjugacy classes as a sampled curve needs
 SAMPLED_WORD_BALL = next(t for t in itertools.count(1) if len(enumerate_conjugacy_classes(
-    SurfaceGroupPresentation(DEFAULT_CONFIG["genus"]), t)) >= MIN_SAMPLES)
+    SurfaceGroupPresentation(2), t)) >= MIN_SAMPLES)
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +118,6 @@ def load_config(args) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
-    if cfg["genus"] != 2:
-        raise ValueError("only genus 2 is wired up")
     if cfg["n"] < 2:
         raise ValueError(f"n must be at least 2; got n={cfg['n']}")
     try:  # an int from the file may be too large for a float
@@ -307,7 +304,7 @@ def cmd_build_rep(cfg, args):
     write_json_artifact(cfg, "rep.json", rep.to_dict())
     rep.check_loxodromy(2)
     emit_summary(cfg, "build_rep", {
-        "genus": cfg["genus"],
+        "genus": rep.presentation.genus,
         "n": rep.n,
         "bulge": cfg["bulge"],
         "relator_distance": rep.relator_distance(),
@@ -458,7 +455,7 @@ def cmd_verify_all(cfg, args):
     checks["convex_domain"] = {"passed": convex and support, "is_convex": convex,
                                "tangents_support": support}
 
-    cov = covering_checks(curve, num_points=20, seed=seed)
+    cov = covering_checks(curve, seed)
     bound = curve_tolerance(curve)
     checks["covering"] = {"passed": cov.two_sheet_max_error < bound,
                           "two_sheet_max_error": cov.two_sheet_max_error,
@@ -522,7 +519,6 @@ def make_parser() -> argparse.ArgumentParser:
                     "of Hitchin representations.",
     )
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--genus", type=int)
     parser.add_argument("--n", type=int)
     parser.add_argument("--bulge", type=float)
     parser.add_argument("--word-ball", type=int, dest="word_ball")

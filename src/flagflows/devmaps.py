@@ -30,7 +30,9 @@ from .reps import _check_root, circular_gap, positively_oriented
 EXACT_CURVE_TOL = 1e-6
 SAMPLED_CURVE_TOL = 1e-3
 LINE_MATCH_TOL = 1e-4  # principal angle at which a fitted leaf line matches a candidate
+COVERING_TRIPLES = 20  # random positive triples of the deck and injectivity checks
 COVERING_LEAF_SAMPLES = 64  # points on the leaf whose image collinearity covering_checks fits
+CONCAVITY_SAMPLES = 40  # parameters after x whose pairs are the leaves of concavity_check
 
 
 def curve_tolerance(curve: BoundaryCurve) -> float:
@@ -116,8 +118,11 @@ def develop_frames(name: str, fx, fy, fz):
     raise ValueError(f"no frame formula for map {name!r}")
 
 
-def _involution(curve: BoundaryCurve, x, y, z) -> np.ndarray:
-    """The y of each triple after the involution: the second boundary hit of its iota line."""
+def involution(curve: BoundaryCurve, x, y, z) -> np.ndarray:
+    """The y of each triple, on parameters as for `develop`, after the involution iota:
+    the second boundary hit of the line through y1 and x2 ∩ z2.  It reverses the
+    orientation of the triple (see `LeafPoint.is_positive`)."""
+    x, y, z = leaf_triples(x, y, z)
     _, lines = develop_frames("iota", *curve.frames_at(np.stack([x, y, z])))
     return second_boundary_intersection(curve, lines, y)
 
@@ -133,9 +138,9 @@ def develop(curve: BoundaryCurve, name: str, x, y, z):
     _check_map_name(name)
     if curve.n != 3:
         raise ValueError(f"the developing maps are defined at n=3; got n={curve.n}")
-    x, y, z = leaf_triples(x, y, z)
     if name == "tan-":
-        return develop(curve, "tan+", x, _involution(curve, x, y, z), z)
+        return develop(curve, "tan+", x, involution(curve, x, y, z), z)
+    x, y, z = leaf_triples(x, y, z)
     return develop_frames(name, *curve.frames_at(np.stack([x, y, z])))
 
 
@@ -158,13 +163,6 @@ def phi_tr(curve: BoundaryCurve, p: LeafPoint) -> Flag:
 def phi_tan_plus(curve: BoundaryCurve, p: LeafPoint) -> Flag:
     """Positive tangent developing map: (y2 ∩ z2, x1 + (y2 ∩ z2))."""
     return _one(curve, "tan+", p)
-
-
-def involution_iota(curve: BoundaryCurve, p: LeafPoint) -> LeafPoint:
-    """Replace y by the second boundary hit of the line through y1 and x2 ∩ z2.
-
-    Reverses the orientation of the triple (see `is_positive`)."""
-    return LeafPoint(p.x, float(_involution(curve, [p.x], [p.y], [p.z])[0]), p.z)
 
 
 def phi_tan_minus(curve: BoundaryCurve, p: LeafPoint) -> Flag:
@@ -342,16 +340,16 @@ class CoveringReport:
     endpoint_error_z1: float
 
 
-def covering_checks(curve: BoundaryCurve, num_points: int = 32,
-                    seed: int = 0) -> CoveringReport:
+def covering_checks(curve: BoundaryCurve, seed: int) -> CoveringReport:
     """Pointwise diagnostics for the two-sheeted covering structure.
 
     (a) deck identity phi_tan_plus(w_yz(x), z, y) = phi_tan_plus(x, y, z);
     (b) lower bound on image displacement / parameter displacement;
     (c) collinearity of one leaf image with endpoint limits x2∩z2 and z1.
+    (a) and (b) run on COVERING_TRIPLES random positive triples drawn from `seed`.
     """
     rng = np.random.default_rng(seed)
-    x, y, z = _random_triples(rng, num_points)
+    x, y, z = _random_triples(rng, COVERING_TRIPLES)
     points, lines = develop(curve, "tan+", x, y, z)
     w = second_boundary_intersection(curve, lines, x)
     swapped_points, swapped_lines = develop(curve, "tan+", w, z, y)
@@ -383,18 +381,17 @@ class ConcavityReport:
     passed: bool
 
 
-def concavity_check(curve: BoundaryCurve, x: float, sample_count: int = 40,
-                    seed: int = 0) -> ConcavityReport:
-    """The x-leaf family image avoids the hull and the tangent at x, and
-    approximately fills their complement (checked on random chart probes)."""
+def concavity_check(curve: BoundaryCurve, x: float, seed: int) -> ConcavityReport:
+    """The image of the leaves (x, y, z), for every pair y < z of CONCAVITY_SAMPLES
+    parameters after x, avoids the hull and the tangent at x and approximately fills
+    their complement (checked on random chart probes drawn from `seed`)."""
     rng = np.random.default_rng(seed)
     delta = _membership_margin(curve)
     verts = curve.chart_points()
     tangent = curve.chart.line_to_chart(_levels(curve.frames_at(x))[1])
-    # the leaves (x, y, z) for every pair y < z of the sample_count parameters after x
-    a_k, b_k = np.triu_indices(sample_count, 1)
-    y = x + 2 * math.pi * (a_k + 1) / (sample_count + 1)
-    z = x + 2 * math.pi * (b_k + 1) / (sample_count + 1)
+    a_k, b_k = np.triu_indices(CONCAVITY_SAMPLES, 1)
+    y = x + 2 * math.pi * (a_k + 1) / (CONCAVITY_SAMPLES + 1)
+    z = x + 2 * math.pi * (b_k + 1) / (CONCAVITY_SAMPLES + 1)
     points, _ = develop(curve, "tan+", x, y, z)
     images = curve.chart.to_chart(points[curve.chart.in_chart(points)])
     min_out = -np.max(signed_polygon_distance(verts, images), initial=-np.inf)

@@ -48,6 +48,7 @@ GENERAL_POSITION_BOUND = 1e-4   # least singular value of n well-separated xi^1 
 OSCULATION_BOUND = 10.0         # largest chord-to-tangent angle per unit gap
 SUPPORT_TOL = 1e-8              # chart residual allowed on the wrong side of a tangent
 MIN_SAMPLES = 64                # fewest distinct samples sample_boundary accepts
+FUCHSIAN_SAMPLES = 1024         # evenly spaced samples of a closed-form Fuchsian curve
 REGULARITY_BASE_POINTS = 64     # base points of the fits in boundary_regularity_estimate
 
 
@@ -243,13 +244,14 @@ def _rotation_to(theta: float) -> np.ndarray:
     return np.array([[-c, -s], [s, -c]])
 
 
-def fuchsian_curve(reference: SurfaceGroupRep, n: int, num_samples: int = 1024) -> BoundaryCurve:
+def fuchsian_curve(reference: SurfaceGroupRep, n: int) -> BoundaryCurve:
     """Closed-form limit curve of the Fuchsian representation sym_power(reference, n).
 
     The flag at theta is the symmetric power of a rotation applied to the
     coordinate flag (the osculating flag of the moment curve), which is
     exact at every parameter.  The curve carries this evaluator, stacked
-    over parameters, and its samples are the evaluator's frames.
+    over parameters, and its samples are the evaluator's frames at
+    FUCHSIAN_SAMPLES evenly spaced parameters.
     """
     rep = sym_power(reference, n)
 
@@ -257,7 +259,7 @@ def fuchsian_curve(reference: SurfaceGroupRep, n: int, num_samples: int = 1024) 
         m = sym_matrix(np.reshape([_rotation_to(t) for t in thetas], (-1, 2, 2)), n)
         return flag_frames(m[..., : n - 1])
 
-    thetas = (np.arange(num_samples) + 0.5) * 2 * math.pi / num_samples
+    thetas = (np.arange(FUCHSIAN_SAMPLES) + 0.5) * 2 * math.pi / FUCHSIAN_SAMPLES
     return BoundaryCurve(thetas, exact_eval(thetas), rep, reference, exact_eval=exact_eval)
 
 

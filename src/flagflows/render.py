@@ -25,7 +25,7 @@ DEV_SAMPLES = 48      # leaf points developed by scene_dev_image
 class SceneDescription:
     """SVG elements of chart-coordinate primitives, in the order added."""
 
-    viewport: tuple = (-2.0, 2.0, -2.0, 2.0)  # xmin, xmax, ymin, ymax
+    viewport: tuple  # xmin, xmax, ymin, ymax
     layers: list = field(default_factory=list, init=False)
     clipped: int = field(default=0, init=False)  # coordinates clamped onto the viewport
 
@@ -51,13 +51,13 @@ class SceneDescription:
         self.layers.append(f'<polyline points="{d}" fill="none" stroke="{color}" '
                            f'stroke-width="{stroke_width}"/>')
 
-    def add_segment(self, p, q, color="#a33", dashed=False):
+    def add_segment(self, p, q, color, dashed=False):
         (x1, y1), (x2, y2) = self._pixels([p, q])
         dash = ' stroke-dasharray="6,4"' if dashed else ""
         self.layers.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
                            f'stroke="{color}" stroke-width="{SEGMENT_WIDTH}"{dash}/>')
 
-    def add_point(self, p, color="#000"):
+    def add_point(self, p, color):
         [(x, y)] = self._pixels([p])
         self.layers.append(f'<circle cx="{x}" cy="{y}" r="{POINT_RADIUS}" fill="{color}"/>')
 

@@ -11,13 +11,13 @@ def reference():
 
 @pytest.fixture(scope="session")
 def exact_curve(reference):
-    """Closed-form Fuchsian limit curve in dimension three."""
-    return fuchsian_curve(reference, 3, num_samples=512)
+    """Closed-form Fuchsian limit curve in dimension three, as the CLI builds it."""
+    return fuchsian_curve(reference, 3)
 
 
 @pytest.fixture(scope="session")
 def exact_curve4(reference):
-    return fuchsian_curve(reference, 4, num_samples=256)
+    return fuchsian_curve(reference, 4)
 
 
 @pytest.fixture(scope="session")

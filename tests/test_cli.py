@@ -26,6 +26,7 @@ def test_build_rep_writes_artifact_and_summary(tmp_path):
     assert run(tmp_path, "build-rep") == 0
     assert (tmp_path / "rep.json").exists()
     summary = load_summary(tmp_path, "build_rep")
+    assert summary["genus"] == 2
     assert summary["n"] == 3
     assert summary["relator_distance"] < 1e-8
 
@@ -156,6 +157,24 @@ def test_rep_and_curve_artifacts_hold_the_built_arrays(tmp_path, config):
         assert [level["ambient_dim"] for level in levels] == [curve.n] * (curve.n - 1)
         for k, level in enumerate(levels):
             assert np.array_equal(level["basis"], frame[:, :k + 1])
+
+
+def test_genus_is_neither_an_option_nor_a_config_key(tmp_path, capsys):
+    """Only the genus-2 group is built, so nothing may name another genus."""
+    with pytest.raises(SystemExit) as exc:
+        main(["--outdir", str(tmp_path / "out"), "--genus", "2", "build-rep"])
+    assert exc.value.code == 2
+    usage = capsys.readouterr().err  # "2" is read as the subcommand
+    assert "flagflows: error:" in usage and "--genus" not in usage
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"genus": 2}))
+    assert main(["--config", str(cfg), "--outdir", str(tmp_path / "out"), "build-rep"]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ValueError"
+    unknown, known = err["message"].split("; known keys are ")
+    assert unknown == "unknown config keys ['genus']"
+    assert "genus" not in known
+    assert not (tmp_path / "out").exists()
 
 
 def test_unsupported_schema_version_is_rejected(tmp_path, capsys):

@@ -11,6 +11,7 @@ from flagflows.render import (
 )
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
+VIEWPORT = (-2.0, 2.0, -2.0, 2.0)
 
 
 def _parse(svg_text):
@@ -18,7 +19,7 @@ def _parse(svg_text):
 
 
 def test_empty_scene_is_valid_svg():
-    svg, clipped = render_scene(SceneDescription())
+    svg, clipped = render_scene(SceneDescription(VIEWPORT))
     root = _parse(svg)
     assert root.tag == f"{SVG_NS}svg"
     assert root.attrib["width"] == root.attrib["height"] == "640"
@@ -27,7 +28,7 @@ def test_empty_scene_is_valid_svg():
 
 
 def test_single_polyline_emits_one_element():
-    scene = SceneDescription()
+    scene = SceneDescription(VIEWPORT)
     scene.add_polyline([(0.0, 0.0), (1.0, 1.0), (1.0, -1.0)])
     svg, clipped = render_scene(scene)
     root = _parse(svg)
@@ -38,8 +39,8 @@ def test_single_polyline_emits_one_element():
 
 def test_out_of_viewport_points_are_clipped_and_counted():
     scene = SceneDescription(viewport=(-1.0, 1.0, -1.0, 1.0))
-    scene.add_point((5.0, 0.0))
-    scene.add_point((0.0, 0.0))
+    scene.add_point((5.0, 0.0), "#000")
+    scene.add_point((0.0, 0.0), "#000")
     svg, clipped = render_scene(scene)
     assert clipped == 1
     root = _parse(svg)
@@ -49,16 +50,16 @@ def test_out_of_viewport_points_are_clipped_and_counted():
 
 
 def test_non_finite_coordinates_are_rejected():
-    scene = SceneDescription()
+    scene = SceneDescription(VIEWPORT)
     with pytest.raises(ValueError):
-        scene.add_point((float("nan"), 0.0))
+        scene.add_point((float("nan"), 0.0), "#000")
     with pytest.raises(ValueError):
-        scene.add_segment((0.0, 0.0), (math.inf, 1.0))
+        scene.add_segment((0.0, 0.0), (math.inf, 1.0), "#a33")
 
 
 def test_rendering_is_deterministic():
     def build():
-        scene = SceneDescription()
+        scene = SceneDescription(VIEWPORT)
         scene.add_polyline([(0.1, 0.2), (0.3, 0.4)])
         scene.add_label((0.0, 0.0), "axis")
         return render_scene(scene)[0]

@@ -44,3 +44,9 @@ def test_size_report_counts_lines_and_settable_values(tmp_path, capsys):
         "       2 total",
         "src 15 / tests 2 / settable values 3 (parameters 1, fields 1, options 1)",
     ]
+
+
+def test_package_settable_values_are_pinned():
+    """(parameters, fields, options) of the package; a new setting must change this test."""
+    src = sorted((SIZE_REPORT.parent.parent / "src" / "flagflows").glob("*.py"))
+    assert _size_report().settable_values(src) == (6, 1, 19)
