@@ -17,8 +17,6 @@ class DimensionOverflow(FlagFlowsError): pass
 class DegenerateSum(FlagFlowsError): pass
 class DegenerateMeet(FlagFlowsError): pass
 class EmptyIntersection(FlagFlowsError): pass
-class NotCollinear(FlagFlowsError): pass
-class IndeterminateRatio(FlagFlowsError): pass
 class PointOutsideDomain(FlagFlowsError): pass
 
 # words / representations

@@ -23,7 +23,7 @@ import numpy as np
 from .config import DegenerateMeet, PointOutsideSegment, UnclassifiedLine
 from .limitcurve import BoundaryCurve, second_boundary_intersection
 from .projective import (RANK_TOL, Flag, ProjectiveSubspace, annihilator, cross_meet,
-                         cross_ratio, signed_polygon_distance)
+                         signed_polygon_distance)
 from .reps import _check_root, circular_gap, positively_oriented
 
 # bound on a pointwise identity or fit residual: closed-form and interpolated curves
@@ -49,18 +49,8 @@ class LeafPoint:
     z: float
 
     def __post_init__(self):
-        for name, v in zip("xyz", (self.x, self.y, self.z)):
-            if not math.isfinite(v):
-                raise ValueError(f"leaf point parameter {name} must be finite; got {v}")
-        vals = [v % (2 * math.pi) for v in (self.x, self.y, self.z)]
-        for a_i in range(3):
-            for b_i in range(a_i + 1, 3):
-                if min(circular_gap(vals[a_i], vals[b_i]),
-                       circular_gap(vals[b_i], vals[a_i])) < 1e-12:
-                    raise ValueError("leaf point parameters must be distinct")
-        object.__setattr__(self, "x", vals[0])
-        object.__setattr__(self, "y", vals[1])
-        object.__setattr__(self, "z", vals[2])
+        for name, v in zip("xyz", leaf_triples(self.x, self.y, self.z)[:, 0].tolist()):
+            object.__setattr__(self, name, v)
 
     @property
     def is_positive(self) -> bool:
@@ -70,19 +60,24 @@ class LeafPoint:
 
 def leaf_triples(x, y, z):
     """Three (m,) arrays of the triples that x, y, z (scalars or 1-d arrays) broadcast to,
-    each checked and reduced mod 2pi as by `LeafPoint`.
+    each checked and reduced mod 2pi; a `LeafPoint` holds one such triple.
 
-    The checks run on the whole stack; the first failing triple raises
-    its own `LeafPoint` error.
+    The checks run on the whole stack.  The first failing triple raises:
+    for a non-finite parameter first, then for two coinciding mod 2pi.
     """
     triples = np.array(np.broadcast_arrays(*np.atleast_1d(x, y, z)), dtype=float).reshape(3, -1)
-    with np.errstate(invalid="ignore"):
-        vals = triples % (2 * math.pi)
-        gaps = vals[[1, 2, 2]] - vals[[0, 0, 1]]  # the pairs (x, y), (x, z), (y, z)
-        close = np.minimum(gaps % (2 * math.pi), -gaps % (2 * math.pi)) < 1e-12
-    bad = ~np.all(np.isfinite(triples), axis=0) | np.any(close, axis=0)
-    if np.any(bad):
-        LeafPoint(*triples[:, np.argmax(bad)].tolist())  # raises the triple's own error
+    finite = np.isfinite(triples)
+    vals = np.where(finite, triples, 0.0) % (2 * math.pi)
+    gaps = vals[[1, 2, 0]] - vals  # the pairs (x, y), (y, z), (z, x)
+    close = np.minimum(gaps % (2 * math.pi), -gaps % (2 * math.pi)) < 1e-12
+    bad = ~finite.all(axis=0) | close.any(axis=0)
+    if bad.any():
+        k = np.argmax(bad)
+        if not finite[:, k].all():
+            i = np.argmin(finite[:, k])
+            raise ValueError(f"leaf point parameter {'xyz'[i]} must be finite; "
+                             f"got {triples[i, k].item()}")
+        raise ValueError("leaf point parameters must be distinct")
     return vals
 
 
@@ -419,8 +414,8 @@ def type_classifier(points, curve: BoundaryCurve, x: float, z: float) -> str:
     Fits their common line by total least squares, matches it against
     x1+z1 (transverse) or the tangent at z; the tangent sign is resolved by
     which component of the tangent minus the two special points {z1, x2∩z2}
-    the samples occupy, using a cross-ratio sign test against a known
-    positive-type probe point.
+    the samples occupy: the sign of each one's segment coordinate on
+    (z1, x2∩z2), read against z2, over that of a known positive-type probe.
     """
     if len(points) < 3:
         raise ValueError("need at least 3 samples")
@@ -433,13 +428,12 @@ def type_classifier(points, curve: BoundaryCurve, x: float, z: float) -> str:
         return "transverse"
     if _angle(fitted, z2) > LINE_MATCH_TOL:
         raise UnclassifiedLine("fitted line matches neither candidate")
-    pivot = cross_meet(x2, z2)
-    probe = develop(curve, "tan+", x, x + circular_gap(x, z) / 2, z)[0][0]  # a tangent_plus image
-    side = None
-    for point in points:
-        ratio = cross_ratio(z1, pivot, point, probe)
-        sample_side = "tangent_plus" if ratio > 0 else "tangent_minus" if ratio < 0 else None
-        if sample_side is None or side not in (None, sample_side):
-            raise UnclassifiedLine("samples straddle the special points of the tangent")
-        side = sample_side
-    return side
+    probe = develop(curve, "tan+", x, x + circular_gap(x, z) / 2, z)[0]  # a tangent_plus image
+    ctx = LeafMetricContext(z1, cross_meet(x2, z2))
+    u = ctx.coordinate_or_nan(np.cross(np.concatenate([points, probe]), z2))
+    signs = u[:-1] * u[-1]  # NaN at z1, 0 at the pivot: neither side
+    if np.all(signs > 0):
+        return "tangent_plus"
+    if np.all(signs < 0):
+        return "tangent_minus"
+    raise UnclassifiedLine("samples straddle the special points of the tangent")

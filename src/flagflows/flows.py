@@ -6,6 +6,8 @@ three, toward x2 ∩ z2).  With x the attracting and z the repelling fixed
 point of a loxodromic element, one period of the flow is then the
 positive root length l_i - l_j.  A leaf point is read from the covector
 of its hyperplane y^{n-1}, by two dot products with the segment ends.
+Every cross ratio is a ratio of two such coordinates; the stable-leaf
+distance reads them on a line through x1, against that line's covector.
 
 On a fixed leaf the flow adds t to log|u|, u the segment coordinate, so
 an orbit is one stacked root solve on one leaf context, and `flow_step`
@@ -22,7 +24,7 @@ from .config import (FlagFlowsError, InsufficientResolution, NotDefinedHere, Not
                      PointOutsideSegment, RootFindFailure)
 from .devmaps import LeafMetricContext, LeafPoint, develop, leaf_context, leaf_triples
 from .limitcurve import ROOT_TOL, BoundaryCurve, bracketed_root, second_boundary_intersection
-from .projective import cross_meet, cross_ratio
+from .projective import cross_meet
 from .reps import (_check_root, boundary_vector, circular_gap, loxodromic_eigensystem,
                    read_from_g, theta_of_vector)
 from .words import GroupWord
@@ -305,10 +307,11 @@ def cocycle(curve: BoundaryCurve, alpha, x, y, z, t) -> np.ndarray:
 def stable_leaf_distance(curve: BoundaryCurve, x, y, z, y0: float) -> np.ndarray:
     """Distances from tangent-flow points (x, y, z) to the stable leaf through (x, y0).
 
-    Stacked as in `develop`.  Each is a log-cross-ratio on the auxiliary
-    line through the image point and x1, against the line's second
-    boundary intersection, all scanned at once, and its crossing of the
-    stable leaf's support line (the tangent at y0).
+    Stacked as in `develop`.  The line through each image point and x1
+    meets the boundary again at q, all scanned at once, and the stable
+    leaf's support line (the tangent at y0) at p_y0.  The distance is
+    log|u(p_y0) / u(point)|, the log cross ratio (x1, q; p_y0, point),
+    u the segment coordinate on (x1, q) read against that line.
     """
     x, y, z = leaf_triples(x, y, z)
     frames = curve.frames_at(np.append(x, y0))
@@ -316,15 +319,15 @@ def stable_leaf_distance(curve: BoundaryCurve, x, y, z, y0: float) -> np.ndarray
     try:
         p_y0 = cross_meet(lines, cross_meet(*frames[-1].T))
         q_theta = second_boundary_intersection(curve, lines, x)
+        ctx = LeafMetricContext(frames[:-1, :, 0], curve.frames_at(q_theta)[:, :, 0])
     except (FlagFlowsError, ValueError) as exc:
         raise NotDefinedHere(str(exc)) from exc
-    distances = []
-    for args in zip(frames[:-1, :, 0], curve.frames_at(q_theta)[:, :, 0], p_y0, points):
-        value = cross_ratio(*args)
-        if value == 0.0 or math.isinf(value):
-            raise NotDefinedHere("degenerate cross-ratio configuration")
-        distances.append(math.log(abs(value)))
-    return np.array(distances)
+    u0, u1 = ctx.coordinate_or_nan(np.cross(np.stack([p_y0, points]), lines))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.abs(u0 / u1)
+    if not np.all(np.isfinite(ratio) & (ratio > 0)):
+        raise NotDefinedHere("degenerate cross-ratio configuration")
+    return np.log(ratio)
 
 
 def decay_experiment(curve: BoundaryCurve, p: LeafPoint, y0: float,

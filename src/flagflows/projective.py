@@ -7,6 +7,8 @@ of its hyperplane, a frame whose first k columns span its level k.  The
 covector of a hyperplane is the one column of its `annihilator`.  In
 RP^2 a join of two points or a meet of two lines is one cross product
 (`cross_meet`), which works on stacked vectors under the same rank rule.
+Cross ratios of points on a line are ratios of segment coordinates,
+which `devmaps.LeafMetricContext` reads.
 
 All values are immutable after construction and all operations are pure.
 Derived data is cached on the value that owns it, computed on first use:
@@ -26,14 +28,11 @@ from .config import (
     DegenerateSum,
     DimensionOverflow,
     EmptyIntersection,
-    IndeterminateRatio,
-    NotCollinear,
     PointOutsideDomain,
 )
 
 RANK_TOL = 1e-9       # singular values below this times the largest count as zero
 EQUALITY_TOL = 1e-9   # principal-angle bound for subspace equality and containment
-COLLINEAR_TOL = 1e-9  # relative third singular value bound for collinear points
 INFINITY_TOL = 1e-13  # relative last chart coordinate of points at infinity
 ORTHONORMAL_TOL = 1e-10  # largest Gram-matrix entry error of an orthonormal basis or frame
 
@@ -250,41 +249,6 @@ def cross_meet(a, b) -> np.ndarray:
     if np.any(norm <= RANK_TOL * scale):
         raise DegenerateMeet(f"coincident points or lines: |a x b| <= {RANK_TOL:g} |a| |b|")
     return c / norm
-
-
-def _line_coords(vectors):
-    """2-vector coordinates of points of RP^{n-1}, given as n-vectors, on their common line."""
-    vectors = np.column_stack(vectors)
-    u, s, _ = np.linalg.svd(vectors, full_matrices=False)
-    if s.size > 2 and s[2] > COLLINEAR_TOL * s[0]:
-        raise NotCollinear(f"collinearity residual {s[2] / s[0]:.3e}")
-    frame = u[:, :2]
-    return frame.T @ vectors  # 2 x m
-
-
-def cross_ratio(a, b, p, q) -> float:
-    """Cross-ratio (a,b;p,q) of four collinear points given as vectors, as an extended real.
-
-    The value (q-a)(p-b) / ((p-a)(q-b)) in any affine coordinate on the
-    common line; independent of that choice and projectively invariant.
-    A single degeneracy (a=p or b=q) yields a signed infinity; both at
-    once raise IndeterminateRatio.
-    """
-    coords = _line_coords([a, b, p, q])
-    ca, cb, cp, cq = coords.T
-
-    def det(u, v):
-        return u[0] * v[1] - u[1] * v[0]
-
-    num = det(cq, ca) * det(cp, cb)
-    den = det(cp, ca) * det(cq, cb)
-    scale = float(np.max(np.abs(coords))) ** 2
-    eps = RANK_TOL * scale
-    if abs(den) <= eps:
-        if abs(num) <= eps:
-            raise IndeterminateRatio("a=p and b=q simultaneously")
-        return float(np.copysign(np.inf, num))
-    return float(num / den)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import pytest
 
 from flagflows.config import IndexOrder, NotLoxodromic, PointOutsideSegment, RootFindFailure
 from flagflows import cli, flows
-from flagflows.devmaps import LeafPoint
+from flagflows.devmaps import LeafPoint, develop
 from flagflows.flows import (
     cocycle,
     decay_experiment,
@@ -24,7 +24,8 @@ from flagflows.flows import (
     regularity_probe,
     stable_leaf_distance,
 )
-from flagflows.limitcurve import fuchsian_curve, sample_boundary
+from flagflows.limitcurve import fuchsian_curve, sample_boundary, second_boundary_intersection
+from flagflows.projective import cross_meet
 from flagflows.reps import (SurfaceGroupRep, axis_thetas, bulge_deform, circular_gap,
                             jordan_projection, loxodromic_eigensystem, read_from_g, root_length,
                             sym_power)
@@ -432,6 +433,39 @@ def test_stable_leaf_distance_decays(exact_curve):
     p2 = flow_step(exact_curve, (2, 3), p, 2.0)
     d0, d2 = np.abs(stable_leaf_distance(exact_curve, p.x, [p.y, p2.y], p.z, 3.5))
     assert d2 < d0
+
+
+def _mp_log_cross_ratio(a, b, p, q):
+    """log|(a, b; p, q)| of four float points on one line of RP^2, in 50-digit mpmath:
+    2x2 determinants of their coordinates in a Gram-Schmidt frame of the line."""
+    with mpmath.workdps(50):
+        a, b, p, q = ([mpmath.mpf(t) for t in v.tolist()] for v in (a, b, p, q))
+
+        def dot(u, v):
+            return mpmath.fsum(s * t for s, t in zip(u, v))
+
+        e1 = [t / mpmath.sqrt(dot(a, a)) for t in a]
+        e2 = [s - dot(b, e1) * t for s, t in zip(b, e1)]
+        e2 = [t / mpmath.sqrt(dot(e2, e2)) for t in e2]
+
+        def det(u, v):
+            return dot(u, e1) * dot(v, e2) - dot(u, e2) * dot(v, e1)
+
+        return float(mpmath.log(abs(det(q, a) * det(p, b) / (det(p, a) * det(q, b)))))
+
+
+@pytest.mark.parametrize("curve_name", ["exact_curve", "bulged_curve03"])
+def test_stable_leaf_distance_is_a_high_precision_log_cross_ratio(curve_name, request):
+    """Each distance is log|(x1, q; p_y0, point)| of the same float points, to 1e-14."""
+    curve = request.getfixturevalue(curve_name)
+    x, z, y0 = 0.5, 3.9, 3.5
+    ys = np.array([row[1] for row in flow_orbit(curve, (2, 3), LeafPoint(x, 0.7, z), 5.0, 10)])
+    points, lines = develop(curve, "tan+", x, ys, z)
+    p_y0 = cross_meet(lines, cross_meet(*curve.frames_at(y0).T))
+    qs = curve.frames_at(second_boundary_intersection(curve, lines, x))[:, :, 0]
+    x1 = curve.frames_at(x)[:, 0]
+    want = [_mp_log_cross_ratio(x1, *args) for args in zip(qs, p_y0, points)]
+    assert np.max(np.abs(stable_leaf_distance(curve, x, ys, z, y0) - want)) < 1e-14
 
 
 def test_stable_leaf_distance_lets_non_numerical_errors_through(exact_curve, monkeypatch):

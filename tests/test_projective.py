@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -8,17 +7,15 @@ from flagflows.config import (
     DegenerateMeet,
     DegenerateSum,
     DimensionOverflow,
-    IndeterminateRatio,
-    NotCollinear,
     PointOutsideDomain,
 )
+from flagflows.devmaps import LeafMetricContext
 from flagflows.projective import (
     AffineChart,
     Flag,
     ProjectiveSubspace,
     annihilator,
     cross_meet,
-    cross_ratio,
     join,
     meet,
     signed_polygon_distance,
@@ -123,36 +120,40 @@ def test_flag_nesting_enforced():
     assert f.point is f[1] and f.line is f[2]
 
 
-def test_cross_ratio_affine_value():
+def segment_cross_ratio(a, b, p, q, line):
+    """(a, b; p, q) of points on `line`: u(p) / u(q), u the segment coordinate on (a, b).
+
+    A point P = alpha a + beta b of the line is where the covector P x line
+    vanishes, so its coordinate on the segment (a, b) is alpha / beta.
+    """
+    a, b = (v / np.linalg.norm(v) for v in (a, b))
+    u = LeafMetricContext(a, b).coordinate(np.cross(np.stack([p, q]), line))
+    return u[0] / u[1]
+
+
+def test_segment_coordinate_cross_ratio_affine_value():
     def pt(t):
         return np.array([t, 1.0, 0.0])
 
-    value = cross_ratio(pt(0.0), pt(1.0), pt(2.0), pt(3.0))
+    value = segment_cross_ratio(pt(0.0), pt(1.0), pt(2.0), pt(3.0), np.array([0.0, 0.0, 1.0]))
     # (q-a)(p-b) / ((p-a)(q-b)) = (3)(1) / (2)(2)
     assert abs(value - 0.75) < 1e-12
 
 
-def test_cross_ratio_projective_invariance():
+def test_segment_coordinate_cross_ratio_projective_invariance():
+    """Points move by g and the line's covector by g^-T; the cross ratio stays."""
     rng = np.random.default_rng(11)
     base = rng.standard_normal(3)
     direction = rng.standard_normal(3)
     pts = [base + t * direction for t in (0.3, 1.7, -0.4, 2.5)]
-    v0 = cross_ratio(*pts)
+    line = np.cross(base, direction)
+    v0 = segment_cross_ratio(*pts, line)
+    assert abs(v0 - (2.5 - 0.3) * (-0.4 - 1.7) / ((-0.4 - 0.3) * (2.5 - 1.7))) < 1e-12
     for _ in range(5):
         g = rng.standard_normal((3, 3))
         moved = [g @ p for p in pts]
-        assert abs(cross_ratio(*moved) - v0) < 1e-9 * max(1.0, abs(v0))
-
-
-def test_cross_ratio_degeneracies():
-    def pt(t):
-        return np.array([t, 1.0, 0.0])
-
-    assert math.isinf(cross_ratio(pt(0.0), pt(1.0), pt(2.0), pt(1.0)))
-    with pytest.raises(IndeterminateRatio):
-        cross_ratio(pt(0.0), pt(1.0), pt(0.0), pt(0.0))
-    with pytest.raises(NotCollinear):
-        cross_ratio(pt(0.0), pt(1.0), pt(2.0), np.array([0.0, 0.0, 1.0]))
+        value = segment_cross_ratio(*moved, np.linalg.inv(g).T @ line)
+        assert abs(value - v0) < 1e-9 * max(1.0, abs(v0))
 
 
 def test_affine_chart_roundtrip():
