@@ -27,19 +27,18 @@ from .devmaps import (
     _check_realizable,
     _random_positive_triple,
     _random_triples,
-    covering_checks,
     curve_tolerance,
     develop,
     leaf_context,
     leaf_sweep,
     omega_membership,
+    two_sheet_error,
     type_classifier,
 )
 from .flows import (
     cocycle,
     decay_experiment,
     flow_orbit,
-    flow_period,
     period_spectrum,
     reference_flow,
 )
@@ -236,11 +235,6 @@ def _parse_alpha(text: str, n: int):
     return (i, j)
 
 
-def _rel_error(value, want):
-    """|value - want| / |want|, elementwise on arrays, guarding a zero want."""
-    return abs(value - want) / np.maximum(abs(want), 1e-30)
-
-
 # ---------------------------------------------------------------------------
 # checks shared by the subcommands and verify-all; each entry holds its
 # "passed" flag and the measured values it was judged on
@@ -256,18 +250,18 @@ def frenet_check(curve):
     }
 
 
-def periods_check(curve, max_len: int, roots):
-    """Flow periods against root lengths over the word ball; returns (rows, entry).
+def periods_check(curve, words, roots):
+    """Flow periods of `words` against their root lengths; returns (rows, entry).
 
-    A row is [word, i, j, flow period, root length, relative error].
+    The one period judge of `flow`, `periods` and `verify-all`.  A row is
+    [word, i, j, flow period, root length, |period - length| / |length|].
     """
-    words = enumerate_conjugacy_classes(curve.rep.presentation, max_len)
     spectrum = period_spectrum(curve, words, roots)
     lengths = jordan_projection(curve.rep.matrices(words),
                                 curve.rep.matrices([w.inverse() for w in words]))
     periods = np.array([[row[(i, j)] for (i, j) in roots] for row in map(spectrum.get, words)])
     wants = np.stack([root_length(lengths, i, j) for (i, j) in roots], axis=1)
-    rel = _rel_error(periods, wants)
+    rel = np.abs(periods - wants) / np.maximum(np.abs(wants), 1e-30)
     rows = [[w, i, j, period, want, r]
             for w, *values in zip(words, periods.tolist(), wants.tolist(), rel.tolist())
             for (i, j), period, want, r in zip(roots, *values)]
@@ -379,10 +373,8 @@ def cmd_flow(cfg, args):
     write_csv(cfg, "flow_orbit.csv",
               ["t", "y"] + [f"p{k}" for k in range(curve.n)],
               [[t, y, *image] for t, y, image in orbit])
-    period = flow_period(curve, alpha, word)
-    jd = jordan_projection(curve.rep.matrix(word),
-                           curve.rep.matrix(word.inverse()))
-    want = root_length(jd, alpha[0], alpha[1])
+    rows, _ = periods_check(curve, [word], [alpha])
+    period, want, rel = rows[0][3:]
     emit_summary(cfg, "flow", {
         "alpha": list(alpha),
         "word": args.word,
@@ -390,7 +382,7 @@ def cmd_flow(cfg, args):
         "steps": int(args.steps),
         "period": period,
         "root_length": want,
-        "rel_error": _rel_error(period, want),
+        "rel_error": rel,
     })
     return 0
 
@@ -398,7 +390,8 @@ def cmd_flow(cfg, args):
 def cmd_periods(cfg, args):
     roots = [_parse_alpha(args.alpha, cfg["n"])] if args.alpha else _positive_roots(cfg["n"])
     curve = build_curve(cfg)
-    rows, check = periods_check(curve, int(args.max_len), roots)
+    words = enumerate_conjugacy_classes(curve.rep.presentation, int(args.max_len))
+    rows, check = periods_check(curve, words, roots)
     fmt = curve.rep.presentation.format_word
     write_csv(cfg, "periods.csv",
               ["word", "i", "j", "flow_period", "root_length", "rel_error"],
@@ -455,10 +448,9 @@ def cmd_verify_all(cfg, args):
     checks["convex_domain"] = {"passed": convex and support, "is_convex": convex,
                                "tangents_support": support}
 
-    cov = covering_checks(curve, seed)
+    two_sheet = two_sheet_error(curve, seed)
     bound = curve_tolerance(curve)
-    checks["covering"] = {"passed": cov.two_sheet_max_error < bound,
-                          "two_sheet_max_error": cov.two_sheet_max_error,
+    checks["covering"] = {"passed": two_sheet < bound, "two_sheet_max_error": two_sheet,
                           "tolerance": bound}
 
     miscount = 0
@@ -476,7 +468,8 @@ def cmd_verify_all(cfg, args):
         class_ok = class_ok and type_classifier(points, curve, p.x, p.z) == want
     checks["type_classifier"] = {"passed": class_ok}
 
-    checks["periods"] = periods_check(curve, PERIODS_MAX_LEN, _positive_roots(3))[1]
+    words = enumerate_conjugacy_classes(curve.rep.presentation, PERIODS_MAX_LEN)
+    checks["periods"] = periods_check(curve, words, _positive_roots(3))[1]
 
     # c(s + t) at p, c(t) at p moved by s, and c(s) at p, for 20 draws, in one stack
     entries = []

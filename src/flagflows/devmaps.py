@@ -30,8 +30,7 @@ from .reps import _check_root, circular_gap, positively_oriented
 EXACT_CURVE_TOL = 1e-6
 SAMPLED_CURVE_TOL = 1e-3
 LINE_MATCH_TOL = 1e-4  # principal angle at which a fitted leaf line matches a candidate
-COVERING_TRIPLES = 20  # random positive triples of the deck and injectivity checks
-COVERING_LEAF_SAMPLES = 64  # points on the leaf whose image collinearity covering_checks fits
+COVERING_TRIPLES = 20  # random positive triples on which two_sheet_error checks the deck identity
 CONCAVITY_SAMPLES = 40  # parameters after x whose pairs are the leaves of concavity_check
 
 
@@ -326,45 +325,16 @@ def _angle(a, b) -> np.ndarray:
     return np.arctan2(np.linalg.norm(np.cross(a, b), axis=-1), np.abs(np.sum(a * b, axis=-1)))
 
 
-@dataclass(frozen=True)
-class CoveringReport:
-    two_sheet_max_error: float
-    injectivity_min_ratio: float
-    leaf_collinearity_residual: float
-    endpoint_error_pivot: float
-    endpoint_error_z1: float
-
-
-def covering_checks(curve: BoundaryCurve, seed: int) -> CoveringReport:
-    """Pointwise diagnostics for the two-sheeted covering structure.
-
-    (a) deck identity phi_tan_plus(w_yz(x), z, y) = phi_tan_plus(x, y, z);
-    (b) lower bound on image displacement / parameter displacement;
-    (c) collinearity of one leaf image with endpoint limits x2∩z2 and z1.
-    (a) and (b) run on COVERING_TRIPLES random positive triples drawn from `seed`.
-    """
-    rng = np.random.default_rng(seed)
-    x, y, z = _random_triples(rng, COVERING_TRIPLES)
+def two_sheet_error(curve: BoundaryCurve, seed: int) -> float:
+    """Largest angle by which the deck identity of the two-sheeted tangent covering,
+    phi_tan_plus(w, z, y) = phi_tan_plus(x, y, z) with w the second point where the
+    image line through x1 meets the curve, fails in point or line, on COVERING_TRIPLES
+    random positive triples drawn from `seed`."""
+    x, y, z = _random_triples(np.random.default_rng(seed), COVERING_TRIPLES)
     points, lines = develop(curve, "tan+", x, y, z)
     w = second_boundary_intersection(curve, lines, x)
     swapped_points, swapped_lines = develop(curve, "tan+", w, z, y)
-    two_sheet = max(_angle(points, swapped_points).max(), _angle(lines, swapped_lines).max())
-    h = 1e-4
-    inj_ratio = (_angle(points, develop(curve, "tan+", x, y + h, z)[0]) / h).min()
-    # one random leaf, swept in y, and its two ends
-    p = _random_positive_triple(rng, spread=0.8)
-    arc = circular_gap(p.x, p.z)
-    ends = [p.x + arc * 1e-6, p.x + arc * (1 - 1e-6)]
-    sweep, _ = develop(curve, "tan+", p.x, leaf_sweep(p.x, p.z, COVERING_LEAF_SAMPLES) + ends, p.z)
-    sv = np.linalg.svd(sweep[:-2], compute_uv=False)
-    (_, z1), (x2, z2) = _levels(curve.frames_at([p.x, p.z]))
-    return CoveringReport(
-        two_sheet_max_error=float(two_sheet),
-        injectivity_min_ratio=float(inj_ratio),
-        leaf_collinearity_residual=float(sv[-1] / sv[0]),
-        endpoint_error_pivot=float(_angle(sweep[-2], cross_meet(x2, z2))),
-        endpoint_error_z1=float(_angle(sweep[-1], z1)),
-    )
+    return float(max(_angle(points, swapped_points).max(), _angle(lines, swapped_lines).max()))
 
 
 @dataclass(frozen=True)

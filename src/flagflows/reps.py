@@ -120,7 +120,9 @@ def jordan_projection(g: np.ndarray, g_inverse: np.ndarray):
     for one matrix the rest runs on Python floats, which give the same
     bits as the stack's array arithmetic: numpy's mean adds fewer than 8
     entries in order from 0.0, and so does the loop here (the builtin
-    `sum` compensates its rounding from Python 3.12 on).  Raises
+    `sum` compensates its rounding from Python 3.12 on).  The CLI reads
+    stacks only; the one-matrix path is the per-word reference that the
+    benchmark's periods oracle and acceptance criterion 1 call.  Raises
     ValueError for any other shape, and for the first matrix whose
     determinant is not +-1 or whose log-moduli come out unsorted.
     """

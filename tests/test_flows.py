@@ -13,7 +13,6 @@ from flagflows import cli, flows
 from flagflows.devmaps import LeafPoint, develop
 from flagflows.flows import (
     cocycle,
-    decay_experiment,
     flow_orbit,
     flow_period,
     flow_step,
@@ -347,7 +346,8 @@ def test_periods_check_fails_on_a_nan_period(exact_curve, monkeypatch):
         return out
 
     monkeypatch.setattr(cli, "period_spectrum", with_nan)
-    rows, entry = cli.periods_check(exact_curve, 2, ROOTS)
+    ball = enumerate_conjugacy_classes(exact_curve.rep.presentation, 2)
+    rows, entry = cli.periods_check(exact_curve, ball, ROOTS)
     assert math.isnan(entry["worst_rel_error"]) and entry["passed"] is False
     assert math.isnan(rows[3 * 3 + 2][3])
 
@@ -475,13 +475,6 @@ def test_stable_leaf_distance_lets_non_numerical_errors_through(exact_curve, mon
     monkeypatch.setattr(flows, "cross_meet", broken_meet)
     with pytest.raises(KeyError):
         stable_leaf_distance(exact_curve, 0.5, 0.7, 3.9, 3.5)
-
-
-def test_decay_slope_is_minus_one_for_fuchsian(exact_curve):
-    slope, samples = decay_experiment(exact_curve, LeafPoint(0.5, 0.7, 3.9),
-                                      3.5, 5.0, 20)
-    assert abs(slope + 1.0) < 0.05
-    assert len(samples) == 21
 
 
 def test_regularity_probe_in_dim_four(exact_curve4):

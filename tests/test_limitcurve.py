@@ -283,18 +283,6 @@ def test_stacked_frenet_checks_equal_the_per_tuple_loop(request, reference, name
         _frenet_by_loop(curve)
 
 
-def test_frenet_checks_pass_on_the_conic(exact_curve):
-    report = frenet_checks(exact_curve)
-    assert report.general_position_ok
-    assert report.osculation_ok
-
-
-def test_frenet_general_position_fails_on_flattened_curve(reference):
-    degenerate = collinear_degenerate_curve(reference)
-    report = frenet_checks(degenerate)
-    assert not report.general_position_ok
-
-
 def test_convex_domain_is_convex_with_supporting_tangents(exact_curve):
     assert convex_domain_checks(exact_curve) == (True, True)
 

@@ -1,7 +1,9 @@
 import importlib.util
+import shutil
 from pathlib import Path
 
-SIZE_REPORT = Path(__file__).resolve().parent.parent / "tools" / "size_report.py"
+ROOT = Path(__file__).resolve().parent.parent
+SIZE_REPORT = ROOT / "tools" / "size_report.py"
 
 SOURCE = '''\
 from dataclasses import dataclass, field
@@ -22,11 +24,15 @@ def make_parser(parser):
 '''
 
 
-def _size_report():
-    spec = importlib.util.spec_from_file_location("size_report", SIZE_REPORT)
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _size_report():
+    return _tool("size_report")
 
 
 def test_size_report_counts_lines_and_settable_values(tmp_path, capsys):
@@ -50,3 +56,19 @@ def test_package_settable_values_are_pinned():
     """(parameters, fields, options) of the package; a new setting must change this test."""
     src = sorted((SIZE_REPORT.parent.parent / "src" / "flagflows").glob("*.py"))
     assert _size_report().settable_values(src) == (6, 1, 19)
+
+
+def test_same_outputs_names_what_differs(tmp_path, capsys):
+    """build-rep against the repo itself, then against a copy whose summary gains a key."""
+    same_outputs = _tool("same_outputs")
+    assert same_outputs.compare(ROOT, ROOT, ["build-rep"]) == 0
+    assert capsys.readouterr().out == "1 of 1 command lines identical\n"
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "src" / "flagflows" / "cli.py"
+    text = cli.read_text()
+    assert text.count('"loxodromy_depth2_ok": True,') == 1
+    cli.write_text(text.replace('"loxodromy_depth2_ok": True,',
+                                '"loxodromy_depth2_ok": True, "edited": True,'))
+    assert same_outputs.compare(ROOT, tmp_path, ["build-rep"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "build-rep: build_rep_summary.json, stdout", "0 of 1 command lines identical"]
