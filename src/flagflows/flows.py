@@ -232,7 +232,7 @@ def _block_periods(curve: BoundaryCurve, roots, words) -> list:
     if np.any(np.abs(g_ref[:, 0, 0] + g_ref[:, 1, 1]) <= 2.0):
         raise NotLoxodromic("reference image is not hyperbolic")
     g = curve.rep.matrices(words)
-    g_inv = curve.rep.matrices([tuple(-x for x in reversed(w.letters)) for w in words])
+    g_inv = curve.rep.matrices([w.inverse() for w in words])
     vals_g, vecs_g = loxodromic_eigensystem(g)
     _, vecs_i = loxodromic_eigensystem(g_inv)
     lm = np.log(np.abs(vals_g))

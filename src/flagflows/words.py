@@ -15,18 +15,33 @@ Wang, J. Algorithms 13, 1992; Cattell, Ruskey, Sawada, Serra and Miers,
 J. Algorithms 37, 2000) with the inverse-adjacency rule as a
 restriction.  Sampled words are short and their matrix images are
 compared numerically downstream.
+
+A `GroupWord` checks its letters when it is constructed, so every word
+from outside this module (`reduce_word`, `parse_word`, a direct
+`GroupWord(...)`) is validated once at its entry point.  Two
+constructions skip the check through `_reduced`, because they cannot
+make an invalid word: the necklaces of `enumerate_conjugacy_classes`
+(nonzero letters, a letter never followed by its inverse) and
+`GroupWord.inverse` (the inverse of a reduced word is reduced).
 """
 
+import re
 from dataclasses import dataclass
 
 from .config import ResourceLimit
 
 MAX_WORDS = 2_000_000  # reduced words in the largest ball an enumeration accepts
+_GENERATOR = re.compile(r"([abAB])([0-9]+)")  # a generator token of parse_word: letter, pair
 
 
 @dataclass(frozen=True)
 class GroupWord:
-    """A freely reduced word in the surface-group generators."""
+    """A freely reduced word in the surface-group generators.
+
+    Construction converts the letters to ints and refuses a zero letter
+    or a cancelling pair.  `enumerate_conjugacy_classes` and `inverse`
+    build their words with `_reduced`, which skips this check.
+    """
 
     letters: tuple
 
@@ -46,7 +61,18 @@ class GroupWord:
         return reduce_word(self.letters + other.letters)
 
     def inverse(self) -> "GroupWord":
-        return GroupWord(tuple(-x for x in reversed(self.letters)))
+        return _reduced(tuple(-x for x in reversed(self.letters)))
+
+
+def _reduced(letters: tuple) -> GroupWord:
+    """A GroupWord of `letters` without `GroupWord.__post_init__`'s check.
+
+    `letters` must already be a tuple of nonzero ints with no letter
+    followed by its inverse.
+    """
+    word = object.__new__(GroupWord)
+    object.__setattr__(word, "letters", letters)
+    return word
 
 
 @dataclass(frozen=True)
@@ -78,12 +104,15 @@ class SurfaceGroupPresentation:
         return GroupWord(tuple(letters))
 
     def parse_word(self, text: str) -> GroupWord:
-        """Parse words like "a1 B1 a2" (capital letter = inverse)."""
+        """Parse words like "a1 B1 a2" (capital letter = inverse); "e" is the identity."""
         letters = []
         for token in text.split():
-            base, pair = token[0], int(token[1:])
-            if base.lower() not in ("a", "b") or not (1 <= pair <= self.genus):
+            if token == "e":
+                continue
+            match = _GENERATOR.fullmatch(token)
+            if not match or not 1 <= int(match[2]) <= self.genus:
                 raise ValueError(f"unknown generator {token!r}")
+            base, pair = match[1], int(match[2])
             idx = 2 * (pair - 1) + (1 if base.lower() == "a" else 2)
             letters.append(-idx if base.isupper() else idx)
         return reduce_word(letters)
@@ -153,6 +182,7 @@ def enumerate_conjugacy_classes(presentation: SurfaceGroupPresentation, max_len:
             raise ResourceLimit(f"word ball exceeds {MAX_WORDS} words")
     signed = [-(k // 2 + 1) if k % 2 else k // 2 + 1 for k in range(m)]
     keys = [0] * (max_len + 1)  # keys[1..t] is the current prefix; keys[0] is FKM's sentinel
+    prefix = [0] * (max_len + 1)  # prefix[j] = signed[keys[j]]
     buckets = [[] for _ in range(max_len + 1)]
 
     def extend(t, p):
@@ -161,9 +191,10 @@ def enumerate_conjugacy_classes(presentation: SurfaceGroupPresentation, max_len:
             if k == forbidden:
                 continue
             keys[t] = k
+            prefix[t] = signed[k]
             q = p if k == keys[t - p] else t
             if t % q == 0 and keys[1] != k ^ 1:
-                buckets[t].append(GroupWord(tuple(signed[j] for j in keys[1:t + 1])))
+                buckets[t].append(_reduced(tuple(prefix[1:t + 1])))
             if t < max_len:
                 extend(t + 1, q)
 

@@ -92,6 +92,18 @@ def test_flow_at_n_4_on_an_ill_conditioned_word(tmp_path):
     assert run(tmp_path, "--n", "4", "flow", "--alpha", "1,2", "--word", "A1 a2 A1 a2") == 0
 
 
+@pytest.mark.parametrize("word, message", [
+    ("e", "word image is not hyperbolic in the reference"),
+    ("a", "unknown generator 'a'"),
+], ids=["identity", "malformed"])
+def test_flow_refuses_a_word_without_a_closed_orbit(tmp_path, capsys, word, message):
+    """The identity parses and is refused as not hyperbolic; a malformed token is named."""
+    assert run(tmp_path, "flow", "--alpha", "1,2", "--word", word) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == {"type": "ValueError", "message": message, "subcommand": "flow"}
+    assert not any(tmp_path.iterdir())
+
+
 def test_backward_flow_writes_its_orbit(tmp_path):
     assert run(tmp_path, "flow", "--alpha", "2,3", "--word", "a1",
                "--t-max", "-1", "--steps", "2") == 0

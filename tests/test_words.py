@@ -59,13 +59,34 @@ def test_parse_and_format_roundtrip():
         w = PRES.parse_word(text)
         assert PRES.parse_word(PRES.format_word(w)) == w
     assert PRES.format_word(GroupWord(())) == "e"
+    for w in [GroupWord(())] + enumerate_conjugacy_classes(PRES, 3):
+        assert PRES.parse_word(PRES.format_word(w)) == w
+    assert PRES.parse_word("a1 e A1 e") == GroupWord(())
 
 
 def test_parse_rejects_unknown_generators():
-    with pytest.raises(ValueError):
-        PRES.parse_word("c1")
-    with pytest.raises(ValueError):
-        PRES.parse_word("a3")
+    """Every malformed token is named in the error, not only a bad letter or pair."""
+    for token in ("c1", "a3", "a", "ax", "A0", "E", "a1x"):
+        with pytest.raises(ValueError, match=f"^unknown generator '{token}'$"):
+            PRES.parse_word(f"a1 {token} b2")
+
+
+def test_words_built_without_validation_equal_validated_ones():
+    """Enumerated words and their inverses skip `GroupWord`'s check; they must not differ."""
+    balls = [enumerate_conjugacy_classes(PRES, 5),
+             enumerate_conjugacy_classes(SurfaceGroupPresentation(genus=3), 3)]
+    for w in (w for ball in balls for v in ball for w in (v, v.inverse())):
+        checked = GroupWord(w.letters)
+        assert w == checked and hash(w) == hash(checked)
+        assert all(type(x) is int for x in w.letters)
+
+
+def test_words_from_outside_are_still_validated():
+    with pytest.raises(ValueError, match="not freely reduced"):
+        GroupWord((1, -1))
+    for build in (lambda: GroupWord((0,)), lambda: reduce_word([0])):
+        with pytest.raises(ValueError, match="nonzero"):
+            build()
 
 
 def test_relator_is_product_of_commutators():

@@ -38,6 +38,7 @@ COMMAND_LINES = [
     "--bulge 0.3 flow --alpha 1,3 --word b2",
     '--bulge 0.3 flow --alpha 1,2 --word "a1 b1"',
     "flow --alpha 1,2 --word e",
+    'flow --alpha 1,2 --word "a1 x"',
     "periods --max-len 3",
     "--n 4 periods --max-len 3",
     "--n 2 periods --max-len 3",
@@ -47,6 +48,7 @@ COMMAND_LINES = [
     "sample-curve",
     "--bulge 0.3 sample-curve",
     "--n 2 sample-curve",
+    "--bulge 0.3 --word-ball 5 sample-curve",
     "build-rep",
     "dev-image --map tan-",
     "dev-image --map alpha:1,3",
