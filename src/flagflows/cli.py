@@ -270,17 +270,18 @@ def periods_check(curve, words, roots):
                   "worst_rel_error": worst}
 
 
-def decay_check(cfg, curve, t_max: float, steps: int):
+def decay_check(curve, t_max: float, steps: int):
     """Stable-leaf decay slope along the tangent flow; returns (samples, entry, beta_hat).
 
-    The slope is -1 on Fuchsian curves.  On bulged ones it is bounded
-    below by -1/(beta_hat - 1) less a margin, from the estimated boundary
-    regularity beta_hat (None on Fuchsian curves).
+    The slope is -1 on a closed-form curve, at n=3 the Fuchsian one.  On
+    a sampled (bulged) one it is bounded below by -1/(beta_hat - 1) less a
+    margin, from the estimated boundary regularity beta_hat (None on a
+    closed-form curve).
     """
     # leaf nearly aligned with the stable-leaf base point keeps the
     # measured distance one-signed along the orbit
     slope, samples = decay_experiment(curve, LeafPoint(0.5, 0.7, 3.9), 3.5, t_max, steps)
-    if cfg["bulge"] == 0.0:
+    if curve.exact_eval is not None:
         return samples, {"passed": abs(slope - FUCHSIAN_DECAY_SLOPE) < DECAY_SLOPE_TOL,
                          "slope": slope, "expected_slope": FUCHSIAN_DECAY_SLOPE}, None
     _, beta_hat = boundary_regularity_estimate(curve)
@@ -362,11 +363,12 @@ def cmd_dev_image(cfg, args):
 def cmd_flow(cfg, args):
     _check_realizable(cfg["n"])
     alpha = _parse_alpha(args.alpha, cfg["n"])
-    curve = build_curve(cfg)
-    word = curve.rep.presentation.parse_word(args.word)
-    m = curve.reference.matrix(word)
+    reference = fuchsian_genus2()  # build_rep's reference: refuse a bad word before the curve
+    word = reference.presentation.parse_word(args.word)
+    m = reference.matrix(word)
     if abs(np.trace(m)) <= 2.0:
         raise ValueError("word image is not hyperbolic in the reference")
+    curve = build_curve(cfg)
     x, z = axis_thetas(m)
     y0 = (x + ((z - x) % (2 * math.pi)) / 2) % (2 * math.pi)
     orbit = flow_orbit(curve, alpha, LeafPoint(x, y0, z), float(args.t_max), int(args.steps))
@@ -403,8 +405,7 @@ def cmd_periods(cfg, args):
 
 def cmd_decay(cfg, args):
     _require_n3(cfg, "decay")
-    samples, check, beta_hat = decay_check(cfg, build_curve(cfg),
-                                           float(args.t_max), int(args.steps))
+    samples, check, beta_hat = decay_check(build_curve(cfg), float(args.t_max), int(args.steps))
     write_csv(cfg, "decay.csv", ["t", "stable_leaf_distance"], samples)
     summary = dict(check, t_max=float(args.t_max))
     if beta_hat is not None:
@@ -483,7 +484,7 @@ def cmd_verify_all(cfg, args):
     checks["cocycle"] = {"passed": worst_cocycle < COCYCLE_BOUND,
                          "worst_identity_error": worst_cocycle}
 
-    checks["decay"] = decay_check(cfg, curve, DECAY_T_MAX, DECAY_STEPS)[1]
+    checks["decay"] = decay_check(curve, DECAY_T_MAX, DECAY_STEPS)[1]
 
     svg, clipped = render_scene(scene_dev_image(curve, "tan+", *DEV_LEAF))
     checks["render"] = {"passed": svg.startswith("<svg") and svg.endswith("</svg>"),

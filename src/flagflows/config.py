@@ -16,7 +16,6 @@ class FlagFlowsError(Exception):
 class DimensionOverflow(FlagFlowsError): pass
 class DegenerateSum(FlagFlowsError): pass
 class DegenerateMeet(FlagFlowsError): pass
-class EmptyIntersection(FlagFlowsError): pass
 class PointOutsideDomain(FlagFlowsError): pass
 
 # words / representations

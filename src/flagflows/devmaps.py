@@ -22,9 +22,8 @@ import numpy as np
 
 from .config import DegenerateMeet, PointOutsideSegment, UnclassifiedLine
 from .limitcurve import BoundaryCurve, second_boundary_intersection
-from .projective import (RANK_TOL, Flag, ProjectiveSubspace, annihilator, cross_meet,
-                         signed_polygon_distance)
-from .reps import _check_root, circular_gap, positively_oriented
+from .projective import RANK_TOL, Flag, annihilator, cross_meet, signed_polygon_distance
+from .reps import _check_root, circular_gap
 
 # bound on a pointwise identity or fit residual: closed-form and interpolated curves
 EXACT_CURVE_TOL = 1e-6
@@ -50,11 +49,6 @@ class LeafPoint:
     def __post_init__(self):
         for name, v in zip("xyz", leaf_triples(self.x, self.y, self.z)[:, 0].tolist()):
             object.__setattr__(self, name, v)
-
-    @property
-    def is_positive(self) -> bool:
-        """Counterclockwise orientation of (x, y, z)."""
-        return positively_oriented(self.x, self.y, self.z)
 
 
 def leaf_triples(x, y, z):
@@ -115,7 +109,7 @@ def develop_frames(name: str, fx, fy, fz):
 def involution(curve: BoundaryCurve, x, y, z) -> np.ndarray:
     """The y of each triple, on parameters as for `develop`, after the involution iota:
     the second boundary hit of the line through y1 and x2 ∩ z2.  It reverses the
-    orientation of the triple (see `LeafPoint.is_positive`)."""
+    circular order of the triple."""
     x, y, z = leaf_triples(x, y, z)
     _, lines = develop_frames("iota", *curve.frames_at(np.stack([x, y, z])))
     return second_boundary_intersection(curve, lines, y)
@@ -228,7 +222,7 @@ def leaf_context(curve: BoundaryCurve, alpha, x, z) -> LeafMetricContext:
 
     The ends are x^i ∩ z^{n-i+1} and x^j ∩ z^{n-j+1}, read as x^1 at i = 1
     and z^1 at j = n; an interior one is the kernel of the covectors of x^k
-    and z^{n-k+1}, refused with DegenerateMeet by the rank rule of `meet`.
+    and z^{n-k+1}, refused with DegenerateMeet below rank n-1 by RANK_TOL.
     """
     i, j = alpha
     n = curve.n
@@ -248,13 +242,6 @@ def leaf_context(curve: BoundaryCurve, alpha, x, z) -> LeafMetricContext:
         return u[..., -1]
 
     return LeafMetricContext(endpoint(i), endpoint(j))
-
-
-def geodesic_realization(curve: BoundaryCurve, i: int, j: int,
-                         p: LeafPoint) -> ProjectiveSubspace:
-    """Root (i, j) realization [(x^i ∩ z^{n-i+1}) + (x^j ∩ z^{n-j+1})] ∩ y^{n-1} of p."""
-    ctx = leaf_context(curve, (i, j), p.x, p.z)
-    return ProjectiveSubspace(curve.n, ctx.image(curve.hyperplane_covectors_at(p.y)))
 
 
 def leaf_sweep(x: float, z: float, num: int) -> list:

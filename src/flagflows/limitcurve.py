@@ -11,10 +11,10 @@ experiments).
 
 The curve is evaluated on arrays only: `interpolate` takes parameters of
 any shape and returns their frames from one `searchsorted`, one stacked
-Procrustes alignment and one stacked QR; `frames_at` and `flag_at` read
-from it.  Root solves are stacked too:
-`bracketed_root` steps every open bracket of a check with one curve
-evaluation, so callers pass all their chords or flow targets at once.
+Procrustes alignment and one stacked QR; `frames_at` reads from it.
+Root solves are stacked too: `bracketed_root` steps every open bracket
+of a check with one curve evaluation, so callers pass all their chords
+or flow targets at once.
 """
 
 import math
@@ -180,10 +180,6 @@ class BoundaryCurve:
         """Annihilator covectors (..., n) of the top levels of `frames_at`."""
         return annihilator(self.frames_at(thetas))[..., 0]
 
-    def flag_at(self, theta: float) -> Flag:
-        """The `Flag` at one parameter, framed by `interpolate`."""
-        return Flag(interpolate(self, theta))
-
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -323,7 +319,7 @@ def second_boundary_intersection(curve: BoundaryCurve, lines, known):
     if isinstance(lines, ProjectiveSubspace):
         if lines.dim != curve.n - 1:
             raise ValueError("expected a hyperplane (projective line for n=3)")
-        lines = lines.covectors[:, 0]
+        lines = annihilator(lines.basis)[:, 0]
     covectors = np.atleast_2d(lines)
     if np.ndim(lines) > 2 or covectors.shape[1:] != (curve.n,):
         raise ValueError(f"expected covectors of shape ({curve.n},); got {np.shape(lines)}")

@@ -1,38 +1,27 @@
 """Numerical projective geometry over R^n.
 
-Subspaces are represented by orthonormal bases (column span), which keeps
-join/meet simple: both reduce to SVD rank computations.  Rank decisions
-are governed by the tolerances defined below.  A full flag is the basis
-of its hyperplane, a frame whose first k columns span its level k.  The
-covector of a hyperplane is the one column of its `annihilator`.  In
-RP^2 a join of two points or a meet of two lines is one cross product
-(`cross_meet`), which works on stacked vectors under the same rank rule.
-Cross ratios of points on a line are ratios of segment coordinates,
-which `devmaps.LeafMetricContext` reads.
+A full flag is the basis of its hyperplane, a frame whose first k columns
+span its level k; the package computes on stacks of such frames
+(`flag_frames`).  The covector of a hyperplane is the one column of its
+`annihilator`.  In RP^2 a join of two points or a meet of two lines is
+one cross product (`cross_meet`), which works on stacked vectors and
+decides rank by `RANK_TOL`.  Cross ratios of points on a line are ratios
+of segment coordinates, which `devmaps.LeafMetricContext` reads.
 
-All values are immutable after construction and all operations are pure.
-Derived data is cached on the value that owns it, computed on first use:
-a flag builds each level's subspace once, and a subspace takes its
-annihilator once (`covectors`), which `meet` reads.  Cached arrays are
-read-only, like the bases and frames they derive from, so a flag or
-subspace can be shared freely.
+`ProjectiveSubspace` (the column span of an orthonormal basis), `Flag`
+and `join` are the object forms of the same data, kept for the one-triple
+developing maps and the benchmark's bindings.  They are immutable,
+compare by identity and cache nothing: `Flag[k]` builds its level on
+each call.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .config import (
-    DegenerateMeet,
-    DegenerateSum,
-    DimensionOverflow,
-    EmptyIntersection,
-    PointOutsideDomain,
-)
+from .config import DegenerateMeet, DegenerateSum, DimensionOverflow, PointOutsideDomain
 
 RANK_TOL = 1e-9       # singular values below this times the largest count as zero
-EQUALITY_TOL = 1e-9   # principal-angle bound for subspace equality and containment
 INFINITY_TOL = 1e-13  # relative last chart coordinate of points at infinity
 ORTHONORMAL_TOL = 1e-10  # largest Gram-matrix entry error of an orthonormal basis or frame
 
@@ -44,7 +33,7 @@ def _require_orthonormal(columns: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} columns are not orthonormal")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectiveSubspace:
     """A k-dimensional linear subspace of R^n up to scale.
 
@@ -76,13 +65,6 @@ class ProjectiveSubspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    @cached_property
-    def covectors(self) -> np.ndarray:
-        """The `annihilator` of the basis, computed once; read-only."""
-        out = annihilator(self.basis)
-        out.setflags(write=False)
-        return out
-
     def principal_angle(self, other: "ProjectiveSubspace") -> float:
         """Largest principal angle between two subspaces of equal dimension."""
         s = np.linalg.svd(self.basis.T @ other.basis, compute_uv=False)
@@ -94,32 +76,12 @@ class ProjectiveSubspace:
             return float(np.arcsin(min(1.0, np.linalg.norm(resid, ord=2))))
         return float(np.arccos(cos_a))
 
-    def contains(self, other: "ProjectiveSubspace") -> bool:
-        """Whether `other` is contained in this subspace, up to tolerance."""
-        if other.dim > self.dim:
-            return False
-        resid = other.basis - self.basis @ self.basis.T @ other.basis
-        return bool(np.linalg.norm(resid, ord=2) < EQUALITY_TOL)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ProjectiveSubspace):
-            return NotImplemented
-        return (
-            self.ambient_dim == other.ambient_dim
-            and self.dim == other.dim
-            and self.principal_angle(other) < EQUALITY_TOL
-        )
-
-    def __hash__(self):
-        raise TypeError("ProjectiveSubspace equality is numeric; not hashable")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Flag:
     """A full flag of R^n as an n x (n-1) frame with orthonormal columns.
 
     Level k is the span of the first k columns, so levels nest by construction.
-    Two flags are equal when every level is (`ProjectiveSubspace.__eq__`).
     """
 
     frame: np.ndarray
@@ -131,17 +93,12 @@ class Flag:
             raise ValueError(f"bad flag frame shape {frame.shape}")
         _require_orthonormal(frame, "flag frame")
         frame.setflags(write=False)
-        object.__setattr__(self, "_levels", {})
 
     def __getitem__(self, k: int) -> ProjectiveSubspace:
-        """Subspace of dimension k (the superscript index convention), built once per level."""
+        """Subspace of dimension k (the superscript index convention)."""
         if not 1 <= k < self.ambient_dim:
             raise KeyError(f"flag has no subspace of dimension {k}")
-        level = self._levels.get(k)
-        if level is None:
-            level = self._levels[k] = ProjectiveSubspace(self.ambient_dim,
-                                                         self.frame[:, :k].copy())
-        return level
+        return ProjectiveSubspace(self.ambient_dim, self.frame[:, :k].copy())
 
     @property
     def ambient_dim(self) -> int:
@@ -156,15 +113,6 @@ class Flag:
     def line(self) -> ProjectiveSubspace:
         """Level 2: a projective line, and at n=3 the hyperplane."""
         return self[2]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Flag):
-            return NotImplemented
-        return self.ambient_dim == other.ambient_dim and all(
-            self[k] == other[k] for k in range(1, self.ambient_dim))
-
-    def __hash__(self):
-        raise TypeError("Flag equality is numeric; not hashable")
 
     def to_dict(self) -> dict:
         n = self.ambient_dim
@@ -215,34 +163,11 @@ def annihilator(basis: np.ndarray) -> np.ndarray:
     return u[..., basis.shape[-1]:].copy()
 
 
-def meet(subspaces) -> ProjectiveSubspace:
-    """Intersection of subspaces, via the null space of stacked annihilators.
-
-    Raises EmptyIntersection if it is zero-dimensional and DegenerateMeet if
-    it exceeds the transverse dimension, n less the inputs' codimensions.
-    """
-    subspaces = list(subspaces)
-    n = subspaces[0].ambient_dim
-    if any(s.ambient_dim != n for s in subspaces):
-        raise ValueError("ambient dimensions disagree")
-    annihilators = np.hstack([s.covectors for s in subspaces])
-    u, sv, _ = np.linalg.svd(annihilators, full_matrices=True)
-    sv = np.concatenate([sv, np.zeros(n - sv.size)])
-    scale = sv[0] if sv[0] > 0 else 1.0
-    actual = int(np.sum(sv <= RANK_TOL * scale))
-    if actual == 0:
-        raise EmptyIntersection("numerical intersection is zero-dimensional")
-    expected = max(n - annihilators.shape[1], 0)
-    if actual > expected:
-        raise DegenerateMeet(f"meet has dimension {actual}, expected {expected}")
-    return ProjectiveSubspace(n, u[:, n - actual:].copy())
-
-
 def cross_meet(a, b) -> np.ndarray:
     """Join of two points or meet of two lines of RP^2, on stacked 3-vectors (..., 3).
 
     Both are the unit cross product a x b.  Raises DegenerateMeet where
-    |a x b| <= RANK_TOL |a| |b|, the rank rule of `meet`."""
+    |a x b| <= RANK_TOL |a| |b|."""
     c = np.cross(a, b)
     norm = np.linalg.norm(c, axis=-1, keepdims=True)
     scale = np.linalg.norm(a, axis=-1, keepdims=True) * np.linalg.norm(b, axis=-1, keepdims=True)

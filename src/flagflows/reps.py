@@ -48,20 +48,9 @@ def theta_of_vector(v) -> float:
     return (2.0 * phi) % (2.0 * math.pi)
 
 
-def mobius_theta(m: np.ndarray, theta: float) -> float:
-    """Action of a real 2x2 matrix on the circle parameter."""
-    return theta_of_vector(m @ boundary_vector(theta))
-
-
 def circular_gap(start: float, end: float) -> float:
     """Counterclockwise angular distance from start to end, in [0, 2pi)."""
     return (end - start) % (2.0 * math.pi)
-
-
-def positively_oriented(x: float, y: float, z: float) -> bool:
-    """Whether the triple is in strict counterclockwise circular order."""
-    gy, gz = circular_gap(x, y), circular_gap(x, z)
-    return 0.0 < gy < gz
 
 
 def axis_thetas(m: np.ndarray):

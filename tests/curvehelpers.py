@@ -1,12 +1,29 @@
-"""Shared test-only curve constructions."""
+"""Shared test-only curve constructions and oracles."""
 
 import math
 
 import numpy as np
 
+from flagflows.devmaps import leaf_context
 from flagflows.limitcurve import BoundaryCurve
-from flagflows.projective import Flag
+from flagflows.projective import Flag, ProjectiveSubspace, annihilator
 from flagflows.reps import sym_power
+
+
+def meet(subspaces) -> ProjectiveSubspace:
+    """Intersection of transverse subspaces: the null space of their stacked annihilators.
+
+    An SVD oracle for the cross-product kernel; it checks no rank.
+    """
+    subspaces = list(subspaces)
+    covectors = np.hstack([annihilator(s.basis) for s in subspaces])
+    return ProjectiveSubspace(subspaces[0].ambient_dim, annihilator(covectors))
+
+
+def realization(curve, alpha, p) -> ProjectiveSubspace:
+    """Root alpha's image of the leaf point p: its segment met with y^{n-1}."""
+    ctx = leaf_context(curve, alpha, p.x, p.z)
+    return ProjectiveSubspace.point(ctx.image(curve.hyperplane_covectors_at(p.y)))
 
 
 def collinear_degenerate_curve(reference, num_samples=64,

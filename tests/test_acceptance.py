@@ -12,12 +12,11 @@ import time
 import numpy as np
 import pytest
 
-from curvehelpers import collinear_degenerate_curve
+from curvehelpers import collinear_degenerate_curve, realization
 from flagflows.cli import main as cli_main
 from flagflows.devmaps import (
     LeafPoint,
     develop,
-    geodesic_realization,
     omega_membership,
     phi_tan_plus,
     type_classifier,
@@ -31,6 +30,7 @@ from flagflows.limitcurve import (
 )
 from flagflows.reps import (
     bulge_deform,
+    circular_gap,
     fuchsian_genus2,
     jordan_projection,
     root_length,
@@ -220,14 +220,14 @@ def test_criterion_8_simple_root_degeneracy_witness(exact_curve4):
     for _ in range(50):
         p1 = _random_triple(rng)
         z2 = p1.z + rng.uniform(0.2, 0.5)
-        if not LeafPoint(p1.x, p1.y, z2).is_positive:
-            continue
         p2 = LeafPoint(p1.x, p1.y, z2)
-        a = geodesic_realization(exact_curve4, 1, 2, p1)
-        b = geodesic_realization(exact_curve4, 1, 2, p2)
+        if not circular_gap(p2.x, p2.y) < circular_gap(p2.x, p2.z):
+            continue
+        a = realization(exact_curve4, (1, 2), p1)
+        b = realization(exact_curve4, (1, 2), p2)
         worst_12 = max(worst_12, a.principal_angle(b))
-        c = geodesic_realization(exact_curve4, 1, 3, p1)
-        d = geodesic_realization(exact_curve4, 1, 3, p2)
+        c = realization(exact_curve4, (1, 3), p1)
+        d = realization(exact_curve4, (1, 3), p2)
         min_13 = min(min_13, c.principal_angle(d))
     ok = worst_12 < 1e-10 and min_13 > 1e-3
     _report(8, "n=4 simple root ignores z, (1,3) does not",

@@ -96,8 +96,11 @@ def test_flow_at_n_4_on_an_ill_conditioned_word(tmp_path):
     ("e", "word image is not hyperbolic in the reference"),
     ("a", "unknown generator 'a'"),
 ], ids=["identity", "malformed"])
-def test_flow_refuses_a_word_without_a_closed_orbit(tmp_path, capsys, word, message):
-    """The identity parses and is refused as not hyperbolic; a malformed token is named."""
+def test_flow_refuses_a_word_without_a_closed_orbit(tmp_path, capsys, monkeypatch, word,
+                                                   message):
+    """The identity parses and is refused as not hyperbolic; a malformed token is named.
+    Both are refused before the curve is built."""
+    monkeypatch.setattr(cli, "build_curve", _no_curve)
     assert run(tmp_path, "flow", "--alpha", "1,2", "--word", word) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == {"type": "ValueError", "message": message, "subcommand": "flow"}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import sympy
 
+from curvehelpers import meet, realization
 from flagflows.config import DegenerateMeet, UnclassifiedLine
 from flagflows.devmaps import (
     MAP_TABLE,
@@ -12,7 +13,6 @@ from flagflows.devmaps import (
     concavity_check,
     develop,
     develop_frames,
-    geodesic_realization,
     involution,
     leaf_context,
     leaf_triples,
@@ -25,8 +25,8 @@ from flagflows.devmaps import (
     type_classifier,
 )
 from flagflows.limitcurve import second_boundary_intersection
-from flagflows.projective import Flag, ProjectiveSubspace, cross_meet, join, meet
-from flagflows.reps import mobius_theta
+from flagflows.projective import Flag, ProjectiveSubspace, annihilator, cross_meet, join
+from flagflows.reps import boundary_vector, circular_gap, theta_of_vector
 
 
 # -- rational conic oracle ---------------------------------------------------
@@ -77,7 +77,7 @@ def test_iota_line_on_the_rational_conic():
     pivot = meet([F_INF[2], F_ZERO[2]])
     assert pivot.principal_angle(ProjectiveSubspace.point([0.0, 1.0, 0.0])) < 1e-12
     line = join([F_ONE[1], pivot])
-    assert line.contains(ProjectiveSubspace.point([1.0, -1.0, 1.0]))
+    assert abs(annihilator(line.basis)[:, 0] @ [1.0, -1.0, 1.0]) < 1e-12
 
 
 def test_two_sheet_identity_on_the_rational_conic():
@@ -91,15 +91,16 @@ def test_two_sheet_identity_on_the_rational_conic():
     assert _angle(g_line, line) < 1e-12
 
 
-# -- the cross-product kernel against join and meet ---------------------------
+# -- the cross-product kernel against join and an SVD meet ---------------------
 
 
 def _join_meet_formula(curve, name, x, y, z):
     """The map `name` written out with join and meet of curve flags: (point, line)."""
-    fx, fy, fz = (curve.flag_at(t) for t in (x, y, z))
+    fx, fy, fz = (Flag(curve.frames_at(t)) for t in (x, y, z))
     chord, pivot = join([fx[1], fz[1]]), meet([fx[2], fz[2]])
     if name == "tan-":  # tan+ after the involution of y
-        fy = curve.flag_at(second_boundary_intersection(curve, join([fy[1], pivot]), y))
+        fy = Flag(curve.frames_at(
+            second_boundary_intersection(curve, join([fy[1], pivot]), y)))
         name = "tan+"
     if name == "tr":
         return meet([chord, fy[2]]), chord
@@ -127,11 +128,11 @@ def test_kernel_equals_the_join_meet_formulas(request, curve_name, name):
     for k, p in enumerate(LeafPoint(*t) for t in zip(x, y, z)):
         want_point, want_line = _join_meet_formula(curve, name, p.x, p.y, p.z)
         assert _angle(points[k], want_point.basis[:, 0]) < 1e-12
-        assert _angle(lines[k], want_line.covectors[:, 0]) < 1e-12
+        assert _angle(lines[k], annihilator(want_line.basis)[:, 0]) < 1e-12
         # the one-triple map is the same kernel output
         f = MAP_TABLE[name](curve, p)
         assert np.array_equal(f.point.basis[:, 0], points[k])
-        assert _angle(f.line.covectors[:, 0], lines[k]) < 1e-14
+        assert _angle(annihilator(f.line.basis)[:, 0], lines[k]) < 1e-14
 
 
 def test_kernel_refuses_coincident_lines():
@@ -190,7 +191,7 @@ def test_equivariance_of_developing_maps(exact_curve, reference):
     g2 = reference.matrix([1])
     g3 = exact_curve.rep.matrix([1])
     p = LeafPoint(0.4, 1.9, 4.0)
-    moved = LeafPoint(*(mobius_theta(g2, t) for t in (p.x, p.y, p.z)))
+    moved = LeafPoint(*(theta_of_vector(g2 @ boundary_vector(t)) for t in (p.x, p.y, p.z)))
     for fn in (phi_tr, phi_tan_plus):
         f = fn(exact_curve, p)
         h = fn(exact_curve, moved)
@@ -209,7 +210,9 @@ def test_iota_is_a_fixed_point_free_involution(exact_curve):
         x = rng.uniform(0, 2 * math.pi)
         p = LeafPoint(x, x + rng.uniform(0.5, 2.0), x + rng.uniform(3.0, 5.0))
         q = LeafPoint(p.x, float(involution(exact_curve, p.x, p.y, p.z)[0]), p.z)
-        assert q.is_positive != p.is_positive
+        # the involution reverses the circular order of the triple
+        assert (circular_gap(p.x, p.y) < circular_gap(p.x, p.z)) != \
+            (circular_gap(q.x, q.y) < circular_gap(q.x, q.z))
         assert min(abs(q.y - p.y), 2 * math.pi - abs(q.y - p.y)) > 1e-6
         back = LeafPoint(q.x, float(involution(exact_curve, q.x, q.y, q.z)[0]), q.z)
         assert min(abs(back.y - p.y), 2 * math.pi - abs(back.y - p.y)) < 1e-9
@@ -224,7 +227,7 @@ def test_phi_tan_minus_differs_from_plus(exact_curve):
 
 def test_psi3_point_is_the_pivot_independent_of_y(exact_curve):
     x, z = 0.7, 4.1
-    pivot = meet([exact_curve.flag_at(x)[2], exact_curve.flag_at(z)[2]])
+    pivot = meet([Flag(exact_curve.frames_at(x))[2], Flag(exact_curve.frames_at(z))[2]])
     for y in (1.5, 2.0, 3.0):
         f = psi_k(exact_curve, LeafPoint(x, y, z), 3)
         assert f.point.principal_angle(pivot) < 1e-10
@@ -248,9 +251,9 @@ def test_all_maps_produce_incident_flags(request):
 
 def test_realization_collapses_to_named_maps(exact_curve):
     p = LeafPoint(0.6, 1.8, 3.9)
-    r13 = geodesic_realization(exact_curve, 1, 3, p)
+    r13 = realization(exact_curve, (1, 3), p)
     assert r13.principal_angle(phi_tr(exact_curve, p).point) < 1e-11
-    r23 = geodesic_realization(exact_curve, 2, 3, p)
+    r23 = realization(exact_curve, (2, 3), p)
     assert r23.principal_angle(phi_tan_plus(exact_curve, p).point) < 1e-11
 
 
@@ -258,14 +261,13 @@ def test_realization_collapses_to_named_maps(exact_curve):
 def test_leaf_context_image_is_the_root_realization(request, curve_name):
     """The closed form (m.b) a - (m.a) b is the join of the endpoints met with y^{n-1}.
 
-    Checked on every root against `join` and `meet` of the flag levels,
-    and through `geodesic_realization`; the largest principal angle is
-    4.4e-16.
+    Checked on every root against `join` and an SVD `meet` of the flag
+    levels; the largest principal angle is 4.4e-16.
     """
     curve = request.getfixturevalue(curve_name)
     n = curve.n
     x, y, z = 0.6, 1.8, 3.9
-    fx, fy, fz = (curve.flag_at(t) for t in (x, y, z))
+    fx, fy, fz = (Flag(curve.frames_at(t)) for t in (x, y, z))
     m = curve.hyperplane_covectors_at([y])[0]
 
     def pivot(k):  # x^k ∩ z^{n-k+1}, read as x^1 at k = 1 and z^1 at k = n
@@ -277,8 +279,6 @@ def test_leaf_context_image_is_the_root_realization(request, curve_name):
             want = meet([join([pivot(i), pivot(j)]), fy[n - 1]])
             got = ProjectiveSubspace(n, ctx.image(m))
             assert got.principal_angle(want) <= 1e-12
-            assert geodesic_realization(curve, i, j, LeafPoint(x, y, z)).principal_angle(
-                want) <= 1e-12
             assert ProjectiveSubspace.point(ctx.forward).principal_angle(pivot(i)) <= 1e-12
             assert ProjectiveSubspace.point(ctx.backward).principal_angle(pivot(j)) <= 1e-12
 
@@ -295,15 +295,15 @@ def test_leaf_context_refuses_a_hyperplane_holding_the_segment(exact_curve4):
 
 def test_simple_root_realization_ignores_z_in_dim_four(exact_curve4):
     x, y = 0.6, 1.8
-    base = geodesic_realization(exact_curve4, 1, 2, LeafPoint(x, y, 3.9))
-    moved = geodesic_realization(exact_curve4, 1, 2, LeafPoint(x, y, 4.8))
+    base = realization(exact_curve4, (1, 2), LeafPoint(x, y, 3.9))
+    moved = realization(exact_curve4, (1, 2), LeafPoint(x, y, 4.8))
     assert base.principal_angle(moved) < 1e-10
     # closed form: x2 ∩ y3
-    fx, fy = exact_curve4.flag_at(x), exact_curve4.flag_at(y)
+    fx, fy = Flag(exact_curve4.frames_at(x)), Flag(exact_curve4.frames_at(y))
     assert base.principal_angle(meet([fx[2], fy[3]])) < 1e-10
     # the (1, 3) root does respond to z
-    b13 = geodesic_realization(exact_curve4, 1, 3, LeafPoint(x, y, 3.9))
-    m13 = geodesic_realization(exact_curve4, 1, 3, LeafPoint(x, y, 4.8))
+    b13 = realization(exact_curve4, (1, 3), LeafPoint(x, y, 3.9))
+    m13 = realization(exact_curve4, (1, 3), LeafPoint(x, y, 4.8))
     assert b13.principal_angle(m13) > 1e-3
 
 
@@ -314,7 +314,7 @@ def test_membership_of_an_interior_point(exact_curve):
     verts = exact_curve.chart_points()
     center = verts.mean(axis=0)
     point = np.linalg.solve(exact_curve.chart.frame, np.append(center, 1.0))
-    line = np.cross(point, exact_curve.flag_at(0.0).frame[:, 0])
+    line = np.cross(point, exact_curve.frames_at(0.0)[:, 0])
     assert omega_membership(exact_curve, point[None], line[None]).tolist() == ["1"]
 
 
@@ -377,8 +377,8 @@ def test_type_classifier_refuses_a_sample_at_a_special_point(exact_curve, specia
 def test_leaf_point_validation():
     with pytest.raises(ValueError):
         LeafPoint(1.0, 1.0, 2.0)
-    assert LeafPoint(0.1, 1.0, 2.0).is_positive
-    assert not LeafPoint(0.1, 2.0, 1.0).is_positive
+    p = LeafPoint(0.1, 2.0, 1.0)  # a clockwise triple keeps its order
+    assert (p.x, p.y, p.z) == (0.1, 2.0, 1.0)
 
 
 @pytest.mark.parametrize("x, y, z, name", [

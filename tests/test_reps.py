@@ -13,8 +13,6 @@ from flagflows.reps import (
     fuchsian_genus2,
     jordan_projection,
     loxodromic_eigensystem,
-    mobius_theta,
-    positively_oriented,
     root_length,
     sym_matrix,
     sym_power,
@@ -33,21 +31,24 @@ def test_boundary_vector_roundtrip():
 
 
 def test_circular_order_predicates():
-    assert positively_oriented(0.1, 1.0, 2.0)
-    assert not positively_oriented(0.1, 2.0, 1.0)
+    # (0.1, 1.0, 2.0) is counterclockwise and (0.1, 2.0, 1.0) is not
+    assert 0.0 < circular_gap(0.1, 1.0) < circular_gap(0.1, 2.0)
+    assert not circular_gap(0.1, 2.0) < circular_gap(0.1, 1.0)
     assert abs(circular_gap(6.0, 0.5) - (0.5 + 2 * math.pi - 6.0)) < 1e-12
 
 
 def test_mobius_action_matches_matrix_action():
+    """m moves the point s = -cot(theta/2) of theta to (a s + b) / (c s + d)."""
     rng = np.random.default_rng(0)
     for _ in range(10):
         m = rng.standard_normal((2, 2))
         m /= math.sqrt(abs(np.linalg.det(m)))
         theta = rng.uniform(0, 2 * math.pi)
-        moved = mobius_theta(m, theta)
-        v = m @ boundary_vector(theta)
-        assert abs(circular_gap(theta_of_vector(v), moved)) < 1e-9 \
-            or abs(circular_gap(moved, theta_of_vector(v))) < 1e-9
+        moved = theta_of_vector(m @ boundary_vector(theta))
+        s = -1.0 / math.tan(theta / 2.0)
+        (a, b), (c, d) = m
+        want = (a * s + b) / (c * s + d)
+        assert abs(-1.0 / math.tan(moved / 2.0) - want) < 1e-9 * max(1.0, abs(want))
 
 
 def test_fuchsian_genus2_is_a_representation(reference):

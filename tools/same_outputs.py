@@ -39,6 +39,7 @@ COMMAND_LINES = [
     '--bulge 0.3 flow --alpha 1,2 --word "a1 b1"',
     "flow --alpha 1,2 --word e",
     'flow --alpha 1,2 --word "a1 x"',
+    "--bulge 0.3 --word-ball 4 flow --alpha 1,2 --word a",
     "periods --max-len 3",
     "--n 4 periods --max-len 3",
     "--n 2 periods --max-len 3",
