@@ -132,7 +132,7 @@ def load_config(args) -> dict:
         raise ValueError(f"seed must be non-negative; got {cfg['seed']}")
     if cfg["word_ball"] < 1:
         raise ValueError(f"word_ball must be at least 1; got {cfg['word_ball']}")
-    if is_sampled(cfg) and cfg["word_ball"] < SAMPLED_WORD_BALL:
+    if cfg["bulge"] != 0.0 and cfg["word_ball"] < SAMPLED_WORD_BALL:
         raise ValueError(f"word_ball {cfg['word_ball']} holds fewer conjugacy classes than the "
                          f"MIN_SAMPLES = {MIN_SAMPLES} samples a sampled curve needs; "
                          f"use {SAMPLED_WORD_BALL} or more")
@@ -194,24 +194,16 @@ def write_csv(cfg: dict, name: str, header, rows) -> None:
 def build_rep(cfg: dict):
     """(rep, reference) from a config; reference is the Fuchsian SL2 rep."""
     reference = fuchsian_genus2()
-    n = cfg["n"]
-    if n == 2:
-        rep = reference
-    else:
-        rep = sym_power(reference, n)
+    rep = sym_power(reference, cfg["n"])
     if cfg["bulge"] != 0.0:
         rep = bulge_deform(rep, cfg["bulge"])
     return rep, reference
 
 
-def is_sampled(cfg: dict) -> bool:
-    """Whether `build_curve` samples the curve on the word ball, for want of a closed form."""
-    return cfg["bulge"] != 0.0 or cfg["n"] == 2
-
-
 def build_curve(cfg: dict):
+    """The closed-form Fuchsian curve, or a bulged curve sampled on the word ball."""
     rep, reference = build_rep(cfg)
-    if is_sampled(cfg):
+    if cfg["bulge"] != 0.0:
         return sample_boundary(rep, reference, cfg["word_ball"])
     return fuchsian_curve(reference, cfg["n"])
 
@@ -240,16 +232,6 @@ def _parse_alpha(text: str, n: int):
 # "passed" flag and the measured values it was judged on
 
 
-def frenet_check(curve):
-    """Hyperconvexity of the curve; returns (report, entry)."""
-    report = frenet_checks(curve)
-    return report, {
-        "passed": report.general_position_ok and report.osculation_ok,
-        "min_triple_singular_value": report.min_triple_singular_value,
-        "max_osculation_defect": report.max_osculation_defect,
-    }
-
-
 def periods_check(curve, words, roots):
     """Flow periods of `words` against their root lengths; returns (rows, entry).
 
@@ -271,23 +253,23 @@ def periods_check(curve, words, roots):
 
 
 def decay_check(curve, t_max: float, steps: int):
-    """Stable-leaf decay slope along the tangent flow; returns (samples, entry, beta_hat).
+    """Stable-leaf decay slope along the tangent flow; returns (samples, entry).
 
     The slope is -1 on a closed-form curve, at n=3 the Fuchsian one.  On
     a sampled (bulged) one it is bounded below by -1/(beta_hat - 1) less a
-    margin, from the estimated boundary regularity beta_hat (None on a
-    closed-form curve).
+    margin, from the estimated boundary regularity beta_hat, which the
+    entry holds.
     """
     # leaf nearly aligned with the stable-leaf base point keeps the
     # measured distance one-signed along the orbit
     slope, samples = decay_experiment(curve, LeafPoint(0.5, 0.7, 3.9), 3.5, t_max, steps)
     if curve.exact_eval is not None:
         return samples, {"passed": abs(slope - FUCHSIAN_DECAY_SLOPE) < DECAY_SLOPE_TOL,
-                         "slope": slope, "expected_slope": FUCHSIAN_DECAY_SLOPE}, None
+                         "slope": slope, "expected_slope": FUCHSIAN_DECAY_SLOPE}
     _, beta_hat = boundary_regularity_estimate(curve)
     bound = -1.0 / (beta_hat - 1.0) - DECAY_MARGIN
-    return samples, {"passed": slope >= bound, "slope": slope,
-                     "slope_lower_bound": bound}, beta_hat
+    return samples, {"passed": slope >= bound, "slope": slope, "slope_lower_bound": bound,
+                     "beta_hat": beta_hat}
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +309,8 @@ def cmd_sample_curve(cfg, args):
 
 
 def cmd_frenet_check(cfg, args):
-    report, check = frenet_check(build_curve(cfg))
-    emit_summary(cfg, "frenet_check", dict(
-        check, general_position_ok=report.general_position_ok,
-        osculation_ok=report.osculation_ok))
+    check = frenet_checks(build_curve(cfg))
+    emit_summary(cfg, "frenet_check", check)
     return 0 if check["passed"] else 1
 
 
@@ -405,12 +385,9 @@ def cmd_periods(cfg, args):
 
 def cmd_decay(cfg, args):
     _require_n3(cfg, "decay")
-    samples, check, beta_hat = decay_check(build_curve(cfg), float(args.t_max), int(args.steps))
+    samples, check = decay_check(build_curve(cfg), float(args.t_max), int(args.steps))
     write_csv(cfg, "decay.csv", ["t", "stable_leaf_distance"], samples)
-    summary = dict(check, t_max=float(args.t_max))
-    if beta_hat is not None:
-        summary["beta_hat"] = beta_hat
-    emit_summary(cfg, "decay", summary)
+    emit_summary(cfg, "decay", dict(check, t_max=float(args.t_max)))
     return 0 if check["passed"] else 1
 
 
@@ -443,11 +420,7 @@ def cmd_verify_all(cfg, args):
     seed = cfg["seed"]
     rng = np.random.default_rng(seed)
     curve = build_curve(cfg)
-    checks = {"frenet": frenet_check(curve)[1]}
-
-    convex, support = convex_domain_checks(curve)
-    checks["convex_domain"] = {"passed": convex and support, "is_convex": convex,
-                               "tangents_support": support}
+    checks = {"frenet": frenet_checks(curve), "convex_domain": convex_domain_checks(curve)}
 
     two_sheet = two_sheet_error(curve, seed)
     bound = curve_tolerance(curve)

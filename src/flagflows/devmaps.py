@@ -324,19 +324,11 @@ def two_sheet_error(curve: BoundaryCurve, seed: int) -> float:
     return float(max(_angle(points, swapped_points).max(), _angle(lines, swapped_lines).max()))
 
 
-@dataclass(frozen=True)
-class ConcavityReport:
-    min_outside_margin: float
-    min_tangent_margin: float
-    coverage_radius: float
-    interior_counterexample_distance: float
-    passed: bool
-
-
-def concavity_check(curve: BoundaryCurve, x: float, seed: int) -> ConcavityReport:
+def concavity_check(curve: BoundaryCurve, x: float, seed: int) -> dict:
     """The image of the leaves (x, y, z), for every pair y < z of CONCAVITY_SAMPLES
     parameters after x, avoids the hull and the tangent at x and approximately fills
-    their complement (checked on random chart probes drawn from `seed`)."""
+    their complement (checked on random chart probes drawn from `seed`); returns the
+    check entry of the two margins, the coverage radius and the interior distance."""
     rng = np.random.default_rng(seed)
     delta = _membership_margin(curve)
     verts = curve.chart_points()
@@ -355,14 +347,10 @@ def concavity_check(curve: BoundaryCurve, x: float, seed: int) -> ConcavityRepor
     tan_val = np.abs(probes @ tangent[:-1] + tangent[-1])
     coverage = np.max(dists[(side < -delta) & (tan_val > 0.1)], initial=0.0)
     interior_dist = np.min(dists[side > delta], initial=np.inf)
-    passed = bool(min(min_out, min_tan) > delta / 2 and interior_dist > delta)
-    return ConcavityReport(
-        min_outside_margin=float(min_out),
-        min_tangent_margin=float(min_tan),
-        coverage_radius=float(coverage),
-        interior_counterexample_distance=float(interior_dist),
-        passed=passed,
-    )
+    return {"passed": bool(min(min_out, min_tan) > delta / 2 and interior_dist > delta),
+            "min_outside_margin": float(min_out), "min_tangent_margin": float(min_tan),
+            "coverage_radius": float(coverage),
+            "interior_counterexample_distance": float(interior_dist)}
 
 
 def type_classifier(points, curve: BoundaryCurve, x: float, z: float) -> str:

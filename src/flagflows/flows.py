@@ -12,11 +12,11 @@ distance reads them on a line through x1, against that line's covector.
 On a fixed leaf the flow adds t to log|u|, u the segment coordinate, so
 an orbit is one stacked root solve on one leaf context, and `flow_step`
 is its one-target case.  The cocycle and the stable-leaf distances also
-take stacked leaf points.
+take stacked leaf points.  Closed-orbit periods come from
+`period_spectrum` alone, stacked over words and roots.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,9 +27,8 @@ from .limitcurve import ROOT_TOL, BoundaryCurve, bracketed_root, second_boundary
 from .projective import cross_meet
 from .reps import (_check_root, boundary_vector, circular_gap, loxodromic_eigensystem,
                    read_from_g, theta_of_vector)
-from .words import GroupWord
 
-Y_CHOICES = 2  # hyperplane samples whose periods must agree in flow_period
+Y_CHOICES = 2  # hyperplane samples whose periods must agree in period_spectrum
 # most entries any one array of period_spectrum holds: a block of words holds
 # this many word-product entries (n x n per word), a chunk of the hyperplane
 # scan this many (word x curve sample) entries
@@ -127,19 +126,13 @@ def flow_orbit(curve: BoundaryCurve, alpha, p: LeafPoint, t_max: float, steps: i
     return list(zip(times, ys, ctx.image(curve.hyperplane_covectors_at(ys))))
 
 
-def flow_period(curve: BoundaryCurve, alpha, gamma: GroupWord) -> float:
-    """Period of the closed orbit of gamma under the alpha refraction flow.
+def period_spectrum(curve: BoundaryCurve, words, roots) -> dict:
+    """Periods of the closed orbits of `words` under the refraction flows of `roots`.
 
-    Uses exact eigenflags of rep(gamma) at the leaf endpoints; the
-    distance from an image point to its gamma image along the leaf is
+    A period uses exact eigenflags of rep(gamma) at the leaf endpoints;
+    the distance from an image point to its gamma image along the leaf is
     independent of the choice of the third parameter, which is verified
     across `Y_CHOICES` samples.
-    """
-    return period_spectrum(curve, [gamma], [alpha])[gamma][tuple(alpha)]
-
-
-def period_spectrum(curve: BoundaryCurve, words, roots) -> dict:
-    """flow_period for many words and roots, in blocks of words.
 
     One memory rule: no array holds more than SPECTRUM_BLOCK_ENTRIES
     entries.  The word products, eigensystems and pseudo-inverses run once
@@ -175,13 +168,14 @@ def _word_periods(curve: BoundaryCurve, roots, words) -> list:
 
     The block runs as stacked array operations.  If any word fails a
     check, the block is halved until the first failing word runs alone,
-    so the error raised is that word's own.
+    so the error raised is that word's own, prefixed with `word <name>: `.
     """
     try:
         return _block_periods(curve, roots, words)
-    except (FlagFlowsError, ValueError):
+    except (FlagFlowsError, ValueError) as exc:
         if len(words) == 1:
-            raise
+            word = curve.rep.presentation.format_word(words[0])
+            raise type(exc)(f"word {word}: {exc}") from exc
         half = len(words) // 2
         return _word_periods(curve, roots, words[:half]) + _word_periods(curve, roots,
                                                                          words[half:])
@@ -345,15 +339,7 @@ def decay_experiment(curve: BoundaryCurve, p: LeafPoint, y0: float,
     return slope, list(zip(times, ds.tolist()))
 
 
-@dataclass(frozen=True)
-class RegularityProbeReport:
-    exponent_highest: float
-    exponent_23: float
-    residuals_highest: tuple
-    residuals_23: tuple
-
-
-def regularity_probe(curve: BoundaryCurve, x: float, z: float) -> RegularityProbeReport:
+def regularity_probe(curve: BoundaryCurve, x: float, z: float) -> dict:
     """Holder exponent of the tangent field along realized image curves (n >= 4).
 
     Sweeps the one-parameter family (x + s, y + s, z): both the leaf and
@@ -363,7 +349,8 @@ def regularity_probe(curve: BoundaryCurve, x: float, z: float) -> RegularityProb
     against (2, 3): tangent directions of the image curve are estimated
     by symmetric differences at dyadic parameter scales and the angle
     between nearby tangents is regressed against the separation in
-    log-log coordinates.
+    log-log coordinates.  Returns the fitted exponents and residuals as
+    exponent_highest, exponent_23, residuals_highest and residuals_23.
     """
     n = curve.n
     if n < 4:
@@ -397,4 +384,5 @@ def regularity_probe(curve: BoundaryCurve, x: float, z: float) -> RegularityProb
 
     e_h, r_h = tangent_exponent((1, n))
     e_23, r_23 = tangent_exponent((2, 3))
-    return RegularityProbeReport(e_h, e_23, r_h, r_23)
+    return {"exponent_highest": e_h, "exponent_23": e_23,
+            "residuals_highest": r_h, "residuals_23": r_23}

@@ -31,7 +31,7 @@ from .config import (
     NotLoxodromic,
     RootFindFailure,
 )
-from .projective import AffineChart, Flag, ProjectiveSubspace, annihilator, flag_frames
+from .projective import AffineChart, ProjectiveSubspace, annihilator, flag_frames
 from .reps import (
     SurfaceGroupRep,
     circular_gap,
@@ -183,11 +183,14 @@ class BoundaryCurve:
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:
+        """The reps and the samples, each flag listing its level k as the first k frame columns."""
+        n = self.n
         return {
             "rep": self.rep.to_dict(),
             "reference": self.reference.to_dict(),
             "samples": [
-                {"theta": float(t), "flag": Flag(f).to_dict()}
+                {"theta": float(t), "flag": {"subspaces": [
+                    {"ambient_dim": n, "basis": f[:, :k].tolist()} for k in range(1, n)]}}
                 for t, f in zip(self.thetas, self.frames)
             ],
         }
@@ -413,20 +416,13 @@ def bracketed_root(f, a, b, fa, fb, tol) -> np.ndarray:
     return roots
 
 
-@dataclass(frozen=True)
-class FrenetReport:
-    min_triple_singular_value: float
-    max_osculation_defect: float
-    general_position_ok: bool
-    osculation_ok: bool
-
-
-def frenet_checks(curve: BoundaryCurve) -> FrenetReport:
-    """Numerical diagnostics for the two hyperconvexity conditions.
+def frenet_checks(curve: BoundaryCurve) -> dict:
+    """The two hyperconvexity conditions, as the check entry that `frenet-check` prints.
 
     (a) general position: smallest singular value of stacked xi^1 vectors
     over well-separated sample n-tuples; (b) osculation: angle between the
     chord of adjacent samples and the tangent hyperplane, per unit gap.
+    The entry passes when both hold.
     """
     if len(curve) < 16:
         raise InsufficientSamples("need at least 16 samples for frenet checks")
@@ -456,20 +452,19 @@ def frenet_checks(curve: BoundaryCurve) -> FrenetReport:
     s = np.linalg.svd(np.swapaxes(tangents, 1, 2) @ q, compute_uv=False)
     max_defect = max([0.0] + [math.acos(min(1.0, float(c))) / float(g)
                               for c, g in zip(s[:, -1], chord_gaps[short])])
-    return FrenetReport(
-        min_triple_singular_value=float(min_sv),
-        max_osculation_defect=float(max_defect),
-        general_position_ok=bool(min_sv > GENERAL_POSITION_BOUND),
-        osculation_ok=bool(max_defect < OSCULATION_BOUND),
-    )
+    general = bool(min_sv > GENERAL_POSITION_BOUND)
+    osculating = bool(max_defect < OSCULATION_BOUND)
+    return {"passed": general and osculating, "general_position_ok": general,
+            "osculation_ok": osculating, "min_triple_singular_value": float(min_sv),
+            "max_osculation_defect": float(max_defect)}
 
 
-def convex_domain_checks(curve: BoundaryCurve):
-    """(is_convex, tangents_support) of the chart polygon of the xi^1 samples.
+def convex_domain_checks(curve: BoundaryCurve) -> dict:
+    """The check entry of the chart polygon of the xi^1 samples: is_convex, tangents_support.
 
     The polygon is convex when all its turns have one sign; the tangent
     line at each sample supports it when no two vertices lie more than
-    `SUPPORT_TOL` on opposite sides of it.
+    `SUPPORT_TOL` on opposite sides of it.  The entry passes when both hold.
     """
     v = curve.chart_points()
     e = np.roll(v, -1, axis=0) - v
@@ -478,7 +473,7 @@ def convex_domain_checks(curve: BoundaryCurve):
     tangents = curve.chart.line_to_chart(curve.hyperplane_covectors())
     support = all(vals.max() <= SUPPORT_TOL or vals.min() >= -SUPPORT_TOL
                   for vals in (v @ line[:2] + line[2] for line in tangents))
-    return is_convex, support
+    return {"passed": is_convex and support, "is_convex": is_convex, "tangents_support": support}
 
 
 def boundary_regularity_estimate(curve: BoundaryCurve):

@@ -114,11 +114,6 @@ class Flag:
         """Level 2: a projective line, and at n=3 the hyperplane."""
         return self[2]
 
-    def to_dict(self) -> dict:
-        n = self.ambient_dim
-        return {"subspaces": [{"ambient_dim": n, "basis": self.frame[:, :k].tolist()}
-                              for k in range(1, n)]}
-
     @classmethod
     def from_basis_columns(cls, columns: np.ndarray) -> "Flag":
         """Flag whose level k spans the first k of the n-1 given columns."""

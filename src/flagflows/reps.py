@@ -423,11 +423,13 @@ def sym_matrix(a: np.ndarray, m: int) -> np.ndarray:
 
 
 def sym_power(rep: SurfaceGroupRep, m: int) -> SurfaceGroupRep:
-    """Irreducible embedding of an SL2 representation into SL(m, R)."""
+    """Irreducible embedding of an SL2 representation into SL(m, R); `rep` itself at m = 2."""
     if rep.n != 2:
         raise ValueError("sym_power expects an SL2 representation")
     if m < 2:
         raise ValueError("m must be at least 2")
+    if m == 2:  # sym_matrix would divide by det^(1/2), moving the last bits
+        return rep
     images = {k: sym_matrix(v, m) for k, v in rep.images.items()}
     return SurfaceGroupRep(rep.presentation, m, images)
 

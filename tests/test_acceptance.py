@@ -21,7 +21,7 @@ from flagflows.devmaps import (
     phi_tan_plus,
     type_classifier,
 )
-from flagflows.flows import cocycle, decay_experiment, flow_period, period_spectrum, reference_flow
+from flagflows.flows import cocycle, decay_experiment, period_spectrum, reference_flow
 from flagflows.limitcurve import (
     boundary_regularity_estimate,
     frenet_checks,
@@ -102,7 +102,7 @@ def test_criterion_2_fuchsian_tangent_translation(exact_curve, reference):
         if len(w) == 0 or abs(np.trace(reference.matrix(w))) <= 2.0:
             continue
         sl2 = 2.0 * math.acosh(abs(np.trace(reference.matrix(w))) / 2.0)
-        got = flow_period(exact_curve, (2, 3), w)
+        got = period_spectrum(exact_curve, [w], [(2, 3)])[w][(2, 3)]
         worst = max(worst, abs(got - sl2))
         checked += 1
     ok = worst < 1e-8
@@ -204,13 +204,13 @@ def test_criterion_6_translation_cocycle(exact_curve):
 def test_criterion_7_frenet_suite_with_negative_control(exact_curve, reference):
     good = frenet_checks(exact_curve)
     degenerate = frenet_checks(collinear_degenerate_curve(reference))
-    ok = (good.general_position_ok and good.osculation_ok
-          and not degenerate.general_position_ok)
+    ok = (good["general_position_ok"] and good["osculation_ok"]
+          and not degenerate["general_position_ok"])
     _report(7, "Frenet suite + collinear negative control", ok,
-            f"conic sv {good.min_triple_singular_value:.2e}, "
-            f"degenerate sv {degenerate.min_triple_singular_value:.2e}")
-    assert good.general_position_ok and good.osculation_ok
-    assert not degenerate.general_position_ok
+            f"conic sv {good['min_triple_singular_value']:.2e}, "
+            f"degenerate sv {degenerate['min_triple_singular_value']:.2e}")
+    assert good["general_position_ok"] and good["osculation_ok"]
+    assert not degenerate["general_position_ok"]
 
 
 def test_criterion_8_simple_root_degeneracy_witness(exact_curve4):

@@ -243,11 +243,11 @@ def test_word_ball_below_one_is_refused_at_load_time(tmp_path, capsys, config, w
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("config", [("--bulge", "0.3"), ("--n", "2")], ids=["bulged", "n2"])
+@pytest.mark.parametrize("config", [("--bulge", "0.3")], ids=["bulged"])
 @pytest.mark.parametrize("command", [("periods", "--max-len", "3"), ("build-rep",)])
 def test_word_ball_too_small_to_sample_is_refused_at_load_time(tmp_path, capsys, config,
                                                                command):
-    """A sampled curve needs MIN_SAMPLES samples, and word_ball 2 holds 40 classes."""
+    """A sampled (bulged) curve needs MIN_SAMPLES samples, and word_ball 2 holds 40 classes."""
     assert run(tmp_path, *config, "--word-ball", "2", *command) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "ValueError"
@@ -281,6 +281,35 @@ def test_config_file_refuses_a_non_finite_bulge(tmp_path, capsys, value):
     err = json.loads(capsys.readouterr().err)
     assert "bulge must be finite" in err["error"]["message"]
     assert not (tmp_path / "out").exists()
+
+
+def test_n2_curve_is_the_closed_form_curve_of_the_reference(tmp_path):
+    """At n=2 the rep is the reference itself, and its curve the closed-form one."""
+    rep, reference = cli.build_rep(dict(cli.DEFAULT_CONFIG, n=2))
+    assert rep is reference
+    # a closed-form curve reads no word ball
+    assert run(tmp_path, "--n", "2", "--word-ball", "2", "sample-curve") == 0
+    summary = load_summary(tmp_path, "sample_curve")
+    assert (summary["num_samples"], summary["interp_error"]) == (1024, 1e-12)
+
+
+@pytest.mark.parametrize("config", [(), ("--bulge", "0.3", "--seed", "0")],
+                         ids=["fuchsian", "bulged"])
+def test_subcommands_print_their_verify_all_entry(tmp_path, config):
+    """frenet-check, decay and periods print the entry verify-all holds for their check."""
+    assert run(tmp_path, *config, "verify-all") in (0, 1)
+    checks = load_summary(tmp_path, "verify_all")["checks"]
+    assert run(tmp_path, *config, "frenet-check") in (0, 1)
+    assert load_summary(tmp_path, "frenet_check") == checks["frenet"]
+    assert run(tmp_path, *config, "decay") in (0, 1)
+    decay = load_summary(tmp_path, "decay")
+    assert decay.pop("t_max") == cli.DECAY_T_MAX
+    assert decay == checks["decay"]
+    assert ("beta_hat" in decay) == bool(config)
+    assert run(tmp_path, *config, "periods") in (0, 1)
+    periods = load_summary(tmp_path, "periods")
+    del periods["max_len"], periods["roots"]
+    assert periods == checks["periods"]
 
 
 def test_word_balls_large_enough_to_sample_are_accepted(tmp_path):

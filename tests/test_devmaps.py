@@ -349,8 +349,7 @@ def test_covering_checks_on_the_exact_curve(exact_curve):
 
 
 def test_concavity_of_the_leaf_family_image(exact_curve):
-    report = concavity_check(exact_curve, 0.5, seed=0)
-    assert report.passed
+    assert concavity_check(exact_curve, 0.5, seed=0)["passed"]
 
 
 def test_type_classifier_separates_the_three_maps(exact_curve):

@@ -14,7 +14,6 @@ from flagflows.devmaps import LeafPoint, develop
 from flagflows.flows import (
     cocycle,
     flow_orbit,
-    flow_period,
     flow_step,
     leaf_context,
     leafwise_distance,
@@ -29,6 +28,9 @@ from flagflows.reps import (SurfaceGroupRep, axis_thetas, bulge_deform, circular
                             jordan_projection, loxodromic_eigensystem, read_from_g, root_length,
                             sym_power)
 from flagflows.words import GroupWord, enumerate_conjugacy_classes
+
+
+ROOTS = [(1, 2), (1, 3), (2, 3)]
 
 
 def sl2_length(m):
@@ -127,9 +129,10 @@ def test_flow_orbit_equals_one_flow_step_per_time(request, curve_name):
 def test_flow_period_matches_sl2_lengths(exact_curve, reference):
     w = reference.presentation.parse_word("a1")
     t = sl2_length(reference.matrix(w))
-    assert abs(flow_period(exact_curve, (1, 2), w) - t) < 1e-9
-    assert abs(flow_period(exact_curve, (2, 3), w) - t) < 1e-9
-    assert abs(flow_period(exact_curve, (1, 3), w) - 2 * t) < 1e-9
+    periods = period_spectrum(exact_curve, [w], ROOTS)[w]
+    assert abs(periods[(1, 2)] - t) < 1e-9
+    assert abs(periods[(2, 3)] - t) < 1e-9
+    assert abs(periods[(1, 3)] - 2 * t) < 1e-9
 
 
 def test_flow_period_matches_eigenvalue_oracle(exact_curve):
@@ -138,16 +141,13 @@ def test_flow_period_matches_eigenvalue_oracle(exact_curve):
         w = pres.parse_word(text)
         jd = jordan_projection(exact_curve.rep.matrix(w),
                                exact_curve.rep.matrix(w.inverse()))
-        for root in ((1, 2), (1, 3), (2, 3)):
-            got = flow_period(exact_curve, root, w)
+        for root in ROOTS:
+            got = period_spectrum(exact_curve, [w], [root])[w][root]
             assert abs(got - root_length(jd, *root)) < 1e-8
 
 
-ROOTS = [(1, 2), (1, 3), (2, 3)]
-
-
 def test_period_spectrum_agrees_with_flow_period(exact_curve, bulged_curve, monkeypatch):
-    """The blocked spectrum and a block of one word give the same bits, across blocks.
+    """The blocked spectrum and a one-word, one-root call give the same bits, across blocks.
 
     With 1,024 entries the L<=3 ball (160 words) runs in blocks of 113
     words, scanned 2 words per chunk on the 512-sample exact curve; with
@@ -161,12 +161,12 @@ def test_period_spectrum_agrees_with_flow_period(exact_curve, bulged_curve, monk
             assert list(spec) == ball
             for w in ball:
                 for root in ROOTS:
-                    assert spec[w][root] == flow_period(curve, root, w)
+                    assert spec[w][root] == period_spectrum(curve, [w], [root])[w][root]
 
 
 def test_flow_period_rejects_the_identity(exact_curve):
-    with pytest.raises(NotLoxodromic):
-        flow_period(exact_curve, (1, 2), GroupWord(()))
+    with pytest.raises(NotLoxodromic, match="^word e: reference image is not hyperbolic$"):
+        period_spectrum(exact_curve, [GroupWord(())], [(1, 2)])
 
 
 @pytest.mark.parametrize("root", [(0, 2), (3, 1), (1, 4)], ids=["0,2", "3,1", "1,4"])
@@ -183,8 +183,7 @@ def test_one_rule_refuses_a_root_that_is_not_positive(exact_curve, tmp_path, cap
     word = exact_curve.rep.presentation.parse_word("a1")
     for call in (lambda: root_length((1.0, 0.0, -1.0), *root),
                  lambda: leaf_context(exact_curve, root, 0.5, 3.6),
-                 lambda: period_spectrum(exact_curve, [word], [root]),
-                 lambda: flow_period(exact_curve, root, word)):
+                 lambda: period_spectrum(exact_curve, [word], [root])):
         with pytest.raises(IndexOrder, match=f"^{re.escape(message)}$"):
             call()
     alpha = ",".join(map(str, root))
@@ -214,7 +213,8 @@ def test_period_spectrum_raises_the_first_failing_words_error(exact_curve, monke
         with pytest.raises(NotLoxodromic, match="reference image is not hyperbolic"):
             period_spectrum(exact_curve,
                             good[:5] + [GroupWord(())] + good[5:] + [spread_word], ROOTS)
-        with pytest.raises(RootFindFailure, match=r"^period varies with y by 1\.168e-06$"):
+        with pytest.raises(RootFindFailure,
+                           match=r"^word a1 a1 A2 a1 A2: period varies with y by 1\.168e-06$"):
             period_spectrum(exact_curve,
                             good[:5] + [spread_word] + good[5:] + [GroupWord(())], ROOTS)
 
@@ -242,10 +242,12 @@ def test_exact_curve_spectrum_at_length_five_stops_at_the_equidistant_word(refer
     """
     curve = fuchsian_curve(reference, 3)
     pres = curve.rep.presentation
-    with pytest.raises(RootFindFailure, match=r"^period varies with y by 1\.168e-06$"):
+    message = r"^word a1 a1 A2 a1 A2: period varies with y by 1\.168e-06$"
+    with pytest.raises(RootFindFailure, match=message):
         period_spectrum(curve, enumerate_conjugacy_classes(pres, 5), ROOTS)
-    with pytest.raises(RootFindFailure, match=r"^period varies with y by 1\.168e-06$"):
-        flow_period(curve, (1, 2), pres.parse_word("a1 a1 A2 a1 A2"))
+    word = pres.parse_word("a1 a1 A2 a1 A2")
+    with pytest.raises(RootFindFailure, match=message):
+        period_spectrum(curve, [word], [(1, 2)])
 
 
 def test_period_spectrum_memory_stays_bounded(reference):
@@ -332,7 +334,8 @@ def test_non_finite_periods_are_refused(exact_curve, monkeypatch):
 
     monkeypatch.setattr(flows, "_transverse_samples", poisoned)
     ball = enumerate_conjugacy_classes(exact_curve.rep.presentation, 2)
-    with pytest.raises(RootFindFailure, match="^period nan with y-spread nan is not finite$"):
+    with pytest.raises(RootFindFailure,
+                       match="^word a1: period nan with y-spread nan is not finite$"):
         period_spectrum(exact_curve, ball[:4], ROOTS)
 
 
@@ -481,6 +484,6 @@ def test_regularity_probe_in_dim_four(exact_curve4):
     # the closed-form curve is smooth, so both tangent fields are
     # Lipschitz and the comparison inequality holds with slack
     report = regularity_probe(exact_curve4, 0.5, 3.6)
-    assert 0.85 < report.exponent_highest < 1.15
-    assert report.exponent_highest >= report.exponent_23 - 0.1
-    assert len(report.residuals_highest) >= 3
+    assert 0.85 < report["exponent_highest"] < 1.15
+    assert report["exponent_highest"] >= report["exponent_23"] - 0.1
+    assert len(report["residuals_highest"]) >= 3

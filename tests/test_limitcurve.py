@@ -279,12 +279,13 @@ def test_stacked_frenet_checks_equal_the_per_tuple_loop(request, reference, name
     curve = (collinear_degenerate_curve(reference, 20) if name == "flattened"
              else request.getfixturevalue(name))
     report = frenet_checks(curve)
-    assert (report.min_triple_singular_value, report.max_osculation_defect) == \
+    assert (report["min_triple_singular_value"], report["max_osculation_defect"]) == \
         _frenet_by_loop(curve)
 
 
 def test_convex_domain_is_convex_with_supporting_tangents(exact_curve):
-    assert convex_domain_checks(exact_curve) == (True, True)
+    assert convex_domain_checks(exact_curve) == {"passed": True, "is_convex": True,
+                                                 "tangents_support": True}
 
 
 def test_convex_domain_check_fails_on_permuted_samples(exact_curve):
@@ -294,7 +295,8 @@ def test_convex_domain_check_fails_on_permuted_samples(exact_curve):
     order[[100, 101]] = order[[101, 100]]
     scrambled = BoundaryCurve(exact_curve.thetas, exact_curve.frames[order],
                               exact_curve.rep, exact_curve.reference)
-    assert convex_domain_checks(scrambled) == (False, True)
+    assert convex_domain_checks(scrambled) == {"passed": False, "is_convex": False,
+                                               "tangents_support": True}
 
 
 def test_convex_domain_check_fails_on_a_tangent_off_the_curve(exact_curve):
@@ -304,7 +306,8 @@ def test_convex_domain_check_fails_on_a_tangent_off_the_curve(exact_curve):
     frames[100, :, 1] = math.cos(0.3) * tangent + math.sin(0.3) * np.cross(point, tangent)
     assert np.allclose(frames[100].T @ frames[100], np.eye(2))
     turned = BoundaryCurve(exact_curve.thetas, frames, exact_curve.rep, exact_curve.reference)
-    assert convex_domain_checks(turned) == (True, False)
+    assert convex_domain_checks(turned) == {"passed": False, "is_convex": True,
+                                            "tangents_support": False}
 
 
 def _loop_interp_error(curve):

@@ -41,6 +41,8 @@ COMMAND_LINES = [
     'flow --alpha 1,2 --word "a1 x"',
     "--bulge 0.3 --word-ball 4 flow --alpha 1,2 --word a",
     "periods --max-len 3",
+    "periods --max-len 5",
+    "--n 4 periods",
     "--n 4 periods --max-len 3",
     "--n 2 periods --max-len 3",
     "--bulge 0.3 periods",
@@ -56,6 +58,8 @@ COMMAND_LINES = [
     "render --figure dev-tan+",
     "render --figure boundary",
     "frenet-check",
+    "--n 2 frenet-check",
+    "--bulge 0.3 frenet-check",
 ]
 
 
