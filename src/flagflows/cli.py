@@ -36,10 +36,10 @@ from .devmaps import (
     type_classifier,
 )
 from .flows import (
+    _spectrum_blocks,
     cocycle,
     decay_experiment,
     flow_orbit,
-    period_spectrum,
     reference_flow,
 )
 from .limitcurve import (
@@ -233,23 +233,21 @@ def _parse_alpha(text: str, n: int):
 
 
 def periods_check(curve, words, roots):
-    """Flow periods of `words` against their root lengths; returns (rows, entry).
+    """Flow periods of `words` against their root lengths; returns (table, entry).
 
-    The one period judge of `flow`, `periods` and `verify-all`.  A row is
-    [word, i, j, flow period, root length, |period - length| / |length|].
+    The one period judge of `flow`, `periods` and `verify-all`; the root
+    lengths come from the word products of `_spectrum_blocks`.  `table`
+    holds three (words x roots) arrays: flow periods, root lengths and
+    |period - length| / |length|.
     """
-    spectrum = period_spectrum(curve, words, roots)
-    lengths = jordan_projection(curve.rep.matrices(words),
-                                curve.rep.matrices([w.inverse() for w in words]))
-    periods = np.array([[row[(i, j)] for (i, j) in roots] for row in map(spectrum.get, words)])
+    _, g, g_inv, periods = zip(*_spectrum_blocks(curve, words, roots))
+    periods = np.concatenate(periods)
+    lengths = jordan_projection(np.concatenate(g), np.concatenate(g_inv))
     wants = np.stack([root_length(lengths, i, j) for (i, j) in roots], axis=1)
     rel = np.abs(periods - wants) / np.maximum(np.abs(wants), 1e-30)
-    rows = [[w, i, j, period, want, r]
-            for w, *values in zip(words, periods.tolist(), wants.tolist(), rel.tolist())
-            for (i, j), period, want, r in zip(roots, *values)]
     worst = float(np.max(rel, initial=0.0))  # NaN if any error is NaN
-    return rows, {"passed": worst < PERIOD_BOUND, "num_words": len(words),
-                  "worst_rel_error": worst}
+    return (periods, wants, rel), {"passed": worst < PERIOD_BOUND, "num_words": len(words),
+                                   "worst_rel_error": worst}
 
 
 def decay_check(curve, t_max: float, steps: int):
@@ -355,8 +353,8 @@ def cmd_flow(cfg, args):
     write_csv(cfg, "flow_orbit.csv",
               ["t", "y"] + [f"p{k}" for k in range(curve.n)],
               [[t, y, *image] for t, y, image in orbit])
-    rows, _ = periods_check(curve, [word], [alpha])
-    period, want, rel = rows[0][3:]
+    table, _ = periods_check(curve, [word], [alpha])
+    period, want, rel = (a.item() for a in table)
     emit_summary(cfg, "flow", {
         "alpha": list(alpha),
         "word": args.word,
@@ -373,11 +371,12 @@ def cmd_periods(cfg, args):
     roots = [_parse_alpha(args.alpha, cfg["n"])] if args.alpha else _positive_roots(cfg["n"])
     curve = build_curve(cfg)
     words = enumerate_conjugacy_classes(curve.rep.presentation, int(args.max_len))
-    rows, check = periods_check(curve, words, roots)
+    table, check = periods_check(curve, words, roots)
     fmt = curve.rep.presentation.format_word
     write_csv(cfg, "periods.csv",
               ["word", "i", "j", "flow_period", "root_length", "rel_error"],
-              [[fmt(row[0])] + row[1:] for row in rows])
+              [[fmt(w), i, j, *row] for w, *values in zip(words, *(a.tolist() for a in table))
+               for (i, j), *row in zip(roots, *values)])
     emit_summary(cfg, "periods", dict(check, max_len=int(args.max_len),
                                       roots=[list(r) for r in roots]))
     return 0 if check["passed"] else 1

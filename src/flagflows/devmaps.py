@@ -40,37 +40,42 @@ def curve_tolerance(curve: BoundaryCurve) -> float:
 
 @dataclass(frozen=True)
 class LeafPoint:
-    """An ordered triple of distinct boundary parameters (x, y, z)."""
+    """An ordered triple of distinct boundary parameters (x, y, z), each a float."""
 
     x: float
     y: float
     z: float
 
     def __post_init__(self):
-        for name, v in zip("xyz", leaf_triples(self.x, self.y, self.z)[:, 0].tolist()):
-            object.__setattr__(self, name, v)
+        for name in "xyz":
+            v = float(getattr(self, name))
+            if not math.isfinite(v):
+                raise ValueError(f"leaf point parameter {name} must be finite; got {v}")
+            object.__setattr__(self, name, v % (2 * math.pi))
+        x, y, z = self.x, self.y, self.z
+        if _coincide(y - x) or _coincide(z - y) or _coincide(x - z):
+            raise ValueError("leaf point parameters must be distinct")
+
+
+def _coincide(gap):
+    """Whether parameters `gap` apart coincide mod 2pi, on floats or arrays of gaps."""
+    return (gap % (2 * math.pi) < 1e-12) | (-gap % (2 * math.pi) < 1e-12)
 
 
 def leaf_triples(x, y, z):
     """Three (m,) arrays of the triples that x, y, z (scalars or 1-d arrays) broadcast to,
     each checked and reduced mod 2pi; a `LeafPoint` holds one such triple.
 
-    The checks run on the whole stack.  The first failing triple raises:
-    for a non-finite parameter first, then for two coinciding mod 2pi.
+    The checks run on the whole stack, by the rule of `LeafPoint`, and the
+    first failing triple raises its error: for a non-finite parameter
+    first, then for two coinciding mod 2pi.
     """
     triples = np.array(np.broadcast_arrays(*np.atleast_1d(x, y, z)), dtype=float).reshape(3, -1)
     finite = np.isfinite(triples)
     vals = np.where(finite, triples, 0.0) % (2 * math.pi)
-    gaps = vals[[1, 2, 0]] - vals  # the pairs (x, y), (y, z), (z, x)
-    close = np.minimum(gaps % (2 * math.pi), -gaps % (2 * math.pi)) < 1e-12
-    bad = ~finite.all(axis=0) | close.any(axis=0)
+    bad = ~finite.all(axis=0) | _coincide(vals[[1, 2, 0]] - vals).any(axis=0)
     if bad.any():
-        k = np.argmax(bad)
-        if not finite[:, k].all():
-            i = np.argmin(finite[:, k])
-            raise ValueError(f"leaf point parameter {'xyz'[i]} must be finite; "
-                             f"got {triples[i, k].item()}")
-        raise ValueError("leaf point parameters must be distinct")
+        LeafPoint(*triples[:, np.argmax(bad)].tolist())  # raises that triple's error
     return vals
 
 

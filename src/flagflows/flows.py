@@ -12,8 +12,9 @@ distance reads them on a line through x1, against that line's covector.
 On a fixed leaf the flow adds t to log|u|, u the segment coordinate, so
 an orbit is one stacked root solve on one leaf context, and `flow_step`
 is its one-target case.  The cocycle and the stable-leaf distances also
-take stacked leaf points.  Closed-orbit periods come from
-`period_spectrum` alone, stacked over words and roots.
+take stacked leaf points.  Closed-orbit periods come from one stacked
+pass over blocks of words (`_spectrum_blocks`), which `period_spectrum`
+and `cli.periods_check` read; the latter adds the words' root lengths.
 """
 
 import math
@@ -132,53 +133,65 @@ def period_spectrum(curve: BoundaryCurve, words, roots) -> dict:
     A period uses exact eigenflags of rep(gamma) at the leaf endpoints;
     the distance from an image point to its gamma image along the leaf is
     independent of the choice of the third parameter, which is verified
-    across `Y_CHOICES` samples.
+    across `Y_CHOICES` samples.  Returns {word: {root: period}} preserving
+    the input word order, from the blocks of `_spectrum_blocks`.
+    """
+    roots = [tuple(r) for r in roots]
+    out = {}
+    for block, g, g_inv, periods in _spectrum_blocks(curve, words, roots):
+        out.update((w, dict(zip(roots, values))) for w, values in zip(block, periods))
+        del g, g_inv, periods  # the next block runs without this block's arrays and lists
+    return out
+
+
+def _spectrum_blocks(curve: BoundaryCurve, words, roots):
+    """Yield (words, g, g_inv, periods) per block of the word list, in order: the
+    products of the words and of their inverses (built once, here), and per
+    word one period per root.  Every root is checked before any product runs.
 
     One memory rule: no array holds more than SPECTRUM_BLOCK_ENTRIES
-    entries.  The word products, eigensystems and pseudo-inverses run once
-    per block of SPECTRUM_BLOCK_ENTRIES // n^2 words; only the scan of the
-    block's eigenvectors against every hyperplane sample, (word x curve
-    sample) entries, runs in chunks of SPECTRUM_BLOCK_ENTRIES // len(curve)
-    words.  Returns {word: {root: period}} preserving the input word order.
-    Every root is checked to be positive before any word product runs.
+    entries.  A block has SPECTRUM_BLOCK_ENTRIES // n^2 words; only the
+    scan of its eigenvectors against every hyperplane sample, (word x
+    curve sample) entries, runs in chunks of SPECTRUM_BLOCK_ENTRIES //
+    len(curve) words.
     """
     words, roots = list(words), [tuple(r) for r in roots]
     for i, j in roots:
         _check_root(i, j, curve.n)
     size = max(1, SPECTRUM_BLOCK_ENTRIES // curve.n**2)
-    out = {}
     for start in range(0, len(words), size):
         block = words[start:start + size]
-        for w, periods in zip(block, _word_periods(curve, roots, block)):
-            out[w] = dict(zip(roots, periods))
-    return out
+        g = curve.rep.matrices(block)
+        g_inv = curve.rep.matrices([w.inverse() for w in block])
+        yield block, g, g_inv, _word_periods(curve, roots, block, g, g_inv)
 
 
-def _word_periods(curve: BoundaryCurve, roots, words) -> list:
-    """Periods of every root for a block of words: one list of periods per word.
+def _word_periods(curve: BoundaryCurve, roots, words, g, g_inv) -> list:
+    """Periods of every root for a block of words and their products g and g_inv.
 
-    The leaf endpoints x^i ∩ z^{n-i+1} are exactly the eigenvectors of
-    rep(gamma), read against each hyperplane as in `LeafMetricContext`.  The
-    period is the log-stretch of the image point's segment coordinate
-    under gamma, split into its forward and backward coordinate factors;
-    each factor is evaluated by applying gamma or the independently
-    assembled gamma^{-1} product, as `read_from_g` decides (applying a
-    word product amplifies roundoff in subdominant coordinates by the
-    spectral spread, which overwhelms float64 for long words otherwise).
+    One list of periods per word.  The leaf endpoints x^i ∩ z^{n-i+1} are
+    exactly the eigenvectors of rep(gamma), read against each hyperplane
+    as in `LeafMetricContext`.  The period is the log-stretch of the image
+    point's segment coordinate under gamma, split into its forward and
+    backward coordinate factors; each factor is evaluated by applying
+    gamma or the independently assembled gamma^{-1} product, as
+    `read_from_g` decides (applying a word product amplifies roundoff in
+    subdominant coordinates by the spectral spread, which overwhelms
+    float64 for long words otherwise).
 
     The block runs as stacked array operations.  If any word fails a
     check, the block is halved until the first failing word runs alone,
     so the error raised is that word's own, prefixed with `word <name>: `.
     """
     try:
-        return _block_periods(curve, roots, words)
+        return _block_periods(curve, roots, words, g, g_inv)
     except (FlagFlowsError, ValueError) as exc:
         if len(words) == 1:
             word = curve.rep.presentation.format_word(words[0])
             raise type(exc)(f"word {word}: {exc}") from exc
         half = len(words) // 2
-        return _word_periods(curve, roots, words[:half]) + _word_periods(curve, roots,
-                                                                         words[half:])
+        return (_word_periods(curve, roots, words[:half], g[:half], g_inv[:half])
+                + _word_periods(curve, roots, words[half:], g[half:], g_inv[half:]))
 
 
 def _transverse_samples(curve: BoundaryCurve, eigvecs: np.ndarray, roots) -> dict:
@@ -221,12 +234,10 @@ def _transverse_samples(curve: BoundaryCurve, eigvecs: np.ndarray, roots) -> dic
             for root, parts in picks.items()}
 
 
-def _block_periods(curve: BoundaryCurve, roots, words) -> list:
+def _block_periods(curve: BoundaryCurve, roots, words, g, g_inv) -> list:
     g_ref = curve.reference.matrices(words)
     if np.any(np.abs(g_ref[:, 0, 0] + g_ref[:, 1, 1]) <= 2.0):
         raise NotLoxodromic("reference image is not hyperbolic")
-    g = curve.rep.matrices(words)
-    g_inv = curve.rep.matrices([w.inverse() for w in words])
     vals_g, vecs_g = loxodromic_eigensystem(g)
     _, vecs_i = loxodromic_eigensystem(g_inv)
     lm = np.log(np.abs(vals_g))

@@ -47,6 +47,7 @@ FRENET_MIN_GAP = 0.1            # least circular gap inside a general-position n
 GENERAL_POSITION_BOUND = 1e-4   # least singular value of n well-separated xi^1 vectors
 OSCULATION_BOUND = 10.0         # largest chord-to-tangent angle per unit gap
 SUPPORT_TOL = 1e-8              # chart residual allowed on the wrong side of a tangent
+SUPPORT_BLOCK_ENTRIES = 16_384  # most (tangent x vertex) entries of one support test array
 MIN_SAMPLES = 64                # fewest distinct samples sample_boundary accepts
 FUCHSIAN_SAMPLES = 1024         # evenly spaced samples of a closed-form Fuchsian curve
 REGULARITY_BASE_POINTS = 64     # base points of the fits in boundary_regularity_estimate
@@ -237,25 +238,22 @@ def sample_boundary(rep: SurfaceGroupRep, reference: SurfaceGroupRep,
                          rep, reference)
 
 
-def _rotation_to(theta: float) -> np.ndarray:
-    """SL2 rotation carrying the RP^1 point (1, 0) to boundary_vector(theta)."""
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[-c, -s], [s, -c]])
-
-
 def fuchsian_curve(reference: SurfaceGroupRep, n: int) -> BoundaryCurve:
     """Closed-form limit curve of the Fuchsian representation sym_power(reference, n).
 
-    The flag at theta is the symmetric power of a rotation applied to the
-    coordinate flag (the osculating flag of the moment curve), which is
-    exact at every parameter.  The curve carries this evaluator, stacked
-    over parameters, and its samples are the evaluator's frames at
-    FUCHSIAN_SAMPLES evenly spaced parameters.
+    The flag at theta is the symmetric power of the rotation carrying
+    (1, 0) to boundary_vector(theta), applied to the coordinate flag (the
+    osculating flag of the moment curve), which is exact at every
+    parameter.  The curve carries this evaluator, stacked over parameters
+    (one array of rotations, from `math.cos` and `math.sin`), and its
+    samples are the evaluator's frames at FUCHSIAN_SAMPLES even parameters.
     """
     rep = sym_power(reference, n)
 
     def exact_eval(thetas) -> np.ndarray:
-        m = sym_matrix(np.reshape([_rotation_to(t) for t in thetas], (-1, 2, 2)), n)
+        halves = (np.asarray(thetas, dtype=float) / 2.0).tolist()
+        c, s = np.array([(math.cos(h), math.sin(h)) for h in halves]).reshape(-1, 2).T
+        m = sym_matrix(np.stack([-c, -s, s, -c], axis=-1).reshape(-1, 2, 2), n)
         return flag_frames(m[..., : n - 1])
 
     thetas = (np.arange(FUCHSIAN_SAMPLES) + 0.5) * 2 * math.pi / FUCHSIAN_SAMPLES
@@ -464,15 +462,18 @@ def convex_domain_checks(curve: BoundaryCurve) -> dict:
 
     The polygon is convex when all its turns have one sign; the tangent
     line at each sample supports it when no two vertices lie more than
-    `SUPPORT_TOL` on opposite sides of it.  The entry passes when both hold.
+    `SUPPORT_TOL` on opposite sides of it, tested on (tangent x vertex)
+    arrays of SUPPORT_BLOCK_ENTRIES entries at most.  The entry passes when both hold.
     """
     v = curve.chart_points()
     e = np.roll(v, -1, axis=0) - v
     cross = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
     is_convex = bool(np.all(cross > 0) or np.all(cross < 0))
     tangents = curve.chart.line_to_chart(curve.hyperplane_covectors())
-    support = all(vals.max() <= SUPPORT_TOL or vals.min() >= -SUPPORT_TOL
-                  for vals in (v @ line[:2] + line[2] for line in tangents))
+    size = max(1, SUPPORT_BLOCK_ENTRIES // len(v))
+    sides = (t[:, :2] @ v.T + t[:, 2:] for t in np.split(tangents, range(size, len(v), size)))
+    support = all(np.all((s.max(axis=1) <= SUPPORT_TOL) | (s.min(axis=1) >= -SUPPORT_TOL))
+                  for s in sides)
     return {"passed": is_convex and support, "is_convex": is_convex, "tangents_support": support}
 
 

@@ -162,11 +162,14 @@ def cross_meet(a, b) -> np.ndarray:
     """Join of two points or meet of two lines of RP^2, on stacked 3-vectors (..., 3).
 
     Both are the unit cross product a x b.  Raises DegenerateMeet where
-    |a x b| <= RANK_TOL |a| |b|."""
-    c = np.cross(a, b)
-    norm = np.linalg.norm(c, axis=-1, keepdims=True)
-    scale = np.linalg.norm(a, axis=-1, keepdims=True) * np.linalg.norm(b, axis=-1, keepdims=True)
-    if np.any(norm <= RANK_TOL * scale):
+    |a x b| <= RANK_TOL |a| |b|.  Each product, difference and sum is one
+    of `np.cross` or `np.linalg.norm`, so the floats are theirs."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    a0, a1, a2, b0, b1, b2 = (v[..., k] for v in (a, b) for k in range(3))
+    c = np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+    norm, scale_a, scale_b = (np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
+                              for v in (c, a, b))
+    if np.any(norm <= RANK_TOL * (scale_a * scale_b)):
         raise DegenerateMeet(f"coincident points or lines: |a x b| <= {RANK_TOL:g} |a| |b|")
     return c / norm
 

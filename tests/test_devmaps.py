@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -403,6 +405,34 @@ def test_leaf_triples_reduce_as_leaf_point_does():
     want = np.array([[-0.5 % (2 * math.pi)] * 20, [t % (2 * math.pi) for t in y.tolist()],
                      [7.0 % (2 * math.pi)] * 20])
     assert np.array_equal(leaf_triples(-0.5, y, 7.0), want)
+
+
+def test_leaf_point_gives_the_floats_and_errors_of_leaf_triples():
+    """`LeafPoint`, on Python floats, and the stacked `leaf_triples` apply one rule: the same
+    reduced floats, or the same error, on random triples with |theta| up to 1e6, on
+    non-finite ones and on ones whose parameters coincide mod 2pi (exactly, within 1e-12
+    or just outside it)."""
+    rng = np.random.default_rng(8)
+    triples = [tuple(t) for t in rng.uniform(-1e6, 1e6, (300, 3)).tolist()]
+    triples += [tuple(t) for t in rng.uniform(-7.0, 7.0, (300, 3)).tolist()]
+    for bad in (math.nan, math.inf, -math.inf):
+        triples += [(bad, 1.0, 2.0), (0.5, bad, 2.0), (0.5, 1.0, bad), (bad, bad, 2.0)]
+    gaps = (0.0, 2 * math.pi, 5e-13, -5e-13, 9e-13, 1.1e-12, 1.3e-12, -1.3e-12, 2e-12, 1e-9)
+    for x, gap in itertools.product((0.5, 3.0, 6.0, -4.0, 1e5), gaps):
+        triples += [(x, x + gap, x + 2.0), (x + 2.0, x, x + gap), (x, x + 2.0, x + gap)]
+    outcomes = set()
+    for t in triples:
+        try:
+            want = leaf_triples(*t)[:, 0].tolist()
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                LeafPoint(*t)
+            outcomes.add(str(exc).split(";")[0].split(" must")[0])
+        else:
+            p = LeafPoint(*t)
+            assert [p.x, p.y, p.z] == want and all(type(v) is float for v in (p.x, p.y, p.z))
+            outcomes.add("ok")
+    assert len(outcomes) == 5, outcomes  # valid, each of three parameters non-finite, distinct
 
 
 @pytest.mark.parametrize("y, message", [

@@ -224,8 +224,8 @@ def test_period_spectrum_finds_a_failing_word_by_halving(exact_curve, monkeypatc
     calls = []
     block_periods = flows._block_periods
     monkeypatch.setattr(flows, "_block_periods",
-                        lambda curve, roots, words: calls.append(len(words))
-                        or block_periods(curve, roots, words))
+                        lambda curve, roots, words, *products: calls.append(len(words))
+                        or block_periods(curve, roots, words, *products))
     ball = enumerate_conjugacy_classes(exact_curve.rep.presentation, 3)
     with pytest.raises(NotLoxodromic, match="reference image is not hyperbolic"):
         period_spectrum(exact_curve, ball[:100] + [GroupWord(())] + ball[100:], ROOTS)
@@ -341,18 +341,49 @@ def test_non_finite_periods_are_refused(exact_curve, monkeypatch):
 
 def test_periods_check_fails_on_a_nan_period(exact_curve, monkeypatch):
     """The worst relative error propagates NaN, so a NaN period fails the check."""
-    spectrum = period_spectrum
+    blocks = flows._spectrum_blocks
 
     def with_nan(curve, words, roots):
-        out = spectrum(curve, words, roots)
-        out[words[3]][(2, 3)] = math.nan
-        return out
+        for block, g, g_inv, periods in blocks(curve, words, roots):
+            periods[3][2] = math.nan  # word 3, root (2, 3)
+            yield block, g, g_inv, periods
 
-    monkeypatch.setattr(cli, "period_spectrum", with_nan)
+    monkeypatch.setattr(cli, "_spectrum_blocks", with_nan)
     ball = enumerate_conjugacy_classes(exact_curve.rep.presentation, 2)
-    rows, entry = cli.periods_check(exact_curve, ball, ROOTS)
+    table, entry = cli.periods_check(exact_curve, ball, ROOTS)
     assert math.isnan(entry["worst_rel_error"]) and entry["passed"] is False
-    assert math.isnan(rows[3 * 3 + 2][3])
+    assert math.isnan(table[0][3, 2]) and math.isnan(table[2][3, 2])
+
+
+def test_periods_check_equals_a_separate_spectrum_and_jordan_projection(
+        reference, exact_curve, bulged_curve03, monkeypatch):
+    """Entry and table are the floats of period_spectrum and a stacked jordan_projection.
+
+    On the L<=4 ball (780 words) of the three north-star curves: the
+    default Fuchsian one, and the bulged one sampled on word balls 3 and
+    4; once more in blocks of 11 words, so that the products of many
+    blocks are joined.
+    """
+    curves = [exact_curve, bulged_curve03,
+              sample_boundary(bulge_deform(sym_power(reference, 3), 0.3), reference, 4)]
+    ball = enumerate_conjugacy_classes(reference.presentation, 4)
+    assert len(ball) == 780
+    for entries in (flows.SPECTRUM_BLOCK_ENTRIES, 100):
+        monkeypatch.setattr(flows, "SPECTRUM_BLOCK_ENTRIES", entries)
+        for curve in curves:
+            spectrum = period_spectrum(curve, ball, ROOTS)
+            lengths = jordan_projection(curve.rep.matrices(ball),
+                                        curve.rep.matrices([w.inverse() for w in ball]))
+            periods = [[spectrum[w][root] for root in ROOTS] for w in ball]
+            wants = [[root_length(lengths, *root)[k].item() for root in ROOTS]
+                     for k in range(len(ball))]
+            rel = [[abs(p - want) / max(abs(want), 1e-30) for p, want in zip(*row)]
+                   for row in zip(periods, wants)]
+            worst = max(max(row) for row in rel)
+            table, entry = cli.periods_check(curve, ball, ROOTS)
+            assert [a.tolist() for a in table] == [periods, wants, rel]
+            assert entry == {"passed": worst < cli.PERIOD_BOUND, "num_words": 780,
+                             "worst_rel_error": worst}
 
 
 @pytest.fixture(scope="module")

@@ -24,8 +24,9 @@ from flagflows.limitcurve import (
     sample_boundary,
     second_boundary_intersection,
 )
-from flagflows.projective import Flag, ProjectiveSubspace, annihilator, cross_meet, join
-from flagflows.reps import SurfaceGroupRep, bulge_deform, circular_gap, sym_power
+from flagflows.projective import (Flag, ProjectiveSubspace, annihilator, cross_meet,
+                                  flag_frames, join)
+from flagflows.reps import SurfaceGroupRep, bulge_deform, circular_gap, sym_matrix, sym_power
 
 
 def _symbolic_veronese(theta_expr):
@@ -62,6 +63,20 @@ def test_fuchsian_curve_frames_are_exact_evaluations(request, name):
         assert got.tobytes() == curve.frames.tobytes()
     for theta, frame in zip(curve.thetas, curve.frames):
         assert frame.tobytes() == curve.exact_eval([theta])[0].tobytes()
+
+
+@pytest.mark.parametrize("name", ["exact_curve", "exact_curve4"])
+def test_fuchsian_evaluator_equals_each_rotation_built_alone(request, name):
+    """The stacked rotations give, bit for bit, the frames of one SL2 rotation at a time,
+    on the stored parameters and on 200 random ones."""
+    curve = request.getfixturevalue(name)
+    n = curve.n
+    thetas = np.append(curve.thetas, np.random.default_rng(6).uniform(-20.0, 20.0, 200))
+    got = curve.exact_eval(thetas)
+    for theta, frame in zip(thetas.tolist(), got):
+        c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+        rotation = np.array([[-c, -s], [s, -c]])
+        assert frame.tobytes() == flag_frames(sym_matrix(rotation, n)[..., :n - 1]).tobytes()
 
 
 @pytest.mark.parametrize("bulge, depth", [(0.0, 3), (0.3, 3), (0.5, 4)])

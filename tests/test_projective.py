@@ -12,6 +12,7 @@ from flagflows.config import (
 )
 from flagflows.devmaps import LeafMetricContext
 from flagflows.projective import (
+    RANK_TOL,
     AffineChart,
     Flag,
     ProjectiveSubspace,
@@ -102,6 +103,44 @@ def test_non_transverse_meets_raise_degenerate_meet():
         cross_meet(lines, lines + [0.0, 0.0, 1e-12])
     meets = cross_meet(lines, [0.0, 1.0, 0.0])
     assert np.allclose(np.abs(meets), [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], atol=1e-15)
+
+
+def _numpy_cross_meet(a, b):
+    c = np.cross(a, b)
+    norm = np.linalg.norm(c, axis=-1, keepdims=True)
+    scale = np.linalg.norm(a, axis=-1, keepdims=True) * np.linalg.norm(b, axis=-1, keepdims=True)
+    return c / norm, bool(np.any(norm <= RANK_TOL * scale))
+
+
+@pytest.mark.parametrize("shapes", [((3,), (3,)), ((40, 3), (40, 3)), ((5, 40, 3), (5, 40, 3)),
+                                    ((40, 3), (3,))], ids=["one", "m", "k-m", "broadcast"])
+def test_cross_meet_is_numpy_cross_and_norm_bit_for_bit(shapes):
+    """The written-out product equals np.cross over np.linalg.norm, and raises where they
+    put |a x b| at or below RANK_TOL |a| |b|: on random stacks, their strided views, and
+    pairs bent away from each other by RANK_TOL and nearby multiples of it."""
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        a, b = rng.standard_normal(shapes[0]), rng.standard_normal(shapes[1])
+        want, degenerate = _numpy_cross_meet(a, b)
+        assert not degenerate
+        assert cross_meet(a, b).tobytes() == want.tobytes()
+        frames = np.stack(np.broadcast_arrays(a, b), axis=-1)  # columns a and b, strided
+        assert cross_meet(frames[..., 0], frames[..., 1]).tobytes() == want.tobytes()
+    raised = set()
+    for factor in (0.5, 0.999, 1.0, 1.001, 2.0):
+        a = rng.standard_normal(shapes[0])
+        bend = np.cross(a, rng.standard_normal(shapes[1]))
+        bend *= (factor * RANK_TOL * np.linalg.norm(a, axis=-1, keepdims=True)
+                 / np.linalg.norm(bend, axis=-1, keepdims=True))
+        b = a + bend
+        want, degenerate = _numpy_cross_meet(a, b)
+        if degenerate:
+            with pytest.raises(DegenerateMeet):
+                cross_meet(a, b)
+        else:
+            assert cross_meet(a, b).tobytes() == want.tobytes()
+        raised.add(degenerate)
+    assert raised == {True, False}
 
 
 def test_flag_nesting_enforced():

@@ -46,6 +46,8 @@ COMMAND_LINES = [
     "--n 4 periods --max-len 3",
     "--n 2 periods --max-len 3",
     "--bulge 0.3 periods",
+    "--bulge 0.7 periods",
+    "periods --alpha 1,3 --max-len 4",
     "decay",
     "--bulge 0.3 decay",
     "sample-curve",
@@ -54,6 +56,8 @@ COMMAND_LINES = [
     "--bulge 0.3 --word-ball 5 sample-curve",
     "build-rep",
     "dev-image --map tan-",
+    "dev-image --map psi3",
+    "--bulge 0.3 dev-image --map tr",
     "dev-image --map alpha:1,3",
     "render --figure dev-tan+",
     "render --figure boundary",
