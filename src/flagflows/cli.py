@@ -10,6 +10,7 @@ structured JSON diagnostic on stderr with a nonzero exit status.
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -326,7 +327,7 @@ def cmd_dev_image(cfg, args):
     header = ["y"] + [f"p{k}" for k in range(curve.n)]
     if alpha:
         ctx = leaf_context(curve, alpha, x, z)
-        rows = [[y, *v] for y, v in zip(ys, ctx.image(curve.hyperplane_covectors_at(ys)))]
+        rows = [[y, *v] for y, v in zip(ys, ctx.image(curve.frames_at(ys)[..., -1]))]
     else:
         header += [f"line{k}" for k in range(curve.n)]
         points, lines = develop(curve, args.map, x, ys, z)
@@ -478,7 +479,10 @@ def cmd_verify_all(cfg, args):
 # entry point
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared, so callers must not change it:
+    `main` parses every command line with it."""
     parser = argparse.ArgumentParser(
         prog="flagflows",
         description="Limit curves, developing maps, and refraction flows "

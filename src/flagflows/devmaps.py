@@ -2,17 +2,19 @@
 
 At n = 3 the transverse and tangent maps, the involution and the four
 point-line maps into the remaining domain components are joins and
-meets of curve flags in RP^2, each one cross product (`cross_meet`).
-`develop` evaluates a map on stacked triples, from their flag frames,
-and returns stacked points and line covectors; `phi_tr`, `phi_tan_plus`,
-`phi_tan_minus` and `psi_k` are its one-triple faces, which return a
-`Flag` whose level 1 is the point and level 2 the line.  The domain
-membership classifier and the covering / concavity / type diagnostics
-work on the stacked arrays, and the boundary scans read the line
-covectors.  The geodesic realizations of the roots of PSL(n) serve
-every n >= 3: the image segments of stacked leaves (`leaf_context`) take
-one stacked annihilator per interior endpoint, and every leaf point is
-read from two dot products with the covector of its hyperplane y^{n-1}.
+meets of curve flags in RP^2, each one cross product (`cross_meet`) of
+frame columns: the point of a flag is the first column of its frame and
+the covector of its line the last.  `develop` evaluates a map on stacked
+triples and returns stacked points and line covectors; `phi_tr`,
+`phi_tan_plus`, `phi_tan_minus` and `psi_k` are its one-triple faces,
+which return a `Flag` whose level 1 is the point and level 2 the line.
+The domain membership classifier and the covering / concavity / type
+diagnostics work on the stacked arrays, and the boundary scans read the
+line covectors.  The geodesic realizations of the roots of PSL(n) serve
+every n >= 3: the image segments of stacked leaves (`leaf_context`) meet
+the annihilators of x^k and z^{n-k+1}, trailing frame columns, and every
+leaf point is read from two dot products with the covector of its
+hyperplane y^{n-1}.
 """
 
 import math
@@ -22,7 +24,7 @@ import numpy as np
 
 from .config import DegenerateMeet, PointOutsideSegment, UnclassifiedLine
 from .limitcurve import BoundaryCurve, second_boundary_intersection
-from .projective import RANK_TOL, Flag, annihilator, cross_meet, signed_polygon_distance
+from .projective import RANK_TOL, Flag, cross_meet, signed_polygon_distance
 from .reps import _check_root, circular_gap
 
 # bound on a pointwise identity or fit residual: closed-form and interpolated curves
@@ -79,18 +81,17 @@ def leaf_triples(x, y, z):
     return vals
 
 
-def _levels(frames):
-    """Point and line covector of each n=3 flag frame (..., 3, 2)."""
-    return frames[..., 0], cross_meet(frames[..., 0], frames[..., 1])
-
-
 def develop_frames(name: str, fx, fy, fz):
-    """Stacked (point, line covector) of the map `name` on the frames (..., 3, 2) of x, y, z.
+    """Stacked (point, line covector) of the map `name` on the complete frames (..., 3, 3)
+    of x, y, z; other frame shapes raise ValueError.
 
     Covers the closed-form maps "tr", "tan+" and "psi1".."psi4", and "iota",
     whose line through y1 and the pivot x2 ∩ z2 the involution scans.
     """
-    (x1, x2), (y1, y2), (z1, z2) = _levels(fx), _levels(fy), _levels(fz)
+    for f in (fx, fy, fz):
+        if np.shape(f)[-2:] != (3, 3):
+            raise ValueError(f"expected complete flag frames (..., 3, 3); got {np.shape(f)}")
+    (x1, x2), (y1, y2), (z1, z2) = ((f[..., 0], f[..., -1]) for f in (fx, fy, fz))
     if name == "tr":  # ((x1 + z1) ∩ y2, x1 + z1)
         line = cross_meet(x1, z1)
         return cross_meet(line, y2), line
@@ -226,8 +227,9 @@ def leaf_context(curve: BoundaryCurve, alpha, x, z) -> LeafMetricContext:
     """Image segments of root alpha = (i, j) on the broadcast leaves (x, z), n >= 3.
 
     The ends are x^i ∩ z^{n-i+1} and x^j ∩ z^{n-j+1}, read as x^1 at i = 1
-    and z^1 at j = n; an interior one is the kernel of the covectors of x^k
-    and z^{n-k+1}, refused with DegenerateMeet below rank n-1 by RANK_TOL.
+    and z^1 at j = n; an interior one is the kernel of fx[..., k:] and
+    fz[..., n-k+1:], the covectors of x^k and z^{n-k+1}, refused with
+    DegenerateMeet below rank n-1 by RANK_TOL.
     """
     i, j = alpha
     n = curve.n
@@ -238,8 +240,7 @@ def leaf_context(curve: BoundaryCurve, alpha, x, z) -> LeafMetricContext:
     def endpoint(k):
         if k in (1, n):
             return (fx if k == 1 else fz)[..., 0]
-        covectors = np.concatenate([annihilator(fx[..., :k]),
-                                    annihilator(fz[..., :n - k + 1])], axis=-1)
+        covectors = np.concatenate([fx[..., k:], fz[..., n - k + 1:]], axis=-1)
         u, sv, _ = np.linalg.svd(covectors)
         small = np.sum(sv <= RANK_TOL * sv[..., :1], axis=-1)
         if np.any(small):
@@ -337,7 +338,7 @@ def concavity_check(curve: BoundaryCurve, x: float, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     delta = _membership_margin(curve)
     verts = curve.chart_points()
-    tangent = curve.chart.line_to_chart(_levels(curve.frames_at(x))[1])
+    tangent = curve.chart.line_to_chart(curve.frames_at(x)[:, -1])
     a_k, b_k = np.triu_indices(CONCAVITY_SAMPLES, 1)
     y = x + 2 * math.pi * (a_k + 1) / (CONCAVITY_SAMPLES + 1)
     z = x + 2 * math.pi * (b_k + 1) / (CONCAVITY_SAMPLES + 1)
@@ -373,7 +374,8 @@ def type_classifier(points, curve: BoundaryCurve, x: float, z: float) -> str:
     if s_vals[-1] / s_vals[0] > curve_tolerance(curve):
         raise UnclassifiedLine(f"collinearity residual {s_vals[-1] / s_vals[0]:.3e}")
     fitted = u_mat[:, -1]  # covector of the fitted line
-    (x1, z1), (x2, z2) = _levels(curve.frames_at([x, z]))
+    fx, fz = curve.frames_at([x, z])
+    (x1, x2), (z1, z2) = (fx[:, 0], fx[:, -1]), (fz[:, 0], fz[:, -1])
     if _angle(fitted, cross_meet(x1, z1)) < LINE_MATCH_TOL:
         return "transverse"
     if _angle(fitted, z2) > LINE_MATCH_TOL:

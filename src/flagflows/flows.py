@@ -5,9 +5,10 @@ is toward the endpoint x^i ∩ z^{n-i+1} (for the tangent type in dimension
 three, toward x2 ∩ z2).  With x the attracting and z the repelling fixed
 point of a loxodromic element, one period of the flow is then the
 positive root length l_i - l_j.  A leaf point is read from the covector
-of its hyperplane y^{n-1}, by two dot products with the segment ends.
-Every cross ratio is a ratio of two such coordinates; the stable-leaf
-distance reads them on a line through x1, against that line's covector.
+of its hyperplane y^{n-1} (its frame's last column) by two dot products
+with the segment ends.  Every cross ratio is a ratio of two such
+coordinates; the stable-leaf distance reads them on a line through x1,
+against that line's covector.
 
 On a fixed leaf the flow adds t to log|u|, u the segment coordinate, so
 an orbit is one stacked root solve on one leaf context, and `flow_step`
@@ -66,14 +67,14 @@ def _flow_ys(curve: BoundaryCurve, alpha, p: LeafPoint, times):
     masked.  All brackets are refined together in the arc fraction.
     """
     ctx = leaf_context(curve, alpha, p.x, p.z)
-    u0 = ctx.coordinate(curve.hyperplane_covectors_at(p.y))
+    u0 = ctx.coordinate(curve.frames_at(p.y)[:, -1])
     times = np.asarray(times, dtype=float)
     targets = math.log(abs(u0)) + times
     arc = circular_gap(p.x, p.z)
     frac0 = circular_gap(p.x, p.y) / arc
 
     def logs(frac):
-        m = curve.hyperplane_covectors_at((p.x + frac * arc) % (2 * math.pi))
+        m = curve.frames_at((p.x + frac * arc) % (2 * math.pi))[..., -1]
         u = ctx.coordinate_or_nan(m)
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(u * u0 > 0, np.log(np.abs(u)), np.nan)
@@ -124,7 +125,7 @@ def flow_orbit(curve: BoundaryCurve, alpha, p: LeafPoint, t_max: float, steps: i
     Returns the rows (t, y, unit image vector) from t = 0 to t_max.
     """
     times, ys, ctx = _orbit(curve, alpha, p, t_max, steps)
-    return list(zip(times, ys, ctx.image(curve.hyperplane_covectors_at(ys))))
+    return list(zip(times, ys, ctx.image(curve.frames_at(ys)[..., -1])))
 
 
 def period_spectrum(curve: BoundaryCurve, words, roots) -> dict:
@@ -205,7 +206,7 @@ def _transverse_samples(curve: BoundaryCurve, eigvecs: np.ndarray, roots) -> dic
     is scanned against every sample once, in chunks of words holding at
     most SPECTRUM_BLOCK_ENTRIES entries per array.
     """
-    covectors = curve.hyperplane_covectors()
+    covectors = np.ascontiguousarray(curve.frames[:, :, -1])  # the strided column scans slower
     chunk = max(1, SPECTRUM_BLOCK_ENTRIES // len(covectors))
     indices = {k for root in roots for k in root}
     picks = {root: [] for root in roots}
@@ -306,7 +307,7 @@ def cocycle(curve: BoundaryCurve, alpha, x, y, z, t) -> np.ndarray:
     x, y, z = leaf_triples(x, y, z)
     ctx = leaf_context(curve, alpha, x, z)
     y2 = [reference_flow(*args) for args in zip(x, z, y, t)]
-    return leafwise_distance(ctx, *curve.hyperplane_covectors_at(np.stack([y, y2])))
+    return leafwise_distance(ctx, *curve.frames_at(np.stack([y, y2]))[..., -1])
 
 
 def stable_leaf_distance(curve: BoundaryCurve, x, y, z, y0: float) -> np.ndarray:
@@ -322,7 +323,7 @@ def stable_leaf_distance(curve: BoundaryCurve, x, y, z, y0: float) -> np.ndarray
     frames = curve.frames_at(np.append(x, y0))
     points, lines = develop(curve, "tan+", x, y, z)  # each line is x1 + point
     try:
-        p_y0 = cross_meet(lines, cross_meet(*frames[-1].T))
+        p_y0 = cross_meet(lines, frames[-1, :, -1])
         q_theta = second_boundary_intersection(curve, lines, x)
         ctx = LeafMetricContext(frames[:-1, :, 0], curve.frames_at(q_theta)[:, :, 0])
     except (FlagFlowsError, ValueError) as exc:
@@ -375,7 +376,7 @@ def regularity_probe(curve: BoundaryCurve, x: float, z: float) -> dict:
         # the images at every shift in one stack, in a local chart anchored at
         # the image of shift 0 (no global affine chart exists for even n)
         s = np.append(0.0, shifts)
-        images = leaf_context(curve, alpha, x + s, z).image(curve.hyperplane_covectors_at(y_c + s))
+        images = leaf_context(curve, alpha, x + s, z).image(curve.frames_at(y_c + s)[..., -1])
         anchor, images = images[0], images[1:]
         denom = images @ anchor
         if np.any(np.abs(denom) < 1e-9 * np.linalg.norm(images, axis=1)):

@@ -3,7 +3,7 @@
 A `BoundaryCurve` holds circularly ordered samples theta -> full flag,
 where theta parameterizes the boundary circle through the reference
 Fuchsian representation (see `flagflows.reps`); the flags are stored as
-one (N, n, n-1) array of `Flag` frames, so scans are array expressions.
+one (N, n, n) array of complete frames, so scans are array expressions.
 Samples come from attracting eigenflags over a word ball; Fuchsian curves
 can instead be built in closed form from the symmetric-power embedding,
 which gives exact flags at any parameter (used by the high-accuracy
@@ -57,7 +57,7 @@ REGULARITY_BASE_POINTS = 64     # base points of the fits in boundary_regularity
 class BoundaryCurve:
     """Sampled limit curve theta -> flag, with chart and sign conventions.
 
-    `frames[i]` is the frame of the flag at `thetas[i]` (see `Flag`).
+    `frames[i]` is the complete frame (n, n) of the flag at `thetas[i]` (see `flag_frames`).
     `positive_covector` fixes a sign-normalized lift of the curve: every
     xi^1 sample v satisfies positive_covector . v > 0, which makes
     incidence residuals along the curve continuous.
@@ -67,13 +67,16 @@ class BoundaryCurve:
     frames: np.ndarray
     rep: SurfaceGroupRep
     reference: SurfaceGroupRep
-    exact_eval: object = None  # optional callable: parameters (m,) -> frames (m, n, n-1)
+    exact_eval: object = None  # optional callable: parameters (m,) -> frames (m, n, n)
 
     def __post_init__(self):
         self.thetas = np.asarray(self.thetas, dtype=float)
         order = np.argsort(self.thetas)
         self.thetas = self.thetas[order]
         self.frames = np.asarray(self.frames, dtype=float)[order]
+        if self.frames.shape[1:] != (self.n, self.n):
+            raise ValueError(f"expected complete flag frames (N, {self.n}, {self.n}); "
+                             f"got shape {self.frames.shape}")
         if np.any(np.diff(self.thetas) < 1e-10):
             raise ValueError("duplicate thetas in curve samples")
         self._build_chart()
@@ -99,7 +102,7 @@ class BoundaryCurve:
         # The infinity covector is an average of aligned tangent covectors:
         # an interior point of the dual convex domain, so the corresponding
         # hyperplane misses the closed convex hull of the curve.
-        covectors = self.hyperplane_covectors()
+        covectors = self.frames[:, :, -1]
         flips = np.where(covectors @ barycenter < 0, -1.0, 1.0)
         h = np.mean(covectors * flips[:, None], axis=0)
         h /= np.linalg.norm(h)
@@ -166,20 +169,9 @@ class BoundaryCurve:
             self._chart_points.setflags(write=False)
         return self._chart_points
 
-    def hyperplane_covectors(self) -> np.ndarray:
-        """Annihilator covectors of the top flag level at every sample (N, n); read-only."""
-        if not hasattr(self, "_hyperplane_covectors"):
-            self._hyperplane_covectors = annihilator(self.frames)[..., 0]
-            self._hyperplane_covectors.setflags(write=False)
-        return self._hyperplane_covectors
-
     def frames_at(self, thetas) -> np.ndarray:
-        """Frames (..., n, n-1) of the flags at parameters of any shape: `interpolate`."""
+        """Complete frames (..., n, n) of the flags at parameters of any shape: `interpolate`."""
         return interpolate(self, thetas)
-
-    def hyperplane_covectors_at(self, thetas) -> np.ndarray:
-        """Annihilator covectors (..., n) of the top levels of `frames_at`."""
-        return annihilator(self.frames_at(thetas))[..., 0]
 
     # -- serialization -------------------------------------------------------
 
@@ -261,13 +253,13 @@ def fuchsian_curve(reference: SurfaceGroupRep, n: int) -> BoundaryCurve:
 
 
 def interpolate(curve: BoundaryCurve, thetas) -> np.ndarray:
-    """Frames (..., n, n-1) of the flags at parameters of any shape.
+    """Complete frames (..., n, n) of the flags at parameters of any shape.
 
     One `searchsorted` finds the sample gap of every parameter.  Within
     1e-13 of a sample the stored frame is returned; elsewhere the exact
     evaluator, if the curve has one.  Otherwise each flag level (a frame
     prefix) is blended linearly across its gap after Procrustes alignment
-    of the gap's two bases, and the new column of each level is kept.
+    of the gap's two bases, and the new columns of the levels go to `flag_frames`.
     Alignment and QR run stacked: each frame is the same floats as alone.
     """
     thetas = np.asarray(thetas, dtype=float)
@@ -445,7 +437,7 @@ def frenet_checks(curve: BoundaryCurve) -> dict:
     short = chord_gaps <= 0.5
     q, _ = np.linalg.qr(np.stack([curve.frames[short, :, 0], curve.frames[nxt[short], :, 0]],
                                  axis=2))
-    tangents = curve.frames[short]  # each spans the hyperplane entry
+    tangents = curve.frames[short, :, :n - 1]  # each spans the hyperplane entry
     # max principal angle of containment of the chord in the tangent
     s = np.linalg.svd(np.swapaxes(tangents, 1, 2) @ q, compute_uv=False)
     max_defect = max([0.0] + [math.acos(min(1.0, float(c))) / float(g)
@@ -469,7 +461,7 @@ def convex_domain_checks(curve: BoundaryCurve) -> dict:
     e = np.roll(v, -1, axis=0) - v
     cross = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
     is_convex = bool(np.all(cross > 0) or np.all(cross < 0))
-    tangents = curve.chart.line_to_chart(curve.hyperplane_covectors())
+    tangents = curve.chart.line_to_chart(curve.frames[:, :, -1])
     size = max(1, SUPPORT_BLOCK_ENTRIES // len(v))
     sides = (t[:, :2] @ v.T + t[:, 2:] for t in np.split(tangents, range(size, len(v), size)))
     support = all(np.all((s.max(axis=1) <= SUPPORT_TOL) | (s.min(axis=1) >= -SUPPORT_TOL))
@@ -491,7 +483,7 @@ def boundary_regularity_estimate(curve: BoundaryCurve):
     window = max(8, count // 16)
     exponents = []
     for b_idx in range(0, count, max(1, count // REGULARITY_BASE_POINTS)):
-        coeffs = curve.chart.line_to_chart(curve.hyperplane_covectors()[b_idx])
+        coeffs = curve.chart.line_to_chart(curve.frames[b_idx, :, -1])
         normal = np.asarray(coeffs[:-1], dtype=float)
         normal /= np.linalg.norm(normal)
         rel = pts[[(b_idx + k) % count for k in range(-window, window + 1) if k != 0]] - pts[b_idx]

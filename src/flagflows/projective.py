@@ -1,10 +1,11 @@
 """Numerical projective geometry over R^n.
 
-A full flag is the basis of its hyperplane, a frame whose first k columns
-span its level k; the package computes on stacks of such frames
-(`flag_frames`).  The covector of a hyperplane is the one column of its
-`annihilator`.  In RP^2 a join of two points or a meet of two lines is
-one cross product (`cross_meet`), which works on stacked vectors and
+A full flag is a complete orthonormal frame: its first k columns span
+level k and the other n - k the annihilator of that level, so the last
+is the covector of the hyperplane.  The package computes on stacks of
+them, from one complete QR (`flag_frames`) whose trailing columns are
+the `annihilator`.  In RP^2 a join of two points or a meet of two lines
+is one cross product (`cross_meet`), which works on stacked vectors and
 decides rank by `RANK_TOL`.  Cross ratios of points on a line are ratios
 of segment coordinates, which `devmaps.LeafMetricContext` reads.
 
@@ -79,7 +80,7 @@ class ProjectiveSubspace:
 
 @dataclass(frozen=True, eq=False)
 class Flag:
-    """A full flag of R^n as an n x (n-1) frame with orthonormal columns.
+    """A full flag of R^n as the first n-1 columns of its complete frame.
 
     Level k is the span of the first k columns, so levels nest by construction.
     """
@@ -117,16 +118,16 @@ class Flag:
     @classmethod
     def from_basis_columns(cls, columns: np.ndarray) -> "Flag":
         """Flag whose level k spans the first k of the n-1 given columns."""
-        return cls(flag_frames(columns))
+        return cls(flag_frames(columns)[:, :-1])
 
 
 def flag_frames(columns: np.ndarray) -> np.ndarray:
-    """Flag frames (..., n, n-1) whose level k spans the first k of each set of n-1 columns.
+    """Complete frames (..., n, n) whose level k spans the first k of each set of n-1 columns.
 
-    One stacked QR, each frame the same floats as alone; the stack passes
-    the orthonormality check of `Flag` without building a flag per frame.
+    One stacked complete QR, each frame the same floats as alone and its first
+    n-1 columns those of the reduced QR; the stack is checked orthonormal once.
     """
-    q, _ = np.linalg.qr(columns)
+    q, _ = np.linalg.qr(columns, mode="complete")
     _require_orthonormal(q, "flag frame")
     return q
 
@@ -153,9 +154,9 @@ def join(subspaces) -> ProjectiveSubspace:
 
 
 def annihilator(basis: np.ndarray) -> np.ndarray:
-    """Orthonormal (..., n, n-k) covector bases killing stacked (..., n, k) bases of rank k."""
-    u, _, _ = np.linalg.svd(basis, full_matrices=True)
-    return u[..., basis.shape[-1]:].copy()
+    """Orthonormal (..., n, n-k) covectors killing (..., n, k) bases of rank k: the last
+    columns of their complete QR, as in `flag_frames`."""
+    return np.linalg.qr(basis, mode="complete")[0][..., basis.shape[-1]:]
 
 
 def cross_meet(a, b) -> np.ndarray:

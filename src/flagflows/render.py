@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 from .devmaps import develop, leaf_sweep
-from .projective import cross_meet
 
 SIZE = 640            # canvas width and height in pixels
 SEGMENT_WIDTH = 0.8   # stroke width of tangent and leaf lines
@@ -114,7 +113,7 @@ def scene_dev_image(curve, map_name: str, x: float, z: float) -> SceneDescriptio
     scene.add_polyline(curve.chart.to_chart(points[shown]), color="#2a7", stroke_width=1.2)
     for frame, color in zip(curve.frames_at([x, z]), ("#a33", "#36c")):
         scene.add_point(curve.chart.to_chart(frame[:, 0]), color=color)
-        tang = curve.chart.line_to_chart(cross_meet(*frame.T))
+        tang = curve.chart.line_to_chart(frame[:, -1])
         seg = _segment_within_viewport(scene, tang)
         if seg:
             scene.add_segment(seg[0], seg[1], color=color, dashed=True)

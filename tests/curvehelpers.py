@@ -6,24 +6,35 @@ import numpy as np
 
 from flagflows.devmaps import leaf_context
 from flagflows.limitcurve import BoundaryCurve
-from flagflows.projective import Flag, ProjectiveSubspace, annihilator
+from flagflows.projective import Flag, ProjectiveSubspace, flag_frames
 from flagflows.reps import sym_power
+
+
+def as_flag(frame) -> Flag:
+    """The `Flag` of a complete frame (n, n): its first n-1 columns."""
+    return Flag(frame[:, :-1])
+
+
+def svd_annihilator(basis) -> np.ndarray:
+    """Orthonormal covectors killing the k columns of a rank-k basis, from a full SVD."""
+    return np.linalg.svd(basis)[0][:, basis.shape[1]:]
 
 
 def meet(subspaces) -> ProjectiveSubspace:
     """Intersection of transverse subspaces: the null space of their stacked annihilators.
 
-    An SVD oracle for the cross-product kernel; it checks no rank.
+    An SVD oracle for the cross-product kernel and for the frame columns;
+    it checks no rank.
     """
     subspaces = list(subspaces)
-    covectors = np.hstack([annihilator(s.basis) for s in subspaces])
-    return ProjectiveSubspace(subspaces[0].ambient_dim, annihilator(covectors))
+    covectors = np.hstack([svd_annihilator(s.basis) for s in subspaces])
+    return ProjectiveSubspace(subspaces[0].ambient_dim, svd_annihilator(covectors))
 
 
 def realization(curve, alpha, p) -> ProjectiveSubspace:
     """Root alpha's image of the leaf point p: its segment met with y^{n-1}."""
     ctx = leaf_context(curve, alpha, p.x, p.z)
-    return ProjectiveSubspace.point(ctx.image(curve.hyperplane_covectors_at(p.y)))
+    return ProjectiveSubspace.point(ctx.image(curve.frames_at(p.y)[:, -1]))
 
 
 def collinear_degenerate_curve(reference, num_samples=64,
@@ -54,5 +65,5 @@ def collinear_degenerate_curve(reference, num_samples=64,
         else:
             p = point(theta)
             d = tangent_dir(theta)
-        frames.append(Flag.from_basis_columns(np.column_stack([p, d])).frame)
+        frames.append(flag_frames(np.column_stack([p, d])))
     return BoundaryCurve(thetas, np.array(frames), rep, reference)

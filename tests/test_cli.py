@@ -327,6 +327,25 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert done.stdout == (tmp_path / "build_rep_summary.json").read_text()
 
 
+def test_main_calls_in_a_row_print_what_fresh_processes_print(tmp_path, capsys):
+    """`main` parses with one parser per process: the options, defaults and errors of
+    one call do not reach the next, in-process or against a fresh process per line."""
+    src = str(Path(flagflows.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    lines = [["dev-image", "--map", "tr", "--x", "1.0", "--num", "3"],
+             ["dev-image", "--map", "tr", "--num", "3"],
+             ["--n", "4", "--bulge", "0.3", "build-rep"],
+             ["build-rep"]]
+    for k, line in enumerate(lines):
+        code = main(["--outdir", str(tmp_path / f"in{k}"), *line])
+        got = capsys.readouterr()
+        done = subprocess.run([sys.executable, "-m", "flagflows", "--outdir",
+                               str(tmp_path / f"fresh{k}"), *line],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (code, got.out, got.err) == (done.returncode, done.stdout, done.stderr)
+    assert json.loads(got.out)["n"] == 3
+
+
 def _no_curve(cfg):
     raise AssertionError("the curve was built")
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import sympy
 
-from curvehelpers import meet, realization
+from curvehelpers import as_flag, meet, realization
 from flagflows.config import DegenerateMeet, UnclassifiedLine
 from flagflows.devmaps import (
     MAP_TABLE,
@@ -27,7 +27,7 @@ from flagflows.devmaps import (
     type_classifier,
 )
 from flagflows.limitcurve import second_boundary_intersection
-from flagflows.projective import Flag, ProjectiveSubspace, annihilator, cross_meet, join
+from flagflows.projective import ProjectiveSubspace, annihilator, cross_meet, flag_frames, join
 from flagflows.reps import boundary_vector, circular_gap, theta_of_vector
 
 
@@ -36,15 +36,13 @@ from flagflows.reps import boundary_vector, circular_gap, theta_of_vector
 # integer spanning vectors; used to pin down the developing-map formulas
 # on hand-checkable input.
 
-def _conic_flag(point, tangent_dir):
-    return Flag.from_basis_columns(
-        np.column_stack([point, tangent_dir]).astype(float)
-    )
+def _conic_frame(point, tangent_dir):
+    return flag_frames(np.column_stack([point, tangent_dir]).astype(float))
 
 
-F_INF = _conic_flag([1, 0, 0], [0, 1, 0])
-F_ONE = _conic_flag([1, 1, 1], [2, 1, 0])
-F_ZERO = _conic_flag([0, 0, 1], [0, 1, 0])
+F_INF = _conic_frame([1, 0, 0], [0, 1, 0])
+F_ONE = _conic_frame([1, 1, 1], [2, 1, 0])
+F_ZERO = _conic_frame([0, 0, 1], [0, 1, 0])
 
 
 def _angle(u, v) -> float:
@@ -53,8 +51,8 @@ def _angle(u, v) -> float:
 
 
 def _develop(name, fx, fy, fz):
-    """develop_frames on one triple of flags; returns one point and one line covector."""
-    point, line = develop_frames(name, fx.frame[None], fy.frame[None], fz.frame[None])
+    """develop_frames on one triple of frames; returns one point and one line covector."""
+    point, line = develop_frames(name, fx[None], fy[None], fz[None])
     return point[0], line[0]
 
 
@@ -69,16 +67,16 @@ def test_phi_tan_plus_on_the_rational_conic():
     assert _angle(point, [0.0, 1.0, 2.0]) < 1e-12
     assert _angle(line, [0.0, -2.0, 1.0]) < 1e-12
     # the point entry reads only y and z
-    other_x = _conic_flag([4, 2, 1], [4, 1, 0])  # s = 2
+    other_x = _conic_frame([4, 2, 1], [4, 1, 0])  # s = 2
     assert _angle(_develop("tan+", other_x, F_ONE, F_ZERO)[0], point) < 1e-12
 
 
 def test_iota_line_on_the_rational_conic():
     # pivot x2 ∩ z2 = (0,1,0); the line through y1 = (1,1,1) and the pivot
     # meets the conic again at s = -1
-    pivot = meet([F_INF[2], F_ZERO[2]])
+    pivot = meet([as_flag(F_INF)[2], as_flag(F_ZERO)[2]])
     assert pivot.principal_angle(ProjectiveSubspace.point([0.0, 1.0, 0.0])) < 1e-12
-    line = join([F_ONE[1], pivot])
+    line = join([as_flag(F_ONE)[1], pivot])
     assert abs(annihilator(line.basis)[:, 0] @ [1.0, -1.0, 1.0]) < 1e-12
 
 
@@ -86,9 +84,9 @@ def test_two_sheet_identity_on_the_rational_conic():
     # second hit of the tangent-map line from x = infinity is s = 1/2;
     # the deck transform evaluates the map at (1/2, 0, 1) with y, z swapped
     point, line = _develop("tan+", F_INF, F_ONE, F_ZERO)
-    w_flag = _conic_flag([1, 2, 4], [1, 1, 0])  # s = 1/2, tangent (2s, 1, 0)
-    assert abs(line @ w_flag.frame[:, 0]) < 1e-12
-    g_point, g_line = _develop("tan+", w_flag, F_ZERO, F_ONE)
+    w_frame = _conic_frame([1, 2, 4], [1, 1, 0])  # s = 1/2, tangent (2s, 1, 0)
+    assert abs(line @ w_frame[:, 0]) < 1e-12
+    g_point, g_line = _develop("tan+", w_frame, F_ZERO, F_ONE)
     assert _angle(g_point, point) < 1e-12
     assert _angle(g_line, line) < 1e-12
 
@@ -98,10 +96,10 @@ def test_two_sheet_identity_on_the_rational_conic():
 
 def _join_meet_formula(curve, name, x, y, z):
     """The map `name` written out with join and meet of curve flags: (point, line)."""
-    fx, fy, fz = (Flag(curve.frames_at(t)) for t in (x, y, z))
+    fx, fy, fz = (as_flag(curve.frames_at(t)) for t in (x, y, z))
     chord, pivot = join([fx[1], fz[1]]), meet([fx[2], fz[2]])
     if name == "tan-":  # tan+ after the involution of y
-        fy = Flag(curve.frames_at(
+        fy = as_flag(curve.frames_at(
             second_boundary_intersection(curve, join([fy[1], pivot]), y)))
         name = "tan+"
     if name == "tr":
@@ -139,12 +137,20 @@ def test_kernel_equals_the_join_meet_formulas(request, curve_name, name):
 
 def test_kernel_refuses_coincident_lines():
     # a middle flag whose line y2 is the chord x1 + z1 = {v : v_1 = 0}
-    on_chord = _conic_flag([1, 0, 1], [1, 0, -1])
+    on_chord = _conic_frame([1, 0, 1], [1, 0, -1])
     for name in ("tr", "psi3", "psi4"):  # each meets y2 with the chord
         with pytest.raises(DegenerateMeet):
             _develop(name, F_INF, on_chord, F_ZERO)
     with pytest.raises(DegenerateMeet):  # x = z: the chord is no line
         _develop("tr", F_INF, F_ONE, F_INF)
+
+
+def test_develop_frames_refuses_reduced_frames():
+    """Reduced frames (..., 3, 2) would have their tangent direction read as the line."""
+    with pytest.raises(ValueError, match=r"^expected complete flag frames \(\.\.\., 3, 3\)"):
+        _develop("tr", F_INF[:, :-1], F_ONE[:, :-1], F_ZERO[:, :-1])
+    with pytest.raises(ValueError, match=r"got \(1, 3, 2\)$"):
+        _develop("tan+", F_INF, F_ONE, F_ZERO[:, :-1])
 
 
 # -- symbolic oracle on the Fuchsian curve -----------------------------------
@@ -229,7 +235,7 @@ def test_phi_tan_minus_differs_from_plus(exact_curve):
 
 def test_psi3_point_is_the_pivot_independent_of_y(exact_curve):
     x, z = 0.7, 4.1
-    pivot = meet([Flag(exact_curve.frames_at(x))[2], Flag(exact_curve.frames_at(z))[2]])
+    pivot = meet([as_flag(exact_curve.frames_at(t))[2] for t in (x, z)])
     for y in (1.5, 2.0, 3.0):
         f = psi_k(exact_curve, LeafPoint(x, y, z), 3)
         assert f.point.principal_angle(pivot) < 1e-10
@@ -269,8 +275,8 @@ def test_leaf_context_image_is_the_root_realization(request, curve_name):
     curve = request.getfixturevalue(curve_name)
     n = curve.n
     x, y, z = 0.6, 1.8, 3.9
-    fx, fy, fz = (Flag(curve.frames_at(t)) for t in (x, y, z))
-    m = curve.hyperplane_covectors_at([y])[0]
+    fx, fy, fz = (as_flag(curve.frames_at(t)) for t in (x, y, z))
+    m = curve.frames_at(y)[:, -1]
 
     def pivot(k):  # x^k ∩ z^{n-k+1}, read as x^1 at k = 1 and z^1 at k = n
         return fx[1] if k == 1 else fz[1] if k == n else meet([fx[k], fz[n - k + 1]])
@@ -288,7 +294,7 @@ def test_leaf_context_image_is_the_root_realization(request, curve_name):
 def test_leaf_context_refuses_a_hyperplane_holding_the_segment(exact_curve4):
     """The (1, 2) segment lies in x^3, so y^3 just past x holds it numerically."""
     ctx = leaf_context(exact_curve4, (1, 2), 0.6, 3.9)
-    m = exact_curve4.hyperplane_covectors_at([1.8, 0.6 + 1e-9])
+    m = exact_curve4.frames_at([1.8, 0.6 + 1e-9])[..., -1]
     assert np.isfinite(ctx.coordinate(m[0]))
     for read in (ctx.coordinate, ctx.image):
         with pytest.raises(DegenerateMeet, match="^meet has dimension 2, expected 1$"):
@@ -301,7 +307,7 @@ def test_simple_root_realization_ignores_z_in_dim_four(exact_curve4):
     moved = realization(exact_curve4, (1, 2), LeafPoint(x, y, 4.8))
     assert base.principal_angle(moved) < 1e-10
     # closed form: x2 ∩ y3
-    fx, fy = Flag(exact_curve4.frames_at(x)), Flag(exact_curve4.frames_at(y))
+    fx, fy = as_flag(exact_curve4.frames_at(x)), as_flag(exact_curve4.frames_at(y))
     assert base.principal_angle(meet([fx[2], fy[3]])) < 1e-10
     # the (1, 3) root does respond to z
     b13 = realization(exact_curve4, (1, 3), LeafPoint(x, y, 3.9))
@@ -370,7 +376,7 @@ def test_type_classifier_refuses_a_sample_at_a_special_point(exact_curve, specia
     arc = (z - x) % (2 * math.pi)
     points, _ = develop(exact_curve, "tan+", x, x + arc * np.arange(1, 13) / 13, z)
     fx, fz = exact_curve.frames_at([x, z])
-    at = cross_meet(cross_meet(*fx.T), cross_meet(*fz.T)) if special == "pivot" else fz[:, 0]
+    at = cross_meet(fx[:, -1], fz[:, -1]) if special == "pivot" else fz[:, 0]
     with pytest.raises(UnclassifiedLine, match="samples straddle"):
         type_classifier(np.vstack([points, at]), exact_curve, x, z)
 

@@ -40,7 +40,7 @@ def sl2_length(m):
 def test_leafwise_distance_is_additive_and_signed(exact_curve):
     x, z = 0.5, 3.9
     ctx = leaf_context(exact_curve, (2, 3), x, z)
-    m = exact_curve.hyperplane_covectors_at([1.0, 1.8, 2.9])
+    m = exact_curve.frames_at([1.0, 1.8, 2.9])[..., -1]
     d01 = leafwise_distance(ctx, m[0], m[1])
     d12 = leafwise_distance(ctx, m[1], m[2])
     d02 = leafwise_distance(ctx, m[0], m[2])
@@ -50,7 +50,7 @@ def test_leafwise_distance_is_additive_and_signed(exact_curve):
 
 def test_image_moves_monotonically_in_y(exact_curve):
     x, z = 0.5, 3.9
-    m = exact_curve.hyperplane_covectors_at(np.linspace(0.8, 3.6, 12))
+    m = exact_curve.frames_at(np.linspace(0.8, 3.6, 12))[..., -1]
     for alpha in ((1, 3), (2, 3)):
         coords = leaf_context(exact_curve, alpha, x, z).coordinate(m)
         logs = np.log(np.abs(coords))
@@ -59,12 +59,12 @@ def test_image_moves_monotonically_in_y(exact_curve):
 
 def test_coordinate_refuses_a_covector_killing_the_forward_endpoint(exact_curve):
     ctx = leaf_context(exact_curve, (2, 3), 0.5, 3.9)
-    m = exact_curve.hyperplane_covectors_at([1.8])[0]
+    m = exact_curve.frames_at(1.8)[:, -1]
     m = m - (m @ ctx.forward) * ctx.forward
     with pytest.raises(PointOutsideSegment, match="^point at the forward endpoint$"):
         ctx.coordinate(m)
     with pytest.raises(PointOutsideSegment):
-        leafwise_distance(ctx, exact_curve.hyperplane_covectors_at([1.8])[0], m)
+        leafwise_distance(ctx, exact_curve.frames_at(1.8)[:, -1], m)
 
 
 def test_flow_step_is_additive_in_time(exact_curve):
@@ -93,7 +93,7 @@ def test_flow_steps_travel_their_time_along_the_leaf(request, curve_name):
         current, total = start, 0.0
         for _ in range(10):
             moved = flow_step(curve, alpha, current, 0.5)
-            total += leafwise_distance(ctx, *curve.hyperplane_covectors_at([current.y, moved.y]))
+            total += leafwise_distance(ctx, *curve.frames_at([current.y, moved.y])[..., -1])
             current = moved
         assert abs(total - 5.0) < 1e-8
 
@@ -259,7 +259,6 @@ def test_period_spectrum_memory_stays_bounded(reference):
     curve = fuchsian_curve(reference, 3)
     ball = enumerate_conjugacy_classes(curve.rep.presentation, 4)
     assert len(ball) == 780
-    curve.hyperplane_covectors()
     tracemalloc.start()
     try:
         period_spectrum(curve, ball, ROOTS)
@@ -269,20 +268,26 @@ def test_period_spectrum_memory_stays_bounded(reference):
     assert peak < 4e6
 
 
-def _argpartition_picks(curve, eigvecs, i, j):
-    """The transverse samples as first chosen: one argpartition over every sample."""
-    covectors = curve.hyperplane_covectors()
+def _sorted_picks(curve, eigvecs, i, j):
+    """The transverse samples as one stable sort over every sample orders them.
+
+    An argpartition leaves the order of exact ties open, and the exact
+    curve has some at the cut: it is symmetric under theta -> theta + pi,
+    so samples 256 and 768 give word 305 of the L<=4 ball equal log-ratios
+    for the root (2, 3).  The stable sort keeps the lowest index first.
+    """
+    covectors = np.ascontiguousarray(curve.frames[:, :, -1])  # the layout rounds the products
     dots = [(covectors @ eigvecs[:, :, k - 1, None])[:, :, 0] for k in (i, j)]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.log(np.abs(dots[1])) - np.log(np.abs(dots[0]))
     ok = np.isfinite(ratio)
-    chosen = np.argpartition(np.abs(np.where(ok, ratio, np.inf)), flows.Y_CHOICES - 1,
-                             axis=1)[:, :flows.Y_CHOICES]
+    chosen = np.argsort(np.abs(np.where(ok, ratio, np.inf)), axis=1,
+                        kind="stable")[:, :flows.Y_CHOICES]
     return [np.take_along_axis(d, chosen, 1) for d in dots]
 
 
-def test_transverse_samples_match_an_argpartition_oracle(reference, bulged_curve03):
-    """The masked-argmin picks are the argpartition picks, as sets, on the CLI's curves."""
+def test_transverse_samples_match_a_stable_sort_oracle(reference, bulged_curve03):
+    """The masked-argmin picks are the stable-sort picks, as sets, on the CLI's curves."""
     rep = bulge_deform(sym_power(reference, 3), 0.3)
     curves = [fuchsian_curve(reference, 3), bulged_curve03, sample_boundary(rep, reference, 4)]
     ball = enumerate_conjugacy_classes(reference.presentation, 4)
@@ -293,9 +298,9 @@ def test_transverse_samples_match_an_argpartition_oracle(reference, bulged_curve
         eigvecs = np.where(prefer_g[:, None, :], vecs_g, vecs_i[:, :, ::-1])
         samples = flows._transverse_samples(curve, eigvecs, ROOTS)
         for (i, j) in ROOTS:
-            got, want = samples[(i, j)], _argpartition_picks(curve, eigvecs, i, j)
-            # the picks as sets: both in the order of their y . v_i values
-            order_got, order_want = np.argsort(got[0], axis=1), np.argsort(want[0], axis=1)
+            got, want = samples[(i, j)], _sorted_picks(curve, eigvecs, i, j)
+            # the picks as sets: both in the order of their (y . v_i, y . v_j) values
+            order_got, order_want = (np.lexsort(picks[::-1], axis=1) for picks in (got, want))
             for a, b in zip(got, want):
                 assert np.array_equal(np.take_along_axis(a, order_got, 1),
                                       np.take_along_axis(b, order_want, 1))
@@ -303,9 +308,11 @@ def test_transverse_samples_match_an_argpartition_oracle(reference, bulged_curve
 
 def test_transverse_samples_break_ties_lowest_index_first():
     """Samples 1, 2 and 3 tie at log-ratio 0 for the root (1, 2): samples 1 and 2 are kept."""
-    covectors = np.array([[1.0, 4.0, 1.0], [1.0, 1.0, 1.0], [2.0, 2.0, 1.0],
-                          [3.0, 3.0, 1.0], [3.0, 1.0, 1.0]])
-    curve = SimpleNamespace(hyperplane_covectors=lambda: covectors)
+    frames = np.zeros((5, 3, 3))
+    covectors = frames[:, :, -1]  # a view: the edits below reach the frames
+    covectors[:] = [[1.0, 4.0, 1.0], [1.0, 1.0, 1.0], [2.0, 2.0, 1.0],
+                    [3.0, 3.0, 1.0], [3.0, 1.0, 1.0]]
+    curve = SimpleNamespace(frames=frames)
     ma, mb = flows._transverse_samples(curve, np.eye(3)[None], [(1, 2)])[(1, 2)]
     assert ma.tolist() == [[1.0, 2.0]] and mb.tolist() == [[1.0, 2.0]]
     covectors[1:4, 0] = 0.0  # y . v_1 = 0: only samples 0 and 4 are transverse
@@ -495,7 +502,7 @@ def test_stable_leaf_distance_is_a_high_precision_log_cross_ratio(curve_name, re
     x, z, y0 = 0.5, 3.9, 3.5
     ys = np.array([row[1] for row in flow_orbit(curve, (2, 3), LeafPoint(x, 0.7, z), 5.0, 10)])
     points, lines = develop(curve, "tan+", x, ys, z)
-    p_y0 = cross_meet(lines, cross_meet(*curve.frames_at(y0).T))
+    p_y0 = cross_meet(lines, curve.frames_at(y0)[:, -1])
     qs = curve.frames_at(second_boundary_intersection(curve, lines, x))[:, :, 0]
     x1 = curve.frames_at(x)[:, 0]
     want = [_mp_log_cross_ratio(x1, *args) for args in zip(qs, p_y0, points)]

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import sympy
 
-from curvehelpers import collinear_degenerate_curve
-from flagflows import limitcurve
+from curvehelpers import as_flag, collinear_degenerate_curve, svd_annihilator
+from flagflows import cli, limitcurve
 from flagflows.config import (
     AmbiguousBracket,
     InsufficientSamples,
@@ -45,7 +45,7 @@ def test_exact_curve_matches_symbolic_veronese(exact_curve):
     point = point_t.subs(t, theta_sym)
     tangent = tangent_t.subs(t, theta_sym)
     theta = float(theta_sym)
-    f = Flag(exact_curve.frames_at(theta))
+    f = as_flag(exact_curve.frames_at(theta))
     p_exact = np.array([float(sympy.N(c, 30)) for c in point])
     assert f[1].principal_angle(ProjectiveSubspace.point(p_exact)) < 1e-12
     t_exact = np.array([float(sympy.N(c, 30)) for c in tangent])
@@ -81,14 +81,48 @@ def test_fuchsian_evaluator_equals_each_rotation_built_alone(request, name):
 
 @pytest.mark.parametrize("bulge, depth", [(0.0, 3), (0.3, 3), (0.5, 4)])
 def test_sample_boundary_frames_equal_per_sample_flags(reference, monkeypatch, bulge, depth):
-    """One stacked QR gives the frames of `Flag.from_basis_columns`, bit for bit."""
+    """One stacked QR gives the frames of `Flag.from_basis_columns` and the
+    `annihilator` of each sample, bit for bit."""
     rep = bulge_deform(sym_power(reference, 3), bulge)
     stacked = sample_boundary(rep, reference, depth)
     monkeypatch.setattr(limitcurve, "flag_frames", lambda columns: np.array(
-        [Flag.from_basis_columns(c).frame for c in columns]))
+        [np.column_stack([Flag.from_basis_columns(c).frame, annihilator(c)]) for c in columns]))
     per_sample = sample_boundary(rep, reference, depth)
     assert stacked.thetas.tobytes() == per_sample.thetas.tobytes()
     assert stacked.frames.tobytes() == per_sample.frames.tobytes()
+
+
+@pytest.mark.parametrize("n, bulge", [(3, 0.0), (4, 0.0), (3, 0.3)],
+                         ids=["exact3", "exact4", "bulge0.3"])
+def test_curve_frames_are_complete_orthonormal_frames(monkeypatch, n, bulge):
+    """On the CLI's curves, the stored and the interpolated frames are (..., n, n) and
+    orthonormal, the first n-1 columns of each are the reduced QR of its columns bit for
+    bit, and the trailing columns frames[..., k:] annihilate the levels frames[..., :k]."""
+    calls = []
+
+    def recording(columns):
+        calls.append((columns, flag_frames(columns)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(limitcurve, "flag_frames", recording)
+    curve = cli.build_curve(dict(cli.DEFAULT_CONFIG, n=n, bulge=bulge))
+    gaps = np.diff(np.append(curve.thetas, curve.thetas[0] + 2 * math.pi))
+    curve.frames_at(curve.thetas + gaps / 3.0)
+    assert len(calls) == 2  # the samples, then the parameters between them
+    assert calls[0][1].tobytes() == curve.frames.tobytes()
+    for columns, frames in calls:
+        assert frames.shape == (len(curve), n, n)
+        assert frames[..., :n - 1].tobytes() == np.linalg.qr(columns)[0].tobytes()
+        assert np.max(np.abs(np.swapaxes(frames, 1, 2) @ frames - np.eye(n))) < 1e-14
+        for k in range(1, n):
+            assert np.max(np.abs(np.swapaxes(frames[..., k:], 1, 2) @ frames[..., :k])) < 1e-14
+
+
+def test_boundary_curve_refuses_reduced_frames(exact_curve, exact_curve4):
+    """A frame of n-1 columns has no covector column to read."""
+    for curve in (exact_curve, exact_curve4):
+        with pytest.raises(ValueError, match=r"^expected complete flag frames \(N, (3, 3|4, 4)\)"):
+            BoundaryCurve(curve.thetas, curve.frames[..., :-1], curve.rep, curve.reference)
 
 
 def _rep_moving_only_a1(presentation, a1):
@@ -121,8 +155,8 @@ def test_sample_boundary_names_the_first_failing_word(reference):
 
 def test_interpolation_returns_stored_samples(sampled_curve):
     for i in (0, len(sampled_curve) // 2):
-        f = Flag(sampled_curve.frames_at(float(sampled_curve.thetas[i])))
-        assert np.array_equal(f.frame, sampled_curve.frames[i])
+        frame = sampled_curve.frames_at(float(sampled_curve.thetas[i]))
+        assert np.array_equal(frame, sampled_curve.frames[i])
 
 
 def test_interpolation_error_estimate_bounds_midpoint_error(sampled_curve,
@@ -131,8 +165,8 @@ def test_interpolation_error_estimate_bounds_midpoint_error(sampled_curve,
     thetas = sampled_curve.thetas
     for i in range(0, len(sampled_curve) - 1, 7):
         mid = 0.5 * (thetas[i] + thetas[i + 1])
-        got = Flag(sampled_curve.frames_at(float(mid)))[1]
-        exact = Flag(exact_curve.frames_at(float(mid)))[1]
+        got = as_flag(sampled_curve.frames_at(float(mid)))[1]
+        exact = as_flag(exact_curve.frames_at(float(mid)))[1]
         worst = max(worst, got.principal_angle(exact))
     assert worst < 20.0 * sampled_curve.interp_error
 
@@ -144,13 +178,13 @@ def test_interpolation_ignores_the_signs_of_stored_frames(sampled_curve):
                             sampled_curve.reference)
     for mid in (sampled_curve.thetas[:-1:5] + sampled_curve.thetas[1::5]) / 2.0:
         for level in (1, 2):
-            want = Flag(sampled_curve.frames_at(float(mid)))[level]
-            assert Flag(flipped.frames_at(float(mid)))[level].principal_angle(want) < 1e-12
+            want = as_flag(sampled_curve.frames_at(float(mid)))[level]
+            assert as_flag(flipped.frames_at(float(mid)))[level].principal_angle(want) < 1e-12
 
 
 def test_second_boundary_intersection_recovers_chord_endpoint(exact_curve):
     t1, t2 = 1.0, 3.0
-    line = join([Flag(exact_curve.frames_at(t1))[1], Flag(exact_curve.frames_at(t2))[1]])
+    line = join([as_flag(exact_curve.frames_at(t))[1] for t in (t1, t2)])
     got = second_boundary_intersection(exact_curve, line, t1)
     assert abs(got - t2) < 1e-9
 
@@ -160,7 +194,7 @@ def test_second_boundary_intersection_across_the_seam(request, name):
     """A chord from 5.9 to 0.05 crosses theta = 0, where raw sample parameters wrap."""
     curve = request.getfixturevalue(name)
     x, w = 5.9, 0.05
-    line = join([Flag(curve.frames_at(x))[1], Flag(curve.frames_at(w))[1]])
+    line = join([as_flag(curve.frames_at(x))[1], as_flag(curve.frames_at(w))[1]])
     got = second_boundary_intersection(curve, line, x)
     assert min(circular_gap(w, got), circular_gap(got, w)) < 1e-11
 
@@ -242,14 +276,15 @@ def test_stored_aligned_points_are_positive_multiples_of_aligned_point(request, 
 
 def test_second_boundary_intersection_rejects_tangents(exact_curve):
     with pytest.raises(NoSecondIntersection):
-        second_boundary_intersection(exact_curve, Flag(exact_curve.frames_at(1.0))[2], 1.0)
+        second_boundary_intersection(exact_curve, as_flag(exact_curve.frames_at(1.0))[2],
+                                     1.0)
 
 
 def test_second_boundary_intersection_reads_the_line_covector(exact_curve):
     """The hyperplane and its covector give the identical root, and a multiple of it
     the same root to rounding: 1e3 times a covector is rounded, and on random
     chords the root then moves by up to 6e-15."""
-    line = join([Flag(exact_curve.frames_at(1.0))[1], Flag(exact_curve.frames_at(3.0))[1]])
+    line = join([as_flag(exact_curve.frames_at(t))[1] for t in (1.0, 3.0)])
     covector = annihilator(line.basis)[:, 0]
     want = second_boundary_intersection(exact_curve, line, 1.0)
     assert second_boundary_intersection(exact_curve, covector, 1.0) == want
@@ -258,7 +293,8 @@ def test_second_boundary_intersection_reads_the_line_covector(exact_curve):
         with pytest.raises(ValueError, match="shape"):
             second_boundary_intersection(exact_curve, bad, 1.0)
     # normalized before the incidence check, so a small multiple still misses xi^1(1.0)
-    off = annihilator(join([Flag(exact_curve.frames_at(t))[1] for t in (2.0, 3.0)]).basis)[:, 0]
+    off = annihilator(join([as_flag(exact_curve.frames_at(t))[1]
+                            for t in (2.0, 3.0)]).basis)[:, 0]
     for scale in (1.0, 1e-9):
         with pytest.raises(ValueError, match="misses"):
             second_boundary_intersection(exact_curve, scale * off, 1.0)
@@ -282,7 +318,7 @@ def _frenet_by_loop(curve):
         gap = circular_gap(thetas[i], thetas[j])
         if gap <= 0.5:
             q, _ = np.linalg.qr(curve.frames[[i, j], :, 0].T)
-            s = np.linalg.svd(curve.frames[i].T @ q[:, :2], compute_uv=False)
+            s = np.linalg.svd(curve.frames[i, :, :n - 1].T @ q[:, :2], compute_uv=False)
             max_defect = max(max_defect, math.acos(min(1.0, float(s[-1]))) / gap)
     return min_sv, max_defect
 
@@ -317,9 +353,10 @@ def test_convex_domain_check_fails_on_permuted_samples(exact_curve):
 def test_convex_domain_check_fails_on_a_tangent_off_the_curve(exact_curve):
     """One sample's line turned about its point, its frame still orthonormal."""
     frames = exact_curve.frames.copy()
-    point, tangent = frames[100, :, 0], frames[100, :, 1]
-    frames[100, :, 1] = math.cos(0.3) * tangent + math.sin(0.3) * np.cross(point, tangent)
-    assert np.allclose(frames[100].T @ frames[100], np.eye(2))
+    point, tangent, covector = frames[100].T
+    frames[100, :, 1:] = np.column_stack([math.cos(0.3) * tangent + math.sin(0.3) * covector,
+                                          math.cos(0.3) * covector - math.sin(0.3) * tangent])
+    assert np.allclose(frames[100].T @ frames[100], np.eye(3))
     turned = BoundaryCurve(exact_curve.thetas, frames, exact_curve.rep, exact_curve.reference)
     assert convex_domain_checks(turned) == {"passed": False, "is_convex": True,
                                             "tangents_support": False}
@@ -357,12 +394,13 @@ def test_interpolate_refuses_a_non_finite_parameter(exact_curve, sampled_curve, 
 
 @pytest.mark.parametrize("name", ["exact_curve", "exact_curve4", "sampled_curve"])
 def test_hyperplane_covectors_equal_the_duals_of_the_samples(request, name):
-    """Bit for bit: chart tangents and scans read these rows, so another
-    kernel that moves their last bits would change the CLI's summaries."""
+    """The last frame column, which chart tangents and scans read as the covector of
+    the hyperplane, spans the SVD dual of the sample's first n-1 columns."""
     curve = request.getfixturevalue(name)
-    covectors = curve.hyperplane_covectors()
+    covectors = curve.frames[:, :, -1]
     for k, frame in enumerate(curve.frames):
-        assert np.array_equal(covectors[k], annihilator(Flag(frame)[curve.n - 1].basis)[:, 0])
+        dual = svd_annihilator(frame[:, :-1])[:, 0]
+        assert np.linalg.norm(covectors[k] - (covectors[k] @ dual) * dual) < 8 * np.finfo(float).eps
 
 
 def test_regularity_estimate_is_two_for_the_conic(exact_curve):
@@ -376,11 +414,11 @@ def test_even_dimension_curve_has_no_global_chart(exact_curve4):
     with pytest.raises(NotDefinedHere):
         exact_curve4.chart_points()
     # flag evaluation does not need the chart
-    f = Flag(exact_curve4.frames_at(1.234))
+    f = as_flag(exact_curve4.frames_at(1.234))
     assert abs(annihilator(f[3].basis)[:, 0] @ f.point.basis[:, 0]) < 1e-12
     # the sample scan needs the chart too, though the aligned samples exist
     with pytest.raises(NotDefinedHere):
-        second_boundary_intersection(exact_curve4, Flag(exact_curve4.frames_at(1.0))[3], 1.0)
+        second_boundary_intersection(exact_curve4, as_flag(exact_curve4.frames_at(1.0))[3], 1.0)
 
 
 def test_sample_boundary_requires_enough_words(reference):
@@ -404,14 +442,14 @@ def test_stacked_interpolate_equals_one_parameter_at_a_time(request, exact_curve
     thetas = np.array(thetas + [t[9], 0.5 * (t[-1] - 2 * math.pi + t[0])])
     thetas = np.stack([thetas, thetas + 2 * math.pi, thetas - 2 * math.pi])
     stacked = interpolate(curve, thetas)
-    assert stacked.shape == thetas.shape + (curve.n, curve.n - 1)
+    assert stacked.shape == thetas.shape + (curve.n, curve.n)
     assert np.array_equal(stacked, [[interpolate(curve, theta) for theta in row]
                                     for row in thetas])
     assert np.array_equal(stacked[0, 3], curve.frames[9])
 
 
 def test_shared_flag_data_is_read_only(bulged_curve03):
-    f = Flag(bulged_curve03.frames_at(1.2345))
+    f = as_flag(bulged_curve03.frames_at(1.2345))
     with pytest.raises(ValueError):
         f.frame[0, 0] = 1.0
     with pytest.raises(ValueError):

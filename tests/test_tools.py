@@ -59,16 +59,34 @@ def test_package_settable_values_are_pinned():
 
 
 def test_same_outputs_names_what_differs(tmp_path, capsys):
-    """build-rep against the repo itself, then against a copy whose summary gains a key."""
+    """build-rep against the repo itself, then against copies whose summary gains a key,
+    and gains a failing `passed` flag with a changed number."""
     same_outputs = _tool("same_outputs")
     assert same_outputs.compare(ROOT, ROOT, ["build-rep"]) == 0
     assert capsys.readouterr().out == "1 of 1 command lines identical\n"
-    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
-    cli = tmp_path / "src" / "flagflows" / "cli.py"
-    text = cli.read_text()
-    assert text.count('"loxodromy_depth2_ok": True,') == 1
-    cli.write_text(text.replace('"loxodromy_depth2_ok": True,',
-                                '"loxodromy_depth2_ok": True, "edited": True,'))
-    assert same_outputs.compare(ROOT, tmp_path, ["build-rep"]) == 1
+    cli_text = (ROOT / "src" / "flagflows" / "cli.py").read_text()
+    assert cli_text.count('"loxodromy_depth2_ok": True,') == 1
+    assert cli_text.count('"genus": rep.presentation.genus,') == 1
+    edits = {
+        "added": [('"loxodromy_depth2_ok": True,',
+                   '"loxodromy_depth2_ok": True, "edited": True,')],
+        "failed": [('"loxodromy_depth2_ok": True,',
+                    '"loxodromy_depth2_ok": True, "passed": False,'),
+                   ('"genus": rep.presentation.genus,', '"genus": rep.presentation.genus + 2,')],
+    }
+    for name, replacements in edits.items():
+        shutil.copytree(ROOT / "src", tmp_path / name / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        text = cli_text
+        for old, new in replacements:
+            text = text.replace(old, new)
+        (tmp_path / name / "src" / "flagflows" / "cli.py").write_text(text)
+    assert same_outputs.compare(ROOT, tmp_path / "added", ["build-rep"]) == 1
     assert capsys.readouterr().out.splitlines() == [
-        "build-rep: build_rep_summary.json, stdout", "0 of 1 command lines identical"]
+        "build-rep: build_rep_summary.json, stdout; verdicts agree; largest summary change 0",
+        "0 of 1 command lines identical"]
+    assert same_outputs.compare(ROOT, tmp_path / "failed", ["build-rep"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "build-rep: build_rep_summary.json, stdout; verdicts differ; "
+        "largest summary change 0.5 at genus",
+        "0 of 1 command lines identical"]

@@ -7,9 +7,13 @@ DIR a fresh directory, once in the checkout holding this script and once
 in OTHER_CHECKOUT, each with its own `src` on PYTHONPATH.  Compares the
 exit code, stdout, stderr and every artifact byte for byte, prints each
 line that differs with the names that differ, then "N of M command lines
-identical", and exits 1 if any line differs.
+identical", and exits 1 if any line differs.  A line that differs also
+says whether the two runs reach the same verdicts (exit code, the error
+type on stderr and every `passed` flag of the summary) and the largest
+relative change among the numbers the two summaries share, with its key.
 """
 
+import json
 import os
 import shlex
 import subprocess
@@ -59,11 +63,15 @@ COMMAND_LINES = [
     "dev-image --map psi3",
     "--bulge 0.3 dev-image --map tr",
     "dev-image --map alpha:1,3",
+    "--n 4 dev-image --map alpha:2,3",
     "render --figure dev-tan+",
     "render --figure boundary",
+    "--bulge 0.3 render --figure dev-tan-",
     "frenet-check",
     "--n 2 frenet-check",
     "--bulge 0.3 frenet-check",
+    "--n 4 frenet-check",
+    "--n 4 sample-curve",
 ]
 
 
@@ -79,6 +87,41 @@ def outputs(checkout: Path, line: str) -> dict:
     return out
 
 
+def _leaves(obj, key=""):
+    """{dotted key: value} of every number, bool or string in parsed JSON."""
+    if isinstance(obj, dict):
+        return {k: v for name, item in obj.items()
+                for k, v in _leaves(item, f"{key}.{name}" if key else name).items()}
+    if isinstance(obj, list):
+        return {k: v for i, item in enumerate(obj) for k, v in _leaves(item, f"{key}[{i}]").items()}
+    return {key: obj}
+
+
+def _summary(out: dict) -> dict:
+    """The leaves of a run's `*_summary.json`, or none if it wrote no summary."""
+    texts = [text for name, text in out.items() if name.endswith("_summary.json")]
+    return _leaves(json.loads(texts[0])) if texts else {}
+
+
+def verdict(out: dict) -> tuple:
+    """(exit code, error type on stderr, {key: flag} of every `passed` in the summary)."""
+    try:
+        error = json.loads(out["stderr"])["error"]["type"] if out["stderr"] else None
+    except (ValueError, KeyError, TypeError):
+        error = "unstructured stderr"
+    passed = {k: v for k, v in _summary(out).items() if k.split(".")[-1] == "passed"}
+    return out["exit code"], error, passed
+
+
+def largest_change(a: dict, b: dict):
+    """(relative change, key) of the summary number that moved most between two runs."""
+    sa, sb = _summary(a), _summary(b)
+    pairs = [(sa[k], sb[k], k) for k in sa.keys() & sb.keys()
+             if type(sa[k]) in (int, float) and type(sb[k]) in (int, float)]
+    return max(((abs(x - y) / max(abs(x), abs(y)), k) for x, y, k in pairs if x != y),
+               default=(0.0, None))
+
+
 def compare(this: Path, other: Path, lines) -> int:
     """Print the lines whose outputs differ between the checkouts, then the count that agree."""
     same = 0
@@ -86,7 +129,10 @@ def compare(this: Path, other: Path, lines) -> int:
         a, b = outputs(this, line), outputs(other, line)
         differ = [name for name in sorted(a.keys() | b.keys()) if a.get(name) != b.get(name)]
         if differ:
-            print(f"{line}: {', '.join(differ)}")
+            rel, key = largest_change(a, b)
+            print(f"{line}: {', '.join(differ)}; verdicts "
+                  f"{'agree' if verdict(a) == verdict(b) else 'differ'}; "
+                  f"largest summary change {rel:.3g}" + (f" at {key}" if key else ""))
         else:
             same += 1
     print(f"{same} of {len(lines)} command lines identical")
