@@ -446,13 +446,12 @@ def cmd_verify_all(cfg, args):
     checks["periods"] = periods_check(curve, words, _positive_roots(3))[1]
 
     # c(s + t) at p, c(t) at p moved by s, and c(s) at p, for 20 draws, in one stack
-    entries = []
-    for _ in range(20):
-        p = _random_positive_triple(rng)
-        s, t = rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0)
-        moved = LeafPoint(p.x, reference_flow(p.x, p.z, p.y, s), p.z)
-        entries += [(p.x, p.y, p.z, s + t), (p.x, moved.y, p.z, t), (p.x, p.y, p.z, s)]
-    whole, later, first = cocycle(curve, (1, 2), *np.transpose(entries)).reshape(-1, 3).T
+    x, y, z, s, t = np.array([(p.x, p.y, p.z, rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0))
+                              for p in (_random_positive_triple(rng) for _ in range(20))]).T
+    moved = reference_flow(x, z, y, s)
+    entries = [np.repeat(x, 3), np.column_stack([y, moved, y]).ravel(), np.repeat(z, 3),
+               np.column_stack([s + t, t, s]).ravel()]
+    whole, later, first = cocycle(curve, (1, 2), *entries).reshape(-1, 3).T
     worst_cocycle = max([0.0, *np.abs(whole - later - first).tolist()])
     checks["cocycle"] = {"passed": worst_cocycle < COCYCLE_BOUND,
                          "worst_identity_error": worst_cocycle}

@@ -14,7 +14,9 @@ line covectors.  The geodesic realizations of the roots of PSL(n) serve
 every n >= 3: the image segments of stacked leaves (`leaf_context`) meet
 the annihilators of x^k and z^{n-k+1}, trailing frame columns, and every
 leaf point is read from two dot products with the covector of its
-hyperplane y^{n-1}.
+hyperplane y^{n-1}: a coordinate, NaN where undefined, and an image
+signed by its segment.  `develop` signs the points toward the curve's
+hull, as the curve signs its covectors.
 """
 
 import math
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DegenerateMeet, PointOutsideSegment, UnclassifiedLine
+from .config import DegenerateMeet, UnclassifiedLine
 from .limitcurve import BoundaryCurve, second_boundary_intersection
 from .projective import RANK_TOL, Flag, cross_meet, signed_polygon_distance
 from .reps import _check_root, circular_gap
@@ -135,7 +137,9 @@ def develop(curve: BoundaryCurve, name: str, x, y, z):
     if name == "tan-":
         return develop(curve, "tan+", x, involution(curve, x, y, z), z)
     x, y, z = leaf_triples(x, y, z)
-    return develop_frames(name, *curve.frames_at(np.stack([x, y, z])))
+    frames = curve.frames_at(np.stack([x, y, z]))
+    frames[..., 0] = curve._lift(frames[..., 0])  # points signed toward the hull, as covectors
+    return develop_frames(name, *frames)
 
 
 def _check_map_name(name: str) -> None:
@@ -189,32 +193,22 @@ class LeafMetricContext:
         if np.any(np.linalg.norm(b - np.sum(a * b, axis=-1)[..., None] * a, axis=-1) < 1e-9):
             raise ValueError("leaf endpoints coincide")
 
-    def _pairings(self, m):
-        """(m.a, m.b) and where both endpoints lie numerically in ker m = y^{n-1}."""
-        ma, mb = np.sum(m * self.forward, axis=-1), np.sum(m * self.backward, axis=-1)
-        return ma, mb, np.maximum(np.abs(ma), np.abs(mb)) <= RANK_TOL * np.linalg.norm(m, axis=-1)
-
     def coordinate(self, m):
-        """Segment coordinate -(m.b)/(m.a) of each image: backward at 0, forward at infinity."""
-        ma, mb, degenerate = self._pairings(m)
-        if np.any(degenerate):
-            raise DegenerateMeet("meet has dimension 2, expected 1")
-        if np.any(np.abs(ma) < 1e-14 * np.abs(mb)):
-            raise PointOutsideSegment("point at the forward endpoint")
-        return -mb / ma
-
-    def coordinate_or_nan(self, m):
-        """`coordinate`, NaN at each image it would refuse instead of raising."""
-        ma, mb, degenerate = self._pairings(m)
+        """Segment coordinate -(m.b)/(m.a) of each image: backward at 0, forward at infinity;
+        NaN where ker m = y^{n-1} holds the segment or the forward end."""
+        ma, mb = np.sum(m * self.forward, axis=-1), np.sum(m * self.backward, axis=-1)
+        holds = np.maximum(np.abs(ma), np.abs(mb)) <= RANK_TOL * np.linalg.norm(m, axis=-1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(degenerate | (np.abs(ma) < 1e-14 * np.abs(mb)), np.nan, -mb / ma)
+            return np.where(holds | (np.abs(ma) < 1e-14 * np.abs(mb)), np.nan, -mb / ma)
 
     def image(self, m) -> np.ndarray:
-        """Unit vectors (..., n) along the images (m.b) a - (m.a) b."""
-        ma, mb, degenerate = self._pairings(m)
-        if np.any(degenerate):
+        """Unit vectors (..., n) along the images (m.b) a - (m.a) b, each a positive multiple
+        of u a + b, u the `coordinate`: signed by its segment, whatever the sign of m."""
+        ma, mb = np.sum(m * self.forward, axis=-1), np.sum(m * self.backward, axis=-1)
+        if np.any(np.maximum(np.abs(ma), np.abs(mb)) <= RANK_TOL * np.linalg.norm(m, axis=-1)):
             raise DegenerateMeet("meet has dimension 2, expected 1")
-        image = mb[..., None] * self.forward - ma[..., None] * self.backward
+        sign = np.copysign(1.0, -ma)[..., None]
+        image = (mb[..., None] * self.forward - ma[..., None] * self.backward) * sign
         return image / np.linalg.norm(image, axis=-1, keepdims=True)
 
 
@@ -382,7 +376,7 @@ def type_classifier(points, curve: BoundaryCurve, x: float, z: float) -> str:
         raise UnclassifiedLine("fitted line matches neither candidate")
     probe = develop(curve, "tan+", x, x + circular_gap(x, z) / 2, z)[0]  # a tangent_plus image
     ctx = LeafMetricContext(z1, cross_meet(x2, z2))
-    u = ctx.coordinate_or_nan(np.cross(np.concatenate([points, probe]), z2))
+    u = ctx.coordinate(np.cross(np.concatenate([points, probe]), z2))
     signs = u[:-1] * u[-1]  # NaN at z1, 0 at the pivot: neither side
     if np.all(signs > 0):
         return "tangent_plus"

@@ -6,9 +6,10 @@ three, toward x2 ∩ z2).  With x the attracting and z the repelling fixed
 point of a loxodromic element, one period of the flow is then the
 positive root length l_i - l_j.  A leaf point is read from the covector
 of its hyperplane y^{n-1} (its frame's last column) by two dot products
-with the segment ends.  Every cross ratio is a ratio of two such
-coordinates; the stable-leaf distance reads them on a line through x1,
-against that line's covector.
+with the segment ends, as a segment coordinate that is NaN where
+undefined.  Every cross ratio is a ratio of two such coordinates; the
+stable-leaf distance reads them on a line through x1, against that
+line's covector.
 
 On a fixed leaf the flow adds t to log|u|, u the segment coordinate, so
 an orbit is one stacked root solve on one leaf context, and `flow_step`
@@ -27,8 +28,7 @@ from .config import (FlagFlowsError, InsufficientResolution, NotDefinedHere, Not
 from .devmaps import LeafMetricContext, LeafPoint, develop, leaf_context, leaf_triples
 from .limitcurve import ROOT_TOL, BoundaryCurve, bracketed_root, second_boundary_intersection
 from .projective import cross_meet
-from .reps import (_check_root, boundary_vector, circular_gap, loxodromic_eigensystem,
-                   read_from_g, theta_of_vector)
+from .reps import _check_root, boundary_vector, circular_gap, loxodromic_eigensystem, read_from_g
 
 Y_CHOICES = 2  # hyperplane samples whose periods must agree in period_spectrum
 # most entries any one array of period_spectrum holds: a block of words holds
@@ -50,6 +50,8 @@ def leafwise_distance(ctx: LeafMetricContext, m1: np.ndarray, m2: np.ndarray) ->
     forward of the first; additive.
     """
     u1, u2 = ctx.coordinate(m1), ctx.coordinate(m2)
+    if np.any(np.isnan(u1) | np.isnan(u2)):
+        raise PointOutsideSegment("y^{n-1} holds the segment or its forward end")
     if np.any((u1 == 0.0) | (u2 == 0.0) | ((u1 > 0) != (u2 > 0))):
         raise PointOutsideSegment("points on different components of the leaf line")
     # math.log per entry: np.log on arrays moves the last bit of some values
@@ -62,12 +64,14 @@ def _flow_ys(curve: BoundaryCurve, alpha, p: LeafPoint, times):
 
     The targets log|u(p.y)| + t are bracketed on FLOW_GRID and p.y: log|u|
     falls from x to z, so a forward time takes the sign change nearest p.y
-    toward x, a backward time the nearest toward z.  Probes that
-    `coordinate` refuses, or on the other component of the leaf line, are
+    toward x, a backward time the nearest toward z.  Probes without a
+    `coordinate` (NaN), or on the other component of the leaf line, are
     masked.  All brackets are refined together in the arc fraction.
     """
     ctx = leaf_context(curve, alpha, p.x, p.z)
     u0 = ctx.coordinate(curve.frames_at(p.y)[:, -1])
+    if np.isnan(u0):
+        raise PointOutsideSegment("y^{n-1} holds the segment or its forward end")
     times = np.asarray(times, dtype=float)
     targets = math.log(abs(u0)) + times
     arc = circular_gap(p.x, p.z)
@@ -75,7 +79,7 @@ def _flow_ys(curve: BoundaryCurve, alpha, p: LeafPoint, times):
 
     def logs(frac):
         m = curve.frames_at((p.x + frac * arc) % (2 * math.pi))[..., -1]
-        u = ctx.coordinate_or_nan(m)
+        u = ctx.coordinate(m)
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(u * u0 > 0, np.log(np.abs(u)), np.nan)
 
@@ -279,22 +283,20 @@ def _block_periods(curve: BoundaryCurve, roots, words, g, g_inv) -> list:
     return np.reshape(results, (len(roots), len(words))).T.tolist()
 
 
-def reference_flow(x: float, z: float, y: float, t: float) -> float:
-    """Unit-speed hyperbolic geodesic flow toward x on the leaf (x, z).
+def reference_flow(x, z, y, t):
+    """Unit-speed hyperbolic geodesic flow toward x on the leaves (x, z), from y for time t.
 
-    Normalizes the leaf so that x sits at infinity and z at zero on the
-    reference circle; the flow then scales the remaining coordinate by
-    e^t.  Independent of the normalizing matrix choice.
+    On parameters that broadcast, and a float for floats.  With v = `boundary_vector`,
+    v(y) is s v(x) + v(z) up to scale, s = sin((y - z)/2) / sin((x - y)/2), and the flow
+    scales s by e^t: the new point is (s e^t) v(x) + v(z).
     """
-    vx, vz = boundary_vector(x), boundary_vector(z)
-    m = np.linalg.inv(np.column_stack([vx, vz]))
-    w = m @ boundary_vector(y)
-    if abs(w[1]) < 1e-15 * abs(w[0]):
+    x, z, y, t = np.broadcast_arrays(x, z, y, t)
+    num, den = np.sin((y - z) / 2.0), np.sin((x - y) / 2.0)
+    if np.any(np.abs(den) < 1e-15 * np.abs(num)):
         raise NotDefinedHere("y coincides with x on the leaf")
-    s = w[0] / w[1]
-    s2 = s * math.exp(t)
-    v2 = np.linalg.inv(m) @ np.array([s2, 1.0])
-    return theta_of_vector(v2)
+    v = num / den * np.exp(t) * boundary_vector(x) + boundary_vector(z)
+    theta = 2.0 * (np.arctan2(v[1], -v[0]) % math.pi) % (2.0 * math.pi)  # as theta_of_vector
+    return float(theta) if theta.ndim == 0 else theta
 
 
 def cocycle(curve: BoundaryCurve, alpha, x, y, z, t) -> np.ndarray:
@@ -306,8 +308,8 @@ def cocycle(curve: BoundaryCurve, alpha, x, y, z, t) -> np.ndarray:
     x, y, z, t = np.broadcast_arrays(*np.atleast_1d(x, y, z, t))
     x, y, z = leaf_triples(x, y, z)
     ctx = leaf_context(curve, alpha, x, z)
-    y2 = [reference_flow(*args) for args in zip(x, z, y, t)]
-    return leafwise_distance(ctx, *curve.frames_at(np.stack([y, y2]))[..., -1])
+    ys = np.stack([y, reference_flow(x, z, y, t)])
+    return leafwise_distance(ctx, *curve.frames_at(ys)[..., -1])
 
 
 def stable_leaf_distance(curve: BoundaryCurve, x, y, z, y0: float) -> np.ndarray:
@@ -328,7 +330,7 @@ def stable_leaf_distance(curve: BoundaryCurve, x, y, z, y0: float) -> np.ndarray
         ctx = LeafMetricContext(frames[:-1, :, 0], curve.frames_at(q_theta)[:, :, 0])
     except (FlagFlowsError, ValueError) as exc:
         raise NotDefinedHere(str(exc)) from exc
-    u0, u1 = ctx.coordinate_or_nan(np.cross(np.stack([p_y0, points]), lines))
+    u0, u1 = ctx.coordinate(np.cross(np.stack([p_y0, points]), lines))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.abs(u0 / u1)
     if not np.all(np.isfinite(ratio) & (ratio > 0)):

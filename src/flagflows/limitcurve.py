@@ -11,7 +11,8 @@ experiments).
 
 The curve is evaluated on arrays only: `interpolate` takes parameters of
 any shape and returns their frames from one `searchsorted`, one stacked
-Procrustes alignment and one stacked QR; `frames_at` reads from it.
+Procrustes alignment and one stacked QR; `frames_at` reads from it.  At odd n
+every covector is signed positive on the interior of the curve's convex hull.
 Root solves are stacked too: `bracketed_root` steps every open bracket
 of a check with one curve evaluation, so callers pass all their chords
 or flow targets at once.
@@ -57,10 +58,10 @@ REGULARITY_BASE_POINTS = 64     # base points of the fits in boundary_regularity
 class BoundaryCurve:
     """Sampled limit curve theta -> flag, with chart and sign conventions.
 
-    `frames[i]` is the complete frame (n, n) of the flag at `thetas[i]` (see `flag_frames`).
-    `positive_covector` fixes a sign-normalized lift of the curve: every
-    xi^1 sample v satisfies positive_covector . v > 0, which makes
-    incidence residuals along the curve continuous.
+    `frames[i]` is the complete frame (n, n) of the flag at `thetas[i]` (see `flag_frames`),
+    at odd n its last column signed positive on the hull.  `positive_covector` fixes a
+    sign-normalized lift of the curve: every xi^1 sample v satisfies positive_covector . v
+    > 0, which makes incidence residuals along the curve continuous.
     """
 
     thetas: np.ndarray
@@ -103,8 +104,9 @@ class BoundaryCurve:
         # an interior point of the dual convex domain, so the corresponding
         # hyperplane misses the closed convex hull of the curve.
         covectors = self.frames[:, :, -1]
-        flips = np.where(covectors @ barycenter < 0, -1.0, 1.0)
-        h = np.mean(covectors * flips[:, None], axis=0)
+        covectors *= np.where(covectors @ barycenter < 0, -1.0, 1.0)[:, None]  # the stored frames
+        self._barycenter = barycenter  # `interpolate` signs each covector it makes by it too
+        h = np.mean(covectors, axis=0)
         h /= np.linalg.norm(h)
         signs = h @ vecs
         if np.min(signs) <= 0:
@@ -294,6 +296,8 @@ def interpolate(curve: BoundaryCurve, thetas) -> np.ndarray:
                 aligned = b_hi @ (u @ vt)
             columns.append(((1.0 - lam) * b_lo + lam * aligned)[:, :, k - 1])
         frames[new] = flag_frames(np.stack(columns, axis=-1))
+    if curve.chart is not None and theta.size:  # odd n: covectors positive on the hull
+        frames[new, :, -1] *= np.copysign(1.0, frames[new, :, -1] @ curve._barycenter)[:, None]
     return frames.reshape(thetas.shape + frames.shape[1:])
 
 
@@ -489,8 +493,6 @@ def boundary_regularity_estimate(curve: BoundaryCurve):
         rel = pts[[(b_idx + k) % count for k in range(-window, window + 1) if k != 0]] - pts[b_idx]
         h = rel @ normal
         s = np.linalg.norm(rel - np.outer(h, normal), axis=1)
-        if np.median(np.sign(h[np.abs(h) > 0])) < 0:
-            h = -h
         mask = (h > 1e-14) & (np.abs(s) > 1e-10)
         if mask.sum() < 8:
             continue

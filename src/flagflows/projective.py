@@ -4,9 +4,10 @@ A full flag is a complete orthonormal frame: its first k columns span
 level k and the other n - k the annihilator of that level, so the last
 is the covector of the hyperplane.  The package computes on stacks of
 them, from one complete QR (`flag_frames`) whose trailing columns are
-the `annihilator`.  In RP^2 a join of two points or a meet of two lines
-is one cross product (`cross_meet`), which works on stacked vectors and
-decides rank by `RANK_TOL`.  Cross ratios of points on a line are ratios
+the `annihilator`, signed as LAPACK's QR makes it (a curve with a chart
+re-signs each covector toward its hull).  In RP^2 a join of two points or
+a meet of two lines is one cross product (`cross_meet`), which works on
+stacked vectors and decides rank by `RANK_TOL`.  Cross ratios of points on a line are ratios
 of segment coordinates, which `devmaps.LeafMetricContext` reads.
 
 `ProjectiveSubspace` (the column span of an orthonormal basis), `Flag`

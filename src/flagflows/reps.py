@@ -33,9 +33,10 @@ EPS = float(np.finfo(float).eps)
 # circle boundary parameterization
 
 
-def boundary_vector(theta: float) -> np.ndarray:
-    """Homogeneous RP^1 coordinates of the boundary point with parameter theta."""
-    return np.array([-math.cos(theta / 2.0), math.sin(theta / 2.0)])
+def boundary_vector(theta) -> np.ndarray:
+    """Homogeneous RP^1 coordinates (2, ...) of the boundary points with parameters theta."""
+    half = np.asarray(theta, dtype=float) / 2.0
+    return np.array([-np.cos(half), np.sin(half)])
 
 
 def theta_of_vector(v) -> float:

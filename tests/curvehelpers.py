@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 
+from flagflows.config import NotDefinedHere
 from flagflows.devmaps import leaf_context
 from flagflows.limitcurve import BoundaryCurve
 from flagflows.projective import Flag, ProjectiveSubspace, flag_frames
-from flagflows.reps import sym_power
+from flagflows.reps import boundary_vector, sym_power, theta_of_vector
 
 
 def as_flag(frame) -> Flag:
@@ -35,6 +36,39 @@ def realization(curve, alpha, p) -> ProjectiveSubspace:
     """Root alpha's image of the leaf point p: its segment met with y^{n-1}."""
     ctx = leaf_context(curve, alpha, p.x, p.z)
     return ProjectiveSubspace.point(ctx.image(curve.frames_at(p.y)[:, -1]))
+
+
+def two_inverse_reference_flow(x: float, z: float, y: float, t: float) -> float:
+    """`reference_flow` on one triple by two matrix inversions: the matrix that puts x at
+    infinity and z at zero on the reference circle, the remaining coordinate scaled by
+    e^t, and the inverse matrix back."""
+    m = np.linalg.inv(np.column_stack([boundary_vector(x), boundary_vector(z)]))
+    w = m @ boundary_vector(y)
+    if abs(w[1]) < 1e-15 * abs(w[0]):
+        raise NotDefinedHere("y coincides with x on the leaf")
+    return theta_of_vector(np.linalg.inv(m) @ np.array([w[0] / w[1] * math.exp(t), 1.0]))
+
+
+def interior_point(curve) -> np.ndarray:
+    """A point inside the convex hull of an odd-n curve: the mean of its xi^1 samples,
+    each signed to pair positively with `positive_covector`."""
+    points = curve.frames[:, :, 0]
+    return np.mean(points * np.sign(points @ curve.positive_covector)[:, None], axis=0)
+
+
+def assert_signed_toward_hull(curve, frames, unsigned):
+    """`frames` (..., n, n) equal `unsigned` in the first n-1 columns bit for bit and in the
+    last up to sign; at odd n every last column pairs positively with an interior point, at
+    even n none is flipped."""
+    n = curve.n
+    assert frames[..., :n - 1].tobytes() == unsigned[..., :n - 1].tobytes()
+    last, want = frames[..., -1], unsigned[..., -1]
+    flipped = np.all(last == -want, axis=-1)
+    assert np.all(flipped | np.all(last == want, axis=-1))
+    if n % 2:
+        assert np.all(last @ interior_point(curve) > 0)
+    else:
+        assert not np.any(flipped)
 
 
 def collinear_degenerate_curve(reference, num_samples=64,

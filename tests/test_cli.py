@@ -67,6 +67,15 @@ def test_flow_reports_period_matching_root_length(tmp_path):
     assert len(orbit) == 6
 
 
+def test_readme_flow_orbit_keeps_its_sign(tmp_path):
+    """Consecutive image vectors of the README's orbit pair positively; the covector's
+    LAPACK sign used to flip them at y = 4.329."""
+    assert run(tmp_path, "flow", "--alpha", "2,3", "--word", "a1 b1",
+               "--t-max", "2", "--steps", "50") == 0
+    images = np.loadtxt(tmp_path / "flow_orbit.csv", delimiter=",", skiprows=1)[:, 2:]
+    assert np.all(np.sum(images[1:] * images[:-1], axis=1) > 0)
+
+
 @pytest.mark.parametrize("n, alpha", [("3", "1,3"), ("4", "2,4")])
 def test_flow_reports_its_words_periods_row(tmp_path, n, alpha):
     """flow's period, root length and relative error are those of the word's periods.csv row."""

@@ -7,7 +7,8 @@ import pytest
 import sympy
 
 from curvehelpers import as_flag, meet, realization
-from flagflows.config import DegenerateMeet, UnclassifiedLine
+from flagflows.cli import DEV_LEAF
+from flagflows.config import DegenerateMeet, PointOutsideSegment, UnclassifiedLine
 from flagflows.devmaps import (
     MAP_TABLE,
     LeafPoint,
@@ -17,6 +18,7 @@ from flagflows.devmaps import (
     develop_frames,
     involution,
     leaf_context,
+    leaf_sweep,
     leaf_triples,
     omega_membership,
     phi_tan_minus,
@@ -26,9 +28,11 @@ from flagflows.devmaps import (
     two_sheet_error,
     type_classifier,
 )
-from flagflows.limitcurve import second_boundary_intersection
+from flagflows.flows import leafwise_distance
+from flagflows.limitcurve import sample_boundary, second_boundary_intersection
 from flagflows.projective import ProjectiveSubspace, annihilator, cross_meet, flag_frames, join
-from flagflows.reps import boundary_vector, circular_gap, theta_of_vector
+from flagflows.reps import (boundary_vector, bulge_deform, circular_gap, sym_power,
+                            theta_of_vector)
 
 
 # -- rational conic oracle ---------------------------------------------------
@@ -292,13 +296,16 @@ def test_leaf_context_image_is_the_root_realization(request, curve_name):
 
 
 def test_leaf_context_refuses_a_hyperplane_holding_the_segment(exact_curve4):
-    """The (1, 2) segment lies in x^3, so y^3 just past x holds it numerically."""
+    """The (1, 2) segment lies in x^3, so y^3 just past x holds it numerically: its
+    coordinate is NaN, and `image` and `leafwise_distance` refuse it."""
     ctx = leaf_context(exact_curve4, (1, 2), 0.6, 3.9)
     m = exact_curve4.frames_at([1.8, 0.6 + 1e-9])[..., -1]
-    assert np.isfinite(ctx.coordinate(m[0]))
-    for read in (ctx.coordinate, ctx.image):
-        with pytest.raises(DegenerateMeet, match="^meet has dimension 2, expected 1$"):
-            read(m)
+    u = ctx.coordinate(m)
+    assert np.isfinite(u[0]) and np.isnan(u[1])
+    with pytest.raises(DegenerateMeet, match="^meet has dimension 2, expected 1$"):
+        ctx.image(m)
+    with pytest.raises(PointOutsideSegment, match=re.escape("y^{n-1} holds the segment")):
+        leafwise_distance(ctx, m[0], m[1])
 
 
 def test_simple_root_realization_ignores_z_in_dim_four(exact_curve4):
@@ -313,6 +320,56 @@ def test_simple_root_realization_ignores_z_in_dim_four(exact_curve4):
     b13 = realization(exact_curve4, (1, 3), LeafPoint(x, y, 3.9))
     m13 = realization(exact_curve4, (1, 3), LeafPoint(x, y, 4.8))
     assert b13.principal_angle(m13) > 1e-3
+
+
+# -- signs of the printed vectors --------------------------------------------
+# dev-image prints the points and lines of the default leaf as vectors; a
+# covector signed by LAPACK's Householder convention instead of the geometry
+# made them jump to their antipodes partway along the leaf.
+
+
+def _keeps_its_sign(rows) -> bool:
+    """Whether consecutive rows of a stack of vectors pair positively."""
+    return bool(np.all(np.sum(rows[1:] * rows[:-1], axis=-1) > 0))
+
+
+@pytest.mark.parametrize("name", sorted(MAP_TABLE))
+def test_map_images_keep_their_sign_along_the_dev_image_leaf(exact_curve, name):
+    """The points of tr, tan+ and psi4 and the lines of tan+, psi3 and psi4 used to flip
+    at y = 1.978, the point and line of tan- at 2.885."""
+    x, z = DEV_LEAF
+    points, lines = develop(exact_curve, name, x, leaf_sweep(x, z, 64), z)
+    assert _keeps_its_sign(points) and _keeps_its_sign(lines)
+
+
+@pytest.mark.parametrize("name", ["psi1", "psi2"])
+def test_point_column_maps_keep_their_sign_on_a_sampled_curve(reference, name):
+    """psi1 and psi2 read y1, whose sign on a sampled curve is each eigenvector's own; on
+    the `--bulge -0.3` curve their points used to flip twice along the dev-image leaf."""
+    curve = sample_boundary(bulge_deform(sym_power(reference, 3), -0.3), reference, 3)
+    x, z = DEV_LEAF
+    points, lines = develop(curve, name, x, leaf_sweep(x, z, 64), z)
+    assert _keeps_its_sign(points) and _keeps_its_sign(lines)
+
+
+@pytest.mark.parametrize("alpha", [(1, 2), (1, 3), (2, 3)])
+@pytest.mark.parametrize("curve_name", ["exact_curve", "exact_curve4"])
+def test_root_images_keep_their_sign_along_the_dev_image_leaf(request, curve_name, alpha):
+    """The images of every root used to flip at y = 1.978 (n = 3) and 3.171 (n = 4)."""
+    curve = request.getfixturevalue(curve_name)
+    x, z = DEV_LEAF
+    ys = leaf_sweep(x, z, 64)
+    assert _keeps_its_sign(leaf_context(curve, alpha, x, z).image(curve.frames_at(ys)[..., -1]))
+
+
+def test_image_is_signed_by_its_segment_not_by_the_covector(exact_curve4):
+    """Negating the covector leaves every image as it was, a positive multiple of u a + b."""
+    ctx = leaf_context(exact_curve4, (2, 3), 0.6, 3.9)
+    m = exact_curve4.frames_at(np.linspace(0.8, 3.7, 9))[..., -1]
+    images = ctx.image(m)
+    assert images.tobytes() == ctx.image(-m).tobytes()
+    along = ctx.coordinate(m)[:, None] * ctx.forward + ctx.backward
+    assert np.all(np.sum(images * along, axis=1) > 0)
 
 
 # -- membership and diagnostics ----------------------------------------------

@@ -8,7 +8,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from flagflows.config import IndexOrder, NotLoxodromic, PointOutsideSegment, RootFindFailure
+from curvehelpers import two_inverse_reference_flow
+from flagflows.config import (IndexOrder, NotDefinedHere, NotLoxodromic, PointOutsideSegment,
+                              RootFindFailure)
 from flagflows import cli, flows
 from flagflows.devmaps import LeafPoint, develop
 from flagflows.flows import (
@@ -58,12 +60,12 @@ def test_image_moves_monotonically_in_y(exact_curve):
 
 
 def test_coordinate_refuses_a_covector_killing_the_forward_endpoint(exact_curve):
+    """The coordinate there is NaN, and `leafwise_distance` refuses it."""
     ctx = leaf_context(exact_curve, (2, 3), 0.5, 3.9)
     m = exact_curve.frames_at(1.8)[:, -1]
     m = m - (m @ ctx.forward) * ctx.forward
-    with pytest.raises(PointOutsideSegment, match="^point at the forward endpoint$"):
-        ctx.coordinate(m)
-    with pytest.raises(PointOutsideSegment):
+    assert np.isnan(ctx.coordinate(m))
+    with pytest.raises(PointOutsideSegment, match=re.escape("y^{n-1} holds the segment")):
         leafwise_distance(ctx, exact_curve.frames_at(1.8)[:, -1], m)
 
 
@@ -441,6 +443,27 @@ def test_reference_flow_is_additive():
     # large positive time converges to x
     far = reference_flow(x, z, y, 30.0)
     assert min(abs(far - x), 2 * math.pi - abs(far - x)) < 1e-6
+
+
+def test_reference_flow_equals_the_two_inverse_construction():
+    """On 1,200 random (x, y, z, t), parameters shifted by whole turns and t in [-5, 5]: the
+    closed form agrees with the oracle to 1e-12 mod 2pi, and stacked equals one at a time."""
+    rng = np.random.default_rng(8)
+    count = 1200
+    x = rng.uniform(0.0, 2 * math.pi, count)
+    y, z = (x + rng.uniform(0.05, 2 * math.pi - 0.05, count) for _ in range(2))
+    x, y, z = (v + 2 * math.pi * rng.integers(-1, 2, count) for v in (x, y, z))
+    t = rng.uniform(-5.0, 5.0, count)
+    stacked = reference_flow(x, z, y, t)
+    want = [two_inverse_reference_flow(*entry) for entry in zip(x, z, y, t)]
+    assert np.max(np.abs((stacked - want + math.pi) % (2 * math.pi) - math.pi)) < 1e-12
+    assert stacked.tolist() == [reference_flow(*entry) for entry in zip(x, z, y, t)]
+
+
+def test_reference_flow_gives_a_float_and_refuses_y_at_x():
+    assert type(reference_flow(0.3, 3.2, 1.1, 0.7)) is float
+    with pytest.raises(NotDefinedHere, match="^y coincides with x on the leaf$"):
+        reference_flow(0.3, 3.2, 0.3, 0.7)
 
 
 def test_cocycle_identity_and_fuchsian_rate(exact_curve):

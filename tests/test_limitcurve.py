@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import sympy
 
-from curvehelpers import as_flag, collinear_degenerate_curve, svd_annihilator
+from curvehelpers import (as_flag, assert_signed_toward_hull, collinear_degenerate_curve,
+                          interior_point, svd_annihilator)
 from flagflows import cli, limitcurve
 from flagflows.config import (
     AmbiguousBracket,
@@ -55,14 +56,15 @@ def test_exact_curve_matches_symbolic_veronese(exact_curve):
 
 @pytest.mark.parametrize("name", ["exact_curve", "exact_curve4"])
 def test_fuchsian_curve_frames_are_exact_evaluations(request, name):
-    """The stored samples, read through `interpolate`, equal `exact_eval` at each sample
-    alone, bit for bit; so do parameters a whole turn away."""
+    """The stored samples, read through `interpolate` at them or a whole turn away, are the
+    same floats; each is `exact_eval` at its sample alone, bit for bit up to the sign of the
+    last column, which at odd n is positive on the hull's interior."""
     curve = request.getfixturevalue(name)
     for thetas in (curve.thetas, curve.thetas + 2 * math.pi, curve.thetas - 2 * math.pi):
         got = interpolate(curve, thetas)
         assert got.tobytes() == curve.frames.tobytes()
-    for theta, frame in zip(curve.thetas, curve.frames):
-        assert frame.tobytes() == curve.exact_eval([theta])[0].tobytes()
+    alone = np.array([curve.exact_eval([theta])[0] for theta in curve.thetas])
+    assert_signed_toward_hull(curve, curve.frames, alone)
 
 
 @pytest.mark.parametrize("name", ["exact_curve", "exact_curve4"])
@@ -97,7 +99,8 @@ def test_sample_boundary_frames_equal_per_sample_flags(reference, monkeypatch, b
 def test_curve_frames_are_complete_orthonormal_frames(monkeypatch, n, bulge):
     """On the CLI's curves, the stored and the interpolated frames are (..., n, n) and
     orthonormal, the first n-1 columns of each are the reduced QR of its columns bit for
-    bit, and the trailing columns frames[..., k:] annihilate the levels frames[..., :k]."""
+    bit, and the trailing columns frames[..., k:] annihilate the levels frames[..., :k].
+    The curve keeps the QR's frames, with the last column signed toward the hull at odd n."""
     calls = []
 
     def recording(columns):
@@ -107,15 +110,31 @@ def test_curve_frames_are_complete_orthonormal_frames(monkeypatch, n, bulge):
     monkeypatch.setattr(limitcurve, "flag_frames", recording)
     curve = cli.build_curve(dict(cli.DEFAULT_CONFIG, n=n, bulge=bulge))
     gaps = np.diff(np.append(curve.thetas, curve.thetas[0] + 2 * math.pi))
-    curve.frames_at(curve.thetas + gaps / 3.0)
+    between = curve.frames_at(curve.thetas + gaps / 3.0)
     assert len(calls) == 2  # the samples, then the parameters between them
-    assert calls[0][1].tobytes() == curve.frames.tobytes()
+    assert_signed_toward_hull(curve, curve.frames, calls[0][1])
+    assert_signed_toward_hull(curve, between, calls[1][1])
     for columns, frames in calls:
         assert frames.shape == (len(curve), n, n)
         assert frames[..., :n - 1].tobytes() == np.linalg.qr(columns)[0].tobytes()
         assert np.max(np.abs(np.swapaxes(frames, 1, 2) @ frames - np.eye(n))) < 1e-14
         for k in range(1, n):
             assert np.max(np.abs(np.swapaxes(frames[..., k:], 1, 2) @ frames[..., :k])) < 1e-14
+
+
+@pytest.mark.parametrize("bulge, depth, flips", [(0.0, 3, (1.954, 4.329)),
+                                                  (0.3, 3, (1.945, 4.235)),
+                                                  (0.3, 4, (1.945, 4.235))],
+                         ids=["exact3", "bulge0.3", "bulge0.3-ball4"])
+def test_covectors_are_positive_on_the_hull_interior(bulge, depth, flips):
+    """Stored and interpolated covectors pair positively with an interior point, also
+    next to the parameters `flips` where the QR's last column changes sign."""
+    curve = cli.build_curve(dict(cli.DEFAULT_CONFIG, bulge=bulge, word_ball=depth))
+    thetas = np.concatenate([np.linspace(0.0, 2 * math.pi, 2001),
+                             *(np.linspace(f - 0.01, f + 0.01, 41) for f in flips)])
+    inside = interior_point(curve)
+    assert np.all(curve.frames[:, :, -1] @ inside > 0)
+    assert np.all(curve.frames_at(thetas)[..., -1] @ inside > 0)
 
 
 def test_boundary_curve_refuses_reduced_frames(exact_curve, exact_curve4):

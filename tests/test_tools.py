@@ -60,19 +60,24 @@ def test_package_settable_values_are_pinned():
 
 def test_same_outputs_names_what_differs(tmp_path, capsys):
     """build-rep against the repo itself, then against copies whose summary gains a key,
-    and gains a failing `passed` flag with a changed number."""
+    and gains a failing `passed` flag with a changed number; dev-image against copies
+    whose CSV vectors come out negated, and negated and scaled."""
     same_outputs = _tool("same_outputs")
     assert same_outputs.compare(ROOT, ROOT, ["build-rep"]) == 0
     assert capsys.readouterr().out == "1 of 1 command lines identical\n"
     cli_text = (ROOT / "src" / "flagflows" / "cli.py").read_text()
+    image = "zip(ys, ctx.image(curve.frames_at(ys)[..., -1]))"
     assert cli_text.count('"loxodromy_depth2_ok": True,') == 1
     assert cli_text.count('"genus": rep.presentation.genus,') == 1
+    assert cli_text.count(image) == 1
     edits = {
         "added": [('"loxodromy_depth2_ok": True,',
                    '"loxodromy_depth2_ok": True, "edited": True,')],
         "failed": [('"loxodromy_depth2_ok": True,',
                     '"loxodromy_depth2_ok": True, "passed": False,'),
                    ('"genus": rep.presentation.genus,', '"genus": rep.presentation.genus + 2,')],
+        "negated": [(image, image.replace("ctx", "-ctx"))],
+        "scaled": [(image, image.replace("ctx", "-1.000001 * ctx"))],
     }
     for name, replacements in edits.items():
         shutil.copytree(ROOT / "src", tmp_path / name / "src",
@@ -90,3 +95,11 @@ def test_same_outputs_names_what_differs(tmp_path, capsys):
         "build-rep: build_rep_summary.json, stdout; verdicts differ; "
         "largest summary change 0.5 at genus",
         "0 of 1 command lines identical"]
+    line = "dev-image --map alpha:1,3 --num 4"
+    for name, verdict in (("negated", "negated"),
+                          ("scaled", "largest change 8.85e-07 after aligning signs")):
+        assert same_outputs.compare(ROOT, tmp_path / name, [line]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"{line}: dev_image.csv; verdicts agree; largest summary change 0; "
+            f"dev_image.csv {verdict}",
+            "0 of 1 command lines identical"]

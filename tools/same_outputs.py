@@ -11,8 +11,13 @@ identical", and exits 1 if any line differs.  A line that differs also
 says whether the two runs reach the same verdicts (exit code, the error
 type on stderr and every `passed` flag of the summary) and the largest
 relative change among the numbers the two summaries share, with its key.
+A CSV that differs says whether every entry that differs is the exact
+negation of the other, as when a printed vector flips its sign, and if
+not, the largest change after aligning signs.
 """
 
+import csv
+import io
 import json
 import os
 import shlex
@@ -36,6 +41,7 @@ COMMAND_LINES = [
     "--bulge 0.7 --seed 0 verify-all",
     "--bulge -0.3 --seed 3 verify-all",
     'flow --alpha 2,3 --word "a1 b1"',
+    'flow --alpha 2,3 --word "a1 b1" --t-max 2 --steps 50',
     'flow --alpha 1,3 --word "a1 B2 a2"',
     '--n 4 flow --alpha 1,3 --word "a1 b1"',
     '--n 4 flow --alpha 1,2 --word "A1 a2 A1 a2"',
@@ -61,6 +67,9 @@ COMMAND_LINES = [
     "build-rep",
     "dev-image --map tan-",
     "dev-image --map psi3",
+    "dev-image --map tan+",
+    "dev-image --map psi4",
+    "dev-image --map alpha:2,3",
     "--bulge 0.3 dev-image --map tr",
     "dev-image --map alpha:1,3",
     "--n 4 dev-image --map alpha:2,3",
@@ -122,6 +131,22 @@ def largest_change(a: dict, b: dict):
                default=(0.0, None))
 
 
+def csv_change(a: bytes, b: bytes) -> str:
+    """How two CSV texts differ: "negated" when every entry that differs is the exact
+    negation of the other, else the largest change after aligning signs."""
+    rows_a, rows_b = (list(csv.reader(io.StringIO(text.decode()))) for text in (a, b))
+    if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
+        return "shape differs"
+    changes = [(x, y) for ra, rb in zip(rows_a, rows_b) for x, y in zip(ra, rb) if x != y]
+    if all(x == "-" + y or y == "-" + x for x, y in changes):
+        return "negated"
+    try:
+        largest = max(min(abs(float(x) - float(y)), abs(float(x) + float(y))) for x, y in changes)
+    except ValueError:
+        return "text differs"
+    return f"largest change {largest:.3g} after aligning signs"
+
+
 def compare(this: Path, other: Path, lines) -> int:
     """Print the lines whose outputs differ between the checkouts, then the count that agree."""
     same = 0
@@ -130,9 +155,12 @@ def compare(this: Path, other: Path, lines) -> int:
         differ = [name for name in sorted(a.keys() | b.keys()) if a.get(name) != b.get(name)]
         if differ:
             rel, key = largest_change(a, b)
+            tables = [f"; {name} {csv_change(a[name], b[name])}" for name in differ
+                      if name.endswith(".csv") and name in a.keys() & b.keys()]
             print(f"{line}: {', '.join(differ)}; verdicts "
                   f"{'agree' if verdict(a) == verdict(b) else 'differ'}; "
-                  f"largest summary change {rel:.3g}" + (f" at {key}" if key else ""))
+                  f"largest summary change {rel:.3g}" + (f" at {key}" if key else "")
+                  + "".join(tables))
         else:
             same += 1
     print(f"{same} of {len(lines)} command lines identical")
