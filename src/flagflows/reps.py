@@ -1,9 +1,9 @@
 """Surface-group representations into SL(n, R).
 
-Provides the reference Fuchsian holonomy of the genus-2 surface built
-from the regular hyperbolic octagon (vertex angle pi/4), irreducible
-embeddings SL2 -> SLn by symmetric powers, bulging deformations, and
-eigenvalue data: eigensystems, and Jordan projections with their root
+Provides the reference Fuchsian holonomy of the genus-2 surface (regular
+octagon side pairings: a quarter turn about the centre, then a half turn
+about a side midpoint), SL2 -> SLn symmetric powers, bulging deformations,
+and eigenvalue data: eigensystems, and Jordan projections with their root
 lengths, as arrays over a stack of matrices (plain floats for one).
 
 Also houses the circle parameterization of the boundary at infinity:
@@ -322,71 +322,30 @@ class SurfaceGroupRep:
 # the regular-octagon Fuchsian representation
 
 
-def _disk_pair_normalizer(p: complex, q: complex) -> np.ndarray:
-    """SU(1,1)-type matrix sending p to 0 and q onto the positive real axis."""
-    t = np.array([[1.0, -p], [-np.conj(p), 1.0]], dtype=complex)
-    t /= math.sqrt(1.0 - abs(p) ** 2)
-    tq = (q - p) / (1.0 - np.conj(p) * q)
-    phi = np.angle(tq)
-    rot = np.array([[np.exp(-1j * phi / 2), 0.0], [0.0, np.exp(1j * phi / 2)]])
-    return rot @ t
-
-
-def _disk_isometry_through(p1, p2, q1, q2) -> np.ndarray:
-    """Orientation-preserving disk isometry with p1 -> q1, p2 -> q2."""
-    return np.linalg.inv(_disk_pair_normalizer(q1, q2)) @ _disk_pair_normalizer(p1, p2)
-
-
-_CAYLEY = np.array([[1.0, -1j], [1.0, 1j]])  # z -> (z - i)/(z + i), upper half plane to disk
-
-
-def _disk_to_real(m: np.ndarray) -> np.ndarray:
-    """Conjugate a disk Mobius matrix to SL(2, R) acting on the half plane."""
-    g = np.linalg.inv(_CAYLEY) @ m @ _CAYLEY
-    g = g / np.sqrt(np.linalg.det(g))
-    if abs(g.real).sum() < abs(g.imag).sum():
-        g = g * 1j
-    if np.abs(g.imag).max() > 1e-10:
-        raise ValueError("conjugated matrix is not real")
-    g = g.real
-    return g / math.copysign(math.sqrt(abs(np.linalg.det(g))), 1.0)
-
-
-def octagon_vertices() -> np.ndarray:
-    """Vertices of the regular octagon with vertex angle pi/4, in the disk model."""
-    # right triangle (center, side midpoint, vertex) with angles pi/8, pi/2, pi/8:
-    # cosh(center-vertex distance) = cot(pi/8)^2
-    cosh_rv = (1.0 + math.sqrt(2.0)) ** 2
-    r = math.sqrt((cosh_rv - 1.0) / (cosh_rv + 1.0))  # tanh(rv / 2)
-    angles = math.pi / 8.0 + math.pi / 4.0 * np.arange(8)
-    return r * np.exp(1j * angles)
+def _rotation(phi: float) -> np.ndarray:
+    """K(phi) in SL(2, R): fixes i and turns the disk model about its centre by -phi."""
+    c, s = math.cos(phi / 2.0), math.sin(phi / 2.0)
+    return np.array([[c, -s], [s, c]])
 
 
 def fuchsian_genus2() -> SurfaceGroupRep:
-    """Discrete faithful SL(2, R) holonomy of the genus-2 surface.
+    """Discrete faithful SL(2, R) holonomy of the genus-2 surface, in closed form.
 
-    Side-pairing isometries of the regular octagon with the boundary word
-    a1 b1 a1^-1 b1^-1 a2 b2 a2^-1 b2^-1; the relator image is -Id, which
-    all downstream uses absorb (PSL2 action or even symmetric powers).
+    The regular octagon with vertex angle pi/4 is centred at i, and side p
+    joins vertices p and p + 1.  The right triangle (centre, side midpoint,
+    vertex) has angles pi/8, pi/2, pi/8, so the midpoint lies at distance d,
+    cosh d = cot(pi/8), in the disk direction (p + 1) pi/4.  g_p glues side
+    p + 2 onto side p: the quarter turn K(pi/2), then the half turn
+    H = [[0, -e^d], [e^-d, 0]] about i e^d, conjugated by K((p + 1) pi/4).
+    Every generator has trace 2 + sqrt 2, and the relator image is +Id.
     """
-    v = octagon_vertices()
-    # side k runs from v[k] to v[k+1]; g_k glues the side two steps ahead
-    # back onto side k with reversed orientation
-    pairings = []
-    for i_pos in (0, 1, 4, 5):
-        i_inv = i_pos + 2
-        p1, p2 = v[i_inv], v[(i_inv + 1) % 8]
-        q1, q2 = v[(i_pos + 1) % 8], v[i_pos]
-        pairings.append(_disk_to_real(_disk_isometry_through(p1, p2, q1, q2)))
-    g1, g2, g3, g4 = pairings
-    # the gluing relation g1 g2 g1' g4' g3 g4 g3' g2' = 1 (primes are inverses)
-    # conjugates to the standard commutator relator in these generators:
-    images = {
-        1: np.linalg.inv(g2),
-        2: g1,
-        3: np.linalg.inv(g4),
-        4: g3,
-    }
+    cosh_d = 1.0 + math.sqrt(2.0)
+    e_d = cosh_d + math.sqrt(cosh_d * cosh_d - 1.0)
+    half_turn = np.array([[0.0, -e_d], [1.0 / e_d, 0.0]])
+    g = {p: -_rotation(-(p + 1) * math.pi / 4) @ half_turn
+         @ _rotation((p + 1) * math.pi / 4) @ _rotation(math.pi / 2) for p in (0, 1, 4, 5)}
+    # the gluing relation g0 g1 G0 G5 g4 g5 G4 G1 = 1 conjugates to the relator in:
+    images = {1: np.linalg.inv(g[1]), 2: g[0], 3: np.linalg.inv(g[5]), 4: g[4]}
     return SurfaceGroupRep(SurfaceGroupPresentation(2), 2, images)
 
 

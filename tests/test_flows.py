@@ -35,8 +35,19 @@ from flagflows.words import GroupWord, enumerate_conjugacy_classes
 ROOTS = [(1, 2), (1, 3), (2, 3)]
 
 
+SPREAD_MESSAGE = r"^word a1 a1 A2 a1 A2: period varies with y by (\d\.\d{3}e[-+]\d\d)$"
+
+
 def sl2_length(m):
     return 2.0 * math.acosh(abs(np.trace(m)) / 2.0)
+
+
+def assert_spread_beyond_bound(error, rep):
+    """The (1, 2) spread that `error` names for `a1 a1 A2 a1 A2` exceeds the check's
+    bound 1e-8 l12 (about 1.46e-7).  Its digits are float noise, so they are not pinned."""
+    word = rep.presentation.parse_word("a1 a1 A2 a1 A2")
+    l12 = root_length(jordan_projection(rep.matrix(word), rep.matrix(word.inverse())), 1, 2)
+    assert float(re.match(SPREAD_MESSAGE, str(error))[1]) > 1e-8 * l12
 
 
 def test_leafwise_distance_is_additive_and_signed(exact_curve):
@@ -215,10 +226,10 @@ def test_period_spectrum_raises_the_first_failing_words_error(exact_curve, monke
         with pytest.raises(NotLoxodromic, match="reference image is not hyperbolic"):
             period_spectrum(exact_curve,
                             good[:5] + [GroupWord(())] + good[5:] + [spread_word], ROOTS)
-        with pytest.raises(RootFindFailure,
-                           match=r"^word a1 a1 A2 a1 A2: period varies with y by 1\.168e-06$"):
+        with pytest.raises(RootFindFailure, match=SPREAD_MESSAGE) as info:
             period_spectrum(exact_curve,
                             good[:5] + [spread_word] + good[5:] + [GroupWord(())], ROOTS)
+        assert_spread_beyond_bound(info.value, exact_curve.rep)
 
 
 def test_period_spectrum_finds_a_failing_word_by_halving(exact_curve, monkeypatch):
@@ -240,16 +251,18 @@ def test_exact_curve_spectrum_at_length_five_stops_at_the_equidistant_word(refer
 
     `a1 a1 A2 a1 A2` has log-moduli +-14.59 and 0, so the middle index is
     as far from the top as from the bottom of the spectrum, and the two
-    hyperplane samples disagree on the (1, 2) period by 1.168e-06.
+    hyperplane samples disagree on the (1, 2) period by several times the
+    check's bound.
     """
     curve = fuchsian_curve(reference, 3)
     pres = curve.rep.presentation
-    message = r"^word a1 a1 A2 a1 A2: period varies with y by 1\.168e-06$"
-    with pytest.raises(RootFindFailure, match=message):
+    with pytest.raises(RootFindFailure, match=SPREAD_MESSAGE) as info:
         period_spectrum(curve, enumerate_conjugacy_classes(pres, 5), ROOTS)
+    assert_spread_beyond_bound(info.value, curve.rep)
     word = pres.parse_word("a1 a1 A2 a1 A2")
-    with pytest.raises(RootFindFailure, match=message):
+    with pytest.raises(RootFindFailure, match=SPREAD_MESSAGE) as info:
         period_spectrum(curve, [word], [(1, 2)])
+    assert_spread_beyond_bound(info.value, curve.rep)
 
 
 def test_period_spectrum_memory_stays_bounded(reference):

@@ -262,21 +262,27 @@ def test_bracketed_root_meets_its_tolerance_in_either_order():
 
 
 def test_stacked_scan_raises_the_error_of_the_first_failing_chord(bulged_curve03):
-    """Seeded chords of the bulged depth-3 curve, of which the 15th finds two sign
-    changes: the stacked scan raises what a loop over the chords raises, and the
-    good chords alone solve to the loop's roots, bit for bit."""
+    """Seeded chords of the bulged depth-3 curve, some of which fail their scan (a
+    few percent of chords find two sign changes there): the stacked scan raises
+    what a loop over the chords raises first, and the good chords alone solve to
+    the loop's roots, bit for bit."""
     curve = bulged_curve03
     known, other = np.random.default_rng(0).uniform(0.0, 2 * math.pi, (20, 2)).T
     lines = cross_meet(*curve.frames_at([known, other])[..., 0])
-    with pytest.raises(AmbiguousBracket) as looped:
-        for line, t in zip(lines, known):
-            second_boundary_intersection(curve, line, t)
-    with pytest.raises(AmbiguousBracket) as stacked:
+    looped = []
+    for line, t in zip(lines, known):
+        try:
+            looped.append(second_boundary_intersection(curve, line, t))
+        except (AmbiguousBracket, NoSecondIntersection) as exc:
+            looped.append(exc)
+    failing = [isinstance(x, Exception) for x in looped]
+    assert any(failing)
+    first = looped[failing.index(True)]
+    with pytest.raises(type(first)) as stacked:
         second_boundary_intersection(curve, lines, known)
-    assert str(stacked.value) == str(looped.value) == "2 sign changes; samples not convex here"
-    good = np.arange(20) != 14
-    want = [second_boundary_intersection(curve, line, t) for line, t in
-            zip(lines[good], known[good])]
+    assert str(stacked.value) == str(first)
+    good = ~np.array(failing)
+    want = [x for x, bad in zip(looped, failing) if not bad]
     assert np.array_equal(second_boundary_intersection(curve, lines[good], known[good]), want)
 
 

@@ -53,12 +53,43 @@ def test_mobius_action_matches_matrix_action():
 
 def test_fuchsian_genus2_is_a_representation(reference):
     rel = reference.matrix(reference.presentation.relator())
-    assert min(np.linalg.norm(rel - np.eye(2)), np.linalg.norm(rel + np.eye(2))) < 1e-8
+    assert np.linalg.norm(rel - np.eye(2)) < 1e-13
     # regular-octagon side pairing: all four generators share the trace
     # of the hyperbolic translation between opposite sides
     for m in reference.images.values():
         assert abs(abs(np.trace(m)) - (2.0 + math.sqrt(2.0))) < 1e-10
     reference.check_loxodromy(3)
+
+
+# the images built by Cayley-conjugating the disk isometries through the octagon's
+# vertices, to 17 digits
+DISK_MODEL_IMAGES = {
+    1: [[0.15333280715651013, -0.1533328071565104], [3.260880755216583, 3.2608807552165837]],
+    2: [[3.9044750081221697, 1.7071067811865486], [-1.7071067811865488, -0.490261445749073]],
+    3: [[3.260880755216582, -3.260880755216581], [0.1533328071565112, 0.15333280715650954]],
+    4: [[-0.49026144574907304, 1.707106781186549], [-1.7071067811865486, 3.904475008122172]],
+}
+
+
+def test_fuchsian_genus2_glues_the_sides_of_the_regular_octagon(reference):
+    """Each pairing maps its side's ends onto the paired side's, reversed, as a Mobius map.
+
+    Vertex k of the octagon with vertex angle pi/4 sits at w_k = r e^{i(pi/8 + k pi/4)}
+    in the disk, r = tanh(rho/2) with cosh rho = cot(pi/8)^2 (the right triangle
+    centre, side midpoint, vertex), carried to the half plane by w -> i(1 + w)/(1 - w).
+    """
+    rho = math.acosh(1.0 / math.tan(math.pi / 8) ** 2)
+    w = math.tanh(rho / 2) * np.exp(1j * (math.pi / 8 + np.arange(8) * math.pi / 4))
+    v = 1j * (1 + w) / (1 - w)
+    images = reference.images
+    pairings = {0: images[2], 1: np.linalg.inv(images[1]), 4: images[4],
+                5: np.linalg.inv(images[3])}
+    for p, ((a, b), (c, d)) in pairings.items():
+        for start, end in ((p + 2, p + 1), (p + 3, p)):
+            z = v[start % 8]
+            assert abs((a * z + b) / (c * z + d) - v[end]) < 1e-12
+    for k, want in DISK_MODEL_IMAGES.items():
+        assert np.max(np.abs(images[k] - want)) < 1e-14
 
 
 def test_sym_matrix_on_diagonal_input():

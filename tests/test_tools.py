@@ -60,8 +60,9 @@ def test_package_settable_values_are_pinned():
 
 def test_same_outputs_names_what_differs(tmp_path, capsys):
     """build-rep against the repo itself, then against copies whose summary gains a key,
-    and gains a failing `passed` flag with a changed number; dev-image against copies
-    whose CSV vectors come out negated, and negated and scaled."""
+    and gains a failing `passed` flag with a changed number, and whose rep.json differs
+    in one entry; dev-image against copies whose CSV vectors come out negated, and
+    negated and scaled."""
     same_outputs = _tool("same_outputs")
     assert same_outputs.compare(ROOT, ROOT, ["build-rep"]) == 0
     assert capsys.readouterr().out == "1 of 1 command lines identical\n"
@@ -70,12 +71,14 @@ def test_same_outputs_names_what_differs(tmp_path, capsys):
     assert cli_text.count('"loxodromy_depth2_ok": True,') == 1
     assert cli_text.count('"genus": rep.presentation.genus,') == 1
     assert cli_text.count(image) == 1
+    assert cli_text.count('"rep.json", rep.to_dict()') == 1
     edits = {
         "added": [('"loxodromy_depth2_ok": True,',
                    '"loxodromy_depth2_ok": True, "edited": True,')],
         "failed": [('"loxodromy_depth2_ok": True,',
                     '"loxodromy_depth2_ok": True, "passed": False,'),
                    ('"genus": rep.presentation.genus,', '"genus": rep.presentation.genus + 2,')],
+        "rep": [('"rep.json", rep.to_dict()', '"rep.json", {**rep.to_dict(), "n": 3.25}')],
         "negated": [(image, image.replace("ctx", "-ctx"))],
         "scaled": [(image, image.replace("ctx", "-1.000001 * ctx"))],
     }
@@ -88,12 +91,19 @@ def test_same_outputs_names_what_differs(tmp_path, capsys):
         (tmp_path / name / "src" / "flagflows" / "cli.py").write_text(text)
     assert same_outputs.compare(ROOT, tmp_path / "added", ["build-rep"]) == 1
     assert capsys.readouterr().out.splitlines() == [
-        "build-rep: build_rep_summary.json, stdout; verdicts agree; largest summary change 0",
+        "build-rep: build_rep_summary.json, stdout; verdicts agree; largest summary change 0; "
+        "build_rep_summary.json largest absolute change 0",
         "0 of 1 command lines identical"]
     assert same_outputs.compare(ROOT, tmp_path / "failed", ["build-rep"]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "build-rep: build_rep_summary.json, stdout; verdicts differ; "
-        "largest summary change 0.5 at genus",
+        "largest summary change 0.5 at genus; "
+        "build_rep_summary.json largest absolute change 2 at genus",
+        "0 of 1 command lines identical"]
+    assert same_outputs.compare(ROOT, tmp_path / "rep", ["build-rep"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "build-rep: rep.json; verdicts agree; largest summary change 0; "
+        "rep.json largest absolute change 0.25 at n",
         "0 of 1 command lines identical"]
     line = "dev-image --map alpha:1,3 --num 4"
     for name, verdict in (("negated", "negated"),

@@ -11,9 +11,11 @@ identical", and exits 1 if any line differs.  A line that differs also
 says whether the two runs reach the same verdicts (exit code, the error
 type on stderr and every `passed` flag of the summary) and the largest
 relative change among the numbers the two summaries share, with its key.
-A CSV that differs says whether every entry that differs is the exact
-negation of the other, as when a printed vector flips its sign, and if
-not, the largest change after aligning signs.
+A JSON artifact that differs (a summary, `rep.json`, `curve.json`) gives
+the largest absolute change among the numbers both runs share, with its
+key.  A CSV that differs says whether every entry that differs is the
+exact negation of the other, as when a printed vector flips its sign,
+and if not, the largest change after aligning signs.
 """
 
 import csv
@@ -122,13 +124,23 @@ def verdict(out: dict) -> tuple:
     return out["exit code"], error, passed
 
 
+def _moved(la: dict, lb: dict) -> list:
+    """(x, y, key) of every number two sets of leaves share under one key and that differs."""
+    return [(la[k], lb[k], k) for k in la.keys() & lb.keys()
+            if type(la[k]) in (int, float) and type(lb[k]) in (int, float) and la[k] != lb[k]]
+
+
 def largest_change(a: dict, b: dict):
     """(relative change, key) of the summary number that moved most between two runs."""
-    sa, sb = _summary(a), _summary(b)
-    pairs = [(sa[k], sb[k], k) for k in sa.keys() & sb.keys()
-             if type(sa[k]) in (int, float) and type(sb[k]) in (int, float)]
-    return max(((abs(x - y) / max(abs(x), abs(y)), k) for x, y, k in pairs if x != y),
-               default=(0.0, None))
+    moved = _moved(_summary(a), _summary(b))
+    return max(((abs(x - y) / max(abs(x), abs(y)), k) for x, y, k in moved), default=(0.0, None))
+
+
+def json_change(a: bytes, b: bytes) -> str:
+    """The largest absolute change among the numbers two JSON texts share, with its key."""
+    moved = _moved(_leaves(json.loads(a)), _leaves(json.loads(b)))
+    change, key = max(((abs(x - y), k) for x, y, k in moved), default=(0.0, None))
+    return f"largest absolute change {change:.3g}" + (f" at {key}" if key else "")
 
 
 def csv_change(a: bytes, b: bytes) -> str:
@@ -155,12 +167,14 @@ def compare(this: Path, other: Path, lines) -> int:
         differ = [name for name in sorted(a.keys() | b.keys()) if a.get(name) != b.get(name)]
         if differ:
             rel, key = largest_change(a, b)
-            tables = [f"; {name} {csv_change(a[name], b[name])}" for name in differ
-                      if name.endswith(".csv") and name in a.keys() & b.keys()]
+            changes = {".csv": csv_change, ".json": json_change}
+            notes = [f"; {name} {changes[Path(name).suffix](a[name], b[name])}"
+                      for name in differ if Path(name).suffix in changes
+                      and name in a.keys() & b.keys()]
             print(f"{line}: {', '.join(differ)}; verdicts "
                   f"{'agree' if verdict(a) == verdict(b) else 'differ'}; "
                   f"largest summary change {rel:.3g}" + (f" at {key}" if key else "")
-                  + "".join(tables))
+                  + "".join(notes))
         else:
             same += 1
     print(f"{same} of {len(lines)} command lines identical")
