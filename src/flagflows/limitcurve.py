@@ -10,12 +10,14 @@ which gives exact flags at any parameter (used by the high-accuracy
 experiments).
 
 The curve is evaluated on arrays only: `interpolate` takes parameters of
-any shape and returns their frames from one `searchsorted`, one stacked
-Procrustes alignment and one stacked QR; `frames_at` reads from it.  At odd n
-every covector is signed positive on the interior of the curve's convex hull.
-Root solves are stacked too: `bracketed_root` steps every open bracket
-of a check with one curve evaluation, so callers pass all their chords
-or flow targets at once.
+any shape and returns their frames from one `searchsorted`, one blend
+toward the curve's table of aligned gap ends and one stacked QR;
+`frames_at` reads from it.  At odd n every covector is signed positive on
+the interior of the curve's convex hull.  Root solves are stacked too:
+`bracketed_root` steps every open bracket of a check with one curve
+evaluation, so callers pass all their chords or flow targets at once, and
+a boundary scan on a sampled curve solves its brackets between samples in
+closed form.
 """
 
 import math
@@ -62,6 +64,12 @@ class BoundaryCurve:
     at odd n its last column signed positive on the hull.  `positive_covector` fixes a
     sign-normalized lift of the curve: every xi^1 sample v satisfies positive_covector . v
     > 0, which makes incidence residuals along the curve continuous.
+
+    Two tables are built the first time a query needs them and kept, read-only:
+    `lifted_points()`, the N xi^1 samples signed by that lift (N x n floats),
+    which every boundary scan reads; and `gap_table()`, per sample gap its width
+    and the Procrustes-aligned blend targets of its levels (N + N x n x (n-1)
+    floats), from which `interpolate` blends a sampled curve.  Both are O(N).
     """
 
     thetas: np.ndarray
@@ -171,6 +179,41 @@ class BoundaryCurve:
             self._chart_points.setflags(write=False)
         return self._chart_points
 
+    def lifted_points(self) -> np.ndarray:
+        """The xi^1 samples (N, n), each signed by `_lift`, in circular order; read-only."""
+        self._require_chart()
+        if not hasattr(self, "_lifted_points"):
+            self._lifted_points = self._lift(self.frames[:, :, 0])
+            self._lifted_points.setflags(write=False)
+        return self._lifted_points
+
+    def gap_table(self):
+        """(widths (N,), targets (N, n, n-1)) of the sample gaps, gap hi ending at sample hi.
+
+        `widths[hi]` is the ccw gap from sample hi-1 (circularly) to sample hi;
+        column k-1 of `targets[hi]` is column k-1 of level k of frame hi after
+        Procrustes alignment to level k of frame hi-1, the end `interpolate`
+        blends toward (for one column the rotation is the sign of the inner
+        product).  Stacked over all gaps, each the same floats as alone; read-only.
+        """
+        if not hasattr(self, "_gap_table"):
+            hi = np.arange(len(self))
+            lo = (hi - 1) % hi.size
+            columns = []
+            for k in range(1, self.n):
+                b_lo, b_hi = self.frames[lo, :, :k], self.frames[hi, :, :k]
+                if k == 1:
+                    aligned = b_hi * np.copysign(1.0, np.sum(b_hi * b_lo, axis=1))[:, None]
+                else:
+                    u, _, vt = np.linalg.svd(np.swapaxes(b_hi, 1, 2) @ b_lo)
+                    aligned = b_hi @ (u @ vt)
+                columns.append(aligned[:, :, k - 1])
+            self._gap_table = (circular_gap(self.thetas[lo], self.thetas),
+                               np.stack(columns, axis=-1))
+            for table in self._gap_table:
+                table.setflags(write=False)
+        return self._gap_table
+
     def frames_at(self, thetas) -> np.ndarray:
         """Complete frames (..., n, n) of the flags at parameters of any shape: `interpolate`."""
         return interpolate(self, thetas)
@@ -260,9 +303,12 @@ def interpolate(curve: BoundaryCurve, thetas) -> np.ndarray:
     One `searchsorted` finds the sample gap of every parameter.  Within
     1e-13 of a sample the stored frame is returned; elsewhere the exact
     evaluator, if the curve has one.  Otherwise each flag level (a frame
-    prefix) is blended linearly across its gap after Procrustes alignment
-    of the gap's two bases, and the new columns of the levels go to `flag_frames`.
-    Alignment and QR run stacked: each frame is the same floats as alone.
+    prefix) is blended linearly across its gap, lam = (theta - theta_lo) /
+    width, after Procrustes alignment of the gap's upper basis to its lower
+    one, and the new columns of the levels go to `flag_frames`; the widths
+    and aligned columns come from `gap_table`, so a call is one blend
+    (1 - lam) frames[lo, :, :-1] + lam targets[hi] and one stacked QR, and
+    each frame is the same floats as alone.
     """
     thetas = np.asarray(thetas, dtype=float)
     if not np.all(np.isfinite(thetas)):
@@ -282,23 +328,37 @@ def interpolate(curve: BoundaryCurve, thetas) -> np.ndarray:
     if curve.exact_eval is not None and theta.size:
         frames[new] = curve.exact_eval(theta)
     elif theta.size:
-        lam = (circular_gap(curve.thetas[lo], theta)
-               / circular_gap(curve.thetas[lo], curve.thetas[hi]))[:, None, None]
-        columns = []
-        for k in range(1, curve.n):
-            b_lo, b_hi = curve.frames[lo, :, :k], curve.frames[hi, :, :k]
-            # Procrustes alignment of the two bases before the linear blend;
-            # for one column the rotation is the sign of the inner product
-            if k == 1:
-                aligned = b_hi * np.copysign(1.0, np.sum(b_hi * b_lo, axis=1))[:, None]
-            else:
-                u, _, vt = np.linalg.svd(np.swapaxes(b_hi, 1, 2) @ b_lo)
-                aligned = b_hi @ (u @ vt)
-            columns.append(((1.0 - lam) * b_lo + lam * aligned)[:, :, k - 1])
-        frames[new] = flag_frames(np.stack(columns, axis=-1))
+        widths, targets = curve.gap_table()
+        lam = (circular_gap(curve.thetas[lo], theta) / widths[hi])[:, None, None]
+        frames[new] = flag_frames((1.0 - lam) * curve.frames[lo, :, :-1] + lam * targets[hi])
     if curve.chart is not None and theta.size:  # odd n: covectors positive on the hull
         frames[new, :, -1] *= np.copysign(1.0, frames[new, :, -1] @ curve._barycenter)[:, None]
     return frames.reshape(thetas.shape + frames.shape[1:])
+
+
+def _scan_offsets(thetas, known):
+    """(ahead, behind) (m, N): the ccw offsets in [0, 2pi) from each known parameter (m,)
+    to each sample parameter (N,), and from each sample to each known parameter.
+
+    The floats of `(thetas - known[:, None]) % 2pi` and `(known[:, None] - thetas) % 2pi`:
+    while all parameters lie in [0, 2pi) every difference d exceeds -2pi, and the
+    remainder is d + 2pi where d < 0 and d elsewhere, one conditional add.
+    """
+    two_pi = 2 * math.pi
+    d = thetas - known[:, None]
+    if np.all((known >= 0.0) & (known < two_pi)) and 0.0 <= thetas[0] and thetas[-1] < two_pi:
+        return np.where(d < 0.0, d + two_pi, d), np.where(d > 0.0, two_pi - d, -d)
+    return d % two_pi, -d % two_pi
+
+
+def _incidence(covectors, points) -> np.ndarray:
+    """covectors . points over the last axis, broadcast, as the explicit sum
+    ((c0 p0 + c1 p1) + c2 p2) + ...: the floats of np.sum over a short axis, elementwise,
+    so a chord's floats do not depend on the stack."""
+    total = covectors[..., 0] * points[..., 0]
+    for k in range(1, covectors.shape[-1]):
+        total = total + covectors[..., k] * points[..., k]
+    return total
 
 
 def second_boundary_intersection(curve: BoundaryCurve, lines, known):
@@ -309,9 +369,19 @@ def second_boundary_intersection(curve: BoundaryCurve, lines, known):
     covectors (m, n), with one known parameter or m, give m parameters.
     The incidence residual over sin(s/2), s the ccw offset from known,
     changes sign once, at the second intersection.  One scan of the
-    stored samples brackets every chord, and `bracketed_root` refines all
-    brackets together.  The first chord that misses xi^1(known), or whose
-    scan finds no sign change or several, raises as a loop would.
+    curve's lifted samples (`lifted_points`) brackets every chord; the
+    first chord that misses xi^1(known), or whose scan finds no sign change
+    or several, raises as a loop would.
+
+    On a sampled curve (no `exact_eval`) a bracket between two samples lo and
+    hi, neither within 1e-7 of known, is solved in closed form: there the
+    interpolated xi^1 is the normalized (1 - lam) p_lo + lam p_hi of the lifted
+    samples, lam linear in the parameter across the gap (`gap_table`), so
+    the root is lam = r_lo / (r_lo - r_hi) with r = covector . p.  The other
+    brackets are refined together by `bracketed_root`: every bracket of a
+    curve with `exact_eval`, the two brackets that end 1e-7 from known, a
+    bracket with an end at a sample within 1e-7 of known (its value replaced
+    by that end's), and a bracket whose lifted samples pair negatively.
     """
     if isinstance(lines, ProjectiveSubspace):
         if lines.dim != curve.n - 1:
@@ -325,8 +395,8 @@ def second_boundary_intersection(curve: BoundaryCurve, lines, known):
     curve._require_chart()
     two_pi, eps = 2 * math.pi, 1e-7
 
-    def residual(points, rows):  # elementwise, so a chord's floats do not depend on the stack
-        return np.sum(covectors[rows] * curve._lift(points), axis=-1)
+    def residual(points, rows):
+        return _incidence(covectors[rows], curve._lift(points))
 
     def deflated(s, rows):
         return residual(curve.frames_at(known[rows] + s)[..., 0], rows) / np.sin(s / 2.0)
@@ -337,11 +407,13 @@ def second_boundary_intersection(curve: BoundaryCurve, lines, known):
     # the scan: the two ends eps from known, and the samples between them in
     # ccw order, where a sample within eps of known takes its end's place
     start, end = start / math.sin(eps / 2.0), end / math.sin((two_pi - eps) / 2.0)
-    offsets = (curve.thetas - known[:, None]) % two_pi
+    lifted = curve.lifted_points()
+    offsets, behind = _scan_offsets(curve.thetas, known)
+    ahead, behind = offsets <= eps, behind <= eps
+    raw = _incidence(covectors[:, None, :], lifted)
     with np.errstate(divide="ignore", invalid="ignore"):
-        sampled = residual(curve.frames[:, None, :, 0], rows).T / np.sin(offsets / 2.0)
-    sampled = np.where(offsets <= eps, start[:, None], np.where(
-        (known[:, None] - curve.thetas) % two_pi <= eps, end[:, None], sampled))
+        sampled = raw / np.sin(offsets / 2.0)
+    sampled = np.where(ahead, start[:, None], np.where(behind, end[:, None], sampled))
     offsets = np.clip(offsets, eps, two_pi - eps)
     order = np.argsort(offsets, axis=1, kind="stable")
     grid = np.pad(np.take_along_axis(offsets, order, 1), ((0, 0), (1, 1)),
@@ -357,9 +429,24 @@ def second_boundary_intersection(curve: BoundaryCurve, lines, known):
             raise NoSecondIntersection("no sign change: line is numerically tangent")
         raise AmbiguousBracket(f"{counts[k]} sign changes; samples not convex here")
     j = np.argmax(changes, axis=1)
-    s = bracketed_root(deflated, grid[rows, j], grid[rows, j + 1],
-                       values[rows, j], values[rows, j + 1], ROOT_TOL)
-    roots = (known + s) % two_pi
+    roots = np.empty(known.size)
+    closed = np.zeros(known.size, dtype=bool)
+    if curve.exact_eval is None:
+        # grid entry j is the scan's (j-1)-st sample: brackets 1..N-1 join two samples
+        lo = order[rows, np.maximum(j - 1, 0)]
+        hi = order[rows, np.minimum(j, len(curve) - 1)]
+        replaced = ahead | behind
+        closed = ((j >= 1) & (j < len(curve)) & ~replaced[rows, lo] & ~replaced[rows, hi]
+                  & (_incidence(lifted[lo], lifted[hi]) > 0.0))
+        lo, hi = lo[closed], hi[closed]
+        r_lo, r_hi = raw[closed, lo], raw[closed, hi]
+        lam = r_lo / (r_lo - r_hi)
+        roots[closed] = (curve.thetas[lo] + lam * curve.gap_table()[0][hi]) % two_pi
+    it = np.flatnonzero(~closed)
+    if it.size:
+        s = bracketed_root(lambda x, r: deflated(x, it[r]), grid[it, j[it]], grid[it, j[it] + 1],
+                           values[it, j[it]], values[it, j[it] + 1], ROOT_TOL)
+        roots[it] = (known[it] + s) % two_pi
     return float(roots[0]) if np.ndim(lines) == 1 else roots
 
 

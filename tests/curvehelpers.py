@@ -6,9 +6,9 @@ import numpy as np
 
 from flagflows.config import NotDefinedHere
 from flagflows.devmaps import leaf_context
-from flagflows.limitcurve import BoundaryCurve
+from flagflows.limitcurve import BoundaryCurve, interpolate
 from flagflows.projective import Flag, ProjectiveSubspace, flag_frames
-from flagflows.reps import boundary_vector, sym_power, theta_of_vector
+from flagflows.reps import boundary_vector, circular_gap, sym_power, theta_of_vector
 
 
 def as_flag(frame) -> Flag:
@@ -47,6 +47,40 @@ def two_inverse_reference_flow(x: float, z: float, y: float, t: float) -> float:
     if abs(w[1]) < 1e-15 * abs(w[0]):
         raise NotDefinedHere("y coincides with x on the leaf")
     return theta_of_vector(np.linalg.inv(m) @ np.array([w[0] / w[1] * math.exp(t), 1.0]))
+
+
+def procrustes_interpolate(curve, thetas) -> np.ndarray:
+    """Frames (m, n, n) of a sampled curve at parameters (m,), none within 1e-13 of a
+    sample, aligning each gap's two frames per call: level k of the upper frame is
+    rotated onto level k of the lower by Procrustes (for one column, by the sign of the
+    inner product), blended linearly, and its column k-1 taken; the hull sign as in
+    `interpolate`."""
+    theta = np.asarray(thetas, dtype=float) % (2 * math.pi)
+    hi = np.searchsorted(curve.thetas, theta) % len(curve)
+    lo = (hi - 1) % len(curve)
+    lam = (circular_gap(curve.thetas[lo], theta)
+           / circular_gap(curve.thetas[lo], curve.thetas[hi]))[:, None, None]
+    columns = []
+    for k in range(1, curve.n):
+        b_lo, b_hi = curve.frames[lo, :, :k], curve.frames[hi, :, :k]
+        if k == 1:
+            aligned = b_hi * np.copysign(1.0, np.sum(b_hi * b_lo, axis=1))[:, None]
+        else:
+            u, _, vt = np.linalg.svd(np.swapaxes(b_hi, 1, 2) @ b_lo)
+            aligned = b_hi @ (u @ vt)
+        columns.append(((1.0 - lam) * b_lo + lam * aligned)[:, :, k - 1])
+    frames = flag_frames(np.stack(columns, axis=-1))
+    if curve.chart is not None:
+        frames[:, :, -1] *= np.copysign(1.0, frames[:, :, -1] @ curve._barycenter)[:, None]
+    return frames
+
+
+def iterated_curve(curve) -> BoundaryCurve:
+    """The samples of a sampled curve with its own interpolation as the evaluator: the
+    same flags at every parameter, and a scan on it refines every bracket with
+    `bracketed_root`, closed-form roots being for curves without an evaluator."""
+    return BoundaryCurve(curve.thetas, curve.frames, curve.rep, curve.reference,
+                         exact_eval=lambda thetas: interpolate(curve, thetas))
 
 
 def interior_point(curve) -> np.ndarray:

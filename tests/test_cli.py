@@ -421,6 +421,13 @@ def test_verify_all_evaluates_its_curve_in_few_stacked_calls(tmp_path, monkeypat
     assert len(sizes) <= 80
 
 
+def test_bulged_covering_identity_holds_to_roundoff(tmp_path):
+    """On an interpolated curve the deck identity needs only the second intersection of
+    the line x^1 + P with the curve, and closed-form roots put it there to roundoff."""
+    run(tmp_path, "--bulge", "0.3", "--seed", "0", "verify-all")
+    assert load_summary(tmp_path, "verify_all")["checks"]["covering"]["two_sheet_max_error"] < 1e-13
+
+
 def test_verify_all_checks_leaf_points_in_stacks(tmp_path, monkeypatch):
     """A count, not a time: stacked triples are checked as arrays, not one `LeafPoint` each.
 

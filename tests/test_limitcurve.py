@@ -5,7 +5,8 @@ import pytest
 import sympy
 
 from curvehelpers import (as_flag, assert_signed_toward_hull, collinear_degenerate_curve,
-                          interior_point, svd_annihilator)
+                          interior_point, iterated_curve, procrustes_interpolate,
+                          svd_annihilator)
 from flagflows import cli, limitcurve
 from flagflows.config import (
     AmbiguousBracket,
@@ -16,7 +17,9 @@ from flagflows.config import (
     RootFindFailure,
 )
 from flagflows.limitcurve import (
+    ROOT_TOL,
     BoundaryCurve,
+    _scan_offsets,
     boundary_regularity_estimate,
     bracketed_root,
     convex_domain_checks,
@@ -286,9 +289,116 @@ def test_stacked_scan_raises_the_error_of_the_first_failing_chord(bulged_curve03
     assert np.array_equal(second_boundary_intersection(curve, lines[good], known[good]), want)
 
 
+def _solved_rows(monkeypatch):
+    """The number of brackets each `bracketed_root` call of a scan receives, as a list."""
+    sizes, solve = [], limitcurve.bracketed_root
+    monkeypatch.setattr(limitcurve, "bracketed_root", lambda f, a, *args: sizes.append(
+        np.size(a)) or solve(f, a, *args))
+    return sizes
+
+
+def _line_residuals(curve, lines, thetas):
+    """|c . xi^1(theta)| of unit covectors c and unit xi^1 at the parameters."""
+    c = lines / np.linalg.norm(lines, axis=1, keepdims=True)
+    return np.abs(np.sum(c * curve.frames_at(thetas)[..., 0], axis=-1))
+
+
+def test_closed_form_roots_lie_on_their_lines(bulged_curve03, monkeypatch):
+    """Seeded chords of the sampled bulge-0.3 curve solve each bracket between two samples
+    in closed form: xi^1 at the returned parameter lies on its line to roundoff, and the
+    root is within the root tolerance of the one the iterated scan finds."""
+    curve = bulged_curve03
+    known, other = np.random.default_rng(1).uniform(0.0, 2 * math.pi, (40, 2)).T
+    gap = np.searchsorted(curve.thetas, np.stack([known, other]))
+    known, other = known[gap[0] != gap[1]], other[gap[0] != gap[1]]  # no chord along a gap
+    lines = cross_meet(*curve.frames_at([known, other])[..., 0])
+    sizes = _solved_rows(monkeypatch)
+    got = second_boundary_intersection(curve, lines, known)
+    assert sizes == []  # no bracket iterated
+    assert np.max(_line_residuals(curve, lines, got)) <= 1e-14
+    want = second_boundary_intersection(iterated_curve(curve), lines, known)
+    assert np.max(np.abs(got - want)) <= ROOT_TOL
+    assert np.max(np.abs(got - other)) <= ROOT_TOL
+
+
+def test_brackets_at_known_keep_the_iterated_roots(bulged_curve03, exact_curve, monkeypatch):
+    """On a sampled curve a bracket with an end 1e-7 from known iterates, and its root is
+    the iterated scan's, bit for bit: here a sample lies 5e-8 after known (before, for the
+    second chord) and takes the value of the scan's end there, and the root is in the gap
+    beyond it.  A chord whose known is a sample parameter replaces that sample only, and
+    its far bracket is solved in closed form, within ROOT_TOL of the iterated root.  On
+    the exact curve every bracket iterates."""
+    curve, t = bulged_curve03, bulged_curve03.thetas
+    known = np.array([t[10] - 5e-8, t[20] + 5e-8, t[30]])
+    other = np.array([t[10] + 0.4 * (t[11] - t[10]), t[20] - 0.4 * (t[20] - t[19]),
+                      t[33] + 0.3 * (t[34] - t[33])])
+    lines = cross_meet(*curve.frames_at([known, other])[..., 0])
+    sizes = _solved_rows(monkeypatch)
+    got = second_boundary_intersection(curve, lines, known)
+    assert sizes[0] == 2  # the two chords at a replaced sample
+    want = second_boundary_intersection(iterated_curve(curve), lines, known)
+    assert np.array_equal(got[:2], want[:2])
+    assert abs(got[2] - want[2]) <= ROOT_TOL and abs(got[2] - other[2]) <= ROOT_TOL
+    # a chord along the segment of one gap: the residual there is roundoff, and here its
+    # one sign change lies in the bracket from known + 1e-7 to the gap's upper sample
+    sizes.clear()
+    known, other = t[118] + np.array([0.1, 0.8]) * (t[119] - t[118])
+    line = cross_meet(*curve.frames_at([known, other])[..., 0])
+    got = second_boundary_intersection(curve, line, known)
+    assert sizes == [1] and known < got < t[119]
+    assert got == second_boundary_intersection(iterated_curve(curve), line, known)
+    sizes.clear()
+    chords = np.array([(1.0, 3.0), (0.2, 6.1), (4.0, 4.3)]).T
+    lines = cross_meet(*exact_curve.frames_at(chords)[..., 0])
+    got = second_boundary_intersection(exact_curve, lines, chords[0])
+    assert sizes[0] == 3 and np.max(np.abs(got - chords[1])) < 1e-11
+
+
+def test_closed_form_and_iterated_roots_stack(bulged_curve03):
+    """Each chord's root is the same float alone and in a stack mixing closed-form rows
+    with iterated ones."""
+    curve, t = bulged_curve03, bulged_curve03.thetas
+    known = np.array([t[10] - 5e-8, 1.0, t[20] + 5e-8, 4.0, t[30]])
+    other = np.array([t[10] + 0.4 * (t[11] - t[10]), 3.0, t[20] - 0.4 * (t[20] - t[19]),
+                      5.5, 0.5])
+    lines = cross_meet(*curve.frames_at([known, other])[..., 0])
+    stacked = second_boundary_intersection(curve, lines, known)
+    assert np.array_equal(stacked, [second_boundary_intersection(curve, line, k)
+                                    for line, k in zip(lines, known)])
+
+
+@pytest.mark.parametrize("name", ["bulged_curve03", "curve4"])
+def test_interpolate_reads_the_gap_table(request, exact_curve4, name):
+    """Bit for bit the per-call Procrustes blend, at random parameters, parameters 2e-13
+    from a sample, and in the gap across theta = 0; at a sample parameter, and within
+    1e-13 of one, the stored frame.  The n=4 samples without their closed form align
+    levels 2 and 3 by SVD."""
+    curve = request.getfixturevalue("exact_curve4" if name == "curve4" else name)
+    if name == "curve4":
+        curve = BoundaryCurve(curve.thetas, curve.frames, curve.rep, curve.reference)
+    t = curve.thetas
+    thetas = np.concatenate([np.random.default_rng(3).uniform(0.0, 2 * math.pi, 50),
+                             t[::17] + 2e-13, t[5::17] - 2e-13,
+                             [0.5 * (t[-1] - 2 * math.pi + t[0]), 2 * math.pi - 1e-9, 1e-9]])
+    assert np.array_equal(interpolate(curve, thetas), procrustes_interpolate(curve, thetas))
+    at = np.concatenate([t[::9], t[1::9] + 5e-14, t[2::9] - 5e-14])
+    assert np.array_equal(interpolate(curve, at), curve.frames[np.r_[0:len(t):9, 1:len(t):9,
+                                                                      2:len(t):9]])
+
+
+def test_scan_offsets_equal_the_remainder(bulged_curve03):
+    """The conditional add gives the floats of `%` for known in [0, 2 pi); outside, `%`."""
+    t = bulged_curve03.thetas
+    known = np.array([0.0, t[7], 2 * math.pi - 1e-15, 1.0, -1e-15, -3.0, 2 * math.pi, 9.0])
+    for k in (known[:4], known):
+        ahead, behind = _scan_offsets(t, k)
+        assert np.array_equal(ahead, (t - k[:, None]) % (2 * math.pi))
+        assert np.array_equal(behind, (k[:, None] - t) % (2 * math.pi))
+
+
 @pytest.mark.parametrize("name", ["sampled_curve", "bulged_curve"])
 def test_stored_aligned_points_are_positive_multiples_of_aligned_point(request, name):
-    # the sample scan of second_boundary_intersection reads signs off these columns;
+    # chart_points reads these columns, and the scan the samples signed by _lift;
     # negating the first column of every other frame keeps each flag but not its lift
     curve = request.getfixturevalue(name)
     frames = curve.frames.copy()

@@ -62,6 +62,7 @@ COMMAND_LINES = [
     "periods --alpha 1,3 --max-len 4",
     "decay",
     "--bulge 0.3 decay",
+    "--bulge 0.3 --word-ball 4 decay",
     "sample-curve",
     "--bulge 0.3 sample-curve",
     "--n 2 sample-curve",
@@ -73,6 +74,8 @@ COMMAND_LINES = [
     "dev-image --map psi4",
     "dev-image --map alpha:2,3",
     "--bulge 0.3 dev-image --map tr",
+    "--bulge 0.3 dev-image --map tan-",
+    "--bulge 0.3 --word-ball 4 dev-image --map tan-",
     "dev-image --map alpha:1,3",
     "--n 4 dev-image --map alpha:2,3",
     "render --figure dev-tan+",
