@@ -65,11 +65,9 @@ class BoundaryCurve:
     sign-normalized lift of the curve: every xi^1 sample v satisfies positive_covector . v
     > 0, which makes incidence residuals along the curve continuous.
 
-    Two tables are built the first time a query needs them and kept, read-only:
-    `lifted_points()`, the N xi^1 samples signed by that lift (N x n floats),
-    which every boundary scan reads; and `gap_table()`, per sample gap its width
-    and the Procrustes-aligned blend targets of its levels (N + N x n x (n-1)
-    floats), from which `interpolate` blends a sampled curve.  Both are O(N).
+    `gap_table()` is built the first time `interpolate` needs it and kept,
+    read-only: per sample gap its width and the Procrustes-aligned blend targets
+    of its levels, N + N x n x (n-1) floats, from which a sampled curve is blended.
     """
 
     thetas: np.ndarray
@@ -178,14 +176,6 @@ class BoundaryCurve:
             self._chart_points = (w[:-1] / w[-1]).T
             self._chart_points.setflags(write=False)
         return self._chart_points
-
-    def lifted_points(self) -> np.ndarray:
-        """The xi^1 samples (N, n), each signed by `_lift`, in circular order; read-only."""
-        self._require_chart()
-        if not hasattr(self, "_lifted_points"):
-            self._lifted_points = self._lift(self.frames[:, :, 0])
-            self._lifted_points.setflags(write=False)
-        return self._lifted_points
 
     def gap_table(self):
         """(widths (N,), targets (N, n, n-1)) of the sample gaps, gap hi ending at sample hi.
@@ -336,21 +326,6 @@ def interpolate(curve: BoundaryCurve, thetas) -> np.ndarray:
     return frames.reshape(thetas.shape + frames.shape[1:])
 
 
-def _scan_offsets(thetas, known):
-    """(ahead, behind) (m, N): the ccw offsets in [0, 2pi) from each known parameter (m,)
-    to each sample parameter (N,), and from each sample to each known parameter.
-
-    The floats of `(thetas - known[:, None]) % 2pi` and `(known[:, None] - thetas) % 2pi`:
-    while all parameters lie in [0, 2pi) every difference d exceeds -2pi, and the
-    remainder is d + 2pi where d < 0 and d elsewhere, one conditional add.
-    """
-    two_pi = 2 * math.pi
-    d = thetas - known[:, None]
-    if np.all((known >= 0.0) & (known < two_pi)) and 0.0 <= thetas[0] and thetas[-1] < two_pi:
-        return np.where(d < 0.0, d + two_pi, d), np.where(d > 0.0, two_pi - d, -d)
-    return d % two_pi, -d % two_pi
-
-
 def _incidence(covectors, points) -> np.ndarray:
     """covectors . points over the last axis, broadcast, as the explicit sum
     ((c0 p0 + c1 p1) + c2 p2) + ...: the floats of np.sum over a short axis, elementwise,
@@ -369,7 +344,7 @@ def second_boundary_intersection(curve: BoundaryCurve, lines, known):
     covectors (m, n), with one known parameter or m, give m parameters.
     The incidence residual over sin(s/2), s the ccw offset from known,
     changes sign once, at the second intersection.  One scan of the
-    curve's lifted samples (`lifted_points`) brackets every chord; the
+    xi^1 samples, signed by the curve's lift, brackets every chord; the
     first chord that misses xi^1(known), or whose scan finds no sign change
     or several, raises as a loop would.
 
@@ -407,9 +382,9 @@ def second_boundary_intersection(curve: BoundaryCurve, lines, known):
     # the scan: the two ends eps from known, and the samples between them in
     # ccw order, where a sample within eps of known takes its end's place
     start, end = start / math.sin(eps / 2.0), end / math.sin((two_pi - eps) / 2.0)
-    lifted = curve.lifted_points()
-    offsets, behind = _scan_offsets(curve.thetas, known)
-    ahead, behind = offsets <= eps, behind <= eps
+    lifted = curve._lift(curve.frames[:, :, 0])
+    offsets = (curve.thetas - known[:, None]) % two_pi
+    ahead, behind = offsets <= eps, (known[:, None] - curve.thetas) % two_pi <= eps
     raw = _incidence(covectors[:, None, :], lifted)
     with np.errstate(divide="ignore", invalid="ignore"):
         sampled = raw / np.sin(offsets / 2.0)

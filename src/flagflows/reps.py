@@ -362,25 +362,23 @@ def sym_matrix(a: np.ndarray, m: int) -> np.ndarray:
     image of x^{d-k} y^k under x -> aa x + ac y, y -> ab x + ad y,
     multiplied out one linear factor at a time with the arithmetic of
     np.convolve, so each matrix of a stack is the same floats as alone.
-    All m columns advance together: at step i < d column k multiplies by
-    (aa, ac) while i < d - k and by (ab, ad) after.
     """
     a = np.asarray(a, dtype=float)
+    aa, ab, ac, ad = (a[..., None, r, c] for r, c in ((0, 0), (0, 1), (1, 0), (1, 1)))
     d = m - 1
-    first = np.arange(d) < d - np.arange(m)[:, None]  # (m, d): column k's step i reads (aa, ac)
-    x = np.where(first, a[..., None, None, 0, 0], a[..., None, None, 0, 1])
-    y = np.where(first, a[..., None, None, 1, 0], a[..., None, None, 1, 1])
-    p = np.ones(a.shape[:-2] + (m, 1))  # row k: the coefficients of column k so far
-    for i in range(d):
-        # coefficient j of p(t) (x + y t) is p[j] x + p[j-1] y
-        px, py = p * x[..., i:i + 1], p * y[..., i:i + 1]
-        p = np.concatenate([px[..., :1], py[..., :-1] + px[..., 1:], py[..., -1:]], axis=-1)
-    out = np.ascontiguousarray(np.swapaxes(p, -1, -2))
+    out = np.empty(a.shape[:-2] + (m, m))
+    for k in range(m):
+        p = np.ones(a.shape[:-2] + (1,))
+        for x, y in [(aa, ac)] * (d - k) + [(ab, ad)] * k:
+            # coefficient i of p(t) (x + y t) is p[i] x + p[i-1] y
+            px, py = p * x, p * y
+            p = np.concatenate([px[..., :1], py[..., :-1] + px[..., 1:], py[..., -1:]], axis=-1)
+        out[..., k] = p
     det = np.linalg.det(out)  # equals det(a)^{m(m-1)/2}; 1 for SL2 input
     if not np.all(det > 0):  # NaN fails too
         raise ValueError("symmetric power expects det(a) = 1")
     # the m-th root per entry: np.power on arrays moves the last bit of some roots
-    root = np.reshape([v ** (1.0 / m) for v in np.ravel(det).tolist()], np.shape(det))
+    root = np.reshape([x ** (1.0 / m) for x in np.ravel(det)], np.shape(det))
     return out / root[..., None, None]
 
 

@@ -19,7 +19,6 @@ from flagflows.config import (
 from flagflows.limitcurve import (
     ROOT_TOL,
     BoundaryCurve,
-    _scan_offsets,
     boundary_regularity_estimate,
     bracketed_root,
     convex_domain_checks,
@@ -384,16 +383,6 @@ def test_interpolate_reads_the_gap_table(request, exact_curve4, name):
     at = np.concatenate([t[::9], t[1::9] + 5e-14, t[2::9] - 5e-14])
     assert np.array_equal(interpolate(curve, at), curve.frames[np.r_[0:len(t):9, 1:len(t):9,
                                                                       2:len(t):9]])
-
-
-def test_scan_offsets_equal_the_remainder(bulged_curve03):
-    """The conditional add gives the floats of `%` for known in [0, 2 pi); outside, `%`."""
-    t = bulged_curve03.thetas
-    known = np.array([0.0, t[7], 2 * math.pi - 1e-15, 1.0, -1e-15, -3.0, 2 * math.pi, 9.0])
-    for k in (known[:4], known):
-        ahead, behind = _scan_offsets(t, k)
-        assert np.array_equal(ahead, (t - k[:, None]) % (2 * math.pi))
-        assert np.array_equal(behind, (k[:, None] - t) % (2 * math.pi))
 
 
 @pytest.mark.parametrize("name", ["sampled_curve", "bulged_curve"])
