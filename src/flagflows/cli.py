@@ -23,12 +23,12 @@ import numpy as np
 from .config import FlagFlowsError
 from .devmaps import (
     MAP_TABLE as _MAP_TABLE,
+    RESIDUAL_TOL,
     LeafPoint,
     _check_map_name,
     _check_realizable,
     _random_positive_triple,
     _random_triples,
-    curve_tolerance,
     develop,
     leaf_context,
     leaf_sweep,
@@ -243,7 +243,11 @@ def periods_check(curve, words, roots):
     """
     _, g, g_inv, periods = zip(*_spectrum_blocks(curve, words, roots))
     periods = np.concatenate(periods)
-    lengths = jordan_projection(np.concatenate(g), np.concatenate(g_inv))
+    try:
+        lengths = jordan_projection(np.concatenate(g), np.concatenate(g_inv))
+    except ValueError as exc:  # the guard's error names its word, as the periods' errors do
+        word = curve.rep.presentation.format_word(words[exc.index[0]])
+        raise ValueError(f"word {word}: {exc}") from exc
     wants = np.stack([root_length(lengths, i, j) for (i, j) in roots], axis=1)
     rel = np.abs(periods - wants) / np.maximum(np.abs(wants), 1e-30)
     worst = float(np.max(rel, initial=0.0))  # NaN if any error is NaN
@@ -423,9 +427,8 @@ def cmd_verify_all(cfg, args):
     checks = {"frenet": frenet_checks(curve), "convex_domain": convex_domain_checks(curve)}
 
     two_sheet = two_sheet_error(curve, seed)
-    bound = curve_tolerance(curve)
-    checks["covering"] = {"passed": two_sheet < bound, "two_sheet_max_error": two_sheet,
-                          "tolerance": bound}
+    checks["covering"] = {"passed": two_sheet < RESIDUAL_TOL, "two_sheet_max_error": two_sheet,
+                          "tolerance": RESIDUAL_TOL}
 
     miscount = 0
     for name in _MAP_TABLE:

@@ -26,20 +26,13 @@ import numpy as np
 
 from .config import DegenerateMeet, UnclassifiedLine
 from .limitcurve import BoundaryCurve, second_boundary_intersection
-from .projective import RANK_TOL, Flag, cross_meet, signed_polygon_distance
+from .projective import INFINITY_TOL, RANK_TOL, Flag, cross_meet
 from .reps import _check_root, circular_gap
 
-# bound on a pointwise identity or fit residual: closed-form and interpolated curves
-EXACT_CURVE_TOL = 1e-6
-SAMPLED_CURVE_TOL = 1e-3
+RESIDUAL_TOL = 1e-6  # bound on a pointwise identity or fit residual, on every curve
 LINE_MATCH_TOL = 1e-4  # principal angle at which a fitted leaf line matches a candidate
 COVERING_TRIPLES = 20  # random positive triples on which two_sheet_error checks the deck identity
 CONCAVITY_SAMPLES = 40  # parameters after x whose pairs are the leaves of concavity_check
-
-
-def curve_tolerance(curve: BoundaryCurve) -> float:
-    """Residual bound for checks on this curve, by how its flags are evaluated."""
-    return EXACT_CURVE_TOL if curve.exact_eval is not None else SAMPLED_CURVE_TOL
 
 
 @dataclass(frozen=True)
@@ -273,22 +266,28 @@ def _membership_margin(curve: BoundaryCurve) -> float:
     return max(1e-8, 10.0 * curve.interp_error)
 
 
+def _hull_side(curve: BoundaryCurve, points) -> np.ndarray:
+    """Least pairing of each point (m, 3), scaled to h.p = 1 (h the `positive_covector`), with
+    the `hull_chords`: positive inside the hull; -1 where |h.p| < INFINITY_TOL |p|."""
+    scale = points @ curve.positive_covector
+    shown = np.abs(scale) >= INFINITY_TOL * np.linalg.norm(points, axis=-1)
+    sides = (points / np.where(shown, scale, 1.0)[:, None]) @ curve.hull_chords().T
+    return np.where(shown, sides.min(axis=1), -1.0)
+
+
 def omega_membership(curve: BoundaryCurve, points, lines) -> np.ndarray:
     """Domain component of each point-line flag: '1', '2', '3' or 'boundary'.
 
     Takes stacked (m, 3) points and line covectors, as `develop` returns
     them.  Component 1: point inside the convex hull of the curve; 2: point
     outside but line crosses the hull; 3: both point and line clear of the
-    closed hull.  Any margin-inconclusive test returns 'boundary'.
+    closed hull, the polygon of the curve's `aligned_points`: a point's side
+    is `_hull_side`, and a line crosses it where its unit covector changes
+    sign over the samples.  Any margin-inconclusive test returns 'boundary'.
     """
-    delta = _membership_margin(curve)
-    verts = curve.chart_points()
-    shown = curve.chart.in_chart(points)
-    side = np.full(len(points), -1.0)  # on the infinity line: far outside the hull
-    side[shown] = signed_polygon_distance(verts, curve.chart.to_chart(points[shown]))
-    coeffs = curve.chart.line_to_chart(lines)
-    vals = verts @ coeffs[:, :-1].T + coeffs[:, -1]
-    lo, hi = vals.min(axis=0), vals.max(axis=0)
+    side, delta = _hull_side(curve, points), _membership_margin(curve)
+    vals = (lines / np.linalg.norm(lines, axis=1, keepdims=True)) @ curve.aligned_points
+    lo, hi = vals.min(axis=1), vals.max(axis=1)
     outside = side < -delta
     return np.select([side > delta, outside & (lo < -delta) & (hi > delta),
                       outside & ((lo > delta) | (hi < -delta))], ["1", "2", "3"], "boundary")
@@ -328,24 +327,21 @@ def concavity_check(curve: BoundaryCurve, x: float, seed: int) -> dict:
     """The image of the leaves (x, y, z), for every pair y < z of CONCAVITY_SAMPLES
     parameters after x, avoids the hull and the tangent at x and approximately fills
     their complement (checked on random chart probes drawn from `seed`); returns the
-    check entry of the two margins, the coverage radius and the interior distance."""
-    rng = np.random.default_rng(seed)
-    delta = _membership_margin(curve)
+    check entry of the two margins, the coverage radius and the interior distance.  Sides
+    and tangent margins are read as `_hull_side` reads them; distances are in chart units."""
+    rng, delta = np.random.default_rng(seed), _membership_margin(curve)
+    h, tangent = curve.positive_covector, curve.frames_at(x)[:, -1]
+    pairs = np.array(np.triu_indices(CONCAVITY_SAMPLES, 1)) + 1
+    points, _ = develop(curve, "tan+", x, *(x + 2 * math.pi * pairs / (CONCAVITY_SAMPLES + 1)))
+    points = points[curve.chart.in_chart(points)]
+    min_out = -np.max(_hull_side(curve, points), initial=-np.inf)
+    min_tan = np.min(np.abs(points @ tangent / (points @ h)), initial=np.inf)
     verts = curve.chart_points()
-    tangent = curve.chart.line_to_chart(curve.frames_at(x)[:, -1])
-    a_k, b_k = np.triu_indices(CONCAVITY_SAMPLES, 1)
-    y = x + 2 * math.pi * (a_k + 1) / (CONCAVITY_SAMPLES + 1)
-    z = x + 2 * math.pi * (b_k + 1) / (CONCAVITY_SAMPLES + 1)
-    points, _ = develop(curve, "tan+", x, y, z)
-    images = curve.chart.to_chart(points[curve.chart.in_chart(points)])
-    min_out = -np.max(signed_polygon_distance(verts, images), initial=-np.inf)
-    min_tan = np.min(np.abs(images @ tangent[:-1] + tangent[-1]), initial=np.inf)
-    lo, hi = verts.min(axis=0) - 1.0, verts.max(axis=0) + 1.0
-    probes = rng.uniform(lo, hi, size=(200, 2))
-    dists = np.linalg.norm(images[None, :, :] - probes[:, None, :], axis=2).min(axis=1)
-    side = signed_polygon_distance(verts, probes)
-    tan_val = np.abs(probes @ tangent[:-1] + tangent[-1])
-    coverage = np.max(dists[(side < -delta) & (tan_val > 0.1)], initial=0.0)
+    probes = rng.uniform(verts.min(axis=0) - 1.0, verts.max(axis=0) + 1.0, size=(200, 2))
+    lifted = np.linalg.solve(curve.chart.frame, np.column_stack([probes, np.ones(200)]).T).T
+    dists = np.linalg.norm(curve.chart.to_chart(points)[None] - probes[:, None], axis=2).min(axis=1)
+    side = _hull_side(curve, lifted)
+    coverage = np.max(dists[(side < -delta) & (np.abs(lifted @ tangent) > 0.1)], initial=0.0)
     interior_dist = np.min(dists[side > delta], initial=np.inf)
     return {"passed": bool(min(min_out, min_tan) > delta / 2 and interior_dist > delta),
             "min_outside_margin": float(min_out), "min_tangent_margin": float(min_tan),
@@ -365,7 +361,7 @@ def type_classifier(points, curve: BoundaryCurve, x: float, z: float) -> str:
     if len(points) < 3:
         raise ValueError("need at least 3 samples")
     u_mat, s_vals, _ = np.linalg.svd(points.T)
-    if s_vals[-1] / s_vals[0] > curve_tolerance(curve):
+    if s_vals[-1] / s_vals[0] > RESIDUAL_TOL:
         raise UnclassifiedLine(f"collinearity residual {s_vals[-1] / s_vals[0]:.3e}")
     fitted = u_mat[:, -1]  # covector of the fitted line
     fx, fz = curve.frames_at([x, z])

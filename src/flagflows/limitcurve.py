@@ -49,7 +49,7 @@ ROOT_TOL = 1e-12                # arc-parameter bracket width at which root solv
 FRENET_MIN_GAP = 0.1            # least circular gap inside a general-position n-tuple
 GENERAL_POSITION_BOUND = 1e-4   # least singular value of n well-separated xi^1 vectors
 OSCULATION_BOUND = 10.0         # largest chord-to-tangent angle per unit gap
-SUPPORT_TOL = 1e-8              # chart residual allowed on the wrong side of a tangent
+SUPPORT_TOL = 1e-8              # pairing of a tangent covector with a sample allowed below 0
 SUPPORT_BLOCK_ENTRIES = 16_384  # most (tangent x vertex) entries of one support test array
 MIN_SAMPLES = 64                # fewest distinct samples sample_boundary accepts
 FUCHSIAN_SAMPLES = 1024         # evenly spaced samples of a closed-form Fuchsian curve
@@ -63,7 +63,8 @@ class BoundaryCurve:
     `frames[i]` is the complete frame (n, n) of the flag at `thetas[i]` (see `flag_frames`),
     at odd n its last column signed positive on the hull.  `positive_covector` fixes a
     sign-normalized lift of the curve: every xi^1 sample v satisfies positive_covector . v
-    > 0, which makes incidence residuals along the curve continuous.
+    > 0, which makes incidence residuals along the curve continuous; `aligned_points` (n, N),
+    read-only, holds the lifts scaled to pair with it to 1 (odd n; None at even n).
 
     `gap_table()` is built the first time `interpolate` needs it and kept,
     read-only: per sample gap its width and the Procrustes-aligned blend targets
@@ -99,9 +100,7 @@ class BoundaryCurve:
         if vecs.shape[1] >= 3 and vecs[:, 0] @ vecs[:, -1] < 0:
             # odd-degree lift (even n): the curve meets every hyperplane,
             # so no affine chart contains it; chart-based queries disabled
-            self.chart = None
-            self.positive_covector = None
-            self._aligned_points = vecs
+            self.chart = self.positive_covector = self.aligned_points = None
             self._interp_error = 1e-12 if self.exact_eval is not None else 1e-6
             return
         barycenter = vecs.mean(axis=1)
@@ -125,13 +124,14 @@ class BoundaryCurve:
         scale = max(np.abs(raw - center[:, None]).max(), 1e-12)
         frame = np.vstack([(q[:, 1:].T - np.outer(center, h)) / scale, h[None, :]])
         self.chart = AffineChart(frame)
-        self._aligned_points = vecs / np.abs(signs)[None, :]
+        self.aligned_points = vecs / np.abs(signs)[None, :]
+        self.aligned_points.setflags(write=False)
         self._interp_error = self._estimate_interp_error()
 
     def _estimate_interp_error(self) -> float:
         if self.exact_eval is not None:
             return 1e-12
-        p = self._aligned_points
+        p = self.aligned_points
         count = p.shape[1]
         if count < 4:
             return 1e-6
@@ -168,11 +168,20 @@ class BoundaryCurve:
         """The vectors (..., n), each signed to pair positively with `positive_covector`."""
         return vectors * np.copysign(1.0, vectors @ self.positive_covector)[..., None]
 
+    def hull_chords(self) -> np.ndarray:
+        """Unit covectors (N, 3) of the chords p_k p_k+1 of `aligned_points` (n=3), signed
+        by the orientation of their polygon: positive inside it when it is convex."""
+        self._require_chart()
+        p = self.aligned_points.T
+        chords = np.cross(p, np.roll(p, -1, axis=0) - p)  # p_k x p_k+1, to roundoff in the step
+        area = chords.sum(axis=0) @ self.positive_covector  # twice the polygon's signed area
+        return chords * (math.copysign(1.0, area) / np.linalg.norm(chords, axis=1))[:, None]
+
     def chart_points(self) -> np.ndarray:
         """Chart coordinates of all xi^1 samples, in circular order (N, 2); read-only."""
         self._require_chart()
         if not hasattr(self, "_chart_points"):
-            w = self.chart.frame @ self._aligned_points
+            w = self.chart.frame @ self.aligned_points
             self._chart_points = (w[:-1] / w[-1]).T
             self._chart_points.setflags(write=False)
         return self._chart_points
@@ -516,22 +525,19 @@ def frenet_checks(curve: BoundaryCurve) -> dict:
 
 
 def convex_domain_checks(curve: BoundaryCurve) -> dict:
-    """The check entry of the chart polygon of the xi^1 samples: is_convex, tangents_support.
+    """The check entry of the polygon of `aligned_points` p_k (n=3): is_convex, tangents_support.
 
-    The polygon is convex when all its turns have one sign; the tangent
-    line at each sample supports it when no two vertices lie more than
-    `SUPPORT_TOL` on opposite sides of it, tested on (tangent x vertex)
-    arrays of SUPPORT_BLOCK_ENTRIES entries at most.  The entry passes when both hold.
+    It is convex when its turns det(p_k, p_k+1, p_k+2) have one sign, and the stored tangent
+    covectors, signed positive on the hull, support it when each p_j pairs with each at
+    >= -SUPPORT_TOL (in blocks of SUPPORT_BLOCK_ENTRIES); the entry passes when both hold.
     """
-    v = curve.chart_points()
-    e = np.roll(v, -1, axis=0) - v
-    cross = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
-    is_convex = bool(np.all(cross > 0) or np.all(cross < 0))
-    tangents = curve.chart.line_to_chart(curve.frames[:, :, -1])
-    size = max(1, SUPPORT_BLOCK_ENTRIES // len(v))
-    sides = (t[:, :2] @ v.T + t[:, 2:] for t in np.split(tangents, range(size, len(v), size)))
-    support = all(np.all((s.max(axis=1) <= SUPPORT_TOL) | (s.min(axis=1) >= -SUPPORT_TOL))
-                  for s in sides)
+    chords, p = curve.hull_chords(), curve.aligned_points
+    # det(p_k, p_k+1, p_k+2) as chord . (p_k+2 - p_k+1): close samples keep a tiny turn's sign
+    turns = np.sum(chords * (np.roll(p, -2, axis=1) - np.roll(p, -1, axis=1)).T, axis=1)
+    is_convex = bool(np.all(turns > 0) or np.all(turns < 0))
+    size = max(1, SUPPORT_BLOCK_ENTRIES // len(chords))
+    support = all(np.all(t @ p >= -SUPPORT_TOL)
+                  for t in np.split(curve.frames[:, :, -1], range(size, len(chords), size)))
     return {"passed": is_convex and support, "is_convex": is_convex, "tangents_support": support}
 
 

@@ -211,15 +211,3 @@ class AffineChart:
         coeffs = np.linalg.solve(self.frame.T, np.asarray(covectors).T).T
         return coeffs / np.linalg.norm(coeffs[..., :-1], axis=-1, keepdims=True)
 
-
-def signed_polygon_distance(vertices: np.ndarray, points: np.ndarray):
-    """Minimal signed edge distance of each point (..., 2) to a convex polygon; positive inside."""
-    m = vertices.shape[0]
-    nxt = vertices[(np.arange(m) + 1) % m]
-    edges = nxt - vertices
-    rel = np.asarray(points)[..., None, :] - vertices
-    cross = edges[:, 0] * rel[..., 1] - edges[:, 1] * rel[..., 0]
-    lengths = np.linalg.norm(edges, axis=1)
-    dist = cross / np.where(lengths > 0, lengths, 1.0)
-    area2 = float(np.sum(vertices[:, 0] * nxt[:, 1] - vertices[:, 1] * nxt[:, 0]))
-    return np.min(dist if area2 >= 0 else -dist, axis=-1)

@@ -85,8 +85,9 @@ def _nearer_top(x, top, bottom):
     return top - x <= x - bottom
 
 
-def _check_unimodular(det: float, span: float) -> None:
-    """Raise ValueError unless det is +-1 within the drift of a product.
+def _check_product(det: float, span: float, unsorted: bool) -> None:
+    """Raise ValueError unless det is +-1 within the drift of a product, then unless
+    the log-moduli came out sorted (`unsorted` false).
 
     `span` is the spread l_1 - l_n of the product's log-moduli.  Float
     determinants of long word products drift by roughly eps * cond, so
@@ -96,6 +97,8 @@ def _check_unimodular(det: float, span: float) -> None:
     drift = 1e3 * EPS * math.exp(min(span, 40.0))
     if abs(abs(det) - 1.0) > max(1e-9, min(drift, 0.5)):
         raise ValueError(f"matrix determinant {det} is not +-1")
+    if unsorted:
+        raise ValueError("log-moduli must be sorted nonincreasing")
 
 
 def jordan_projection(g: np.ndarray, g_inverse: np.ndarray):
@@ -114,7 +117,8 @@ def jordan_projection(g: np.ndarray, g_inverse: np.ndarray):
     stacks only; the one-matrix path is the per-word reference that the
     benchmark's periods oracle and acceptance criterion 1 call.  Raises
     ValueError for any other shape, and for the first matrix whose
-    determinant is not +-1 or whose log-moduli come out unsorted.
+    determinant is not +-1 or whose log-moduli come out unsorted; from a
+    stack, that error carries the matrix's stack position as `index`.
     """
     g = np.asarray(g, dtype=float)
     g_inverse = np.asarray(g_inverse, dtype=float)
@@ -139,9 +143,8 @@ def jordan_projection(g: np.ndarray, g_inverse: np.ndarray):
             total += x
         mean = total / len(lm)
         out = tuple(x - mean for x in lm)
-        _check_unimodular(float(np.linalg.det(g)), lm[0] - lm[-1])
-        if any(a < b - 1e-12 for a, b in zip(out, out[1:])):
-            raise ValueError("log-moduli must be sorted nonincreasing")
+        _check_product(float(np.linalg.det(g)), lm[0] - lm[-1],
+                       any(a < b - 1e-12 for a, b in zip(out, out[1:])))
         return out
     lm = logs[:count, ::-1]
     lm = np.where(read_from_g(lm), lm, -logs[count:])
@@ -149,9 +152,11 @@ def jordan_projection(g: np.ndarray, g_inverse: np.ndarray):
     unsorted = np.any(out[:, :-1] < out[:, 1:] - 1e-12, axis=1)
     spans = (lm[:, 0] - lm[:, -1]).tolist()
     for k, det in enumerate(np.linalg.det(stack).tolist()):
-        _check_unimodular(det, spans[k])
-        if unsorted[k]:
-            raise ValueError("log-moduli must be sorted nonincreasing")
+        try:
+            _check_product(det, spans[k], unsorted[k])
+        except ValueError as exc:
+            exc.index = (k,)  # the stack position, as loxodromic_eigensystem gives it
+            raise
     return out.T
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import sympy
 
-from curvehelpers import as_flag, meet, realization
+from curvehelpers import as_flag, interior_point, meet, realization
 from flagflows.cli import DEV_LEAF
 from flagflows.config import DegenerateMeet, PointOutsideSegment, UnclassifiedLine
 from flagflows.devmaps import (
@@ -395,6 +395,27 @@ def test_membership_of_map_images(exact_curve):
                        ("psi4", "3")):
         labels = omega_membership(exact_curve, *develop(exact_curve, name, x, y, z))
         assert labels.tolist() == [want] * 5
+
+
+def test_membership_is_a_projective_invariant(exact_curve, bulged_curve03):
+    """Points and lines are read up to scale: every one multiplied by -3.0 keeps its label,
+    on verify-all's seed-0 draws on a closed-form and on an interpolated curve."""
+    for curve in (exact_curve, bulged_curve03):
+        rng = np.random.default_rng(0)
+        for name in MAP_TABLE:
+            points, lines = develop(curve, name, *_random_triples(rng, 5))
+            assert omega_membership(curve, -3.0 * points, -3.0 * lines).tolist() == \
+                omega_membership(curve, points, lines).tolist()
+
+
+def test_membership_of_a_point_at_infinity(exact_curve):
+    """A point on the chart's line at infinity, h.p = 0, lies far outside the hull: its
+    line to an interior point crosses the hull, and the line at infinity misses it."""
+    h = exact_curve.positive_covector
+    point = np.cross(h, exact_curve.frames_at(0.0)[:, 0])
+    assert abs(point @ h) < 1e-16
+    lines = np.stack([np.cross(point, interior_point(exact_curve)), h])
+    assert omega_membership(exact_curve, np.stack([point, point]), lines).tolist() == ["2", "3"]
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

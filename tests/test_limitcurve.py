@@ -394,7 +394,7 @@ def test_stored_aligned_points_are_positive_multiples_of_aligned_point(request, 
     frames[::2, :, 0] *= -1.0
     curve = BoundaryCurve(curve.thetas, frames, curve.rep, curve.reference)
     want = curve._lift(curve.frames[:, :, 0]).T
-    got = curve._aligned_points / np.linalg.norm(curve._aligned_points, axis=0)
+    got = curve.aligned_points / np.linalg.norm(curve.aligned_points, axis=0)
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -486,9 +486,17 @@ def test_convex_domain_check_fails_on_a_tangent_off_the_curve(exact_curve):
                                             "tangents_support": False}
 
 
+def test_convex_domain_turns_keep_their_sign_on_close_samples(reference):
+    """At word ball 5 neighbouring samples lie 3e-6 apart, where det(p_k, p_k+1, p_k+2)
+    of the samples themselves flips sign by roundoff near 4e-16; read from the steps
+    between samples, every turn keeps its sign."""
+    curve = sample_boundary(bulge_deform(sym_power(reference, 3), 0.3), reference, 5)
+    assert convex_domain_checks(curve)["is_convex"]
+
+
 def _loop_interp_error(curve):
     """The interpolation error estimate as a loop over samples, one neighbour chord each."""
-    p, t = curve._aligned_points, curve.thetas
+    p, t = curve.aligned_points, curve.thetas
     count = p.shape[1]
     gaps = np.array([circular_gap(t[i], t[(i + 1) % count]) for i in range(count)])
     curv = np.zeros(count)
@@ -540,7 +548,7 @@ def test_even_dimension_curve_has_no_global_chart(exact_curve4):
     # flag evaluation does not need the chart
     f = as_flag(exact_curve4.frames_at(1.234))
     assert abs(annihilator(f[3].basis)[:, 0] @ f.point.basis[:, 0]) < 1e-12
-    # the sample scan needs the chart too, though the aligned samples exist
+    # the sample scan needs the chart too
     with pytest.raises(NotDefinedHere):
         second_boundary_intersection(exact_curve4, as_flag(exact_curve4.frames_at(1.0))[3], 1.0)
 
@@ -580,3 +588,5 @@ def test_shared_flag_data_is_read_only(bulged_curve03):
         f[1].basis[0, 0] = 1.0
     with pytest.raises(ValueError):
         bulged_curve03.chart_points()[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        bulged_curve03.aligned_points[0, 0] = 1.0

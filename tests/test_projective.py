@@ -19,7 +19,6 @@ from flagflows.projective import (
     annihilator,
     cross_meet,
     join,
-    signed_polygon_distance,
 )
 
 
@@ -226,14 +225,6 @@ def test_line_to_chart_vanishes_on_line_points():
     for col in range(2):
         u, v = chart.to_chart(line.basis[:, col])
         assert abs(a * u + b * v + c) < 1e-9
-
-
-def test_signed_polygon_distance_signs():
-    square = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
-    assert signed_polygon_distance(square, np.zeros(2)) > 0
-    assert signed_polygon_distance(square, np.array([2.0, 0.0])) < 0
-    # orientation-independent
-    assert signed_polygon_distance(square[::-1], np.zeros(2)) > 0
 
 
 def test_flags_and_subspaces_compare_by_identity():

@@ -203,10 +203,11 @@ def test_stacked_jordan_projection_equals_single_ones(reference):
 def test_jordan_projection_guards():
     g = np.diag([math.exp(3.0), 1.0, math.exp(-3.0)])
     bad = np.diag([2.0, 1.0, 1.0])
-    # the first failing matrix of a stack names its own determinant
-    with pytest.raises(ValueError, match=r"^matrix determinant 2\.0 is not \+-1$"):
+    # the first failing matrix of a stack names its own determinant and its position
+    with pytest.raises(ValueError, match=r"^matrix determinant 2\.0 is not \+-1$") as info:
         jordan_projection(np.stack([g, bad, 3 * g]),
                           np.stack([np.linalg.inv(g), np.linalg.inv(bad), np.eye(3) / 2]))
+    assert info.value.index == (1,)
     with pytest.raises(IndexOrder):
         root_length((1.0, 0.0, -1.0), 2, 1)
     with pytest.raises(IndexOrder):

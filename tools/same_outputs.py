@@ -31,7 +31,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 COMMAND_LINES = [
-    # the benchmark's seven verify-all lines, then three more configs
+    # the benchmark's seven verify-all lines, then five more configs
     "--seed 0 verify-all",
     "--bulge 0.3 --seed 0 verify-all",
     "--bulge 0.3 --word-ball 4 --seed 0 verify-all",
@@ -42,6 +42,8 @@ COMMAND_LINES = [
     "--seed 1 verify-all",
     "--bulge 0.7 --seed 0 verify-all",
     "--bulge -0.3 --seed 3 verify-all",
+    "--bulge 0.7 --seed 3 verify-all",
+    "--bulge 1.0 --seed 0 verify-all",
     'flow --alpha 2,3 --word "a1 b1"',
     'flow --alpha 2,3 --word "a1 b1" --t-max 2 --steps 50',
     'flow --alpha 1,3 --word "a1 B2 a2"',
