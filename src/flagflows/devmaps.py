@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import DegenerateMeet, UnclassifiedLine
 from .limitcurve import BoundaryCurve, second_boundary_intersection
-from .projective import INFINITY_TOL, RANK_TOL, Flag, cross_meet
+from .projective import RANK_TOL, Flag, cross_meet
 from .reps import _check_root, circular_gap
 
 RESIDUAL_TOL = 1e-6  # bound on a pointwise identity or fit residual, on every curve
@@ -268,9 +268,9 @@ def _membership_margin(curve: BoundaryCurve) -> float:
 
 def _hull_side(curve: BoundaryCurve, points) -> np.ndarray:
     """Least pairing of each point (m, 3), scaled to h.p = 1 (h the `positive_covector`), with
-    the `hull_chords`: positive inside the hull; -1 where |h.p| < INFINITY_TOL |p|."""
+    the `hull_chords`: positive inside the hull; -1 off the curve's chart (`in_chart`)."""
     scale = points @ curve.positive_covector
-    shown = np.abs(scale) >= INFINITY_TOL * np.linalg.norm(points, axis=-1)
+    shown = curve.in_chart(points)
     sides = (points / np.where(shown, scale, 1.0)[:, None]) @ curve.hull_chords().T
     return np.where(shown, sides.min(axis=1), -1.0)
 
@@ -325,21 +325,23 @@ def two_sheet_error(curve: BoundaryCurve, seed: int) -> float:
 
 def concavity_check(curve: BoundaryCurve, x: float, seed: int) -> dict:
     """The image of the leaves (x, y, z), for every pair y < z of CONCAVITY_SAMPLES
-    parameters after x, avoids the hull and the tangent at x and approximately fills
-    their complement (checked on random chart probes drawn from `seed`); returns the
-    check entry of the two margins, the coverage radius and the interior distance.  Sides
-    and tangent margins are read as `_hull_side` reads them; distances are in chart units."""
+    parameters after x, avoids the hull and the tangent at x: the check entry of the two
+    margins and of the distance from the image to random chart probes drawn from `seed`
+    inside the hull.  Sides and tangent margins are read as `_hull_side` reads them, and
+    distances in the chart, the plane h.p = 1, so all compare with one margin.  Fill of the
+    complement is not checked: `coverage_radius`, the farthest outside probe off the tangent
+    from the image, is reported and does not enter `passed`."""
     rng, delta = np.random.default_rng(seed), _membership_margin(curve)
     h, tangent = curve.positive_covector, curve.frames_at(x)[:, -1]
     pairs = np.array(np.triu_indices(CONCAVITY_SAMPLES, 1)) + 1
     points, _ = develop(curve, "tan+", x, *(x + 2 * math.pi * pairs / (CONCAVITY_SAMPLES + 1)))
-    points = points[curve.chart.in_chart(points)]
+    points = points[curve.in_chart(points)]
     min_out = -np.max(_hull_side(curve, points), initial=-np.inf)
     min_tan = np.min(np.abs(points @ tangent / (points @ h)), initial=np.inf)
     verts = curve.chart_points()
     probes = rng.uniform(verts.min(axis=0) - 1.0, verts.max(axis=0) + 1.0, size=(200, 2))
-    lifted = np.linalg.solve(curve.chart.frame, np.column_stack([probes, np.ones(200)]).T).T
-    dists = np.linalg.norm(curve.chart.to_chart(points)[None] - probes[:, None], axis=2).min(axis=1)
+    lifted = probes @ curve.chart.T + h
+    dists = np.linalg.norm(curve.to_chart(points)[None] - probes[:, None], axis=2).min(axis=1)
     side = _hull_side(curve, lifted)
     coverage = np.max(dists[(side < -delta) & (np.abs(lifted @ tangent) > 0.1)], initial=0.0)
     interior_dist = np.min(dists[side > delta], initial=np.inf)

@@ -32,9 +32,10 @@ from .config import (
     NoSecondIntersection,
     NotDefinedHere,
     NotLoxodromic,
+    PointOutsideDomain,
     RootFindFailure,
 )
-from .projective import AffineChart, ProjectiveSubspace, annihilator, flag_frames
+from .projective import INFINITY_TOL, ProjectiveSubspace, annihilator, flag_frames
 from .reps import (
     SurfaceGroupRep,
     circular_gap,
@@ -64,7 +65,10 @@ class BoundaryCurve:
     at odd n its last column signed positive on the hull.  `positive_covector` fixes a
     sign-normalized lift of the curve: every xi^1 sample v satisfies positive_covector . v
     > 0, which makes incidence residuals along the curve continuous; `aligned_points` (n, N),
-    read-only, holds the lifts scaled to pair with it to 1 (odd n; None at even n).
+    read-only, holds the lifts scaled to pair with it to 1 (odd n; None at even n).  The
+    chart is that plane h.p = 1 in the frame E = `chart` (n, n-1), read-only, completing h
+    to an orthonormal basis: v has chart coordinates E^T v / (h.v), the chart point u lifts
+    to E u + h, and chart distances are distances in the plane.
 
     `gap_table()` is built the first time `interpolate` needs it and kept,
     read-only: per sample gap its width and the Procrustes-aligned blend targets
@@ -99,7 +103,7 @@ class BoundaryCurve:
         vecs = points * np.concatenate([[1.0], np.cumprod(turns)])
         if vecs.shape[1] >= 3 and vecs[:, 0] @ vecs[:, -1] < 0:
             # odd-degree lift (even n): the curve meets every hyperplane,
-            # so no affine chart contains it; chart-based queries disabled
+            # so no affine chart contains it; chart queries are refused
             self.chart = self.positive_covector = self.aligned_points = None
             self._interp_error = 1e-12 if self.exact_eval is not None else 1e-6
             return
@@ -117,15 +121,10 @@ class BoundaryCurve:
         if np.min(signs) <= 0:
             raise ValueError("curve samples are not contained in the chosen affine chart")
         self.positive_covector = h
-        # complete h to a basis and recenter/rescale to unit size in the chart
-        q = np.linalg.qr(np.column_stack([h, np.eye(n)]))[0]
-        raw = (q[:, 1:].T @ vecs) / signs[None, :]
-        center = raw.mean(axis=1)
-        scale = max(np.abs(raw - center[:, None]).max(), 1e-12)
-        frame = np.vstack([(q[:, 1:].T - np.outer(center, h)) / scale, h[None, :]])
-        self.chart = AffineChart(frame)
+        self.chart = np.linalg.qr(np.column_stack([h, np.eye(n)]))[0][:, 1:]  # h is column 0
         self.aligned_points = vecs / np.abs(signs)[None, :]
-        self.aligned_points.setflags(write=False)
+        for table in (self.chart, self.aligned_points):
+            table.setflags(write=False)
         self._interp_error = self._estimate_interp_error()
 
     def _estimate_interp_error(self) -> float:
@@ -178,13 +177,33 @@ class BoundaryCurve:
         return chords * (math.copysign(1.0, area) / np.linalg.norm(chords, axis=1))[:, None]
 
     def chart_points(self) -> np.ndarray:
-        """Chart coordinates of all xi^1 samples, in circular order (N, 2); read-only."""
+        """Chart coordinates E^T p of the `aligned_points` p, in circular order (N, n-1);
+        read-only."""
         self._require_chart()
-        if not hasattr(self, "_chart_points"):
-            w = self.chart.frame @ self.aligned_points
-            self._chart_points = (w[:-1] / w[-1]).T
-            self._chart_points.setflags(write=False)
-        return self._chart_points
+        points = (self.chart.T @ self.aligned_points).T
+        points.setflags(write=False)
+        return points
+
+    def in_chart(self, points) -> np.ndarray:
+        """Whether each point (..., n) is off the chart's hyperplane at infinity h.p = 0:
+        |h.p| >= INFINITY_TOL |p|."""
+        self._require_chart()
+        return (np.abs(points @ self.positive_covector)
+                >= INFINITY_TOL * np.linalg.norm(points, axis=-1))
+
+    def to_chart(self, points) -> np.ndarray:
+        """Chart coordinates (..., n-1), E^T p / (h.p), of points (..., n), all `in_chart`."""
+        if not np.all(self.in_chart(points)):
+            raise PointOutsideDomain("point lies on the chart's hyperplane at infinity")
+        return (points @ self.chart) / (points @ self.positive_covector)[..., None]
+
+    def line_to_chart(self, covectors) -> np.ndarray:
+        """Coefficients (..., n), (E^T c, h.c) scaled so E^T c has unit norm, of the chart's
+        hyperplanes a.u + b = 0 of covectors c (..., n)."""
+        self._require_chart()
+        coeffs = np.concatenate([covectors @ self.chart,
+                                 (covectors @ self.positive_covector)[..., None]], axis=-1)
+        return coeffs / np.linalg.norm(coeffs[..., :-1], axis=-1, keepdims=True)
 
     def gap_table(self):
         """(widths (N,), targets (N, n, n-1)) of the sample gaps, gap hi ending at sample hi.
@@ -555,9 +574,7 @@ def boundary_regularity_estimate(curve: BoundaryCurve):
     window = max(8, count // 16)
     exponents = []
     for b_idx in range(0, count, max(1, count // REGULARITY_BASE_POINTS)):
-        coeffs = curve.chart.line_to_chart(curve.frames[b_idx, :, -1])
-        normal = np.asarray(coeffs[:-1], dtype=float)
-        normal /= np.linalg.norm(normal)
+        normal = curve.line_to_chart(curve.frames[b_idx, :, -1])[:-1]
         rel = pts[[(b_idx + k) % count for k in range(-window, window + 1) if k != 0]] - pts[b_idx]
         h = rel @ normal
         s = np.linalg.norm(rel - np.outer(h, normal), axis=1)

@@ -8,7 +8,11 @@ the `annihilator`, signed as LAPACK's QR makes it (a curve with a chart
 re-signs each covector toward its hull).  In RP^2 a join of two points or
 a meet of two lines is one cross product (`cross_meet`), which works on
 stacked vectors and decides rank by `RANK_TOL`.  Cross ratios of points on a line are ratios
-of segment coordinates, which `devmaps.LeafMetricContext` reads.
+of segment coordinates, which `devmaps.LeafMetricContext` reads.  There is no
+chart object: an odd-n curve's chart is the plane h.p = 1 of its interior
+covector h in an orthonormal frame (`limitcurve.BoundaryCurve.chart`), and a
+point is off that chart's hyperplane at infinity when its pairing with h is
+at least `INFINITY_TOL` times its norm.
 
 `ProjectiveSubspace` (the column span of an orthonormal basis), `Flag`
 and `join` are the object forms of the same data, kept for the one-triple
@@ -21,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DegenerateMeet, DegenerateSum, DimensionOverflow, PointOutsideDomain
+from .config import DegenerateMeet, DegenerateSum, DimensionOverflow
 
 RANK_TOL = 1e-9       # singular values below this times the largest count as zero
-INFINITY_TOL = 1e-13  # relative last chart coordinate of points at infinity
+INFINITY_TOL = 1e-13  # least |h.v| / |v| of a point v in the chart of unit covector h
 ORTHONORMAL_TOL = 1e-10  # largest Gram-matrix entry error of an orthonormal basis or frame
 
 
@@ -174,40 +178,3 @@ def cross_meet(a, b) -> np.ndarray:
     if np.any(norm <= RANK_TOL * (scale_a * scale_b)):
         raise DegenerateMeet(f"coincident points or lines: |a x b| <= {RANK_TOL:g} |a| |b|")
     return c / norm
-
-
-@dataclass(frozen=True)
-class AffineChart:
-    """An affine chart of RP^{n-1} given by a frame matrix.
-
-    `frame` maps homogeneous coordinates to chart coordinates: the chart
-    image of v is (F v)[:-1] / (F v)[-1].  The hyperplane at infinity is
-    the kernel of the last row of the frame.
-    """
-
-    frame: np.ndarray
-
-    def __post_init__(self):
-        frame = np.asarray(self.frame, dtype=float)
-        object.__setattr__(self, "frame", frame)
-        if abs(np.linalg.det(frame)) < 1e-14:
-            raise ValueError("chart frame is singular")
-        frame.setflags(write=False)
-
-    def in_chart(self, vectors) -> np.ndarray:
-        """Whether each point, given as a vector (..., n), is off the hyperplane at infinity."""
-        w = np.asarray(vectors) @ self.frame.T
-        return np.abs(w[..., -1]) >= INFINITY_TOL * np.linalg.norm(w, axis=-1)
-
-    def to_chart(self, vectors) -> np.ndarray:
-        """Chart coordinates (..., n-1) of points given as vectors (..., n), all `in_chart`."""
-        if not np.all(self.in_chart(vectors)):
-            raise PointOutsideDomain("point lies on the chart's hyperplane at infinity")
-        w = np.asarray(vectors) @ self.frame.T
-        return w[..., :-1] / w[..., -1:]
-
-    def line_to_chart(self, covectors) -> np.ndarray:
-        """Coefficients (..., 3), (a, b) of unit norm, of the lines a*u + b*v + c = 0 killed."""
-        coeffs = np.linalg.solve(self.frame.T, np.asarray(covectors).T).T
-        return coeffs / np.linalg.norm(coeffs[..., :-1], axis=-1, keepdims=True)
-

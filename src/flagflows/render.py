@@ -109,16 +109,17 @@ def scene_dev_image(curve, map_name: str, x: float, z: float) -> SceneDescriptio
     """Boundary, leaf chord/tangent, and a developed leaf image."""
     points, lines = develop(curve, map_name, x, leaf_sweep(x, z, DEV_SAMPLES), z)
     scene = scene_boundary(curve)
-    shown = curve.chart.in_chart(points)  # the rest are on the line at infinity
-    scene.add_polyline(curve.chart.to_chart(points[shown]), color="#2a7", stroke_width=1.2)
+    shown = curve.in_chart(points)  # the rest are on the line at infinity
+    scene.add_polyline(curve.to_chart(points[shown]), color="#2a7", stroke_width=1.2)
     for frame, color in zip(curve.frames_at([x, z]), ("#a33", "#36c")):
-        scene.add_point(curve.chart.to_chart(frame[:, 0]), color=color)
-        tang = curve.chart.line_to_chart(frame[:, -1])
+        scene.add_point(curve.to_chart(frame[:, 0]), color=color)
+        tang = curve.line_to_chart(frame[:, -1])
         seg = _segment_within_viewport(scene, tang)
         if seg:
             scene.add_segment(seg[0], seg[1], color=color, dashed=True)
-    seg = _segment_within_viewport(scene, curve.chart.line_to_chart(lines[DEV_SAMPLES // 2 - 1]))
+    seg = _segment_within_viewport(scene, curve.line_to_chart(lines[DEV_SAMPLES // 2 - 1]))
     if seg:
         scene.add_segment(seg[0], seg[1], color="#777")
-    scene.add_label((scene.viewport[0] + 0.05, scene.viewport[3] - 0.15), map_name)
+    xmin, xmax, ymin, ymax = scene.viewport  # the label sits at the same pixels on every curve
+    scene.add_label((xmin + 0.02 * (xmax - xmin), ymax - 0.05 * (ymax - ymin)), map_name)
     return scene

@@ -376,9 +376,8 @@ def test_image_is_signed_by_its_segment_not_by_the_covector(exact_curve4):
 
 
 def test_membership_of_an_interior_point(exact_curve):
-    verts = exact_curve.chart_points()
-    center = verts.mean(axis=0)
-    point = np.linalg.solve(exact_curve.chart.frame, np.append(center, 1.0))
+    center = exact_curve.chart_points().mean(axis=0)
+    point = exact_curve.chart @ center + exact_curve.positive_covector  # its lift to h.p = 1
     line = np.cross(point, exact_curve.frames_at(0.0)[:, 0])
     assert omega_membership(exact_curve, point[None], line[None]).tolist() == ["1"]
 
@@ -416,6 +415,23 @@ def test_membership_of_a_point_at_infinity(exact_curve):
     assert abs(point @ h) < 1e-16
     lines = np.stack([np.cross(point, interior_point(exact_curve)), h])
     assert omega_membership(exact_curve, np.stack([point, point]), lines).tolist() == ["2", "3"]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 4: membership judges the polygon of the samples, and "
+                          "the curve bulges out of it by up to 4.7e-6, so points in that band "
+                          "read outside")
+def test_membership_in_the_band_between_the_sample_polygon_and_the_curve(exact_curve):
+    """xi^1 at the 1,023 interior sample-gap midpoints, scaled to h.p = 1 and moved 2e-6
+    toward the mean of the aligned points, lies inside the conic: each is in component 1,
+    with the chord through samples 0 and 512 as its line."""
+    t, h, p = exact_curve.thetas, exact_curve.positive_covector, exact_curve.aligned_points
+    mids = exact_curve.exact_eval((t[:-1] + t[1:]) / 2.0)[:, :, 0]
+    mids /= (mids @ h)[:, None]
+    inward = p.mean(axis=1) - mids
+    points = mids + 2e-6 * inward / np.linalg.norm(inward, axis=1, keepdims=True)
+    lines = np.broadcast_to(np.cross(p[:, 0], p[:, 512]), points.shape)
+    assert omega_membership(exact_curve, points, lines).tolist() == ["1"] * len(points)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

@@ -14,6 +14,7 @@ from flagflows.config import (
     NoSecondIntersection,
     NotDefinedHere,
     NotLoxodromic,
+    PointOutsideDomain,
     RootFindFailure,
 )
 from flagflows.limitcurve import (
@@ -541,10 +542,53 @@ def test_regularity_estimate_is_two_for_the_conic(exact_curve):
     assert abs(hi - 2.0) < 0.1
 
 
+@pytest.mark.parametrize("name", ["exact_curve", "bulged_curve03"])
+def test_chart_roundtrip(request, name):
+    """The chart is the plane h.p = 1 in an orthonormal frame: chart coordinates and the
+    lift E u + h invert each other on the aligned points, and chart distances are plane
+    distances; a point with h.v = 0 is refused, and a stack gets a mask of those shown."""
+    curve = request.getfixturevalue(name)
+    h, p = curve.positive_covector, curve.aligned_points.T
+    coords = curve.to_chart(p)
+    lifted = coords @ curve.chart.T + h
+    assert np.max(np.abs(lifted - p)) < 1e-14
+    assert np.max(np.abs(curve.to_chart(lifted) - coords)) < 1e-14
+    assert np.max(np.abs(curve.chart_points() - coords)) < 1e-14
+    pairs = np.random.default_rng(5).integers(0, len(p), (50, 2))
+    assert np.allclose(np.linalg.norm(coords[pairs[:, 0]] - coords[pairs[:, 1]], axis=1),
+                       np.linalg.norm(p[pairs[:, 0]] - p[pairs[:, 1]], axis=1),
+                       rtol=0.0, atol=1e-14)
+    at_infinity = np.cross(h, p[0])
+    with pytest.raises(PointOutsideDomain):
+        curve.to_chart(at_infinity)
+    stacked = np.array([p[0], at_infinity, -2 * p[0]])
+    assert curve.in_chart(stacked).tolist() == [True, False, True]
+    assert np.allclose(curve.to_chart(stacked[[0, 2]]), [coords[0]] * 2, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("name", ["exact_curve", "bulged_curve03"])
+def test_line_to_chart_vanishes_on_line_points(request, name):
+    """The chart coefficients of each stored tangent covector vanish at its sample, and
+    those of random lines at two random points on each."""
+    curve = request.getfixturevalue(name)
+    coeffs = curve.line_to_chart(curve.frames[:, :, -1])
+    coords = curve.to_chart(curve.frames[:, :, 0])
+    assert np.max(np.abs(np.sum(coeffs[:, :-1] * coords, axis=1) + coeffs[:, -1])) < 1e-12
+    rng = np.random.default_rng(5)
+    lines = rng.standard_normal((20, 3))
+    coeffs = curve.line_to_chart(lines)
+    assert np.allclose(np.linalg.norm(coeffs[:, :-1], axis=1), 1.0, rtol=0.0, atol=1e-15)
+    for _ in range(2):
+        coords = curve.to_chart(np.cross(lines, rng.standard_normal((20, 3))))
+        assert np.max(np.abs(np.sum(coeffs[:, :-1] * coords, axis=1) + coeffs[:, -1])) < 1e-9
+
+
 def test_even_dimension_curve_has_no_global_chart(exact_curve4):
     assert exact_curve4.chart is None
-    with pytest.raises(NotDefinedHere):
-        exact_curve4.chart_points()
+    for query in (exact_curve4.chart_points, lambda: exact_curve4.in_chart(np.ones(4)),
+                  lambda: exact_curve4.line_to_chart(np.ones(4))):
+        with pytest.raises(NotDefinedHere):
+            query()
     # flag evaluation does not need the chart
     f = as_flag(exact_curve4.frames_at(1.234))
     assert abs(annihilator(f[3].basis)[:, 0] @ f.point.basis[:, 0]) < 1e-12

@@ -8,12 +8,10 @@ from flagflows.config import (
     DegenerateMeet,
     DegenerateSum,
     DimensionOverflow,
-    PointOutsideDomain,
 )
 from flagflows.devmaps import LeafMetricContext
 from flagflows.projective import (
     RANK_TOL,
-    AffineChart,
     Flag,
     ProjectiveSubspace,
     annihilator,
@@ -202,29 +200,6 @@ def test_segment_coordinate_cross_ratio_projective_invariance():
         moved = [g @ p for p in pts]
         value = segment_cross_ratio(*moved, np.linalg.inv(g).T @ line)
         assert abs(value - v0) < 1e-9 * max(1.0, abs(v0))
-
-
-def test_affine_chart_roundtrip():
-    chart = AffineChart(np.eye(3))
-    p = np.array([0.3, -0.7, 1.0])
-    assert np.allclose(chart.to_chart(p), [0.3, -0.7], atol=1e-12)
-    at_infinity = np.array([1.0, 0.0, 0.0])
-    with pytest.raises(PointOutsideDomain):
-        chart.to_chart(at_infinity)
-    # stacked points: a mask picks out those in the chart
-    stacked = np.array([p, at_infinity, -2 * p])
-    assert chart.in_chart(stacked).tolist() == [True, False, True]
-    assert np.allclose(chart.to_chart(stacked[[0, 2]]), [[0.3, -0.7]] * 2, atol=1e-12)
-
-
-def test_line_to_chart_vanishes_on_line_points():
-    rng = np.random.default_rng(5)
-    chart = AffineChart(rng.standard_normal((3, 3)) + 3 * np.eye(3))
-    line = rand_subspace(rng, 3, 2)
-    a, b, c = chart.line_to_chart(annihilator(line.basis)[:, 0])
-    for col in range(2):
-        u, v = chart.to_chart(line.basis[:, col])
-        assert abs(a * u + b * v + c) < 1e-9
 
 
 def test_flags_and_subspaces_compare_by_identity():

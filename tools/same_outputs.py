@@ -69,6 +69,7 @@ COMMAND_LINES = [
     "--bulge 0.3 sample-curve",
     "--n 2 sample-curve",
     "--bulge 0.3 --word-ball 5 sample-curve",
+    "--bulge 0.7 sample-curve",
     "build-rep",
     "dev-image --map tan-",
     "dev-image --map psi3",
@@ -82,7 +83,9 @@ COMMAND_LINES = [
     "--n 4 dev-image --map alpha:2,3",
     "render --figure dev-tan+",
     "render --figure boundary",
+    "--bulge 0.3 render --figure boundary",
     "--bulge 0.3 render --figure dev-tan-",
+    "--bulge 0.3 --word-ball 4 render --figure dev-tan+",
     "frenet-check",
     "--n 2 frenet-check",
     "--bulge 0.3 frenet-check",
