@@ -27,7 +27,7 @@ from .devmaps import (
     LeafPoint,
     _check_map_name,
     _check_realizable,
-    _random_positive_triple,
+    _positive_triples,
     _random_triples,
     develop,
     leaf_context,
@@ -430,27 +430,29 @@ def cmd_verify_all(cfg, args):
     checks["covering"] = {"passed": two_sheet < RESIDUAL_TOL, "two_sheet_max_error": two_sheet,
                           "tolerance": RESIDUAL_TOL}
 
-    miscount = 0
-    for name in _MAP_TABLE:
-        labels = omega_membership(curve, *develop(curve, name, *_random_triples(rng, 5)))
-        miscount += int(np.sum(labels != EXPECTED_COMPONENT[name]))
-    checks["membership"] = {"passed": miscount == 0, "trials": 5 * len(_MAP_TABLE),
+    # five triples per map, drawn map after map, and one membership call on all of them
+    triples = _random_triples(rng, 5 * len(_MAP_TABLE)).reshape(3, len(_MAP_TABLE), 5)
+    points, lines = map(np.concatenate, zip(*(develop(curve, name, *triples[:, k])
+                                              for k, name in enumerate(_MAP_TABLE))))
+    expected = np.repeat([EXPECTED_COMPONENT[name] for name in _MAP_TABLE], 5)
+    miscount = int(np.count_nonzero(omega_membership(curve, points, lines) != expected))
+    checks["membership"] = {"passed": miscount == 0, "trials": expected.size,
                             "misclassified": miscount}
 
     class_ok = True
-    for name, want in (("tr", "transverse"), ("tan+", "tangent_plus"),
-                       ("tan-", "tangent_minus")):
-        p = _random_positive_triple(rng, spread=0.8)
-        points, _ = develop(curve, name, p.x, leaf_sweep(p.x, p.z, 16), p.z)
-        class_ok = class_ok and type_classifier(points, curve, p.x, p.z) == want
+    draws = _positive_triples(rng.random((3, 3)), spread=0.8).T.tolist()
+    for (name, want), (x, _, z) in zip((("tr", "transverse"), ("tan+", "tangent_plus"),
+                                        ("tan-", "tangent_minus")), draws):
+        points, _ = develop(curve, name, x, leaf_sweep(x, z, 16), z)
+        class_ok = class_ok and type_classifier(points, curve, x, z) == want
     checks["type_classifier"] = {"passed": class_ok}
 
     words = enumerate_conjugacy_classes(curve.rep.presentation, PERIODS_MAX_LEN)
     checks["periods"] = periods_check(curve, words, _positive_roots(3))[1]
 
     # c(s + t) at p, c(t) at p moved by s, and c(s) at p, for 20 draws, in one stack
-    x, y, z, s, t = np.array([(p.x, p.y, p.z, rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0))
-                              for p in (_random_positive_triple(rng) for _ in range(20))]).T
+    u = rng.random((20, 5))  # per draw: a triple's three uniforms, then those of s and t
+    (x, y, z), (s, t) = _positive_triples(u[:, :3]), 0.1 + (1.0 - 0.1) * u[:, 3:].T
     moved = reference_flow(x, z, y, s)
     entries = [np.repeat(x, 3), np.column_stack([y, moved, y]).ravel(), np.repeat(z, 3),
                np.column_stack([s + t, t, s]).ravel()]

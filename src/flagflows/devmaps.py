@@ -293,17 +293,20 @@ def omega_membership(curve: BoundaryCurve, points, lines) -> np.ndarray:
                       outside & ((lo > delta) | (hi < -delta))], ["1", "2", "3"], "boundary")
 
 
-def _random_positive_triple(rng, spread: float = 0.3) -> LeafPoint:
-    x = rng.uniform(0.0, 2 * math.pi)
-    g1 = rng.uniform(spread, 2 * math.pi - 2 * spread)
-    g2 = rng.uniform(spread, 2 * math.pi - g1 - spread)
-    return LeafPoint(x, x + g1, x + g1 + g2)
+def _positive_triples(u, spread: float = 0.3) -> np.ndarray:
+    """Positive triples (x, y, z) as arrays (3, m), one per row of uniforms u (m, 3) on [0, 1):
+    x on [0, 2pi), the gap y - x on [spread, 2pi - 2 spread] and z - y on [spread,
+    2pi - (y - x) - spread], each low + (high - low) u as `rng.uniform` scales its draw,
+    and reduced mod 2pi as `LeafPoint` reduces them."""
+    x = 2 * math.pi * u[:, 0]
+    g1 = spread + (2 * math.pi - 2 * spread - spread) * u[:, 1]
+    g2 = spread + (2 * math.pi - g1 - spread - spread) * u[:, 2]
+    return np.remainder([x, x + g1, x + g1 + g2], 2 * math.pi)
 
 
-def _random_triples(rng, count: int):
-    """`count` draws of `_random_positive_triple`, in order, as arrays (x, y, z)."""
-    points = [_random_positive_triple(rng) for _ in range(count)]
-    return np.array([(p.x, p.y, p.z) for p in points]).T
+def _random_triples(rng, count: int) -> np.ndarray:
+    """`count` `_positive_triples` from one call of the generator `rng`, as arrays (x, y, z)."""
+    return _positive_triples(rng.random((count, 3)))
 
 
 def _angle(a, b) -> np.ndarray:

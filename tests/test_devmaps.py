@@ -12,6 +12,7 @@ from flagflows.config import DegenerateMeet, PointOutsideSegment, UnclassifiedLi
 from flagflows.devmaps import (
     MAP_TABLE,
     LeafPoint,
+    _positive_triples,
     _random_triples,
     concavity_check,
     develop,
@@ -505,6 +506,27 @@ def test_leaf_triples_reduce_as_leaf_point_does():
     want = np.array([[-0.5 % (2 * math.pi)] * 20, [t % (2 * math.pi) for t in y.tolist()],
                      [7.0 % (2 * math.pi)] * 20])
     assert np.array_equal(leaf_triples(-0.5, y, 7.0), want)
+
+
+@pytest.mark.parametrize("spread", [0.3, 0.8])
+def test_positive_triples_are_the_scalar_uniform_draws(spread):
+    """`_positive_triples` on a generator's (m, 3) uniforms gives, bit for bit, the triples
+    that scalar `rng.uniform` draws of x, then the two gaps, give as `LeafPoint`s, and
+    leaves the generator where those draws leave it; `_random_triples` takes the default
+    spread."""
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    got = _positive_triples(rng.random((200, 3)), spread)
+    want = []
+    for _ in range(200):
+        x = ref.uniform(0.0, 2 * math.pi)
+        g1 = ref.uniform(spread, 2 * math.pi - 2 * spread)
+        g2 = ref.uniform(spread, 2 * math.pi - g1 - spread)
+        p = LeafPoint(x, x + g1, x + g1 + g2)
+        want.append((p.x, p.y, p.z))
+    assert np.array_equal(got, np.array(want).T)
+    assert rng.random() == ref.random()
+    if spread == 0.3:
+        assert np.array_equal(_random_triples(np.random.default_rng(5), 200), got)
 
 
 def test_leaf_point_gives_the_floats_and_errors_of_leaf_triples():
