@@ -56,6 +56,7 @@ from .reps import (
     _check_root,
     axis_thetas,
     bulge_deform,
+    first_failing_word,
     fuchsian_genus2,
     jordan_projection,
     root_length,
@@ -242,12 +243,9 @@ def periods_check(curve, words, roots):
     |period - length| / |length|.
     """
     _, g, g_inv, periods = zip(*_spectrum_blocks(curve, words, roots))
-    periods = np.concatenate(periods)
-    try:
-        lengths = jordan_projection(np.concatenate(g), np.concatenate(g_inv))
-    except ValueError as exc:  # the guard's error names its word, as the periods' errors do
-        word = curve.rep.presentation.format_word(words[exc.index[0]])
-        raise ValueError(f"word {word}: {exc}") from exc
+    periods, g, g_inv = (np.concatenate(a) for a in (periods, g, g_inv))
+    lengths = first_failing_word(curve.rep.presentation, words,
+                                 lambda rows: jordan_projection(g[rows], g_inv[rows]))
     wants = np.stack([root_length(lengths, i, j) for (i, j) in roots], axis=1)
     rel = np.abs(periods - wants) / np.maximum(np.abs(wants), 1e-30)
     worst = float(np.max(rel, initial=0.0))  # NaN if any error is NaN
@@ -353,7 +351,7 @@ def cmd_flow(cfg, args):
         raise ValueError("word image is not hyperbolic in the reference")
     curve = build_curve(cfg)
     x, z = axis_thetas(m)
-    y0 = (x + ((z - x) % (2 * math.pi)) / 2) % (2 * math.pi)
+    y0 = leaf_sweep(x, z, 1)[0]
     orbit = flow_orbit(curve, alpha, LeafPoint(x, y0, z), float(args.t_max), int(args.steps))
     write_csv(cfg, "flow_orbit.csv",
               ["t", "y"] + [f"p{k}" for k in range(curve.n)],

@@ -17,18 +17,20 @@ is its one-target case.  The cocycle and the stable-leaf distances also
 take stacked leaf points.  Closed-orbit periods come from one stacked
 pass over blocks of words (`_spectrum_blocks`), which `period_spectrum`
 and `cli.periods_check` read; the latter adds the words' root lengths.
+`reps.first_failing_word` names the first word of a block that fails.
 """
 
 import math
 
 import numpy as np
 
-from .config import (FlagFlowsError, InsufficientResolution, NotDefinedHere, NotLoxodromic,
-                     PointOutsideSegment, RootFindFailure)
-from .devmaps import LeafMetricContext, LeafPoint, develop, leaf_context, leaf_triples
+from .config import (FlagFlowsError, InsufficientResolution, NotDefinedHere, PointOutsideSegment,
+                     RootFindFailure)
+from .devmaps import LeafMetricContext, LeafPoint, develop, leaf_context, leaf_sweep, leaf_triples
 from .limitcurve import ROOT_TOL, BoundaryCurve, bracketed_root, second_boundary_intersection
 from .projective import cross_meet
-from .reps import _check_root, boundary_vector, circular_gap, loxodromic_eigensystem, read_from_g
+from .reps import (_check_root, boundary_vector, circular_gap, first_failing_word,
+                   loxodromic_eigensystem, read_from_g, require_hyperbolic)
 
 Y_CHOICES = 2  # hyperplane samples whose periods must agree in period_spectrum
 # most entries any one array of period_spectrum holds: a block of words holds
@@ -168,35 +170,9 @@ def _spectrum_blocks(curve: BoundaryCurve, words, roots):
         block = words[start:start + size]
         g = curve.rep.matrices(block)
         g_inv = curve.rep.matrices([w.inverse() for w in block])
-        yield block, g, g_inv, _word_periods(curve, roots, block, g, g_inv)
-
-
-def _word_periods(curve: BoundaryCurve, roots, words, g, g_inv) -> list:
-    """Periods of every root for a block of words and their products g and g_inv.
-
-    One list of periods per word.  The leaf endpoints x^i ∩ z^{n-i+1} are
-    exactly the eigenvectors of rep(gamma), read against each hyperplane
-    as in `LeafMetricContext`.  The period is the log-stretch of the image
-    point's segment coordinate under gamma, split into its forward and
-    backward coordinate factors; each factor is evaluated by applying
-    gamma or the independently assembled gamma^{-1} product, as
-    `read_from_g` decides (applying a word product amplifies roundoff in
-    subdominant coordinates by the spectral spread, which overwhelms
-    float64 for long words otherwise).
-
-    The block runs as stacked array operations.  If any word fails a
-    check, the block is halved until the first failing word runs alone,
-    so the error raised is that word's own, prefixed with `word <name>: `.
-    """
-    try:
-        return _block_periods(curve, roots, words, g, g_inv)
-    except (FlagFlowsError, ValueError) as exc:
-        if len(words) == 1:
-            word = curve.rep.presentation.format_word(words[0])
-            raise type(exc)(f"word {word}: {exc}") from exc
-        half = len(words) // 2
-        return (_word_periods(curve, roots, words[:half], g[:half], g_inv[:half])
-                + _word_periods(curve, roots, words[half:], g[half:], g_inv[half:]))
+        yield block, g, g_inv, first_failing_word(
+            curve.rep.presentation, block,
+            lambda rows: _block_periods(curve, roots, block[rows], g[rows], g_inv[rows]))
 
 
 def _transverse_samples(curve: BoundaryCurve, eigvecs: np.ndarray, roots) -> dict:
@@ -240,9 +216,17 @@ def _transverse_samples(curve: BoundaryCurve, eigvecs: np.ndarray, roots) -> dic
 
 
 def _block_periods(curve: BoundaryCurve, roots, words, g, g_inv) -> list:
-    g_ref = curve.reference.matrices(words)
-    if np.any(np.abs(g_ref[:, 0, 0] + g_ref[:, 1, 1]) <= 2.0):
-        raise NotLoxodromic("reference image is not hyperbolic")
+    """Periods of every root, one list per word, for a block of words and their products.
+
+    The leaf endpoints x^i ∩ z^{n-i+1} are the eigenvectors of rep(gamma),
+    read against each hyperplane as in `LeafMetricContext`; the period is
+    the log-stretch under gamma of the image point's segment coordinate, a
+    forward minus a backward coordinate factor.  Each eigenvector and
+    factor is read from gamma or from the independent gamma^{-1} product,
+    as `read_from_g` decides: a word product amplifies roundoff in
+    subdominant coordinates by its spectral spread, too much for float64.
+    """
+    require_hyperbolic(curve.reference.matrices(words))
     vals_g, vecs_g = loxodromic_eigensystem(g)
     _, vecs_i = loxodromic_eigensystem(g_inv)
     lm = np.log(np.abs(vals_g))
@@ -369,7 +353,7 @@ def regularity_probe(curve: BoundaryCurve, x: float, z: float) -> dict:
     n = curve.n
     if n < 4:
         raise ValueError("probe requires n >= 4")
-    y_c = (x + circular_gap(x, z) / 2) % (2 * math.pi)
+    y_c = leaf_sweep(x, z, 1)[0]
     h = PROBE_BASE_SCALE * 0.5 ** np.arange(PROBE_SCALES)
     # per scale h and offset s0 in (-2h, 0, 2h), the shifts s0 - h, s0 + h, s0 + 3h
     shifts = h[:, None, None] * (np.array([-2.0, 0.0, 2.0])[:, None] + [-1.0, 1.0, 3.0])

@@ -31,7 +31,6 @@ from .config import (
     InsufficientSamples,
     NoSecondIntersection,
     NotDefinedHere,
-    NotLoxodromic,
     PointOutsideDomain,
     RootFindFailure,
 )
@@ -39,7 +38,9 @@ from .projective import INFINITY_TOL, ProjectiveSubspace, annihilator, flag_fram
 from .reps import (
     SurfaceGroupRep,
     circular_gap,
+    first_failing_word,
     loxodromic_eigensystem,
+    require_hyperbolic,
     sym_matrix,
     sym_power,
     theta_of_vector,
@@ -260,22 +261,16 @@ def sample_boundary(rep: SurfaceGroupRep, reference: SurfaceGroupRep,
     separate class) contributes theta = attracting fixed point of the
     reference Mobius action, flag = attracting eigenflag of rep.  Equal
     thetas are resolved by keeping the longest word, whose eigenflag is
-    the best converged.
+    the best converged.  `first_failing_word` names a failing word.
     """
     ball = enumerate_conjugacy_classes(rep.presentation, max_word_len)
-    m2 = reference.matrices(ball)
-    elliptic = np.flatnonzero(np.abs(m2[:, 0, 0] + m2[:, 1, 1]) <= 2.0)
-    try:
-        _, vecs = loxodromic_eigensystem(rep.matrices(ball))
-    except NotLoxodromic as exc:
-        # the error of the first failing word, as a word-by-word scan raises it
-        if not elliptic.size or exc.index[0] < elliptic[0]:
-            raise NotLoxodromic(
-                f"word {rep.presentation.format_word(ball[exc.index[0]])}: {exc}") from exc
-    if elliptic.size:
-        raise NotLoxodromic(
-            f"reference image of {rep.presentation.format_word(ball[elliptic[0]])} "
-            "is not hyperbolic")
+    m2, g = reference.matrices(ball), rep.matrices(ball)
+
+    def run(rows):  # per word, the reference check comes first
+        require_hyperbolic(m2[rows])
+        return loxodromic_eigensystem(g[rows])[1]
+
+    vecs = first_failing_word(rep.presentation, ball, run)
     # attracting axes of the reference Mobius actions
     vals2, vecs2 = np.linalg.eig(m2)
     lead = np.argsort(-np.abs(vals2), axis=-1)[:, 0]

@@ -19,6 +19,7 @@ import numpy as np
 
 from .config import (
     EigenFailure,
+    FlagFlowsError,
     IndexOrder,
     NonLoxodromicCurve,
     NotLoxodromic,
@@ -117,8 +118,7 @@ def jordan_projection(g: np.ndarray, g_inverse: np.ndarray):
     stacks only; the one-matrix path is the per-word reference that the
     benchmark's periods oracle and acceptance criterion 1 call.  Raises
     ValueError for any other shape, and for the first matrix whose
-    determinant is not +-1 or whose log-moduli come out unsorted; from a
-    stack, that error carries the matrix's stack position as `index`.
+    determinant is not +-1 or whose log-moduli come out unsorted.
     """
     g = np.asarray(g, dtype=float)
     g_inverse = np.asarray(g_inverse, dtype=float)
@@ -150,13 +150,9 @@ def jordan_projection(g: np.ndarray, g_inverse: np.ndarray):
     lm = np.where(read_from_g(lm), lm, -logs[count:])
     out = lm - lm.mean(axis=1, keepdims=True)  # drop the zero-sum drift
     unsorted = np.any(out[:, :-1] < out[:, 1:] - 1e-12, axis=1)
-    spans = (lm[:, 0] - lm[:, -1]).tolist()
-    for k, det in enumerate(np.linalg.det(stack).tolist()):
-        try:
-            _check_product(det, spans[k], unsorted[k])
-        except ValueError as exc:
-            exc.index = (k,)  # the stack position, as loxodromic_eigensystem gives it
-            raise
+    for det, span, bad in zip(np.linalg.det(stack).tolist(), (lm[:, 0] - lm[:, -1]).tolist(),
+                              unsorted):
+        _check_product(det, span, bad)
     return out.T
 
 
@@ -181,8 +177,7 @@ def loxodromic_eigensystem(g: np.ndarray):
     `g` is one matrix or a stack (..., n, n); each is solved on its own.
     Raises NotLoxodromic unless all eigenvalue moduli are pairwise
     separated by the relative gap LOXODROMY_GAP.  For a stack the error
-    names the first failing matrix's first failing gap and carries that
-    matrix's stack position as `index`.
+    names the first failing matrix's first failing gap.
     """
     g = np.asarray(g, dtype=float)
     try:
@@ -196,10 +191,8 @@ def loxodromic_eigensystem(g: np.ndarray):
     gaps = (moduli[..., :-1] - moduli[..., 1:]) / moduli[..., :-1]
     bad = np.argwhere(gaps <= LOXODROMY_GAP)
     if bad.size:
-        exc = NotLoxodromic(
+        raise NotLoxodromic(
             f"eigenvalue moduli gap {gaps[tuple(bad[0])]:.3e} below {LOXODROMY_GAP}")
-        exc.index = tuple(int(k) for k in bad[0][:-1])
-        raise exc
     # distinct moduli force real eigenvalues; strip the numerical phase
     # of each column, then normalize its real part
     lead = np.argmax(np.abs(vecs), axis=-2)[..., None, :]
@@ -207,6 +200,39 @@ def loxodromic_eigensystem(g: np.ndarray):
     real = (vecs * np.conj(phase / np.abs(phase))).real
     norms = np.sqrt(real.swapaxes(-1, -2)[..., None, :] @ real.swapaxes(-1, -2)[..., :, None])
     return vals.real, real / norms[..., 0].swapaxes(-1, -2)
+
+
+def require_hyperbolic(m2: np.ndarray) -> None:
+    """Raise NotLoxodromic unless every 2x2 matrix of the stack m2 has |trace| > 2."""
+    if np.any(np.abs(m2[:, 0, 0] + m2[:, 1, 1]) <= 2.0):
+        raise NotLoxodromic("reference image is not hyperbolic")
+
+
+def first_failing_word(presentation: SurfaceGroupPresentation, words, run):
+    """Return run(rows) over all rows of `words`, or raise the first failing word's error.
+
+    `run` checks each word of a slice of rows on its own.  On a FlagFlowsError
+    or ValueError the rows are halved, left half first, until one word fails
+    alone (at most 2 ceil(log2 W) + 1 runs); its own error is raised, of its
+    type, as `word <name>: <message>`.  An error no word raises alone is unnamed.
+    """
+    try:
+        return run(slice(0, len(words)))
+    except (FlagFlowsError, ValueError) as whole:
+        start, stop, error = 0, len(words), whole
+        while stop - start > 1:
+            mid = (start + stop) // 2
+            for start, stop in ((start, mid), (mid, stop)):
+                try:
+                    run(slice(start, stop))
+                except (FlagFlowsError, ValueError) as exc:
+                    error = exc
+                    break
+            else:
+                raise
+        if not words:
+            raise
+        raise type(error)(f"word {presentation.format_word(words[start])}: {error}") from error
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +331,8 @@ class SurfaceGroupRep:
     def check_loxodromy(self, max_len: int) -> None:
         """Gate: every nontrivial word image in the ball must be loxodromic."""
         ball = enumerate_conjugacy_classes(self.presentation, max_len)
-        try:
-            loxodromic_eigensystem(self.matrices(ball))
-        except NotLoxodromic as exc:
-            raise NotLoxodromic(
-                f"word {self.presentation.format_word(ball[exc.index[0]])}: {exc}"
-            ) from exc
+        g = self.matrices(ball)
+        first_failing_word(self.presentation, ball, lambda rows: loxodromic_eigensystem(g[rows]))
 
     def to_dict(self) -> dict:
         return {

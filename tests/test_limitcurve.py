@@ -164,11 +164,11 @@ def test_sample_boundary_names_the_first_failing_word(reference):
         sample_boundary(_rep_moving_only_a1(pres, np.eye(3)),
                         _rep_moving_only_a1(pres, reference.images[1]), 2)
     # the reference fails at a1, before the rep fails at b1
-    with pytest.raises(NotLoxodromic, match="^reference image of a1 is not hyperbolic$"):
+    with pytest.raises(NotLoxodromic, match="^word a1: reference image is not hyperbolic$"):
         sample_boundary(_rep_moving_only_a1(pres, np.diag([4.0, 1.0, 0.25])),
                         _rep_moving_only_a1(pres, np.eye(2)), 2)
     # both fail at a1: the reference check comes first
-    with pytest.raises(NotLoxodromic, match="^reference image of a1 is not hyperbolic$"):
+    with pytest.raises(NotLoxodromic, match="^word a1: reference image is not hyperbolic$"):
         sample_boundary(_rep_moving_only_a1(pres, np.eye(3)),
                         _rep_moving_only_a1(pres, np.eye(2)), 2)
     with pytest.raises(NotLoxodromic, match="^word b1: eigenvalue moduli gap 0.000e"):

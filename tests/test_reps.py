@@ -10,6 +10,7 @@ from flagflows.reps import (
     boundary_vector,
     bulge_deform,
     circular_gap,
+    first_failing_word,
     fuchsian_genus2,
     jordan_projection,
     loxodromic_eigensystem,
@@ -203,11 +204,13 @@ def test_stacked_jordan_projection_equals_single_ones(reference):
 def test_jordan_projection_guards():
     g = np.diag([math.exp(3.0), 1.0, math.exp(-3.0)])
     bad = np.diag([2.0, 1.0, 1.0])
-    # the first failing matrix of a stack names its own determinant and its position
-    with pytest.raises(ValueError, match=r"^matrix determinant 2\.0 is not \+-1$") as info:
+    # the first failing matrix of a stack raises the error it raises alone
+    with pytest.raises(ValueError) as alone:
+        jordan_projection(bad, np.linalg.inv(bad))
+    with pytest.raises(ValueError, match=r"^matrix determinant 2\.0 is not \+-1$") as stacked:
         jordan_projection(np.stack([g, bad, 3 * g]),
                           np.stack([np.linalg.inv(g), np.linalg.inv(bad), np.eye(3) / 2]))
-    assert info.value.index == (1,)
+    assert str(stacked.value) == str(alone.value)
     with pytest.raises(IndexOrder):
         root_length((1.0, 0.0, -1.0), 2, 1)
     with pytest.raises(IndexOrder):
@@ -280,9 +283,75 @@ def test_stacked_eigensystems_equal_single_ones(reference):
         v, e = loxodromic_eigensystem(m)
         assert np.array_equal(v, vals[k]) and np.array_equal(e, vecs[k])
     rot = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    with pytest.raises(NotLoxodromic) as info:
-        loxodromic_eigensystem(np.stack([mats[0], mats[1], rot, rot]))
-    assert info.value.index == (2,)
+    with pytest.raises(NotLoxodromic) as alone:
+        loxodromic_eigensystem(rot)
+    with pytest.raises(NotLoxodromic) as stacked:
+        loxodromic_eigensystem(np.stack([mats[0], mats[1], rot, np.diag([2.0, 2.0 - 2e-7, 0.25])]))
+    assert str(stacked.value) == str(alone.value)
+
+
+def _failing_on(word_rows: dict, calls: list):
+    """A run over word rows that raises, for the first check that fails, the error of the
+    check: `word_rows` maps each error type to the rows it fails, in the order checked."""
+    def run(rows):
+        calls.append(rows)
+        for error, failing in word_rows.items():
+            hit = [k for k in failing if rows.start <= k < rows.stop]
+            if hit:
+                raise error(f"check fails at row {hit[0]}")
+        return rows
+    return run
+
+
+def test_first_failing_word_names_the_first_word_that_fails_either_check(reference):
+    """Two checks fail on different words: the first failing word is named, in either
+    order of the checks, and its error keeps its type and its own message."""
+    pres = reference.presentation
+    words = enumerate_conjugacy_classes(pres, 2)
+    for first, later in ((NotLoxodromic, ValueError), (ValueError, NotLoxodromic)):
+        for checks in ({first: [5, 20], later: [11]}, {later: [11], first: [5, 20]}):
+            with pytest.raises(first) as info:
+                first_failing_word(pres, words, _failing_on(checks, []))
+            assert type(info.value) is first
+            assert str(info.value) == f"word {pres.format_word(words[5])}: check fails at row 5"
+
+
+def test_first_failing_word_halves_the_rows(reference):
+    """Every failing row is found in at most 2 ceil(log2 W) + 1 runs, the first over all
+    rows and the last over the named word alone."""
+    pres = reference.presentation
+    words = enumerate_conjugacy_classes(pres, 2)
+    bound = 2 * math.ceil(math.log2(len(words))) + 1
+    for k in range(len(words)):
+        calls = []
+        with pytest.raises(NotLoxodromic, match=f"^word {pres.format_word(words[k])}: "):
+            first_failing_word(pres, words, _failing_on({NotLoxodromic: [k]}, calls))
+        assert calls[0] == slice(0, len(words)) and calls[-1] == slice(k, k + 1)
+        assert len(calls) <= bound
+
+
+def test_first_failing_word_leaves_other_errors_unnamed(reference):
+    """A run that fails as a whole but on no single word raises its own error unnamed; an
+    empty word list runs once, and its result or error is the run's own."""
+    pres = reference.presentation
+    words = enumerate_conjugacy_classes(pres, 2)
+    calls = []
+
+    def fails_whole(size):
+        def run(rows):
+            calls.append(rows)
+            if rows.stop - rows.start == size:
+                raise ValueError("whole run")
+        return run
+
+    for ws in (words, []):
+        calls.clear()
+        with pytest.raises(ValueError, match="^whole run$"):
+            first_failing_word(pres, ws, fails_whole(len(ws)))
+        assert calls[0] == slice(0, len(ws)) and len(calls) == (3 if ws else 1)
+    calls.clear()
+    assert first_failing_word(pres, [], _failing_on({}, calls)) == slice(0, 0)
+    assert calls == [slice(0, 0)]
 
 
 def test_fixed_flags_are_invariant(reference):

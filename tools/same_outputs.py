@@ -61,6 +61,7 @@ COMMAND_LINES = [
     "--n 2 periods --max-len 3",
     "--bulge 0.3 periods",
     "--bulge 0.7 periods",
+    "--bulge 1.0 periods",
     "periods --alpha 1,3 --max-len 4",
     "decay",
     "--bulge 0.3 decay",
