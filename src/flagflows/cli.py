@@ -480,6 +480,13 @@ def cmd_verify_all(cfg, args):
 # ---------------------------------------------------------------------------
 # entry point
 
+# the handler of each subcommand, in the parser's order; `main` looks it up on every call,
+# so a handler rebound here after the parser is cached (as a tracer does) is the one it runs
+COMMANDS = {"build-rep": cmd_build_rep, "sample-curve": cmd_sample_curve,
+            "frenet-check": cmd_frenet_check, "dev-image": cmd_dev_image, "flow": cmd_flow,
+            "periods": cmd_periods, "decay": cmd_decay, "render": cmd_render,
+            "verify-all": cmd_verify_all}
+
 
 @functools.cache
 def make_parser() -> argparse.ArgumentParser:
@@ -497,42 +504,32 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int)
     parser.add_argument("--outdir")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    parsers = {name: sub.add_parser(name) for name in COMMANDS}
 
-    def command(name, handler):
-        p = sub.add_parser(name)
-        p.set_defaults(handler=handler)
-        return p
-
-    command("build-rep", cmd_build_rep)
-    command("sample-curve", cmd_sample_curve)
-    command("frenet-check", cmd_frenet_check)
-
-    p = command("dev-image", cmd_dev_image)
+    p = parsers["dev-image"]
     p.add_argument("--map", required=True,
                    help="tr|tan+|tan-|psi1..4|alpha:i,j")
     p.add_argument("--x", type=float, default=DEV_LEAF[0])
     p.add_argument("--z", type=float, default=DEV_LEAF[1])
     p.add_argument("--num", type=int, default=64)
 
-    p = command("flow", cmd_flow)
+    p = parsers["flow"]
     p.add_argument("--alpha", required=True, help="i,j")
     p.add_argument("--word", required=True, help='e.g. "a1 b1"')
     p.add_argument("--t-max", type=float, default=5.0, dest="t_max")
     p.add_argument("--steps", type=int, default=50)
 
-    p = command("periods", cmd_periods)
+    p = parsers["periods"]
     p.add_argument("--alpha", help="i,j (default: all positive roots)")
     p.add_argument("--max-len", type=int, default=PERIODS_MAX_LEN, dest="max_len")
 
-    p = command("decay", cmd_decay)
+    p = parsers["decay"]
     p.add_argument("--t-max", type=float, default=DECAY_T_MAX, dest="t_max")
     p.add_argument("--steps", type=int, default=DECAY_STEPS)
 
-    p = command("render", cmd_render)
+    p = parsers["render"]
     p.add_argument("--figure", required=True,
                    help="boundary|dev-tr|dev-tan+|dev-tan-|dev-psi1..4")
-
-    command("verify-all", cmd_verify_all)
     return parser
 
 
@@ -540,7 +537,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         cfg = load_config(args)
-        return args.handler(cfg, args)
+        return COMMANDS[args.subcommand](cfg, args)
     except (FlagFlowsError, ValueError, OSError) as exc:
         diagnostic = {
             "error": {

@@ -33,6 +33,11 @@ RESIDUAL_TOL = 1e-6  # bound on a pointwise identity or fit residual, on every c
 LINE_MATCH_TOL = 1e-4  # principal angle at which a fitted leaf line matches a candidate
 COVERING_TRIPLES = 20  # random positive triples on which two_sheet_error checks the deck identity
 CONCAVITY_SAMPLES = 40  # parameters after x whose pairs are the leaves of concavity_check
+# Side of the hull within which membership and concavity tests are inconclusive, on every
+# curve: `interpolate` blends level 1 linearly across each sample gap, so a sampled curve's
+# xi^1 runs along the chords of its samples and its hull is the `aligned_points` polygon
+# that the tests read; only roundoff separates the two.
+MEMBERSHIP_MARGIN = 1e-8
 
 
 @dataclass(frozen=True)
@@ -261,11 +266,6 @@ MAP_TABLE = {
 # domain membership and diagnostics
 
 
-def _membership_margin(curve: BoundaryCurve) -> float:
-    """Distance below which a side-of-hull test is inconclusive."""
-    return max(1e-8, 10.0 * curve.interp_error)
-
-
 def _hull_side(curve: BoundaryCurve, points) -> np.ndarray:
     """Least pairing of each point (m, 3), scaled to h.p = 1 (h the `positive_covector`), with
     the `hull_chords`: positive inside the hull; -1 off the curve's chart (`in_chart`)."""
@@ -285,7 +285,7 @@ def omega_membership(curve: BoundaryCurve, points, lines) -> np.ndarray:
     is `_hull_side`, and a line crosses it where its unit covector changes
     sign over the samples.  Any margin-inconclusive test returns 'boundary'.
     """
-    side, delta = _hull_side(curve, points), _membership_margin(curve)
+    side, delta = _hull_side(curve, points), MEMBERSHIP_MARGIN
     vals = (lines / np.linalg.norm(lines, axis=1, keepdims=True)) @ curve.aligned_points
     lo, hi = vals.min(axis=1), vals.max(axis=1)
     outside = side < -delta
@@ -334,7 +334,7 @@ def concavity_check(curve: BoundaryCurve, x: float, seed: int) -> dict:
     distances in the chart, the plane h.p = 1, so all compare with one margin.  Fill of the
     complement is not checked: `coverage_radius`, the farthest outside probe off the tangent
     from the image, is reported and does not enter `passed`."""
-    rng, delta = np.random.default_rng(seed), _membership_margin(curve)
+    rng, delta = np.random.default_rng(seed), MEMBERSHIP_MARGIN
     h, tangent = curve.positive_covector, curve.frames_at(x)[:, -1]
     pairs = np.array(np.triu_indices(CONCAVITY_SAMPLES, 1)) + 1
     points, _ = develop(curve, "tan+", x, *(x + 2 * math.pi * pairs / (CONCAVITY_SAMPLES + 1)))

@@ -37,13 +37,13 @@ from .config import (
 from .projective import INFINITY_TOL, ProjectiveSubspace, annihilator, flag_frames
 from .reps import (
     SurfaceGroupRep,
+    axis_thetas,
     circular_gap,
     first_failing_word,
     loxodromic_eigensystem,
     require_hyperbolic,
     sym_matrix,
     sym_power,
-    theta_of_vector,
 )
 from .words import enumerate_conjugacy_classes
 
@@ -271,12 +271,8 @@ def sample_boundary(rep: SurfaceGroupRep, reference: SurfaceGroupRep,
         return loxodromic_eigensystem(g[rows])[1]
 
     vecs = first_failing_word(rep.presentation, ball, run)
-    # attracting axes of the reference Mobius actions
-    vals2, vecs2 = np.linalg.eig(m2)
-    lead = np.argsort(-np.abs(vals2), axis=-1)[:, 0]
-    samples = {}
-    for k, w in enumerate(ball):
-        theta = theta_of_vector(vecs2[k, :, lead[k]].real)
+    samples = {}  # at the attracting axes of the reference Mobius actions
+    for k, (w, theta) in enumerate(zip(ball, axis_thetas(m2)[0].tolist())):
         key = round(theta / 1e-10)
         prev = samples.get(key)
         if prev is None or len(w) > len(ball[prev[1]]):

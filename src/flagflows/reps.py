@@ -56,11 +56,13 @@ def circular_gap(start: float, end: float) -> float:
 
 
 def axis_thetas(m: np.ndarray):
-    """(attracting, repelling) circle parameters of a hyperbolic 2x2 matrix."""
+    """(attracting, repelling) circle parameters of a hyperbolic 2x2 matrix, as floats, or of
+    each matrix of a stack (..., 2, 2), as two arrays (...)."""
     vals, vecs = np.linalg.eig(m)
-    order = np.argsort(-np.abs(vals))
-    return (theta_of_vector(vecs[:, order[0]].real),
-            theta_of_vector(vecs[:, order[1]].real))
+    axes = np.take_along_axis(vecs, np.argsort(-np.abs(vals), axis=-1)[..., None, :], -1).real
+    thetas = [theta_of_vector(v) for v in np.swapaxes(axes, -1, -2).reshape(-1, 2)]
+    x, z = np.moveaxis(np.reshape(thetas, np.shape(m)[:-1]), -1, 0)
+    return (float(x), float(z)) if np.ndim(m) == 2 else (x, z)
 
 
 # ---------------------------------------------------------------------------

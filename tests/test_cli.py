@@ -39,6 +39,16 @@ def test_sample_curve_writes_csv(tmp_path):
     assert len(lines) == load_summary(tmp_path, "sample_curve")["num_samples"] + 1
 
 
+def test_main_calls_the_handler_bound_when_it_runs(tmp_path, monkeypatch):
+    """`main` reads each subcommand's handler from `cli.COMMANDS` on every call, so a
+    handler rebound after the parser is cached is the one it calls."""
+    cli.make_parser()
+    calls = []
+    monkeypatch.setitem(cli.COMMANDS, "build-rep", lambda cfg, args: calls.append(cfg["n"]) or 0)
+    assert run(tmp_path, "build-rep") == 0
+    assert calls == [3] and not (tmp_path / "rep.json").exists()
+
+
 def test_frenet_check_passes_on_default_config(tmp_path):
     assert run(tmp_path, "frenet-check") == 0
     assert load_summary(tmp_path, "frenet_check")["passed"] is True
