@@ -17,7 +17,10 @@ is its one-target case.  The cocycle and the stable-leaf distances also
 take stacked leaf points.  Closed-orbit periods come from one stacked
 pass over blocks of words (`_spectrum_blocks`), which `period_spectrum`
 and `cli.periods_check` read; the latter adds the words' root lengths.
-`reps.first_failing_word` names the first word of a block that fails.
+Each word reads its periods on the hyperplane samples picked by a
+bisection on the two arcs of its axis (`_transverse_samples`), not by a
+scan over every sample.  `reps.first_failing_word` names the first word
+of a block that fails.
 """
 
 import math
@@ -33,9 +36,9 @@ from .reps import (_check_root, boundary_vector, circular_gap, first_failing_wor
                    loxodromic_eigensystem, read_from_g, require_hyperbolic)
 
 Y_CHOICES = 2  # hyperplane samples whose periods must agree in period_spectrum
-# most entries any one array of period_spectrum holds: a block of words holds
-# this many word-product entries (n x n per word), a chunk of the hyperplane
-# scan this many (word x curve sample) entries
+# most entries any one word-sized array of period_spectrum holds: a block of
+# words holds this many word-product entries (n x n per word), a chunk of the
+# transverse-sample search this many candidate covector entries
 SPECTRUM_BLOCK_ENTRIES = 16_384
 # dyadic scales base * 2^-k, k < count, of the tangent fits in regularity_probe
 PROBE_BASE_SCALE, PROBE_SCALES = 0.2, 6
@@ -140,8 +143,10 @@ def period_spectrum(curve: BoundaryCurve, words, roots) -> dict:
     A period uses exact eigenflags of rep(gamma) at the leaf endpoints;
     the distance from an image point to its gamma image along the leaf is
     independent of the choice of the third parameter, which is verified
-    across `Y_CHOICES` samples.  Returns {word: {root: period}} preserving
-    the input word order, from the blocks of `_spectrum_blocks`.
+    across `Y_CHOICES` hyperplane samples, found per word by a search on
+    the two arcs of its axis (`_transverse_samples`).  Returns {word:
+    {root: period}} preserving the input word order, from the blocks of
+    `_spectrum_blocks`.
     """
     roots = [tuple(r) for r in roots]
     out = {}
@@ -156,11 +161,12 @@ def _spectrum_blocks(curve: BoundaryCurve, words, roots):
     products of the words and of their inverses (built once, here), and per
     word one period per root.  Every root is checked before any product runs.
 
-    One memory rule: no array holds more than SPECTRUM_BLOCK_ENTRIES
-    entries.  A block has SPECTRUM_BLOCK_ENTRIES // n^2 words; only the
-    scan of its eigenvectors against every hyperplane sample, (word x
-    curve sample) entries, runs in chunks of SPECTRUM_BLOCK_ENTRIES //
-    len(curve) words.
+    One memory rule: no array whose size grows with the number of words
+    holds more than SPECTRUM_BLOCK_ENTRIES entries.  A block has
+    SPECTRUM_BLOCK_ENTRIES // n^2 words; the search for its transverse
+    samples reads (word x root x arc) entries at once, and its candidate
+    covectors in chunks of words.  The block pass also copies the
+    curve's covectors, three times (N x n) entries.
     """
     words, roots = list(words), [tuple(r) for r in roots]
     for i, j in roots:
@@ -175,44 +181,128 @@ def _spectrum_blocks(curve: BoundaryCurve, words, roots):
             lambda rows: _block_periods(curve, roots, block[rows], g[rows], g_inv[rows]))
 
 
-def _transverse_samples(curve: BoundaryCurve, eigvecs: np.ndarray, roots) -> dict:
+def _fixed_point_thetas(m2: np.ndarray):
+    """(attracting, repelling) circle parameters, two arrays (W,), of a stack (W, 2, 2) in
+    SL(2, R) that `require_hyperbolic` passed.
+
+    In closed form: each fixed point spans the columns of m - mu Id, mu the
+    other eigenvalue, and the longer column is read.  The floats may differ
+    from `reps.axis_thetas` in the last bits; `_transverse_samples` only
+    splits the samples with them.
+    """
+    a, b, c, d = m2[:, 0, 0], m2[:, 0, 1], m2[:, 1, 0], m2[:, 1, 1]
+    trace = a + d
+    small = 2.0 / (trace + np.copysign(np.sqrt(trace * trace - 4.0), trace))
+    thetas = []
+    for p, q in (((a - small, c), (b, d - small)), ((small - d, c), (b, small - a))):
+        longer = p[0] * p[0] + p[1] * p[1] >= q[0] * q[0] + q[1] * q[1]
+        thetas.append(_thetas_of_vectors(np.where(longer, p, q)))
+    return thetas
+
+
+def _transverse_samples(curve: BoundaryCurve, eigvecs: np.ndarray, roots, axes) -> dict:
     """For each root (i, j), the segment coordinates (W, Y_CHOICES) of the eigenvectors.
 
     Per word, the Y_CHOICES hyperplane samples y whose log-ratio
     log|y . v_j| - log|y . v_i| is smallest in size are kept, as
     (y . v_i, y . v_j): one argmin per choice, the lowest index first
-    among ties, each pick masked before the next.  A word needs
-    Y_CHOICES samples on which the log-ratio is finite.  Every eigenvector
-    is scanned against every sample once, in chunks of words holding at
-    most SPECTRUM_BLOCK_ENTRIES entries per array.
+    among ties, each pick masked before the next.  A word needs Y_CHOICES
+    candidates on which the log-ratio is finite.
+
+    The candidates come from the two arcs of the word's reference axis
+    `axes` = (x, z), arrays (W,): the sorted samples from the first at or
+    after x to the last before z, and from the first at or after z to the
+    last before x.  The ratio |y . v_j| / |y . v_i| runs from infinity at
+    x to 0 at z, and at n = 3 it is monotone on each arc.  There every y
+    is a tangent line of a strictly convex curve (Goldman 1990), and the
+    ratio is r where y passes through one of two points of the line
+    v_i v_j.  For (1, 2) and (2, 3) that line is the tangent at x or at z,
+    and through each of its points off the curve passes one more tangent
+    line, touching one arc.  The line v_1 v_3 is a chord; through each of
+    its points outside the curve pass two tangent lines, one touching
+    each arc, and through those inside none.  So each arc holds one sign
+    change of |y . v_j| - |y . v_i|, found by bisection (`_sign_changes`),
+    and the key falls to it and rises after it.  The candidates are the
+    two samples on each side of each change and each arc's first and
+    last samples: a sample at x or z (the eigenflag of the word or of its
+    powers) has both dots at roundoff, and the bisection never reads it.
+    At other n the oracle tests on the exact n = 2 and n = 4 curves stand
+    in for the argument.
+
+    The keys are the scan's floats: each candidate's dots come from the
+    same per-word product, `covectors[ids] @ v`, as those of a product
+    over every sample.  The candidates are read in chunks of words, so
+    that no array holds more than SPECTRUM_BLOCK_ENTRIES entries.
     """
-    covectors = np.ascontiguousarray(curve.frames[:, :, -1])  # the strided column scans slower
-    chunk = max(1, SPECTRUM_BLOCK_ENTRIES // len(covectors))
-    indices = {k for root in roots for k in root}
-    picks = {root: [] for root in roots}
+    covectors = np.ascontiguousarray(curve.frames[:, :, -1])  # the strided column reads slower
+    count, n = covectors.shape
+    x, z = axes
+    first = np.searchsorted(curve.thetas, np.stack([x, z], axis=-1))  # (W, 2): (x, z), (z, x)
+    on_xz = first[:, 1] - first[:, 0] + count * (x > z)  # samples on the arc (x, z)
+    last = np.stack([on_xz, count - on_xz], axis=-1) - 1  # offset of each arc's last sample
+    lower, upper = [i - 1 for i, _ in roots], [j - 1 for _, j in roots]
+    change = _sign_changes(covectors, eigvecs, lower, upper, first, last)
+    ends = np.stack([first, first + last], axis=-1)[:, None]  # (W, 1, 2, 2)
+    per_root = 2 * 6  # per arc its two ends and the four samples at its change
+    chosen = [np.empty((len(eigvecs) * len(roots), Y_CHOICES)) for _ in range(2)]
+    chunk = max(1, SPECTRUM_BLOCK_ENTRIES // (per_root * len(roots) * n))
     for start in range(0, len(eigvecs), chunk):
-        vecs = eigvecs[start:start + chunk]
-        dots = {k: (covectors @ vecs[:, :, k - 1, None])[:, :, 0] for k in indices}
-        with np.errstate(divide="ignore"):
-            logs = {k: np.log(np.abs(m)) for k, m in dots.items()}
-        rows = np.arange(len(vecs))
-        for (i, j) in picks:
-            with np.errstate(invalid="ignore"):
-                key = np.abs(logs[j] - logs[i])
-            key[np.isnan(key)] = np.inf
-            chosen = []
-            for c in range(Y_CHOICES):
-                pick = np.argmin(key, axis=1)
-                if np.any(key[rows, pick] == np.inf):
-                    raise RootFindFailure("no transverse hyperplane sample on the leaf" if c == 0
-                                          else f"fewer than {Y_CHOICES} transverse hyperplane "
-                                          "samples on the leaf")
-                key[rows, pick] = np.inf
-                chosen.append(pick)
-            chosen = np.stack(chosen, axis=1)
-            picks[(i, j)].append([np.take_along_axis(dots[k], chosen, 1) for k in (i, j)])
-    return {root: [np.concatenate(part) for part in zip(*parts)]
-            for root, parts in picks.items()}
+        rows = slice(start, start + chunk)
+        near = change[rows, :, :, None] + np.arange(-1, 3)  # (w, R, 2, 4)
+        ids = np.concatenate([np.broadcast_to(ends[rows], near.shape[:3] + (2,)), near], axis=-1)
+        ids = np.sort(ids.reshape(-1, per_root) % count, axis=-1)  # per (word, root), in order
+        candidates = np.take(covectors, ids, axis=0).reshape(len(near), len(roots), per_root, n)
+        vecs = eigvecs[rows].swapaxes(1, 2)[..., None]  # (w, index, n, 1)
+        dots = [(candidates @ vecs[:, k]).reshape(ids.shape) for k in (lower, upper)]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            key = np.abs(np.log(np.abs(dots[1])) - np.log(np.abs(dots[0])))
+        key[np.isnan(key)] = np.inf
+        key[:, 1:][ids[:, 1:] == ids[:, :-1]] = np.inf  # a sample read twice counts once
+        each = np.arange(len(ids))
+        for c in range(Y_CHOICES):
+            pick = np.argmin(key, axis=1)
+            if np.any(key[each, pick] == np.inf):
+                raise RootFindFailure("no transverse hyperplane sample on the leaf" if c == 0
+                                      else f"fewer than {Y_CHOICES} transverse hyperplane "
+                                      "samples on the leaf")
+            key[each, pick] = np.inf
+            for table, d in zip(chosen, dots):
+                table[start * len(roots) + each, c] = d[each, pick]
+    return {root: [table.reshape(-1, len(roots), Y_CHOICES)[:, r] for table in chosen]
+            for r, root in enumerate(roots)}
+
+
+def _sign_changes(covectors, eigvecs, lower, upper, first, last) -> np.ndarray:
+    """Per word, root and arc (W, R, 2), the last sample at which the dot that leads
+    from the arc's start is the larger in size: |y . v_j| on (x, z), |y . v_i|
+    on (z, x).  An index past the curve's last sample wraps around.
+
+    `first` and `last` (W, 2) are each arc's first sample and its last
+    sample's offset; the bisection takes the first sample to lead and
+    reads neither.
+    """
+    n = covectors.shape[1]
+    columns = np.tile(covectors.T, 2)  # (n, 2N): an arc's samples need no wrap
+    # per coordinate k, (W, R, 2): the leading and trailing eigenvector on each arc
+    leads = np.transpose([upper, lower])
+    lead = [np.ascontiguousarray(eigvecs[:, k][:, leads]) for k in range(n)]
+    trail = [np.ascontiguousarray(eigvecs[:, k][:, leads[:, ::-1]]) for k in range(n)]
+    change = np.repeat(first[:, None], len(upper), axis=1)
+    stop = change + last[:, None]
+    step = 1 << max(int(last.max(initial=0)).bit_length() - 1, 0)
+    while step:
+        probe = change + step
+        inside = probe < stop
+        y = columns[0].take(probe, mode="clip")  # a probe past its arc is not used
+        ahead, behind = y * lead[0], y * trail[0]
+        for k in range(1, n):
+            columns[k].take(probe, out=y, mode="clip")
+            ahead += y * lead[k]
+            behind += y * trail[k]
+        inside &= np.abs(ahead) > np.abs(behind)
+        np.add(change, step, out=change, where=inside)
+        step >>= 1
+    return change
 
 
 def _block_periods(curve: BoundaryCurve, roots, words, g, g_inv) -> list:
@@ -226,7 +316,8 @@ def _block_periods(curve: BoundaryCurve, roots, words, g, g_inv) -> list:
     as `read_from_g` decides: a word product amplifies roundoff in
     subdominant coordinates by its spectral spread, too much for float64.
     """
-    require_hyperbolic(curve.reference.matrices(words))
+    m2 = curve.reference.matrices(words)
+    require_hyperbolic(m2)
     vals_g, vecs_g = loxodromic_eigensystem(g)
     _, vecs_i = loxodromic_eigensystem(g_inv)
     lm = np.log(np.abs(vals_g))
@@ -235,7 +326,7 @@ def _block_periods(curve: BoundaryCurve, roots, words, g, g_inv) -> list:
     eigvecs = np.where(prefer_g[:, None, :], vecs_g, vecs_i[:, :, ::-1])
     amp = np.array([math.exp(x) for x in
                     np.minimum(lm[:, :1] - lm, lm - lm[:, -1:]).ravel()]).reshape(lm.shape)
-    samples = _transverse_samples(curve, eigvecs, roots)
+    samples = _transverse_samples(curve, eigvecs, roots, _fixed_point_thetas(m2))
     results = []
     for (i, j) in roots:
         a, b = eigvecs[:, :, i - 1], eigvecs[:, :, j - 1]
@@ -279,8 +370,13 @@ def reference_flow(x, z, y, t):
     if np.any(np.abs(den) < 1e-15 * np.abs(num)):
         raise NotDefinedHere("y coincides with x on the leaf")
     v = num / den * np.exp(t) * boundary_vector(x) + boundary_vector(z)
-    theta = 2.0 * (np.arctan2(v[1], -v[0]) % math.pi) % (2.0 * math.pi)  # as theta_of_vector
+    theta = _thetas_of_vectors(v)
     return float(theta) if theta.ndim == 0 else theta
+
+
+def _thetas_of_vectors(v: np.ndarray) -> np.ndarray:
+    """`reps.theta_of_vector` of each vector of a stack (2, ...), on arrays."""
+    return 2.0 * (np.arctan2(v[1], -v[0]) % math.pi) % (2.0 * math.pi)
 
 
 def cocycle(curve: BoundaryCurve, alpha, x, y, z, t) -> np.ndarray:

@@ -7,6 +7,8 @@ from types import SimpleNamespace
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvehelpers import two_inverse_reference_flow
 from flagflows.config import (IndexOrder, NotDefinedHere, NotLoxodromic, PointOutsideSegment,
@@ -269,7 +271,7 @@ def test_period_spectrum_memory_stays_bounded(reference):
     """Blocks keep the spectrum's working set small on a dense curve.
 
     780 words x 3 roots on the 1,024-sample exact curve peak near 1.2 MB;
-    holding every (word x sample) entry at once would need about 44 MB.
+    a scan holding every (word x sample) entry at once would need about 44 MB.
     """
     curve = fuchsian_curve(reference, 3)
     ball = enumerate_conjugacy_classes(curve.rep.presentation, 4)
@@ -301,44 +303,79 @@ def _sorted_picks(curve, eigvecs, i, j):
     return [np.take_along_axis(d, chosen, 1) for d in dots]
 
 
-def test_transverse_samples_match_a_stable_sort_oracle(reference, bulged_curve03):
-    """The masked-argmin picks are the stable-sort picks, as sets, on the CLI's curves."""
-    rep = bulge_deform(sym_power(reference, 3), 0.3)
-    curves = [fuchsian_curve(reference, 3), bulged_curve03, sample_boundary(rep, reference, 4)]
-    ball = enumerate_conjugacy_classes(reference.presentation, 4)
-    for curve in curves:
-        vals_g, vecs_g = loxodromic_eigensystem(curve.rep.matrices(ball))
-        _, vecs_i = loxodromic_eigensystem(curve.rep.matrices([w.inverse() for w in ball]))
-        prefer_g = read_from_g(np.log(np.abs(vals_g)))
-        eigvecs = np.where(prefer_g[:, None, :], vecs_g, vecs_i[:, :, ::-1])
-        samples = flows._transverse_samples(curve, eigvecs, ROOTS)
-        for (i, j) in ROOTS:
-            got, want = samples[(i, j)], _sorted_picks(curve, eigvecs, i, j)
-            # the picks as sets: both in the order of their (y . v_i, y . v_j) values
-            order_got, order_want = (np.lexsort(picks[::-1], axis=1) for picks in (got, want))
-            for a, b in zip(got, want):
-                assert np.array_equal(np.take_along_axis(a, order_got, 1),
-                                      np.take_along_axis(b, order_want, 1))
+def _assert_search_picks_the_scan(curve, ball, roots, name):
+    """Per root, `_transverse_samples` picks what `_sorted_picks` picks, in its order,
+    for the eigenvectors of the ball's words as `_block_periods` reads them."""
+    vals_g, vecs_g = loxodromic_eigensystem(curve.rep.matrices(ball))
+    _, vecs_i = loxodromic_eigensystem(curve.rep.matrices([w.inverse() for w in ball]))
+    prefer_g = read_from_g(np.log(np.abs(vals_g)))
+    eigvecs = np.where(prefer_g[:, None, :], vecs_g, vecs_i[:, :, ::-1])
+    axes = flows._fixed_point_thetas(curve.reference.matrices(ball))
+    samples = flows._transverse_samples(curve, eigvecs, roots, axes)
+    for (i, j) in roots:
+        want = _sorted_picks(curve, eigvecs, i, j)
+        assert all(np.array_equal(a, b) for a, b in zip(samples[(i, j)], want)), (name, (i, j))
+
+
+def _sampled(reference, bulge, depth):
+    return sample_boundary(bulge_deform(sym_power(reference, 3), bulge), reference, depth)
+
+
+def test_transverse_samples_match_a_stable_sort_oracle(reference, exact_curve, exact_curve4,
+                                                       criterion1_curves):
+    """The search on the two arcs picks what a stable sort over every sample picks, in
+    its order: on the periods-l5 curves, the CLI's curves, two more sampled curves and the
+    exact curves at n = 4 (every root) and n = 2."""
+    cases = {
+        "exact": (exact_curve, 4, ROOTS),
+        **{f"periods-l5 bulge {s}": (curve, 5, ROOTS)
+           for s, curve in zip((0.0, 0.3, 0.7), criterion1_curves)},
+        "bulge -0.3": (_sampled(reference, -0.3, 3), 4, ROOTS),
+        "bulge 0.3, word ball 4": (_sampled(reference, 0.3, 4), 4, ROOTS),
+        "bulge 0.3, word ball 5": (_sampled(reference, 0.3, 5), 4, ROOTS),
+        "exact n=4": (exact_curve4, 3, [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]),
+        "exact n=2": (fuchsian_curve(reference, 2), 4, [(1, 2)]),
+    }
+    assert cases["bulge 0.3, word ball 5"][0].thetas.size == 4084
+    for name, (curve, max_len, roots) in cases.items():
+        ball = enumerate_conjugacy_classes(reference.presentation, max_len)
+        _assert_search_picks_the_scan(curve, ball, roots, name)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(st.floats(min_value=-0.7, max_value=1.0))
+def test_transverse_samples_match_the_scan_at_any_bulge(reference, bulge):
+    """At every bulge of the range and word ball 3, the search picks what the scan picks."""
+    ball = enumerate_conjugacy_classes(reference.presentation, 3)
+    _assert_search_picks_the_scan(_sampled(reference, bulge, 3), ball, ROOTS, bulge)
 
 
 def test_transverse_samples_break_ties_lowest_index_first():
-    """Samples 1, 2 and 3 tie at log-ratio 0 for the root (1, 2): samples 1 and 2 are kept."""
+    """Samples 1, 2 and 3 tie at log-ratio 0 for the root (1, 2): samples 1 and 2 are kept.
+
+    The axis (0, 2) splits the five samples into arcs of two and three, so
+    that every sample is a candidate of the search.
+    """
     frames = np.zeros((5, 3, 3))
     covectors = frames[:, :, -1]  # a view: the edits below reach the frames
     covectors[:] = [[1.0, 4.0, 1.0], [1.0, 1.0, 1.0], [2.0, 2.0, 1.0],
                     [3.0, 3.0, 1.0], [3.0, 1.0, 1.0]]
-    curve = SimpleNamespace(frames=frames)
-    ma, mb = flows._transverse_samples(curve, np.eye(3)[None], [(1, 2)])[(1, 2)]
+    curve = SimpleNamespace(frames=frames, thetas=np.arange(5) + 0.5)
+
+    def picks():
+        axes = np.array([0.0]), np.array([2.0])
+        return flows._transverse_samples(curve, np.eye(3)[None], [(1, 2)], axes)[(1, 2)]
+
+    ma, mb = picks()
     assert ma.tolist() == [[1.0, 2.0]] and mb.tolist() == [[1.0, 2.0]]
     covectors[1:4, 0] = 0.0  # y . v_1 = 0: only samples 0 and 4 are transverse
-    ma, _ = flows._transverse_samples(curve, np.eye(3)[None], [(1, 2)])[(1, 2)]
-    assert ma.tolist() == [[3.0, 1.0]]
+    assert picks()[0].tolist() == [[3.0, 1.0]]
     covectors[4, 1] = 0.0
     with pytest.raises(RootFindFailure, match="^fewer than 2 transverse hyperplane samples"):
-        flows._transverse_samples(curve, np.eye(3)[None], [(1, 2)])
+        picks()
     covectors[0, 0] = 0.0
     with pytest.raises(RootFindFailure, match="^no transverse hyperplane sample on the leaf$"):
-        flows._transverse_samples(curve, np.eye(3)[None], [(1, 2)])
+        picks()
 
 
 def test_non_finite_periods_are_refused(exact_curve, monkeypatch):
@@ -349,8 +386,8 @@ def test_non_finite_periods_are_refused(exact_curve, monkeypatch):
     """
     transverse_samples = flows._transverse_samples
 
-    def poisoned(curve, eigvecs, roots):
-        samples = transverse_samples(curve, eigvecs, roots)
+    def poisoned(*args):
+        samples = transverse_samples(*args)
         samples[(1, 3)][0][0, 0] = np.nan  # each block's first word, root (1, 3)
         return samples
 

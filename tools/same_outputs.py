@@ -62,6 +62,8 @@ COMMAND_LINES = [
     "--bulge 0.3 periods",
     "--bulge 0.7 periods",
     "--bulge 1.0 periods",
+    "--bulge 0.3 --word-ball 5 periods --max-len 4",
+    "--bulge 0.7 periods --max-len 5",
     "periods --alpha 1,3 --max-len 4",
     "decay",
     "--bulge 0.3 decay",
