@@ -55,7 +55,8 @@ SUPPORT_TOL = 1e-8              # pairing of a tangent covector with a sample al
 SUPPORT_BLOCK_ENTRIES = 16_384  # most (tangent x vertex) entries of one support test array
 MIN_SAMPLES = 64                # fewest distinct samples sample_boundary accepts
 FUCHSIAN_SAMPLES = 1024         # evenly spaced samples of a closed-form Fuchsian curve
-REGULARITY_BASE_POINTS = 64     # base points of the fits in boundary_regularity_estimate
+REGULARITY_BASE_POINTS = 64     # boundary_regularity_estimate fits at every (N // 64)-th sample:
+                                # at least 64 base points
 
 
 @dataclass
@@ -271,16 +272,15 @@ def sample_boundary(rep: SurfaceGroupRep, reference: SurfaceGroupRep,
         return loxodromic_eigensystem(g[rows])[1]
 
     vecs = first_failing_word(rep.presentation, ball, run)
-    samples = {}  # at the attracting axes of the reference Mobius actions
-    for k, (w, theta) in enumerate(zip(ball, axis_thetas(m2)[0].tolist())):
-        key = round(theta / 1e-10)
-        prev = samples.get(key)
-        if prev is None or len(w) > len(ball[prev[1]]):
-            samples[key] = (theta, k)
-    if len(samples) < MIN_SAMPLES:
-        raise InsufficientSamples(f"only {len(samples)} distinct boundary samples")
-    thetas, rows = zip(*sorted(samples.values()))
-    return BoundaryCurve(np.array(thetas), flag_frames(vecs[list(rows), :, : rep.n - 1]),
+    # at the attracting axes of the reference Mobius actions, one sample per
+    # 1e-10 (half to even): the longest word's, the first seen among equals
+    thetas = axis_thetas(m2)[0]
+    keys = np.rint(thetas / 1e-10)
+    order = np.lexsort((-np.array([len(w) for w in ball]), keys))  # stable: first seen first
+    rows = order[np.diff(keys[order], prepend=np.nan) != 0.0]  # keys ascend with theta
+    if rows.size < MIN_SAMPLES:
+        raise InsufficientSamples(f"only {rows.size} distinct boundary samples")
+    return BoundaryCurve(thetas[rows], flag_frames(vecs[rows, :, : rep.n - 1]),
                          rep, reference)
 
 
@@ -563,20 +563,21 @@ def boundary_regularity_estimate(curve: BoundaryCurve):
     pts = curve.chart_points()
     count = pts.shape[0]
     window = max(8, count // 16)
+    bases = np.arange(0, count, max(1, count // REGULARITY_BASE_POINTS))
+    normals = curve.line_to_chart(curve.frames[bases, :, -1])[:, :-1]
+    offsets = np.concatenate([np.arange(-window, 0), np.arange(1, window + 1)])
+    rel = pts[(bases[:, None] + offsets) % count] - pts[bases, None]  # (base, offset, 2)
+    heights = (rel @ normals[:, :, None])[..., 0]  # each base's product, as alone
+    spans = np.linalg.norm(rel - heights[..., None] * normals[:, None, :], axis=-1)
     exponents = []
-    for b_idx in range(0, count, max(1, count // REGULARITY_BASE_POINTS)):
-        normal = curve.line_to_chart(curve.frames[b_idx, :, -1])[:-1]
-        rel = pts[[(b_idx + k) % count for k in range(-window, window + 1) if k != 0]] - pts[b_idx]
-        h = rel @ normal
-        s = np.linalg.norm(rel - np.outer(h, normal), axis=1)
+    for h, s in zip(heights, spans):
         mask = (h > 1e-14) & (np.abs(s) > 1e-10)
         if mask.sum() < 8:
             continue
         ls, lh = np.log(np.abs(s[mask])), np.log(h[mask])
         if ls.max() - ls.min() < math.log(10.0):
             continue
-        slope = np.polyfit(ls, lh, 1)[0]
-        exponents.append(float(slope))
+        exponents.append(float(np.polyfit(ls, lh, 1)[0]))
     if not exponents:
         raise InsufficientResolution("no base point spans a decade of offsets")
     return min(exponents), max(exponents)

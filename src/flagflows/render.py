@@ -8,8 +8,9 @@ only wraps the elements, so the text is deterministic: fixed attribute
 order, no timestamps.
 """
 
-import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .devmaps import develop, leaf_sweep
 
@@ -30,17 +31,18 @@ class SceneDescription:
 
     def _pixels(self, points):
         """Formatted pixel coordinates of chart points, clamped to the viewport."""
-        points = [tuple(map(float, p)) for p in points]
-        if not all(math.isfinite(c) for p in points for c in p):
+        points = np.asarray(points, dtype=float).reshape(-1, 2)
+        if not np.all(np.isfinite(points)):
             raise ValueError("non-finite coordinate in scene primitive")
         xmin, xmax, ymin, ymax = self.viewport
-        out = []
-        for x, y in points:
-            cx, cy = min(max(x, xmin), xmax), min(max(y, ymin), ymax)
-            self.clipped += cx != x or cy != y
-            out.append((f"{(cx - xmin) * (SIZE / (xmax - xmin)):.4f}",
-                        f"{SIZE - (cy - ymin) * (SIZE / (ymax - ymin)):.4f}"))
-        return out
+        low, high = np.array([xmin, ymin]), np.array([xmax, ymax])
+        # the clamp min(max(p, low), high), which keeps p on a tie
+        clamped = np.where(low > points, low, points)
+        clamped = np.where(high < clamped, high, clamped)
+        self.clipped += int(np.count_nonzero(np.any(clamped != points, axis=1)))
+        x = (clamped[:, 0] - xmin) * (SIZE / (xmax - xmin))
+        y = SIZE - (clamped[:, 1] - ymin) * (SIZE / (ymax - ymin))
+        return [(f"{a:.4f}", f"{b:.4f}") for a, b in zip(x.tolist(), y.tolist())]
 
     def add_polyline(self, points, color="#1f3a6e", stroke_width=1.5, closed=False):
         pts = self._pixels(points)

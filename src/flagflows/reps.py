@@ -60,7 +60,11 @@ def axis_thetas(m: np.ndarray):
     each matrix of a stack (..., 2, 2), as two arrays (...)."""
     vals, vecs = np.linalg.eig(m)
     axes = np.take_along_axis(vecs, np.argsort(-np.abs(vals), axis=-1)[..., None, :], -1).real
-    thetas = [theta_of_vector(v) for v in np.swapaxes(axes, -1, -2).reshape(-1, 2)]
+    v = np.swapaxes(axes, -1, -2).reshape(-1, 2).T
+    # `theta_of_vector` per vector: math.atan2 per entry (np.arctan2 moves the last bit of
+    # some angles); phi % pi is its shift into [0, pi), the same floats
+    phi = np.array(list(map(math.atan2, v[1].tolist(), (-v[0]).tolist())))
+    thetas = 2.0 * (phi % math.pi) % (2.0 * math.pi)
     x, z = np.moveaxis(np.reshape(thetas, np.shape(m)[:-1]), -1, 0)
     return (float(x), float(z)) if np.ndim(m) == 2 else (x, z)
 
@@ -152,9 +156,13 @@ def jordan_projection(g: np.ndarray, g_inverse: np.ndarray):
     lm = np.where(read_from_g(lm), lm, -logs[count:])
     out = lm - lm.mean(axis=1, keepdims=True)  # drop the zero-sum drift
     unsorted = np.any(out[:, :-1] < out[:, 1:] - 1e-12, axis=1)
-    for det, span, bad in zip(np.linalg.det(stack).tolist(), (lm[:, 0] - lm[:, -1]).tolist(),
-                              unsorted):
-        _check_product(det, span, bad)
+    # the rule of `_check_product` on the stack, math.exp per entry; fmax, like max,
+    # bounds a NaN drift by 1e-9
+    dets, spans = np.linalg.det(stack), lm[:, 0] - lm[:, -1]
+    drift = 1e3 * EPS * np.array(list(map(math.exp, np.minimum(spans, 40.0).tolist())))
+    refused = np.abs(np.abs(dets) - 1.0) > np.fmax(np.minimum(drift, 0.5), 1e-9)
+    for k in np.flatnonzero(refused | unsorted)[:1]:
+        _check_product(float(dets[k]), float(spans[k]), bool(unsorted[k]))
     return out.T
 
 
@@ -393,16 +401,19 @@ def sym_matrix(a: np.ndarray, m: int) -> np.ndarray:
     np.convolve, so each matrix of a stack is the same floats as alone.
     """
     a = np.asarray(a, dtype=float)
-    aa, ab, ac, ad = (a[..., None, r, c] for r, c in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    aa, ab, ac, ad = (a[..., r, c, None, None] for r, c in ((0, 0), (0, 1), (1, 0), (1, 1)))
     d = m - 1
-    out = np.empty(a.shape[:-2] + (m, m))
-    for k in range(m):
-        p = np.ones(a.shape[:-2] + (1,))
-        for x, y in [(aa, ac)] * (d - k) + [(ab, ad)] * k:
-            # coefficient i of p(t) (x + y t) is p[i] x + p[i-1] y
-            px, py = p * x, p * y
-            p = np.concatenate([px[..., :1], py[..., :-1] + px[..., 1:], py[..., -1:]], axis=-1)
-        out[..., k] = p
+    # column k multiplies d - k factors aa + ac t, then k factors ab + ad t; at step j
+    # every column takes its factor at once, column k the second kind if k >= d - j
+    second = (np.arange(m) >= d - np.arange(d)[:, None])[:, :, None]  # (step, column, 1)
+    xs, ys = (np.where(second, u[..., None, :, :], v[..., None, :, :])
+              for u, v in ((ab, aa), (ad, ac)))
+    p = np.ones(a.shape[:-2] + (m, 1))
+    for j in range(d):
+        # coefficient i of p(t) (x + y t) is p[i] x + p[i-1] y
+        px, py = p * xs[..., j, :, :], p * ys[..., j, :, :]
+        p = np.concatenate([px[..., :1], py[..., :-1] + px[..., 1:], py[..., -1:]], axis=-1)
+    out = np.swapaxes(p, -1, -2)
     det = np.linalg.det(out)  # equals det(a)^{m(m-1)/2}; 1 for SL2 input
     if not np.all(det > 0):  # NaN fails too
         raise ValueError("symmetric power expects det(a) = 1")

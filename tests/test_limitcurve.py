@@ -30,7 +30,9 @@ from flagflows.limitcurve import (
 )
 from flagflows.projective import (Flag, ProjectiveSubspace, annihilator, cross_meet,
                                   flag_frames, join)
-from flagflows.reps import SurfaceGroupRep, bulge_deform, circular_gap, sym_matrix, sym_power
+from flagflows.reps import (SurfaceGroupRep, bulge_deform, circular_gap, loxodromic_eigensystem,
+                            sym_matrix, sym_power, theta_of_vector)
+from flagflows.words import enumerate_conjugacy_classes
 
 
 def _symbolic_veronese(theta_expr):
@@ -542,6 +544,45 @@ def test_regularity_estimate_is_two_for_the_conic(exact_curve):
     assert abs(hi - 2.0) < 0.1
 
 
+def _regularity_fits_by_base_point(curve):
+    """The per-base-point loop of `boundary_regularity_estimate`: the (log offset,
+    log height) arrays of each fit."""
+    pts = curve.chart_points()
+    count = pts.shape[0]
+    window = max(8, count // 16)
+    fits = []
+    for b_idx in range(0, count, max(1, count // limitcurve.REGULARITY_BASE_POINTS)):
+        normal = curve.line_to_chart(curve.frames[b_idx, :, -1])[:-1]
+        rel = pts[[(b_idx + k) % count for k in range(-window, window + 1) if k != 0]] - pts[b_idx]
+        h = rel @ normal
+        s = np.linalg.norm(rel - np.outer(h, normal), axis=1)
+        mask = (h > 1e-14) & (np.abs(s) > 1e-10)
+        if mask.sum() < 8:
+            continue
+        ls, lh = np.log(np.abs(s[mask])), np.log(h[mask])
+        if ls.max() - ls.min() < math.log(10.0):
+            continue
+        fits.append((ls, lh))
+    return fits
+
+
+@pytest.mark.parametrize("bulge, depth", [(0.0, None), (0.3, 3), (0.3, 4)])
+def test_regularity_fits_equal_the_per_base_point_loop(reference, monkeypatch, bulge, depth):
+    """On the exact curve and the `--bulge 0.3` curves of word balls 3 and 4, every fit
+    gets the loop's arrays bit for bit, and the exponents are the loop's."""
+    rep = bulge_deform(sym_power(reference, 3), bulge)
+    curve = sample_boundary(rep, reference, depth) if depth else limitcurve.fuchsian_curve(
+        reference, 3)
+    want = _regularity_fits_by_base_point(curve)
+    slopes = [float(np.polyfit(ls, lh, 1)[0]) for ls, lh in want]
+    fits, polyfit = [], np.polyfit
+    monkeypatch.setattr(np, "polyfit", lambda x, y, deg: fits.append((x, y)) or polyfit(x, y, deg))
+    assert boundary_regularity_estimate(curve) == (min(slopes), max(slopes))
+    assert len(fits) == len(want) >= 40
+    assert all(x.tobytes() == ls.tobytes() and y.tobytes() == lh.tobytes()
+               for (x, y), (ls, lh) in zip(fits, want))
+
+
 @pytest.mark.parametrize("name", ["exact_curve", "bulged_curve03"])
 def test_chart_roundtrip(request, name):
     """The chart is the plane h.p = 1 in an orthonormal frame: chart coordinates and the
@@ -600,6 +641,62 @@ def test_even_dimension_curve_has_no_global_chart(exact_curve4):
 def test_sample_boundary_requires_enough_words(reference):
     with pytest.raises(InsufficientSamples):
         sample_boundary(sym_power(reference, 3), reference, 1)
+
+
+def _samples_by_word(ball, thetas):
+    """The per-word dedupe of `sample_boundary`: (thetas, rows) of the samples kept."""
+    samples = {}
+    for k, (w, theta) in enumerate(zip(ball, thetas.tolist())):
+        key = round(theta / 1e-10)
+        prev = samples.get(key)
+        if prev is None or len(w) > len(ball[prev[1]]):
+            samples[key] = (theta, k)
+    thetas, rows = zip(*sorted(samples.values()))
+    return np.array(thetas), list(rows)
+
+
+@pytest.mark.parametrize("bulge, depth", [(0.0, 3), (0.3, 3), (0.3, 4), (-0.3, 4), (0.7, 5)])
+def test_sample_boundary_keeps_the_per_word_samples(reference, bulge, depth):
+    """The kept thetas and frames are those of the per-word loops: `theta_of_vector` of
+    each reference axis, then one dict entry per 1e-10."""
+    rep = bulge_deform(sym_power(reference, 3), bulge)
+    ball = enumerate_conjugacy_classes(reference.presentation, depth)
+    vals, vecs = np.linalg.eig(reference.matrices(ball))
+    axes = np.take_along_axis(vecs, np.argmax(np.abs(vals), axis=1)[:, None, None], 2)[..., 0]
+    thetas, rows = _samples_by_word(ball, np.array([theta_of_vector(v) for v in axes.real]))
+    vecs = loxodromic_eigensystem(rep.matrices(ball))[1]
+    want = BoundaryCurve(thetas, flag_frames(vecs[rows, :, :2]), rep, reference)
+    curve = sample_boundary(rep, reference, depth)
+    assert curve.thetas.tobytes() == want.thetas.tobytes()
+    assert curve.frames.tobytes() == want.frames.tobytes()
+
+
+def test_sample_boundary_dedupe_equals_the_dict_on_collisions(reference, monkeypatch):
+    """Keys half-way between two multiples of 1e-10 (round half to even), thetas one ulp
+    apart on either side of them, and keys shared by words of one length and of several:
+    the longest word is kept, the first seen among equals, as the dict does."""
+    rep = sym_power(reference, 3)
+    ball = enumerate_conjugacy_classes(reference.presentation, 4)
+    rng = np.random.default_rng(7)
+    halves = [t for t in (float(k + 0.5) * 1e-10 for k in rng.integers(1, 6e10, 400))
+              if t / 1e-10 % 1.0 == 0.5][:60]
+    assert len(halves) == 60
+    pool = np.array(halves + [math.nextafter(t, d) for t in halves[:30] for d in (0.0, 7.0)]
+                    + list(rng.uniform(0.0, 2 * math.pi, 40)))
+    thetas = pool[rng.integers(0, pool.size, len(ball))]
+    monkeypatch.setattr(limitcurve, "axis_thetas", lambda m2: (thetas, thetas))
+    monkeypatch.setattr(limitcurve, "BoundaryCurve", lambda t, frames, *reps: (t, frames))
+    got, frames = sample_boundary(rep, reference, 4)
+    want, rows = _samples_by_word(ball, thetas)
+    assert got.tobytes() == want.tobytes()
+    vecs = loxodromic_eigensystem(rep.matrices(ball))[1]
+    assert frames.tobytes() == flag_frames(vecs[rows, :, :2]).tobytes()
+    # the rules were exercised: rounding to even, and a longer and an equal word displaced
+    keys = np.rint(thetas / 1e-10)
+    assert np.any(keys != np.floor(thetas / 1e-10 + 0.5))
+    lengths = np.array([len(w) for w in ball])
+    assert any(np.unique(lengths[keys == k]).size > 1 for k in keys[rows])
+    assert any(np.sum(lengths[keys == k] == lengths[r]) > 1 for k, r in zip(keys[rows], rows))
 
 
 # -- stacked evaluation --------------------------------------------------------

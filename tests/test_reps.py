@@ -7,6 +7,7 @@ from flagflows.config import EigenFailure, IndexOrder, NotLoxodromic
 from flagflows.projective import Flag
 from flagflows.reps import (
     SurfaceGroupRep,
+    axis_thetas,
     boundary_vector,
     bulge_deform,
     circular_gap,
@@ -29,6 +30,34 @@ def sl2_length(m):
 def test_boundary_vector_roundtrip():
     for theta in np.linspace(0.01, 2 * math.pi - 0.01, 17):
         assert abs(theta_of_vector(boundary_vector(theta)) - theta) < 1e-12
+
+
+def _axis_thetas_by_vector(m):
+    """The per-vector loop of `axis_thetas`: `theta_of_vector` of each sorted eigenvector."""
+    vals, vecs = np.linalg.eig(m)
+    axes = np.take_along_axis(vecs, np.argsort(-np.abs(vals), axis=-1)[..., None, :], -1).real
+    thetas = [theta_of_vector(v) for v in np.swapaxes(axes, -1, -2).reshape(-1, 2)]
+    return np.moveaxis(np.reshape(thetas, np.shape(m)[:-1]), -1, 0)
+
+
+def test_axis_thetas_equal_theta_of_vector_per_axis(reference):
+    """On the reference images of word ball 5, on 20,000 random matrices with real
+    eigenvalues (also as a (4, 25, 2, 2) stack), and on matrices with eigenvectors on the
+    coordinate axes (atan2 at 0, pi/2 and +-pi), stack and one matrix give the loop's bits."""
+    ball = enumerate_conjugacy_classes(reference.presentation, 5)
+    m = np.random.default_rng(2).standard_normal((30000, 2, 2))
+    m = m[np.trace(m, axis1=1, axis2=2) ** 2 > 4.0 * np.linalg.det(m)][:20000]
+    special = np.array([np.diag([2.0, 0.5]), np.diag([0.5, 2.0]), np.diag([-2.0, -0.5]),
+                        np.diag([0.5, -2.0]), [[2.0, 1.0], [0.0, 0.5]], [[0.5, 0.0], [1.0, 2.0]],
+                        [[-2.0, 0.0], [3.0, 0.5]]])
+    for stack in (reference.matrices(ball), m, m[:100].reshape(4, 25, 2, 2), special):
+        got, want = axis_thetas(stack), _axis_thetas_by_vector(stack)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
+    for one in special:
+        got = axis_thetas(one)
+        assert all(type(x) is float for x in got)
+        assert np.array(got).tobytes() == np.array(_axis_thetas_by_vector(one)).tobytes()
+    assert {0.0, math.pi} <= set(axis_thetas(special)[0].tolist())
 
 
 def test_circular_order_predicates():
@@ -237,6 +266,46 @@ def test_jordan_projection_guards_agree_on_both_shapes(g, g_inverse, error, mess
         jordan_projection(np.stack([good, g]), np.stack([np.linalg.inv(good), g_inverse]))
     assert type(alone.value) is type(stacked.value) is error
     assert str(alone.value) == str(stacked.value) == message
+
+
+def _first_refusal_by_row(g, g_inverse):
+    """The per-row guard: the error of the first matrix that `jordan_projection` refuses
+    alone, or None."""
+    for one, inverse in zip(g, g_inverse):
+        try:
+            jordan_projection(one, inverse)
+        except ValueError as exc:
+            return exc
+    return None
+
+
+def test_stacked_guard_equals_the_per_row_loop():
+    """Rows whose determinant drifts just inside and just outside the bound at spans
+    0 to 45 (the cap at 40 and at 0.5 included), unsorted rows, and rows failing both,
+    in 200 random stacks: the stack raises the first refused row's error, or none."""
+    rows = []
+    for span in (0.0, 5.0, 12.0, 20.0, 30.0, 38.0, 45.0):
+        bound = max(1e-9, min(1e3 * np.finfo(float).eps * math.exp(min(span, 40.0)), 0.5))
+        for factor in (-1.5, -0.5, 0.5, 0.9, 1.1, 2.0):
+            g = np.diag([math.exp(span / 2) * (1.0 + factor * bound), 1.0, math.exp(-span / 2)])
+            rows.append((g, np.linalg.inv(g)))
+    good = np.diag([math.exp(3.0), 1.0, math.exp(-3.0)])
+    rows += [(good, np.eye(3) / 2), (np.diag([2.0, 1.0, 1.0]), np.eye(3) / 4)]
+    rng = np.random.default_rng(4)
+    refusals = set()
+    for _ in range(200):
+        pick = rng.choice(len(rows), rng.integers(1, 12), replace=False)
+        g, g_inverse = (np.array([rows[k][i] for k in pick]) for i in (0, 1))
+        want = _first_refusal_by_row(g, g_inverse)
+        if want is None:
+            singles = [jordan_projection(*row) for row in zip(g, g_inverse)]
+            assert np.array_equal(jordan_projection(g, g_inverse), np.array(singles).T)
+            continue
+        with pytest.raises(ValueError) as got:
+            jordan_projection(g, g_inverse)
+        assert str(got.value) == str(want)
+        refusals.add(str(want).split()[0])
+    assert refusals == {"matrix", "log-moduli"}
 
 
 def test_jordan_projection_refuses_other_shapes():

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import shutil
 from pathlib import Path
 
@@ -113,3 +114,12 @@ def test_same_outputs_names_what_differs(tmp_path, capsys):
             f"{line}: dev_image.csv; verdicts agree; largest summary change 0; "
             f"dev_image.csv {verdict}",
             "0 of 1 command lines identical"]
+
+
+def test_same_outputs_compares_a_render_line_that_clamps():
+    """The clamp onto the viewport is compared too: a render line of the list clips points."""
+    same_outputs = _tool("same_outputs")
+    line = "render --figure dev-tan+"
+    assert line in same_outputs.COMMAND_LINES
+    out = same_outputs.outputs(ROOT, line)
+    assert json.loads(out["render_summary.json"])["clipped_points"] > 0

@@ -84,6 +84,7 @@ COMMAND_LINES = [
     "--bulge 0.3 --word-ball 4 dev-image --map tan-",
     "dev-image --map alpha:1,3",
     "--n 4 dev-image --map alpha:2,3",
+    # the three dev-tan lines clamp points onto the viewport (clipped_points 13, 5 and 25)
     "render --figure dev-tan+",
     "render --figure boundary",
     "--bulge 0.3 render --figure boundary",
