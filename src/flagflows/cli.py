@@ -346,11 +346,8 @@ def cmd_flow(cfg, args):
     alpha = _parse_alpha(args.alpha, cfg["n"])
     reference = fuchsian_genus2()  # build_rep's reference: refuse a bad word before the curve
     word = reference.presentation.parse_word(args.word)
-    m = reference.matrix(word)
-    if abs(np.trace(m)) <= 2.0:
-        raise ValueError("word image is not hyperbolic in the reference")
+    x, z = axis_thetas(reference.matrix(word))
     curve = build_curve(cfg)
-    x, z = axis_thetas(m)
     y0 = leaf_sweep(x, z, 1)[0]
     orbit = flow_orbit(curve, alpha, LeafPoint(x, y0, z), float(args.t_max), int(args.steps))
     write_csv(cfg, "flow_orbit.csv",

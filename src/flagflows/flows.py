@@ -19,7 +19,9 @@ pass over blocks of words (`_spectrum_blocks`), which `period_spectrum`
 and `cli.periods_check` read; the latter adds the words' root lengths.
 Each word reads its periods on the hyperplane samples picked by a
 bisection on the two arcs of its axis (`_transverse_samples`), not by a
-scan over every sample.  `reps.first_failing_word` names the first word
+scan over every sample; the axis is the fixed points of its reference
+image, from `reps.axis_thetas`, which also refuses a word whose image is
+not hyperbolic.  `reps.first_failing_word` names the first word
 of a block that fails.
 """
 
@@ -32,8 +34,8 @@ from .config import (FlagFlowsError, InsufficientResolution, NotDefinedHere, Poi
 from .devmaps import LeafMetricContext, LeafPoint, develop, leaf_context, leaf_sweep, leaf_triples
 from .limitcurve import ROOT_TOL, BoundaryCurve, bracketed_root, second_boundary_intersection
 from .projective import cross_meet
-from .reps import (_check_root, boundary_vector, circular_gap, first_failing_word,
-                   loxodromic_eigensystem, read_from_g, require_hyperbolic)
+from .reps import (_check_root, _thetas_of_vectors, axis_thetas, boundary_vector, circular_gap,
+                   first_failing_word, loxodromic_eigensystem, read_from_g)
 
 Y_CHOICES = 2  # hyperplane samples whose periods must agree in period_spectrum
 # most entries any one word-sized array of period_spectrum holds: a block of
@@ -181,25 +183,6 @@ def _spectrum_blocks(curve: BoundaryCurve, words, roots):
             lambda rows: _block_periods(curve, roots, block[rows], g[rows], g_inv[rows]))
 
 
-def _fixed_point_thetas(m2: np.ndarray):
-    """(attracting, repelling) circle parameters, two arrays (W,), of a stack (W, 2, 2) in
-    SL(2, R) that `require_hyperbolic` passed.
-
-    In closed form: each fixed point spans the columns of m - mu Id, mu the
-    other eigenvalue, and the longer column is read.  The floats may differ
-    from `reps.axis_thetas` in the last bits; `_transverse_samples` only
-    splits the samples with them.
-    """
-    a, b, c, d = m2[:, 0, 0], m2[:, 0, 1], m2[:, 1, 0], m2[:, 1, 1]
-    trace = a + d
-    small = 2.0 / (trace + np.copysign(np.sqrt(trace * trace - 4.0), trace))
-    thetas = []
-    for p, q in (((a - small, c), (b, d - small)), ((small - d, c), (b, small - a))):
-        longer = p[0] * p[0] + p[1] * p[1] >= q[0] * q[0] + q[1] * q[1]
-        thetas.append(_thetas_of_vectors(np.where(longer, p, q)))
-    return thetas
-
-
 def _transverse_samples(curve: BoundaryCurve, eigvecs: np.ndarray, roots, axes) -> dict:
     """For each root (i, j), the segment coordinates (W, Y_CHOICES) of the eigenvectors.
 
@@ -210,12 +193,13 @@ def _transverse_samples(curve: BoundaryCurve, eigvecs: np.ndarray, roots, axes) 
     candidates on which the log-ratio is finite.
 
     The candidates come from the two arcs of the word's reference axis
-    `axes` = (x, z), arrays (W,): the sorted samples from the first at or
-    after x to the last before z, and from the first at or after z to the
-    last before x.  The ratio |y . v_j| / |y . v_i| runs from infinity at
-    x to 0 at z, and at n = 3 it is monotone on each arc.  There every y
-    is a tangent line of a strictly convex curve (Goldman 1990), and the
-    ratio is r where y passes through one of two points of the line
+    `axes` = (x, z), arrays (W,) from `reps.axis_thetas`: the sorted
+    samples from the first at or after x to the last before z, and from
+    the first at or after z to the last before x.  The ratio
+    |y . v_j| / |y . v_i| runs from infinity at x to 0 at z, and at n = 3
+    it is monotone on each arc.  There every y is a tangent line of a
+    strictly convex curve (Goldman 1990), and the ratio is r where y
+    passes through one of two points of the line
     v_i v_j.  For (1, 2) and (2, 3) that line is the tangent at x or at z,
     and through each of its points off the curve passes one more tangent
     line, touching one arc.  The line v_1 v_3 is a chord; through each of
@@ -316,8 +300,7 @@ def _block_periods(curve: BoundaryCurve, roots, words, g, g_inv) -> list:
     as `read_from_g` decides: a word product amplifies roundoff in
     subdominant coordinates by its spectral spread, too much for float64.
     """
-    m2 = curve.reference.matrices(words)
-    require_hyperbolic(m2)
+    axes = axis_thetas(curve.reference.matrices(words))
     vals_g, vecs_g = loxodromic_eigensystem(g)
     _, vecs_i = loxodromic_eigensystem(g_inv)
     lm = np.log(np.abs(vals_g))
@@ -326,7 +309,7 @@ def _block_periods(curve: BoundaryCurve, roots, words, g, g_inv) -> list:
     eigvecs = np.where(prefer_g[:, None, :], vecs_g, vecs_i[:, :, ::-1])
     amp = np.array([math.exp(x) for x in
                     np.minimum(lm[:, :1] - lm, lm - lm[:, -1:]).ravel()]).reshape(lm.shape)
-    samples = _transverse_samples(curve, eigvecs, roots, _fixed_point_thetas(m2))
+    samples = _transverse_samples(curve, eigvecs, roots, axes)
     results = []
     for (i, j) in roots:
         a, b = eigvecs[:, :, i - 1], eigvecs[:, :, j - 1]
@@ -372,11 +355,6 @@ def reference_flow(x, z, y, t):
     v = num / den * np.exp(t) * boundary_vector(x) + boundary_vector(z)
     theta = _thetas_of_vectors(v)
     return float(theta) if theta.ndim == 0 else theta
-
-
-def _thetas_of_vectors(v: np.ndarray) -> np.ndarray:
-    """`reps.theta_of_vector` of each vector of a stack (2, ...), on arrays."""
-    return 2.0 * (np.arctan2(v[1], -v[0]) % math.pi) % (2.0 * math.pi)
 
 
 def cocycle(curve: BoundaryCurve, alpha, x, y, z, t) -> np.ndarray:

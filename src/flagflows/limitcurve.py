@@ -41,7 +41,6 @@ from .reps import (
     circular_gap,
     first_failing_word,
     loxodromic_eigensystem,
-    require_hyperbolic,
     sym_matrix,
     sym_power,
 )
@@ -54,6 +53,7 @@ OSCULATION_BOUND = 10.0         # largest chord-to-tangent angle per unit gap
 SUPPORT_TOL = 1e-8              # pairing of a tangent covector with a sample allowed below 0
 SUPPORT_BLOCK_ENTRIES = 16_384  # most (tangent x vertex) entries of one support test array
 MIN_SAMPLES = 64                # fewest distinct samples sample_boundary accepts
+MIN_SAMPLE_GAP = 1e-10          # least gap between sorted sample thetas; closer ones are one
 FUCHSIAN_SAMPLES = 1024         # evenly spaced samples of a closed-form Fuchsian curve
 REGULARITY_BASE_POINTS = 64     # boundary_regularity_estimate fits at every (N // 64)-th sample:
                                 # at least 64 base points
@@ -91,7 +91,7 @@ class BoundaryCurve:
         if self.frames.shape[1:] != (self.n, self.n):
             raise ValueError(f"expected complete flag frames (N, {self.n}, {self.n}); "
                              f"got shape {self.frames.shape}")
-        if np.any(np.diff(self.thetas) < 1e-10):
+        if np.any(np.diff(self.thetas) < MIN_SAMPLE_GAP):
             raise ValueError("duplicate thetas in curve samples")
         self._build_chart()
 
@@ -260,24 +260,24 @@ def sample_boundary(rep: SurfaceGroupRep, reference: SurfaceGroupRep,
 
     Each conjugacy-class representative (and its inverse, enumerated as a
     separate class) contributes theta = attracting fixed point of the
-    reference Mobius action, flag = attracting eigenflag of rep.  Equal
-    thetas are resolved by keeping the longest word, whose eigenflag is
-    the best converged.  `first_failing_word` names a failing word.
+    reference Mobius action (`reps.axis_thetas`), flag = attracting
+    eigenflag of rep.  Thetas closer than MIN_SAMPLE_GAP, the gap that
+    `BoundaryCurve` refuses, are one sample: the longest word's, whose
+    eigenflag is the best converged.  `first_failing_word` names a failing word.
     """
     ball = enumerate_conjugacy_classes(rep.presentation, max_word_len)
     m2, g = reference.matrices(ball), rep.matrices(ball)
 
-    def run(rows):  # per word, the reference check comes first
-        require_hyperbolic(m2[rows])
-        return loxodromic_eigensystem(g[rows])[1]
+    def run(rows):  # per word, the reference axis comes first
+        return axis_thetas(m2[rows])[0], loxodromic_eigensystem(g[rows])[1]
 
-    vecs = first_failing_word(rep.presentation, ball, run)
-    # at the attracting axes of the reference Mobius actions, one sample per
-    # 1e-10 (half to even): the longest word's, the first seen among equals
-    thetas = axis_thetas(m2)[0]
-    keys = np.rint(thetas / 1e-10)
-    order = np.lexsort((-np.array([len(w) for w in ball]), keys))  # stable: first seen first
-    rows = order[np.diff(keys[order], prepend=np.nan) != 0.0]  # keys ascend with theta
+    thetas, vecs = first_failing_word(rep.presentation, ball, run)
+    # one sample per run of sorted thetas whose gaps are below MIN_SAMPLE_GAP: the
+    # longest word's, the first seen among equals
+    order = np.argsort(thetas, kind="stable")
+    runs = np.cumsum(np.diff(thetas[order], prepend=-np.inf) >= MIN_SAMPLE_GAP)
+    best = np.lexsort((order, -np.array([len(w) for w in ball])[order], runs))
+    rows = order[best[np.diff(runs[best], prepend=0) != 0]]  # ascending with theta
     if rows.size < MIN_SAMPLES:
         raise InsufficientSamples(f"only {rows.size} distinct boundary samples")
     return BoundaryCurve(thetas[rows], flag_frames(vecs[rows, :, : rep.n - 1]),

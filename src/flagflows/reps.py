@@ -42,12 +42,12 @@ def boundary_vector(theta) -> np.ndarray:
 
 def theta_of_vector(v) -> float:
     """Inverse of `boundary_vector`, defined up to the +- sign of v."""
-    phi = math.atan2(v[1], -v[0])
-    if phi < 0:
-        phi += math.pi
-    elif phi >= math.pi:
-        phi -= math.pi
-    return (2.0 * phi) % (2.0 * math.pi)
+    return float(_thetas_of_vectors(v))
+
+
+def _thetas_of_vectors(v) -> np.ndarray:
+    """`theta_of_vector` of each vector of a stack (2, ...), on arrays."""
+    return 2.0 * (np.arctan2(v[1], -v[0]) % math.pi) % (2.0 * math.pi)
 
 
 def circular_gap(start: float, end: float) -> float:
@@ -56,17 +56,26 @@ def circular_gap(start: float, end: float) -> float:
 
 
 def axis_thetas(m: np.ndarray):
-    """(attracting, repelling) circle parameters of a hyperbolic 2x2 matrix, as floats, or of
-    each matrix of a stack (..., 2, 2), as two arrays (...)."""
-    vals, vecs = np.linalg.eig(m)
-    axes = np.take_along_axis(vecs, np.argsort(-np.abs(vals), axis=-1)[..., None, :], -1).real
-    v = np.swapaxes(axes, -1, -2).reshape(-1, 2).T
-    # `theta_of_vector` per vector: math.atan2 per entry (np.arctan2 moves the last bit of
-    # some angles); phi % pi is its shift into [0, pi), the same floats
-    phi = np.array(list(map(math.atan2, v[1].tolist(), (-v[0]).tolist())))
-    thetas = 2.0 * (phi % math.pi) % (2.0 * math.pi)
-    x, z = np.moveaxis(np.reshape(thetas, np.shape(m)[:-1]), -1, 0)
-    return (float(x), float(z)) if np.ndim(m) == 2 else (x, z)
+    """(attracting, repelling) circle parameters of a hyperbolic matrix in SL(2, R), as
+    floats, or of each matrix of a stack (..., 2, 2), as two arrays (...).
+
+    In closed form: each fixed point spans the columns of m - mu Id, mu the
+    other eigenvalue, and the longer column is read.  Raises NotLoxodromic
+    unless every |trace| > 2.  The parameters carry an error of about
+    eps |m|^2 / (trace^2 - 4), from reading trace^2 - 4 and det m = 1.
+    """
+    m = np.asarray(m, dtype=float)
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    trace = a + d
+    if not np.all(np.abs(trace) > 2.0):  # NaN fails too
+        raise NotLoxodromic("reference image is not hyperbolic")
+    small = 2.0 / (trace + np.copysign(np.sqrt(trace * trace - 4.0), trace))
+    thetas = []
+    for p, q in (((a - small, c), (b, d - small)), ((small - d, c), (b, small - a))):
+        longer = p[0] * p[0] + p[1] * p[1] >= q[0] * q[0] + q[1] * q[1]
+        thetas.append(_thetas_of_vectors(np.where(longer, p, q)))
+    x, z = thetas
+    return (float(x), float(z)) if m.ndim == 2 else (x, z)
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +219,6 @@ def loxodromic_eigensystem(g: np.ndarray):
     real = (vecs * np.conj(phase / np.abs(phase))).real
     norms = np.sqrt(real.swapaxes(-1, -2)[..., None, :] @ real.swapaxes(-1, -2)[..., :, None])
     return vals.real, real / norms[..., 0].swapaxes(-1, -2)
-
-
-def require_hyperbolic(m2: np.ndarray) -> None:
-    """Raise NotLoxodromic unless every 2x2 matrix of the stack m2 has |trace| > 2."""
-    if np.any(np.abs(m2[:, 0, 0] + m2[:, 1, 1]) <= 2.0):
-        raise NotLoxodromic("reference image is not hyperbolic")
 
 
 def first_failing_word(presentation: SurfaceGroupPresentation, words, run):

@@ -120,18 +120,18 @@ def test_verify_all_at_bulge_1_runs_its_periods_check(tmp_path, capsys):
     assert code != 2, json.loads(capsys.readouterr().err)["error"]["message"]
 
 
-@pytest.mark.parametrize("word, message", [
-    ("e", "word image is not hyperbolic in the reference"),
-    ("a", "unknown generator 'a'"),
+@pytest.mark.parametrize("word, error, message", [
+    ("e", "NotLoxodromic", "reference image is not hyperbolic"),
+    ("a", "ValueError", "unknown generator 'a'"),
 ], ids=["identity", "malformed"])
-def test_flow_refuses_a_word_without_a_closed_orbit(tmp_path, capsys, monkeypatch, word,
+def test_flow_refuses_a_word_without_a_closed_orbit(tmp_path, capsys, monkeypatch, word, error,
                                                    message):
-    """The identity parses and is refused as not hyperbolic; a malformed token is named.
-    Both are refused before the curve is built."""
+    """The identity parses and is refused as not hyperbolic by `reps.axis_thetas`; a
+    malformed token is named.  Both are refused before the curve is built."""
     monkeypatch.setattr(cli, "build_curve", _no_curve)
     assert run(tmp_path, "flow", "--alpha", "1,2", "--word", word) == 2
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == {"type": "ValueError", "message": message, "subcommand": "flow"}
+    assert err["error"] == {"type": error, "message": message, "subcommand": "flow"}
     assert not any(tmp_path.iterdir())
 
 

@@ -310,7 +310,7 @@ def _assert_search_picks_the_scan(curve, ball, roots, name):
     _, vecs_i = loxodromic_eigensystem(curve.rep.matrices([w.inverse() for w in ball]))
     prefer_g = read_from_g(np.log(np.abs(vals_g)))
     eigvecs = np.where(prefer_g[:, None, :], vecs_g, vecs_i[:, :, ::-1])
-    axes = flows._fixed_point_thetas(curve.reference.matrices(ball))
+    axes = axis_thetas(curve.reference.matrices(ball))
     samples = flows._transverse_samples(curve, eigvecs, roots, axes)
     for (i, j) in roots:
         want = _sorted_picks(curve, eigvecs, i, j)

@@ -18,6 +18,7 @@ from flagflows.config import (
     RootFindFailure,
 )
 from flagflows.limitcurve import (
+    MIN_SAMPLE_GAP,
     ROOT_TOL,
     BoundaryCurve,
     boundary_regularity_estimate,
@@ -30,8 +31,8 @@ from flagflows.limitcurve import (
 )
 from flagflows.projective import (Flag, ProjectiveSubspace, annihilator, cross_meet,
                                   flag_frames, join)
-from flagflows.reps import (SurfaceGroupRep, bulge_deform, circular_gap, loxodromic_eigensystem,
-                            sym_matrix, sym_power, theta_of_vector)
+from flagflows.reps import (SurfaceGroupRep, axis_thetas, bulge_deform, circular_gap,
+                            loxodromic_eigensystem, sym_matrix, sym_power, theta_of_vector)
 from flagflows.words import enumerate_conjugacy_classes
 
 
@@ -643,27 +644,32 @@ def test_sample_boundary_requires_enough_words(reference):
         sample_boundary(sym_power(reference, 3), reference, 1)
 
 
+def _runs(thetas):
+    """Rows of `thetas` by ascending theta (ball order among equals), cut into runs
+    wherever the next theta is MIN_SAMPLE_GAP or more ahead."""
+    runs = []
+    for k in sorted(range(len(thetas)), key=lambda k: (thetas[k], k)):
+        if runs and thetas[k] - thetas[runs[-1][-1]] < MIN_SAMPLE_GAP:
+            runs[-1].append(k)
+        else:
+            runs.append([k])
+    return runs
+
+
 def _samples_by_word(ball, thetas):
-    """The per-word dedupe of `sample_boundary`: (thetas, rows) of the samples kept."""
-    samples = {}
-    for k, (w, theta) in enumerate(zip(ball, thetas.tolist())):
-        key = round(theta / 1e-10)
-        prev = samples.get(key)
-        if prev is None or len(w) > len(ball[prev[1]]):
-            samples[key] = (theta, k)
-    thetas, rows = zip(*sorted(samples.values()))
-    return np.array(thetas), list(rows)
+    """The per-word dedupe of `sample_boundary`: (thetas, rows) of the samples kept, one
+    per run of `_runs`, its longest word's, the first seen among equals."""
+    rows = [min(run, key=lambda k: (-len(ball[k]), k)) for run in _runs(thetas)]
+    return thetas[rows], rows
 
 
 @pytest.mark.parametrize("bulge, depth", [(0.0, 3), (0.3, 3), (0.3, 4), (-0.3, 4), (0.7, 5)])
 def test_sample_boundary_keeps_the_per_word_samples(reference, bulge, depth):
-    """The kept thetas and frames are those of the per-word loops: `theta_of_vector` of
-    each reference axis, then one dict entry per 1e-10."""
+    """The kept thetas and frames are those of the per-word loop of `_samples_by_word` on
+    the reference axes (whose floats `test_reps` checks against an mpmath oracle)."""
     rep = bulge_deform(sym_power(reference, 3), bulge)
     ball = enumerate_conjugacy_classes(reference.presentation, depth)
-    vals, vecs = np.linalg.eig(reference.matrices(ball))
-    axes = np.take_along_axis(vecs, np.argmax(np.abs(vals), axis=1)[:, None, None], 2)[..., 0]
-    thetas, rows = _samples_by_word(ball, np.array([theta_of_vector(v) for v in axes.real]))
+    thetas, rows = _samples_by_word(ball, axis_thetas(reference.matrices(ball))[0])
     vecs = loxodromic_eigensystem(rep.matrices(ball))[1]
     want = BoundaryCurve(thetas, flag_frames(vecs[rows, :, :2]), rep, reference)
     curve = sample_boundary(rep, reference, depth)
@@ -672,9 +678,11 @@ def test_sample_boundary_keeps_the_per_word_samples(reference, bulge, depth):
 
 
 def test_sample_boundary_dedupe_equals_the_dict_on_collisions(reference, monkeypatch):
-    """Keys half-way between two multiples of 1e-10 (round half to even), thetas one ulp
-    apart on either side of them, and keys shared by words of one length and of several:
-    the longest word is kept, the first seen among equals, as the dict does."""
+    """Equal thetas, thetas one ulp apart on either side of a multiple of 1e-10 plus a
+    half, chains of thetas 0.6e-10 apart, and runs shared by words of one length and of
+    several: each run below MIN_SAMPLE_GAP keeps its longest word, the first seen among
+    equals, as the loop of `_samples_by_word` does.  (The one-ulp pairs were kept apart
+    by the `np.rint(theta / 1e-10)` keys that this rule replaces.)"""
     rep = sym_power(reference, 3)
     ball = enumerate_conjugacy_classes(reference.presentation, 4)
     rng = np.random.default_rng(7)
@@ -682,6 +690,7 @@ def test_sample_boundary_dedupe_equals_the_dict_on_collisions(reference, monkeyp
               if t / 1e-10 % 1.0 == 0.5][:60]
     assert len(halves) == 60
     pool = np.array(halves + [math.nextafter(t, d) for t in halves[:30] for d in (0.0, 7.0)]
+                    + [t + k * 0.6e-10 for t in halves[30:40] for k in (1, 2)]
                     + list(rng.uniform(0.0, 2 * math.pi, 40)))
     thetas = pool[rng.integers(0, pool.size, len(ball))]
     monkeypatch.setattr(limitcurve, "axis_thetas", lambda m2: (thetas, thetas))
@@ -691,12 +700,39 @@ def test_sample_boundary_dedupe_equals_the_dict_on_collisions(reference, monkeyp
     assert got.tobytes() == want.tobytes()
     vecs = loxodromic_eigensystem(rep.matrices(ball))[1]
     assert frames.tobytes() == flag_frames(vecs[rows, :, :2]).tobytes()
-    # the rules were exercised: rounding to even, and a longer and an equal word displaced
-    keys = np.rint(thetas / 1e-10)
-    assert np.any(keys != np.floor(thetas / 1e-10 + 0.5))
-    lengths = np.array([len(w) for w in ball])
-    assert any(np.unique(lengths[keys == k]).size > 1 for k in keys[rows])
-    assert any(np.sum(lengths[keys == k] == lengths[r]) > 1 for k, r in zip(keys[rows], rows))
+    # the rules were exercised: distinct thetas merged, a run longer than the gap, and a
+    # longer and an equal word displaced
+    runs, lengths = _runs(thetas), np.array([len(w) for w in ball])
+    assert any(np.unique(thetas[run]).size > 1 for run in runs)
+    assert any(np.ptp(thetas[run]) >= MIN_SAMPLE_GAP for run in runs)
+    assert any(np.unique(lengths[run]).size > 1 for run in runs)
+    assert any(np.sum(lengths[run] == lengths[r]) > 1 for run, r in zip(runs, rows))
+
+
+def test_sample_boundary_merges_axes_that_the_curve_would_refuse(reference, monkeypatch):
+    """Two axes one ulp either side of a multiple of 1e-10 plus a half, two ulps apart,
+    are one sample of the real `BoundaryCurve`: the first word's, both words being of
+    one length.  The rest of the ball's samples are kept as they were."""
+    rep = sym_power(reference, 3)
+    ball = enumerate_conjugacy_classes(reference.presentation, 3)
+    axes = limitcurve.axis_thetas(reference.matrices(ball))
+    first, second = [k for k, w in enumerate(ball) if len(w) == 3][:2]
+    taken = np.sort(np.delete(axes[0], [first, second]))
+    wide = np.argmax(np.diff(taken))  # a half-key mid-way in the widest gap of the others
+    k = int((taken[wide] + taken[wide + 1]) / 2e-10)
+    t = next(t for t in (float(k + i + 0.5) * 1e-10 for i in range(100))
+             if t / 1e-10 % 1.0 == 0.5)
+    thetas = axes[0].copy()
+    thetas[first], thetas[second] = math.nextafter(t, 0.0), math.nextafter(t, 7.0)
+    assert 0.0 < thetas[second] - thetas[first] < 2e-15
+    monkeypatch.setattr(limitcurve, "axis_thetas", lambda m2: (thetas, axes[1]))
+    curve = sample_boundary(rep, reference, 3)
+    want, rows = _samples_by_word(ball, thetas)
+    assert thetas[first] in curve.thetas and thetas[second] not in curve.thetas
+    assert curve.thetas.tobytes() == want.tobytes()
+    vecs = loxodromic_eigensystem(rep.matrices(ball))[1]
+    assert curve.frames.tobytes() == BoundaryCurve(
+        want, flag_frames(vecs[rows, :, :2]), rep, reference).frames.tobytes()
 
 
 # -- stacked evaluation --------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -22,6 +23,8 @@ from flagflows.reps import (
 )
 from flagflows.words import GroupWord, enumerate_conjugacy_classes
 
+EPS = np.finfo(float).eps
+
 
 def sl2_length(m):
     return 2.0 * math.acosh(abs(np.trace(m)) / 2.0)
@@ -32,32 +35,117 @@ def test_boundary_vector_roundtrip():
         assert abs(theta_of_vector(boundary_vector(theta)) - theta) < 1e-12
 
 
-def _axis_thetas_by_vector(m):
-    """The per-vector loop of `axis_thetas`: `theta_of_vector` of each sorted eigenvector."""
-    vals, vecs = np.linalg.eig(m)
-    axes = np.take_along_axis(vecs, np.argsort(-np.abs(vals), axis=-1)[..., None, :], -1).real
-    thetas = [theta_of_vector(v) for v in np.swapaxes(axes, -1, -2).reshape(-1, 2)]
-    return np.moveaxis(np.reshape(thetas, np.shape(m)[:-1]), -1, 0)
+def _mp_axis_thetas(m):
+    """(attracting, repelling) circle parameters of the float matrix m, read from the
+    eigenvectors of a 50-digit `mpmath.eig`, each rid of its phase by its larger entry."""
+    with mpmath.workdps(50):
+        vals, vecs = mpmath.eig(mpmath.matrix(m.tolist()))
+        out = []
+        for k in sorted(range(2), key=lambda k: -abs(vals[k])):
+            v = [vecs[0, k], vecs[1, k]]
+            lead = mpmath.conj(max(v, key=abs))
+            phi = mpmath.atan2(mpmath.re(v[1] * lead), -mpmath.re(v[0] * lead)) % mpmath.pi
+            out.append(2 * phi)
+        return out
 
 
-def test_axis_thetas_equal_theta_of_vector_per_axis(reference):
-    """On the reference images of word ball 5, on 20,000 random matrices with real
-    eigenvalues (also as a (4, 25, 2, 2) stack), and on matrices with eigenvectors on the
-    coordinate axes (atan2 at 0, pi/2 and +-pi), stack and one matrix give the loop's bits."""
-    ball = enumerate_conjugacy_classes(reference.presentation, 5)
-    m = np.random.default_rng(2).standard_normal((30000, 2, 2))
-    m = m[np.trace(m, axis1=1, axis2=2) ** 2 > 4.0 * np.linalg.det(m)][:20000]
-    special = np.array([np.diag([2.0, 0.5]), np.diag([0.5, 2.0]), np.diag([-2.0, -0.5]),
-                        np.diag([0.5, -2.0]), [[2.0, 1.0], [0.0, 0.5]], [[0.5, 0.0], [1.0, 2.0]],
-                        [[-2.0, 0.0], [3.0, 0.5]]])
-    for stack in (reference.matrices(ball), m, m[:100].reshape(4, 25, 2, 2), special):
-        got, want = axis_thetas(stack), _axis_thetas_by_vector(stack)
-        assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
-    for one in special:
-        got = axis_thetas(one)
-        assert all(type(x) is float for x in got)
-        assert np.array(got).tobytes() == np.array(_axis_thetas_by_vector(one)).tobytes()
-    assert {0.0, math.pi} <= set(axis_thetas(special)[0].tolist())
+def _circle_errors(thetas, m):
+    """Per matrix, the larger circular distance of (x, z) from `_mp_axis_thetas`."""
+    out = []
+    for got, mat in zip(np.transpose(thetas), m):
+        with mpmath.workdps(50):
+            d = [(mpmath.mpf(g) - w) % (2 * mpmath.pi) for g, w in zip(got, _mp_axis_thetas(mat))]
+            out.append(max(float(min(x, 2 * mpmath.pi - x)) for x in d))
+    return np.array(out)
+
+
+def _conditioning(m):
+    """|m|_F^2 / |trace^2 - 4| of each matrix of a stack: the growth of an error in
+    trace^2 - 4 or in det m = 1, both about eps |m|^2, into the fixed points."""
+    trace = np.trace(m, axis1=-2, axis2=-1)
+    return np.sum(m * m, axis=(-2, -1)) / np.abs(trace * trace - 4.0)
+
+
+def _sl2(rng, count, scale=2.0):
+    """Random matrices of det 1 (up to rounding), of entries spread over e^+-scale."""
+    m = rng.standard_normal((count, 2, 2)) * np.exp(rng.uniform(-scale, scale, (count, 1, 1)))
+    m[np.linalg.det(m) < 0, 0] *= -1.0
+    return m / np.sqrt(np.linalg.det(m))[:, None, None]
+
+
+def test_axis_thetas_match_a_50_digit_eig_oracle(reference):
+    """Within 8 eps |m|^2 / |trace^2 - 4| of `mpmath.eig`'s fixed points: the closed form
+    reads trace^2 - 4 and assumes det m = 1, each within about eps |m|^2 of exact, and an
+    error there moves a fixed point by about itself over trace^2 - 4 (the worst ratio
+    read 5.0 on the word ball, 2.5 on the random matrices and 1.7 near trace +-2).
+
+    On the reference images of word ball 5 (1.5e-15 at worst), on random hyperbolic
+    SL(2, R) matrices of both trace signs, on matrices conjugate to diag(+-l, +-1/l) with
+    l = 1 + 10^-k, k up to 6 (traces near +-2, where the bound grows to 8e-4; every
+    reference image has |trace| >= 2 + sqrt 2), and on triangular and diagonal matrices,
+    whose eigenvectors lie on the coordinate axes.  One matrix gives two floats, the
+    same as its row of a stack."""
+    rng = np.random.default_rng(2)
+    random = _sl2(rng, 300)
+    random = random[np.abs(np.trace(random, axis1=1, axis2=2)) > 2.0]
+    assert np.any(np.trace(random, axis1=1, axis2=2) < -2.0)
+    ell = (1.0 + 10.0 ** -rng.uniform(1.0, 6.0, 100)) * rng.choice([-1.0, 1.0], 100)
+    p = _sl2(rng, 100, 1.0)
+    near = p @ (np.stack([ell, 1.0 / ell], axis=-1)[:, :, None] * np.linalg.inv(p))
+    near = near[np.abs(np.trace(near, axis1=1, axis2=2)) > 2.0]
+    assert len(near) > 80
+    axes = np.array([np.diag([2.0, 0.5]), np.diag([0.5, 2.0]), np.diag([-2.0, -0.5]),
+                     np.diag([-0.5, -2.0]), [[2.0, 1.0], [0.0, 0.5]], [[0.5, 0.0], [1.0, 2.0]],
+                     [[-2.0, 0.0], [3.0, -0.5]], [[-0.5, -3.0], [0.0, -2.0]]])
+    ball = reference.matrices(enumerate_conjugacy_classes(reference.presentation, 5))
+    worst = {}
+    for name, m in (("ball", ball), ("random", random), ("near", near), ("axes", axes)):
+        errors = _circle_errors(axis_thetas(m), m)
+        assert np.all(errors <= 8.0 * EPS * _conditioning(m)), name
+        worst[name] = errors.max()
+    assert worst["ball"] < 2e-15
+    assert {0.0, math.pi} <= set(axis_thetas(axes)[0].tolist())
+    for m in (ball[:50], axes):
+        for one, x, z in zip(m, *axis_thetas(m)):
+            got = axis_thetas(one)
+            assert all(type(t) is float for t in got) and got == (x, z)
+    stacked = axis_thetas(random[:100].reshape(4, 25, 2, 2))
+    assert all(np.array_equal(s.ravel(), t[:100]) for s, t in zip(stacked, axis_thetas(random)))
+
+
+def test_axis_thetas_are_mobius_equivariant(reference):
+    """axis_thetas(x w x^-1) = x . axis_thetas(w), on word ball 4 times the 8 letters.
+
+    Each side carries the error of `test_axis_thetas_match_a_50_digit_eig_oracle`,
+    8 eps times its `_conditioning`; the letter stretches the circle by up to |x|_2^2
+    (21.3 for every letter), which multiplies the right side's, and its action rounds
+    once more, by 4 eps.  The worst gap read 2.0e-14, at a stretched axis."""
+    ball = enumerate_conjugacy_classes(reference.presentation, 4)
+    m = reference.matrices(ball)
+    base = np.stack(axis_thetas(m))  # (2, W)
+    for x in [*range(1, 5), *range(-4, 0)]:
+        mx = reference.matrix((x,))
+        moved = reference.matrices([(x, *w.letters, -x) for w in ball])
+        stretch = np.linalg.norm(mx, 2) ** 2
+        want = np.stack([[theta_of_vector(mx @ boundary_vector(t)) for t in row]
+                         for row in base])
+        gap = np.abs(np.stack(axis_thetas(moved)) - want)
+        gap = np.minimum(gap, 2 * math.pi - gap)
+        bound = 8.0 * EPS * (_conditioning(moved) + stretch * _conditioning(m)) + 4.0 * EPS
+        assert np.all(gap <= bound), x
+
+
+@pytest.mark.parametrize("m", [
+    [[math.cos(1.0), -math.sin(1.0)], [math.sin(1.0), math.cos(1.0)]],
+    [[1.0, 1.0], [0.0, 1.0]],
+    [[-1.0, 0.0], [2.0, -1.0]],
+    np.eye(2),
+], ids=["rotation", "parabolic", "negative-parabolic", "identity"])
+def test_axis_thetas_refuse_a_matrix_that_is_not_hyperbolic(m):
+    """|trace| <= 2 has no pair of fixed points: refused alone, and as one row of a stack."""
+    for stack in (np.asarray(m), np.stack([np.diag([2.0, 0.5]), m])):
+        with pytest.raises(NotLoxodromic, match="^reference image is not hyperbolic$"):
+            axis_thetas(stack)
 
 
 def test_circular_order_predicates():
@@ -452,6 +540,40 @@ def test_bulge_deform_keeps_the_relator(reference):
             rtol=1e-9,
         )
     assert bulge_deform(rep3, 0.0) is rep3
+
+
+def _dual_pair(reference, s):
+    """The word ball 4, its inverses, and the bulged reps at +s and -s."""
+    ball = enumerate_conjugacy_classes(reference.presentation, 4)
+    rep3 = sym_power(reference, 3)
+    return ball, [w.inverse() for w in ball], bulge_deform(rep3, s), bulge_deform(rep3, -s)
+
+
+@pytest.mark.parametrize("s, bound", [(0.3, 1e-12), (0.7, 1e-11), (1.0, 1e-10)])
+def test_bulge_duality_takes_traces_to_inverse_traces(reference, s, bound):
+    """rho_{-s} is conjugate to the contragredient of rho_s (Goldman's bulge changes sign
+    under duality), so tr rho_{-s}(w) = tr rho_s(w^-1), relative to the trace.  Both sides
+    are float word products, whose roundoff grows with the letters' norms, which the
+    bulge inflates (up to 33, 90 and 214 at s = 0.3, 0.7, 1.0): each bound is ten times
+    or more the worst gap read, 8.1e-14, 5.1e-13 and 3.3e-12."""
+    ball, inverses, plus, minus = _dual_pair(reference, s)
+    want = np.trace(plus.matrices(inverses), axis1=1, axis2=2)
+    got = np.trace(minus.matrices(ball), axis1=1, axis2=2)
+    assert np.max(np.abs(got - want) / np.abs(want)) < bound
+
+
+@pytest.mark.parametrize("s", [0.3, 0.7])
+def test_bulge_duality_swaps_the_simple_root_lengths(reference, s):
+    """Duality reverses and negates the Jordan projection, so l_12 at +s is l_23 at -s,
+    both from the stacked `jordan_projection`.  A product's middle eigenvalue is read to
+    about eps times its condition e^(l_1 - l_3): the bound is 16 eps e^(l_1 - l_3), and
+    the worst gap read 1.2 and 5.6 times that (2.1e-10 and 4.6e-10).  At s = 1.0 the
+    determinant guard refuses `A2 b2 b2` first (ROADMAP item 5)."""
+    ball, inverses, plus, minus = _dual_pair(reference, s)
+    at_plus = jordan_projection(plus.matrices(ball), plus.matrices(inverses))
+    at_minus = jordan_projection(minus.matrices(ball), minus.matrices(inverses))
+    gap = np.abs(root_length(at_plus, 1, 2) - root_length(at_minus, 2, 3))
+    assert np.all(gap <= 16.0 * EPS * np.exp(root_length(at_plus, 1, 3)))
 
 
 def test_rep_rejects_non_unimodular_images(reference):

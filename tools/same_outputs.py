@@ -72,6 +72,9 @@ COMMAND_LINES = [
     "--bulge 0.3 sample-curve",
     "--n 2 sample-curve",
     "--bulge 0.3 --word-ball 5 sample-curve",
+    # depth 6: the first ball on which breaking dedupe ties by theta, not ball order, keeps
+    # other words
+    "--bulge 0.3 --word-ball 6 sample-curve",
     "--bulge 0.7 sample-curve",
     "build-rep",
     "dev-image --map tan-",
