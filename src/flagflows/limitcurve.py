@@ -7,7 +7,9 @@ one (N, n, n) array of complete frames, so scans are array expressions.
 Samples come from attracting eigenflags over a word ball; Fuchsian curves
 can instead be built in closed form from the symmetric-power embedding,
 which gives exact flags at any parameter (used by the high-accuracy
-experiments).
+experiments): the flag at theta is a fixed integer table of the
+symmetric power, read off `sym_matrix` once per curve, contracted with
+the monomials in cos(theta/2) and sin(theta/2), then one stacked QR.
 
 The curve is evaluated on arrays only: `interpolate` takes parameters of
 any shape and returns their frames from one `searchsorted`, one blend
@@ -287,20 +289,37 @@ def sample_boundary(rep: SurfaceGroupRep, reference: SurfaceGroupRep,
 def fuchsian_curve(reference: SurfaceGroupRep, n: int) -> BoundaryCurve:
     """Closed-form limit curve of the Fuchsian representation sym_power(reference, n).
 
-    The flag at theta is the symmetric power of the rotation carrying
-    (1, 0) to boundary_vector(theta), applied to the coordinate flag (the
-    osculating flag of the moment curve), which is exact at every
-    parameter.  The curve carries this evaluator, stacked over parameters
-    (one array of rotations, from `math.cos` and `math.sin`), and its
+    The flag at theta is the symmetric power of the rotation [[-c, -s], [s, -c]]
+    (c, s the cosine and sine of theta / 2, from `math.cos` and `math.sin`)
+    carrying (1, 0) to boundary_vector(theta), applied to the coordinate flag
+    (the osculating flag of the moment curve), which is exact at every
+    parameter.  Its first n - 1 columns are an integer (n, n, n-1) table, read
+    off `sym_matrix` once per curve, contracted with the monomials c^(n-1-k) s^k:
+    the evaluator sums those n products elementwise in table order and takes
+    `flag_frames`, so each frame is the same floats alone and in any stack.  The
     samples are the evaluator's frames at FUCHSIAN_SAMPLES even parameters.
     """
     rep = sym_power(reference, n)
+    half = (np.arange(n) + 0.5) * math.pi / n
+    c, s = np.cos(half), np.sin(half)
+    powers = c[:, None] ** np.arange(n - 1, -1, -1) * s[:, None] ** np.arange(n)
+    columns = sym_matrix(np.stack([-c, -s, s, -c], axis=-1).reshape(n, 2, 2), n)[..., :n - 1]
+    solved = np.linalg.solve(powers, columns.reshape(n, -1)).reshape(n, n, n - 1)
+    table = np.rint(solved) + 0.0  # no negative zeros
+    if not np.all(np.abs(solved - table) < 1e-3):
+        raise ValueError(f"symmetric power table is not integral at n={n}")
 
     def exact_eval(thetas) -> np.ndarray:
         halves = (np.asarray(thetas, dtype=float) / 2.0).tolist()
         c, s = np.array([(math.cos(h), math.sin(h)) for h in halves]).reshape(-1, 2).T
-        m = sym_matrix(np.stack([-c, -s, s, -c], axis=-1).reshape(-1, 2, 2), n)
-        return flag_frames(m[..., : n - 1])
+        c_powers, s_powers = [np.ones_like(c)], [np.ones_like(s)]
+        for _ in range(n - 1):
+            c_powers.append(c_powers[-1] * c)
+            s_powers.append(s_powers[-1] * s)
+        total = (c_powers[n - 1] * s_powers[0])[:, None, None] * table[0]
+        for k in range(1, n):
+            total = total + (c_powers[n - 1 - k] * s_powers[k])[:, None, None] * table[k]
+        return flag_frames(total)
 
     thetas = (np.arange(FUCHSIAN_SAMPLES) + 0.5) * 2 * math.pi / FUCHSIAN_SAMPLES
     return BoundaryCurve(thetas, exact_eval(thetas), rep, reference, exact_eval=exact_eval)
@@ -554,12 +573,24 @@ def convex_domain_checks(curve: BoundaryCurve) -> dict:
 def boundary_regularity_estimate(curve: BoundaryCurve):
     """Estimate boundary regularity exponents (alpha_hat, beta_hat).
 
-    At many base points, regress log height of the boundary over its
-    tangent line against log offset along the tangent; alpha_hat and
-    beta_hat are the extreme fitted exponents.  For a conic both are 2.
+    At every (N // REGULARITY_BASE_POINTS)-th sample, the base point, take the
+    height of the samples within N // 16 (at least 8) of it over its tangent
+    line and their offset along it.  Offsets and heights above 1e-10 and 1e-14
+    are kept, and a base point with at least 8 of them spanning a decade of
+    offsets fits log height against log offset by least squares; all fits are
+    one masked, stacked expression.  alpha_hat and beta_hat are the extreme
+    fitted exponents.  For a conic both are 2.
     """
     if len(curve) < 128:
         raise InsufficientSamples("need at least 128 samples")
+    bases, exponents = _regularity_exponents(curve)
+    if not bases.size:
+        raise InsufficientResolution("no base point spans a decade of offsets")
+    return float(exponents.min()), float(exponents.max())
+
+
+def _regularity_exponents(curve: BoundaryCurve):
+    """(base points (B,), fitted exponents (B,)) of `boundary_regularity_estimate`."""
     pts = curve.chart_points()
     count = pts.shape[0]
     window = max(8, count // 16)
@@ -569,15 +600,12 @@ def boundary_regularity_estimate(curve: BoundaryCurve):
     rel = pts[(bases[:, None] + offsets) % count] - pts[bases, None]  # (base, offset, 2)
     heights = (rel @ normals[:, :, None])[..., 0]  # each base's product, as alone
     spans = np.linalg.norm(rel - heights[..., None] * normals[:, None, :], axis=-1)
-    exponents = []
-    for h, s in zip(heights, spans):
-        mask = (h > 1e-14) & (np.abs(s) > 1e-10)
-        if mask.sum() < 8:
-            continue
-        ls, lh = np.log(np.abs(s[mask])), np.log(h[mask])
-        if ls.max() - ls.min() < math.log(10.0):
-            continue
-        exponents.append(float(np.polyfit(ls, lh, 1)[0]))
-    if not exponents:
-        raise InsufficientResolution("no base point spans a decade of offsets")
-    return min(exponents), max(exponents)
+    mask = (heights > 1e-14) & (spans > 1e-10)
+    ls, lh = np.log(np.where(mask, spans, 1.0)), np.log(np.where(mask, heights, 1.0))
+    kept = mask.sum(axis=1)
+    decade = np.where(mask, ls, -np.inf).max(axis=1) - np.where(mask, ls, np.inf).min(axis=1)
+    fits = (kept >= 8) & (decade >= math.log(10.0))
+    mask, ls, lh, kept = mask[fits], ls[fits], lh[fits], kept[fits]
+    dx = np.where(mask, ls - (np.sum(ls * mask, axis=1) / kept)[:, None], 0.0)
+    dy = lh - (np.sum(lh * mask, axis=1) / kept)[:, None]
+    return bases[fits], np.sum(dx * dy, axis=1) / np.sum(dx * dx, axis=1)
